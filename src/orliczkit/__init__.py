@@ -57,7 +57,6 @@ from .orlicz import (
     modular,
     power_phi,
     surjectivity_report,
-    tabulated_phi,
 )
 from .quasiconcave import (
     PeetreRepresentation,

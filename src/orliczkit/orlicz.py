@@ -115,20 +115,6 @@ def power_phi(p: float) -> OrliczFunction:
     return phi
 
 
-def tabulated_phi(grid, values) -> OrliczFunction:
-    """Monotone piecewise-cubic interpolant through strictly increasing data."""
-    x = np.asarray(grid, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size < 4 or x.shape != y.shape:
-        raise ValueError("need matching 1-d arrays with at least 4 points")
-    if np.any(np.diff(x) <= 0.0) or np.any(np.diff(y) < 0.0):
-        raise ValueError("grid must increase strictly and values must not decrease")
-    phi = OrliczFunction("tabulated", None, None, float(x[-1]),
-                         _inverse_free_evaluator(x, y), {"points": x.size})
-    _validate_shape(phi, float(x[-1]))
-    return phi
-
-
 def _inverse_free_evaluator(x: np.ndarray, y: np.ndarray) -> Callable:
     interp = PchipInterpolator(x, y, extrapolate=False)
     x0, y0 = float(x[0]), float(y[0])

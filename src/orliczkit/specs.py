@@ -195,7 +195,7 @@ DEFAULT_TOLERANCES = {
 
 _SCENARIO_REQUIRED = {"theorem", "seed", "space", "couple"}
 _SCENARIO_OPTIONAL = {"phi", "operator", "inputs", "t_grid", "tolerances", "fault",
-                      "diagnostics", "pair_inputs"}
+                      "diagnostics"}
 
 
 def normalize_scenario(raw: dict) -> dict:

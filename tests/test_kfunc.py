@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orliczkit as ok
+from orliczkit import kfunc
 from orliczkit.measure import cumulative_p_integral
 
 
@@ -181,6 +182,41 @@ class TestLFunctional:
             vx = ok.l_functional_grid(ts, x, 1.5, 3)
             assert np.all(np.diff(vy) >= -1e-10 * np.maximum(vy[:-1], 1e-30))
             assert np.all(vx <= vy * (1 + 1e-10) + 1e-15)
+
+
+class TestPointwiseSplit:
+    """The per-atom kernel against a dense grid over a in [0, c]."""
+
+    ATOMS = np.array([0.0, 1e-8, 1.0, 1e8])
+    TS = np.array([1e-6, 1.0, 1e6])
+
+    @pytest.mark.parametrize("p,q", [(1, 2), (1, 1.05), (1.01, 5), (1.2, 1.3), (1.5, 3), (2, 4)])
+    def test_never_above_dense_grid_minimum(self, p, q):
+        # errstate "raise" shows that c = 0 atoms are masked, not computed through
+        with np.errstate(all="raise"):
+            got = kfunc._pointwise_min_split(self.ATOMS, self.TS, p, q)
+        s = np.linspace(0.0, 1.0, 200_001)
+        for j, c in enumerate(self.ATOMS):
+            a = c * s
+            with np.errstate(under="ignore"):
+                dense = (a[None, :] ** p + self.TS[:, None] * (c - a)[None, :] ** q).min(axis=1)
+            assert np.all(got[:, j] <= dense * (1 + 1e-12))
+            assert np.all(got[:, j] >= 0.0)
+
+    @pytest.mark.parametrize("q", [2, 1.05])
+    def test_closed_form_at_p1(self, q):
+        got = kfunc._pointwise_min_split(self.ATOMS, self.TS, 1, q)
+        # interior optimum c - d with d = (tq)^{-1/(q-1)}: value c - d + t d^q = c - d (q-1)/q
+        c, t = self.ATOMS[None, :], self.TS[:, None]
+        d = (q * t) ** (-1.0 / (q - 1.0))
+        want = np.where(d < c, c - d * (q - 1.0) / q, t * c**q)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("p,q", [(1, 2), (1.5, 3)])
+    def test_zero_parameter_takes_no_log(self, p, q):
+        with np.errstate(all="raise"):
+            got = kfunc._pointwise_min_split(self.ATOMS, np.array([0.0, 1.0]), p, q)
+        assert np.all(got[0] == 0.0) and np.all(got[1, 1:] > 0.0)
 
 
 class TestLStar:

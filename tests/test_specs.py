@@ -103,6 +103,12 @@ class TestScenarioNormalization:
         with pytest.raises(specs.SpecError):
             specs.normalize_scenario(bad)
 
+    def test_pair_inputs_rejected_like_any_unknown_key(self):
+        # no part of the runner reads it, so accepting it would drop it silently
+        bad = dict(self.BASE, pair_inputs={"count": 3})
+        with pytest.raises(specs.SpecError, match="pair_inputs"):
+            specs.normalize_scenario(bad)
+
 
 class TestGridParsing:
     def test_linear_range(self):
