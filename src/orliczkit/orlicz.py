@@ -1,24 +1,27 @@
 """Orlicz functions, the modular, and the Luxemburg-Nakano / Amemiya norms.
 
 An Orlicz function is a nondecreasing convex function with value 0 at 0.
-Four representations are supported: pure powers, numerically inverted
+Three representations are supported: pure powers, numerically inverted
 generator builds (the inverse is u^{1/p} * rho(u^{1/q-1/p}), with 1/q = 0
-when q is infinite), closed-form builds u^q * h(u^{p-q}) from a concave
-piecewise linear h, and plain tabulations. Generator builds tabulate the
-inverse on a dense log grid and invert with monotone piecewise-cubic
-interpolation; convexity is checked numerically rather than assumed.
+when q is infinite), and closed-form builds u^q * h(u^{p-q}) from a concave
+piecewise linear h. Generator builds tabulate the inverse on a dense log
+grid and invert with monotone piecewise-cubic interpolation; convexity is
+checked numerically rather than assumed.
+
+The modular and both norms take one sample function or a batch on one space;
+each search step of a batch is one array pass over the members still open.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .measure import SampleFunction, sup_norm
+from .measure import SampleFunction
 from .quasiconcave import (
     PiecewiseLinearConcave,
     QuasiConcaveFn,
@@ -217,9 +220,30 @@ def build_from_h(couple: ExponentCouple, h: PiecewiseLinearConcave) -> OrliczFun
     return phi
 
 
-def modular(phi: OrliczFunction, x: SampleFunction) -> float:
-    """Weighted sum of phi(|x_i|); rearrangement invariant by construction."""
-    return float(np.sum(phi(x.abs_values()) * x.space.weights))
+def _batch(x: SampleFunction | Sequence[SampleFunction]) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(|values| with one row per member, the weights, whether x was single)."""
+    if isinstance(x, SampleFunction):
+        return x.abs_values()[None, :], x.space.weights, True
+    xs = list(x)
+    if not xs:
+        return np.zeros((0, 0)), np.zeros(0), False
+    space = xs[0].space
+    if any(v.space is not space and not np.array_equal(v.space.weights, space.weights)
+           for v in xs):
+        raise ValueError("batch members live on different spaces")
+    return np.abs(np.stack([v.values for v in xs])), space.weights, False
+
+
+def modular(phi: OrliczFunction, x: SampleFunction | Sequence[SampleFunction]):
+    """Weighted sum of phi(|x_i|); rearrangement invariant by construction.
+
+    x is one `SampleFunction` (returns a float) or a sequence of them on one
+    space (returns an array, one modular per member), as in both norms.
+    Raises `DomainOverflowError` when any member leaves phi's domain.
+    """
+    mags, weights, single = _batch(x)
+    out = np.sum(phi(mags) * weights, axis=1)
+    return float(out[0]) if single else out
 
 
 def modular_of_step(phi: OrliczFunction, step) -> float:
@@ -227,101 +251,103 @@ def modular_of_step(phi: OrliczFunction, step) -> float:
     return float(np.sum(phi(step.levels) * step.widths))
 
 
-def _modular_scaled(phi: OrliczFunction, x: SampleFunction, scale: float) -> float:
-    """Modular of scale*x, returning +inf instead of raising on overflow."""
-    vals = x.abs_values() * scale
-    if vals.max(initial=0.0) > phi.u_max * (1.0 + 1e-12):
-        return np.inf
-    return float(np.sum(phi.evaluator(np.minimum(vals, phi.u_max)) * x.space.weights))
+def _scaled_modular(phi: OrliczFunction, mags: np.ndarray, weights: np.ndarray,
+                    scale: np.ndarray) -> np.ndarray:
+    """Modular of each row of mags times its scale; +inf for a row that
+    leaves phi's domain instead of raising."""
+    vals = mags * scale[:, None]
+    out = np.sum(phi.evaluator(np.minimum(vals, phi.u_max)) * weights, axis=1)
+    out[vals.max(axis=1, initial=0.0) > phi.u_max * (1.0 + 1e-12)] = np.inf
+    return out
 
 
-def luxemburg_norm(phi: OrliczFunction, x: SampleFunction, *,
-                   rtol: float = 1e-10, max_iter: int = 400) -> float:
+def luxemburg_norm(phi: OrliczFunction, x: SampleFunction | Sequence[SampleFunction], *,
+                   rtol: float = 1e-10, max_iter: int = 400):
     """inf of lambda > 0 with modular(x / lambda) <= 1, by bisection.
 
-    Returns the upper bracket end, so the modular at the returned norm never
-    exceeds 1 beyond roundoff.
+    Per member: double an upper bracket from sup|x| until the modular fits,
+    halve it to a lower one, then bisect to rtol (iteration limits count per
+    member). Returns the upper bracket end, so the modular at the returned
+    norm never exceeds 1 beyond roundoff.
     """
-    m = sup_norm(x)
-    if m == 0.0:
-        return 0.0
-    hi = m
-    if np.isfinite(phi.u_max):
-        hi = max(hi, m / phi.u_max)
-    iters = 0
-    while _modular_scaled(phi, x, 1.0 / hi) > 1.0:
-        hi *= 2.0
-        iters += 1
-        if iters > max_iter:
+    mags, weights, single = _batch(x)
+    m = mags.max(axis=1, initial=0.0)
+    hi = np.maximum(m, m / phi.u_max)
+    iters = np.zeros(m.size, dtype=int)
+
+    def fits(rows, lam):
+        return _scaled_modular(phi, mags[rows], weights, 1.0 / lam) <= 1.0
+
+    rows = np.flatnonzero(m > 0.0)
+    while rows.size:
+        rows = rows[~fits(rows, hi[rows])]
+        hi[rows] *= 2.0
+        iters[rows] += 1
+        if np.any(iters[rows] > max_iter):
             raise NonConvergenceError("no upper bracket for the Luxemburg norm")
     lo = 0.5 * hi
-    while _modular_scaled(phi, x, 1.0 / lo) <= 1.0:
-        hi = lo
-        lo *= 0.5
-        iters += 1
-        if lo < 1e-300 or iters > max_iter:
+    rows = np.flatnonzero(m > 0.0)
+    while rows.size:
+        rows = rows[fits(rows, lo[rows])]
+        hi[rows] = lo[rows]
+        lo[rows] *= 0.5
+        iters[rows] += 1
+        if np.any(lo[rows] < 1e-300) or np.any(iters[rows] > max_iter):
             raise NonConvergenceError("no lower bracket for the Luxemburg norm")
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if _modular_scaled(phi, x, 1.0 / mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        iters += 1
-        if iters > 10 * max_iter:
+    rows = np.flatnonzero(hi - lo > rtol * hi)
+    while rows.size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        ok = fits(rows, mid)
+        hi[rows[ok]], lo[rows[~ok]] = mid[ok], mid[~ok]
+        iters[rows] += 1
+        if np.any(iters[rows] > 10 * max_iter):
             raise NonConvergenceError("Luxemburg bisection failed to converge")
-    return hi
+        rows = rows[hi[rows] - lo[rows] > rtol * hi[rows]]
+    return float(hi[0]) if single else hi
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def amemiya_norm(phi: OrliczFunction, x: SampleFunction, *, rtol: float = 1e-9) -> float:
+def amemiya_norm(phi: OrliczFunction, x: SampleFunction | Sequence[SampleFunction], *,
+                 rtol: float = 1e-9):
     """inf over k > 0 of (1 + modular(k*x)) / k.
 
-    Golden-section over log k on [1e-8, 1e8] (clipped to the evaluation
-    domain), then a short ternary polish. Unimodality of the objective rests
-    on convexity of the modular in k, so for the non-convex concave-h
-    crossover functions the result is only an upper bound on the infimum.
+    Golden section over log k on [1e-8, 1e8], the upper end clipped to the
+    evaluation domain (a range clipped empty shrinks to its upper end), to a
+    bracket of rtol; its midpoint pins the value to roundoff, so no polish
+    follows. Returns the least objective at the midpoint and both ends.
+    Unimodality of the objective rests on convexity of the modular in k, so
+    for the non-convex concave-h crossover functions the result is only an
+    upper bound on the infimum.
     """
-    m = sup_norm(x)
-    if m == 0.0:
-        return 0.0
+    mags, weights, single = _batch(x)
+    m = mags.max(axis=1, initial=0.0)
 
-    def objective(k: float) -> float:
-        return (1.0 + _modular_scaled(phi, x, k)) / k
+    def objective(rows, k):
+        return (1.0 + _scaled_modular(phi, mags[rows], weights, k)) / k
 
-    lo, hi = 1e-8, 1e8
-    if np.isfinite(phi.u_max):
-        hi = min(hi, phi.u_max / m)
-        if hi <= lo:
-            return objective(hi)
-    a, b = math.log(lo), math.log(hi)
-    best_k = None
-    best_v = min(objective(lo), objective(hi))
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = objective(math.exp(c)), objective(math.exp(d))
-    while b - a > rtol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = objective(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = objective(math.exp(d))
-    k0 = math.exp(0.5 * (a + b))
-    lo_k, hi_k = k0 * (1.0 - 1e-7), k0 * (1.0 + 1e-7)
-    for _ in range(40):
-        k1 = lo_k + (hi_k - lo_k) / 3.0
-        k2 = hi_k - (hi_k - lo_k) / 3.0
-        if objective(k1) <= objective(k2):
-            hi_k = k2
-        else:
-            lo_k = k1
-    best_k = 0.5 * (lo_k + hi_k)
-    return min(best_v, objective(best_k), objective(k0))
+    out = np.zeros(m.size)
+    rows = np.flatnonzero(m > 0.0)
+    k_hi = np.minimum(1e8, phi.u_max / m[rows])
+    k_lo = np.minimum(1e-8, k_hi)
+    best = np.minimum(objective(rows, k_lo), objective(rows, k_hi))
+    a, b = np.log(k_lo), np.log(k_hi)
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = objective(rows, np.exp(c)), objective(rows, np.exp(d))
+    live = np.flatnonzero(b - a > rtol)
+    while live.size:
+        left = fc[live] <= fd[live]
+        lt, rt = live[left], live[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - _INV_PHI * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + _INV_PHI * (b[rt] - a[rt])
+        f = objective(rows[live], np.exp(np.where(left, c[live], d[live])))
+        fc[lt], fd[rt] = f[left], f[~left]
+        live = live[b[live] - a[live] > rtol]
+    out[rows] = np.minimum(best, objective(rows, np.exp(0.5 * (a + b))))
+    return float(out[0]) if single else out
 
 
 class ConvexityCheck(NamedTuple):

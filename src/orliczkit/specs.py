@@ -198,8 +198,12 @@ _SCENARIO_OPTIONAL = {"phi", "operator", "inputs", "t_grid", "tolerances", "faul
                       "diagnostics"}
 
 
-def normalize_scenario(raw: dict) -> dict:
-    """Validated canonical scenario with all defaults made explicit."""
+def resolve_scenario(raw: dict) -> tuple:
+    """(canonical scenario, space, couple, phi or None, operator or None).
+
+    Validates and fills in defaults as `normalize_scenario` does, keeping
+    what it builds on the way; the operator lives on the returned space.
+    """
     _require_keys(raw, _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL, what="scenario")
     theorem = raw["theorem"]
     if theorem not in THEOREM_TAGS:
@@ -208,9 +212,9 @@ def normalize_scenario(raw: dict) -> dict:
         raise SpecError("scenario seed must be an integer (and is mandatory)")
 
     out: dict[str, Any] = {"theorem": theorem, "seed": raw["seed"]}
-    resolve_space(raw["space"])        # validation only
+    space = resolve_space(raw["space"])
     out["space"] = raw["space"]
-    resolve_couple(raw["couple"])
+    couple = resolve_couple(raw["couple"])
     out["couple"] = raw["couple"]
 
     inputs = dict(raw.get("inputs") or {})
@@ -243,11 +247,9 @@ def normalize_scenario(raw: dict) -> dict:
     out["tolerances"] = {k: tol[k] for k in sorted(tol)}
 
     out["phi"] = raw.get("phi")
-    if out["phi"] is not None:
-        resolve_phi(out["phi"])
+    phi = resolve_phi(out["phi"]) if out["phi"] is not None else None
     out["operator"] = raw.get("operator")
-    if out["operator"] is not None:
-        resolve_operator(out["operator"], resolve_space(raw["space"]), resolve_couple(raw["couple"]))
+    op = resolve_operator(out["operator"], space, couple) if out["operator"] is not None else None
 
     fault = raw.get("fault")
     if fault is not None:
@@ -255,7 +257,12 @@ def normalize_scenario(raw: dict) -> dict:
         fault = {"halve_certificate": bool(fault.get("halve_certificate", False))}
     out["fault"] = fault
     out["diagnostics"] = bool(raw.get("diagnostics", False))
-    return out
+    return out, space, couple, phi, op
+
+
+def normalize_scenario(raw: dict) -> dict:
+    """Validated canonical scenario with all defaults made explicit."""
+    return resolve_scenario(raw)[0]
 
 
 def t_grid_points(grid: dict) -> np.ndarray:
@@ -270,29 +277,22 @@ def dump_normalized(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def parse_range(text: str, what: str = "grid") -> np.ndarray:
-    """'start:stop:count' linear ranges for CLI grids."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise SpecError(f"{what} must look like start:stop:count")
+def parse_range(text: str, what: str = "grid", log: bool = False) -> np.ndarray:
+    """'start:stop:count' ranges for CLI grids, linear or log-spaced."""
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise SpecError(f"{what} must look like start:stop:count") from None
+    if log and (start <= 0.0 or stop < start or (stop == start and count > 1)):
+        raise SpecError(f"{what} needs 0 < start <= stop and a positive count")
     if count < 1:
         raise SpecError(f"{what} needs at least one point")
+    if log:
+        return np.logspace(math.log10(start), math.log10(stop), count)
     return np.linspace(start, stop, count)
 
 
 def parse_log_range(text: str, what: str = "t-grid") -> np.ndarray:
     """'start:stop:count' log-spaced ranges for CLI t-grids."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise SpecError(f"{what} must look like start:stop:count")
-    try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise SpecError(f"{what} must look like start:stop:count") from None
-    if start <= 0.0 or stop < start or count < 1 or (stop == start and count > 1):
-        raise SpecError(f"{what} needs 0 < start <= stop and a positive count")
-    return np.logspace(math.log10(start), math.log10(stop), count)
+    return parse_range(text, what, log=True)

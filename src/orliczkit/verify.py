@@ -253,7 +253,7 @@ def verify_sparr_batch(space, couple: ExponentCouple, count: int, t_grid,
 def verify_modular_lp_linf(phi: OrliczFunction, p: float, op: CertifiedOperator,
                            inputs: list[SampleFunction],
                            tolerances: dict | None = None,
-                           scenario: dict | None = None, jobs: int = 1) -> VerificationReport:
+                           scenario: dict | None = None) -> VerificationReport:
     """Modular contraction against the sharp truncation constant.
 
     Precondition (rejected, not failed): u -> phi(u^{1/p}) passes the
@@ -269,14 +269,10 @@ def verify_modular_lp_linf(phi: OrliczFunction, p: float, op: CertifiedOperator,
             f"phi(u^(1/p)) fails convexity (worst second difference {psi.worst_second_difference:.3e})")
     constant = bergh_constant(p) * op.max_bound
     collector = _Collector(tol["violation_rel"], tol["abs_floor"])
-
-    def one(pair):
-        idx, x = pair
-        tx = op.apply(x).scaled(1.0 / constant)
-        return idx, modular(phi, tx), modular(phi, x), x
-
-    for idx, lhs, rhs, x in _map(one, enumerate(inputs), jobs):
-        collector.check(lhs, rhs, None, idx, "modular_lp_linf", x.values)
+    lhs = modular(phi, [op.apply(x).scaled(1.0 / constant) for x in inputs])
+    rhs = modular(phi, inputs)
+    for idx, x in enumerate(inputs):
+        collector.check(lhs[idx], rhs[idx], None, idx, "modular_lp_linf", x.values)
     return _report("thm31a", len(inputs), collector, started,
                    {"constant": constant, "psi_convexity_margin": psi.worst_second_difference},
                    scenario)
@@ -285,7 +281,7 @@ def verify_modular_lp_linf(phi: OrliczFunction, p: float, op: CertifiedOperator,
 def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
                          op: CertifiedOperator, inputs: list[SampleFunction],
                          tolerances: dict | None = None,
-                         scenario: dict | None = None, jobs: int = 1) -> VerificationReport:
+                         scenario: dict | None = None) -> VerificationReport:
     """Modular comparison with the sharp two-piece-cost constant."""
     started = time.perf_counter()
     tol = dict(specs.DEFAULT_TOLERANCES, **(tolerances or {}))
@@ -294,23 +290,21 @@ def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
     gamma = sparr_gamma(couple.p, couple.q).value
     m = op.max_bound
     collector = _Collector(tol["violation_rel"], tol["abs_floor"])
-
-    def one(pair):
-        idx, x = pair
-        tx = op.apply(x).scaled(1.0 / m)
-        return idx, modular(phi, tx), gamma * modular(phi, x), x
-
-    for idx, lhs, rhs, x in _map(one, enumerate(inputs), jobs):
-        collector.check(lhs, rhs, None, idx, "modular_lp_lq", x.values)
+    lhs = modular(phi, [op.apply(x).scaled(1.0 / m) for x in inputs])
+    rhs = gamma * modular(phi, inputs)
+    for idx, x in enumerate(inputs):
+        collector.check(lhs[idx], rhs[idx], None, idx, "modular_lp_lq", x.values)
     return _report("thm46a", len(inputs), collector, started,
                    {"gamma": gamma, "certified_bound": m}, scenario)
 
 
-_CONSTANT_SOURCES = ("subadditive", "lp_linf", "concave_h", "linear")
+# theorem tag of each norm scenario -> source of its interpolation constant
+_NORM_SOURCES = {"thm31b_norm": "lp_linf", "thm46b_norm": "subadditive",
+                 "remark_concave_h": "concave_h", "thm51_linear": "linear"}
 
 
 def _norm_constant(source: str, couple: ExponentCouple, op: CertifiedOperator) -> float:
-    if source not in _CONSTANT_SOURCES:
+    if source not in _NORM_SOURCES.values():
         raise ValueError(f"unknown constant source {source!r}")
     if source == "lp_linf":
         if not couple.q_is_inf:
@@ -331,26 +325,20 @@ def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
                               op: CertifiedOperator, inputs: list[SampleFunction],
                               constant_source: str,
                               tolerances: dict | None = None,
-                              scenario: dict | None = None, jobs: int = 1) -> VerificationReport:
+                              scenario: dict | None = None) -> VerificationReport:
     """||Tx|| <= C * M * ||x|| in both the Luxemburg and Amemiya norms."""
     started = time.perf_counter()
     tol = dict(specs.DEFAULT_TOLERANCES, **(tolerances or {}))
     c = _norm_constant(constant_source, couple, op)
     cm = c * op.max_bound
     collector = _Collector(tol["norm_rel"], tol["abs_floor"])
-
-    def one(pair):
-        idx, x = pair
-        tx = op.apply(x)
-        return (idx, x,
-                luxemburg_norm(phi, tx), luxemburg_norm(phi, x),
-                amemiya_norm(phi, tx), amemiya_norm(phi, x))
-
-    for idx, x, lux_t, lux_x, am_t, am_x in _map(one, enumerate(inputs), jobs):
-        collector.check(lux_t, cm * lux_x, None, idx, "luxemburg", x.values)
-        collector.check(am_t, cm * am_x, None, idx, "amemiya", x.values)
-    tag = {"subadditive": "thm46b_norm", "lp_linf": "thm31b_norm",
-           "concave_h": "remark_concave_h", "linear": "thm51_linear"}[constant_source]
+    txs = [op.apply(x) for x in inputs]
+    lux_t, lux_x = luxemburg_norm(phi, txs), luxemburg_norm(phi, inputs)
+    am_t, am_x = amemiya_norm(phi, txs), amemiya_norm(phi, inputs)
+    for idx, x in enumerate(inputs):
+        collector.check(lux_t[idx], cm * lux_x[idx], None, idx, "luxemburg", x.values)
+        collector.check(am_t[idx], cm * am_x[idx], None, idx, "amemiya", x.values)
+    tag = next(t for t, source in _NORM_SOURCES.items() if source == constant_source)
     return _report(tag, len(inputs), collector, started,
                    {"constant": c, "certified_bound": op.max_bound,
                     "constant_source": constant_source}, scenario)
@@ -397,15 +385,13 @@ def chain_diagnostics(phi: OrliczFunction, couple: ExponentCouple,
     gamma = sparr_gamma(couple.p, couple.q).value
     m = op.max_bound
     collector = _Collector(tol["chain_rel"], tol["chain_abs_floor"])
+    txs = [op.apply(x).scaled(1.0 / m) for x in inputs]
+    phi_tx, psi_tx = modular(phi, txs), modular(psi, txs)
+    gamma_psi_x, two_gamma_phi_x = gamma * modular(psi, inputs), 2.0 * gamma * modular(phi, inputs)
     for idx, x in enumerate(inputs):
-        tx = op.apply(x).scaled(1.0 / m)
-        i_phi_tx = modular(phi, tx)
-        i_psi_tx = modular(psi, tx)
-        i_psi_x = modular(psi, x)
-        i_phi_x = modular(phi, x)
-        collector.check(i_phi_tx, i_psi_tx, None, idx, "link1_phi_le_psi", x.values)
-        collector.check(i_psi_tx, gamma * i_psi_x, None, idx, "link2_psi_contraction", x.values)
-        collector.check(gamma * i_psi_x, 2.0 * gamma * i_phi_x, None, idx, "link3_psi_le_2phi", x.values)
+        collector.check(phi_tx[idx], psi_tx[idx], None, idx, "link1_phi_le_psi", x.values)
+        collector.check(psi_tx[idx], gamma_psi_x[idx], None, idx, "link2_psi_contraction", x.values)
+        collector.check(gamma_psi_x[idx], two_gamma_phi_x[idx], None, idx, "link3_psi_le_2phi", x.values)
     return _report("thm46b_norm", len(inputs), collector, started,
                    {"gamma": gamma, "mode": "chain_diagnostics",
                     "majorant_knots": int(h_major.knots.size)}, scenario)
@@ -421,18 +407,11 @@ def _map(fn, items, jobs: int):
 
 def run_scenario(raw_scenario: dict, jobs: int = 1) -> dict:
     """Normalize, dispatch, and run one scenario; returns the report dict."""
-    scenario = specs.normalize_scenario(raw_scenario)
-    space = specs.resolve_space(scenario["space"])
-    couple = specs.resolve_couple(scenario["couple"])
+    scenario, space, couple, phi, op = specs.resolve_scenario(raw_scenario)
     tol = scenario["tolerances"]
     theorem = scenario["theorem"]
-
-    op = None
-    if scenario["operator"] is not None:
-        op = specs.resolve_operator(scenario["operator"], space, couple)
-        if scenario["fault"] and scenario["fault"].get("halve_certificate"):
-            op = op.with_bounds(op.bound_p / 2.0, op.bound_q / 2.0, "fault: halved certificate")
-    phi = specs.resolve_phi(scenario["phi"]) if scenario["phi"] is not None else None
+    if op is not None and scenario["fault"] and scenario["fault"].get("halve_certificate"):
+        op = op.with_bounds(op.bound_p / 2.0, op.bound_q / 2.0, "fault: halved certificate")
     ts = specs.t_grid_points(scenario["t_grid"]) if scenario["t_grid"] is not None else None
     ins = scenario["inputs"]
 
@@ -448,21 +427,16 @@ def run_scenario(raw_scenario: dict, jobs: int = 1) -> dict:
     if theorem == "prop22":
         if op is None or ts is None:
             raise specs.SpecError("prop22 needs an operator and a t_grid")
-        report = verify_k_contraction(op, inputs, ts, tol, scenario, jobs)
-    elif theorem == "thm31a":
-        if op is None or phi is None:
-            raise specs.SpecError("thm31a needs an operator and a phi")
-        report = verify_modular_lp_linf(phi, couple.p, op, inputs, tol, scenario, jobs)
+        return verify_k_contraction(op, inputs, ts, tol, scenario, jobs).to_dict()
+    if op is None or phi is None:
+        raise specs.SpecError(f"{theorem} needs an operator and a phi")
+    if theorem == "thm31a":
+        report = verify_modular_lp_linf(phi, couple.p, op, inputs, tol, scenario)
     elif theorem == "thm46a":
-        if op is None or phi is None:
-            raise specs.SpecError("thm46a needs an operator and a phi")
-        report = verify_modular_lp_lq(phi, couple, op, inputs, tol, scenario, jobs)
-    elif theorem in ("thm31b_norm", "thm46b_norm", "remark_concave_h", "thm51_linear"):
-        if op is None or phi is None:
-            raise specs.SpecError(f"{theorem} needs an operator and a phi")
-        source = {"thm31b_norm": "lp_linf", "thm46b_norm": "subadditive",
-                  "remark_concave_h": "concave_h", "thm51_linear": "linear"}[theorem]
-        report = verify_norm_interpolation(phi, couple, op, inputs, source, tol, scenario, jobs)
+        report = verify_modular_lp_lq(phi, couple, op, inputs, tol, scenario)
+    elif theorem in _NORM_SOURCES:
+        report = verify_norm_interpolation(phi, couple, op, inputs, _NORM_SOURCES[theorem],
+                                           tol, scenario)
         if theorem == "thm46b_norm" and scenario["diagnostics"]:
             chain = chain_diagnostics(phi, couple, op, inputs, tol, scenario)
             report.violations.extend(chain.violations)

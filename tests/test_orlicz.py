@@ -154,6 +154,91 @@ class TestAmemiyaNorm:
             assert ok.amemiya_norm(phi, x) <= ok.amemiya_norm(phi, y) * (1 + 1e-8)
 
 
+def remark_h_phi():
+    """The phi of the shipped remark_concave_h_1_2 scenario: u^2 + u."""
+    return ok.build_from_h(ExponentCouple(1, 2), ok.PiecewiseLinearConcave([1.0], [2.0], 1.0, 1.0))
+
+
+def mixed_batch(space, rng, big=3e8):
+    """Random rows plus a zero row, a one-atom spike, and a row whose
+    sup is `big` (beyond a saturating phi's domain at every k >= 1e-8)."""
+    rows = [rng.uniform(-2, 2, space.n) for _ in range(6)]
+    rows.append(np.zeros(space.n))
+    spike = np.zeros(space.n)
+    spike[3] = 1.7
+    rows.append(spike)
+    wide = rng.uniform(-1, 1, space.n)
+    wide[0] = big
+    rows.append(wide)
+    return [ok.SampleFunction(space, r) for r in rows]
+
+
+class TestBatch:
+    PHIS = {
+        "power": lambda: ok.power_phi(1.5),
+        "generator": lambda: cached_generator_phi(1.5, 3, "powerlog", (0.5, 0, 0)),
+        "saturating": lambda: cached_generator_phi(2, np.inf, "min_one"),
+        "h": remark_h_phi,
+    }
+
+    @pytest.mark.parametrize("name", sorted(PHIS))
+    def test_batch_equals_per_member(self, name):
+        phi = self.PHIS[name]()
+        space = ok.DiscreteMeasureSpace(np.linspace(0.5, 2.0, 6))
+        xs = mixed_batch(space, np.random.default_rng(71))
+        for fn in (ok.luxemburg_norm, ok.amemiya_norm):
+            batch = fn(phi, xs)
+            assert isinstance(batch, np.ndarray) and batch.shape == (len(xs),)
+            single = np.array([fn(phi, x) for x in xs])
+            np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0.0)
+            assert batch[6] == 0.0
+        inside = [x for x in xs if ok.sup_norm(x) <= phi.u_max]
+        np.testing.assert_allclose(ok.modular(phi, inside),
+                                   [ok.modular(phi, x) for x in inside], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(PHIS))
+    def test_single_member_returns_float(self, name):
+        phi = self.PHIS[name]()
+        x = sample([0.5, -0.25, 0.75])
+        for fn in (ok.modular, ok.luxemburg_norm, ok.amemiya_norm):
+            assert type(fn(phi, x)) is float
+            assert fn(phi, [x]).shape == (1,)
+
+    def test_empty_batch(self):
+        for fn in (ok.modular, ok.luxemburg_norm, ok.amemiya_norm):
+            assert fn(ok.power_phi(2), []).shape == (0,)
+
+    def test_strict_modular_raises_on_one_overflowing_member(self):
+        phi = cached_generator_phi(2, np.inf, "min_one")
+        xs = [sample([0.1, 0.2]), sample([0.3, 1.5]), sample([0.0, 0.0])]
+        with pytest.raises(ok.DomainOverflowError):
+            ok.modular(phi, xs)
+
+    def test_members_must_share_a_space(self):
+        with pytest.raises(ValueError):
+            ok.modular(ok.power_phi(2), [sample([1.0, 2.0]), sample([1.0, 2.0], [1.0, 3.0])])
+
+
+class TestAmemiyaGridOracle:
+    """The golden section without a polish step is attained and minimal:
+    never below the infimum as a dense log-k grid estimates it, and never
+    above the grid minimum beyond roundoff."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    @pytest.mark.parametrize("name", ["h", "generator"])
+    def test_within_grid_minimum(self, name, scale):
+        phi = TestBatch.PHIS[name]()
+        rng = np.random.default_rng(72)
+        for _ in range(3):
+            x = sample(rng.uniform(-1, 1, 6) * scale)
+            m = ok.sup_norm(x)
+            ks = np.exp(np.linspace(np.log(1e-8), np.log(min(1e8, phi.u_max / m)), 200001))
+            mods = phi(np.minimum(np.outer(ks, x.abs_values()), phi.u_max)) @ x.space.weights
+            grid_min = float(np.min((1.0 + mods) / ks))
+            value = ok.amemiya_norm(phi, x)
+            assert grid_min * (1.0 - 1e-6) <= value <= grid_min * (1.0 + 1e-12)
+
+
 class TestBuildFromGenerator:
     def test_constant_generator_gives_power_p(self):
         phi = cached_generator_phi(2, 3, "power", (0.0,))

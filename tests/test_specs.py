@@ -103,6 +103,17 @@ class TestScenarioNormalization:
         with pytest.raises(specs.SpecError):
             specs.normalize_scenario(bad)
 
+    def test_resolve_builds_on_one_space(self):
+        scenario, space, couple, phi, op = specs.resolve_scenario(self.BASE)
+        assert scenario == specs.normalize_scenario(self.BASE)
+        assert op.space is space and op.couple == couple
+        assert phi.kind == "h" and couple.p == 1 and couple.q == 2
+
+    def test_resolve_without_phi_or_operator(self):
+        bare = {k: v for k, v in self.BASE.items() if k not in ("phi", "operator")}
+        _, _, _, phi, op = specs.resolve_scenario(bare)
+        assert phi is None and op is None
+
     def test_pair_inputs_rejected_like_any_unknown_key(self):
         # no part of the runner reads it, so accepting it would drop it silently
         bad = dict(self.BASE, pair_inputs={"count": 3})

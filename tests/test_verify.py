@@ -179,6 +179,22 @@ class TestRunScenario:
         b = run_scenario(scenario, jobs=4)
         assert strip_wall(a) == strip_wall(b)
 
+    def test_phi_and_operator_built_once_per_report(self, monkeypatch):
+        calls = {"phi": 0, "operator": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(specs, "resolve_phi", counting("phi", specs.resolve_phi))
+        monkeypatch.setattr(specs, "resolve_operator", counting("operator", specs.resolve_operator))
+        scenario = load_scenario("thm46b_norm_1_2.json")
+        scenario["inputs"]["count"] = 4
+        assert run_scenario(scenario)["status"] == "pass"
+        assert calls == {"phi": 1, "operator": 1}
+
     def test_negative_control_detects_planted_fault(self):
         report = run_scenario(load_scenario("thm46a_negative_control.json"))
         assert report["status"] == "fail"
