@@ -108,11 +108,9 @@ def cmd_kfunc(args) -> int:
     parts = args.couple.split(",")
     if len(parts) != 2:
         raise specs.SpecError("--couple must look like p,q (q may be 'inf')")
-    p = specs.parse_exponent(parts[0], "p")
-    q = specs.parse_exponent(parts[1], "q")
-    if not (1.0 <= p < q <= math.inf):
-        raise specs.SpecError("couple must satisfy 1 <= p < q <= inf")
-    ts = specs.parse_log_range(args.t_grid, "--t-grid")
+    couple = specs.resolve_couple({"p": parts[0], "q": parts[1]})
+    p, q = couple.p, couple.q
+    ts = specs.parse_range(args.t_grid, "--t-grid", log=True)
     rows = []
     for t in ts:
         if args.method == "oracle":
@@ -187,7 +185,7 @@ def cmd_verify(args) -> int:
         scenario["inputs"]["count"] *= 2
         if scenario["t_grid"] is not None:
             scenario["t_grid"]["points"] *= 2
-    report = run_scenario(scenario, jobs=args.jobs)
+    report = run_scenario(scenario)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -233,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a scenario file and emit its report")
     v.add_argument("--scenario", required=True)
     v.add_argument("--out", default=None, help="write the report JSON here instead of stdout")
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--refine", action="store_true",
                    help="double the input count and t-grid density")
     v.add_argument("--seed", type=int, default=None, help="override the scenario seed")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -39,10 +39,9 @@ def parse_exponent(value: Any, what: str = "exponent") -> float:
     if value in ("inf", "Infinity"):
         return math.inf
     try:
-        out = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise SpecError(f"{what} must be a number or 'inf', got {value!r}") from None
-    return out
 
 
 def resolve_couple(record: dict) -> ExponentCouple:
@@ -171,18 +170,32 @@ def random_contractive(space: DiscreteMeasureSpace, couple: ExponentCouple,
     return ops.contractive_matrix(space, a / scale, couple)
 
 
-THEOREM_TAGS = (
-    "prop22",
-    "sparr_lemma",
-    "thm31a",
-    "thm31b_norm",
-    "thm46a",
-    "thm46b_norm",
-    "remark_concave_h",
-    "thm51_linear",
-)
-
 INPUT_DISTRIBUTIONS = ("mixed", "uniform", "lognormal", "spikes", "constant", "bounded")
+
+
+class Theorem(NamedTuple):
+    """What a theorem tag takes from a scenario; any other section is rejected."""
+
+    requires: tuple[str, ...]        # sections that must be given
+    reads: tuple[str, ...] = ()      # optional sections it reads
+    q_inf: bool | None = False       # q = inf (True), finite (False) or either (None)
+    distributions: tuple[str, ...] = INPUT_DISTRIBUTIONS
+
+
+# scenario sections that a tag requires, reads or rejects (every tag reads inputs and tolerances)
+SECTIONS = ("phi", "operator", "t_grid", "fault", "diagnostics")
+
+THEOREMS = {
+    "prop22": Theorem(("operator", "t_grid"), ("fault",), q_inf=None),
+    # draws its own (x, y) pairs, so the input distribution is fixed
+    "sparr_lemma": Theorem(("t_grid",), distributions=("mixed",)),
+    "thm31a": Theorem(("phi", "operator"), ("fault",), q_inf=True),
+    "thm31b_norm": Theorem(("phi", "operator"), ("fault",), q_inf=True),
+    "thm46a": Theorem(("phi", "operator"), ("fault",)),
+    "thm46b_norm": Theorem(("phi", "operator"), ("fault", "diagnostics")),
+    "remark_concave_h": Theorem(("phi", "operator"), ("fault",)),
+    "thm51_linear": Theorem(("phi", "operator"), ("fault",)),
+}
 
 DEFAULT_TOLERANCES = {
     "violation_rel": 1e-9,
@@ -194,8 +207,7 @@ DEFAULT_TOLERANCES = {
 }
 
 _SCENARIO_REQUIRED = {"theorem", "seed", "space", "couple"}
-_SCENARIO_OPTIONAL = {"phi", "operator", "inputs", "t_grid", "tolerances", "fault",
-                      "diagnostics"}
+_SCENARIO_OPTIONAL = {"inputs", "tolerances", *SECTIONS}
 
 
 def resolve_scenario(raw: dict) -> tuple:
@@ -206,8 +218,8 @@ def resolve_scenario(raw: dict) -> tuple:
     """
     _require_keys(raw, _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL, what="scenario")
     theorem = raw["theorem"]
-    if theorem not in THEOREM_TAGS:
-        raise SpecError(f"unknown theorem tag {theorem!r}; expected one of {THEOREM_TAGS}")
+    if theorem not in THEOREMS:
+        raise SpecError(f"unknown theorem tag {theorem!r}; expected one of {tuple(THEOREMS)}")
     if not isinstance(raw["seed"], int):
         raise SpecError("scenario seed must be an integer (and is mandatory)")
 
@@ -216,29 +228,35 @@ def resolve_scenario(raw: dict) -> tuple:
     out["space"] = raw["space"]
     couple = resolve_couple(raw["couple"])
     out["couple"] = raw["couple"]
+    record = THEOREMS[theorem]
+    given = [key for key in SECTIONS if raw.get(key) not in (None, False)]
+    missing = [key for key in record.requires if key not in given]
+    unread = [key for key in given if key not in record.requires + record.reads]
+    if missing:
+        raise SpecError(f"{theorem} needs the sections {missing}")
+    if unread:
+        raise SpecError(f"{theorem} does not read the sections {unread}")
+    if record.q_inf is not None and couple.q_is_inf != record.q_inf:
+        raise SpecError(f"{theorem} needs {'q = inf' if record.q_inf else 'a finite q'}")
 
-    inputs = dict(raw.get("inputs") or {})
+    inputs = {"count": 100, "distribution": "mixed", "scale": 1.0, **(raw.get("inputs") or {})}
     _require_keys(inputs, set(), {"count", "distribution", "scale"}, what="inputs spec")
-    inputs.setdefault("count", 100)
-    inputs.setdefault("distribution", "mixed")
-    inputs.setdefault("scale", 1.0)
-    if inputs["distribution"] not in INPUT_DISTRIBUTIONS:
-        raise SpecError(f"unknown input distribution {inputs['distribution']!r}")
+    if inputs["distribution"] not in record.distributions:
+        raise SpecError(f"{theorem} takes inputs.distribution in {record.distributions}, "
+                        f"not {inputs['distribution']!r}")
     if not isinstance(inputs["count"], int) or inputs["count"] < 1:
         raise SpecError("inputs.count must be a positive integer")
-    out["inputs"] = {k: inputs[k] for k in ("count", "distribution", "scale")}
+    out["inputs"] = inputs
 
+    out["t_grid"] = None
     if raw.get("t_grid") is not None:
-        grid = dict(raw["t_grid"])
+        grid = {"spacing": "log", **raw["t_grid"]}
         _require_keys(grid, {"start", "stop", "points"}, {"spacing"}, what="t_grid")
-        grid.setdefault("spacing", "log")
         if grid["spacing"] not in ("log", "linear"):
             raise SpecError("t_grid spacing must be 'log' or 'linear'")
         if float(grid["start"]) <= 0.0 and grid["spacing"] == "log":
             raise SpecError("log t_grid needs a positive start")
         out["t_grid"] = {k: grid[k] for k in ("start", "stop", "points", "spacing")}
-    else:
-        out["t_grid"] = None
 
     tol = dict(DEFAULT_TOLERANCES)
     extra = dict(raw.get("tolerances") or {})
@@ -291,8 +309,3 @@ def parse_range(text: str, what: str = "grid", log: bool = False) -> np.ndarray:
     if log:
         return np.logspace(math.log10(start), math.log10(stop), count)
     return np.linspace(start, stop, count)
-
-
-def parse_log_range(text: str, what: str = "t-grid") -> np.ndarray:
-    """'start:stop:count' log-spaced ranges for CLI t-grids."""
-    return parse_range(text, what, log=True)

@@ -1,16 +1,17 @@
 """Scenario engine that checks the interpolation inequalities numerically.
 
-Each scenario names a theorem tag, a couple, generator/operator specs, a
-seeded input batch, and named tolerances; running it produces a structured
-report with every violation (parameter, input index, both sides, relative
-margin, witness values). Reports are deterministic given the seed; wall
-time is the only field that varies between runs.
+A scenario names a theorem tag, a couple, a seeded input batch, named
+tolerances and the sections `specs.THEOREMS` says its tag takes (anything
+else is rejected); `RUNNERS` maps the tag to its verifier. The report lists
+every violation (parameter, input index, both sides, relative margin,
+witness values); a failed precondition, such as inputs beyond phi's domain,
+raises `ScenarioRejected` instead. Reports are deterministic given the
+seed; wall time is the only field that varies between runs.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .kfunc import k_lp_linf_grid, l_functional_grid, l_star_grid
 from .measure import SampleFunction
 from .operators import KIND_LINEAR, CertifiedOperator
 from .orlicz import (
+    DomainOverflowError,
     ExponentCouple,
     OrliczFunction,
     amemiya_norm,
@@ -48,15 +50,7 @@ class Violation:
     witness: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "input_index": self.input_index,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "check": self.check,
-            "witness": list(self.witness),
-        }
+        return dict(vars(self), witness=list(self.witness))
 
 
 @dataclass
@@ -81,11 +75,15 @@ class VerificationReport:
 
 
 class _Collector:
-    """Relative violation test with an absolute fallback at rhs = 0."""
+    """One verifier run: merged tolerances, start time, and a relative
+    violation test (named tolerances) with an absolute fallback at rhs = 0."""
 
-    def __init__(self, rel: float, abs_floor: float):
-        self.rel = rel
-        self.abs_floor = abs_floor
+    def __init__(self, tolerances: dict | None, rel: str = "violation_rel",
+                 floor: str = "abs_floor"):
+        self.started = time.perf_counter()
+        self.tol = dict(specs.DEFAULT_TOLERANCES, **(tolerances or {}))
+        self.rel = self.tol[rel]
+        self.abs_floor = self.tol[floor]
         self.violations: list[Violation] = []
 
     def check(self, lhs: float, rhs: float, t, idx: int, tag: str, witness=()) -> None:
@@ -101,23 +99,22 @@ class _Collector:
         for j in np.nonzero(bad)[0]:
             self.check(float(lhs[j]), float(rhs[j]), float(ts[j]), idx, tag, witness)
 
-
-def _report(tag: str, trials: int, collector: _Collector, started: float,
-            details: dict | None = None, scenario: dict | None = None) -> VerificationReport:
-    return VerificationReport(
-        scenario=scenario if scenario is not None else {"theorem": tag, "inline": True},
-        status="pass" if not collector.violations else "fail",
-        trials=trials,
-        violations=collector.violations,
-        wall_ms=(time.perf_counter() - started) * 1000.0,
-        details=details or {},
-    )
+    def report(self, tag: str, trials: int, details: dict,
+               scenario: dict | None = None) -> VerificationReport:
+        return VerificationReport(
+            scenario=scenario if scenario is not None else {"theorem": tag, "inline": True},
+            status="pass" if not self.violations else "fail",
+            trials=trials,
+            violations=self.violations,
+            wall_ms=(time.perf_counter() - self.started) * 1000.0,
+            details=details,
+        )
 
 
 def generate_inputs(space, count: int, distribution: str = "mixed",
                     scale: float = 1.0, seed: int = 0) -> list[SampleFunction]:
     """Seeded input batch; the seed splits per index, so batches are stable
-    under any evaluation order or parallelism."""
+    under any evaluation order."""
     children = np.random.SeedSequence(seed).spawn(count)
     mixes = {
         "mixed": ("uniform", "lognormal", "spikes", "constant"),
@@ -154,28 +151,21 @@ def _couple_k_grid(ts: np.ndarray, x: SampleFunction, couple: ExponentCouple) ->
 
 def verify_k_contraction(op: CertifiedOperator, inputs: list[SampleFunction],
                          t_grid, tolerances: dict | None = None,
-                         scenario: dict | None = None, jobs: int = 1) -> VerificationReport:
+                         scenario: dict | None = None) -> VerificationReport:
     """K_{p,q}(t, Tx/M) <= K_{p,q}(t, x) on every input and grid parameter."""
-    started = time.perf_counter()
-    tol = dict(specs.DEFAULT_TOLERANCES, **(tolerances or {}))
-    collector = _Collector(tol["violation_rel"], tol["abs_floor"])
+    collector = _Collector(tolerances)
     ts = np.asarray(t_grid, dtype=float)
     m = op.max_bound
-
-    def one(pair):
-        idx, x = pair
-        tx = op.apply(x).scaled(1.0 / m)
-        return idx, _couple_k_grid(ts, tx, op.couple), _couple_k_grid(ts, x, op.couple), x
-
-    for idx, lhs, rhs, x in _map(one, enumerate(inputs), jobs):
+    for idx, x in enumerate(inputs):
+        lhs = _couple_k_grid(ts, op.apply(x).scaled(1.0 / m), op.couple)
+        rhs = _couple_k_grid(ts, x, op.couple)
         collector.check_grid(lhs, rhs, ts, idx, "k_contraction", x.values)
-    return _report("prop22", len(inputs), collector, started,
-                   {"certified_bound": m}, scenario)
+    return collector.report("prop22", len(inputs), {"certified_bound": m}, scenario)
 
 
 def _sparr_pair(x: SampleFunction, y: SampleFunction, couple: ExponentCouple,
-                ts: np.ndarray, gamma: float, tol: dict, collector: _Collector,
-                idx: int) -> bool:
+                ts: np.ndarray, gamma: float, collector: _Collector, idx: int) -> bool:
+    tol = collector.tol
     kx = l_functional_grid(ts, x, couple.p, couple.q)
     ky = l_functional_grid(ts, y, couple.p, couple.q)
     hypothesis = np.all(kx <= ky + tol["hypothesis_slack"] * np.abs(ky) + tol["abs_floor"])
@@ -194,16 +184,13 @@ def verify_sparr_implication(x: SampleFunction, y: SampleFunction,
                              scenario: dict | None = None) -> VerificationReport:
     """K-majorization of the pair implies the pointwise-minimum comparison
     with the sharp constant; neutral (pass, hypothesis_met=0) otherwise."""
-    started = time.perf_counter()
-    tol = dict(specs.DEFAULT_TOLERANCES, **(tolerances or {}))
+    collector = _Collector(tolerances)
     if couple.q_is_inf:
         raise ValueError("the implication needs a finite couple")
     gamma = sparr_gamma(couple.p, couple.q).value
-    collector = _Collector(tol["violation_rel"], tol["abs_floor"])
-    ts = np.asarray(t_grid, dtype=float)
-    met = _sparr_pair(x, y, couple, ts, gamma, tol, collector, 0)
-    return _report("sparr_lemma", 1, collector, started,
-                   {"gamma": gamma, "hypothesis_met": int(met)}, scenario)
+    met = _sparr_pair(x, y, couple, np.asarray(t_grid, dtype=float), gamma, collector, 0)
+    return collector.report("sparr_lemma", 1, {"gamma": gamma, "hypothesis_met": int(met)},
+                            scenario)
 
 
 def _pair_batch(space, count: int, scale: float, seed: int) -> list[tuple[SampleFunction, SampleFunction]]:
@@ -238,16 +225,14 @@ def verify_sparr_batch(space, couple: ExponentCouple, count: int, t_grid,
                        scenario: dict | None = None) -> VerificationReport:
     """Run the implication over a seeded pair batch; neutral pairs are
     counted but never failed."""
-    started = time.perf_counter()
-    tol = dict(specs.DEFAULT_TOLERANCES, **(tolerances or {}))
+    collector = _Collector(tolerances)
     gamma = sparr_gamma(couple.p, couple.q).value
-    collector = _Collector(tol["violation_rel"], tol["abs_floor"])
     ts = np.asarray(t_grid, dtype=float)
     met = 0
     for idx, (x, y) in enumerate(_pair_batch(space, count, scale, seed)):
-        met += _sparr_pair(x, y, couple, ts, gamma, tol, collector, idx)
-    return _report("sparr_lemma", count, collector, started,
-                   {"gamma": gamma, "hypothesis_met": met}, scenario)
+        met += _sparr_pair(x, y, couple, ts, gamma, collector, idx)
+    return collector.report("sparr_lemma", count, {"gamma": gamma, "hypothesis_met": met},
+                            scenario)
 
 
 def verify_modular_lp_linf(phi: OrliczFunction, p: float, op: CertifiedOperator,
@@ -259,8 +244,7 @@ def verify_modular_lp_linf(phi: OrliczFunction, p: float, op: CertifiedOperator,
     Precondition (rejected, not failed): u -> phi(u^{1/p}) passes the
     convexity check.
     """
-    started = time.perf_counter()
-    tol = dict(specs.DEFAULT_TOLERANCES, **(tolerances or {}))
+    collector = _Collector(tolerances)
     cap = min(phi.u_max, 1e3) * 0.999
     psi_grid = np.linspace(0.0, cap**p, 2001)
     psi = check_convexity(lambda u: phi(u ** (1.0 / p)), psi_grid)
@@ -268,14 +252,12 @@ def verify_modular_lp_linf(phi: OrliczFunction, p: float, op: CertifiedOperator,
         raise ScenarioRejected(
             f"phi(u^(1/p)) fails convexity (worst second difference {psi.worst_second_difference:.3e})")
     constant = bergh_constant(p) * op.max_bound
-    collector = _Collector(tol["violation_rel"], tol["abs_floor"])
     lhs = modular(phi, [op.apply(x).scaled(1.0 / constant) for x in inputs])
     rhs = modular(phi, inputs)
     for idx, x in enumerate(inputs):
         collector.check(lhs[idx], rhs[idx], None, idx, "modular_lp_linf", x.values)
-    return _report("thm31a", len(inputs), collector, started,
-                   {"constant": constant, "psi_convexity_margin": psi.worst_second_difference},
-                   scenario)
+    return collector.report("thm31a", len(inputs), {
+        "constant": constant, "psi_convexity_margin": psi.worst_second_difference}, scenario)
 
 
 def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
@@ -283,19 +265,17 @@ def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
                          tolerances: dict | None = None,
                          scenario: dict | None = None) -> VerificationReport:
     """Modular comparison with the sharp two-piece-cost constant."""
-    started = time.perf_counter()
-    tol = dict(specs.DEFAULT_TOLERANCES, **(tolerances or {}))
+    collector = _Collector(tolerances)
     if phi.kind != "h":
         raise ScenarioRejected("the modular comparison needs the concave-h form of phi")
     gamma = sparr_gamma(couple.p, couple.q).value
     m = op.max_bound
-    collector = _Collector(tol["violation_rel"], tol["abs_floor"])
     lhs = modular(phi, [op.apply(x).scaled(1.0 / m) for x in inputs])
     rhs = gamma * modular(phi, inputs)
     for idx, x in enumerate(inputs):
         collector.check(lhs[idx], rhs[idx], None, idx, "modular_lp_lq", x.values)
-    return _report("thm46a", len(inputs), collector, started,
-                   {"gamma": gamma, "certified_bound": m}, scenario)
+    return collector.report("thm46a", len(inputs), {"gamma": gamma, "certified_bound": m},
+                            scenario)
 
 
 # theorem tag of each norm scenario -> source of its interpolation constant
@@ -327,11 +307,9 @@ def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
                               tolerances: dict | None = None,
                               scenario: dict | None = None) -> VerificationReport:
     """||Tx|| <= C * M * ||x|| in both the Luxemburg and Amemiya norms."""
-    started = time.perf_counter()
-    tol = dict(specs.DEFAULT_TOLERANCES, **(tolerances or {}))
+    collector = _Collector(tolerances, "norm_rel")
     c = _norm_constant(constant_source, couple, op)
     cm = c * op.max_bound
-    collector = _Collector(tol["norm_rel"], tol["abs_floor"])
     txs = [op.apply(x) for x in inputs]
     lux_t, lux_x = luxemburg_norm(phi, txs), luxemburg_norm(phi, inputs)
     am_t, am_x = amemiya_norm(phi, txs), amemiya_norm(phi, inputs)
@@ -339,9 +317,8 @@ def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
         collector.check(lux_t[idx], cm * lux_x[idx], None, idx, "luxemburg", x.values)
         collector.check(am_t[idx], cm * am_x[idx], None, idx, "amemiya", x.values)
     tag = next(t for t, source in _NORM_SOURCES.items() if source == constant_source)
-    return _report(tag, len(inputs), collector, started,
-                   {"constant": c, "certified_bound": op.max_bound,
-                    "constant_source": constant_source}, scenario)
+    return collector.report(tag, len(inputs), {"constant": c, "certified_bound": op.max_bound,
+                                               "constant_source": constant_source}, scenario)
 
 
 def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[QuasiConcaveFn, np.ndarray]:
@@ -375,8 +352,7 @@ def chain_diagnostics(phi: OrliczFunction, couple: ExponentCouple,
     tolerance (the majorant is numerically derived, unlike the analytic
     constants of the main inequality).
     """
-    started = time.perf_counter()
-    tol = dict(specs.DEFAULT_TOLERANCES, **(tolerances or {}))
+    collector = _Collector(tolerances, "chain_rel", "chain_abs_floor")
     if phi.kind != "generator" or couple.q_is_inf:
         raise ScenarioRejected("chain diagnostics need a generator-built phi with finite q")
     h_fn, s_grid = _h_from_generator(phi, couple)
@@ -384,7 +360,6 @@ def chain_diagnostics(phi: OrliczFunction, couple: ExponentCouple,
     psi = build_from_h(couple, h_major)
     gamma = sparr_gamma(couple.p, couple.q).value
     m = op.max_bound
-    collector = _Collector(tol["chain_rel"], tol["chain_abs_floor"])
     txs = [op.apply(x).scaled(1.0 / m) for x in inputs]
     phi_tx, psi_tx = modular(phi, txs), modular(psi, txs)
     gamma_psi_x, two_gamma_phi_x = gamma * modular(psi, inputs), 2.0 * gamma * modular(phi, inputs)
@@ -392,56 +367,71 @@ def chain_diagnostics(phi: OrliczFunction, couple: ExponentCouple,
         collector.check(phi_tx[idx], psi_tx[idx], None, idx, "link1_phi_le_psi", x.values)
         collector.check(psi_tx[idx], gamma_psi_x[idx], None, idx, "link2_psi_contraction", x.values)
         collector.check(gamma_psi_x[idx], two_gamma_phi_x[idx], None, idx, "link3_psi_le_2phi", x.values)
-    return _report("thm46b_norm", len(inputs), collector, started,
-                   {"gamma": gamma, "mode": "chain_diagnostics",
-                    "majorant_knots": int(h_major.knots.size)}, scenario)
+    return collector.report("thm46b_norm", len(inputs), {
+        "gamma": gamma, "mode": "chain_diagnostics", "majorant_knots": int(h_major.knots.size)},
+        scenario)
 
 
-def _map(fn, items, jobs: int):
-    items = list(items)
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+def _inputs(s: dict, space) -> list[SampleFunction]:
+    ins = s["inputs"]
+    return generate_inputs(space, ins["count"], ins["distribution"], ins["scale"], s["seed"])
 
 
-def run_scenario(raw_scenario: dict, jobs: int = 1) -> dict:
-    """Normalize, dispatch, and run one scenario; returns the report dict."""
-    scenario, space, couple, phi, op = specs.resolve_scenario(raw_scenario)
-    tol = scenario["tolerances"]
-    theorem = scenario["theorem"]
-    if op is not None and scenario["fault"] and scenario["fault"].get("halve_certificate"):
-        op = op.with_bounds(op.bound_p / 2.0, op.bound_q / 2.0, "fault: halved certificate")
-    ts = specs.t_grid_points(scenario["t_grid"]) if scenario["t_grid"] is not None else None
-    ins = scenario["inputs"]
+def _run_prop22(s, space, couple, phi, op) -> VerificationReport:
+    return verify_k_contraction(op, _inputs(s, space), specs.t_grid_points(s["t_grid"]),
+                                s["tolerances"], s)
 
-    if theorem == "sparr_lemma":
-        if ts is None:
-            raise specs.SpecError("sparr_lemma needs a t_grid")
-        report = verify_sparr_batch(space, couple, ins["count"], ts, ins["scale"],
-                                    scenario["seed"], tol, scenario)
-        return report.to_dict()
 
-    inputs = generate_inputs(space, ins["count"], ins["distribution"], ins["scale"],
-                             scenario["seed"])
-    if theorem == "prop22":
-        if op is None or ts is None:
-            raise specs.SpecError("prop22 needs an operator and a t_grid")
-        return verify_k_contraction(op, inputs, ts, tol, scenario, jobs).to_dict()
-    if op is None or phi is None:
-        raise specs.SpecError(f"{theorem} needs an operator and a phi")
-    if theorem == "thm31a":
-        report = verify_modular_lp_linf(phi, couple.p, op, inputs, tol, scenario)
-    elif theorem == "thm46a":
-        report = verify_modular_lp_lq(phi, couple, op, inputs, tol, scenario)
-    elif theorem in _NORM_SOURCES:
-        report = verify_norm_interpolation(phi, couple, op, inputs, _NORM_SOURCES[theorem],
-                                           tol, scenario)
-        if theorem == "thm46b_norm" and scenario["diagnostics"]:
-            chain = chain_diagnostics(phi, couple, op, inputs, tol, scenario)
+def _run_sparr(s, space, couple, phi, op) -> VerificationReport:
+    ins = s["inputs"]
+    return verify_sparr_batch(space, couple, ins["count"], specs.t_grid_points(s["t_grid"]),
+                              ins["scale"], s["seed"], s["tolerances"], s)
+
+
+def _run_thm31a(s, space, couple, phi, op) -> VerificationReport:
+    return verify_modular_lp_linf(phi, couple.p, op, _inputs(s, space), s["tolerances"], s)
+
+
+def _run_thm46a(s, space, couple, phi, op) -> VerificationReport:
+    return verify_modular_lp_lq(phi, couple, op, _inputs(s, space), s["tolerances"], s)
+
+
+def _norm_runner(source: str):
+    def run(s, space, couple, phi, op) -> VerificationReport:
+        inputs = _inputs(s, space)
+        report = verify_norm_interpolation(phi, couple, op, inputs, source, s["tolerances"], s)
+        if s["diagnostics"]:
+            chain = chain_diagnostics(phi, couple, op, inputs, s["tolerances"], s)
             report.violations.extend(chain.violations)
             report.details["chain"] = chain.details
             report.status = "pass" if not report.violations else "fail"
-    else:
-        raise specs.SpecError(f"no runner for theorem tag {theorem!r}")
+        return report
+    return run
+
+
+# theorem tag -> runner; specs.THEOREMS has checked the sections each runner reads
+RUNNERS = {
+    "prop22": _run_prop22,
+    "sparr_lemma": _run_sparr,
+    "thm31a": _run_thm31a,
+    "thm46a": _run_thm46a,
+    **{tag: _norm_runner(source) for tag, source in _NORM_SOURCES.items()},
+}
+if RUNNERS.keys() != specs.THEOREMS.keys():
+    raise RuntimeError("verify.RUNNERS and specs.THEOREMS name different theorem tags")
+
+
+def run_scenario(raw_scenario: dict, jobs: int = 1) -> dict:
+    """Validate one scenario, run its theorem's verifier, return the report dict.
+
+    `jobs` is ignored; it stays only because perfbench/worker.py passes jobs=1.
+    """
+    scenario, space, couple, phi, op = specs.resolve_scenario(raw_scenario)
+    if scenario["fault"] and scenario["fault"]["halve_certificate"]:
+        op = op.with_bounds(op.bound_p / 2.0, op.bound_q / 2.0, "fault: halved certificate")
+    try:
+        report = RUNNERS[scenario["theorem"]](scenario, space, couple, phi, op)
+    except DomainOverflowError as exc:
+        raise ScenarioRejected(
+            f"generated inputs leave phi's domain, u_max = {phi.u_max:g}: {exc}") from None
     return report.to_dict()

@@ -1,8 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import orliczkit as ok
 from orliczkit import specs
+
+SCENARIO_DIR = Path(__file__).parent.parent / "src" / "orliczkit" / "scenarios"
 
 
 class TestResolvers:
@@ -110,8 +115,8 @@ class TestScenarioNormalization:
         assert phi.kind == "h" and couple.p == 1 and couple.q == 2
 
     def test_resolve_without_phi_or_operator(self):
-        bare = {k: v for k, v in self.BASE.items() if k not in ("phi", "operator")}
-        _, _, _, phi, op = specs.resolve_scenario(bare)
+        sparr = json.loads((SCENARIO_DIR / "sparr_lemma_1_2.json").read_text())
+        _, _, _, phi, op = specs.resolve_scenario(sparr)
         assert phi is None and op is None
 
     def test_pair_inputs_rejected_like_any_unknown_key(self):
@@ -127,11 +132,98 @@ class TestGridParsing:
         assert pts.tolist() == [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 
     def test_log_range(self):
-        pts = specs.parse_log_range("0.01:100:5")
+        pts = specs.parse_range("0.01:100:5", log=True)
         assert np.allclose(pts, [0.01, 0.1, 1.0, 10.0, 100.0])
 
     def test_bad_shapes(self):
         with pytest.raises(specs.SpecError):
             specs.parse_range("1:2")
         with pytest.raises(specs.SpecError):
-            specs.parse_log_range("-1:2:5")
+            specs.parse_range("-1:2:5", log=True)
+
+
+# one value per optional section, each valid on its own
+SECTION_VALUES = {
+    "phi": {"kind": "power", "p": 2},
+    "operator": {"kind": "identity"},
+    "t_grid": {"start": 0.1, "stop": 10, "points": 4},
+    "fault": {"halve_certificate": True},
+    "diagnostics": True,
+}
+
+
+def minimal_scenario(tag: str) -> dict:
+    """The required sections of the tag and nothing else, on a couple it takes."""
+    record = specs.THEOREMS[tag]
+    scenario = {"theorem": tag, "seed": 1, "space": {"weights": "uniform", "n": 4},
+                "couple": {"p": 1, "q": "inf" if record.q_inf else 2}}
+    scenario.update({key: SECTION_VALUES[key] for key in record.requires})
+    return scenario
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    calls = {"phi": 0, "operator": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(specs, "resolve_phi", counting("phi", specs.resolve_phi))
+    monkeypatch.setattr(specs, "resolve_operator", counting("operator", specs.resolve_operator))
+    return calls
+
+
+class TestTheoremTable:
+    @pytest.mark.parametrize("tag", sorted(specs.THEOREMS))
+    def test_takes_what_it_requires_and_reads(self, tag, build_calls):
+        record = specs.THEOREMS[tag]
+        scenario = minimal_scenario(tag)
+        scenario.update({key: SECTION_VALUES[key] for key in record.reads})
+        specs.normalize_scenario(scenario)
+        assert build_calls == {key: int(key in record.requires) for key in build_calls}
+
+    @pytest.mark.parametrize("tag", sorted(specs.THEOREMS))
+    def test_rejects_before_building_phi_or_operator(self, tag, build_calls):
+        record = specs.THEOREMS[tag]
+        base = minimal_scenario(tag)
+        bad = [{k: v for k, v in base.items() if k != key} for key in record.requires]
+        bad += [dict(base, **{key: SECTION_VALUES[key]}) for key in specs.SECTIONS
+                if key not in record.requires + record.reads]
+        if record.q_inf is not None:
+            bad.append(dict(base, couple={"p": 1, "q": 2 if record.q_inf else "inf"}))
+        for scenario in bad:
+            with pytest.raises(specs.SpecError):
+                specs.normalize_scenario(scenario)
+        assert build_calls == {"phi": 0, "operator": 0}
+
+    @pytest.mark.parametrize("name, change", [
+        ("sparr_lemma_1_2", {"couple": {"p": 1, "q": "inf"}}),
+        ("thm46b_norm_1_2", {"couple": {"p": 1, "q": "inf"}}),
+        ("remark_concave_h_1_2", {"couple": {"p": 1, "q": "inf"}}),
+        ("thm31a_p1_orlicz", {"couple": {"p": 1, "q": 2}}),
+        ("thm31b_norm_p2", {"couple": {"p": 2, "q": 4}}),
+        ("thm46a", {"diagnostics": True}),
+        ("thm46a", {"t_grid": SECTION_VALUES["t_grid"]}),
+        ("thm46a", {"phi": None}),
+        ("sparr_lemma_1_2", {"phi": SECTION_VALUES["phi"]}),
+        ("sparr_lemma_1_2", {"fault": SECTION_VALUES["fault"]}),
+        ("sparr_lemma_1_2", {"fault": {}}),
+        ("sparr_lemma_1_2", {"t_grid": None}),
+    ])
+    def test_shipped_scenario_outside_its_theorem(self, name, change):
+        raw = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        specs.normalize_scenario(raw)
+        with pytest.raises(specs.SpecError):
+            specs.normalize_scenario(dict(raw, **change))
+
+    def test_sparr_keeps_its_own_pair_distribution(self):
+        # the pairs come from verify._pair_batch, which has no distribution
+        raw = json.loads((SCENARIO_DIR / "sparr_lemma_1_2.json").read_text())
+        assert raw["inputs"]["distribution"] == "mixed"
+        for distribution in ("uniform", "spikes", "bounded"):
+            bad = dict(raw, inputs=dict(raw["inputs"], distribution=distribution))
+            with pytest.raises(specs.SpecError, match="distribution"):
+                specs.normalize_scenario(bad)

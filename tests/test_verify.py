@@ -172,13 +172,6 @@ class TestRunScenario:
         b = run_scenario(scenario)
         assert strip_wall(a) == strip_wall(b)
 
-    def test_jobs_do_not_change_the_report(self):
-        scenario = load_scenario("prop22_maximal_2inf.json")
-        scenario["inputs"]["count"] = 20
-        a = run_scenario(scenario, jobs=1)
-        b = run_scenario(scenario, jobs=4)
-        assert strip_wall(a) == strip_wall(b)
-
     def test_phi_and_operator_built_once_per_report(self, monkeypatch):
         calls = {"phi": 0, "operator": 0}
 
@@ -194,6 +187,14 @@ class TestRunScenario:
         scenario["inputs"]["count"] = 4
         assert run_scenario(scenario)["status"] == "pass"
         assert calls == {"phi": 1, "operator": 1}
+
+    def test_inputs_beyond_phi_domain_are_a_rejection(self):
+        # generator phi is tabulated up to u_max = 1e6; inputs at scale 1e6
+        # leave it, which makes the scenario invalid, not falsified
+        scenario = load_scenario("thm31a_p1_orlicz.json")
+        scenario["inputs"].update(count=4, scale=1e6)
+        with pytest.raises(ok.ScenarioRejected, match=r"u_max = 1e\+06"):
+            run_scenario(scenario)
 
     def test_negative_control_detects_planted_fault(self):
         report = run_scenario(load_scenario("thm46a_negative_control.json"))
