@@ -23,7 +23,7 @@ from .constants import (
     sparr_gamma,
     sparr_gamma_oracle,
 )
-from .kfunc import brute_force_k, k_lp_linf, l_functional
+from .kfunc import brute_force_k, k_lp_linf_grid, l_functional_grid
 from .measure import DiscreteMeasureSpace, SampleFunction
 from .orlicz import DomainOverflowError, amemiya_norm, luxemburg_norm
 from .quasiconcave import concave_majorant, peetre_decompose
@@ -111,20 +111,17 @@ def cmd_kfunc(args) -> int:
     couple = specs.resolve_couple({"p": parts[0], "q": parts[1]})
     p, q = couple.p, couple.q
     ts = specs.parse_range(args.t_grid, "--t-grid", log=True)
-    rows = []
-    for t in ts:
-        if args.method == "oracle":
-            if math.isinf(q):
-                raise specs.SpecError("the oracle needs a finite q")
-            if x.space.n > 3:
-                raise specs.SpecError("the oracle is limited to 3 atoms")
-            rows.append([fmt(t), fmt(brute_force_k(float(t), x, p, q)), "brute_force"])
-        elif math.isinf(q):
-            ev = k_lp_linf(float(t), x, p)
-            rows.append([fmt(ev.t), fmt(ev.value), ev.method])
-        else:
-            ev = l_functional(float(t), x, p, q)
-            rows.append([fmt(ev.t), fmt(ev.value), ev.method])
+    if args.method == "oracle":
+        if math.isinf(q):
+            raise specs.SpecError("the oracle needs a finite q")
+        if x.space.n > 3:
+            raise specs.SpecError("the oracle is limited to 3 atoms")
+        values, method = [brute_force_k(float(t), x, p, q) for t in ts], "brute_force"
+    elif math.isinf(q):
+        values, method = k_lp_linf_grid(ts, x, p), "truncation"
+    else:
+        values, method = l_functional_grid(ts, x, p, q), "pointwise"
+    rows = [[fmt(t), fmt(value), method] for t, value in zip(ts, values)]
     _emit_table(["t", "value", "method"], rows, "csv", sys.stdout)
     return 0
 

@@ -1,11 +1,11 @@
 """Sparr constants and the interpolation-constant formulas built on them.
 
 gamma(p, q) is the smallest gamma such that the two-piece cost
-inf_{x+y=gamma, x,y>=0} (x^p + y^q) reaches 1. Two routes are provided:
-a stationarity characterization solved by dense scan plus bisection (fast)
-and a direct bisection on the defining condition (oracle). The interpolation
-constants for subadditive, concave-h, and linear settings are arithmetic on
-gamma with their proven envelope bounds asserted.
+inf_{x+y=gamma, x,y>=0} (x^p + y^q) reaches 1. Two routes are provided: one
+bisection on the stationarity constraint, which is strictly increasing in x
+(fast), and a direct bisection on the defining condition (oracle). The
+interpolation constants for subadditive, concave-h, and linear settings are
+arithmetic on gamma with their proven envelope bounds asserted.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-ROOT_SCAN_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -56,36 +54,26 @@ def _gamma_closed_one_q(q: float) -> float:
 def sparr_gamma(p: float, q: float) -> SparrConstant:
     """Sharp constant via the stationarity characterization.
 
-    For q > 1 the interior optimum of the two-piece cost ties y to x through
-    p*x^{p-1} = q*y^{q-1}; scanning x over (0,1) for all roots of the unit
-    cost constraint and taking the smallest x + y over roots gives gamma.
-    Closed forms on the diagonal and at p = 1 are cross-checked.
+    gamma is symmetric, so p > q returns gamma(q, p). For p <= q the optimum
+    ties y to x by p*x^{p-1} = q*y^{q-1}, and gamma = x + y at the root of
+    c(x) = x^p + ((p/q) x^{p-1})^{q/(q-1)} - 1. Both terms of c increase in x
+    (the first strictly), c(0+) < 0 and c(1) = (p/q)^{q/(q-1)} > 0, so one
+    bisection on [0, 1] finds its only root. Closed forms on the diagonal
+    and at p = 1 are cross-checked.
     """
     if not (1.0 <= p <= 64.0 and 1.0 <= q <= 64.0):
         raise ValueError("p and q must lie in [1, 64]")
-    if p == 1.0 and q == 1.0:
-        return SparrConstant(p, q, 1.0, "closed_form")
+    if p > q:
+        swapped = sparr_gamma(q, p)
+        return SparrConstant(p, q, swapped.value, swapped.method)
     if q == 1.0:
-        return SparrConstant(p, q, sparr_gamma(q, p).value, "root_finding")
-
-    s = q / (q - 1.0)
-
-    def y_of_x(x: float) -> float:
-        return ((p / q) * x ** (p - 1.0)) ** (1.0 / (q - 1.0))
+        return SparrConstant(p, q, 1.0, "closed_form")
 
     def constraint(x: float) -> float:
-        return x**p + ((p / q) * x ** (p - 1.0)) ** s - 1.0
+        return x**p + ((p / q) * x ** (p - 1.0)) ** (q / (q - 1.0)) - 1.0
 
-    xs = np.linspace(0.0, 1.0, ROOT_SCAN_POINTS + 1)[1:]
-    with np.errstate(over="ignore"):
-        vals = xs**p + ((p / q) * xs ** (p - 1.0)) ** s - 1.0
-    signs = np.sign(vals)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
-    roots = [float(xs[i]) for i in np.nonzero(signs == 0.0)[0]]
-    roots += [_bisect(constraint, float(xs[i]), float(xs[i + 1]), 1e-13) for i in flips]
-    if not roots:
-        raise RuntimeError("no stationarity root found; the constraint should cross zero")
-    value = min(x + y_of_x(x) for x in roots)
+    x = _bisect(constraint, 0.0, 1.0, 1e-13)
+    value = x + ((p / q) * x ** (p - 1.0)) ** (1.0 / (q - 1.0))
 
     method = "root_finding"
     if abs(p - q) < 1e-12:

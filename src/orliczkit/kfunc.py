@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .measure import SampleFunction, cumulative_p_integral, rearrangement
+from .measure import SampleFunction, cumulative_p_integral, golden_section, rearrangement
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,9 @@ def k_lp_linf_grid(ts, x: SampleFunction, p: float) -> np.ndarray:
     """K(t, x; L^p, L^inf) for every t in ts, via the truncation reduction.
 
     The objective is convex in the truncation height with kinks only at the
-    data magnitudes, so the minimum over all heights is the minimum over a
-    golden-section refinement plus the exact kink candidates.
+    data magnitudes, so the minimum over all heights is the minimum over the
+    exact kink candidates and the midpoint of a golden-section bracket
+    (`measure.golden_section`, one row per t, each stopped on its own).
     """
     _check_exponent(p)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -56,24 +57,10 @@ def k_lp_linf_grid(ts, x: SampleFunction, p: float) -> np.ndarray:
     cands = np.unique(np.concatenate(([0.0, lam_max], mags)))
     rest_p = np.sum(np.clip(mags[None, :] - cands[:, None], 0.0, None) ** p * w, axis=1) ** (1.0 / p)
     best = np.min(rest_p[:, None] + cands[:, None] * ts[None, :], axis=0)
-
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    lo = np.zeros(ts.shape)
-    hi = np.full(ts.shape, lam_max)
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc = _truncation_objective(mags, w, p, c, ts)
-    fd = _truncation_objective(mags, w, p, d, ts)
-    while float(np.max(hi - lo)) > 1e-12 * max(lam_max, 1.0):
-        take = fc <= fd
-        hi = np.where(take, d, hi)
-        lo = np.where(take, lo, c)
-        new = np.where(take, hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo))
-        f_new = _truncation_objective(mags, w, p, new, ts)
-        c, d = np.where(take, new, d), np.where(take, c, new)
-        fc, fd = np.where(take, f_new, fd), np.where(take, fc, f_new)
-    mid = 0.5 * (lo + hi)
-    return np.minimum(best, _truncation_objective(mags, w, p, mid, ts))
+    lo, hi = golden_section(lambda rows, lams: _truncation_objective(mags, w, p, lams, ts[rows]),
+                            np.zeros(ts.shape), np.full(ts.shape, lam_max),
+                            1e-12 * max(lam_max, 1.0))
+    return np.minimum(best, _truncation_objective(mags, w, p, 0.5 * (lo + hi), ts))
 
 
 def k_lp_linf(t: float, x: SampleFunction, p: float) -> KEvaluation:

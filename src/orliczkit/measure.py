@@ -164,6 +164,32 @@ def cumulative_p_integral(step: StepFunction, p: float, t) -> np.ndarray:
     return cum[idx] + step.levels[idx] ** p * (tc - breaks[idx])
 
 
+def golden_section(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section search for each row's minimiser of a unimodal objective.
+
+    Row i shrinks [lo[i], hi[i]] until it is at most tol wide, on its own;
+    f(rows, points) evaluates the listed rows, all still open, at one point
+    each, one new point per row and step. Returns the final (lo, hi).
+    """
+    r = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = np.empty(a.shape), np.empty(a.shape)
+    live = np.flatnonzero(b - a > tol)
+    fc[live], fd[live] = f(live, c[live]), f(live, d[live])
+    while live.size:
+        left = fc[live] <= fd[live]
+        lt, rt = live[left], live[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - r * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + r * (b[rt] - a[rt])
+        f_new = f(live, np.where(left, c[live], d[live]))
+        fc[lt], fd[rt] = f_new[left], f_new[~left]
+        live = live[b[live] - a[live] > tol]
+    return a, b
+
+
 class HardyCheck(NamedTuple):
     ok: bool
     margin: float

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .measure import SampleFunction
+from .measure import SampleFunction, golden_section
 from .quasiconcave import (
     PiecewiseLinearConcave,
     QuasiConcaveFn,
@@ -306,20 +306,18 @@ def luxemburg_norm(phi: OrliczFunction, x: SampleFunction | Sequence[SampleFunct
     return float(hi[0]) if single else hi
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def amemiya_norm(phi: OrliczFunction, x: SampleFunction | Sequence[SampleFunction], *,
                  rtol: float = 1e-9):
     """inf over k > 0 of (1 + modular(k*x)) / k.
 
-    Golden section over log k on [1e-8, 1e8], the upper end clipped to the
-    evaluation domain (a range clipped empty shrinks to its upper end), to a
-    bracket of rtol; its midpoint pins the value to roundoff, so no polish
-    follows. Returns the least objective at the midpoint and both ends.
-    Unimodality of the objective rests on convexity of the modular in k, so
-    for the non-convex concave-h crossover functions the result is only an
-    upper bound on the infimum.
+    Golden section (`measure.golden_section`) over log k on [1e-8, 1e8], the
+    upper end clipped to the evaluation domain (a range clipped empty shrinks
+    to its upper end), to a bracket of rtol, each member stopped on its own;
+    the bracket midpoint pins the value to roundoff, so no polish follows.
+    Returns the least objective at the midpoint and both ends. Unimodality
+    of the objective rests on convexity of the modular in k, so for the
+    non-convex concave-h crossover functions the result is only an upper
+    bound on the infimum.
     """
     mags, weights, single = _batch(x)
     m = mags.max(axis=1, initial=0.0)
@@ -332,20 +330,8 @@ def amemiya_norm(phi: OrliczFunction, x: SampleFunction | Sequence[SampleFunctio
     k_hi = np.minimum(1e8, phi.u_max / m[rows])
     k_lo = np.minimum(1e-8, k_hi)
     best = np.minimum(objective(rows, k_lo), objective(rows, k_hi))
-    a, b = np.log(k_lo), np.log(k_hi)
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = objective(rows, np.exp(c)), objective(rows, np.exp(d))
-    live = np.flatnonzero(b - a > rtol)
-    while live.size:
-        left = fc[live] <= fd[live]
-        lt, rt = live[left], live[~left]
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - _INV_PHI * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + _INV_PHI * (b[rt] - a[rt])
-        f = objective(rows[live], np.exp(np.where(left, c[live], d[live])))
-        fc[lt], fd[rt] = f[left], f[~left]
-        live = live[b[live] - a[live] > rtol]
+    a, b = golden_section(lambda live, s: objective(rows[live], np.exp(s)),
+                          np.log(k_lo), np.log(k_hi), rtol)
     out[rows] = np.minimum(best, objective(rows, np.exp(0.5 * (a + b))))
     return float(out[0]) if single else out
 

@@ -35,6 +35,14 @@ def _require_keys(record: dict, required: set[str], optional: set[str] = frozens
         raise SpecError(f"{what} has unknown keys: {sorted(unknown)}")
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: Any) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and -math.inf < value < math.inf
+
+
 def parse_exponent(value: Any, what: str = "exponent") -> float:
     if value in ("inf", "Infinity"):
         return math.inf
@@ -220,7 +228,7 @@ def resolve_scenario(raw: dict) -> tuple:
     theorem = raw["theorem"]
     if theorem not in THEOREMS:
         raise SpecError(f"unknown theorem tag {theorem!r}; expected one of {tuple(THEOREMS)}")
-    if not isinstance(raw["seed"], int):
+    if not _is_int(raw["seed"]):
         raise SpecError("scenario seed must be an integer (and is mandatory)")
 
     out: dict[str, Any] = {"theorem": theorem, "seed": raw["seed"]}
@@ -244,8 +252,10 @@ def resolve_scenario(raw: dict) -> tuple:
     if inputs["distribution"] not in record.distributions:
         raise SpecError(f"{theorem} takes inputs.distribution in {record.distributions}, "
                         f"not {inputs['distribution']!r}")
-    if not isinstance(inputs["count"], int) or inputs["count"] < 1:
+    if not _is_int(inputs["count"]) or inputs["count"] < 1:
         raise SpecError("inputs.count must be a positive integer")
+    if not _is_finite(inputs["scale"]) or inputs["scale"] <= 0.0:
+        raise SpecError(f"inputs.scale must be a finite number > 0, got {inputs['scale']!r}")
     out["inputs"] = inputs
 
     out["t_grid"] = None
@@ -254,8 +264,12 @@ def resolve_scenario(raw: dict) -> tuple:
         _require_keys(grid, {"start", "stop", "points"}, {"spacing"}, what="t_grid")
         if grid["spacing"] not in ("log", "linear"):
             raise SpecError("t_grid spacing must be 'log' or 'linear'")
-        if float(grid["start"]) <= 0.0 and grid["spacing"] == "log":
-            raise SpecError("log t_grid needs a positive start")
+        if not _is_int(grid["points"]) or grid["points"] < 1:
+            raise SpecError(f"t_grid points must be a positive integer, got {grid['points']!r}")
+        if not (_is_finite(grid["start"]) and _is_finite(grid["stop"])):
+            raise SpecError("t_grid start and stop must be finite numbers")
+        if grid["spacing"] == "log" and min(grid["start"], grid["stop"]) <= 0.0:
+            raise SpecError("log t_grid needs a positive start and stop")
         out["t_grid"] = {k: grid[k] for k in ("start", "stop", "points", "spacing")}
 
     tol = dict(DEFAULT_TOLERANCES)

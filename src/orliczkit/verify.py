@@ -86,18 +86,18 @@ class _Collector:
         self.abs_floor = self.tol[floor]
         self.violations: list[Violation] = []
 
-    def check(self, lhs: float, rhs: float, t, idx: int, tag: str, witness=()) -> None:
-        if lhs > rhs + self.rel * abs(rhs) + self.abs_floor:
-            margin = (lhs - rhs) / max(abs(rhs), self.abs_floor)
-            self.violations.append(Violation(
-                None if t is None else float(t), idx, float(lhs), float(rhs),
-                float(margin), tag, tuple(float(v) for v in witness)))
-
-    def check_grid(self, lhs: np.ndarray, rhs: np.ndarray, ts: np.ndarray,
-                   idx: int, tag: str, witness=()) -> None:
+    def check(self, lhs, rhs, tag: str, witness, ts=None, index=None) -> None:
+        """lhs <= rhs: one value or one row (a column per t in ts) per input,
+        with each input's witness values and index (0, 1, ... by default)."""
+        lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
         bad = lhs > rhs + self.rel * np.abs(rhs) + self.abs_floor
-        for j in np.nonzero(bad)[0]:
-            self.check(float(lhs[j]), float(rhs[j]), float(ts[j]), idx, tag, witness)
+        for at in map(tuple, np.argwhere(bad)):
+            row = at[0]
+            margin = (lhs[at] - rhs[at]) / max(abs(rhs[at]), self.abs_floor)
+            self.violations.append(Violation(
+                None if ts is None else float(ts[at[1]]),
+                int(row if index is None else index[row]), float(lhs[at]), float(rhs[at]),
+                float(margin), tag, tuple(float(v) for v in witness[row])))
 
     def report(self, tag: str, trials: int, details: dict,
                scenario: dict | None = None) -> VerificationReport:
@@ -156,26 +156,26 @@ def verify_k_contraction(op: CertifiedOperator, inputs: list[SampleFunction],
     collector = _Collector(tolerances)
     ts = np.asarray(t_grid, dtype=float)
     m = op.max_bound
-    for idx, x in enumerate(inputs):
-        lhs = _couple_k_grid(ts, op.apply(x).scaled(1.0 / m), op.couple)
-        rhs = _couple_k_grid(ts, x, op.couple)
-        collector.check_grid(lhs, rhs, ts, idx, "k_contraction", x.values)
+    lhs = [_couple_k_grid(ts, op.apply(x).scaled(1.0 / m), op.couple) for x in inputs]
+    rhs = [_couple_k_grid(ts, x, op.couple) for x in inputs]
+    collector.check(lhs, rhs, "k_contraction", [x.values for x in inputs], ts)
     return collector.report("prop22", len(inputs), {"certified_bound": m}, scenario)
 
 
-def _sparr_pair(x: SampleFunction, y: SampleFunction, couple: ExponentCouple,
-                ts: np.ndarray, gamma: float, collector: _Collector, idx: int) -> bool:
-    tol = collector.tol
-    kx = l_functional_grid(ts, x, couple.p, couple.q)
-    ky = l_functional_grid(ts, y, couple.p, couple.q)
-    hypothesis = np.all(kx <= ky + tol["hypothesis_slack"] * np.abs(ky) + tol["abs_floor"])
-    if not hypothesis:
-        return False
-    lx = l_star_grid(ts, x, couple.p, couple.q)
-    ly = l_star_grid(ts, y, couple.p, couple.q)
-    collector.check_grid(lx, gamma * ly, ts, idx, "sparr_conclusion",
-                         np.concatenate((x.values, y.values)))
-    return True
+def _sparr_pairs(pairs: list[tuple[SampleFunction, SampleFunction]], couple: ExponentCouple,
+                 ts: np.ndarray, gamma: float, collector: _Collector) -> int:
+    """Check the conclusion on the pairs that meet the K-majorization
+    hypothesis; returns how many do."""
+    p, q, tol = couple.p, couple.q, collector.tol
+    kx = np.array([l_functional_grid(ts, x, p, q) for x, _ in pairs])
+    ky = np.array([l_functional_grid(ts, y, p, q) for _, y in pairs])
+    met = np.flatnonzero(np.all(
+        kx <= ky + tol["hypothesis_slack"] * np.abs(ky) + tol["abs_floor"], axis=1))
+    lx = [l_star_grid(ts, pairs[i][0], p, q) for i in met]
+    ly = [gamma * l_star_grid(ts, pairs[i][1], p, q) for i in met]
+    witness = [np.concatenate((pairs[i][0].values, pairs[i][1].values)) for i in met]
+    collector.check(lx, ly, "sparr_conclusion", witness, ts, met)
+    return met.size
 
 
 def verify_sparr_implication(x: SampleFunction, y: SampleFunction,
@@ -188,8 +188,8 @@ def verify_sparr_implication(x: SampleFunction, y: SampleFunction,
     if couple.q_is_inf:
         raise ValueError("the implication needs a finite couple")
     gamma = sparr_gamma(couple.p, couple.q).value
-    met = _sparr_pair(x, y, couple, np.asarray(t_grid, dtype=float), gamma, collector, 0)
-    return collector.report("sparr_lemma", 1, {"gamma": gamma, "hypothesis_met": int(met)},
+    met = _sparr_pairs([(x, y)], couple, np.asarray(t_grid, dtype=float), gamma, collector)
+    return collector.report("sparr_lemma", 1, {"gamma": gamma, "hypothesis_met": met},
                             scenario)
 
 
@@ -227,10 +227,8 @@ def verify_sparr_batch(space, couple: ExponentCouple, count: int, t_grid,
     counted but never failed."""
     collector = _Collector(tolerances)
     gamma = sparr_gamma(couple.p, couple.q).value
-    ts = np.asarray(t_grid, dtype=float)
-    met = 0
-    for idx, (x, y) in enumerate(_pair_batch(space, count, scale, seed)):
-        met += _sparr_pair(x, y, couple, ts, gamma, collector, idx)
+    met = _sparr_pairs(_pair_batch(space, count, scale, seed), couple,
+                       np.asarray(t_grid, dtype=float), gamma, collector)
     return collector.report("sparr_lemma", count, {"gamma": gamma, "hypothesis_met": met},
                             scenario)
 
@@ -253,9 +251,7 @@ def verify_modular_lp_linf(phi: OrliczFunction, p: float, op: CertifiedOperator,
             f"phi(u^(1/p)) fails convexity (worst second difference {psi.worst_second_difference:.3e})")
     constant = bergh_constant(p) * op.max_bound
     lhs = modular(phi, [op.apply(x).scaled(1.0 / constant) for x in inputs])
-    rhs = modular(phi, inputs)
-    for idx, x in enumerate(inputs):
-        collector.check(lhs[idx], rhs[idx], None, idx, "modular_lp_linf", x.values)
+    collector.check(lhs, modular(phi, inputs), "modular_lp_linf", [x.values for x in inputs])
     return collector.report("thm31a", len(inputs), {
         "constant": constant, "psi_convexity_margin": psi.worst_second_difference}, scenario)
 
@@ -271,9 +267,8 @@ def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
     gamma = sparr_gamma(couple.p, couple.q).value
     m = op.max_bound
     lhs = modular(phi, [op.apply(x).scaled(1.0 / m) for x in inputs])
-    rhs = gamma * modular(phi, inputs)
-    for idx, x in enumerate(inputs):
-        collector.check(lhs[idx], rhs[idx], None, idx, "modular_lp_lq", x.values)
+    collector.check(lhs, gamma * modular(phi, inputs), "modular_lp_lq",
+                    [x.values for x in inputs])
     return collector.report("thm46a", len(inputs), {"gamma": gamma, "certified_bound": m},
                             scenario)
 
@@ -313,9 +308,9 @@ def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
     txs = [op.apply(x) for x in inputs]
     lux_t, lux_x = luxemburg_norm(phi, txs), luxemburg_norm(phi, inputs)
     am_t, am_x = amemiya_norm(phi, txs), amemiya_norm(phi, inputs)
-    for idx, x in enumerate(inputs):
-        collector.check(lux_t[idx], cm * lux_x[idx], None, idx, "luxemburg", x.values)
-        collector.check(am_t[idx], cm * am_x[idx], None, idx, "amemiya", x.values)
+    witness = [x.values for x in inputs]
+    collector.check(lux_t, cm * lux_x, "luxemburg", witness)
+    collector.check(am_t, cm * am_x, "amemiya", witness)
     tag = next(t for t, source in _NORM_SOURCES.items() if source == constant_source)
     return collector.report(tag, len(inputs), {"constant": c, "certified_bound": op.max_bound,
                                                "constant_source": constant_source}, scenario)
@@ -363,10 +358,10 @@ def chain_diagnostics(phi: OrliczFunction, couple: ExponentCouple,
     txs = [op.apply(x).scaled(1.0 / m) for x in inputs]
     phi_tx, psi_tx = modular(phi, txs), modular(psi, txs)
     gamma_psi_x, two_gamma_phi_x = gamma * modular(psi, inputs), 2.0 * gamma * modular(phi, inputs)
-    for idx, x in enumerate(inputs):
-        collector.check(phi_tx[idx], psi_tx[idx], None, idx, "link1_phi_le_psi", x.values)
-        collector.check(psi_tx[idx], gamma_psi_x[idx], None, idx, "link2_psi_contraction", x.values)
-        collector.check(gamma_psi_x[idx], two_gamma_phi_x[idx], None, idx, "link3_psi_le_2phi", x.values)
+    witness = [x.values for x in inputs]
+    collector.check(phi_tx, psi_tx, "link1_phi_le_psi", witness)
+    collector.check(psi_tx, gamma_psi_x, "link2_psi_contraction", witness)
+    collector.check(gamma_psi_x, two_gamma_phi_x, "link3_psi_le_2phi", witness)
     return collector.report("thm46b_norm", len(inputs), {
         "gamma": gamma, "mode": "chain_diagnostics", "majorant_knots": int(h_major.knots.size)},
         scenario)

@@ -202,6 +202,15 @@ class TestVerifyCommand:
         assert json.loads(a.read_text())["scenario"]["seed"] == 123
         assert json.loads(b.read_text())["scenario"]["seed"] == 46001
 
+    def test_bad_input_scale_is_config_error(self, capsys, tmp_path):
+        scenario = json.loads((SCENARIO_DIR / "thm46a.json").read_text())
+        scenario["inputs"]["scale"] = "x"
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        code, _, err = run_cli(capsys, "verify", "--scenario", str(path))
+        assert code == 2
+        assert "inputs.scale" in err
+
     def test_missing_scenario_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--scenario", "nope.json")
         assert code == 2

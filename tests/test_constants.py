@@ -32,6 +32,16 @@ class TestSparrGamma:
         with pytest.raises(ValueError):
             ok.sparr_gamma(0.5, 2)
 
+    @pytest.mark.parametrize("pq", [(64, 1.01), (16, 1.5), (4, 1.5), (1.0001, 1.0002)])
+    def test_exactly_symmetric_within_bounds_and_near_the_oracle(self, pq):
+        p, q = pq
+        value = ok.sparr_gamma(p, q).value
+        assert ok.sparr_gamma(q, p).value == value
+        lo, hi = min(p, q), max(p, q)
+        assert 2 ** (1 - 1 / lo) <= value <= 2 ** (1 - 1 / hi)
+        if hi <= 16:
+            assert value == pytest.approx(ok.sparr_gamma_oracle(p, q).value, abs=1e-6)
+
 
 class TestSparrOracle:
     def test_diagonal_two(self):

@@ -73,6 +73,16 @@ class TestKLpLinf:
         with pytest.raises(ValueError):
             ok.k_lp_linf(0.0, indicator(), 1)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.7])
+    def test_grid_equals_one_call_per_t_bitwise(self, p):
+        # each t's golden section stops on its own, so other t's never move it
+        rng = np.random.default_rng(41)
+        for n in (1, 8, 64):
+            x = sample(rng.normal(size=n) * np.exp(rng.normal(0, 3, n)), rng.uniform(0.1, 2, n))
+            ts = np.logspace(-5, 5, 33)
+            scalar = [ok.k_lp_linf(float(t), x, p).value for t in ts]
+            assert ok.k_lp_linf_grid(ts, x, p).tolist() == scalar
+
 
 class TestTruncationOracle:
     """The truncation reduction against a joint signed decomposition grid.

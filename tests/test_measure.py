@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orliczkit as ok
+from orliczkit.measure import golden_section
 
 
 def sample(values, weights=None):
@@ -130,3 +131,32 @@ class TestHardyMajorizes:
                 found += 1
                 assert ok.hardy_majorizes(a, c, 1).ok
         assert found > 5
+
+
+class TestGoldenSection:
+    def test_rows_close_on_their_own_minimisers(self):
+        lo = np.array([-1.0, 0.0, 10.0, 2.0])
+        hi = np.array([1.0, 100.0, 10.5, 2.0])   # the last bracket is closed from the start
+        centre = np.array([0.3, 71.0, 10.1, 2.0])
+        tol = 1e-9
+        seen = []
+
+        def f(rows, points):
+            assert np.all(hi[rows] - lo[rows] > tol)
+            seen.append(rows.copy())
+            return (points - centre[rows]) ** 2
+
+        a, b = golden_section(f, lo, hi, tol)
+        assert np.all(b - a <= tol)
+        assert np.all(np.abs(0.5 * (a + b) - centre) <= tol)
+        assert not any(3 in rows for rows in seen)
+        # a narrower bracket closes in fewer steps, after which f skips its row
+        assert sum(2 in rows for rows in seen) < sum(1 in rows for rows in seen)
+
+    def test_closed_rows_are_never_evaluated(self):
+        def f(rows, points):
+            assert rows.size == 0, "no row is open"
+            return np.empty(0)
+
+        a, b = golden_section(f, np.array([0.0, 5.0]), np.array([1e-12, 5.0]), 1e-9)
+        assert a.tolist() == [0.0, 5.0] and b.tolist() == [1e-12, 5.0]

@@ -125,6 +125,33 @@ class TestScenarioNormalization:
         with pytest.raises(specs.SpecError, match="pair_inputs"):
             specs.normalize_scenario(bad)
 
+    @pytest.mark.parametrize("change", [
+        {"points": 0}, {"points": 2.5}, {"points": "3"}, {"points": True}, {"points": -1},
+        {"start": float("nan")}, {"stop": float("inf")}, {"start": "1e-3"}, {"stop": True},
+        {"stop": 0.0},
+    ])
+    def test_t_grid_values_validated(self, change):
+        raw = json.loads((SCENARIO_DIR / "prop22_maximal_2inf.json").read_text())
+        raw["inputs"]["count"] = 2
+        raw["t_grid"].update(change)
+        with pytest.raises(specs.SpecError, match="t_grid"):
+            specs.normalize_scenario(raw)
+
+    @pytest.mark.parametrize("inputs", [
+        {"scale": 0}, {"scale": -1}, {"scale": float("nan")}, {"scale": float("inf")},
+        {"scale": "x"}, {"scale": True}, {"count": True},
+    ])
+    def test_input_values_validated(self, inputs):
+        with pytest.raises(specs.SpecError, match="inputs"):
+            specs.normalize_scenario(dict(self.BASE, inputs=inputs))
+
+    def test_bool_seed_rejected(self):
+        with pytest.raises(specs.SpecError, match="seed"):
+            specs.normalize_scenario(dict(self.BASE, seed=True))
+
+    def test_integer_scale_accepted(self):
+        assert specs.normalize_scenario(dict(self.BASE, inputs={"scale": 2}))["inputs"]["scale"] == 2
+
 
 class TestGridParsing:
     def test_linear_range(self):

@@ -230,6 +230,27 @@ class TestRunScenario:
             echoed = specs.dump_normalized(report["scenario"])
             assert echoed == path.read_text(), path.name
 
+    def test_faulted_norm_report_counts_and_witnesses_each_input(self):
+        scenario = load_scenario("thm31b_norm_p2.json")
+        scenario["fault"] = {"halve_certificate": True}
+        report = run_scenario(scenario)
+        resolved, space, couple, phi, op = specs.resolve_scenario(scenario)
+        inputs = ok.generate_inputs(space, resolved["inputs"]["count"], "mixed",
+                                    resolved["inputs"]["scale"], resolved["seed"])
+        op = op.with_bounds(op.bound_p / 2.0, op.bound_q / 2.0, "halved")
+        cm = ok.bergh_constant(couple.p) * op.max_bound
+        txs = [op.apply(x) for x in inputs]
+        rel, floor = resolved["tolerances"]["norm_rel"], resolved["tolerances"]["abs_floor"]
+        beyond = 0
+        for norm in (ok.luxemburg_norm, ok.amemiya_norm):
+            lhs, rhs = norm(phi, txs), cm * norm(phi, inputs)
+            beyond += int(np.sum(lhs > rhs + rel * np.abs(rhs) + floor))
+        assert report["status"] == "fail"
+        assert {v["check"] for v in report["violations"]} == {"luxemburg", "amemiya"}
+        assert report["details"]["violation_count"] == beyond
+        for v in report["violations"]:
+            assert v["witness"] == inputs[v["input_index"]].values.tolist()
+
     def test_violation_threshold_is_named_tolerance(self):
         scenario = load_scenario("thm46a.json")
         # a absurdly tight relative tolerance flags fp-level noise, proving
