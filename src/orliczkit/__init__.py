@@ -24,6 +24,7 @@ from .kfunc import (
 )
 from .measure import (
     DiscreteMeasureSpace,
+    SampleBatch,
     SampleFunction,
     StepFunction,
     hardy_majorizes,

@@ -1,7 +1,8 @@
 """Finite discrete measure spaces, sample functions, and rearrangements.
 
 Everything downstream (modulars, K-functionals, operator verification) runs
-on these types. Spaces are finite lists of weighted atoms; the decreasing
+on these types. Spaces are finite lists of weighted atoms; a sample batch
+holds many functions on one space as one array; the decreasing
 rearrangement of a sample function is a right-continuous step function on
 [0, total measure).
 """
@@ -77,6 +78,49 @@ class SampleFunction:
 
     def scaled(self, factor: float) -> "SampleFunction":
         return SampleFunction(self.space, self.values * factor)
+
+
+@dataclass(frozen=True, eq=False)
+class SampleBatch:
+    """Finite values on the atoms of one space, one row per member.
+
+    The batched kernels take a batch where they take one `SampleFunction`
+    and return one row per member.
+    """
+
+    space: DiscreteMeasureSpace
+    values: np.ndarray
+
+    def __init__(self, space: DiscreteMeasureSpace, values):
+        v = _frozen_array(values)
+        if v.ndim != 2 or v.shape[1] != space.n:
+            raise ValueError("values must have one row per member and one column per atom")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("values must be finite")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "values", v)
+
+    @classmethod
+    def stack(cls, members: Sequence[SampleFunction]) -> "SampleBatch":
+        """The batch of at least one member, all on one space."""
+        members = list(members)
+        if not members:
+            raise ValueError("stack needs at least one member; build an empty batch from its space")
+        space = members[0].space
+        if any(m.space is not space and not np.array_equal(m.space.weights, space.weights)
+               for m in members):
+            raise ValueError("batch members live on different spaces")
+        return cls(space, np.stack([m.values for m in members]))
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, rows) -> "SampleBatch":
+        """The members at the given indices (an index array or a slice)."""
+        return SampleBatch(self.space, self.values[rows])
+
+    def abs_values(self) -> np.ndarray:
+        return np.abs(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,30 +208,34 @@ def cumulative_p_integral(step: StepFunction, p: float, t) -> np.ndarray:
     return cum[idx] + step.levels[idx] ** p * (tc - breaks[idx])
 
 
-def golden_section(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def golden_section(f, lo, hi, tol) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section search for each row's minimiser of a unimodal objective.
 
-    Row i shrinks [lo[i], hi[i]] until it is at most tol wide, on its own;
-    f(rows, points) evaluates the listed rows, all still open, at one point
-    each, one new point per row and step. Returns the final (lo, hi).
+    Row i shrinks [lo[i], hi[i]] until it is at most tol wide (tol is one
+    scalar for all rows or one value per row), on its own; f(rows, points)
+    evaluates the listed rows, all still open, at one point each, one new
+    point per row and step. Returns the final (lo, hi).
     """
     r = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    out_a, out_b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), out_a.shape)
+    live = np.flatnonzero(out_b - out_a > tol)
+    # the state of the open rows only, packed; a closed row leaves it
+    a, b, tol = out_a[live], out_b[live], tol[live]
     c, d = b - r * (b - a), a + r * (b - a)
-    fc, fd = np.empty(a.shape), np.empty(a.shape)
-    live = np.flatnonzero(b - a > tol)
-    fc[live], fd[live] = f(live, c[live]), f(live, d[live])
+    fc, fd = f(live, c), f(live, d)
     while live.size:
-        left = fc[live] <= fd[live]
-        lt, rt = live[left], live[~left]
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - r * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + r * (b[rt] - a[rt])
-        f_new = f(live, np.where(left, c[live], d[live]))
-        fc[lt], fd[rt] = f_new[left], f_new[~left]
-        live = live[b[live] - a[live] > tol]
-    return a, b
+        left = fc <= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        span = r * (b - a)
+        c, d = np.where(left, b - span, d), np.where(left, c, a + span)
+        f_new = f(live, np.where(left, c, d))
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+        still = b - a > tol
+        if not still.all():
+            out_a[live[~still]], out_b[live[~still]] = a[~still], b[~still]
+            live, a, b, c, d, fc, fd, tol = (v[still] for v in (live, a, b, c, d, fc, fd, tol))
+    return out_a, out_b
 
 
 class HardyCheck(NamedTuple):

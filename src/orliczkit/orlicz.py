@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .measure import SampleFunction, golden_section
+from .measure import SampleBatch, SampleFunction, golden_section
 from .quasiconcave import (
     PiecewiseLinearConcave,
     QuasiConcaveFn,
@@ -227,11 +227,8 @@ def _batch(x: SampleFunction | Sequence[SampleFunction]) -> tuple[np.ndarray, np
     xs = list(x)
     if not xs:
         return np.zeros((0, 0)), np.zeros(0), False
-    space = xs[0].space
-    if any(v.space is not space and not np.array_equal(v.space.weights, space.weights)
-           for v in xs):
-        raise ValueError("batch members live on different spaces")
-    return np.abs(np.stack([v.values for v in xs])), space.weights, False
+    batch = SampleBatch.stack(xs)
+    return batch.abs_values(), batch.space.weights, False
 
 
 def modular(phi: OrliczFunction, x: SampleFunction | Sequence[SampleFunction]):

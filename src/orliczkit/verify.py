@@ -12,6 +12,7 @@ seed; wall time is the only field that varies between runs.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import specs
 from .constants import bergh_constant, interp_constant_concave_h, interp_constant_linear, \
     interp_constant_subadditive, sparr_gamma
 from .kfunc import k_lp_linf_grid, l_functional_grid, l_star_grid
-from .measure import SampleFunction
+from .measure import SampleBatch, SampleFunction
 from .operators import KIND_LINEAR, CertifiedOperator
 from .orlicz import (
     DomainOverflowError,
@@ -88,8 +89,12 @@ class _Collector:
 
     def check(self, lhs, rhs, tag: str, witness, ts=None, index=None) -> None:
         """lhs <= rhs: one value or one row (a column per t in ts) per input,
-        with each input's witness values and index (0, 1, ... by default)."""
+        with each input's witness values and index (0, 1, ... by default).
+        A side that is not finite cannot be checked, so it rejects the scenario."""
         lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+        if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
+            raise ScenarioRejected(f"check {tag!r} has a side that is not finite; "
+                                   "inputs.scale is too large for it")
         bad = lhs > rhs + self.rel * np.abs(rhs) + self.abs_floor
         for at in map(tuple, np.argwhere(bad)):
             row = at[0]
@@ -111,6 +116,20 @@ class _Collector:
         )
 
 
+@contextmanager
+def _draws(scale: float, *out: np.ndarray):
+    """Fill the arrays `out` with input draws at `inputs.scale`; a draw that
+    overflows or leaves a value that is not finite rejects the scenario."""
+    problem = f"inputs.scale = {scale:g} is too large for the input draws"
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except OverflowError as exc:
+        raise ScenarioRejected(f"{problem}: {exc}") from None
+    if not all(np.all(np.isfinite(a)) for a in out):
+        raise ScenarioRejected(f"{problem}: a drawn value is not finite")
+
+
 def generate_inputs(space, count: int, distribution: str = "mixed",
                     scale: float = 1.0, seed: int = 0) -> list[SampleFunction]:
     """Seeded input batch; the seed splits per index, so batches are stable
@@ -120,30 +139,29 @@ def generate_inputs(space, count: int, distribution: str = "mixed",
         "mixed": ("uniform", "lognormal", "spikes", "constant"),
         "bounded": ("uniform", "spikes", "constant"),
     }
-    out = []
-    for i in range(count):
-        rng = np.random.default_rng(children[i])
-        kind = distribution
-        if distribution in mixes:
-            kind = mixes[distribution][i % len(mixes[distribution])]
-        n = space.n
-        if kind == "uniform":
-            vals = rng.uniform(-scale, scale, n)
-        elif kind == "lognormal":
-            vals = rng.choice([-1.0, 1.0], n) * np.exp(rng.normal(0.0, 1.0, n)) * scale
-        elif kind == "spikes":
-            vals = np.zeros(n)
-            support = rng.choice(n, size=rng.integers(1, max(2, n // 3 + 1)), replace=False)
-            vals[support] = rng.choice([-1.0, 1.0], support.size) * rng.uniform(0.25, 1.0, support.size) * scale
-        elif kind == "constant":
-            vals = np.full(n, float(rng.choice([-1.0, 1.0])) * float(rng.uniform(0.2, 1.0)) * scale)
-        else:
-            raise specs.SpecError(f"unknown input distribution {kind!r}")
-        out.append(SampleFunction(space, vals))
-    return out
+    n = space.n
+    out = np.zeros((count, n))
+    with _draws(scale, out):
+        for i in range(count):
+            rng = np.random.default_rng(children[i])
+            kind = distribution
+            if distribution in mixes:
+                kind = mixes[distribution][i % len(mixes[distribution])]
+            if kind == "uniform":
+                out[i] = rng.uniform(-scale, scale, n)
+            elif kind == "lognormal":
+                out[i] = rng.choice([-1.0, 1.0], n) * np.exp(rng.normal(0.0, 1.0, n)) * scale
+            elif kind == "spikes":
+                support = rng.choice(n, size=rng.integers(1, max(2, n // 3 + 1)), replace=False)
+                out[i, support] = rng.choice([-1.0, 1.0], support.size) * rng.uniform(0.25, 1.0, support.size) * scale
+            elif kind == "constant":
+                out[i] = float(rng.choice([-1.0, 1.0])) * float(rng.uniform(0.2, 1.0)) * scale
+            else:
+                raise specs.SpecError(f"unknown input distribution {kind!r}")
+    return [SampleFunction(space, v) for v in out]
 
 
-def _couple_k_grid(ts: np.ndarray, x: SampleFunction, couple: ExponentCouple) -> np.ndarray:
+def _couple_k_grid(ts: np.ndarray, x: SampleBatch, couple: ExponentCouple) -> np.ndarray:
     if couple.q_is_inf:
         return k_lp_linf_grid(ts, x, couple.p)
     return l_functional_grid(ts, x, couple.p, couple.q)
@@ -155,26 +173,25 @@ def verify_k_contraction(op: CertifiedOperator, inputs: list[SampleFunction],
     """K_{p,q}(t, Tx/M) <= K_{p,q}(t, x) on every input and grid parameter."""
     collector = _Collector(tolerances)
     ts = np.asarray(t_grid, dtype=float)
-    m = op.max_bound
-    lhs = [_couple_k_grid(ts, op.apply(x).scaled(1.0 / m), op.couple) for x in inputs]
-    rhs = [_couple_k_grid(ts, x, op.couple) for x in inputs]
-    collector.check(lhs, rhs, "k_contraction", [x.values for x in inputs], ts)
-    return collector.report("prop22", len(inputs), {"certified_bound": m}, scenario)
+    xs = SampleBatch.stack(inputs)
+    scale = 1.0 / op.max_bound
+    txs = SampleBatch(xs.space, [op.apply(x).values * scale for x in inputs])
+    collector.check(_couple_k_grid(ts, txs, op.couple), _couple_k_grid(ts, xs, op.couple),
+                    "k_contraction", xs.values, ts)
+    return collector.report("prop22", len(inputs), {"certified_bound": op.max_bound}, scenario)
 
 
-def _sparr_pairs(pairs: list[tuple[SampleFunction, SampleFunction]], couple: ExponentCouple,
+def _sparr_pairs(xs: SampleBatch, ys: SampleBatch, couple: ExponentCouple,
                  ts: np.ndarray, gamma: float, collector: _Collector) -> int:
-    """Check the conclusion on the pairs that meet the K-majorization
-    hypothesis; returns how many do."""
+    """Check the conclusion on the pairs (xs[i], ys[i]) that meet the
+    K-majorization hypothesis; returns how many do."""
     p, q, tol = couple.p, couple.q, collector.tol
-    kx = np.array([l_functional_grid(ts, x, p, q) for x, _ in pairs])
-    ky = np.array([l_functional_grid(ts, y, p, q) for _, y in pairs])
+    kx, ky = l_functional_grid(ts, xs, p, q), l_functional_grid(ts, ys, p, q)
     met = np.flatnonzero(np.all(
         kx <= ky + tol["hypothesis_slack"] * np.abs(ky) + tol["abs_floor"], axis=1))
-    lx = [l_star_grid(ts, pairs[i][0], p, q) for i in met]
-    ly = [gamma * l_star_grid(ts, pairs[i][1], p, q) for i in met]
-    witness = [np.concatenate((pairs[i][0].values, pairs[i][1].values)) for i in met]
-    collector.check(lx, ly, "sparr_conclusion", witness, ts, met)
+    xm, ym = xs[met], ys[met]
+    collector.check(l_star_grid(ts, xm, p, q), gamma * l_star_grid(ts, ym, p, q),
+                    "sparr_conclusion", np.hstack((xm.values, ym.values)), ts, met)
     return met.size
 
 
@@ -188,35 +205,36 @@ def verify_sparr_implication(x: SampleFunction, y: SampleFunction,
     if couple.q_is_inf:
         raise ValueError("the implication needs a finite couple")
     gamma = sparr_gamma(couple.p, couple.q).value
-    met = _sparr_pairs([(x, y)], couple, np.asarray(t_grid, dtype=float), gamma, collector)
+    met = _sparr_pairs(SampleBatch.stack([x]), SampleBatch.stack([y]), couple, np.asarray(t_grid, dtype=float), gamma, collector)
     return collector.report("sparr_lemma", 1, {"gamma": gamma, "hypothesis_met": met},
                             scenario)
 
 
-def _pair_batch(space, count: int, scale: float, seed: int) -> list[tuple[SampleFunction, SampleFunction]]:
-    """Pairs biased toward satisfying the K-majorization hypothesis.
+def _pair_batch(space, count: int, scale: float, seed: int) -> tuple[SampleBatch, SampleBatch]:
+    """Pairs (xs[i], ys[i]) biased toward satisfying the K-majorization hypothesis.
 
     Cycles: atomwise damping of a random y; damped permutation of y
     (equimeasurable on uniform weights); an independent pair, kept only if
     the grid hypothesis later holds; and x = y / (1 + |u|) scalings.
     """
     children = np.random.SeedSequence(seed).spawn(count)
-    pairs = []
-    for i in range(count):
-        rng = np.random.default_rng(children[i])
-        n = space.n
-        y_vals = rng.choice([-1.0, 1.0], n) * np.exp(rng.normal(0.0, 0.8, n)) * scale
-        mode = i % 4
-        if mode == 0:
-            x_vals = rng.uniform(0.0, 1.0, n) * y_vals
-        elif mode == 1:
-            x_vals = (rng.uniform(0.3, 1.0) * np.abs(y_vals))[rng.permutation(n)]
-        elif mode == 2:
-            x_vals = rng.uniform(-2.0 * scale, 2.0 * scale, n)
-        else:
-            x_vals = y_vals / float(1.0 + np.abs(rng.normal(0.0, 1.0)))
-        pairs.append((SampleFunction(space, x_vals), SampleFunction(space, y_vals)))
-    return pairs
+    n = space.n
+    xs, ys = np.empty((count, n)), np.empty((count, n))
+    with _draws(scale, xs, ys):
+        for i in range(count):
+            rng = np.random.default_rng(children[i])
+            y_vals = rng.choice([-1.0, 1.0], n) * np.exp(rng.normal(0.0, 0.8, n)) * scale
+            mode = i % 4
+            if mode == 0:
+                x_vals = rng.uniform(0.0, 1.0, n) * y_vals
+            elif mode == 1:
+                x_vals = (rng.uniform(0.3, 1.0) * np.abs(y_vals))[rng.permutation(n)]
+            elif mode == 2:
+                x_vals = rng.uniform(-2.0 * scale, 2.0 * scale, n)
+            else:
+                x_vals = y_vals / float(1.0 + np.abs(rng.normal(0.0, 1.0)))
+            xs[i], ys[i] = x_vals, y_vals
+    return SampleBatch(space, xs), SampleBatch(space, ys)
 
 
 def verify_sparr_batch(space, couple: ExponentCouple, count: int, t_grid,
@@ -227,8 +245,8 @@ def verify_sparr_batch(space, couple: ExponentCouple, count: int, t_grid,
     counted but never failed."""
     collector = _Collector(tolerances)
     gamma = sparr_gamma(couple.p, couple.q).value
-    met = _sparr_pairs(_pair_batch(space, count, scale, seed), couple,
-                       np.asarray(t_grid, dtype=float), gamma, collector)
+    xs, ys = _pair_batch(space, count, scale, seed)
+    met = _sparr_pairs(xs, ys, couple, np.asarray(t_grid, dtype=float), gamma, collector)
     return collector.report("sparr_lemma", count, {"gamma": gamma, "hypothesis_met": met},
                             scenario)
 

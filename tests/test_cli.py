@@ -211,6 +211,18 @@ class TestVerifyCommand:
         assert code == 2
         assert "inputs.scale" in err
 
+    @pytest.mark.parametrize("name,scale", [("prop22_maximal_2inf.json", 1e200),
+                                            ("thm46a.json", 1e308),
+                                            ("sparr_lemma_1_2.json", 1e308)])
+    def test_huge_input_scale_exits_two(self, capsys, tmp_path, name, scale):
+        scenario = json.loads((SCENARIO_DIR / name).read_text())
+        scenario["inputs"].update(count=8, scale=scale)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
+        assert code == 2 and out == ""
+        assert "inputs.scale" in err and "Traceback" not in err
+
     def test_missing_scenario_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--scenario", "nope.json")
         assert code == 2

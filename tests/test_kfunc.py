@@ -285,3 +285,61 @@ class TestBruteForce:
     def test_grid_budget(self):
         with pytest.raises(ValueError):
             ok.brute_force_k(1.0, indicator(), 1, 2, 999)
+
+
+class TestBatch:
+    """A `SampleBatch` call returns, row by row, exactly what one call per
+    member returns."""
+
+    TS = np.logspace(-6, 6, 33)
+
+    @staticmethod
+    def members():
+        rng = np.random.default_rng(17)
+        space = ok.DiscreteMeasureSpace(rng.uniform(0.1, 2.0, 8))
+        spike = np.zeros(8)
+        spike[3] = -2.5
+        rows = [np.zeros(8), spike, rng.normal(size=8) * 1e-8, rng.normal(size=8) * 1e8]
+        rows += [rng.normal(size=8) * np.exp(rng.normal(0, 2, 8)) for _ in range(4)]
+        return [ok.SampleFunction(space, v) for v in rows]
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.7])
+    def test_k_rows_equal_one_call_per_member_bitwise(self, p):
+        # the 1e-8 and 1e8 rows need their own golden-section tolerances
+        members = self.members()
+        got = ok.k_lp_linf_grid(self.TS, ok.SampleBatch.stack(members), p)
+        assert got.shape == (len(members), self.TS.size)
+        for row, x in zip(got, members):
+            assert row.tolist() == ok.k_lp_linf_grid(self.TS, x, p).tolist()
+        assert np.all(got[0] == 0.0)
+
+    @pytest.mark.parametrize("p,q", [(1, 2), (1.5, 3), (2, 4), (1.01, 5)])
+    def test_l_and_l_star_rows_equal_one_call_per_member_bitwise(self, p, q):
+        members = self.members()
+        batch = ok.SampleBatch.stack(members)
+        for kernel in (ok.l_functional_grid, ok.l_star_grid):
+            got = kernel(self.TS, batch, p, q)
+            assert got.shape == (len(members), self.TS.size)
+            for row, x in zip(got, members):
+                assert row.tolist() == kernel(self.TS, x, p, q).tolist()
+
+    @pytest.mark.parametrize("p,q", [(1.5, 3), (2, 4), (1.01, 5)])
+    def test_l_value_does_not_depend_on_what_shares_the_call(self, p, q):
+        members = self.members()
+        x = members[5]
+        grid = ok.l_functional_grid(self.TS, x, p, q)
+        batch = ok.l_functional_grid(self.TS, ok.SampleBatch.stack(members), p, q)[5]
+        one_t = [ok.l_functional_grid(np.array([t]), x, p, q)[0] for t in self.TS]
+        assert grid.tolist() == one_t == batch.tolist()
+
+    def test_empty_batch_gives_no_rows(self):
+        empty = ok.SampleBatch(ok.uniform_space(4), np.zeros((0, 4)))
+        assert ok.k_lp_linf_grid(self.TS, empty, 2.0).shape == (0, self.TS.size)
+        assert ok.l_functional_grid(self.TS, empty, 1.5, 3).shape == (0, self.TS.size)
+        assert ok.l_star_grid(self.TS, empty, 1.5, 3).shape == (0, self.TS.size)
+
+    def test_k_of_a_member_whose_p_norm_overflows_is_inf(self):
+        batch = ok.SampleBatch(ok.uniform_space(2), [[1e200, 1e200], [1.0, 2.0]])
+        got = ok.k_lp_linf_grid(self.TS, batch, 2.0)
+        assert np.all(np.isinf(got[0]))
+        assert got[1].tolist() == ok.k_lp_linf_grid(self.TS, sample([1.0, 2.0]), 2.0).tolist()

@@ -32,6 +32,32 @@ class TestSpaces:
         assert ok.DiscreteMeasureSpace([0.5, 2.0]).total_measure == 2.5
 
 
+class TestSampleBatch:
+    def test_rows_members_and_validation(self):
+        space = ok.uniform_space(3)
+        batch = ok.SampleBatch(space, [[1.0, -2.0, 0.0], [0.5, 0.5, 0.5]])
+        assert len(batch) == 2 and batch.space is space
+        assert batch.abs_values().tolist() == [[1.0, 2.0, 0.0], [0.5, 0.5, 0.5]]
+        assert batch[np.array([1])].values.tolist() == [[0.5, 0.5, 0.5]]
+        assert not batch.values.flags.writeable
+        for bad in ([1.0, 2.0, 3.0], [[1.0, 2.0]], [[1.0, np.inf, 0.0]]):
+            with pytest.raises(ValueError):
+                ok.SampleBatch(space, bad)
+
+    def test_stack_keeps_member_values(self):
+        members = [sample([1.0, -2.0]), sample([3.0, 0.0])]
+        batch = ok.SampleBatch.stack(members)
+        assert batch.values.tolist() == [[1.0, -2.0], [3.0, 0.0]]
+
+    def test_members_on_two_spaces_raise(self):
+        a = sample([1.0, 2.0], [1.0, 1.0])
+        b = sample([1.0, 2.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="different spaces"):
+            ok.SampleBatch.stack([a, b])
+        with pytest.raises(ValueError):
+            ok.SampleBatch.stack([])
+
+
 class TestRearrangement:
     def test_unit_weights_sorts_absolute_values(self):
         step = ok.rearrangement(sample([3, 1, 2]))
@@ -160,3 +186,21 @@ class TestGoldenSection:
 
         a, b = golden_section(f, np.array([0.0, 5.0]), np.array([1e-12, 5.0]), 1e-9)
         assert a.tolist() == [0.0, 5.0] and b.tolist() == [1e-12, 5.0]
+
+    def test_per_row_tolerance_stops_each_row_on_its_own(self):
+        # three copies of one problem, each with its own tolerance
+        tol = np.array([1e-3, 1e-12, 1e-6])
+        steps = np.zeros(3, dtype=int)
+
+        def f(rows, points):
+            steps[rows] += 1
+            return (points - 0.3) ** 2
+
+        a, b = golden_section(f, np.zeros(3), np.ones(3), tol)
+        assert np.all(b - a <= tol) and np.all(b - a > tol / 1.7)
+        assert steps[0] < steps[2] < steps[1]
+        # each row ends where a call with its tolerance alone ends
+        for i in range(3):
+            alone = golden_section(lambda rows, points: (points - 0.3) ** 2,
+                                   np.zeros(1), np.ones(1), tol[i])
+            assert (a[i], b[i]) == (alone[0][0], alone[1][0])

@@ -8,6 +8,7 @@ import pytest
 import orliczkit as ok
 from orliczkit import specs
 from orliczkit.orlicz import ExponentCouple
+from orliczkit import verify
 from orliczkit.verify import run_scenario
 
 from conftest import cached_generator_phi
@@ -250,6 +251,61 @@ class TestRunScenario:
         assert report["details"]["violation_count"] == beyond
         for v in report["violations"]:
             assert v["witness"] == inputs[v["input_index"]].values.tolist()
+
+    @pytest.mark.parametrize("name,scale", [("prop22_maximal_2inf.json", 1e200),
+                                            ("thm46a.json", 1e308),
+                                            ("sparr_lemma_1_2.json", 1e308)])
+    def test_huge_input_scale_is_a_rejection(self, name, scale):
+        # 1e200 overflows ||x||_2^2 inside K; 1e308 overflows the draws themselves
+        scenario = load_scenario(name)
+        scenario["inputs"].update(count=8, scale=scale)
+        with pytest.raises(ok.ScenarioRejected, match="inputs.scale"):
+            run_scenario(scenario)
+
+    def test_failing_k_report_points_at_each_input(self):
+        # a certificate ten times too small breaks the K contraction on some
+        # (input, t); each violation must match a per-input recomputation
+        scenario = load_scenario("prop22_maximal_2inf.json")
+        scenario["inputs"]["count"] = 40
+        resolved, space, couple, phi, op = specs.resolve_scenario(scenario)
+        op = op.with_bounds(op.bound_p / 10.0, op.bound_q / 10.0, "shrunk")
+        inputs = ok.generate_inputs(space, 40, "mixed", 1.0, resolved["seed"])
+        ts = specs.t_grid_points(resolved["t_grid"])
+        report = ok.verify_k_contraction(op, inputs, ts, resolved["tolerances"])
+        rel, floor = resolved["tolerances"]["violation_rel"], resolved["tolerances"]["abs_floor"]
+        expected = set()
+        for i, x in enumerate(inputs):
+            lhs = ok.k_lp_linf_grid(ts, op.apply(x).scaled(1.0 / op.max_bound), couple.p)
+            rhs = ok.k_lp_linf_grid(ts, x, couple.p)
+            for j in np.flatnonzero(lhs > rhs + rel * np.abs(rhs) + floor):
+                expected.add((i, float(ts[j]), float(lhs[j]), float(rhs[j]), tuple(x.values)))
+        got = {(v.input_index, v.t, v.lhs, v.rhs, v.witness) for v in report.violations}
+        assert report.status == "fail" and len(report.violations) == len(expected) > 0
+        assert got == expected
+
+    def test_failing_sparr_report_points_at_each_pair(self):
+        # half of gamma breaks the conclusion on some pairs that meet the hypothesis
+        couple, ts = ExponentCouple(1, 2), np.logspace(-4, 4, 16)
+        xs, ys = verify._pair_batch(ok.uniform_space(8), 60, 1.0, 12)
+        gamma = 0.5 * ok.sparr_gamma(1, 2).value
+        collector = verify._Collector(None)
+        met = verify._sparr_pairs(xs, ys, couple, ts, gamma, collector)
+        tol = collector.tol
+        expected, met_alone = set(), 0
+        for i, (xv, yv) in enumerate(zip(xs.values, ys.values)):
+            x, y = ok.SampleFunction(xs.space, xv), ok.SampleFunction(ys.space, yv)
+            kx, ky = ok.l_functional_grid(ts, x, 1, 2), ok.l_functional_grid(ts, y, 1, 2)
+            if not np.all(kx <= ky + tol["hypothesis_slack"] * np.abs(ky) + tol["abs_floor"]):
+                continue
+            met_alone += 1
+            lhs, rhs = ok.l_star_grid(ts, x, 1, 2), gamma * ok.l_star_grid(ts, y, 1, 2)
+            for j in np.flatnonzero(lhs > rhs + tol["violation_rel"] * np.abs(rhs) + tol["abs_floor"]):
+                expected.add((i, float(ts[j]), float(lhs[j]), float(rhs[j]),
+                              tuple(xv) + tuple(yv)))
+        got = {(v.input_index, v.t, v.lhs, v.rhs, v.witness) for v in collector.violations}
+        assert met == met_alone
+        assert len(collector.violations) == len(expected) > 0
+        assert got == expected
 
     def test_violation_threshold_is_named_tolerance(self):
         scenario = load_scenario("thm46a.json")
