@@ -85,7 +85,8 @@ class SampleBatch:
     """Finite values on the atoms of one space, one row per member.
 
     The batched kernels take a batch where they take one `SampleFunction`
-    and return one row per member.
+    and return one row per member. An integer index gives one member as a
+    `SampleFunction`, and iteration gives every member in order.
     """
 
     space: DiscreteMeasureSpace
@@ -115,12 +116,21 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def __getitem__(self, rows) -> "SampleBatch":
-        """The members at the given indices (an index array or a slice)."""
+    def __getitem__(self, rows) -> "SampleBatch | SampleFunction":
+        """The member at an integer index, or the batch of the members at an
+        index array or slice."""
+        if isinstance(rows, (int, np.integer)):
+            return SampleFunction(self.space, self.values[rows])
         return SampleBatch(self.space, self.values[rows])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
     def abs_values(self) -> np.ndarray:
         return np.abs(self.values)
+
+    def scaled(self, factor: float) -> "SampleBatch":
+        return SampleBatch(self.space, self.values * factor)
 
 
 @dataclass(frozen=True, eq=False)

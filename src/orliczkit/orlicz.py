@@ -220,22 +220,28 @@ def build_from_h(couple: ExponentCouple, h: PiecewiseLinearConcave) -> OrliczFun
     return phi
 
 
-def _batch(x: SampleFunction | Sequence[SampleFunction]) -> tuple[np.ndarray, np.ndarray, bool]:
+# one sample function, or many on one space
+Members = SampleFunction | SampleBatch | Sequence[SampleFunction]
+
+
+def _batch(x: Members) -> tuple[np.ndarray, np.ndarray, bool]:
     """(|values| with one row per member, the weights, whether x was single)."""
     if isinstance(x, SampleFunction):
         return x.abs_values()[None, :], x.space.weights, True
-    xs = list(x)
-    if not xs:
-        return np.zeros((0, 0)), np.zeros(0), False
-    batch = SampleBatch.stack(xs)
-    return batch.abs_values(), batch.space.weights, False
+    if not isinstance(x, SampleBatch):
+        xs = list(x)
+        if not xs:
+            return np.zeros((0, 0)), np.zeros(0), False
+        x = SampleBatch.stack(xs)
+    return x.abs_values(), x.space.weights, False
 
 
-def modular(phi: OrliczFunction, x: SampleFunction | Sequence[SampleFunction]):
+def modular(phi: OrliczFunction, x: Members):
     """Weighted sum of phi(|x_i|); rearrangement invariant by construction.
 
-    x is one `SampleFunction` (returns a float) or a sequence of them on one
-    space (returns an array, one modular per member), as in both norms.
+    x is one `SampleFunction` (returns a float), or a `SampleBatch` or a
+    sequence of sample functions on one space (returns an array, one modular
+    per member), as in both norms.
     Raises `DomainOverflowError` when any member leaves phi's domain.
     """
     mags, weights, single = _batch(x)
@@ -258,7 +264,7 @@ def _scaled_modular(phi: OrliczFunction, mags: np.ndarray, weights: np.ndarray,
     return out
 
 
-def luxemburg_norm(phi: OrliczFunction, x: SampleFunction | Sequence[SampleFunction], *,
+def luxemburg_norm(phi: OrliczFunction, x: Members, *,
                    rtol: float = 1e-10, max_iter: int = 400):
     """inf of lambda > 0 with modular(x / lambda) <= 1, by bisection.
 
@@ -303,7 +309,7 @@ def luxemburg_norm(phi: OrliczFunction, x: SampleFunction | Sequence[SampleFunct
     return float(hi[0]) if single else hi
 
 
-def amemiya_norm(phi: OrliczFunction, x: SampleFunction | Sequence[SampleFunction], *,
+def amemiya_norm(phi: OrliczFunction, x: Members, *,
                  rtol: float = 1e-9):
     """inf over k > 0 of (1 + modular(k*x)) / k.
 

@@ -131,7 +131,7 @@ def _draws(scale: float, *out: np.ndarray):
 
 
 def generate_inputs(space, count: int, distribution: str = "mixed",
-                    scale: float = 1.0, seed: int = 0) -> list[SampleFunction]:
+                    scale: float = 1.0, seed: int = 0) -> SampleBatch:
     """Seeded input batch; the seed splits per index, so batches are stable
     under any evaluation order."""
     children = np.random.SeedSequence(seed).spawn(count)
@@ -158,7 +158,7 @@ def generate_inputs(space, count: int, distribution: str = "mixed",
                 out[i] = float(rng.choice([-1.0, 1.0])) * float(rng.uniform(0.2, 1.0)) * scale
             else:
                 raise specs.SpecError(f"unknown input distribution {kind!r}")
-    return [SampleFunction(space, v) for v in out]
+    return SampleBatch(space, out)
 
 
 def _couple_k_grid(ts: np.ndarray, x: SampleBatch, couple: ExponentCouple) -> np.ndarray:
@@ -167,17 +167,15 @@ def _couple_k_grid(ts: np.ndarray, x: SampleBatch, couple: ExponentCouple) -> np
     return l_functional_grid(ts, x, couple.p, couple.q)
 
 
-def verify_k_contraction(op: CertifiedOperator, inputs: list[SampleFunction],
+def verify_k_contraction(op: CertifiedOperator, inputs: SampleBatch,
                          t_grid, tolerances: dict | None = None,
                          scenario: dict | None = None) -> VerificationReport:
     """K_{p,q}(t, Tx/M) <= K_{p,q}(t, x) on every input and grid parameter."""
     collector = _Collector(tolerances)
     ts = np.asarray(t_grid, dtype=float)
-    xs = SampleBatch.stack(inputs)
-    scale = 1.0 / op.max_bound
-    txs = SampleBatch(xs.space, [op.apply(x).values * scale for x in inputs])
-    collector.check(_couple_k_grid(ts, txs, op.couple), _couple_k_grid(ts, xs, op.couple),
-                    "k_contraction", xs.values, ts)
+    txs = op.apply(inputs).scaled(1.0 / op.max_bound)
+    collector.check(_couple_k_grid(ts, txs, op.couple), _couple_k_grid(ts, inputs, op.couple),
+                    "k_contraction", inputs.values, ts)
     return collector.report("prop22", len(inputs), {"certified_bound": op.max_bound}, scenario)
 
 
@@ -252,7 +250,7 @@ def verify_sparr_batch(space, couple: ExponentCouple, count: int, t_grid,
 
 
 def verify_modular_lp_linf(phi: OrliczFunction, p: float, op: CertifiedOperator,
-                           inputs: list[SampleFunction],
+                           inputs: SampleBatch,
                            tolerances: dict | None = None,
                            scenario: dict | None = None) -> VerificationReport:
     """Modular contraction against the sharp truncation constant.
@@ -268,14 +266,14 @@ def verify_modular_lp_linf(phi: OrliczFunction, p: float, op: CertifiedOperator,
         raise ScenarioRejected(
             f"phi(u^(1/p)) fails convexity (worst second difference {psi.worst_second_difference:.3e})")
     constant = bergh_constant(p) * op.max_bound
-    lhs = modular(phi, [op.apply(x).scaled(1.0 / constant) for x in inputs])
-    collector.check(lhs, modular(phi, inputs), "modular_lp_linf", [x.values for x in inputs])
+    lhs = modular(phi, op.apply(inputs).scaled(1.0 / constant))
+    collector.check(lhs, modular(phi, inputs), "modular_lp_linf", inputs.values)
     return collector.report("thm31a", len(inputs), {
         "constant": constant, "psi_convexity_margin": psi.worst_second_difference}, scenario)
 
 
 def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
-                         op: CertifiedOperator, inputs: list[SampleFunction],
+                         op: CertifiedOperator, inputs: SampleBatch,
                          tolerances: dict | None = None,
                          scenario: dict | None = None) -> VerificationReport:
     """Modular comparison with the sharp two-piece-cost constant."""
@@ -284,9 +282,8 @@ def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
         raise ScenarioRejected("the modular comparison needs the concave-h form of phi")
     gamma = sparr_gamma(couple.p, couple.q).value
     m = op.max_bound
-    lhs = modular(phi, [op.apply(x).scaled(1.0 / m) for x in inputs])
-    collector.check(lhs, gamma * modular(phi, inputs), "modular_lp_lq",
-                    [x.values for x in inputs])
+    lhs = modular(phi, op.apply(inputs).scaled(1.0 / m))
+    collector.check(lhs, gamma * modular(phi, inputs), "modular_lp_lq", inputs.values)
     return collector.report("thm46a", len(inputs), {"gamma": gamma, "certified_bound": m},
                             scenario)
 
@@ -315,20 +312,24 @@ def _norm_constant(source: str, couple: ExponentCouple, op: CertifiedOperator) -
 
 
 def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
-                              op: CertifiedOperator, inputs: list[SampleFunction],
+                              op: CertifiedOperator, inputs: SampleBatch,
                               constant_source: str,
                               tolerances: dict | None = None,
-                              scenario: dict | None = None) -> VerificationReport:
-    """||Tx|| <= C * M * ||x|| in both the Luxemburg and Amemiya norms."""
+                              scenario: dict | None = None, *,
+                              tx: SampleBatch | None = None) -> VerificationReport:
+    """||Tx|| <= C * M * ||x|| in both the Luxemburg and Amemiya norms.
+
+    tx is op applied to inputs, when the caller already has it.
+    """
     collector = _Collector(tolerances, "norm_rel")
     c = _norm_constant(constant_source, couple, op)
     cm = c * op.max_bound
-    txs = [op.apply(x) for x in inputs]
-    lux_t, lux_x = luxemburg_norm(phi, txs), luxemburg_norm(phi, inputs)
-    am_t, am_x = amemiya_norm(phi, txs), amemiya_norm(phi, inputs)
-    witness = [x.values for x in inputs]
-    collector.check(lux_t, cm * lux_x, "luxemburg", witness)
-    collector.check(am_t, cm * am_x, "amemiya", witness)
+    if tx is None:
+        tx = op.apply(inputs)
+    lux_t, lux_x = luxemburg_norm(phi, tx), luxemburg_norm(phi, inputs)
+    am_t, am_x = amemiya_norm(phi, tx), amemiya_norm(phi, inputs)
+    collector.check(lux_t, cm * lux_x, "luxemburg", inputs.values)
+    collector.check(am_t, cm * am_x, "amemiya", inputs.values)
     tag = next(t for t, source in _NORM_SOURCES.items() if source == constant_source)
     return collector.report(tag, len(inputs), {"constant": c, "certified_bound": op.max_bound,
                                                "constant_source": constant_source}, scenario)
@@ -353,9 +354,10 @@ def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[Quas
 
 
 def chain_diagnostics(phi: OrliczFunction, couple: ExponentCouple,
-                      op: CertifiedOperator, inputs: list[SampleFunction],
+                      op: CertifiedOperator, inputs: SampleBatch,
                       tolerances: dict | None = None,
-                      scenario: dict | None = None) -> VerificationReport:
+                      scenario: dict | None = None, *,
+                      tx: SampleBatch | None = None) -> VerificationReport:
     """Link-by-link check of the majorant route behind the norm constant.
 
     With h recovered from phi, h~ its concave majorant, and psi the
@@ -363,7 +365,8 @@ def chain_diagnostics(phi: OrliczFunction, couple: ExponentCouple,
     modular_phi(Tx/M) <= modular_psi(Tx/M) <= gamma * modular_psi(x)
     <= 2 * gamma * modular_phi(x), each checked separately at the chain
     tolerance (the majorant is numerically derived, unlike the analytic
-    constants of the main inequality).
+    constants of the main inequality). tx is op applied to inputs, when the
+    caller already has it; it is scaled by 1/M here.
     """
     collector = _Collector(tolerances, "chain_rel", "chain_abs_floor")
     if phi.kind != "generator" or couple.q_is_inf:
@@ -372,20 +375,20 @@ def chain_diagnostics(phi: OrliczFunction, couple: ExponentCouple,
     h_major = concave_majorant(h_fn, grid=s_grid, rtol=1e-6, extend_decades=0.0)
     psi = build_from_h(couple, h_major)
     gamma = sparr_gamma(couple.p, couple.q).value
-    m = op.max_bound
-    txs = [op.apply(x).scaled(1.0 / m) for x in inputs]
+    if tx is None:
+        tx = op.apply(inputs)
+    txs = tx.scaled(1.0 / op.max_bound)
     phi_tx, psi_tx = modular(phi, txs), modular(psi, txs)
     gamma_psi_x, two_gamma_phi_x = gamma * modular(psi, inputs), 2.0 * gamma * modular(phi, inputs)
-    witness = [x.values for x in inputs]
-    collector.check(phi_tx, psi_tx, "link1_phi_le_psi", witness)
-    collector.check(psi_tx, gamma_psi_x, "link2_psi_contraction", witness)
-    collector.check(gamma_psi_x, two_gamma_phi_x, "link3_psi_le_2phi", witness)
+    collector.check(phi_tx, psi_tx, "link1_phi_le_psi", inputs.values)
+    collector.check(psi_tx, gamma_psi_x, "link2_psi_contraction", inputs.values)
+    collector.check(gamma_psi_x, two_gamma_phi_x, "link3_psi_le_2phi", inputs.values)
     return collector.report("thm46b_norm", len(inputs), {
         "gamma": gamma, "mode": "chain_diagnostics", "majorant_knots": int(h_major.knots.size)},
         scenario)
 
 
-def _inputs(s: dict, space) -> list[SampleFunction]:
+def _inputs(s: dict, space) -> SampleBatch:
     ins = s["inputs"]
     return generate_inputs(space, ins["count"], ins["distribution"], ins["scale"], s["seed"])
 
@@ -412,12 +415,17 @@ def _run_thm46a(s, space, couple, phi, op) -> VerificationReport:
 def _norm_runner(source: str):
     def run(s, space, couple, phi, op) -> VerificationReport:
         inputs = _inputs(s, space)
-        report = verify_norm_interpolation(phi, couple, op, inputs, source, s["tolerances"], s)
+        started = time.perf_counter()
+        # one apply serves the main check and the chain links
+        tx = op.apply(inputs)
+        report = verify_norm_interpolation(phi, couple, op, inputs, source, s["tolerances"], s,
+                                           tx=tx)
         if s["diagnostics"]:
-            chain = chain_diagnostics(phi, couple, op, inputs, s["tolerances"], s)
+            chain = chain_diagnostics(phi, couple, op, inputs, s["tolerances"], s, tx=tx)
             report.violations.extend(chain.violations)
             report.details["chain"] = chain.details
             report.status = "pass" if not report.violations else "fail"
+        report.wall_ms = (time.perf_counter() - started) * 1000.0
         return report
     return run
 

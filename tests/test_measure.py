@@ -44,6 +44,17 @@ class TestSampleBatch:
             with pytest.raises(ValueError):
                 ok.SampleBatch(space, bad)
 
+    def test_members_by_index_and_iteration(self):
+        space = ok.uniform_space(2)
+        batch = ok.SampleBatch(space, [[1.0, -2.0], [3.0, 0.0], [0.5, 0.25]])
+        one = batch[1]
+        assert isinstance(one, ok.SampleFunction) and one.space is space
+        assert one.values.tolist() == [3.0, 0.0]
+        assert batch[np.int64(-1)].values.tolist() == [0.5, 0.25]
+        assert [x.values.tolist() for x in batch] == batch.values.tolist()
+        assert ok.SampleBatch.stack(list(batch)).values.tobytes() == batch.values.tobytes()
+        assert batch.scaled(0.5).values.tolist() == [[0.5, -1.0], [1.5, 0.0], [0.25, 0.125]]
+
     def test_stack_keeps_member_values(self):
         members = [sample([1.0, -2.0]), sample([3.0, 0.0])]
         batch = ok.SampleBatch.stack(members)

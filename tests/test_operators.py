@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orliczkit as ok
-from orliczkit.operators import (
-    _window_average_matrices,
-    homogeneity_violation,
-    subadditivity_violation,
-)
+from orliczkit import operators
 from orliczkit.orlicz import ExponentCouple
+
+from oracles import (
+    homogeneity_violation,
+    maximal_prefix_oracle,
+    subadditivity_violation,
+    window_average_matrices,
+)
 
 COUPLE = ExponentCouple(1, 2)
 
@@ -141,7 +145,7 @@ class TestDiscreteMaximal:
     def test_matches_literal_window_max_of(self):
         sp = ok.uniform_space(5)
         op = ok.discrete_maximal(sp, COUPLE)
-        members = [ok.contractive_matrix(sp, a, COUPLE) for a in _window_average_matrices(5)]
+        members = [ok.contractive_matrix(sp, a, COUPLE) for a in window_average_matrices(5)]
         literal = ok.max_of(members)
         assert literal.bound_p == pytest.approx(op.bound_p)
         assert literal.bound_q == pytest.approx(op.bound_q)
@@ -160,6 +164,119 @@ class TestDiscreteMaximal:
             out = op.apply(ok.SampleFunction(space, v)).values
             assert np.all(out >= np.mean(np.abs(v)) - 1e-12)
             assert np.all(out <= np.max(np.abs(v)) + 1e-12)
+
+
+MAXIMAL_SIZES = (1, 2, 3, 7, 8, 9, 33, 100, 512)
+ROW_KINDS = ("zero", "constant", "spike", "lognormal")
+
+
+def kernel_row(kind, n, rng):
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "constant":
+        return np.full(n, rng.uniform(-3.0, 3.0))
+    if kind == "spike":
+        row = np.zeros(n)
+        row[rng.integers(0, n)] = rng.uniform(0.5, 2.0)
+        return row
+    return rng.choice([-1.0, 1.0], n) * np.exp(rng.normal(0.0, 2.0, n))
+
+
+def maximal_batch(rows):
+    op = ok.discrete_maximal(ok.uniform_space(rows.shape[1]), COUPLE)
+    return op.apply(ok.SampleBatch(op.space, rows)).values
+
+
+def oracle_batch(rows):
+    return np.stack([maximal_prefix_oracle(r) for r in rows])
+
+
+class TestWindowMaximalKernel:
+    @pytest.mark.parametrize("n", MAXIMAL_SIZES)
+    def test_fixed_rows_equal_prefix_oracle_bitwise(self, n):
+        rng = np.random.default_rng(500 + n)
+        rows = np.stack([kernel_row(kind, n, rng) for kind in ROW_KINDS + ("lognormal",) * 3])
+        got = maximal_batch(rows)
+        assert got.shape == rows.shape
+        assert got.tobytes() == oracle_batch(rows).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from(MAXIMAL_SIZES),
+           kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_prefix_oracle_bitwise(self, n, kinds, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.stack([kernel_row(kind, n, rng) for kind in kinds])
+        assert maximal_batch(rows).tobytes() == oracle_batch(rows).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_near_literal_max_of_window_averages(self, n):
+        sp = ok.uniform_space(n)
+        literal = ok.max_of([ok.contractive_matrix(sp, a, COUPLE)
+                             for a in window_average_matrices(n)])
+        rng = np.random.default_rng(900 + n)
+        rows = np.stack([kernel_row(kind, n, rng) for kind in ROW_KINDS * 3])
+        got = maximal_batch(rows)
+        want = literal.apply(ok.SampleBatch(sp, np.abs(rows))).values
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+
+    def test_batch_beyond_one_chunk_equals_row_by_row(self):
+        # at n = 512 the top block level holds four rows per chunk
+        sp = ok.uniform_space(512)
+        op = ok.discrete_maximal(sp, COUPLE)
+        rng = np.random.default_rng(61)
+        rows = np.stack([kernel_row(ROW_KINDS[i % 4], 512, rng) for i in range(9)])
+        batch = op.apply(ok.SampleBatch(sp, rows)).values
+        alone = np.stack([op.apply(ok.SampleFunction(sp, r)).values for r in rows])
+        assert batch.tobytes() == alone.tobytes()
+
+    def test_small_chunk_budget_changes_nothing(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        rows = np.stack([kernel_row(ROW_KINDS[i % 4], 33, rng) for i in range(40)])
+        whole = maximal_batch(rows)
+        monkeypatch.setattr(operators, "_CHUNK_ELEMS", 16)
+        assert maximal_batch(rows).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 8, 9, 100])
+    def test_overflowing_prefix_sums_match_oracle(self, n):
+        rows = np.random.default_rng(63).uniform(-1.0, 1.0, (12, n)) * 1.7e308
+        with np.errstate(over="ignore"):
+            got = operators._window_maximal(rows)
+            want = oracle_batch(rows)
+        assert not np.all(np.isfinite(want))
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestBatchedApply:
+    def test_batch_equals_per_row_for_every_shipped_operator(self, space):
+        rng = np.random.default_rng(64)
+        rows = np.stack([kernel_row(ROW_KINDS[i % 4], space.n, rng) for i in range(12)])
+        batch = ok.SampleBatch(space, rows)
+        for name, op in shipped_operators(space).items():
+            out = op.apply(batch)
+            assert isinstance(out, ok.SampleBatch) and out.values.shape == rows.shape, name
+            one = op.apply(batch[0])
+            assert isinstance(one, ok.SampleFunction), name
+            alone = np.stack([op.apply(x).values for x in batch])
+            assert out.values.tobytes() == alone.tobytes(), name
+
+    def test_matrix_rows_match_dot(self):
+        sp = ok.uniform_space(100)
+        rng = np.random.default_rng(65)
+        a = rng.uniform(0.0, 1.0, (100, 100)) / 100.0
+        rows = rng.normal(size=(7, 100))
+        out = ok.contractive_matrix(sp, a, COUPLE).apply(ok.SampleBatch(sp, rows)).values
+        assert out.tobytes() == np.stack([a.dot(r) for r in rows]).tobytes()
+
+    def test_empty_batch(self, space):
+        for name, op in shipped_operators(space).items():
+            out = op.apply(ok.SampleBatch(space, np.zeros((0, space.n))))
+            assert out.values.shape == (0, space.n), name
+
+    def test_space_mismatch(self, space):
+        op = ok.identity_operator(space, COUPLE)
+        with pytest.raises(ValueError, match="different spaces"):
+            op.apply(ok.SampleBatch(ok.uniform_space(3), np.ones((2, 3))))
 
 
 class TestEstimateNorm:

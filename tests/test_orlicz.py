@@ -208,6 +208,23 @@ class TestBatch:
         for fn in (ok.modular, ok.luxemburg_norm, ok.amemiya_norm):
             assert fn(ok.power_phi(2), []).shape == (0,)
 
+    @pytest.mark.parametrize("name", sorted(PHIS))
+    def test_sample_batch_equals_its_member_list(self, name):
+        phi = self.PHIS[name]()
+        space = ok.DiscreteMeasureSpace(np.linspace(0.5, 2.0, 6))
+        xs = mixed_batch(space, np.random.default_rng(72))
+        batch = ok.SampleBatch.stack(xs)
+        for fn in (ok.luxemburg_norm, ok.amemiya_norm):
+            assert fn(phi, batch).tobytes() == fn(phi, xs).tobytes()
+        inside = [x for x in xs if ok.sup_norm(x) <= phi.u_max]
+        assert (ok.modular(phi, ok.SampleBatch.stack(inside)).tobytes()
+                == ok.modular(phi, inside).tobytes())
+
+    def test_empty_sample_batch(self):
+        empty = ok.SampleBatch(ok.uniform_space(4), np.zeros((0, 4)))
+        for fn in (ok.modular, ok.luxemburg_norm, ok.amemiya_norm):
+            assert fn(ok.power_phi(2), empty).shape == (0,)
+
     def test_strict_modular_raises_on_one_overflowing_member(self):
         phi = cached_generator_phi(2, np.inf, "min_one")
         xs = [sample([0.1, 0.2]), sample([0.3, 1.5]), sample([0.0, 0.0])]

@@ -38,6 +38,14 @@ def phi_affine_h():
     return ok.build_from_h(COUPLE, h)
 
 
+class TestGenerateInputs:
+    def test_batch_rows_are_stable_per_index(self, space8):
+        small = ok.generate_inputs(space8, 5, "mixed", 1.0, 16)
+        large = ok.generate_inputs(space8, 9, "mixed", 1.0, 16)
+        assert isinstance(small, ok.SampleBatch) and small.values.shape == (5, 8)
+        assert small.values.tobytes() == large.values[:5].tobytes()
+
+
 class TestKContraction:
     def test_identity_is_equality(self, space8):
         op = ok.identity_operator(space8, COUPLE)
@@ -152,6 +160,16 @@ class TestChainDiagnostics:
         assert rep.status == "pass"
         assert rep.details["mode"] == "chain_diagnostics"
 
+    def test_given_tx_is_the_applied_inputs(self, space8):
+        phi = cached_generator_phi(1, 2, "powerlog", (0.5, 0, 0))
+        op = ok.discrete_maximal(space8, COUPLE)
+        inputs = ok.generate_inputs(space8, 12, "mixed", 1.0, 15)
+        alone = ok.chain_diagnostics(phi, COUPLE, op, inputs, {"chain_rel": -1.0})
+        given = ok.chain_diagnostics(phi, COUPLE, op, inputs, {"chain_rel": -1.0},
+                                     tx=op.apply(inputs))
+        assert alone.violations and given.violations == alone.violations
+        assert given.details == alone.details
+
     def test_needs_generator_phi(self, space8, phi_affine_h):
         op = ok.averaging_operator(space8, COUPLE)
         with pytest.raises(ok.ScenarioRejected):
@@ -188,6 +206,25 @@ class TestRunScenario:
         scenario["inputs"]["count"] = 4
         assert run_scenario(scenario)["status"] == "pass"
         assert calls == {"phi": 1, "operator": 1}
+
+    def test_one_apply_per_report(self, monkeypatch):
+        # every report that takes an operator applies it once, to all its
+        # inputs; thm46b_norm_1_2 shares that batch with its chain links
+        calls = []
+        apply = ok.CertifiedOperator.apply
+
+        def counting(op, x):
+            calls.append(type(x))
+            return apply(op, x)
+
+        monkeypatch.setattr(ok.CertifiedOperator, "apply", counting)
+        for path in sorted(SCENARIO_DIR.glob("*.json")):
+            scenario = json.loads(path.read_text())
+            scenario["inputs"]["count"] = min(scenario["inputs"]["count"], 6)
+            calls.clear()
+            run_scenario(scenario)
+            expected = [] if scenario["theorem"] == "sparr_lemma" else [ok.SampleBatch]
+            assert calls == expected, path.name
 
     def test_inputs_beyond_phi_domain_are_a_rejection(self):
         # generator phi is tabulated up to u_max = 1e6; inputs at scale 1e6
