@@ -4,7 +4,6 @@ from .constants import (
     SparrConstant,
     bergh_constant,
     conjugate_exponent,
-    gamma_bounds_check,
     interp_constant_concave_h,
     interp_constant_linear,
     interp_constant_subadditive,
@@ -12,26 +11,15 @@ from .constants import (
     sparr_gamma_oracle,
 )
 from .kfunc import (
-    KEvaluation,
     brute_force_k,
-    k_lp_linf,
     k_lp_linf_grid,
-    kree_bounds,
-    l_functional,
     l_functional_grid,
-    l_star_functional,
     l_star_grid,
 )
 from .measure import (
     DiscreteMeasureSpace,
     SampleBatch,
     SampleFunction,
-    StepFunction,
-    hardy_majorizes,
-    lp_integral,
-    rearrangement,
-    step_to_sample,
-    sup_norm,
     uniform_space,
 )
 from .operators import (
@@ -53,11 +41,9 @@ from .orlicz import (
     build_from_generator,
     build_from_h,
     check_convexity,
-    check_delta2,
     luxemburg_norm,
     modular,
     power_phi,
-    surjectivity_report,
 )
 from .quasiconcave import (
     PeetreRepresentation,
@@ -68,11 +54,8 @@ from .quasiconcave import (
     max_one_rho,
     min_one_rho,
     peetre_decompose,
-    phi_expansion,
     power_log_rho,
     power_rho,
-    reconstruct,
-    rho_star,
 )
 from .verify import (
     ScenarioRejected,
@@ -86,7 +69,6 @@ from .verify import (
     verify_modular_lp_lq,
     verify_norm_interpolation,
     verify_sparr_batch,
-    verify_sparr_implication,
 )
 
 __version__ = "0.1.0"

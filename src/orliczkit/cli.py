@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
             path = packaged
         else:
             raise specs.SpecError(f"scenario file not found: {path}")
-    scenario = json.loads(path.read_text(encoding="utf-8"))
+    scenario = _parse_json_arg(path.read_text(encoding="utf-8"), f"scenario file {path}")
     if args.seed is not None:
         scenario["seed"] = args.seed
     if args.refine:

@@ -117,14 +117,6 @@ def sparr_gamma_oracle(p: float, q: float) -> SparrConstant:
     return SparrConstant(p, q, value, "bisection_oracle")
 
 
-def gamma_bounds_check(p: float, q: float, slack: float = 1e-9) -> bool:
-    """Whether gamma(p, q) sits inside [2^{1-1/p}, 2^{1-1/q}] for p <= q."""
-    if p > q:
-        raise ValueError("need p <= q")
-    g = sparr_gamma(p, q).value
-    return (2.0 ** (1.0 - 1.0 / p) - slack <= g <= 2.0 ** (1.0 - 1.0 / q) + slack)
-
-
 def interp_constant_subadditive(p: float, q: float) -> float:
     """(2 gamma)^{1/p}, the norm constant for subadditive interpolation."""
     if not (1.0 <= p < q < np.inf):

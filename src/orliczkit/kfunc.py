@@ -11,37 +11,22 @@ independent oracle; it never assumes the reduction it is used to check.
 The grid kernels take one `SampleFunction` (one value per t back) or a
 `SampleBatch` on one space (one row per member): a single function is a
 batch of one. Every value is computed on its own, so it does not depend on
-which t's or which members share the call.
+which t's or which members share the call. The functionals are defined
+for t > 0 only; `specs.resolve_scenario` rejects a scenario t-grid that
+reaches t <= 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import expit
 
-from .measure import SampleBatch, SampleFunction, cumulative_p_integral, golden_section, rearrangement
-
-
-@dataclass(frozen=True)
-class KEvaluation:
-    """One functional evaluation: parameter, value, and how it was computed."""
-
-    t: float
-    value: float
-    method: str
+from .measure import SampleBatch, SampleFunction, abs_rows, golden_section
 
 
 def _check_exponent(p: float, name: str = "p") -> None:
     if not (1.0 <= p < np.inf):
         raise ValueError(f"{name} must lie in [1, inf)")
-
-
-def _abs_rows(x: SampleFunction | SampleBatch) -> tuple[np.ndarray, bool]:
-    """|values| with one row per member, and whether x is a single function."""
-    mags = x.abs_values()
-    return np.atleast_2d(mags), mags.ndim == 1
 
 
 def _truncation_objective(mags: np.ndarray, w: np.ndarray, p: float,
@@ -66,7 +51,7 @@ def k_lp_linf_grid(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarray:
     """
     _check_exponent(p)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    mags, single = _abs_rows(x)
+    mags, single = abs_rows(x)
     w = x.space.weights
     lam_max = mags.max(axis=1, initial=0.0)
     with np.errstate(over="ignore"):
@@ -87,29 +72,6 @@ def k_lp_linf_grid(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarray:
     mid = _truncation_objective(row_mags, w, p, 0.5 * (lo + hi), row_t)
     out[members] = np.minimum(out[members], mid.reshape(members.size, ts.size))
     return out[0] if single else out
-
-
-def k_lp_linf(t: float, x: SampleFunction, p: float) -> KEvaluation:
-    """Classical K-functional of the couple (L^p, L^inf) at one parameter."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    value = float(k_lp_linf_grid(np.array([t]), x, p)[0])
-    return KEvaluation(float(t), value, "truncation")
-
-
-def kree_bounds(t: float, x: SampleFunction, p: float) -> tuple[float, float]:
-    """Two-sided comparison for K(t^{1/p}, x; L^p, L^inf).
-
-    lower is the 1/p-th power of the running rearrangement integral up to t;
-    upper multiplies it by 2^{1-1/p}, which is sharp. The sandwiched quantity
-    is the K-functional at parameter t^{1/p}, not t.
-    """
-    _check_exponent(p)
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    step = rearrangement(x)
-    lower = float(cumulative_p_integral(step, p, t)[0]) ** (1.0 / p)
-    return lower, 2.0 ** (1.0 - 1.0 / p) * lower
 
 
 def _pointwise_min_split(c: np.ndarray, ts: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -164,17 +126,9 @@ def l_functional_grid(ts, x: SampleFunction | SampleBatch, p: float, q: float) -
     if not p < q:
         raise ValueError("need p < q")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    c, single = _abs_rows(x)
+    c, single = abs_rows(x)
     out = np.sum(_pointwise_min_split(c, ts, p, q) * x.space.weights, axis=-1)
     return out[0] if single else out
-
-
-def l_functional(t: float, x: SampleFunction, p: float, q: float) -> KEvaluation:
-    """L-functional of (L^p, L^q) at one parameter, by pointwise splits."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    value = float(l_functional_grid(np.array([t]), x, p, q)[0])
-    return KEvaluation(float(t), value, "pointwise")
 
 
 def l_star_grid(ts, x: SampleFunction | SampleBatch, p: float, q: float) -> np.ndarray:
@@ -183,16 +137,10 @@ def l_star_grid(ts, x: SampleFunction | SampleBatch, p: float, q: float) -> np.n
     _check_exponent(p)
     _check_exponent(q, "q")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    c, single = _abs_rows(x)
+    c, single = abs_rows(x)
     c = c[:, None, :]
     out = np.sum(np.minimum(c**p, ts[:, None] * c**q) * x.space.weights, axis=-1)
     return out[0] if single else out
-
-
-def l_star_functional(t: float, x: SampleFunction, p: float, q: float) -> float:
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    return float(l_star_grid(np.array([t]), x, p, q)[0])
 
 
 def brute_force_k(t: float, x: SampleFunction, p: float, q: float, n: int = 201) -> float:

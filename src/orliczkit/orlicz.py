@@ -16,19 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .measure import SampleBatch, SampleFunction, golden_section
+from .measure import SampleBatch, SampleFunction, abs_rows, golden_section
 from .quasiconcave import (
     PiecewiseLinearConcave,
     QuasiConcaveFn,
     concavity_violation,
     is_quasiconcave,
     log_grid,
-    rho_star,
 )
 
 INVERSION_U_LO = 1e-12
@@ -71,19 +70,14 @@ class OrliczFunction:
     evaluator: Callable[[np.ndarray], np.ndarray]
     meta: dict = field(default_factory=dict)
 
-    def __call__(self, u, strict: bool = True) -> np.ndarray:
+    def __call__(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if np.any(u < 0.0):
             raise ValueError("Orlicz functions take nonnegative arguments")
         if np.any(u > self.u_max * (1.0 + 1e-12)):
-            if strict:
-                raise DomainOverflowError(
-                    f"argument {float(np.max(u)):.6g} exceeds u_max {self.u_max:.6g}"
-                )
-            out = np.full(np.shape(u), np.inf)
-            ok = u <= self.u_max * (1.0 + 1e-12)
-            out[ok] = self.evaluator(np.minimum(np.asarray(u)[ok], self.u_max))
-            return out
+            raise DomainOverflowError(
+                f"argument {float(np.max(u)):.6g} exceeds u_max {self.u_max:.6g}"
+            )
         return np.asarray(self.evaluator(np.minimum(u, self.u_max)), dtype=float)
 
 
@@ -139,12 +133,11 @@ def _inverse_free_evaluator(x: np.ndarray, y: np.ndarray) -> Callable:
     return evaluate
 
 
-def build_from_generator(couple: ExponentCouple, rho: QuasiConcaveFn, *,
-                         u_lo: float = INVERSION_U_LO, u_hi: float = INVERSION_U_HI,
-                         points_per_decade: int = INVERSION_POINTS_PER_DECADE) -> OrliczFunction:
+def build_from_generator(couple: ExponentCouple, rho: QuasiConcaveFn) -> OrliczFunction:
     """Orlicz function whose inverse is u^{1/p} * rho(u^{1/q - 1/p}).
 
-    The inverse is tabulated on a log grid and inverted by monotone
+    The inverse is tabulated on a log grid (`INVERSION_POINTS_PER_DECADE`
+    points per decade over [`INVERSION_U_LO`, `INVERSION_U_HI`]) and inverted by monotone
     interpolation. Saturating generators (the inverse stops increasing, e.g.
     rho = min(1,t) with q infinite) keep only the strictly increasing prefix,
     which bounds the evaluation domain: u_max is the last tabulated ordinate
@@ -158,14 +151,14 @@ def build_from_generator(couple: ExponentCouple, rho: QuasiConcaveFn, *,
         raise ValueError(f"rho fails the concavity check ({conc:.3e})")
     p, q = couple.p, couple.q
     e = (0.0 if couple.q_is_inf else 1.0 / q) - 1.0 / p
-    u = log_grid(u_lo, u_hi, points_per_decade)
+    u = log_grid(INVERSION_U_LO, INVERSION_U_HI, INVERSION_POINTS_PER_DECADE)
     v = u ** (1.0 / p) * np.asarray(rho(u**e), dtype=float)
     if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
         raise ValueError("generator produced non-finite or non-positive inverse values")
     # strictly increasing prefix (a flat tail signals saturation)
     running = np.maximum.accumulate(v)
     keep = np.concatenate(([True], v[1:] > running[:-1] * (1.0 + 1e-12)))
-    if keep.sum() < 2 * points_per_decade:
+    if keep.sum() < 2 * INVERSION_POINTS_PER_DECADE:
         raise ValueError("inverse not strictly increasing on grid")
     vk, uk = v[keep], u[keep]
     phi = OrliczFunction(
@@ -220,38 +213,16 @@ def build_from_h(couple: ExponentCouple, h: PiecewiseLinearConcave) -> OrliczFun
     return phi
 
 
-# one sample function, or many on one space
-Members = SampleFunction | SampleBatch | Sequence[SampleFunction]
-
-
-def _batch(x: Members) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(|values| with one row per member, the weights, whether x was single)."""
-    if isinstance(x, SampleFunction):
-        return x.abs_values()[None, :], x.space.weights, True
-    if not isinstance(x, SampleBatch):
-        xs = list(x)
-        if not xs:
-            return np.zeros((0, 0)), np.zeros(0), False
-        x = SampleBatch.stack(xs)
-    return x.abs_values(), x.space.weights, False
-
-
-def modular(phi: OrliczFunction, x: Members):
+def modular(phi: OrliczFunction, x: SampleFunction | SampleBatch):
     """Weighted sum of phi(|x_i|); rearrangement invariant by construction.
 
-    x is one `SampleFunction` (returns a float), or a `SampleBatch` or a
-    sequence of sample functions on one space (returns an array, one modular
-    per member), as in both norms.
+    x is one `SampleFunction` (returns a float) or a `SampleBatch` (returns
+    an array, one modular per member), as in both norms.
     Raises `DomainOverflowError` when any member leaves phi's domain.
     """
-    mags, weights, single = _batch(x)
-    out = np.sum(phi(mags) * weights, axis=1)
+    mags, single = abs_rows(x)
+    out = np.sum(phi(mags) * x.space.weights, axis=1)
     return float(out[0]) if single else out
-
-
-def modular_of_step(phi: OrliczFunction, step) -> float:
-    """Integral of phi over a step function (cross-check path for modular)."""
-    return float(np.sum(phi(step.levels) * step.widths))
 
 
 def _scaled_modular(phi: OrliczFunction, mags: np.ndarray, weights: np.ndarray,
@@ -264,16 +235,17 @@ def _scaled_modular(phi: OrliczFunction, mags: np.ndarray, weights: np.ndarray,
     return out
 
 
-def luxemburg_norm(phi: OrliczFunction, x: Members, *,
-                   rtol: float = 1e-10, max_iter: int = 400):
+def luxemburg_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch):
     """inf of lambda > 0 with modular(x / lambda) <= 1, by bisection.
 
     Per member: double an upper bracket from sup|x| until the modular fits,
-    halve it to a lower one, then bisect to rtol (iteration limits count per
+    halve it to a lower one, then bisect to a relative width of 1e-10 (at
+    most 400 steps per bracket and 4000 bisection steps, counted per
     member). Returns the upper bracket end, so the modular at the returned
     norm never exceeds 1 beyond roundoff.
     """
-    mags, weights, single = _batch(x)
+    mags, single = abs_rows(x)
+    weights = x.space.weights
     m = mags.max(axis=1, initial=0.0)
     hi = np.maximum(m, m / phi.u_max)
     iters = np.zeros(m.size, dtype=int)
@@ -286,7 +258,7 @@ def luxemburg_norm(phi: OrliczFunction, x: Members, *,
         rows = rows[~fits(rows, hi[rows])]
         hi[rows] *= 2.0
         iters[rows] += 1
-        if np.any(iters[rows] > max_iter):
+        if np.any(iters[rows] > 400):
             raise NonConvergenceError("no upper bracket for the Luxemburg norm")
     lo = 0.5 * hi
     rows = np.flatnonzero(m > 0.0)
@@ -295,34 +267,34 @@ def luxemburg_norm(phi: OrliczFunction, x: Members, *,
         hi[rows] = lo[rows]
         lo[rows] *= 0.5
         iters[rows] += 1
-        if np.any(lo[rows] < 1e-300) or np.any(iters[rows] > max_iter):
+        if np.any(lo[rows] < 1e-300) or np.any(iters[rows] > 400):
             raise NonConvergenceError("no lower bracket for the Luxemburg norm")
-    rows = np.flatnonzero(hi - lo > rtol * hi)
+    rows = np.flatnonzero(hi - lo > 1e-10 * hi)
     while rows.size:
         mid = 0.5 * (lo[rows] + hi[rows])
         ok = fits(rows, mid)
         hi[rows[ok]], lo[rows[~ok]] = mid[ok], mid[~ok]
         iters[rows] += 1
-        if np.any(iters[rows] > 10 * max_iter):
+        if np.any(iters[rows] > 4000):
             raise NonConvergenceError("Luxemburg bisection failed to converge")
-        rows = rows[hi[rows] - lo[rows] > rtol * hi[rows]]
+        rows = rows[hi[rows] - lo[rows] > 1e-10 * hi[rows]]
     return float(hi[0]) if single else hi
 
 
-def amemiya_norm(phi: OrliczFunction, x: Members, *,
-                 rtol: float = 1e-9):
+def amemiya_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch):
     """inf over k > 0 of (1 + modular(k*x)) / k.
 
     Golden section (`measure.golden_section`) over log k on [1e-8, 1e8], the
     upper end clipped to the evaluation domain (a range clipped empty shrinks
-    to its upper end), to a bracket of rtol, each member stopped on its own;
+    to its upper end), to a bracket of 1e-9, each member stopped on its own;
     the bracket midpoint pins the value to roundoff, so no polish follows.
     Returns the least objective at the midpoint and both ends. Unimodality
     of the objective rests on convexity of the modular in k, so for the
     non-convex concave-h crossover functions the result is only an upper
     bound on the infimum.
     """
-    mags, weights, single = _batch(x)
+    mags, single = abs_rows(x)
+    weights = x.space.weights
     m = mags.max(axis=1, initial=0.0)
 
     def objective(rows, k):
@@ -334,7 +306,7 @@ def amemiya_norm(phi: OrliczFunction, x: Members, *,
     k_lo = np.minimum(1e-8, k_hi)
     best = np.minimum(objective(rows, k_lo), objective(rows, k_hi))
     a, b = golden_section(lambda live, s: objective(rows[live], np.exp(s)),
-                          np.log(k_lo), np.log(k_hi), rtol)
+                          np.log(k_lo), np.log(k_hi), 1e-9)
     out[rows] = np.minimum(best, objective(rows, np.exp(0.5 * (a + b))))
     return float(out[0]) if single else out
 
@@ -360,36 +332,3 @@ def check_convexity(f: Callable, grid) -> ConvexityCheck:
     worst = float(d2.min())
     tol = 1e-8 * max(float(np.abs(vals).max()), 1e-300)
     return ConvexityCheck(worst >= -tol, worst)
-
-
-def check_delta2(phi: OrliczFunction, grid) -> float:
-    """Grid supremum of phi(2u)/phi(u); finite certifies doubling growth."""
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0.0):
-        raise ValueError("grid points must be positive")
-    if 2.0 * grid.max() > phi.u_max * (1.0 + 1e-12):
-        raise DomainOverflowError("2*u leaves the evaluation domain")
-    base = phi(grid)
-    if np.any(base == 0.0):
-        raise ZeroDivisionError("phi vanishes at a positive grid point")
-    return float(np.max(phi(2.0 * grid) / base))
-
-
-class SurjectivityReport(NamedTuple):
-    covers: bool
-    low: float
-    high: float
-
-
-def surjectivity_report(rho: QuasiConcaveFn, *, span_lo: float = 1e-10,
-                        span_hi: float = 1e10) -> SurjectivityReport:
-    """Whether t * rho(1/t) ranges over [span_lo, span_hi] on a wide grid.
-
-    Reported, never enforced: generator builds are not rejected on failure.
-    The probe grid spans 200 decades so slowly varying transforms (t^theta
-    with theta near 0 or 1) still reveal their range.
-    """
-    star = rho_star(rho)
-    vals = star(log_grid(1e-100, 1e100, 4))
-    low, high = float(vals.min()), float(vals.max())
-    return SurjectivityReport(low <= span_lo and high >= span_hi, low, high)

@@ -5,8 +5,8 @@ rho(t)/t nonincreasing. Its concave majorant is the least concave function
 above it, here computed exactly on a log grid as the lower envelope of the
 line family rho(s) + t * rho(s)/s and returned as a certified piecewise
 linear concave object. Concave piecewise linear functions decompose into
-(value at 0+, asymptotic slope, slope-drop atoms), which later expands the
-associated Orlicz function into pure-power and min-of-powers pieces.
+(value at 0+, asymptotic slope, slope-drop atoms), which the `majorant`
+command prints next to the majorant.
 """
 
 from __future__ import annotations
@@ -109,17 +109,6 @@ def min_one_rho() -> QuasiConcaveFn:
 
 def max_one_rho() -> QuasiConcaveFn:
     return QuasiConcaveFn(lambda t: np.maximum(1.0, np.asarray(t, dtype=float)), "max_one")
-
-
-def rho_star(rho: QuasiConcaveFn) -> QuasiConcaveFn:
-    """The transform t -> t * rho(1/t); applying it twice returns rho."""
-    inner = rho.evaluator
-
-    def evaluate(t):
-        t = np.asarray(t, dtype=float)
-        return t * np.asarray(inner(1.0 / t), dtype=float)
-
-    return QuasiConcaveFn(evaluate, "custom", ("star", rho.family) + tuple(rho.params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,7 +276,7 @@ class PeetreRepresentation:
         return out
 
 
-def peetre_decompose(h: PiecewiseLinearConcave, drop_tol: float = 0.0) -> PeetreRepresentation:
+def peetre_decompose(h: PiecewiseLinearConcave) -> PeetreRepresentation:
     """Read (a, b, slope-drop atoms) off a concave piecewise linear function.
 
     a is the limit at 0+, b the asymptotic slope, and each knot where the
@@ -296,35 +285,7 @@ def peetre_decompose(h: PiecewiseLinearConcave, drop_tol: float = 0.0) -> Peetre
     """
     slopes = PiecewiseLinearConcave._slope_sequence(h.knots, h.values, h.slope0, h.slope_inf)
     drops = slopes[:-1] - slopes[1:]
-    tol = max(drop_tol, 0.0)
-    keep = drops > tol
+    keep = drops > 0.0
     return PeetreRepresentation(
         max(h.value_at_zero, 0.0), h.slope_inf, h.knots[keep], drops[keep]
     )
-
-
-def reconstruct(rep: PeetreRepresentation) -> PiecewiseLinearConcave:
-    """Piecewise linear concave function with the given decomposition."""
-    if rep.atom_locations.size == 0:
-        knots = np.array([1.0])
-    else:
-        knots = rep.atom_locations
-    values = rep(knots)
-    slope0 = rep.b + float(rep.atom_masses.sum())
-    return PiecewiseLinearConcave(knots, values, slope0, rep.b)
-
-
-def phi_expansion(rep: PeetreRepresentation, p: float, q: float, u) -> np.ndarray:
-    """a*u^q + b*u^p + sum_i m_i * min(u^p, t_i * u^q).
-
-    Expands the convex function u^q * h(u^{p-q}) directly from the
-    decomposition of h; agrees with evaluating the h route.
-    """
-    if not (1.0 <= p < q < np.inf):
-        raise ValueError("need 1 <= p < q < inf")
-    u = np.asarray(u, dtype=float)
-    up, uq = u**p, u**q
-    out = rep.a * uq + rep.b * up
-    if rep.atom_locations.size:
-        out = out + np.minimum(up[..., None], rep.atom_locations * uq[..., None]).dot(rep.atom_masses)
-    return out

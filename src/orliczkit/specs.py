@@ -26,6 +26,8 @@ class SpecError(ValueError):
 
 def _require_keys(record: dict, required: set[str], optional: set[str] = frozenset(),
                   what: str = "record") -> None:
+    if not isinstance(record, dict):
+        raise SpecError(f"{what} must be a JSON object, got {record!r}")
     keys = set(record)
     missing = required - keys
     unknown = keys - required - optional
@@ -43,9 +45,30 @@ def _is_finite(value: Any) -> bool:
     return (_is_int(value) or isinstance(value, float)) and -math.inf < value < math.inf
 
 
+def _number(value: Any, what: str) -> float:
+    if not _is_finite(value):
+        raise SpecError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values: Any, what: str) -> list[float]:
+    if not isinstance(values, list):
+        raise SpecError(f"{what} must be a list of numbers, got {values!r}")
+    return [_number(v, what) for v in values]
+
+
+def _kind(record: Any, what: str) -> Any:
+    if not isinstance(record, dict) or "kind" not in record:
+        raise SpecError(f"{what} spec must be a JSON object with a 'kind', got {record!r}")
+    return record["kind"]
+
+
 def parse_exponent(value: Any, what: str = "exponent") -> float:
+    """A number, a numeric string (as the CLI passes), or 'inf'."""
     if value in ("inf", "Infinity"):
         return math.inf
+    if isinstance(value, bool):
+        raise SpecError(f"{what} must be a number or 'inf', got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -65,25 +88,23 @@ def resolve_space(record: dict) -> DiscreteMeasureSpace:
     weights = record["weights"]
     if weights == "uniform":
         n = record.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise SpecError("uniform space needs a positive integer 'n'")
         return uniform_space(n)
     try:
-        return DiscreteMeasureSpace([float(w) for w in weights])
-    except (TypeError, ValueError) as exc:
+        return DiscreteMeasureSpace(_numbers(weights, "space weights"))
+    except ValueError as exc:
         raise SpecError(f"bad space weights: {exc}") from None
 
 
 def resolve_rho(record: dict) -> qc.QuasiConcaveFn:
-    if "kind" not in record:
-        raise SpecError("rho spec needs a 'kind'")
-    kind = record["kind"]
+    kind = _kind(record, "rho")
     if kind == "powerlog":
         _require_keys(record, {"kind", "theta", "a", "b"}, what="powerlog rho")
-        return qc.power_log_rho(float(record["theta"]), float(record["a"]), float(record["b"]))
+        return qc.power_log_rho(*(_number(record[k], f"rho.{k}") for k in ("theta", "a", "b")))
     if kind == "power":
         _require_keys(record, {"kind", "theta"}, what="power rho")
-        return qc.power_rho(float(record["theta"]))
+        return qc.power_rho(_number(record["theta"], "rho.theta"))
     if kind == "min_one":
         _require_keys(record, {"kind"}, what="min_one rho")
         return qc.min_one_rho()
@@ -100,23 +121,21 @@ def resolve_plc(record: dict) -> qc.PiecewiseLinearConcave:
     _require_keys(record, {"knots", "values", "slope0", "slope_inf"}, what="piecewise linear spec")
     try:
         return qc.PiecewiseLinearConcave(
-            [float(v) for v in record["knots"]],
-            [float(v) for v in record["values"]],
-            float(record["slope0"]),
-            float(record["slope_inf"]),
+            _numbers(record["knots"], "knots"),
+            _numbers(record["values"], "values"),
+            _number(record["slope0"], "slope0"),
+            _number(record["slope_inf"], "slope_inf"),
         )
     except ValueError as exc:
         raise SpecError(str(exc)) from None
 
 
 def resolve_phi(record: dict) -> OrliczFunction:
-    if "kind" not in record:
-        raise SpecError("phi spec needs a 'kind'")
-    kind = record["kind"]
+    kind = _kind(record, "phi")
     try:
         if kind == "power":
             _require_keys(record, {"kind", "p"}, what="power phi")
-            return power_phi(float(record["p"]))
+            return power_phi(_number(record["p"], "phi.p"))
         if kind == "generator":
             _require_keys(record, {"kind", "p", "q", "rho"}, what="generator phi")
             couple = ExponentCouple(parse_exponent(record["p"]), parse_exponent(record["q"]))
@@ -132,25 +151,28 @@ def resolve_phi(record: dict) -> OrliczFunction:
 
 def resolve_operator(record: dict, space: DiscreteMeasureSpace,
                      couple: ExponentCouple) -> ops.CertifiedOperator:
-    if "kind" not in record:
-        raise SpecError("operator spec needs a 'kind'")
-    kind = record["kind"]
+    kind = _kind(record, "operator")
     try:
         if kind == "identity":
             _require_keys(record, {"kind"}, what="identity operator")
             return ops.identity_operator(space, couple)
         if kind == "multiplier":
             _require_keys(record, {"kind", "m"}, what="multiplier operator")
-            return ops.multiplier(space, [float(v) for v in record["m"]], couple)
+            return ops.multiplier(space, _numbers(record["m"], "multiplier m"), couple)
         if kind == "truncation":
             _require_keys(record, {"kind", "keep_first"}, what="truncation operator")
-            k = int(record["keep_first"])
+            k = record["keep_first"]
+            if not _is_int(k) or not 1 <= k <= space.n:
+                raise SpecError(f"keep_first must be an integer in [1, {space.n}], got {k!r}")
             m = np.zeros(space.n)
             m[:k] = 1.0
             return ops.multiplier(space, m, couple)
         if kind == "matrix":
             _require_keys(record, {"kind", "rows"}, what="matrix operator")
-            return ops.contractive_matrix(space, record["rows"], couple)
+            rows = record["rows"]
+            if not isinstance(rows, list):
+                raise SpecError(f"matrix rows must be a list of rows, got {rows!r}")
+            return ops.contractive_matrix(space, [_numbers(r, "matrix row") for r in rows], couple)
         if kind == "averaging":
             _require_keys(record, {"kind"}, what="averaging operator")
             return ops.averaging_operator(space, couple)
@@ -159,9 +181,14 @@ def resolve_operator(record: dict, space: DiscreteMeasureSpace,
             return ops.discrete_maximal(space, couple)
         if kind == "random_contractive":
             _require_keys(record, {"kind", "seed"}, what="random contractive operator")
-            return random_contractive(space, couple, int(record["seed"]))
+            seed = record["seed"]
+            if not _is_int(seed) or seed < 0:
+                raise SpecError(f"random_contractive seed must be an integer >= 0, got {seed!r}")
+            return random_contractive(space, couple, seed)
         if kind == "max_of":
             _require_keys(record, {"kind", "ops"}, what="max_of operator")
+            if not isinstance(record["ops"], list):
+                raise SpecError(f"max_of ops must be a list of operator specs, got {record['ops']!r}")
             members = [resolve_operator(sub, space, couple) for sub in record["ops"]]
             return ops.max_of(members)
     except ValueError as exc:
@@ -187,6 +214,7 @@ class Theorem(NamedTuple):
     requires: tuple[str, ...]        # sections that must be given
     reads: tuple[str, ...] = ()      # optional sections it reads
     q_inf: bool | None = False       # q = inf (True), finite (False) or either (None)
+    p_above_one: bool = False        # whether it needs p > 1
     distributions: tuple[str, ...] = INPUT_DISTRIBUTIONS
 
 
@@ -202,7 +230,8 @@ THEOREMS = {
     "thm46a": Theorem(("phi", "operator"), ("fault",)),
     "thm46b_norm": Theorem(("phi", "operator"), ("fault", "diagnostics")),
     "remark_concave_h": Theorem(("phi", "operator"), ("fault",)),
-    "thm51_linear": Theorem(("phi", "operator"), ("fault",)),
+    # the duality constant needs a conjugate exponent p' < inf
+    "thm51_linear": Theorem(("phi", "operator"), ("fault",), p_above_one=True),
 }
 
 DEFAULT_TOLERANCES = {
@@ -226,10 +255,10 @@ def resolve_scenario(raw: dict) -> tuple:
     """
     _require_keys(raw, _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL, what="scenario")
     theorem = raw["theorem"]
-    if theorem not in THEOREMS:
+    if not isinstance(theorem, str) or theorem not in THEOREMS:
         raise SpecError(f"unknown theorem tag {theorem!r}; expected one of {tuple(THEOREMS)}")
-    if not _is_int(raw["seed"]):
-        raise SpecError("scenario seed must be an integer (and is mandatory)")
+    if not _is_int(raw["seed"]) or raw["seed"] < 0:
+        raise SpecError("scenario seed must be an integer >= 0 (and is mandatory)")
 
     out: dict[str, Any] = {"theorem": theorem, "seed": raw["seed"]}
     space = resolve_space(raw["space"])
@@ -237,7 +266,9 @@ def resolve_scenario(raw: dict) -> tuple:
     couple = resolve_couple(raw["couple"])
     out["couple"] = raw["couple"]
     record = THEOREMS[theorem]
-    given = [key for key in SECTIONS if raw.get(key) not in (None, False)]
+    # a section is given unless it is null or false
+    section = {key: None if raw.get(key) is False else raw.get(key) for key in SECTIONS}
+    given = [key for key in SECTIONS if section[key] is not None]
     missing = [key for key in record.requires if key not in given]
     unread = [key for key in given if key not in record.requires + record.reads]
     if missing:
@@ -246,9 +277,12 @@ def resolve_scenario(raw: dict) -> tuple:
         raise SpecError(f"{theorem} does not read the sections {unread}")
     if record.q_inf is not None and couple.q_is_inf != record.q_inf:
         raise SpecError(f"{theorem} needs {'q = inf' if record.q_inf else 'a finite q'}")
+    if record.p_above_one and not couple.p > 1.0:
+        raise SpecError(f"{theorem} needs p > 1")
 
-    inputs = {"count": 100, "distribution": "mixed", "scale": 1.0, **(raw.get("inputs") or {})}
+    inputs = {} if raw.get("inputs") is None else raw["inputs"]
     _require_keys(inputs, set(), {"count", "distribution", "scale"}, what="inputs spec")
+    inputs = {"count": 100, "distribution": "mixed", "scale": 1.0, **inputs}
     if inputs["distribution"] not in record.distributions:
         raise SpecError(f"{theorem} takes inputs.distribution in {record.distributions}, "
                         f"not {inputs['distribution']!r}")
@@ -259,36 +293,46 @@ def resolve_scenario(raw: dict) -> tuple:
     out["inputs"] = inputs
 
     out["t_grid"] = None
-    if raw.get("t_grid") is not None:
-        grid = {"spacing": "log", **raw["t_grid"]}
-        _require_keys(grid, {"start", "stop", "points"}, {"spacing"}, what="t_grid")
+    if section["t_grid"] is not None:
+        _require_keys(section["t_grid"], {"start", "stop", "points"}, {"spacing"}, what="t_grid")
+        grid = {"spacing": "log", **section["t_grid"]}
         if grid["spacing"] not in ("log", "linear"):
             raise SpecError("t_grid spacing must be 'log' or 'linear'")
         if not _is_int(grid["points"]) or grid["points"] < 1:
             raise SpecError(f"t_grid points must be a positive integer, got {grid['points']!r}")
         if not (_is_finite(grid["start"]) and _is_finite(grid["stop"])):
             raise SpecError("t_grid start and stop must be finite numbers")
-        if grid["spacing"] == "log" and min(grid["start"], grid["stop"]) <= 0.0:
-            raise SpecError("log t_grid needs a positive start and stop")
+        # K(t, x) and L(t, x) are defined for t > 0 only
+        if min(grid["start"], grid["stop"]) <= 0.0:
+            raise SpecError("t_grid needs a start and stop > 0")
         out["t_grid"] = {k: grid[k] for k in ("start", "stop", "points", "spacing")}
 
     tol = dict(DEFAULT_TOLERANCES)
-    extra = dict(raw.get("tolerances") or {})
+    extra = {} if raw.get("tolerances") is None else raw["tolerances"]
     _require_keys(extra, set(), set(DEFAULT_TOLERANCES), what="tolerances")
-    tol.update({k: float(v) for k, v in extra.items()})
+    for key, value in extra.items():
+        if not _is_finite(value) or value < 0.0:
+            raise SpecError(f"tolerances.{key} must be a finite number >= 0, got {value!r}")
+        tol[key] = float(value)
     out["tolerances"] = {k: tol[k] for k in sorted(tol)}
 
-    out["phi"] = raw.get("phi")
+    out["phi"] = section["phi"]
     phi = resolve_phi(out["phi"]) if out["phi"] is not None else None
-    out["operator"] = raw.get("operator")
+    out["operator"] = section["operator"]
     op = resolve_operator(out["operator"], space, couple) if out["operator"] is not None else None
+    if op is not None and not op.max_bound > 0.0:
+        raise SpecError("the operator is zero; its checks divide by its certified bound")
 
-    fault = raw.get("fault")
+    fault = section["fault"]
     if fault is not None:
         _require_keys(fault, set(), {"halve_certificate"}, what="fault")
-        fault = {"halve_certificate": bool(fault.get("halve_certificate", False))}
+        fault = {"halve_certificate": fault.get("halve_certificate", False)}
+        if not isinstance(fault["halve_certificate"], bool):
+            raise SpecError("fault.halve_certificate must be true or false")
     out["fault"] = fault
-    out["diagnostics"] = bool(raw.get("diagnostics", False))
+    if section["diagnostics"] is not None and section["diagnostics"] is not True:
+        raise SpecError("diagnostics must be true or false")
+    out["diagnostics"] = section["diagnostics"] is True
     return out, space, couple, phi, op
 
 

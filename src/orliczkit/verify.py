@@ -21,7 +21,7 @@ from . import specs
 from .constants import bergh_constant, interp_constant_concave_h, interp_constant_linear, \
     interp_constant_subadditive, sparr_gamma
 from .kfunc import k_lp_linf_grid, l_functional_grid, l_star_grid
-from .measure import SampleBatch, SampleFunction
+from .measure import SampleBatch
 from .operators import KIND_LINEAR, CertifiedOperator
 from .orlicz import (
     DomainOverflowError,
@@ -191,21 +191,6 @@ def _sparr_pairs(xs: SampleBatch, ys: SampleBatch, couple: ExponentCouple,
     collector.check(l_star_grid(ts, xm, p, q), gamma * l_star_grid(ts, ym, p, q),
                     "sparr_conclusion", np.hstack((xm.values, ym.values)), ts, met)
     return met.size
-
-
-def verify_sparr_implication(x: SampleFunction, y: SampleFunction,
-                             couple: ExponentCouple, t_grid,
-                             tolerances: dict | None = None,
-                             scenario: dict | None = None) -> VerificationReport:
-    """K-majorization of the pair implies the pointwise-minimum comparison
-    with the sharp constant; neutral (pass, hypothesis_met=0) otherwise."""
-    collector = _Collector(tolerances)
-    if couple.q_is_inf:
-        raise ValueError("the implication needs a finite couple")
-    gamma = sparr_gamma(couple.p, couple.q).value
-    met = _sparr_pairs(SampleBatch.stack([x]), SampleBatch.stack([y]), couple, np.asarray(t_grid, dtype=float), gamma, collector)
-    return collector.report("sparr_lemma", 1, {"gamma": gamma, "hypothesis_met": met},
-                            scenario)
 
 
 def _pair_batch(space, count: int, scale: float, seed: int) -> tuple[SampleBatch, SampleBatch]:

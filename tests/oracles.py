@@ -1,14 +1,30 @@
-"""Slow reference routes for the operator tests.
+"""Slow reference routes that the tests compare the shipped kernels against.
 
-Each one is written for clarity, not speed, against the batched
-`CertifiedOperator.apply`: the draws of a probe run are made one pair or one
-input at a time, in the order a per-input loop would make them, and then
-applied as one batch.
+Nothing in the package calls these; each is written for clarity, not speed.
+
+- Rearrangement: `StepFunction`, `rearrangement`, `step_to_sample`,
+  `lp_integral`, `sup_norm` and `cumulative_p_integral`, the route behind the
+  Kree sandwich (`kree_bounds`) for the (L^p, L^inf) K-functional and the
+  step-function modular (`modular_of_step`).
+- Peetre decompositions: `reconstruct` inverts `peetre_decompose`, and
+  `phi_expansion` expands the h-form Orlicz function from the decomposition.
+- Operators, written against the batched `CertifiedOperator.apply`: the draws
+  of a probe run are made one pair or one input at a time, in the order a
+  per-input loop would make them, and then applied as one batch.
 """
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
 import orliczkit as ok
+from orliczkit.kfunc import _check_exponent
+from orliczkit.measure import DiscreteMeasureSpace, SampleFunction, _frozen_array
+from orliczkit.orlicz import OrliczFunction
+from orliczkit.quasiconcave import PeetreRepresentation, PiecewiseLinearConcave
 
 
 def _abs_apply(op, rows: np.ndarray) -> np.ndarray:
@@ -70,3 +86,135 @@ def homogeneity_violation(op, trials: int = 200, seed: int = 11) -> float:
     rhs = np.abs(cs)[:, None] * _abs_apply(op, xs)
     scale = np.maximum(rhs.max(axis=1, initial=0.0), 1e-300)
     return float(np.max(np.abs(lhs - rhs).max(axis=1, initial=0.0) / scale, initial=0.0))
+
+
+@dataclass(frozen=True, eq=False)
+class StepFunction:
+    """Right-continuous nonincreasing step function on [0, total measure).
+
+    breakpoints are cumulative measures (strictly increasing, ending at the
+    total measure); levels[i] holds on [breakpoints[i-1], breakpoints[i]).
+    """
+
+    breakpoints: np.ndarray
+    levels: np.ndarray
+
+    def __init__(self, breakpoints: Sequence[float], levels: Sequence[float]):
+        b = _frozen_array(breakpoints)
+        l = _frozen_array(levels)
+        if b.shape != l.shape or b.ndim != 1 or b.size == 0:
+            raise ValueError("breakpoints and levels must be matching 1-d sequences")
+        if np.any(b <= 0.0) or np.any(np.diff(b) <= 0.0):
+            raise ValueError("breakpoints must be strictly increasing and positive")
+        if np.any(l < 0.0) or np.any(np.diff(l) > 0.0):
+            raise ValueError("levels must be nonnegative and nonincreasing")
+        object.__setattr__(self, "breakpoints", b)
+        object.__setattr__(self, "levels", l)
+
+    @property
+    def total_measure(self) -> float:
+        return float(self.breakpoints[-1])
+
+    @property
+    def widths(self) -> np.ndarray:
+        return np.diff(np.concatenate(([0.0], self.breakpoints)))
+
+
+def rearrangement(x: SampleFunction) -> StepFunction:
+    """Decreasing rearrangement of |x| as a canonical step function.
+
+    Sorts (|value|, weight) pairs by |value| descending, accumulates weights,
+    and merges equal levels into a single step.
+    """
+    mags = x.abs_values()
+    order = np.argsort(-mags, kind="stable")
+    sorted_mags = mags[order]
+    sorted_w = x.space.weights[order]
+    # merge runs of equal magnitude into one step
+    keep = np.concatenate((sorted_mags[:-1] != sorted_mags[1:], [True]))
+    cum_w = np.cumsum(sorted_w)
+    return StepFunction(cum_w[keep], sorted_mags[keep])
+
+
+def step_to_sample(step: StepFunction) -> SampleFunction:
+    """Sample function induced by a step function (one atom per step)."""
+    return SampleFunction(DiscreteMeasureSpace(step.widths), step.levels)
+
+
+def lp_integral(x: Union[SampleFunction, StepFunction], p: float) -> float:
+    """Weighted p-th power sum, i.e. the p-norm raised to p.
+
+    Accepts either a sample function or a step function; both give the same
+    value for a function and its rearrangement.
+    """
+    if not (1.0 <= p < np.inf):
+        raise ValueError("p must lie in [1, inf)")
+    if isinstance(x, StepFunction):
+        return float(np.sum(x.levels**p * x.widths))
+    return float(np.sum(x.abs_values() ** p * x.space.weights))
+
+
+def sup_norm(x: SampleFunction) -> float:
+    """Essential supremum, here simply max |x_i|."""
+    return float(np.max(x.abs_values()))
+
+
+def cumulative_p_integral(step: StepFunction, p: float, t) -> np.ndarray:
+    """Integral of the p-th power of the step function over [0, min(t, total)].
+
+    Piecewise linear in t; vectorized over t.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    cum = np.concatenate(([0.0], np.cumsum(step.levels**p * step.widths)))
+    breaks = np.concatenate(([0.0], step.breakpoints))
+    tc = np.clip(t, 0.0, step.total_measure)
+    idx = np.searchsorted(breaks, tc, side="right") - 1
+    idx = np.minimum(idx, step.levels.size - 1)
+    return cum[idx] + step.levels[idx] ** p * (tc - breaks[idx])
+
+
+def kree_bounds(t: float, x: SampleFunction, p: float) -> tuple[float, float]:
+    """Two-sided comparison for K(t^{1/p}, x; L^p, L^inf).
+
+    lower is the 1/p-th power of the running rearrangement integral up to t;
+    upper multiplies it by 2^{1-1/p}, which is sharp. The sandwiched quantity
+    is the K-functional at parameter t^{1/p}, not t.
+    """
+    _check_exponent(p)
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    step = rearrangement(x)
+    lower = float(cumulative_p_integral(step, p, t)[0]) ** (1.0 / p)
+    return lower, 2.0 ** (1.0 - 1.0 / p) * lower
+
+
+def modular_of_step(phi: OrliczFunction, step) -> float:
+    """Integral of phi over a step function (cross-check path for modular)."""
+    return float(np.sum(phi(step.levels) * step.widths))
+
+
+def reconstruct(rep: PeetreRepresentation) -> PiecewiseLinearConcave:
+    """Piecewise linear concave function with the given decomposition."""
+    if rep.atom_locations.size == 0:
+        knots = np.array([1.0])
+    else:
+        knots = rep.atom_locations
+    values = rep(knots)
+    slope0 = rep.b + float(rep.atom_masses.sum())
+    return PiecewiseLinearConcave(knots, values, slope0, rep.b)
+
+
+def phi_expansion(rep: PeetreRepresentation, p: float, q: float, u) -> np.ndarray:
+    """a*u^q + b*u^p + sum_i m_i * min(u^p, t_i * u^q).
+
+    Expands the convex function u^q * h(u^{p-q}) directly from the
+    decomposition of h; agrees with evaluating the h route.
+    """
+    if not (1.0 <= p < q < np.inf):
+        raise ValueError("need 1 <= p < q < inf")
+    u = np.asarray(u, dtype=float)
+    up, uq = u**p, u**q
+    out = rep.a * uq + rep.b * up
+    if rep.atom_locations.size:
+        out = out + np.minimum(up[..., None], rep.atom_locations * uq[..., None]).dot(rep.atom_masses)
+    return out

@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 
 import orliczkit as ok
-from orliczkit.measure import cumulative_p_integral
 from orliczkit.orlicz import ExponentCouple
 from orliczkit.quasiconcave import log_grid
 from orliczkit.verify import run_scenario
 
 from conftest import cached_generator_phi, session_elapsed
+from oracles import cumulative_p_integral, lp_integral, phi_expansion, rearrangement, reconstruct, sup_norm
 from test_quasiconcave import random_concave_plc
 
 SCENARIO_DIR = Path(__file__).parent.parent / "src" / "orliczkit" / "scenarios"
@@ -85,7 +85,7 @@ def test_criterion_02_pointwise_reduction():
             weights = rng.uniform(0.5, 2.0, atoms)
             t = float(10 ** rng.uniform(math.log10(t_lo), math.log10(t_hi)))
             x = ok.SampleFunction(ok.DiscreteMeasureSpace(weights), vals)
-            exact = ok.l_functional(t, x, p, q).value
+            exact = ok.l_functional_grid(t, x, p, q)[0]
             grid = ok.brute_force_k(t, x, p, q, grid_n)
             assert grid >= exact - 1e-9
             worst = max(worst, abs(grid - exact) / exact)
@@ -107,9 +107,9 @@ def test_criterion_03_kree_sandwich():
         inputs = ok.generate_inputs(space, 500, "mixed", 1.0, 330000 + int(10 * p))
         constant = 2 ** (1 - 1 / p)
         for x in inputs:
-            if ok.sup_norm(x) == 0.0:
+            if sup_norm(x) == 0.0:
                 continue
-            step = ok.rearrangement(x)
+            step = rearrangement(x)
             lower = cumulative_p_integral(step, p, ts) ** (1.0 / p)
             k = ok.k_lp_linf_grid(ts ** (1.0 / p), x, p)
             low_gap = np.max((lower - k) / np.maximum(lower, 1e-12))
@@ -256,7 +256,7 @@ def test_criterion_08_orlicz_norm_structure():
         for _ in range(5):
             x = ok.SampleFunction(ok.DiscreteMeasureSpace(rng.uniform(0.3, 2.0, 6)),
                                   rng.uniform(-3, 3, 6))
-            expected = ok.lp_integral(x, p) ** (1.0 / p)
+            expected = lp_integral(x, p) ** (1.0 / p)
             got = ok.luxemburg_norm(ok.power_phi(p), x)
             power_ok = power_ok and abs(got - expected) <= 1e-10 * max(expected, 1.0)
 
@@ -273,7 +273,7 @@ def test_criterion_08_orlicz_norm_structure():
         phi = cached_generator_phi(round(p, 3), q if q is np.inf else round(q, 3),
                                    rho_family, tuple(rho_params))
         x = ok.SampleFunction(space, rng.uniform(-2, 2, 6))
-        if ok.sup_norm(x) == 0.0:
+        if sup_norm(x) == 0.0:
             continue
         lux = ok.luxemburg_norm(phi, x)
         am = ok.amemiya_norm(phi, x)
@@ -316,7 +316,7 @@ def test_criterion_09_phi_rho_structure():
             values.append(values[-1] + slopes[j] * (knots[j] - knots[j - 1]))
         h = ok.PiecewiseLinearConcave(knots, values, slopes[0], slopes[-1])
         rep = ok.peetre_decompose(h)
-        back = ok.peetre_decompose(ok.reconstruct(rep))
+        back = ok.peetre_decompose(reconstruct(rep))
         peetre_ok = peetre_ok and back.a == rep.a and back.b == rep.b
         peetre_ok = peetre_ok and np.array_equal(back.atom_locations, rep.atom_locations)
         peetre_ok = peetre_ok and np.array_equal(back.atom_masses, rep.atom_masses)
@@ -329,7 +329,7 @@ def test_criterion_09_phi_rho_structure():
         phi = ok.build_from_h(ExponentCouple(p, q), h)
         rep = ok.peetre_decompose(h)
         us = rng.uniform(0.01, 30.0, 20)
-        gap = np.abs(ok.phi_expansion(rep, p, q, us) - phi(us)) / np.maximum(phi(us), 1e-12)
+        gap = np.abs(phi_expansion(rep, p, q, us) - phi(us)) / np.maximum(phi(us), 1e-12)
         route_ok = route_ok and float(gap.max()) <= 1e-10
 
     convexity_ok = True

@@ -223,6 +223,28 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "inputs.scale" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("name, start, stop", [("prop22_maximal_2inf.json", -1, 1),
+                                                   ("prop22_maximal_2inf.json", 0, 1),
+                                                   ("sparr_lemma_1_2.json", -1, 1)])
+    def test_t_grid_reaching_t_le_0_exits_two(self, capsys, tmp_path, name, start, stop):
+        # K(t, .) and L(t, .) are defined for t > 0 only; read anyway, such a grid
+        # gives a false fail (prop22) or a vacuous pass (sparr_lemma)
+        scenario = json.loads((SCENARIO_DIR / name).read_text())
+        scenario["inputs"]["count"] = 20
+        scenario["t_grid"] = {"start": start, "stop": stop, "points": 5, "spacing": "linear"}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
+        assert code == 2 and out == ""
+        assert "t_grid" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{not json"])
+    def test_scenario_file_that_is_not_an_object_exits_two(self, capsys, tmp_path, text):
+        path = tmp_path / "s.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--scenario", str(path), "--seed", "3")
+        assert code == 2 and out == "" and "scenario file" in err
+
     def test_missing_scenario_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--scenario", "nope.json")
         assert code == 2

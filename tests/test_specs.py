@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +8,28 @@ import pytest
 
 import orliczkit as ok
 from orliczkit import specs
+from orliczkit.verify import run_scenario
 
 SCENARIO_DIR = Path(__file__).parent.parent / "src" / "orliczkit" / "scenarios"
+SHIPPED = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
+
+
+def shipped(name: str) -> dict:
+    """A shipped scenario cut down to 2 inputs and, if it has a t-grid, 3 t's."""
+    scenario = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    scenario["inputs"]["count"] = 2
+    if scenario["t_grid"] is not None:
+        scenario["t_grid"]["points"] = 3
+    return scenario
+
+
+def with_leaf(scenario: dict, path: tuple, value) -> dict:
+    out = copy.deepcopy(scenario)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
 
 
 class TestResolvers:
@@ -128,7 +150,10 @@ class TestScenarioNormalization:
     @pytest.mark.parametrize("change", [
         {"points": 0}, {"points": 2.5}, {"points": "3"}, {"points": True}, {"points": -1},
         {"start": float("nan")}, {"stop": float("inf")}, {"start": "1e-3"}, {"stop": True},
-        {"stop": 0.0},
+        {"stop": 0.0}, {"start": 0, "spacing": "linear"}, {"start": -1, "spacing": "linear"},
+        {"start": 1, "stop": 0, "spacing": "linear"},
+        # K(t, .) and L(t, .) are defined for t > 0 only, whatever the spacing
+        {"start": -1, "stop": 1, "points": 5, "spacing": "linear"},
     ])
     def test_t_grid_values_validated(self, change):
         raw = json.loads((SCENARIO_DIR / "prop22_maximal_2inf.json").read_text())
@@ -183,7 +208,7 @@ def minimal_scenario(tag: str) -> dict:
     """The required sections of the tag and nothing else, on a couple it takes."""
     record = specs.THEOREMS[tag]
     scenario = {"theorem": tag, "seed": 1, "space": {"weights": "uniform", "n": 4},
-                "couple": {"p": 1, "q": "inf" if record.q_inf else 2}}
+                "couple": {"p": 1.5 if record.p_above_one else 1, "q": "inf" if record.q_inf else 2}}
     scenario.update({key: SECTION_VALUES[key] for key in record.requires})
     return scenario
 
@@ -221,6 +246,8 @@ class TestTheoremTable:
                 if key not in record.requires + record.reads]
         if record.q_inf is not None:
             bad.append(dict(base, couple={"p": 1, "q": 2 if record.q_inf else "inf"}))
+        if record.p_above_one:
+            bad.append(dict(base, couple={"p": 1, "q": 2}))
         for scenario in bad:
             with pytest.raises(specs.SpecError):
                 specs.normalize_scenario(scenario)
@@ -254,3 +281,81 @@ class TestTheoremTable:
             bad = dict(raw, inputs=dict(raw["inputs"], distribution=distribution))
             with pytest.raises(specs.SpecError, match="distribution"):
                 specs.normalize_scenario(bad)
+
+
+class TestMalformedLeaves:
+    @pytest.mark.parametrize("name, path, value", [
+        ("thm46a", ("space", "n"), True),
+        ("thm31a_p1_orlicz", ("operator", "keep_first"), -1),
+        ("thm31a_p1_orlicz", ("operator", "keep_first"), 2.7),
+        ("thm31a_p1_orlicz", ("operator", "keep_first"), "3"),
+        ("thm31a_p1_orlicz", ("operator", "keep_first"), 0),
+        ("thm31a_p1_orlicz", ("operator", "keep_first"), None),
+        ("thm31a_p1_orlicz", ("operator", "keep_first"), 9),
+        ("remark_concave_h_1_2", ("operator", "seed"), 2.5),
+        ("remark_concave_h_1_2", ("operator", "seed"), "7"),
+        ("remark_concave_h_1_2", ("operator", "seed"), True),
+        ("remark_concave_h_1_2", ("operator", "seed"), -1),
+        ("thm46a", ("seed",), -1),
+        ("thm46a", ("fault",), []),
+        ("thm46a_negative_control", ("fault", "halve_certificate"), "x"),
+        ("thm46b_norm_1_2", ("diagnostics",), "x"),
+        ("thm46a", ("phi", "h", "slope0"), "x"),
+        ("thm46a", ("phi", "h", "slope0"), math.nan),
+        ("thm46a", ("phi", "h", "knots", 0), None),
+        ("thm46a", ("phi", "h", "values"), 2.0),
+        ("thm31a_p1_orlicz", ("phi", "rho", "theta"), "x"),
+        ("thm31a_p1_orlicz", ("phi", "rho", "a"), None),
+        ("thm46a", ("tolerances", "violation_rel"), -1),
+        ("thm46a", ("tolerances", "abs_floor"), math.inf),
+        ("thm46a", ("couple", "p"), True),
+        ("thm46a", ("operator",), {"kind": "multiplier", "m": [0] * 8}),
+        ("thm46a_negative_control", ("operator", "ops"), {}),
+        ("thm46a", ("theorem",), []),
+    ])
+    def test_is_a_spec_error(self, name, path, value):
+        with pytest.raises(specs.SpecError):
+            specs.normalize_scenario(with_leaf(shipped(name), path, value))
+
+    def test_thm51_linear_needs_p_above_one(self, build_calls):
+        scenario = shipped("thm51_linear_15_2")
+        scenario["couple"]["p"] = scenario["phi"]["p"] = 1
+        with pytest.raises(specs.SpecError, match="p > 1"):
+            specs.normalize_scenario(scenario)
+        assert build_calls == {"phi": 0, "operator": 0}
+
+    def test_false_section_reads_as_absent(self):
+        scenario = dict(shipped("sparr_lemma_1_2"), phi=False, operator=False, fault=False)
+        assert specs.normalize_scenario(scenario) == specs.normalize_scenario(shipped("sparr_lemma_1_2"))
+
+
+def leaf_paths(node, path=()):
+    """Paths to every value of a scenario that is not a dict or a non-empty list."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        for index, value in enumerate(node):
+            yield from leaf_paths(value, path + (index,))
+    else:
+        yield path
+
+
+SWEEP_VALUES = (None, True, "x", -1, 0, 2.5, [], {}, math.nan)
+
+
+class TestLeafSweep:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_every_leaf_gives_a_report_or_a_clean_error(self, name):
+        # leaf i takes the values SWEEP_VALUES[i % 3::3]: every value meets a
+        # third of the leaves, which keeps the sweep to a few seconds
+        base = shipped(name)
+        for i, path in enumerate(leaf_paths(base)):
+            for value in SWEEP_VALUES[i % 3::3]:
+                try:
+                    report = run_scenario(with_leaf(base, path, value))
+                except (specs.SpecError, ok.ScenarioRejected):
+                    continue
+                except Exception as exc:
+                    pytest.fail(f"{name} with {path} = {value!r}: {type(exc).__name__}: {exc}")
+                assert report["status"] in ("pass", "fail")

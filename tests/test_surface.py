@@ -1,0 +1,45 @@
+"""The package exports only what a scenario or a CLI command reaches.
+
+A function exported by `orliczkit/__init__.py` must be referenced somewhere
+in the package's own modules outside its own definition (a name or an
+attribute, not an import), or be one of the kept oracles. Reference routes
+that only tests use live in tests/oracles.py instead.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import orliczkit
+
+PACKAGE = Path(orliczkit.__file__).parent
+# the CLI cross-checks against the first two; ROADMAP item 3 builds on the third
+KEPT = {"brute_force_k", "sparr_gamma_oracle", "estimate_norm"}
+
+
+def references_outside_own_def() -> set[str]:
+    """Names and attributes used in the package modules, each outside the
+    top-level definition of that same name."""
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None and name != own:
+                    used.add(name)
+    return used
+
+
+def test_every_exported_function_is_reached():
+    exported = {name for name, value in vars(orliczkit).items()
+                if inspect.isfunction(value) and not name.startswith("_")}
+    unreached = sorted(exported - references_outside_own_def() - KEPT)
+    assert not unreached, f"exported but reached by no scenario or command: {unreached}"
+
+
+def test_kept_oracles_are_exported():
+    assert KEPT <= set(vars(orliczkit))
