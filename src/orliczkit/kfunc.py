@@ -2,10 +2,13 @@
 
 For the couple (L^p, L^inf) the classical functional reduces to a truncation
 search: the best split of |x| at height lam costs ||(|x|-lam)_+||_p + t*lam.
-For (L^p, L^q) with both exponents finite, the lattice reduction to
-nonnegative pointwise decompositions makes the infimum separate across
-atoms, leaving one convex scalar problem per atom: a closed form at p = 1,
-a logit Newton iteration for p > 1. A signed full-grid brute force is the
+That cost is convex with kinks at the magnitudes, so a bisection over the
+sorted kinks finds the one interval holding the minimiser, where it is
+solved exactly: linear at p = 1, a quadratic at p = 2, a bracketed Newton
+solve otherwise. For (L^p, L^q) with both exponents finite, the lattice
+reduction to nonnegative pointwise decompositions makes the infimum
+separate across atoms, leaving one convex scalar problem per atom: a
+closed form at p = 1, a logit Newton iteration for p > 1. A signed full-grid brute force is the
 independent oracle; it never assumes the reduction it is used to check.
 
 The grid kernels take one `SampleFunction` (one value per t back) or a
@@ -21,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .measure import SampleBatch, SampleFunction, abs_rows, golden_section
+from .measure import SampleBatch, SampleFunction, abs_rows
 
 
 def _check_exponent(p: float, name: str = "p") -> None:
@@ -29,48 +32,195 @@ def _check_exponent(p: float, name: str = "p") -> None:
         raise ValueError(f"{name} must lie in [1, inf)")
 
 
-def _truncation_objective(mags: np.ndarray, w: np.ndarray, p: float,
-                          lams: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """||(mags_i - lam_i)_+||_p + t_i lam_i for each row i of mags."""
-    rest = np.maximum(mags - lams[:, None], 0.0)
-    rest **= p
-    rest *= w
-    return np.sum(rest, axis=1) ** (1.0 / p) + ts * lams
+# The general-p interval solve's step bound; rows have taken 2 to 14 steps.
+_NEWTON_STEPS = 40
+# A row stops once its value is certified within this fraction of itself.
+_VALUE_RTOL = 2.0**-56
+
+
+def _descent_rate(e: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """S_{p-1} S_p^{1/p-1} for each row of e >= 0, with S_r = sum w e^r over
+    the atoms with e > 0: the rate -(d/dlam) ||(m - lam)_+||_p at a height lam
+    where e = (m - lam)_+ up to a positive scale. The rate is scale-free, so a
+    row scaled to max 1 keeps S_p >= min w away from underflow."""
+    if p == 1.0:
+        return np.sum(w * (e > 0.0), axis=1)
+    power = e ** (p - 1.0)
+    s_pm1 = np.sum(power * w, axis=1)
+    power *= e
+    return s_pm1 * np.sum(power * w, axis=1) ** (1.0 / p - 1.0)
+
+
+def _kink_bracket(m: np.ndarray, kinks: np.ndarray, w: np.ndarray, p: float,
+                  row: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """For each (member row[i], t[i]), the least kink index J at which the
+    truncation objective stops falling: F'(kinks[J]) >= 0, or kinks[J] is
+    the sup 1. Members are scaled to sup 1 and kinks hold 0 and the sorted
+    magnitudes. By convexity the minimiser lies in [kinks[J-1], kinks[J]],
+    or at 0 when J = 0. A bisection on the sign of F' at the kinks: about
+    log2(n + 1) passes, each over the open rows' atoms."""
+    lo = np.zeros(row.size, dtype=np.intp)
+    hi = (m.shape[1] + 1 - np.sum(m == 1.0, axis=1))[row]   # the first kink at the sup
+    live = np.arange(row.size)
+    while live.size:
+        r, mid = row[live], (lo[live] + hi[live]) // 2
+        a = kinks[r, mid]                                     # < 1, as mid < hi
+        e = m[r] - a[:, None]
+        np.maximum(e, 0.0, out=e)
+        e *= (1.0 / (1.0 - a))[:, None]
+        falls = t[live] < _descent_rate(e, w, p)
+        lo[live] = np.where(falls, mid + 1, lo[live])
+        hi[live] = np.where(falls, hi[live], mid)
+        live = live[lo[live] < hi[live]]
+    return lo
+
+
+def _power_sum(d: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    return np.sum(np.maximum(d, 0.0) ** p * w, axis=1)
+
+
+def _quadratic_interval(d, w, t, a, b, inner):
+    """Least of F(a), F(b) and the stationary point at p = 2 (rows with
+    `inner` set have a descent at a, so t^2 < W). With s = b - lam and the
+    sums shifted to b (W = sum w, S1 = sum w d, D2 = sum w d^2 over the
+    atoms with d >= 0), rem(s) = D2 + 2 s S1 + s^2 W has no cancelling
+    terms, and F'(s) = 0 at s* = (t^2 D2 - S1^2) / ((W - t^2)(u + S1)),
+    u = t sqrt((W D2 - S1^2) / (W - t^2))."""
+    active = d >= 0.0
+    dp = np.where(active, d, 0.0)
+    big_w = np.sum(active * w, axis=1)
+    s1 = np.sum(dp * w, axis=1)
+    d2 = np.sum(dp * dp * w, axis=1)
+    span = b - a
+    value = np.minimum(np.sqrt(d2) + t * b, np.sqrt(d2 + span * (2.0 * s1 + span * big_w)) + t * a)
+    big_w, s1, d2, span, ti = big_w[inner], s1[inner], d2[inner], span[inner], t[inner]
+    room = big_w - ti * ti
+    u = ti * np.sqrt(np.divide(np.maximum(big_w * d2 - s1 * s1, 0.0), room,
+                               out=np.zeros_like(room), where=room > 0.0))
+    den = room * (u + s1)
+    s = np.divide(ti * ti * d2 - s1 * s1, den, out=np.zeros_like(den), where=den > 0.0)
+    s = np.clip(s, 0.0, span)
+    value[inner] = np.minimum(value[inner],
+                              np.sqrt(d2 + s * (2.0 * s1 + s * big_w)) + ti * (b[inner] - s))
+    return value
+
+
+def _interval_state(d: np.ndarray, w: np.ndarray, p: float, t: np.ndarray,
+                    b: np.ndarray, s: np.ndarray):
+    """F, F' and F'' in s = b - lam at one point per row, for p > 1 and rows
+    whose atoms above b are not all at b (so d + s has a positive max).
+    The sums run on d + s scaled to max 1, so no power under- or overflows
+    into the rate; the d + s = 0 atoms drop out of S_{p-2}, which is only
+    read at s > 0."""
+    e = np.where(d >= 0.0, d + s[:, None], 0.0)
+    top = e.max(axis=1)
+    e /= top[:, None]
+    power = e ** (p - 1.0)
+    s_pm1 = np.sum(power * w, axis=1)
+    s_pm2 = np.sum(np.divide(power, e, out=np.zeros_like(e), where=e > 0.0) * w, axis=1)
+    power *= e
+    s_p = np.sum(power * w, axis=1)
+    f = top * s_p ** (1.0 / p) + t * (b - s)
+    g = s_pm1 * s_p ** (1.0 / p - 1.0) - t
+    dg = (p - 1.0) / top * s_p ** (1.0 / p - 2.0) * (s_pm2 * s_p - s_pm1 * s_pm1)
+    return f, g, dg
+
+
+def _tangent_cut(lo, flo, glo, hi, fhi, ghi):
+    """Where the tangents of convex F at lo (slope glo < 0) and hi (slope
+    ghi > 0) meet, clipped to [lo, hi], and their common value there, a
+    lower bound on min F over [lo, hi]."""
+    s = np.clip((flo - fhi - glo * lo + ghi * hi) / (ghi - glo), lo, hi)
+    return s, flo + glo * (s - lo)
+
+
+def _newton_interval(d: np.ndarray, w: np.ndarray, p: float, t: np.ndarray,
+                     b: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least F attained on s in [0, span] for each row, and its step count.
+
+    A bracketed Newton solve of F'(s) = 0 per row. A step that leaves the
+    bracket is replaced by the meeting point of the end tangents. A row
+    stops when the tangents certify its value to within `_VALUE_RTOL`, or
+    when its Newton decrement F'^2 / F'' is that small; `_NEWTON_STEPS`
+    bounds the count either way. Each row's state is its own, so its value
+    does not depend on which rows share the call.
+    """
+    lo, hi = np.zeros(t.size), span.copy()
+    flo, glo, _ = _interval_state(d, w, p, t, b, lo)
+    fhi, ghi, _ = _interval_state(d, w, p, t, b, hi)
+    best = np.minimum(flo, fhi)
+    steps = np.zeros(t.size, dtype=int)
+    # a row whose ends do not straddle F' = 0 has its minimum at an end
+    live = np.flatnonzero((glo < 0.0) & (ghi > 0.0))
+    out_best = best
+    d, t, b, lo, hi, flo, glo, fhi, ghi, best = (
+        v[live] for v in (d, t, b, lo, hi, flo, glo, fhi, ghi, best))
+    s, _ = _tangent_cut(lo, flo, glo, hi, fhi, ghi)
+    for _ in range(_NEWTON_STEPS):
+        if not live.size:
+            break
+        f, g, dg = _interval_state(d, w, p, t, b, s)
+        steps[live] += 1
+        best = np.minimum(best, f)
+        left = g < 0.0
+        lo, flo, glo = np.where(left, s, lo), np.where(left, f, flo), np.where(left, g, glo)
+        hi, fhi, ghi = np.where(left, hi, s), np.where(left, fhi, f), np.where(left, ghi, g)
+        newton = s - np.divide(g, dg, out=np.zeros_like(g), where=dg > 0.0)
+        inside = (dg > 0.0) & (lo < newton) & (newton < hi)
+        cut, floor = _tangent_cut(lo, flo, glo, hi, fhi, ghi)
+        tol = _VALUE_RTOL * best
+        done = (g == 0.0) | (np.minimum(flo, fhi) - floor <= tol) | (inside & (g * g <= tol * dg))
+        s = np.where(inside, newton, cut)
+        out_best[live] = best
+        keep = ~done
+        live, d, t, b, s, lo, hi, flo, glo, fhi, ghi, best = (
+            v[keep] for v in (live, d, t, b, s, lo, hi, flo, glo, fhi, ghi, best))
+    return out_best, steps
 
 
 def k_lp_linf_grid(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarray:
     """K(t, x; L^p, L^inf) for every t in ts (and every member of a batch),
-    via the truncation reduction.
+    via the truncation reduction, exactly.
 
-    The objective is convex in the truncation height with kinks only at the
-    data magnitudes, so the minimum over all heights is the minimum over the
-    exact kink candidates (per member) and the midpoint of a golden-section
-    bracket. All (member, t) rows share one `measure.golden_section` call;
-    each stops on its own at 1e-12 * max(lam_max, 1) of its member. A member
-    whose ||x||_p^p overflows gets +inf, the one upper bound left to give.
+    K(t, x) = min over 0 <= lam <= sup|x| of F(lam) = ||(|x| - lam)_+||_p +
+    t lam. F is convex with kinks only at the magnitudes, so `_kink_bracket`
+    finds, for every (member, t) row at once, the one kink interval [a, b]
+    where F' changes sign. Inside it the atoms above the truncation are
+    fixed: at p = 1 F is linear there, at p = 2 its minimum has a closed
+    form (`_quadratic_interval`), and any other p takes a bracketed Newton
+    solve (`_newton_interval`). The value is min(F(a), F(b), F(lam*)), so
+    it is attained: an upper bound on the infimum within roundoff of it.
+    Each member is scaled to sup 1 before any power sum and its values are
+    scaled back after, so K is positively homogeneous at any finite scale.
+    Each row's value depends on its own member and t alone.
     """
     _check_exponent(p)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     mags, single = abs_rows(x)
     w = x.space.weights
-    lam_max = mags.max(axis=1, initial=0.0)
-    with np.errstate(over="ignore"):
-        overflows = ~np.isfinite(np.sum(mags**p * w, axis=1))
+    sup = mags.max(axis=1, initial=0.0)
     out = np.zeros((mags.shape[0], ts.size))
-    out[overflows] = np.inf
-    members = np.flatnonzero((lam_max > 0.0) & ~overflows)   # a zero member has K = 0
-    for i in members:
-        cands = np.unique(np.concatenate(([0.0, lam_max[i]], mags[i])))
-        rest_p = np.sum(np.clip(mags[i][None, :] - cands[:, None], 0.0, None) ** p * w,
-                        axis=1) ** (1.0 / p)
-        out[i] = np.min(rest_p[:, None] + cands[:, None] * ts[None, :], axis=0)
-    row_member = np.repeat(members, ts.size)
-    row_mags, row_t, hi = mags[row_member], np.tile(ts, members.size), lam_max[row_member]
-    lo, hi = golden_section(
-        lambda rows, lams: _truncation_objective(row_mags[rows], w, p, lams, row_t[rows]),
-        np.zeros(hi.shape), hi, 1e-12 * np.maximum(hi, 1.0))
-    mid = _truncation_objective(row_mags, w, p, 0.5 * (lo + hi), row_t)
-    out[members] = np.minimum(out[members], mid.reshape(members.size, ts.size))
+    members = np.flatnonzero(sup > 0.0)   # a zero member has K = 0
+    m = mags[members] / sup[members, None]
+    kinks = np.hstack((np.zeros((members.size, 1)), np.sort(m, axis=1)))
+    row, t = np.repeat(np.arange(members.size), ts.size), np.tile(ts, members.size)
+    with np.errstate(under="ignore"):   # powers of tiny scaled magnitudes
+        j = _kink_bracket(m, kinks, w, p, row, t)
+        a, b = kinks[row, np.maximum(j - 1, 0)], kinks[row, j]
+        d = m[row] - b[:, None]           # the atoms above the interval have d >= 0
+        if p == 1.0:
+            above = d >= 0.0
+            rest = np.sum(np.where(above, d, 0.0) * w, axis=1)
+            value = rest + np.minimum(t * b, (b - a) * np.sum(above * w, axis=1) + t * a)
+        elif p == 2.0:
+            value = _quadratic_interval(d, w, t, a, b, j > 0)
+        else:
+            value = np.minimum(_power_sum(d, w, p) ** (1.0 / p) + t * b,
+                               _power_sum(d + (b - a)[:, None], w, p) ** (1.0 / p) + t * a)
+            solve = np.flatnonzero((j > 0) & (b < 1.0))   # not all atoms above at b
+            inner, _ = _newton_interval(d[solve], w, p, t[solve], b[solve], (b - a)[solve])
+            value[solve] = np.minimum(value[solve], inner)
+    out[members] = sup[members, None] * value.reshape(members.size, ts.size)
     return out[0] if single else out
 
 

@@ -91,6 +91,8 @@ def resolve_space(record: dict) -> DiscreteMeasureSpace:
         if not _is_int(n) or n < 1:
             raise SpecError("uniform space needs a positive integer 'n'")
         return uniform_space(n)
+    if "n" in record:
+        raise SpecError("space.n goes with uniform weights only; explicit weights give n")
     try:
         return DiscreteMeasureSpace(_numbers(weights, "space weights"))
     except ValueError as exc:
@@ -264,6 +266,9 @@ def resolve_scenario(raw: dict) -> tuple:
     space = resolve_space(raw["space"])
     out["space"] = raw["space"]
     couple = resolve_couple(raw["couple"])
+    for key, value in raw["couple"].items():   # numeric strings are for the CLI alone
+        if value != "inf" and not _is_finite(value):
+            raise SpecError(f"couple.{key} must be a number or 'inf', got {value!r}")
     out["couple"] = raw["couple"]
     record = THEOREMS[theorem]
     # a section is given unless it is null or false

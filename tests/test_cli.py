@@ -211,7 +211,7 @@ class TestVerifyCommand:
         assert code == 2
         assert "inputs.scale" in err
 
-    @pytest.mark.parametrize("name,scale", [("prop22_maximal_2inf.json", 1e200),
+    @pytest.mark.parametrize("name,scale", [("prop22_maximal_2inf.json", 1e308),
                                             ("thm46a.json", 1e308),
                                             ("sparr_lemma_1_2.json", 1e308)])
     def test_huge_input_scale_exits_two(self, capsys, tmp_path, name, scale):

@@ -126,7 +126,7 @@ class TestAmemiyaNorm:
             x = sample(rng.uniform(-2, 2, 4))
             if sup_norm(x) == 0.0:
                 continue
-            mods = np.array([ok.modular(phi, x.scaled(float(k))) for k in ks])
+            mods = ok.modular(phi, ok.SampleBatch(x.space, ks[:, None] * x.values))
             oracle = float(np.min((1.0 + mods) / ks))
             assert ok.amemiya_norm(phi, x) == pytest.approx(oracle, rel=1e-6)
 

@@ -49,6 +49,15 @@ class TestResolvers:
         c = specs.resolve_couple({"p": 2, "q": "inf"})
         assert c.q_is_inf
 
+    def test_couple_takes_the_numeric_strings_the_cli_passes(self):
+        c = specs.resolve_couple({"p": "1.5", "q": "3"})
+        assert (c.p, c.q) == (1.5, 3.0)
+
+    def test_explicit_weights_take_no_n(self):
+        # n would be echoed unread, so two equal spaces would hash differently
+        with pytest.raises(specs.SpecError, match="space.n"):
+            specs.resolve_space({"weights": [1.0, 2.0], "n": 2})
+
     def test_rho_kinds(self):
         assert float(specs.resolve_rho({"kind": "min_one"})(0.5)) == 0.5
         assert float(specs.resolve_rho({"kind": "max_one"})(0.5)) == 1.0
@@ -173,6 +182,14 @@ class TestScenarioNormalization:
     def test_bool_seed_rejected(self):
         with pytest.raises(specs.SpecError, match="seed"):
             specs.normalize_scenario(dict(self.BASE, seed=True))
+
+    @pytest.mark.parametrize("couple", [
+        {"p": "1", "q": 2}, {"p": 1, "q": "2"}, {"p": 1, "q": "Infinity"}, {"p": 1, "q": math.inf},
+    ])
+    def test_couple_is_numbers_or_inf(self, couple):
+        # a scenario that runs the same check as {"p": 1, "q": 2} must normalize alike
+        with pytest.raises(specs.SpecError, match="couple"):
+            specs.normalize_scenario(dict(self.BASE, couple=couple))
 
     def test_integer_scale_accepted(self):
         assert specs.normalize_scenario(dict(self.BASE, inputs={"scale": 2}))["inputs"]["scale"] == 2

@@ -293,15 +293,24 @@ class TestRunScenario:
         for v in report["violations"]:
             assert v["witness"] == inputs[v["input_index"]].values.tolist()
 
-    @pytest.mark.parametrize("name,scale", [("prop22_maximal_2inf.json", 1e200),
+    @pytest.mark.parametrize("name,scale", [("prop22_maximal_2inf.json", 1e308),
                                             ("thm46a.json", 1e308),
                                             ("sparr_lemma_1_2.json", 1e308)])
     def test_huge_input_scale_is_a_rejection(self, name, scale):
-        # 1e200 overflows ||x||_2^2 inside K; 1e308 overflows the draws themselves
+        # 1e308 overflows the draws themselves
         scenario = load_scenario(name)
         scenario["inputs"].update(count=8, scale=scale)
         with pytest.raises(ok.ScenarioRejected, match="inputs.scale"):
             run_scenario(scenario)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160, 1e200])
+    def test_k_contraction_gives_its_verdict_at_extreme_scales(self, scale):
+        # ||x||_2^2 under- or overflows at these scales, but K is scaled per member
+        scenario = load_scenario("prop22_maximal_2inf.json")
+        scenario["inputs"].update(count=8, scale=scale)
+        report = run_scenario(scenario)
+        scenario["inputs"]["scale"] = 1.0
+        assert report["status"] == run_scenario(scenario)["status"] == "pass"
 
     def test_failing_k_report_points_at_each_input(self):
         # a certificate ten times too small breaks the K contraction on some
