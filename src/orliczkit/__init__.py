@@ -61,7 +61,6 @@ from .verify import (
     ScenarioRejected,
     VerificationReport,
     Violation,
-    chain_diagnostics,
     generate_inputs,
     run_scenario,
     verify_k_contraction,

@@ -169,3 +169,13 @@ def conjugate_exponent(p: float) -> float:
     if not p > 1.0:
         raise ValueError("p must exceed 1")
     return p / (p - 1.0)
+
+
+# source of a norm constant (`specs.THEOREMS` names one per norm tag) -> C(p, q)
+# in ||T||_phi <= C * max(||T||_p, ||T||_q)
+NORM_CONSTANTS = {
+    "lp_linf": lambda p, q: bergh_constant(p),
+    "subadditive": interp_constant_subadditive,
+    "concave_h": interp_constant_concave_h,
+    "linear": interp_constant_linear,
+}

@@ -161,11 +161,14 @@ def build_from_generator(couple: ExponentCouple, rho: QuasiConcaveFn) -> OrliczF
     if keep.sum() < 2 * INVERSION_POINTS_PER_DECADE:
         raise ValueError("inverse not strictly increasing on grid")
     vk, uk = v[keep], u[keep]
+    saturated = vk.size < v.size
+    # the interpolator's setup is the build's memory peak; free the full grids first
+    del u, v, running, keep
     phi = OrliczFunction(
         "generator", p, (np.inf if couple.q_is_inf else q), float(vk[-1]),
         _inverse_free_evaluator(vk, uk),
         {"rho_family": rho.family, "rho_params": tuple(rho.params),
-         "saturated": bool(keep.size - keep.sum()), "tab_points": int(keep.sum())},
+         "saturated": saturated, "tab_points": int(vk.size)},
     )
     _validate_shape(phi, 100.0)
     return phi
@@ -284,9 +287,11 @@ def luxemburg_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch):
 def amemiya_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch):
     """inf over k > 0 of (1 + modular(k*x)) / k.
 
-    Golden section (`measure.golden_section`) over log k on [1e-8, 1e8], the
-    upper end clipped to the evaluation domain (a range clipped empty shrinks
-    to its upper end), to a bracket of 1e-9, each member stopped on its own;
+    Golden section (`measure.golden_section`) over log k on [1e-8, 1e8] / sup|x|,
+    the upper end clipped to the evaluation domain u_max / sup|x| (a range
+    clipped empty shrinks to its upper end), to a bracket of 1e-9, each
+    member stopped on its own; scaling the bracket by sup|x| keeps the norm
+    homogeneous, since k*x then ranges over the same values at any scale;
     the bracket midpoint pins the value to roundoff, so no polish follows.
     Returns the least objective at the midpoint and both ends. Unimodality
     of the objective rests on convexity of the modular in k, so for the
@@ -302,8 +307,8 @@ def amemiya_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch):
 
     out = np.zeros(m.size)
     rows = np.flatnonzero(m > 0.0)
-    k_hi = np.minimum(1e8, phi.u_max / m[rows])
-    k_lo = np.minimum(1e-8, k_hi)
+    top = min(1e8, phi.u_max)
+    k_hi, k_lo = top / m[rows], min(1e-8, top) / m[rows]
     best = np.minimum(objective(rows, k_lo), objective(rows, k_hi))
     a, b = golden_section(lambda live, s: objective(rows[live], np.exp(s)),
                           np.log(k_lo), np.log(k_hi), 1e-9)

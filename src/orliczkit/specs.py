@@ -211,13 +211,16 @@ INPUT_DISTRIBUTIONS = ("mixed", "uniform", "lognormal", "spikes", "constant", "b
 
 
 class Theorem(NamedTuple):
-    """What a theorem tag takes from a scenario; any other section is rejected."""
+    """What a theorem tag takes from a scenario (any other section is
+    rejected) and, for a norm tag, the source of its constant."""
 
     requires: tuple[str, ...]        # sections that must be given
     reads: tuple[str, ...] = ()      # optional sections it reads
     q_inf: bool | None = False       # q = inf (True), finite (False) or either (None)
     p_above_one: bool = False        # whether it needs p > 1
     distributions: tuple[str, ...] = INPUT_DISTRIBUTIONS
+    constant: str | None = None      # key of constants.NORM_CONSTANTS (norm tags only)
+    linear: bool = False             # whether the operator must be linear
 
 
 # scenario sections that a tag requires, reads or rejects (every tag reads inputs and tolerances)
@@ -228,13 +231,31 @@ THEOREMS = {
     # draws its own (x, y) pairs, so the input distribution is fixed
     "sparr_lemma": Theorem(("t_grid",), distributions=("mixed",)),
     "thm31a": Theorem(("phi", "operator"), ("fault",), q_inf=True),
-    "thm31b_norm": Theorem(("phi", "operator"), ("fault",), q_inf=True),
+    "thm31b_norm": Theorem(("phi", "operator"), ("fault",), q_inf=True, constant="lp_linf"),
     "thm46a": Theorem(("phi", "operator"), ("fault",)),
-    "thm46b_norm": Theorem(("phi", "operator"), ("fault", "diagnostics")),
-    "remark_concave_h": Theorem(("phi", "operator"), ("fault",)),
+    "thm46b_norm": Theorem(("phi", "operator"), ("fault", "diagnostics"), constant="subadditive"),
+    "remark_concave_h": Theorem(("phi", "operator"), ("fault",), constant="concave_h"),
     # the duality constant needs a conjugate exponent p' < inf
-    "thm51_linear": Theorem(("phi", "operator"), ("fault",), p_above_one=True),
+    "thm51_linear": Theorem(("phi", "operator"), ("fault",), p_above_one=True,
+                            constant="linear", linear=True),
 }
+
+
+def check_theorem(tag: Any, couple: ExponentCouple,
+                  op: ops.CertifiedOperator | None = None) -> Theorem:
+    """The record of `tag`, once the couple, and the operator if one is
+    given, meet its preconditions."""
+    if not isinstance(tag, str) or tag not in THEOREMS:
+        raise SpecError(f"unknown theorem tag {tag!r}; expected one of {tuple(THEOREMS)}")
+    record = THEOREMS[tag]
+    if record.q_inf is not None and couple.q_is_inf != record.q_inf:
+        raise SpecError(f"{tag} needs {'q = inf' if record.q_inf else 'a finite q'}")
+    if record.p_above_one and not couple.p > 1.0:
+        raise SpecError(f"{tag} needs p > 1")
+    if record.linear and op is not None and op.kind != ops.KIND_LINEAR:
+        raise SpecError(f"{tag} needs a linear operator, not a {op.kind} one")
+    return record
+
 
 DEFAULT_TOLERANCES = {
     "violation_rel": 1e-9,
@@ -249,6 +270,14 @@ _SCENARIO_REQUIRED = {"theorem", "seed", "space", "couple"}
 _SCENARIO_OPTIONAL = {"inputs", "tolerances", *SECTIONS}
 
 
+def _json_exponents(record: dict, what: str) -> None:
+    """A scenario's p and q are JSON numbers or 'inf'; numeric strings are
+    for the CLI alone, so two spellings of one scenario cannot hash apart."""
+    for key in ("p", "q"):
+        if key in record and record[key] != "inf" and not _is_finite(record[key]):
+            raise SpecError(f"{what}.{key} must be a number or 'inf', got {record[key]!r}")
+
+
 def resolve_scenario(raw: dict) -> tuple:
     """(canonical scenario, space, couple, phi or None, operator or None).
 
@@ -257,8 +286,6 @@ def resolve_scenario(raw: dict) -> tuple:
     """
     _require_keys(raw, _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL, what="scenario")
     theorem = raw["theorem"]
-    if not isinstance(theorem, str) or theorem not in THEOREMS:
-        raise SpecError(f"unknown theorem tag {theorem!r}; expected one of {tuple(THEOREMS)}")
     if not _is_int(raw["seed"]) or raw["seed"] < 0:
         raise SpecError("scenario seed must be an integer >= 0 (and is mandatory)")
 
@@ -266,11 +293,9 @@ def resolve_scenario(raw: dict) -> tuple:
     space = resolve_space(raw["space"])
     out["space"] = raw["space"]
     couple = resolve_couple(raw["couple"])
-    for key, value in raw["couple"].items():   # numeric strings are for the CLI alone
-        if value != "inf" and not _is_finite(value):
-            raise SpecError(f"couple.{key} must be a number or 'inf', got {value!r}")
+    _json_exponents(raw["couple"], "couple")
     out["couple"] = raw["couple"]
-    record = THEOREMS[theorem]
+    record = check_theorem(theorem, couple)
     # a section is given unless it is null or false
     section = {key: None if raw.get(key) is False else raw.get(key) for key in SECTIONS}
     given = [key for key in SECTIONS if section[key] is not None]
@@ -280,10 +305,6 @@ def resolve_scenario(raw: dict) -> tuple:
         raise SpecError(f"{theorem} needs the sections {missing}")
     if unread:
         raise SpecError(f"{theorem} does not read the sections {unread}")
-    if record.q_inf is not None and couple.q_is_inf != record.q_inf:
-        raise SpecError(f"{theorem} needs {'q = inf' if record.q_inf else 'a finite q'}")
-    if record.p_above_one and not couple.p > 1.0:
-        raise SpecError(f"{theorem} needs p > 1")
 
     inputs = {} if raw.get("inputs") is None else raw["inputs"]
     _require_keys(inputs, set(), {"count", "distribution", "scale"}, what="inputs spec")
@@ -321,12 +342,15 @@ def resolve_scenario(raw: dict) -> tuple:
         tol[key] = float(value)
     out["tolerances"] = {k: tol[k] for k in sorted(tol)}
 
-    out["phi"] = section["phi"]
-    phi = resolve_phi(out["phi"]) if out["phi"] is not None else None
     out["operator"] = section["operator"]
     op = resolve_operator(out["operator"], space, couple) if out["operator"] is not None else None
     if op is not None and not op.max_bound > 0.0:
         raise SpecError("the operator is zero; its checks divide by its certified bound")
+    check_theorem(theorem, couple, op)   # again, now that the operator's kind is known
+    out["phi"] = section["phi"]
+    if isinstance(out["phi"], dict):
+        _json_exponents(out["phi"], "phi")
+    phi = resolve_phi(out["phi"]) if out["phi"] is not None else None
 
     fault = section["fault"]
     if fault is not None:

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specs
-from .constants import bergh_constant, interp_constant_concave_h, interp_constant_linear, \
-    interp_constant_subadditive, sparr_gamma
+from .constants import NORM_CONSTANTS, bergh_constant, sparr_gamma
 from .kfunc import k_lp_linf_grid, l_functional_grid, l_star_grid
 from .measure import SampleBatch
-from .operators import KIND_LINEAR, CertifiedOperator
+from .operators import CertifiedOperator
 from .orlicz import (
     DomainOverflowError,
     ExponentCouple,
@@ -79,26 +78,26 @@ class _Collector:
     """One verifier run: merged tolerances, start time, and a relative
     violation test (named tolerances) with an absolute fallback at rhs = 0."""
 
-    def __init__(self, tolerances: dict | None, rel: str = "violation_rel",
-                 floor: str = "abs_floor"):
+    def __init__(self, tolerances: dict | None):
         self.started = time.perf_counter()
         self.tol = dict(specs.DEFAULT_TOLERANCES, **(tolerances or {}))
-        self.rel = self.tol[rel]
-        self.abs_floor = self.tol[floor]
         self.violations: list[Violation] = []
 
-    def check(self, lhs, rhs, tag: str, witness, ts=None, index=None) -> None:
-        """lhs <= rhs: one value or one row (a column per t in ts) per input,
-        with each input's witness values and index (0, 1, ... by default).
-        A side that is not finite cannot be checked, so it rejects the scenario."""
+    def check(self, lhs, rhs, tag: str, witness, ts=None, index=None,
+              rel: str = "violation_rel", floor: str = "abs_floor") -> None:
+        """lhs <= rhs to the tolerances named rel and floor: one value or one
+        row (a column per t in ts) per input, with each input's witness values
+        and index (0, 1, ... by default). A side that is not finite cannot be
+        checked, so it rejects the scenario."""
         lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
         if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
             raise ScenarioRejected(f"check {tag!r} has a side that is not finite; "
                                    "inputs.scale is too large for it")
-        bad = lhs > rhs + self.rel * np.abs(rhs) + self.abs_floor
+        rel, abs_floor = self.tol[rel], self.tol[floor]
+        bad = lhs > rhs + rel * np.abs(rhs) + abs_floor
         for at in map(tuple, np.argwhere(bad)):
             row = at[0]
-            margin = (lhs[at] - rhs[at]) / max(abs(rhs[at]), self.abs_floor)
+            margin = (lhs[at] - rhs[at]) / max(abs(rhs[at]), abs_floor)
             self.violations.append(Violation(
                 None if ts is None else float(ts[at[1]]),
                 int(row if index is None else index[row]), float(lhs[at]), float(rhs[at]),
@@ -273,53 +272,6 @@ def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
                             scenario)
 
 
-# theorem tag of each norm scenario -> source of its interpolation constant
-_NORM_SOURCES = {"thm31b_norm": "lp_linf", "thm46b_norm": "subadditive",
-                 "remark_concave_h": "concave_h", "thm51_linear": "linear"}
-
-
-def _norm_constant(source: str, couple: ExponentCouple, op: CertifiedOperator) -> float:
-    if source not in _NORM_SOURCES.values():
-        raise ValueError(f"unknown constant source {source!r}")
-    if source == "lp_linf":
-        if not couple.q_is_inf:
-            raise ValueError("the truncation constant needs q = inf")
-        return bergh_constant(couple.p)
-    if couple.q_is_inf:
-        raise ValueError(f"constant source {source!r} needs a finite couple")
-    if source == "subadditive":
-        return interp_constant_subadditive(couple.p, couple.q)
-    if source == "concave_h":
-        return interp_constant_concave_h(couple.p, couple.q)
-    if op.kind != KIND_LINEAR:
-        raise ValueError("the duality constant applies to linear operators only")
-    return interp_constant_linear(couple.p, couple.q)
-
-
-def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
-                              op: CertifiedOperator, inputs: SampleBatch,
-                              constant_source: str,
-                              tolerances: dict | None = None,
-                              scenario: dict | None = None, *,
-                              tx: SampleBatch | None = None) -> VerificationReport:
-    """||Tx|| <= C * M * ||x|| in both the Luxemburg and Amemiya norms.
-
-    tx is op applied to inputs, when the caller already has it.
-    """
-    collector = _Collector(tolerances, "norm_rel")
-    c = _norm_constant(constant_source, couple, op)
-    cm = c * op.max_bound
-    if tx is None:
-        tx = op.apply(inputs)
-    lux_t, lux_x = luxemburg_norm(phi, tx), luxemburg_norm(phi, inputs)
-    am_t, am_x = amemiya_norm(phi, tx), amemiya_norm(phi, inputs)
-    collector.check(lux_t, cm * lux_x, "luxemburg", inputs.values)
-    collector.check(am_t, cm * am_x, "amemiya", inputs.values)
-    tag = next(t for t, source in _NORM_SOURCES.items() if source == constant_source)
-    return collector.report(tag, len(inputs), {"constant": c, "certified_bound": op.max_bound,
-                                               "constant_source": constant_source}, scenario)
-
-
 def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[QuasiConcaveFn, np.ndarray]:
     """Recover h with phi(u) = u^q h(u^{p-q}) from a generator-built phi.
 
@@ -338,39 +290,58 @@ def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[Quas
     return QuasiConcaveFn(h_eval, "from_generator"), s_grid
 
 
-def chain_diagnostics(phi: OrliczFunction, couple: ExponentCouple,
-                      op: CertifiedOperator, inputs: SampleBatch,
-                      tolerances: dict | None = None,
-                      scenario: dict | None = None, *,
-                      tx: SampleBatch | None = None) -> VerificationReport:
-    """Link-by-link check of the majorant route behind the norm constant.
+def _check_chain(phi: OrliczFunction, couple: ExponentCouple, inputs: SampleBatch,
+                 txs: SampleBatch, collector: _Collector) -> dict:
+    """Link-by-link check of the majorant route behind the subadditive constant.
 
     With h recovered from phi, h~ its concave majorant, and psi the
     concave-h build on h~, the three links are
     modular_phi(Tx/M) <= modular_psi(Tx/M) <= gamma * modular_psi(x)
     <= 2 * gamma * modular_phi(x), each checked separately at the chain
     tolerance (the majorant is numerically derived, unlike the analytic
-    constants of the main inequality). tx is op applied to inputs, when the
-    caller already has it; it is scaled by 1/M here.
+    constants of the main inequality); txs is Tx/M.
     """
-    collector = _Collector(tolerances, "chain_rel", "chain_abs_floor")
-    if phi.kind != "generator" or couple.q_is_inf:
-        raise ScenarioRejected("chain diagnostics need a generator-built phi with finite q")
     h_fn, s_grid = _h_from_generator(phi, couple)
     h_major = concave_majorant(h_fn, grid=s_grid, rtol=1e-6, extend_decades=0.0)
     psi = build_from_h(couple, h_major)
     gamma = sparr_gamma(couple.p, couple.q).value
-    if tx is None:
-        tx = op.apply(inputs)
-    txs = tx.scaled(1.0 / op.max_bound)
     phi_tx, psi_tx = modular(phi, txs), modular(psi, txs)
     gamma_psi_x, two_gamma_phi_x = gamma * modular(psi, inputs), 2.0 * gamma * modular(phi, inputs)
-    collector.check(phi_tx, psi_tx, "link1_phi_le_psi", inputs.values)
-    collector.check(psi_tx, gamma_psi_x, "link2_psi_contraction", inputs.values)
-    collector.check(gamma_psi_x, two_gamma_phi_x, "link3_psi_le_2phi", inputs.values)
-    return collector.report("thm46b_norm", len(inputs), {
-        "gamma": gamma, "mode": "chain_diagnostics", "majorant_knots": int(h_major.knots.size)},
-        scenario)
+    for lhs, rhs, tag in ((phi_tx, psi_tx, "link1_phi_le_psi"),
+                          (psi_tx, gamma_psi_x, "link2_psi_contraction"),
+                          (gamma_psi_x, two_gamma_phi_x, "link3_psi_le_2phi")):
+        collector.check(lhs, rhs, tag, inputs.values, rel="chain_rel", floor="chain_abs_floor")
+    return {"gamma": gamma, "mode": "chain_diagnostics", "majorant_knots": int(h_major.knots.size)}
+
+
+def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
+                              op: CertifiedOperator, inputs: SampleBatch, theorem: str,
+                              tolerances: dict | None = None, scenario: dict | None = None,
+                              diagnostics: bool = False) -> VerificationReport:
+    """||Tx|| <= C * M * ||x|| in both the Luxemburg and Amemiya norms, with
+    the constant C that `specs.THEOREMS` names for the norm tag `theorem`.
+
+    With diagnostics set, the majorant chain behind the subadditive constant
+    is checked link by link too (a generator-built phi with finite q only).
+    """
+    collector = _Collector(tolerances)
+    source = specs.check_theorem(theorem, couple, op).constant
+    if source is None:
+        raise specs.SpecError(f"{theorem} is not a norm theorem")
+    if diagnostics and (phi.kind != "generator" or couple.q_is_inf):
+        raise ScenarioRejected("chain diagnostics need a generator-built phi with finite q")
+    c = NORM_CONSTANTS[source](couple.p, couple.q)
+    cm = c * op.max_bound
+    tx = op.apply(inputs)
+    lux_t, lux_x = luxemburg_norm(phi, tx), luxemburg_norm(phi, inputs)
+    am_t, am_x = amemiya_norm(phi, tx), amemiya_norm(phi, inputs)
+    collector.check(lux_t, cm * lux_x, "luxemburg", inputs.values, rel="norm_rel")
+    collector.check(am_t, cm * am_x, "amemiya", inputs.values, rel="norm_rel")
+    details = {"constant": c, "certified_bound": op.max_bound, "constant_source": source}
+    if diagnostics:
+        details["chain"] = _check_chain(phi, couple, inputs, tx.scaled(1.0 / op.max_bound),
+                                        collector)
+    return collector.report(theorem, len(inputs), details, scenario)
 
 
 def _inputs(s: dict, space) -> SampleBatch:
@@ -397,22 +368,9 @@ def _run_thm46a(s, space, couple, phi, op) -> VerificationReport:
     return verify_modular_lp_lq(phi, couple, op, _inputs(s, space), s["tolerances"], s)
 
 
-def _norm_runner(source: str):
-    def run(s, space, couple, phi, op) -> VerificationReport:
-        inputs = _inputs(s, space)
-        started = time.perf_counter()
-        # one apply serves the main check and the chain links
-        tx = op.apply(inputs)
-        report = verify_norm_interpolation(phi, couple, op, inputs, source, s["tolerances"], s,
-                                           tx=tx)
-        if s["diagnostics"]:
-            chain = chain_diagnostics(phi, couple, op, inputs, s["tolerances"], s, tx=tx)
-            report.violations.extend(chain.violations)
-            report.details["chain"] = chain.details
-            report.status = "pass" if not report.violations else "fail"
-        report.wall_ms = (time.perf_counter() - started) * 1000.0
-        return report
-    return run
+def _run_norm(s, space, couple, phi, op) -> VerificationReport:
+    return verify_norm_interpolation(phi, couple, op, _inputs(s, space), s["theorem"],
+                                     s["tolerances"], s, s["diagnostics"])
 
 
 # theorem tag -> runner; specs.THEOREMS has checked the sections each runner reads
@@ -421,7 +379,7 @@ RUNNERS = {
     "sparr_lemma": _run_sparr,
     "thm31a": _run_thm31a,
     "thm46a": _run_thm46a,
-    **{tag: _norm_runner(source) for tag, source in _NORM_SOURCES.items()},
+    **{tag: _run_norm for tag, record in specs.THEOREMS.items() if record.constant},
 }
 if RUNNERS.keys() != specs.THEOREMS.keys():
     raise RuntimeError("verify.RUNNERS and specs.THEOREMS name different theorem tags")

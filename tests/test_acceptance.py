@@ -204,9 +204,10 @@ def test_criterion_06_modular_lp_lq():
                 passed = passed and report.status == "pass" and not report.violations
                 runs += 1
         phi_gen = cached_generator_phi(p, q, "powerlog", (0.5, 0, 0))
-        chain = ok.chain_diagnostics(phi_gen, couple,
-                                     ok.averaging_operator(space, couple),
-                                     ok.generate_inputs(space, 100, "mixed", 1.0, 4600 + int(p)))
+        chain = ok.verify_norm_interpolation(phi_gen, couple,
+                                             ok.averaging_operator(space, couple),
+                                             ok.generate_inputs(space, 100, "mixed", 1.0, 4600 + int(p)),
+                                             "thm46b_norm", diagnostics=True)
         passed = passed and chain.status == "pass"
     elapsed = time.perf_counter() - start
     announce(6, "modular-lp-lq", passed, f"{runs} runs x 500 inputs + chain links, {elapsed:.1f}s")
@@ -221,22 +222,22 @@ def test_criterion_07_norm_constants():
     for (p, q) in ((1.0, 2.0), (2.0, 3.0)):
         couple = ExponentCouple(p, q)
         cases.append((cached_generator_phi(p, q, "powerlog", (0.5, 0, 0)), couple,
-                      ok.discrete_maximal(space, couple), "subadditive"))
+                      ok.discrete_maximal(space, couple), "thm46b_norm"))
         cases.append((ok.build_from_h(couple, ok.PiecewiseLinearConcave([1.0], [2.0], 1.0, 1.0)),
-                      couple, sp_mod.random_contractive(space, couple, 70 + int(p)), "concave_h"))
+                      couple, sp_mod.random_contractive(space, couple, 70 + int(p)), "remark_concave_h"))
     for p in (1.0, 2.0):
         couple = ExponentCouple(p, np.inf)
         cases.append((cached_generator_phi(p, np.inf, "powerlog", (0.5, 0, 0)), couple,
-                      ok.multiplier(space, [1, 1, 1, 1, 0, 0, 0, 0], couple), "lp_linf"))
+                      ok.multiplier(space, [1, 1, 1, 1, 0, 0, 0, 0], couple), "thm31b_norm"))
     linear_constants = {}
     for (p, q) in ((1.5, 2.0), (2.0, 3.0)):
         couple = ExponentCouple(p, q)
         cases.append((cached_generator_phi(p, q, "powerlog", (0.5, 0, 0)), couple,
-                      sp_mod.random_contractive(space, couple, 51), "linear"))
+                      sp_mod.random_contractive(space, couple, 51), "thm51_linear"))
         linear_constants[(p, q)] = ok.interp_constant_linear(p, q)
-    for idx, (phi, couple, op, source) in enumerate(cases):
+    for idx, (phi, couple, op, theorem) in enumerate(cases):
         inputs = ok.generate_inputs(space, 100, "mixed", 1.0, 770000 + idx)
-        report = ok.verify_norm_interpolation(phi, couple, op, inputs, source)
+        report = ok.verify_norm_interpolation(phi, couple, op, inputs, theorem)
         passed = passed and report.status == "pass" and not report.violations
     both_under_two = all(c < 2.0 for c in linear_constants.values())
     elapsed = time.perf_counter() - start

@@ -238,6 +238,19 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "t_grid" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("operator", [
+        {"kind": "maximal"},
+        {"kind": "max_of", "ops": [{"kind": "identity"}, {"kind": "averaging"}]},
+    ], ids=["maximal", "max_of"])
+    def test_thm51_linear_with_a_nonlinear_operator_exits_two(self, capsys, tmp_path, operator):
+        scenario = json.loads((SCENARIO_DIR / "thm51_linear_15_2.json").read_text())
+        scenario["operator"] = operator
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
+        assert code == 2 and out == ""
+        assert "needs a linear operator" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("text", ["[1, 2]", "{not json"])
     def test_scenario_file_that_is_not_an_object_exits_two(self, capsys, tmp_path, text):
         path = tmp_path / "s.json"

@@ -154,6 +154,18 @@ class TestAmemiyaNorm:
                 3.0 * ok.amemiya_norm(phi, y), rel=1e-8)
             assert ok.amemiya_norm(phi, x) <= ok.amemiya_norm(phi, y) * (1 + 1e-8)
 
+    @pytest.mark.parametrize("norm", [ok.amemiya_norm, ok.luxemburg_norm],
+                             ids=["amemiya", "luxemburg"])
+    @pytest.mark.parametrize("name", ["u^1.5", "u^2", "u^3", "u^2+u"])
+    def test_homogeneous_at_extreme_scales(self, norm, name):
+        # the k search range follows sup|x|, so ||lambda x|| = lambda ||x|| to
+        # roundoff far outside [1e-8, 1e8] too; Luxemburg is the guard beside it
+        phi = remark_h_phi() if name == "u^2+u" else ok.power_phi(float(name[2:]))
+        x = sample([1.0, 0.5, 0.2])
+        base = norm(phi, x)
+        for lam in (1e-10, 1e-9, 1e-8, 1e8, 1e9, 1e10):
+            assert norm(phi, x.scaled(lam)) == pytest.approx(lam * base, rel=1e-15), lam
+
 
 def remark_h_phi():
     """The phi of the shipped remark_concave_h_1_2 scenario: u^2 + u."""

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,19 @@ class TestScenarioNormalization:
         with pytest.raises(specs.SpecError, match="couple"):
             specs.normalize_scenario(dict(self.BASE, couple=couple))
 
+    @pytest.mark.parametrize("name, change", [
+        ("thm46a", {"p": "1"}), ("thm46a", {"q": "2"}),
+        ("thm31b_norm_p2", {"p": "2"}), ("thm31b_norm_p2", {"q": "Infinity"}),
+        ("thm31b_norm_p2", {"q": math.inf}),
+    ])
+    def test_phi_exponents_are_numbers_or_inf(self, name, change, build_calls):
+        # as for the couple: {"p": "1"} and {"p": 1} would hash apart
+        raw = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        raw["phi"].update(change)
+        with pytest.raises(specs.SpecError, match=r"phi\.[pq] must be a number or 'inf'"):
+            specs.normalize_scenario(raw)
+        assert build_calls["phi"] == 0
+
     def test_integer_scale_accepted(self):
         assert specs.normalize_scenario(dict(self.BASE, inputs={"scale": 2}))["inputs"]["scale"] == 2
 
@@ -289,6 +303,23 @@ class TestTheoremTable:
         specs.normalize_scenario(raw)
         with pytest.raises(specs.SpecError):
             specs.normalize_scenario(dict(raw, **change))
+
+    def test_readme_table_matches(self):
+        # the README's scenario table is a copy of THEOREMS; keep the two alike
+        lines = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| tag | requires | also reads | q | operator |") + 2
+        rows = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            tag, requires, reads, q, operator = (cell.strip() for cell in line.strip("|").split("|"))
+            rows[tag.strip("`")] = (tuple(re.findall(r"`(\w+)`", requires)),
+                                    tuple(re.findall(r"`(\w+)`", reads)), q, operator)
+        q_side = {True: "`inf`", False: "finite", None: "finite or `inf`"}
+        assert rows == {
+            tag: (record.requires, record.reads, q_side[record.q_inf],
+                  "linear" if record.linear else "any" if "operator" in record.requires else "")
+            for tag, record in specs.THEOREMS.items()}
 
     def test_sparr_keeps_its_own_pair_distribution(self):
         # the pairs come from verify._pair_batch, which has no distribution

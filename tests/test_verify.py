@@ -130,55 +130,71 @@ class TestNormInterpolation:
     def test_identity_passes_each_source(self, space8, phi_affine_h):
         inputs = ok.generate_inputs(space8, 8, "mixed", 1.0, 10)
         cases = [
-            (cached_generator_phi(1, 2, "powerlog", (0.5, 0, 0)), COUPLE, "subadditive"),
-            (phi_affine_h, COUPLE, "concave_h"),
-            (cached_generator_phi(1.5, 2, "powerlog", (0.5, 0, 0)), ExponentCouple(1.5, 2), "linear"),
-            (cached_generator_phi(2, np.inf, "powerlog", (0.5, 0, 0)), ExponentCouple(2, np.inf), "lp_linf"),
+            (cached_generator_phi(1, 2, "powerlog", (0.5, 0, 0)), COUPLE, "thm46b_norm"),
+            (phi_affine_h, COUPLE, "remark_concave_h"),
+            (cached_generator_phi(1.5, 2, "powerlog", (0.5, 0, 0)), ExponentCouple(1.5, 2), "thm51_linear"),
+            (cached_generator_phi(2, np.inf, "powerlog", (0.5, 0, 0)), ExponentCouple(2, np.inf), "thm31b_norm"),
         ]
-        for phi, couple, source in cases:
+        for phi, couple, theorem in cases:
             op = ok.identity_operator(space8, couple)
-            rep = ok.verify_norm_interpolation(phi, couple, op, inputs, source)
-            assert rep.status == "pass", source
+            rep = ok.verify_norm_interpolation(phi, couple, op, inputs, theorem)
+            assert rep.status == "pass", theorem
+            assert rep.details["constant_source"] == specs.THEOREMS[theorem].constant
 
     def test_linear_source_needs_linear_operator(self, space8):
         couple = ExponentCouple(1.5, 2)
         phi = cached_generator_phi(1.5, 2, "powerlog", (0.5, 0, 0))
         op = ok.discrete_maximal(space8, couple)
-        with pytest.raises(ValueError):
+        with pytest.raises(specs.SpecError, match="needs a linear operator"):
             ok.verify_norm_interpolation(phi, couple, op,
-                                         ok.generate_inputs(space8, 3, "mixed", 1.0, 11), "linear")
+                                         ok.generate_inputs(space8, 3, "mixed", 1.0, 11),
+                                         "thm51_linear")
 
     def test_lp_linf_source_needs_infinite_q(self, space8):
         phi = cached_generator_phi(1, 2, "powerlog", (0.5, 0, 0))
         op = ok.identity_operator(space8, COUPLE)
-        with pytest.raises(ValueError):
+        with pytest.raises(specs.SpecError, match="needs q = inf"):
             ok.verify_norm_interpolation(phi, COUPLE, op,
-                                         ok.generate_inputs(space8, 3, "mixed", 1.0, 12), "lp_linf")
+                                         ok.generate_inputs(space8, 3, "mixed", 1.0, 12),
+                                         "thm31b_norm")
+
+    def test_needs_a_norm_tag(self, space8):
+        op = ok.identity_operator(space8, COUPLE)
+        with pytest.raises(specs.SpecError, match="not a norm theorem"):
+            ok.verify_norm_interpolation(ok.power_phi(2), COUPLE, op,
+                                         ok.generate_inputs(space8, 3, "mixed", 1.0, 12), "thm46a")
 
 
 class TestChainDiagnostics:
     def test_links_pass_for_generator_phi(self, space8):
         phi = cached_generator_phi(1, 2, "powerlog", (0.5, 0, 0))
         op = ok.averaging_operator(space8, COUPLE)
-        rep = ok.chain_diagnostics(phi, COUPLE, op, ok.generate_inputs(space8, 15, "mixed", 1.0, 13))
+        rep = ok.verify_norm_interpolation(phi, COUPLE, op,
+                                           ok.generate_inputs(space8, 15, "mixed", 1.0, 13),
+                                           "thm46b_norm", diagnostics=True)
         assert rep.status == "pass"
-        assert rep.details["mode"] == "chain_diagnostics"
+        assert rep.details["chain"]["mode"] == "chain_diagnostics"
 
-    def test_given_tx_is_the_applied_inputs(self, space8):
+    def test_links_report_into_the_norm_report(self, space8):
         phi = cached_generator_phi(1, 2, "powerlog", (0.5, 0, 0))
         op = ok.discrete_maximal(space8, COUPLE)
         inputs = ok.generate_inputs(space8, 12, "mixed", 1.0, 15)
-        alone = ok.chain_diagnostics(phi, COUPLE, op, inputs, {"chain_rel": -1.0})
-        given = ok.chain_diagnostics(phi, COUPLE, op, inputs, {"chain_rel": -1.0},
-                                     tx=op.apply(inputs))
-        assert alone.violations and given.violations == alone.violations
-        assert given.details == alone.details
+        plain = ok.verify_norm_interpolation(phi, COUPLE, op, inputs, "thm46b_norm",
+                                             {"chain_rel": -1.0})
+        chained = ok.verify_norm_interpolation(phi, COUPLE, op, inputs, "thm46b_norm",
+                                               {"chain_rel": -1.0}, diagnostics=True)
+        # a negative chain tolerance fails the links and nothing else
+        assert plain.status == "pass" and chained.status == "fail"
+        assert {v.check for v in chained.violations} <= {
+            "link1_phi_le_psi", "link2_psi_contraction", "link3_psi_le_2phi"}
+        assert chained.details == dict(plain.details, chain=chained.details["chain"])
 
     def test_needs_generator_phi(self, space8, phi_affine_h):
         op = ok.averaging_operator(space8, COUPLE)
-        with pytest.raises(ok.ScenarioRejected):
-            ok.chain_diagnostics(phi_affine_h, COUPLE, op,
-                                 ok.generate_inputs(space8, 3, "mixed", 1.0, 14))
+        with pytest.raises(ok.ScenarioRejected, match="generator-built phi"):
+            ok.verify_norm_interpolation(phi_affine_h, COUPLE, op,
+                                         ok.generate_inputs(space8, 3, "mixed", 1.0, 14),
+                                         "thm46b_norm", diagnostics=True)
 
 
 class TestRunScenario:
@@ -210,6 +226,26 @@ class TestRunScenario:
         scenario["inputs"]["count"] = 4
         assert run_scenario(scenario)["status"] == "pass"
         assert calls == {"phi": 1, "operator": 1}
+
+    @pytest.mark.parametrize("operator", [
+        {"kind": "maximal"},
+        {"kind": "max_of", "ops": [{"kind": "identity"}, {"kind": "averaging"}]},
+    ], ids=["maximal", "max_of"])
+    def test_thm51_linear_rejects_a_nonlinear_operator_before_phi(self, monkeypatch, operator):
+        calls = {"phi": 0, "inputs": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(specs, "resolve_phi", counting("phi", specs.resolve_phi))
+        monkeypatch.setattr(verify, "generate_inputs", counting("inputs", verify.generate_inputs))
+        scenario = dict(load_scenario("thm51_linear_15_2.json"), operator=operator)
+        with pytest.raises(specs.SpecError, match="thm51_linear needs a linear operator"):
+            run_scenario(scenario)
+        assert calls == {"phi": 0, "inputs": 0}
 
     def test_one_apply_per_report(self, monkeypatch):
         # every report that takes an operator applies it once, to all its
