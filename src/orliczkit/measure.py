@@ -128,33 +128,3 @@ def abs_rows(x: SampleFunction | SampleBatch) -> tuple[np.ndarray, bool]:
     """|values| with one row per member, and whether x is a single function."""
     mags = x.abs_values()
     return np.atleast_2d(mags), mags.ndim == 1
-
-
-def golden_section(f, lo, hi, tol) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section search for each row's minimiser of a unimodal objective.
-
-    Row i shrinks [lo[i], hi[i]] until it is at most tol wide (tol is one
-    scalar for all rows or one value per row), on its own; f(rows, points)
-    evaluates the listed rows, all still open, at one point each, one new
-    point per row and step. Returns the final (lo, hi).
-    """
-    r = (np.sqrt(5.0) - 1.0) / 2.0
-    out_a, out_b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), out_a.shape)
-    live = np.flatnonzero(out_b - out_a > tol)
-    # the state of the open rows only, packed; a closed row leaves it
-    a, b, tol = out_a[live], out_b[live], tol[live]
-    c, d = b - r * (b - a), a + r * (b - a)
-    fc, fd = f(live, c), f(live, d)
-    while live.size:
-        left = fc <= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        span = r * (b - a)
-        c, d = np.where(left, b - span, d), np.where(left, c, a + span)
-        f_new = f(live, np.where(left, c, d))
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-        still = b - a > tol
-        if not still.all():
-            out_a[live[~still]], out_b[live[~still]] = a[~still], b[~still]
-            live, a, b, c, d, fc, fd, tol = (v[still] for v in (live, a, b, c, d, fc, fd, tol))
-    return out_a, out_b

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .measure import SampleBatch, SampleFunction, abs_rows, golden_section
+from .measure import SampleBatch, SampleFunction, abs_rows
 from .quasiconcave import (
     PiecewiseLinearConcave,
     QuasiConcaveFn,
@@ -61,13 +61,20 @@ class ExponentCouple:
 
 @dataclass(frozen=True)
 class OrliczFunction:
-    """Evaluable Orlicz function with a documented domain [0, u_max]."""
+    """Evaluable Orlicz function with a documented domain [0, u_max].
+
+    `evaluator(u)` gives phi(u); `jet(u)` stacks phi(u), u*phi'(u) and
+    u^2*phi''(u) along a new first axis, for u in [0, u_max], with one-sided
+    derivatives at a knot. The factors u and u^2 keep every row finite at
+    u = 0, where phi'' of u^p with p < 2 is not.
+    """
 
     kind: str
     p: float | None
     q: float | None
     u_max: float
     evaluator: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray], np.ndarray]
     meta: dict = field(default_factory=dict)
 
     def __call__(self, u) -> np.ndarray:
@@ -107,17 +114,24 @@ def power_phi(p: float) -> OrliczFunction:
     """phi(u) = u^p."""
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    phi = OrliczFunction("power", p, None, np.inf, lambda u: np.asarray(u, dtype=float) ** p)
+    orders = np.array([1.0, p, p * (p - 1.0)])
+    phi = OrliczFunction("power", p, None, np.inf, lambda u: np.asarray(u, dtype=float) ** p,
+                         lambda u: np.multiply.outer(orders, np.asarray(u, dtype=float) ** p))
     _validate_shape(phi, 10.0)
     return phi
 
 
-def _inverse_free_evaluator(x: np.ndarray, y: np.ndarray) -> Callable:
+def _inverse_free_evaluator(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable]:
+    """The evaluator and the jet of the monotone interpolant through (x, y)."""
     interp = PchipInterpolator(x, y, extrapolate=False)
     x0, y0 = float(x[0]), float(y[0])
     # below the grid: power-law continuation matching the lowest segment
     x1, y1 = float(x[1]), float(y[1])
     alpha = (math.log(y1) - math.log(y0)) / (math.log(x1) - math.log(x0)) if y0 > 0 else 1.0
+    # the interpolant's own breakpoints and cubic coefficients (highest power
+    # first), so the jet needs no second spline per phi
+    knots, coef = interp.x, interp.c
+    low_orders = np.array([1.0, alpha, alpha * (alpha - 1.0)])
 
     def evaluate(u):
         u = np.asarray(u, dtype=float)
@@ -130,7 +144,22 @@ def _inverse_free_evaluator(x: np.ndarray, y: np.ndarray) -> Callable:
             out[low] = y0 * (u[low] / x0) ** alpha if y0 > 0 else 0.0
         return out
 
-    return evaluate
+    def jet(u):
+        u = np.minimum(np.asarray(u, dtype=float), knots[-1])
+        j = np.searchsorted(knots, u, side="right") - 1
+        np.clip(j, 0, knots.size - 2, out=j)
+        d = u - knots[j]
+        c0, c1, c2, c3 = coef[:, j]
+        out = np.empty((3,) + u.shape)
+        out[0] = ((c0 * d + c1) * d + c2) * d + c3
+        out[1] = u * ((3.0 * c0 * d + 2.0 * c1) * d + c2)
+        out[2] = u * u * (6.0 * c0 * d + 2.0 * c1)
+        low = u < x0
+        if np.any(low):
+            out[:, low] = np.multiply.outer(low_orders, y0 * (u[low] / x0) ** alpha)
+        return out
+
+    return evaluate, jet
 
 
 def build_from_generator(couple: ExponentCouple, rho: QuasiConcaveFn) -> OrliczFunction:
@@ -166,7 +195,7 @@ def build_from_generator(couple: ExponentCouple, rho: QuasiConcaveFn) -> OrliczF
     del u, v, running, keep
     phi = OrliczFunction(
         "generator", p, (np.inf if couple.q_is_inf else q), float(vk[-1]),
-        _inverse_free_evaluator(vk, uk),
+        *_inverse_free_evaluator(vk, uk),
         {"rho_family": rho.family, "rho_params": tuple(rho.params),
          "saturated": saturated, "tab_points": int(vk.size)},
     )
@@ -210,7 +239,23 @@ def build_from_h(couple: ExponentCouple, h: PiecewiseLinearConcave) -> OrliczFun
         out[pos] = vals
         return out
 
-    phi = OrliczFunction("h", p, q, np.inf, evaluate, {"h_knots": int(knots.size)})
+    # on each piece of h (left branch, the knot intervals, right branch),
+    # phi = a*u^q + b*u^p with that piece's intercept a and slope b
+    slopes = np.diff(hvals) / np.diff(knots)
+    piece_b = np.concatenate(([left_cp], slopes, [right_cp]))
+    piece_a = np.concatenate(([left_cq], hvals[:-1] - slopes * knots[:-1], [right_cq]))
+    orders_q = np.array([1.0, q, q * (q - 1.0)])
+    orders_p = np.array([1.0, p, p * (p - 1.0)])
+
+    def jet(u):
+        u = np.asarray(u, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            piece = np.searchsorted(knots, u ** (p - q), side="right")
+            a, b = piece_a[piece], piece_b[piece]
+            return (np.multiply.outer(orders_q, term(a, u, q))
+                    + np.multiply.outer(orders_p, term(b, u, p)))
+
+    phi = OrliczFunction("h", p, q, np.inf, evaluate, jet, {"h_knots": int(knots.size)})
     worst = _validate_shape(phi, 50.0, require_convex=False)
     phi.meta["worst_second_difference"] = worst
     return phi
@@ -228,92 +273,167 @@ def modular(phi: OrliczFunction, x: SampleFunction | SampleBatch):
     return float(out[0]) if single else out
 
 
-def _scaled_modular(phi: OrliczFunction, mags: np.ndarray, weights: np.ndarray,
-                    scale: np.ndarray) -> np.ndarray:
-    """Modular of each row of mags times its scale; +inf for a row that
-    leaves phi's domain instead of raising."""
-    vals = mags * scale[:, None]
-    out = np.sum(phi.evaluator(np.minimum(vals, phi.u_max)) * weights, axis=1)
-    out[vals.max(axis=1, initial=0.0) > phi.u_max * (1.0 + 1e-12)] = np.inf
-    return out
+# Both norms reduce, per member, to a 1-D problem on the modular profile
+# M(sigma) = sum_i w_i phi(sigma * y_i) with y = |x| / sup|x| and sigma = k sup|x|;
+# the norm of x is sup|x| times the answer for y, so the iterates are the same
+# at any scale of x.
+LUXEMBURG_RTOL = 1e-10     # relative width of the final Luxemburg bracket
+AMEMIYA_LOG_STEP = 1e-9    # Newton step in log k below which the Amemiya search stops
+AMEMIYA_RANGE = (1e-8, 1e8)   # the k range, in units of 1 / sup|x|
+MAX_PASSES = 100          # per norm call, before NonConvergenceError
+
+
+def _profile(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray,
+             sigma: np.ndarray) -> np.ndarray:
+    """M, sigma*M' and sigma^2*M'' (rows of the result) of each row of y at
+    its own sigma, in one pass of phi's jet."""
+    return np.sum(phi.jet(y * sigma[:, None]) * weights, axis=-1)
+
+
+def _newton_or_bisect(sigma, log_step, lo, hi, slow):
+    """sigma * exp(log_step) when it lies strictly inside (lo, hi) and the
+    last step made progress; the geometric midpoint of a finite bracket
+    otherwise."""
+    bounded = (lo > 0.0) & np.isfinite(hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = sigma * np.exp(log_step)
+        bisect = bounded & (slow | ~((new > lo) & (new < hi)))
+        return np.where(bisect, np.sqrt(lo * hi), new)
+
+
+def _unit_modular_bracket(phi: OrliczFunction, y: np.ndarray,
+                          weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of y (sup 1), sigma_lo <= sigma_hi with M(sigma_lo) <= 1 <=
+    M(sigma_hi) and sigma_hi - sigma_lo <= LUXEMBURG_RTOL * sigma_hi; both
+    are u_max when M(u_max) <= 1.
+
+    Newton steps on log M against log sigma (exact for a power phi), from
+    sigma = min(1, u_max). Each evaluation certifies two points: phi(u)/u
+    is nondecreasing (phi convex with phi(0) = 0, or an h-form with h
+    concave), so M(sigma)/sigma is too, and sigma / M(sigma) lies on the
+    other side of the root from sigma. That pair closes the bracket once
+    |log M| is small; the evaluated points bound each step, and a step that
+    leaves them or does not halve |log M| becomes a bisection.
+    """
+    count = y.shape[0]
+    cap = phi.u_max
+    lo, hi = np.zeros(count), np.full(count, np.inf)
+    out_lo, out_hi = np.empty(count), np.empty(count)
+    sigma = np.full(count, min(1.0, cap))
+    last = np.full(count, np.inf)
+    live = np.arange(count)
+    for _ in range(MAX_PASSES):
+        mod, slope, _ = _profile(phi, y[live], weights, sigma)
+        log_mod = np.log(mod)
+        over = mod >= 1.0
+        hi, lo = np.where(over, sigma, hi), np.where(over, lo, sigma)
+        partner = sigma / mod
+        cand_lo = np.maximum(lo, np.where(over, partner, sigma))
+        cand_hi = np.minimum(hi, np.where(over, sigma, partner))
+        capped = ~over & (sigma >= cap)
+        done = capped | (cand_hi - cand_lo <= LUXEMBURG_RTOL * cand_hi)
+        if np.any(done):
+            out_lo[live[done]] = np.where(capped, cap, cand_lo)[done]
+            out_hi[live[done]] = np.where(capped, cap, cand_hi)[done]
+        keep = ~done
+        live = live[keep]
+        if not live.size:
+            return out_lo, out_hi
+        # a step never passes the partner sigma / M: the elasticity
+        # sigma*M'/M is at least 1 wherever phi(u)/u is nondecreasing
+        step = -log_mod / np.maximum(slope / mod, 1.0)
+        slow = np.abs(log_mod) > 0.5 * last
+        sigma, lo, hi, last = sigma[keep], lo[keep], hi[keep], np.abs(log_mod)[keep]
+        sigma = np.minimum(_newton_or_bisect(sigma, step[keep], lo, hi, slow[keep]), cap)
+    raise NonConvergenceError("the Luxemburg search did not converge")
+
+
+def _luxemburg_bracket(phi: OrliczFunction, x: SampleFunction | SampleBatch):
+    """(lo, hi) per member: modular(x / lo) >= 1 >= modular(x / hi), within
+    roundoff, and hi - lo <= 1e-10 * hi; both are sup|x| / u_max when the
+    modular fits at that smallest admissible lambda, and 0 for a zero member."""
+    mags, _ = abs_rows(x)
+    m = mags.max(axis=1, initial=0.0)
+    lo, hi = np.zeros(m.size), np.zeros(m.size)
+    rows = np.flatnonzero(m > 0.0)
+    s_lo, s_hi = _unit_modular_bracket(phi, mags[rows] / m[rows, None], x.space.weights)
+    lo[rows], hi[rows] = m[rows] / s_hi, m[rows] / s_lo
+    return lo, hi
 
 
 def luxemburg_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch):
-    """inf of lambda > 0 with modular(x / lambda) <= 1, by bisection.
+    """inf of lambda > 0 with modular(x / lambda) <= 1.
 
-    Per member: double an upper bracket from sup|x| until the modular fits,
-    halve it to a lower one, then bisect to a relative width of 1e-10 (at
-    most 400 steps per bracket and 4000 bisection steps, counted per
-    member). Returns the upper bracket end, so the modular at the returned
-    norm never exceeds 1 beyond roundoff.
+    Solved per member by safeguarded Newton steps to a bracket of relative
+    width 1e-10 (see `_unit_modular_bracket`). Returns the bracket's upper
+    end, so the modular at the returned norm never exceeds 1 beyond roundoff.
     """
-    mags, single = abs_rows(x)
-    weights = x.space.weights
-    m = mags.max(axis=1, initial=0.0)
-    hi = np.maximum(m, m / phi.u_max)
-    iters = np.zeros(m.size, dtype=int)
+    hi = _luxemburg_bracket(phi, x)[1]
+    return float(hi[0]) if isinstance(x, SampleFunction) else hi
 
-    def fits(rows, lam):
-        return _scaled_modular(phi, mags[rows], weights, 1.0 / lam) <= 1.0
 
-    rows = np.flatnonzero(m > 0.0)
-    while rows.size:
-        rows = rows[~fits(rows, hi[rows])]
-        hi[rows] *= 2.0
-        iters[rows] += 1
-        if np.any(iters[rows] > 400):
-            raise NonConvergenceError("no upper bracket for the Luxemburg norm")
-    lo = 0.5 * hi
-    rows = np.flatnonzero(m > 0.0)
-    while rows.size:
-        rows = rows[fits(rows, lo[rows])]
-        hi[rows] = lo[rows]
-        lo[rows] *= 0.5
-        iters[rows] += 1
-        if np.any(lo[rows] < 1e-300) or np.any(iters[rows] > 400):
-            raise NonConvergenceError("no lower bracket for the Luxemburg norm")
-    rows = np.flatnonzero(hi - lo > 1e-10 * hi)
-    while rows.size:
-        mid = 0.5 * (lo[rows] + hi[rows])
-        ok = fits(rows, mid)
-        hi[rows[ok]], lo[rows[~ok]] = mid[ok], mid[~ok]
-        iters[rows] += 1
-        if np.any(iters[rows] > 4000):
-            raise NonConvergenceError("Luxemburg bisection failed to converge")
-        rows = rows[hi[rows] - lo[rows] > 1e-10 * hi[rows]]
-    return float(hi[0]) if single else hi
+def _amemiya_scaled(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """min over sigma of (1 + M(sigma)) / sigma per row of y (sup 1).
+
+    sigma ranges over AMEMIYA_RANGE with the top clipped to u_max (a range
+    clipped empty shrinks to its top). The objective falls while g = sigma*M'
+    - M < 1 and rises after, and g is nondecreasing when phi is convex, so
+    the search solves g = 1: Newton steps on log g against log sigma (exact
+    for a power phi) from sigma = 1, bracketed by the sign of g - 1 with a
+    bisection fallback, until the step is below AMEMIYA_LOG_STEP. The first
+    pass evaluates both ends too. Returns the least objective evaluated, an
+    attained upper bound; for the non-convex concave-h crossover functions
+    it may exceed the infimum.
+    """
+    count = y.shape[0]
+    top = min(AMEMIYA_RANGE[1], phi.u_max)
+    # bottom, start and top of the range, all in the first pass
+    points = np.array([min(AMEMIYA_RANGE[0], top), min(1.0, top), top])
+    mod, slope, curv = _profile(phi, np.repeat(y, 3, axis=0), weights, np.tile(points, count))
+    mod, slope, curv = (v.reshape(count, 3) for v in (mod, slope, curv))
+    best = np.min((1.0 + mod) / points, axis=1)
+    g = slope - mod
+    # a minimum lies where g - 1 turns from negative to positive: below the
+    # start if g >= 1 there, above it if g > 1 only at the top
+    live = np.flatnonzero((g[:, 0] < 1.0) & ((g[:, 1] >= 1.0) | (g[:, 2] > 1.0)))
+    lo, hi = np.full(live.size, points[0]), np.full(live.size, points[2])
+    sigma = np.full(live.size, points[1])
+    curv, g = curv[live, 1], g[live, 1]
+    last = np.full(live.size, np.inf)
+    for _ in range(MAX_PASSES):
+        above = g >= 1.0
+        hi, lo = np.where(above, sigma, hi), np.where(above, lo, sigma)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            residual = np.where(g > 0.0, np.log(g), np.inf)
+            step = -residual * g / curv
+        done = ((np.abs(step) <= AMEMIYA_LOG_STEP)
+                | (np.log(hi) - np.log(lo) <= AMEMIYA_LOG_STEP))
+        keep = ~done
+        live = live[keep]
+        if not live.size:
+            return best
+        slow = np.abs(residual) > 0.5 * last
+        sigma, lo, hi, last = sigma[keep], lo[keep], hi[keep], np.abs(residual)[keep]
+        sigma = _newton_or_bisect(sigma, step[keep], lo, hi, slow[keep])
+        mod, slope, curv = _profile(phi, y[live], weights, sigma)
+        best[live] = np.minimum(best[live], (1.0 + mod) / sigma)
+        g = slope - mod
+    raise NonConvergenceError("the Amemiya search did not converge")
 
 
 def amemiya_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch):
     """inf over k > 0 of (1 + modular(k*x)) / k.
 
-    Golden section (`measure.golden_section`) over log k on [1e-8, 1e8] / sup|x|,
-    the upper end clipped to the evaluation domain u_max / sup|x| (a range
-    clipped empty shrinks to its upper end), to a bracket of 1e-9, each
-    member stopped on its own; scaling the bracket by sup|x| keeps the norm
-    homogeneous, since k*x then ranges over the same values at any scale;
-    the bracket midpoint pins the value to roundoff, so no polish follows.
-    Returns the least objective at the midpoint and both ends. Unimodality
-    of the objective rests on convexity of the modular in k, so for the
-    non-convex concave-h crossover functions the result is only an upper
-    bound on the infimum.
+    Searched per member over k in [1e-8, min(1e8, u_max)] / sup|x| (see
+    `_amemiya_scaled`); the result is the least objective the search
+    evaluated, which includes both ends of the range.
     """
-    mags, single = abs_rows(x)
-    weights = x.space.weights
+    mags, _ = abs_rows(x)
     m = mags.max(axis=1, initial=0.0)
-
-    def objective(rows, k):
-        return (1.0 + _scaled_modular(phi, mags[rows], weights, k)) / k
-
     out = np.zeros(m.size)
     rows = np.flatnonzero(m > 0.0)
-    top = min(1e8, phi.u_max)
-    k_hi, k_lo = top / m[rows], min(1e-8, top) / m[rows]
-    best = np.minimum(objective(rows, k_lo), objective(rows, k_hi))
-    a, b = golden_section(lambda live, s: objective(rows[live], np.exp(s)),
-                          np.log(k_lo), np.log(k_hi), 1e-9)
-    out[rows] = np.minimum(best, objective(rows, np.exp(0.5 * (a + b))))
-    return float(out[0]) if single else out
+    out[rows] = m[rows] * _amemiya_scaled(phi, mags[rows] / m[rows, None], x.space.weights)
+    return float(out[0]) if isinstance(x, SampleFunction) else out
 
 
 class ConvexityCheck(NamedTuple):

@@ -15,6 +15,10 @@ Nothing in the package calls these; each is written for clarity, not speed.
   golden-section kernel the exact `kfunc.k_lp_linf_grid` replaced, kept as
   it was (kink candidates per member plus one batched golden section), and
   `k_lp_linf_floor` is a tangent lower bound on the same infimum.
+- The norms by search: `luxemburg_bisect` and `amemiya_golden` are the
+  bisection and golden-section kernels that the Newton solves in
+  `orlicz.luxemburg_norm` and `orlicz.amemiya_norm` replaced, kept as they
+  were, with their helpers `_scaled_modular` and `golden_section`.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import numpy as np
 import orliczkit as ok
 from orliczkit.kfunc import _check_exponent
 from orliczkit.measure import (DiscreteMeasureSpace, SampleBatch, SampleFunction,
-                               _frozen_array, abs_rows, golden_section)
-from orliczkit.orlicz import OrliczFunction
+                               _frozen_array, abs_rows)
+from orliczkit.orlicz import NonConvergenceError, OrliczFunction
 from orliczkit.quasiconcave import PeetreRepresentation, PiecewiseLinearConcave
 
 
@@ -241,7 +245,7 @@ def k_lp_linf_golden(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarra
     The objective is convex in the truncation height with kinks only at the
     data magnitudes, so the minimum over all heights is the minimum over the
     exact kink candidates (per member) and the midpoint of a golden-section
-    bracket. All (member, t) rows share one `measure.golden_section` call;
+    bracket. All (member, t) rows share one `golden_section` call;
     each stops on its own at 1e-12 * max(lam_max, 1) of its member. A member
     whose ||x||_p^p overflows gets +inf, the one upper bound left to give.
     """
@@ -307,3 +311,121 @@ def k_lp_linf_floor(ts, x: SampleFunction, p: float) -> np.ndarray:
     width = hi - lo
     return np.maximum(objective(lo) + np.minimum(slope(lo), 0.0) * width,
                       objective(hi) - np.maximum(slope(hi), 0.0) * width)
+
+
+def golden_section(f, lo, hi, tol) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section search for each row's minimiser of a unimodal objective.
+
+    Row i shrinks [lo[i], hi[i]] until it is at most tol wide (tol is one
+    scalar for all rows or one value per row), on its own; f(rows, points)
+    evaluates the listed rows, all still open, at one point each, one new
+    point per row and step. Returns the final (lo, hi).
+    """
+    r = (np.sqrt(5.0) - 1.0) / 2.0
+    out_a, out_b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), out_a.shape)
+    live = np.flatnonzero(out_b - out_a > tol)
+    # the state of the open rows only, packed; a closed row leaves it
+    a, b, tol = out_a[live], out_b[live], tol[live]
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(live, c), f(live, d)
+    while live.size:
+        left = fc <= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        span = r * (b - a)
+        c, d = np.where(left, b - span, d), np.where(left, c, a + span)
+        f_new = f(live, np.where(left, c, d))
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+        still = b - a > tol
+        if not still.all():
+            out_a[live[~still]], out_b[live[~still]] = a[~still], b[~still]
+            live, a, b, c, d, fc, fd, tol = (v[still] for v in (live, a, b, c, d, fc, fd, tol))
+    return out_a, out_b
+
+
+def _scaled_modular(phi: OrliczFunction, mags: np.ndarray, weights: np.ndarray,
+                    scale: np.ndarray) -> np.ndarray:
+    """Modular of each row of mags times its scale; +inf for a row that
+    leaves phi's domain instead of raising."""
+    vals = mags * scale[:, None]
+    out = np.sum(phi.evaluator(np.minimum(vals, phi.u_max)) * weights, axis=1)
+    out[vals.max(axis=1, initial=0.0) > phi.u_max * (1.0 + 1e-12)] = np.inf
+    return out
+
+
+def luxemburg_bisect(phi: OrliczFunction, x: SampleFunction | SampleBatch):
+    """inf of lambda > 0 with modular(x / lambda) <= 1, by bisection.
+
+    Per member: double an upper bracket from sup|x| until the modular fits,
+    halve it to a lower one, then bisect to a relative width of 1e-10 (at
+    most 400 steps per bracket and 4000 bisection steps, counted per
+    member). Returns the upper bracket end, so the modular at the returned
+    norm never exceeds 1 beyond roundoff.
+    """
+    mags, single = abs_rows(x)
+    weights = x.space.weights
+    m = mags.max(axis=1, initial=0.0)
+    hi = np.maximum(m, m / phi.u_max)
+    iters = np.zeros(m.size, dtype=int)
+
+    def fits(rows, lam):
+        return _scaled_modular(phi, mags[rows], weights, 1.0 / lam) <= 1.0
+
+    rows = np.flatnonzero(m > 0.0)
+    while rows.size:
+        rows = rows[~fits(rows, hi[rows])]
+        hi[rows] *= 2.0
+        iters[rows] += 1
+        if np.any(iters[rows] > 400):
+            raise NonConvergenceError("no upper bracket for the Luxemburg norm")
+    lo = 0.5 * hi
+    rows = np.flatnonzero(m > 0.0)
+    while rows.size:
+        rows = rows[fits(rows, lo[rows])]
+        hi[rows] = lo[rows]
+        lo[rows] *= 0.5
+        iters[rows] += 1
+        if np.any(lo[rows] < 1e-300) or np.any(iters[rows] > 400):
+            raise NonConvergenceError("no lower bracket for the Luxemburg norm")
+    rows = np.flatnonzero(hi - lo > 1e-10 * hi)
+    while rows.size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        ok = fits(rows, mid)
+        hi[rows[ok]], lo[rows[~ok]] = mid[ok], mid[~ok]
+        iters[rows] += 1
+        if np.any(iters[rows] > 4000):
+            raise NonConvergenceError("Luxemburg bisection failed to converge")
+        rows = rows[hi[rows] - lo[rows] > 1e-10 * hi[rows]]
+    return float(hi[0]) if single else hi
+
+
+def amemiya_golden(phi: OrliczFunction, x: SampleFunction | SampleBatch):
+    """inf over k > 0 of (1 + modular(k*x)) / k.
+
+    Golden section (`golden_section`) over log k on [1e-8, 1e8] / sup|x|,
+    the upper end clipped to the evaluation domain u_max / sup|x| (a range
+    clipped empty shrinks to its upper end), to a bracket of 1e-9, each
+    member stopped on its own; scaling the bracket by sup|x| keeps the norm
+    homogeneous, since k*x then ranges over the same values at any scale;
+    the bracket midpoint pins the value to roundoff, so no polish follows.
+    Returns the least objective at the midpoint and both ends. Unimodality
+    of the objective rests on convexity of the modular in k, so for the
+    non-convex concave-h crossover functions the result is only an upper
+    bound on the infimum.
+    """
+    mags, single = abs_rows(x)
+    weights = x.space.weights
+    m = mags.max(axis=1, initial=0.0)
+
+    def objective(rows, k):
+        return (1.0 + _scaled_modular(phi, mags[rows], weights, k)) / k
+
+    out = np.zeros(m.size)
+    rows = np.flatnonzero(m > 0.0)
+    top = min(1e8, phi.u_max)
+    k_hi, k_lo = top / m[rows], min(1e-8, top) / m[rows]
+    best = np.minimum(objective(rows, k_lo), objective(rows, k_hi))
+    a, b = golden_section(lambda live, s: objective(rows[live], np.exp(s)),
+                          np.log(k_lo), np.log(k_hi), 1e-9)
+    out[rows] = np.minimum(best, objective(rows, np.exp(0.5 * (a + b))))
+    return float(out[0]) if single else out

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orliczkit as ok
-from orliczkit.measure import golden_section
 
-from oracles import lp_integral, rearrangement, step_to_sample, sup_norm
+from oracles import golden_section, lp_integral, rearrangement, step_to_sample, sup_norm
 
 
 def sample(values, weights=None):

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import orliczkit as ok
-from orliczkit.orlicz import ExponentCouple
+from orliczkit.orlicz import INVERSION_U_LO, ExponentCouple, _luxemburg_bracket
 
 from conftest import cached_generator_phi
-from oracles import lp_integral, modular_of_step, rearrangement, sup_norm
+from oracles import (amemiya_golden, luxemburg_bisect, lp_integral, modular_of_step,
+                     rearrangement, sup_norm)
 
 
 def sample(values, weights=None):
@@ -253,12 +256,151 @@ class TestBatch:
                        ok.SampleBatch.stack([sample([1.0, 2.0]), sample([1.0, 2.0], [1.0, 3.0])]))
 
 
-class TestAmemiyaGridOracle:
-    """The golden section without a polish step is attained and minimal:
-    never below the infimum as a dense log-k grid estimates it, and never
-    above the grid minimum beyond roundoff."""
+class TestNewtonNorms:
+    """The Newton solves against the bisection and golden-section kernels
+    they replaced (`oracles.luxemburg_bisect`, `oracles.amemiya_golden`)."""
 
-    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    SCALES = [1e-6, 1.0, 1e6]
+
+    @staticmethod
+    def batch(scale):
+        space = ok.DiscreteMeasureSpace(np.linspace(0.5, 2.0, 6))
+        return mixed_batch(space, np.random.default_rng(71)).scaled(scale)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("name", sorted(TestBatch.PHIS))
+    def test_agrees_with_the_search_oracles(self, name, scale):
+        phi, xs = TestBatch.PHIS[name](), self.batch(scale)
+        np.testing.assert_allclose(ok.luxemburg_norm(phi, xs), luxemburg_bisect(phi, xs),
+                                   rtol=1e-10, atol=0.0)
+        # every PHIS entry is convex, so the stationary point is the minimum
+        assert np.all(ok.amemiya_norm(phi, xs) <= amemiya_golden(phi, xs) * (1.0 + 1e-15))
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("name", sorted(TestBatch.PHIS))
+    def test_luxemburg_bracket(self, name, scale):
+        phi, xs = TestBatch.PHIS[name](), self.batch(scale)
+        lo, hi = _luxemburg_bracket(phi, xs)
+        assert np.array_equal(hi, ok.luxemburg_norm(phi, xs))
+        assert np.all(lo <= hi) and np.all(hi - lo <= 1e-10 * hi)
+        m = np.abs(xs.values).max(axis=1)
+        assert np.array_equal(m == 0.0, hi == 0.0)
+        live = m > 0.0
+
+        def modular_at(lam):
+            return ok.modular(phi, ok.SampleBatch(xs.space, xs.values[live] / lam[live, None]))
+
+        # the returned end fits; the other end is at or over 1, except on a
+        # member whose modular fits at the smallest admissible lambda
+        assert np.all(modular_at(hi) <= 1.0 + 1e-14)
+        capped = hi[live] == m[live] / phi.u_max
+        assert np.all(modular_at(lo)[~capped] >= 1.0 - 1e-14)
+        assert np.array_equal(lo[live][capped], hi[live][capped])
+        assert capped.any() == (name == "saturating")
+
+    def test_wide_norm_batch_takes_few_passes(self):
+        # thm46b_norm_1_2 at the size of the wide benchmark workload: 7 mixed
+        # inputs on 512 atoms and their maximal function; the bisection made
+        # 42 passes of phi per call and the golden section 56
+        phi = cached_generator_phi(1, 2, "powerlog", (0.5, 0, 0))
+        space = ok.uniform_space(512)
+        xs = ok.generate_inputs(space, 7, "mixed", 1.0, 46003)
+        batches = (xs, ok.discrete_maximal(space, ExponentCouple(1, 2)).apply(xs))
+        passes = 0
+
+        def counted(fn):
+            def evaluate(u):
+                nonlocal passes
+                passes += 1
+                return fn(u)
+            return evaluate
+
+        counting = dataclasses.replace(phi, evaluator=counted(phi.evaluator), jet=counted(phi.jet))
+        for batch in batches:
+            for norm in (ok.luxemburg_norm, ok.amemiya_norm):
+                passes = 0
+                np.testing.assert_array_equal(norm(counting, batch), norm(phi, batch))
+                assert 0 < passes <= 15, (norm.__name__, passes)
+
+
+class TestJet:
+    """phi, u*phi' and u^2*phi'' against closed forms and central differences."""
+
+    @staticmethod
+    def central(phi, u, rel=1e-6):
+        """u*phi' and u^2*phi'' by central differences of phi."""
+        h = rel * u
+        up, mid, down = phi(u + h), phi(u), phi(u - h)
+        return u * (up - down) / (2.0 * h), u * u * (up - 2.0 * mid + down) / (h * h)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_power(self, p):
+        phi = ok.power_phi(p)
+        u = np.array([0.0, 1e-3, 0.5, 2.0, 1e3])
+        np.testing.assert_allclose(phi.jet(u), [u**p, p * u**p, p * (p - 1.0) * u**p],
+                                   rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(phi.jet(u[1:])[1], self.central(phi, u[1:])[0], rtol=1e-8)
+
+    def test_generator_below_the_first_knot(self):
+        # phi = u^(12/7) here; below the grid the continuation is a power too
+        phi = cached_generator_phi(1.5, 2, "powerlog", (0.5, 0, 0))
+        u = np.array([1e-12, 1e-10, 1e-8])
+        assert np.all(phi(u) < INVERSION_U_LO)
+        jet = phi.jet(u)
+        np.testing.assert_allclose(jet[1], self.central(phi, u)[0], rtol=1e-7)
+        np.testing.assert_allclose(jet[1:] / jet[0], [[12 / 7] * 3, [12 / 7 * 5 / 7] * 3],
+                                   rtol=1e-6)
+
+    def test_generator_inside_the_grid(self):
+        phi = cached_generator_phi(1.5, 4, "powerlog", (0.3, 1, -1))
+        u = np.exp(np.linspace(np.log(1e-3), np.log(1e3), 37))
+        jet = phi.jet(u)
+        np.testing.assert_allclose(jet[0], phi(u), rtol=1e-15)
+        np.testing.assert_allclose(jet[1], self.central(phi, u)[0], rtol=1e-7)
+        np.testing.assert_allclose(jet[2], self.central(phi, u, rel=1e-4)[1], rtol=1e-3)
+
+    def test_saturating_generator_near_u_max(self):
+        phi = cached_generator_phi(2, np.inf, "min_one")
+        u = phi.u_max * (1.0 - np.array([1e-2, 1e-4, 1e-6]))
+        np.testing.assert_allclose(phi.jet(u)[1], self.central(phi, u, rel=1e-8)[0], rtol=1e-5)
+        assert np.all(np.isfinite(phi.jet(np.array([phi.u_max]))))
+
+    def test_h_form_inside_the_knots_and_on_both_branches(self):
+        # s = u^(p-q) = u^-2.5 crosses the knots 5, 1, 0.1 at u = 0.53, 1, 2.5
+        h = ok.PiecewiseLinearConcave([0.1, 1.0, 5.0], [0.5, 1.0, 1.5], 5.0, 0.01)
+        phi = ok.build_from_h(ExponentCouple(1.5, 4), h)
+        u = np.array([0.2, 0.8, 1.5, 5.0])
+        jet = phi.jet(u)
+        np.testing.assert_allclose(jet[0], phi(u), rtol=1e-14)
+        np.testing.assert_allclose(jet[1], self.central(phi, u)[0], rtol=1e-8)
+        np.testing.assert_allclose(jet[2], self.central(phi, u, rel=1e-4)[1], rtol=1e-6)
+        assert np.array_equal(phi.jet(np.zeros(2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("p, q", [(1, 2), (2, np.inf), (1.5, 2), (2, 3), (1, np.inf)])
+    def test_shipped_generator_elasticity_within_the_indices(self, p, q):
+        # the generator phis of the shipped scenarios; rho(t) = sqrt(t) makes
+        # each one the power u^r with 1/r = (1/p + 1/q) / 2
+        phi = cached_generator_phi(p, q, "powerlog", (0.5, 0, 0))
+        u = np.exp(np.linspace(np.log(1e-30), np.log(phi.u_max), 20001))
+        jet = phi.jet(u)
+        elasticity = jet[1] / jet[0]
+        assert np.all(elasticity >= p * (1.0 - 1e-7))
+        assert np.all(elasticity <= q * (1.0 + 1e-7))
+        np.testing.assert_allclose(elasticity, 2.0 / (1.0 / p + 1.0 / q), rtol=1e-7)
+
+    def test_remark_h_is_star_shaped(self):
+        # u*phi' >= phi, that is phi(u)/u nondecreasing: the Luxemburg
+        # bracket's certified end rests on it
+        jet = remark_h_phi().jet(np.exp(np.linspace(np.log(1e-100), np.log(1e100), 2001)))
+        assert np.all(jet[1] >= jet[0])
+
+
+class TestAmemiyaGridOracle:
+    """The search is attained and minimal: never below the infimum as a
+    dense log-k grid estimates it, and never above the grid minimum beyond
+    roundoff."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("name", ["h", "generator"])
     def test_within_grid_minimum(self, name, scale):
         phi = TestBatch.PHIS[name]()
