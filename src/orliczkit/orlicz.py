@@ -5,8 +5,8 @@ Three representations are supported: pure powers, numerically inverted
 generator builds (the inverse is u^{1/p} * rho(u^{1/q-1/p}), with 1/q = 0
 when q is infinite), and closed-form builds u^q * h(u^{p-q}) from a concave
 piecewise linear h. Generator builds tabulate the inverse on a dense log
-grid and invert with monotone piecewise-cubic interpolation; convexity is
-checked numerically rather than assumed.
+grid and invert with the monotone piecewise cubic of Fritsch and Carlson
+(1980); convexity is checked numerically rather than assumed.
 
 The modular and both norms take one sample function or a batch on one space;
 each search step of a batch is one array pass over the members still open.
@@ -14,12 +14,12 @@ each search step of a batch is one array pass over the members still open.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .measure import SampleBatch, SampleFunction, abs_rows
 from .quasiconcave import (
@@ -121,17 +121,72 @@ def power_phi(p: float) -> OrliczFunction:
     return phi
 
 
+@functools.cache
+def _inversion_grid() -> np.ndarray:
+    """The u-grid of every generator build, made once and read-only."""
+    u = log_grid(INVERSION_U_LO, INVERSION_U_HI, INVERSION_POINTS_PER_DECADE)
+    u.flags.writeable = False
+    return u
+
+
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Knot slopes of the Fritsch-Carlson monotone cubic through (x, y).
+
+    The weighted harmonic mean of the two secant slopes at interior knots,
+    Moler's one-sided three-point rule at the ends, in the float operations
+    and order of SciPy's PCHIP interpolator. Here x and y are both strictly
+    increasing, so every secant slope is positive: the harmonic mean needs no
+    sign or zero branch, and the end rule only clips a nonpositive slope to 0.
+    """
+    # 1/d_k = (w1/m_{k-1} + w2/m_k) / (w1 + w2) with secant slopes m and
+    # weights w1 = 2h_k + h_{k-1}, w2 = h_k + 2h_{k-1}
+    h = np.diff(x)
+    m = np.diff(y)
+    m /= h
+    w1 = 2.0 * h[1:]
+    w1 += h[:-1]
+    w2 = 2.0 * h[:-1]
+    w2 += h[1:]
+    d = np.empty(x.size)
+    mean = d[1:-1]
+    np.divide(w1, m[:-1], out=mean)
+    w1 += w2
+    w2 /= m[1:]
+    mean += w2
+    mean /= w1
+    np.divide(1.0, mean, out=mean)
+    for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]), (-1, h[-1], h[-2], m[-1], m[-2])):
+        slope = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        d[end] = slope if slope > 0.0 else 0.0
+    return d
+
+
 def _inverse_free_evaluator(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable]:
-    """The evaluator and the jet of the monotone interpolant through (x, y)."""
-    interp = PchipInterpolator(x, y, extrapolate=False)
+    """The evaluator and the jet of the monotone cubic through (x, y).
+
+    Only the knot slopes are stored; each call forms the cubic pieces it needs
+    from x, y and the slopes at the two ends of each point's interval, with
+    the expressions of SciPy's cubic Hermite spline, so the values are those of
+    SciPy's PCHIP interpolant bit for bit.
+    """
+    d = _pchip_slopes(x, y)
     x0, y0 = float(x[0]), float(y[0])
     # below the grid: power-law continuation matching the lowest segment
     x1, y1 = float(x[1]), float(y[1])
     alpha = (math.log(y1) - math.log(y0)) / (math.log(x1) - math.log(x0)) if y0 > 0 else 1.0
-    # the interpolant's own breakpoints and cubic coefficients (highest power
-    # first), so the jet needs no second spline per phi
-    knots, coef = interp.x, interp.c
     low_orders = np.array([1.0, alpha, alpha * (alpha - 1.0)])
+
+    def pieces(u):
+        """Offsets u - x_j and power-form coefficients (highest power first)
+        of the piece of each u in [x0, x[-1]], the last interval closed."""
+        k = np.searchsorted(x, u, side="right")
+        np.clip(k, 1, x.size - 1, out=k)
+        j = k - 1
+        xj, dj, yj = x[j], d[j], y[j]
+        h = x[k] - xj
+        m = (y[k] - yj) / h
+        t = (dj + d[k] - 2.0 * m) / h
+        return u - xj, t / h, (m - dj) / h - t, dj, yj
 
     def evaluate(u):
         u = np.asarray(u, dtype=float)
@@ -139,21 +194,22 @@ def _inverse_free_evaluator(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Cal
         low = (u > 0.0) & (u < x0)
         mid = u >= x0
         if np.any(mid):
-            out[mid] = interp(np.minimum(u[mid], x[-1]))
+            s, c0, c1, c2, c3 = pieces(np.minimum(u[mid], x[-1]))
+            # summed in increasing powers, as SciPy's piecewise-polynomial
+            # evaluator sums them
+            z = s * s
+            out[mid] = c3 + c2 * s + c1 * z + c0 * (z * s)
         if np.any(low):
             out[low] = y0 * (u[low] / x0) ** alpha if y0 > 0 else 0.0
         return out
 
     def jet(u):
-        u = np.minimum(np.asarray(u, dtype=float), knots[-1])
-        j = np.searchsorted(knots, u, side="right") - 1
-        np.clip(j, 0, knots.size - 2, out=j)
-        d = u - knots[j]
-        c0, c1, c2, c3 = coef[:, j]
+        u = np.minimum(np.asarray(u, dtype=float), x[-1])
+        s, c0, c1, c2, c3 = pieces(u)
         out = np.empty((3,) + u.shape)
-        out[0] = ((c0 * d + c1) * d + c2) * d + c3
-        out[1] = u * ((3.0 * c0 * d + 2.0 * c1) * d + c2)
-        out[2] = u * u * (6.0 * c0 * d + 2.0 * c1)
+        out[0] = ((c0 * s + c1) * s + c2) * s + c3
+        out[1] = u * ((3.0 * c0 * s + 2.0 * c1) * s + c2)
+        out[2] = u * u * (6.0 * c0 * s + 2.0 * c1)
         low = u < x0
         if np.any(low):
             out[:, low] = np.multiply.outer(low_orders, y0 * (u[low] / x0) ** alpha)
@@ -180,24 +236,26 @@ def build_from_generator(couple: ExponentCouple, rho: QuasiConcaveFn) -> OrliczF
         raise ValueError(f"rho fails the concavity check ({conc:.3e})")
     p, q = couple.p, couple.q
     e = (0.0 if couple.q_is_inf else 1.0 / q) - 1.0 / p
-    u = log_grid(INVERSION_U_LO, INVERSION_U_HI, INVERSION_POINTS_PER_DECADE)
-    v = u ** (1.0 / p) * np.asarray(rho(u**e), dtype=float)
+    u = _inversion_grid()
+    v = u ** (1.0 / p)
+    v *= np.asarray(rho(u**e), dtype=float)
     if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
         raise ValueError("generator produced non-finite or non-positive inverse values")
-    # strictly increasing prefix (a flat tail signals saturation)
-    running = np.maximum.accumulate(v)
-    keep = np.concatenate(([True], v[1:] > running[:-1] * (1.0 + 1e-12)))
-    if keep.sum() < 2 * INVERSION_POINTS_PER_DECADE:
-        raise ValueError("inverse not strictly increasing on grid")
-    vk, uk = v[keep], u[keep]
-    saturated = vk.size < v.size
-    # the interpolator's setup is the build's memory peak; free the full grids first
-    del u, v, running, keep
+    # strictly increasing prefix (a flat tail signals saturation); while each
+    # step clears the margin, v is its own running maximum and keeps every
+    # point, so the mask is needed only when some step does not
+    saturated = not np.all(v[1:] > v[:-1] * (1.0 + 1e-12))
+    if saturated:
+        running = np.maximum.accumulate(v)
+        keep = np.concatenate(([True], v[1:] > running[:-1] * (1.0 + 1e-12)))
+        if keep.sum() < 2 * INVERSION_POINTS_PER_DECADE:
+            raise ValueError("inverse not strictly increasing on grid")
+        v, u = v[keep], u[keep]
     phi = OrliczFunction(
-        "generator", p, (np.inf if couple.q_is_inf else q), float(vk[-1]),
-        *_inverse_free_evaluator(vk, uk),
+        "generator", p, (np.inf if couple.q_is_inf else q), float(v[-1]),
+        *_inverse_free_evaluator(v, u),
         {"rho_family": rho.family, "rho_params": tuple(rho.params),
-         "saturated": saturated, "tab_points": int(vk.size)},
+         "saturated": saturated, "tab_points": int(v.size)},
     )
     _validate_shape(phi, 100.0)
     return phi
@@ -255,7 +313,12 @@ def build_from_h(couple: ExponentCouple, h: PiecewiseLinearConcave) -> OrliczFun
             return (np.multiply.outer(orders_q, term(a, u, q))
                     + np.multiply.outer(orders_p, term(b, u, p)))
 
-    phi = OrliczFunction("h", p, q, np.inf, evaluate, jet, {"h_knots": int(knots.size)})
+    # at a knot s_k of h, phi' jumps by (p - q) u^{p-1} (h'(s_k-) - h'(s_k+)),
+    # which is negative at every slope drop: phi is convex exactly when h has
+    # none, that is when h is affine
+    convex = bool(np.all(piece_b[1:] >= piece_b[:-1]))
+    phi = OrliczFunction("h", p, q, np.inf, evaluate, jet,
+                         {"h_knots": int(knots.size), "convex": convex})
     worst = _validate_shape(phi, 50.0, require_convex=False)
     phi.meta["worst_second_difference"] = worst
     return phi
@@ -383,7 +446,7 @@ def _amemiya_scaled(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray) -> 
     bisection fallback, until the step is below AMEMIYA_LOG_STEP. The first
     pass evaluates both ends too. Returns the least objective evaluated, an
     attained upper bound; for the non-convex concave-h crossover functions
-    it may exceed the infimum.
+    (`meta["convex"]` false) it may be a local minimum above the infimum.
     """
     count = y.shape[0]
     top = min(AMEMIYA_RANGE[1], phi.u_max)

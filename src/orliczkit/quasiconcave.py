@@ -90,7 +90,14 @@ def power_log_rho(theta: float, a: float, b: float) -> QuasiConcaveFn:
         out = np.zeros(t.shape)
         pos = t > 0.0
         tp = t[pos]
-        out[pos] = tp**theta * np.log(np.e + tp) ** a * np.log(np.e + 1.0 / tp) ** b
+        vals = tp**theta
+        # a log factor with exponent 0 is exactly 1.0, so skipping it keeps
+        # every value
+        if a:
+            vals *= np.log(np.e + tp) ** a
+        if b:
+            vals *= np.log(np.e + 1.0 / tp) ** b
+        out[pos] = vals
         return out
 
     return QuasiConcaveFn(evaluate, "power_log", (theta, a, b))

@@ -19,6 +19,11 @@ Nothing in the package calls these; each is written for clarity, not speed.
   bisection and golden-section kernels that the Newton solves in
   `orlicz.luxemburg_norm` and `orlicz.amemiya_norm` replaced, kept as they
   were, with their helpers `_scaled_modular` and `golden_section`.
+- Generator builds through SciPy: `generator_phi_pchip` is the build that
+  `orlicz.build_from_generator` replaced, kept as it was: the full-grid
+  tabulation, the running-maximum keep mask, and an evaluator and jet on
+  SciPy's `PchipInterpolator` (`_pchip_evaluator`). `power_log_rho_full`
+  is the power-log generator with both log factors always evaluated.
 """
 
 from __future__ import annotations
@@ -26,14 +31,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+import math
+
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 
 import orliczkit as ok
 from orliczkit.kfunc import _check_exponent
 from orliczkit.measure import (DiscreteMeasureSpace, SampleBatch, SampleFunction,
                                _frozen_array, abs_rows)
-from orliczkit.orlicz import NonConvergenceError, OrliczFunction
-from orliczkit.quasiconcave import PeetreRepresentation, PiecewiseLinearConcave
+from orliczkit.orlicz import (INVERSION_POINTS_PER_DECADE, INVERSION_U_HI, INVERSION_U_LO,
+                              ExponentCouple, NonConvergenceError, OrliczFunction,
+                              _validate_shape)
+from orliczkit.quasiconcave import (PeetreRepresentation, PiecewiseLinearConcave,
+                                    QuasiConcaveFn, concavity_violation, is_quasiconcave,
+                                    log_grid)
 
 
 def _abs_apply(op, rows: np.ndarray) -> np.ndarray:
@@ -429,3 +441,90 @@ def amemiya_golden(phi: OrliczFunction, x: SampleFunction | SampleBatch):
                           np.log(k_lo), np.log(k_hi), 1e-9)
     out[rows] = np.minimum(best, objective(rows, np.exp(0.5 * (a + b))))
     return float(out[0]) if single else out
+
+
+def power_log_rho_full(theta: float, a: float, b: float) -> QuasiConcaveFn:
+    """`quasiconcave.power_log_rho`, each log factor raised even to the power 0."""
+
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape)
+        pos = t > 0.0
+        tp = t[pos]
+        out[pos] = tp**theta * np.log(np.e + tp) ** a * np.log(np.e + 1.0 / tp) ** b
+        return out
+
+    return QuasiConcaveFn(evaluate, "power_log", (theta, a, b))
+
+
+def _pchip_evaluator(x: np.ndarray, y: np.ndarray):
+    """The evaluator and the jet of the monotone interpolant through (x, y)."""
+    interp = PchipInterpolator(x, y, extrapolate=False)
+    x0, y0 = float(x[0]), float(y[0])
+    # below the grid: power-law continuation matching the lowest segment
+    x1, y1 = float(x[1]), float(y[1])
+    alpha = (math.log(y1) - math.log(y0)) / (math.log(x1) - math.log(x0)) if y0 > 0 else 1.0
+    # the interpolant's own breakpoints and cubic coefficients (highest power
+    # first), so the jet needs no second spline per phi
+    knots, coef = interp.x, interp.c
+    low_orders = np.array([1.0, alpha, alpha * (alpha - 1.0)])
+
+    def evaluate(u):
+        u = np.asarray(u, dtype=float)
+        out = np.zeros(u.shape)
+        low = (u > 0.0) & (u < x0)
+        mid = u >= x0
+        if np.any(mid):
+            out[mid] = interp(np.minimum(u[mid], x[-1]))
+        if np.any(low):
+            out[low] = y0 * (u[low] / x0) ** alpha if y0 > 0 else 0.0
+        return out
+
+    def jet(u):
+        u = np.minimum(np.asarray(u, dtype=float), knots[-1])
+        j = np.searchsorted(knots, u, side="right") - 1
+        np.clip(j, 0, knots.size - 2, out=j)
+        d = u - knots[j]
+        c0, c1, c2, c3 = coef[:, j]
+        out = np.empty((3,) + u.shape)
+        out[0] = ((c0 * d + c1) * d + c2) * d + c3
+        out[1] = u * ((3.0 * c0 * d + 2.0 * c1) * d + c2)
+        out[2] = u * u * (6.0 * c0 * d + 2.0 * c1)
+        low = u < x0
+        if np.any(low):
+            out[:, low] = np.multiply.outer(low_orders, y0 * (u[low] / x0) ** alpha)
+        return out
+
+    return evaluate, jet
+
+
+def generator_phi_pchip(couple: ExponentCouple, rho: QuasiConcaveFn) -> OrliczFunction:
+    """`orlicz.build_from_generator` on SciPy's PCHIP interpolator; its
+    `meta` adds the tabulated knots as `knots`."""
+    qc = is_quasiconcave(rho)
+    if not qc.ok:
+        raise ValueError(f"rho fails the quasi-concavity check ({qc.worst_violation:.3e})")
+    conc = concavity_violation(rho, log_grid(points_per_decade=16))
+    if conc > 1e-8:
+        raise ValueError(f"rho fails the concavity check ({conc:.3e})")
+    p, q = couple.p, couple.q
+    e = (0.0 if couple.q_is_inf else 1.0 / q) - 1.0 / p
+    u = log_grid(INVERSION_U_LO, INVERSION_U_HI, INVERSION_POINTS_PER_DECADE)
+    v = u ** (1.0 / p) * np.asarray(rho(u**e), dtype=float)
+    if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
+        raise ValueError("generator produced non-finite or non-positive inverse values")
+    # strictly increasing prefix (a flat tail signals saturation)
+    running = np.maximum.accumulate(v)
+    keep = np.concatenate(([True], v[1:] > running[:-1] * (1.0 + 1e-12)))
+    if keep.sum() < 2 * INVERSION_POINTS_PER_DECADE:
+        raise ValueError("inverse not strictly increasing on grid")
+    vk, uk = v[keep], u[keep]
+    saturated = vk.size < v.size
+    phi = OrliczFunction(
+        "generator", p, (np.inf if couple.q_is_inf else q), float(vk[-1]),
+        *_pchip_evaluator(vk, uk),
+        {"rho_family": rho.family, "rho_params": tuple(rho.params),
+         "saturated": saturated, "tab_points": int(vk.size), "knots": vk},
+    )
+    _validate_shape(phi, 100.0)
+    return phi

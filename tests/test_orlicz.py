@@ -7,8 +7,8 @@ import orliczkit as ok
 from orliczkit.orlicz import INVERSION_U_LO, ExponentCouple, _luxemburg_bracket
 
 from conftest import cached_generator_phi
-from oracles import (amemiya_golden, luxemburg_bisect, lp_integral, modular_of_step,
-                     rearrangement, sup_norm)
+from oracles import (amemiya_golden, generator_phi_pchip, luxemburg_bisect, lp_integral,
+                     modular_of_step, power_log_rho_full, rearrangement, sup_norm)
 
 
 def sample(values, weights=None):
@@ -455,7 +455,62 @@ class TestBuildFromGenerator:
         assert ok.check_convexity(phi, grid).ok
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestGeneratorBuildOracle:
+    """Each generator build is the SciPy PCHIP build bit for bit: every phi
+    and jet value, u_max and meta, or the same error."""
+
+    # name -> (rho for the build, rho for the oracle); the oracle's power-log
+    # rho raises each log factor even to the power 0
+    FAMILIES = {
+        "sqrt": (lambda: ok.power_log_rho(0.5, 0, 0), lambda: power_log_rho_full(0.5, 0, 0)),
+        "powerlog": (lambda: ok.power_log_rho(0.3, 1, -1), lambda: power_log_rho_full(0.3, 1, -1)),
+        "power": (lambda: ok.power_rho(0.8),) * 2,
+        "linear": (lambda: ok.power_rho(1.0),) * 2,
+        "min_one": (ok.min_one_rho,) * 2,
+        "max_one": (ok.max_one_rho,) * 2,
+        # kinks at t = 1 and 4; the first knot lies below the checks' grid
+        "pwl": (lambda: ok.QuasiConcaveFn(ok.PiecewiseLinearConcave(
+            [1e-9, 1.0, 4.0], [1e-9, 1.0, 1.75], 1.0, 0.1), "piecewise_linear"),) * 2,
+    }
+
+    @pytest.mark.parametrize("p, q", [(1, 2), (1.5, 3), (2, 3), (1.5, 4), (1, np.inf), (2, np.inf)])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_same_phi_as_the_pchip_build(self, family, p, q):
+        couple = ExponentCouple(p, q)
+        rho, oracle_rho = self.FAMILIES[family]
+        try:
+            want = generator_phi_pchip(couple, oracle_rho())
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                ok.build_from_generator(couple, rho())
+            assert str(got.value) == str(exc)
+            return
+        phi = ok.build_from_generator(couple, rho())
+        knots = want.meta.pop("knots")
+        assert phi.u_max == want.u_max and phi.meta == want.meta
+        rng = np.random.default_rng(31)
+        u = np.concatenate((
+            [0.0, knots[0] * 1e-6, knots[0] * 0.5, knots[-1]], knots,
+            rng.uniform(0.0, phi.u_max, 5000),
+            np.exp(rng.uniform(np.log(1e-30), np.log(phi.u_max), 5000)),
+        ))
+        assert np.array_equal(_bits(phi(u)), _bits(want(u)))
+        assert np.array_equal(_bits(phi.jet(u)), _bits(want.jet(u)))
+
+
 class TestBuildFromH:
+    def test_convex_exactly_when_h_has_no_slope_drop(self):
+        couple = ExponentCouple(1, 3)
+        affine = ok.PiecewiseLinearConcave([1.0, 2.0], [2.0, 3.0], 1.0, 1.0)
+        # h = min(1, s), so phi = min(u, u^3)
+        kinked = ok.PiecewiseLinearConcave([1.0], [1.0], 1.0, 0.0)
+        assert ok.build_from_h(couple, affine).meta["convex"]
+        assert not ok.build_from_h(couple, kinked).meta["convex"]
+
     def test_constant_h_gives_power_q(self):
         h = ok.PiecewiseLinearConcave([1.0], [1.0], 0.0, 0.0)
         phi = ok.build_from_h(ExponentCouple(1, 2), h)

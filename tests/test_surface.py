@@ -8,6 +8,9 @@ that only tests use live in tests/oracles.py instead.
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import orliczkit
@@ -43,3 +46,13 @@ def test_every_exported_function_is_reached():
 
 def test_kept_oracles_are_exported():
     assert KEPT <= set(vars(orliczkit))
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # generator builds carry their own monotone cubic; importing SciPy's
+    # interpolation package costs every process time and memory at start-up
+    code = ("import sys, orliczkit; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert out.stdout.strip() == "[]"

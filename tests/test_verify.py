@@ -158,6 +158,25 @@ class TestNormInterpolation:
                                          ok.generate_inputs(space8, 3, "mixed", 1.0, 12),
                                          "thm31b_norm")
 
+    def test_amemiya_skipped_on_a_non_convex_h_form(self, space8, phi_affine_h):
+        # h = min(1, s) at (1, 3) gives phi = min(u, u^3); the Amemiya search
+        # may stop at a local minimum there, above the infimum, so its value
+        # is no rhs
+        couple = ExponentCouple(1, 3)
+        kinked = ok.build_from_h(couple, ok.PiecewiseLinearConcave([1.0], [1.0], 1.0, 0.0))
+        op = ok.identity_operator(space8, couple)
+        inputs = ok.generate_inputs(space8, 20, "mixed", 1.0, 17)
+        rep = ok.verify_norm_interpolation(kinked, couple, op, inputs, "remark_concave_h")
+        assert rep.status == "pass"
+        assert rep.details["amemiya"] == "skipped: phi is not convex"
+        # a halved M breaks the Luxemburg check, which still runs
+        halved = op.with_bounds(op.bound_p / 2.0, op.bound_q / 2.0, "halved")
+        broken = ok.verify_norm_interpolation(kinked, couple, halved, inputs, "remark_concave_h")
+        assert {v.check for v in broken.violations} == {"luxemburg"}
+        affine = ok.verify_norm_interpolation(phi_affine_h, COUPLE, ok.identity_operator(space8, COUPLE),
+                                              inputs, "remark_concave_h")
+        assert "amemiya" not in affine.details
+
     def test_needs_a_norm_tag(self, space8):
         op = ok.identity_operator(space8, COUPLE)
         with pytest.raises(specs.SpecError, match="not a norm theorem"):
