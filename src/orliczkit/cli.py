@@ -156,12 +156,17 @@ def cmd_norms(args) -> int:
     x = read_function_csv(args.input)
     phi = specs.resolve_phi(_parse_json_arg(args.phi, "--phi"))
     lux = luxemburg_norm(phi, x)
-    am = amemiya_norm(phi, x)
+    # on a non-convex phi the Amemiya search may stop at a local minimum,
+    # which is no norm value, so none is printed
+    am = amemiya_norm(phi, x) if phi.meta.get("convex", True) else None
+    if am is None:
+        print("note: phi is not convex, so the Amemiya norm is not computed", file=sys.stderr)
     if args.format == "csv":
-        _emit_table(["luxemburg", "amemiya"], [[fmt(lux), fmt(am)]], "csv", sys.stdout)
+        _emit_table(["luxemburg", "amemiya"], [[fmt(lux), "" if am is None else fmt(am)]],
+                    "csv", sys.stdout)
     else:
         sys.stdout.write(json.dumps(
-            {"luxemburg": float(fmt(lux)), "amemiya": float(fmt(am))},
+            {"luxemburg": float(fmt(lux)), "amemiya": None if am is None else float(fmt(am))},
             sort_keys=True, indent=2) + "\n")
     return 0
 

@@ -1,5 +1,4 @@
-"""Finite discrete measure spaces, sample functions and batches, and the
-one golden-section search.
+"""Finite discrete measure spaces, sample functions, and sample batches.
 
 Everything downstream (modulars, K-functionals, operator verification) runs
 on these types. Spaces are finite lists of weighted atoms; a sample batch

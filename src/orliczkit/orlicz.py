@@ -63,17 +63,18 @@ class ExponentCouple:
 class OrliczFunction:
     """Evaluable Orlicz function with a documented domain [0, u_max].
 
-    `evaluator(u)` gives phi(u); `jet(u)` stacks phi(u), u*phi'(u) and
+    `jet(u)` is the one formula of phi: it stacks phi(u), u*phi'(u) and
     u^2*phi''(u) along a new first axis, for u in [0, u_max], with one-sided
     derivatives at a knot. The factors u and u^2 keep every row finite at
-    u = 0, where phi'' of u^p with p < 2 is not.
+    u = 0, where phi'' of u^p with p < 2 is not. Calling the function checks
+    the domain and returns the jet's first row, so the modular and both norm
+    searches read the same numbers.
     """
 
     kind: str
     p: float | None
     q: float | None
     u_max: float
-    evaluator: Callable[[np.ndarray], np.ndarray]
     jet: Callable[[np.ndarray], np.ndarray]
     meta: dict = field(default_factory=dict)
 
@@ -85,7 +86,7 @@ class OrliczFunction:
             raise DomainOverflowError(
                 f"argument {float(np.max(u)):.6g} exceeds u_max {self.u_max:.6g}"
             )
-        return np.asarray(self.evaluator(np.minimum(u, self.u_max)), dtype=float)
+        return np.asarray(self.jet(np.minimum(u, self.u_max))[0])
 
 
 def _validate_shape(phi: OrliczFunction, probe_hi: float, require_convex: bool = True) -> float:
@@ -115,7 +116,7 @@ def power_phi(p: float) -> OrliczFunction:
     if p < 1.0:
         raise ValueError("p must be >= 1")
     orders = np.array([1.0, p, p * (p - 1.0)])
-    phi = OrliczFunction("power", p, None, np.inf, lambda u: np.asarray(u, dtype=float) ** p,
+    phi = OrliczFunction("power", p, None, np.inf,
                          lambda u: np.multiply.outer(orders, np.asarray(u, dtype=float) ** p))
     _validate_shape(phi, 10.0)
     return phi
@@ -161,8 +162,8 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
-def _inverse_free_evaluator(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable]:
-    """The evaluator and the jet of the monotone cubic through (x, y).
+def _monotone_cubic_jet(x: np.ndarray, y: np.ndarray) -> Callable:
+    """The jet of the monotone cubic through (x, y), a power law below x[0].
 
     Only the knot slopes are stored; each call forms the cubic pieces it needs
     from x, y and the slopes at the two ends of each point's interval, with
@@ -173,41 +174,27 @@ def _inverse_free_evaluator(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Cal
     x0, y0 = float(x[0]), float(y[0])
     # below the grid: power-law continuation matching the lowest segment
     x1, y1 = float(x[1]), float(y[1])
-    alpha = (math.log(y1) - math.log(y0)) / (math.log(x1) - math.log(x0)) if y0 > 0 else 1.0
+    alpha = (math.log(y1) - math.log(y0)) / (math.log(x1) - math.log(x0))
     low_orders = np.array([1.0, alpha, alpha * (alpha - 1.0)])
+    # k = searchsorted(x, u) clipped to [1, x.size - 1], so that the last
+    # interval is closed and u < x[1] falls in the first
+    inner = x[1:-1]
 
-    def pieces(u):
-        """Offsets u - x_j and power-form coefficients (highest power first)
-        of the piece of each u in [x0, x[-1]], the last interval closed."""
-        k = np.searchsorted(x, u, side="right")
-        np.clip(k, 1, x.size - 1, out=k)
+    def jet(u):
+        u = np.minimum(np.asarray(u, dtype=float), x[-1])
+        k = np.searchsorted(inner, u, side="right") + 1
         j = k - 1
         xj, dj, yj = x[j], d[j], y[j]
         h = x[k] - xj
         m = (y[k] - yj) / h
         t = (dj + d[k] - 2.0 * m) / h
-        return u - xj, t / h, (m - dj) / h - t, dj, yj
-
-    def evaluate(u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros(u.shape)
-        low = (u > 0.0) & (u < x0)
-        mid = u >= x0
-        if np.any(mid):
-            s, c0, c1, c2, c3 = pieces(np.minimum(u[mid], x[-1]))
-            # summed in increasing powers, as SciPy's piecewise-polynomial
-            # evaluator sums them
-            z = s * s
-            out[mid] = c3 + c2 * s + c1 * z + c0 * (z * s)
-        if np.any(low):
-            out[low] = y0 * (u[low] / x0) ** alpha if y0 > 0 else 0.0
-        return out
-
-    def jet(u):
-        u = np.minimum(np.asarray(u, dtype=float), x[-1])
-        s, c0, c1, c2, c3 = pieces(u)
+        # power-form coefficients c0..c3 of the piece, highest power first
+        s, c0, c1, c2, c3 = u - xj, t / h, (m - dj) / h - t, dj, yj
+        z = s * s
         out = np.empty((3,) + u.shape)
-        out[0] = ((c0 * s + c1) * s + c2) * s + c3
+        # phi in increasing powers, as SciPy's piecewise-polynomial evaluator
+        # sums them; the derivatives in Horner form
+        out[0] = c3 + c2 * s + c1 * z + c0 * (z * s)
         out[1] = u * ((3.0 * c0 * s + 2.0 * c1) * s + c2)
         out[2] = u * u * (6.0 * c0 * s + 2.0 * c1)
         low = u < x0
@@ -215,7 +202,7 @@ def _inverse_free_evaluator(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Cal
             out[:, low] = np.multiply.outer(low_orders, y0 * (u[low] / x0) ** alpha)
         return out
 
-    return evaluate, jet
+    return jet
 
 
 def build_from_generator(couple: ExponentCouple, rho: QuasiConcaveFn) -> OrliczFunction:
@@ -253,7 +240,7 @@ def build_from_generator(couple: ExponentCouple, rho: QuasiConcaveFn) -> OrliczF
         v, u = v[keep], u[keep]
     phi = OrliczFunction(
         "generator", p, (np.inf if couple.q_is_inf else q), float(v[-1]),
-        *_inverse_free_evaluator(v, u),
+        _monotone_cubic_jet(v, u),
         {"rho_family": rho.family, "rho_params": tuple(rho.params),
          "saturated": saturated, "tab_points": int(v.size)},
     )
@@ -268,57 +255,30 @@ def build_from_h(couple: ExponentCouple, h: PiecewiseLinearConcave) -> OrliczFun
     p, q = couple.p, couple.q
     if h.value_at_zero < 0.0 or np.any(h.values <= 0.0):
         raise ValueError("h must be positive on (0, inf)")
-    knots, hvals = h.knots, h.values
-    s_lo, s_hi = float(knots[0]), float(knots[-1])
-    # beyond the first/last knot h is linear; expand those branches in powers
-    # of u so no intermediate overflows when u^{p-q} leaves float range
-    left_cq, left_cp = h.value_at_zero, h.slope0      # s below s_lo
-    right_cq, right_cp = (float(hvals[-1]) - h.slope_inf * s_hi, h.slope_inf)
 
     def term(c, u, r):
         return np.where(c == 0.0, 0.0, c * u**r)
 
-    def evaluate(u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros(u.shape)
-        pos = u > 0.0
-        if not np.any(pos):
-            return out
-        up = u[pos]
-        with np.errstate(over="ignore", under="ignore"):
-            s = up ** (p - q)
-            inner = (s >= s_lo) & (s <= s_hi)
-            vals = np.empty(up.shape)
-            vals[inner] = up[inner] ** q * np.interp(s[inner], knots, hvals)
-            lo_mask = s < s_lo
-            hi_mask = s > s_hi
-            vals[lo_mask] = term(left_cq, up[lo_mask], q) + term(left_cp, up[lo_mask], p)
-            vals[hi_mask] = term(right_cq, up[hi_mask], q) + term(right_cp, up[hi_mask], p)
-        out[pos] = vals
-        return out
-
-    # on each piece of h (left branch, the knot intervals, right branch),
-    # phi = a*u^q + b*u^p with that piece's intercept a and slope b
-    slopes = np.diff(hvals) / np.diff(knots)
-    piece_b = np.concatenate(([left_cp], slopes, [right_cp]))
-    piece_a = np.concatenate(([left_cq], hvals[:-1] - slopes * knots[:-1], [right_cq]))
+    # on each piece of h, h(s) = a + b*s, so phi = a*u^q + b*u^p with that
+    # piece's intercept a and slope b: no intermediate overflows when u^{p-q}
+    # leaves float range
     orders_q = np.array([1.0, q, q * (q - 1.0)])
     orders_p = np.array([1.0, p, p * (p - 1.0)])
 
     def jet(u):
         u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            piece = np.searchsorted(knots, u ** (p - q), side="right")
-            a, b = piece_a[piece], piece_b[piece]
+            piece = np.searchsorted(h.knots, u ** (p - q), side="right")
+            a, b = h.intercepts[piece], h.slopes[piece]
             return (np.multiply.outer(orders_q, term(a, u, q))
                     + np.multiply.outer(orders_p, term(b, u, p)))
 
     # at a knot s_k of h, phi' jumps by (p - q) u^{p-1} (h'(s_k-) - h'(s_k+)),
     # which is negative at every slope drop: phi is convex exactly when h has
     # none, that is when h is affine
-    convex = bool(np.all(piece_b[1:] >= piece_b[:-1]))
-    phi = OrliczFunction("h", p, q, np.inf, evaluate, jet,
-                         {"h_knots": int(knots.size), "convex": convex})
+    convex = bool(np.all(h.slopes[1:] >= h.slopes[:-1]))
+    phi = OrliczFunction("h", p, q, np.inf, jet,
+                         {"h_knots": int(h.knots.size), "convex": convex})
     worst = _validate_shape(phi, 50.0, require_convex=False)
     phi.meta["worst_second_difference"] = worst
     return phi

@@ -85,7 +85,7 @@ def power_log_rho(theta: float, a: float, b: float) -> QuasiConcaveFn:
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
 
-    def evaluate(t):
+    def rho(t):
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape)
         pos = t > 0.0
@@ -100,7 +100,7 @@ def power_log_rho(theta: float, a: float, b: float) -> QuasiConcaveFn:
         out[pos] = vals
         return out
 
-    return QuasiConcaveFn(evaluate, "power_log", (theta, a, b))
+    return QuasiConcaveFn(rho, "power_log", (theta, a, b))
 
 
 def power_rho(theta: float) -> QuasiConcaveFn:
@@ -125,12 +125,20 @@ class PiecewiseLinearConcave:
     Linear with slope0 on (0, knots[0]], interpolates the knots, and
     continues with slope_inf beyond the last knot. Slopes must be
     nonincreasing and the limit at 0+ nonnegative.
+
+    `slopes` and `intercepts` (read-only) hold one line per piece: below
+    knots[0], between each pair of knots, and beyond knots[-1]. Piece j
+    covers knots[j-1] <= u < knots[j], and the function there is
+    intercepts[j] + slopes[j] * u; both terms are nonnegative, since a
+    tangent line of a concave h >= 0 meets the axis at or above h(0+).
     """
 
     knots: np.ndarray
     values: np.ndarray
     slope0: float
     slope_inf: float
+    slopes: np.ndarray
+    intercepts: np.ndarray
 
     def __init__(self, knots: Sequence[float], values: Sequence[float],
                  slope0: float, slope_inf: float):
@@ -140,38 +148,30 @@ class PiecewiseLinearConcave:
             raise ValueError("knots and values must be matching non-empty 1-d sequences")
         if np.any(k <= 0.0) or np.any(np.diff(k) <= 0.0):
             raise ValueError("knots must be positive and strictly increasing")
-        slopes = self._slope_sequence(k, v, slope0, slope_inf)
+        seg = np.diff(v) / np.diff(k)
+        slopes = np.concatenate(([slope0], seg, [slope_inf]))
+        intercepts = np.concatenate(([v[0] - slope0 * k[0]], v[:-1] - seg * k[:-1],
+                                     [v[-1] - slope_inf * k[-1]]))
         tol = 1e-12 * max(np.abs(slopes).max(), 1.0)
         if np.any(np.diff(slopes) > tol):
             raise ValueError("slopes increase: not concave")
-        if v[0] - slope0 * k[0] < -1e-12 * max(abs(v[0]), 1.0) or np.any(v < 0.0) or slope_inf < 0.0:
+        if intercepts[0] < -1e-12 * max(abs(v[0]), 1.0) or np.any(v < 0.0) or slope_inf < 0.0:
             raise ValueError("function must be nonnegative on (0, inf)")
-        k.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "knots", k)
-        object.__setattr__(self, "values", v)
+        for name, arr in (("knots", k), ("values", v), ("slopes", slopes),
+                          ("intercepts", intercepts)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "slope0", float(slope0))
         object.__setattr__(self, "slope_inf", float(slope_inf))
 
-    @staticmethod
-    def _slope_sequence(k, v, slope0, slope_inf) -> np.ndarray:
-        seg = np.diff(v) / np.diff(k) if k.size > 1 else np.empty(0)
-        return np.concatenate(([slope0], seg, [slope_inf]))
-
     @property
     def value_at_zero(self) -> float:
-        return float(self.values[0] - self.slope0 * self.knots[0])
+        return float(self.intercepts[0])
 
     def __call__(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        out = np.interp(u, self.knots, self.values)
-        below = u < self.knots[0]
-        above = u > self.knots[-1]
-        if np.any(below):
-            out = np.where(below, self.values[0] + self.slope0 * (u - self.knots[0]), out)
-        if np.any(above):
-            out = np.where(above, self.values[-1] + self.slope_inf * (u - self.knots[-1]), out)
-        return out
+        j = np.searchsorted(self.knots, u, side="right")
+        return self.intercepts[j] + self.slopes[j] * u
 
 
 def _lower_line_envelope(intercepts: np.ndarray, slopes: np.ndarray):
@@ -290,8 +290,7 @@ def peetre_decompose(h: PiecewiseLinearConcave) -> PeetreRepresentation:
     slope strictly drops contributes an atom of mass equal to the drop. The
     reconstruction is exact at the knots by construction.
     """
-    slopes = PiecewiseLinearConcave._slope_sequence(h.knots, h.values, h.slope0, h.slope_inf)
-    drops = slopes[:-1] - slopes[1:]
+    drops = h.slopes[:-1] - h.slopes[1:]
     keep = drops > 0.0
     return PeetreRepresentation(
         max(h.value_at_zero, 0.0), h.slope_inf, h.knots[keep], drops[keep]

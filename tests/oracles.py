@@ -21,9 +21,10 @@ Nothing in the package calls these; each is written for clarity, not speed.
   were, with their helpers `_scaled_modular` and `golden_section`.
 - Generator builds through SciPy: `generator_phi_pchip` is the build that
   `orlicz.build_from_generator` replaced, kept as it was: the full-grid
-  tabulation, the running-maximum keep mask, and an evaluator and jet on
-  SciPy's `PchipInterpolator` (`_pchip_evaluator`). `power_log_rho_full`
-  is the power-log generator with both log factors always evaluated.
+  tabulation, the running-maximum keep mask, and a jet on SciPy's
+  `PchipInterpolator` whose first row is the interpolant's own value
+  (`_pchip_jet`). `power_log_rho_full` is the power-log generator with both
+  log factors always evaluated.
 """
 
 from __future__ import annotations
@@ -360,7 +361,7 @@ def _scaled_modular(phi: OrliczFunction, mags: np.ndarray, weights: np.ndarray,
     """Modular of each row of mags times its scale; +inf for a row that
     leaves phi's domain instead of raising."""
     vals = mags * scale[:, None]
-    out = np.sum(phi.evaluator(np.minimum(vals, phi.u_max)) * weights, axis=1)
+    out = np.sum(phi(np.minimum(vals, phi.u_max)) * weights, axis=1)
     out[vals.max(axis=1, initial=0.0) > phi.u_max * (1.0 + 1e-12)] = np.inf
     return out
 
@@ -457,8 +458,9 @@ def power_log_rho_full(theta: float, a: float, b: float) -> QuasiConcaveFn:
     return QuasiConcaveFn(evaluate, "power_log", (theta, a, b))
 
 
-def _pchip_evaluator(x: np.ndarray, y: np.ndarray):
-    """The evaluator and the jet of the monotone interpolant through (x, y)."""
+def _pchip_jet(x: np.ndarray, y: np.ndarray):
+    """The jet of the monotone interpolant through (x, y): SciPy's value, and
+    the derivative rows from the interpolant's cubic coefficients."""
     interp = PchipInterpolator(x, y, extrapolate=False)
     x0, y0 = float(x[0]), float(y[0])
     # below the grid: power-law continuation matching the lowest segment
@@ -469,25 +471,15 @@ def _pchip_evaluator(x: np.ndarray, y: np.ndarray):
     knots, coef = interp.x, interp.c
     low_orders = np.array([1.0, alpha, alpha * (alpha - 1.0)])
 
-    def evaluate(u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros(u.shape)
-        low = (u > 0.0) & (u < x0)
-        mid = u >= x0
-        if np.any(mid):
-            out[mid] = interp(np.minimum(u[mid], x[-1]))
-        if np.any(low):
-            out[low] = y0 * (u[low] / x0) ** alpha if y0 > 0 else 0.0
-        return out
-
     def jet(u):
         u = np.minimum(np.asarray(u, dtype=float), knots[-1])
         j = np.searchsorted(knots, u, side="right") - 1
-        np.clip(j, 0, knots.size - 2, out=j)
+        j = np.clip(j, 0, knots.size - 2)
         d = u - knots[j]
-        c0, c1, c2, c3 = coef[:, j]
+        c0, c1, c2, _ = coef[:, j]
         out = np.empty((3,) + u.shape)
-        out[0] = ((c0 * d + c1) * d + c2) * d + c3
+        # NaN below x0, where the continuation overwrites it
+        out[0] = interp(u)
         out[1] = u * ((3.0 * c0 * d + 2.0 * c1) * d + c2)
         out[2] = u * u * (6.0 * c0 * d + 2.0 * c1)
         low = u < x0
@@ -495,7 +487,7 @@ def _pchip_evaluator(x: np.ndarray, y: np.ndarray):
             out[:, low] = np.multiply.outer(low_orders, y0 * (u[low] / x0) ** alpha)
         return out
 
-    return evaluate, jet
+    return jet
 
 
 def generator_phi_pchip(couple: ExponentCouple, rho: QuasiConcaveFn) -> OrliczFunction:
@@ -522,7 +514,7 @@ def generator_phi_pchip(couple: ExponentCouple, rho: QuasiConcaveFn) -> OrliczFu
     saturated = vk.size < v.size
     phi = OrliczFunction(
         "generator", p, (np.inf if couple.q_is_inf else q), float(vk[-1]),
-        *_pchip_evaluator(vk, uk),
+        _pchip_jet(vk, uk),
         {"rho_family": rho.family, "rho_params": tuple(rho.params),
          "saturated": saturated, "tab_points": int(vk.size), "knots": vk},
     )

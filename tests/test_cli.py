@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,8 @@ import pytest
 from orliczkit import specs
 from orliczkit.cli import main
 
-SCENARIO_DIR = Path(__file__).parent.parent / "src" / "orliczkit" / "scenarios"
+SRC_DIR = Path(__file__).parent.parent / "src"
+SCENARIO_DIR = SRC_DIR / "orliczkit" / "scenarios"
 
 
 @pytest.fixture()
@@ -146,6 +150,28 @@ class TestNormsCommand:
         # weighted square sum: 0.5*4 + 2*16 = 34
         assert json.loads(out)["luxemburg"] == pytest.approx(34.0**0.5, rel=1e-9)
 
+    @pytest.mark.parametrize("fmt_name", ["json", "csv"])
+    def test_non_convex_phi_prints_no_amemiya_norm(self, capsys, function_csv, fmt_name):
+        # h = min(1, s) at (1, 3), so phi = min(u, u^3): the Amemiya search
+        # may stop at a local minimum there, which is no norm value
+        phi = ('{"kind":"h","p":1,"q":3,'
+               '"h":{"knots":[1],"values":[1],"slope0":1,"slope_inf":0}}')
+        code, out, err = run_cli(capsys, "norms", "--input", function_csv, "--phi", phi,
+                                 "--format", fmt_name)
+        assert code == 0
+        assert "not convex" in err
+        row = json.loads(out) if fmt_name == "json" else parse_csv(out)[0]
+        assert row["amemiya"] == (None if fmt_name == "json" else "")
+        assert float(row["luxemburg"]) > 0.0
+
+    def test_convex_h_form_prints_both_norms(self, capsys, function_csv):
+        phi = ('{"kind":"h","p":1,"q":2,'
+               '"h":{"knots":[1],"values":[2],"slope0":1,"slope_inf":1}}')
+        code, out, err = run_cli(capsys, "norms", "--input", function_csv, "--phi", phi)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["amemiya"] >= payload["luxemburg"] > 0.0
+
     def test_header_validation(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("w,v\n1,1\n", encoding="utf-8")
@@ -269,3 +295,28 @@ class TestUsageErrors:
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2
+
+
+class TestAsProcess:
+    """The command run as its own process, `python -m orliczkit.cli`."""
+
+    @staticmethod
+    def run(*argv):
+        path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "orliczkit.cli", *argv],
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=path))
+
+    @pytest.mark.parametrize("name, code", [("thm46a.json", 0),
+                                            ("thm46a_negative_control.json", 1)])
+    def test_verify_exit_code(self, tmp_path, name, code):
+        done = self.run("verify", "--scenario", name, "--out", str(tmp_path / "r.json"))
+        assert done.returncode == code, done.stderr
+        status = "pass" if code == 0 else "fail"
+        assert json.loads((tmp_path / "r.json").read_text())["status"] == status
+        assert f"status={status}" in done.stderr
+
+    def test_bad_p_grid_exits_two_without_traceback(self):
+        done = self.run("gamma", "--p-grid", "2:1", "--q-grid", "2:3:2")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:") and "Traceback" not in done.stderr

@@ -315,7 +315,7 @@ class TestNewtonNorms:
                 return fn(u)
             return evaluate
 
-        counting = dataclasses.replace(phi, evaluator=counted(phi.evaluator), jet=counted(phi.jet))
+        counting = dataclasses.replace(phi, jet=counted(phi.jet))
         for batch in batches:
             for norm in (ok.luxemburg_norm, ok.amemiya_norm):
                 passes = 0
@@ -365,13 +365,30 @@ class TestJet:
         np.testing.assert_allclose(phi.jet(u)[1], self.central(phi, u, rel=1e-8)[0], rtol=1e-5)
         assert np.all(np.isfinite(phi.jet(np.array([phi.u_max]))))
 
+    H_FORMS = {
+        # (h, couple); s = u^(p-q) crosses each knot once
+        "affine": (ok.PiecewiseLinearConcave([1.0], [2.0], 1.0, 1.0), ExponentCouple(1, 2)),
+        "three_knots": (ok.PiecewiseLinearConcave([0.1, 1.0, 5.0], [0.5, 1.0, 1.5], 5.0, 0.01),
+                        ExponentCouple(1.5, 4)),
+        "min_one": (ok.PiecewiseLinearConcave([1.0], [1.0], 1.0, 0.0), ExponentCouple(1, 3)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(H_FORMS))
+    def test_h_form_first_row_is_u_q_times_h(self, name):
+        # phi = u^q * h(u^(p-q)) with h evaluated by its own table, on both
+        # branches, inside the knots, and where u^(p-q) is a knot
+        h, couple = self.H_FORMS[name]
+        p, q = couple.p, couple.q
+        phi = ok.build_from_h(couple, h)
+        at_knots = h.knots ** (1.0 / (p - q))
+        u = np.concatenate((at_knots, np.exp(np.linspace(np.log(1e-6), np.log(1e6), 401))))
+        np.testing.assert_allclose(phi.jet(u)[0], u**q * h(u ** (p - q)), rtol=1e-14, atol=0.0)
+
     def test_h_form_inside_the_knots_and_on_both_branches(self):
         # s = u^(p-q) = u^-2.5 crosses the knots 5, 1, 0.1 at u = 0.53, 1, 2.5
-        h = ok.PiecewiseLinearConcave([0.1, 1.0, 5.0], [0.5, 1.0, 1.5], 5.0, 0.01)
-        phi = ok.build_from_h(ExponentCouple(1.5, 4), h)
+        phi = ok.build_from_h(*self.H_FORMS["three_knots"][::-1])
         u = np.array([0.2, 0.8, 1.5, 5.0])
         jet = phi.jet(u)
-        np.testing.assert_allclose(jet[0], phi(u), rtol=1e-14)
         np.testing.assert_allclose(jet[1], self.central(phi, u)[0], rtol=1e-8)
         np.testing.assert_allclose(jet[2], self.central(phi, u, rel=1e-4)[1], rtol=1e-6)
         assert np.array_equal(phi.jet(np.zeros(2)), np.zeros((3, 2)))
@@ -387,6 +404,20 @@ class TestJet:
         assert np.all(elasticity >= p * (1.0 - 1e-7))
         assert np.all(elasticity <= q * (1.0 + 1e-7))
         np.testing.assert_allclose(elasticity, 2.0 / (1.0 / p + 1.0 / q), rtol=1e-7)
+
+    @pytest.mark.parametrize("name", ["power", "generator", "saturating", "h", "kinked_h"])
+    @pytest.mark.parametrize("shape", ["float", "0-d", "empty", "2-d"])
+    def test_shape_follows_the_argument(self, name, shape):
+        phi = (ok.build_from_h(*self.H_FORMS["three_knots"][::-1]) if name == "kinked_h"
+               else TestBatch.PHIS[name]())
+        u = {"float": 0.3, "0-d": np.array(0.3), "empty": np.zeros(0),
+             "2-d": np.array([[0.0, 1e-20, 0.3], [0.7, 0.9, 0.5]])}[shape]
+        assert phi(u).shape == np.shape(u)
+        assert phi.jet(u).shape == (3,) + np.shape(u)
+        # the same values as the flat 1-d call
+        want = phi.jet(np.ravel(u)).reshape((3,) + np.shape(u))
+        assert np.array_equal(phi.jet(u), want)
+        assert np.array_equal(phi(u), want[0])
 
     def test_remark_h_is_star_shaped(self):
         # u*phi' >= phi, that is phi(u)/u nondecreasing: the Luxemburg
@@ -443,6 +474,20 @@ class TestBuildFromGenerator:
         assert phi.u_max == pytest.approx(1.0, rel=1e-6)
         assert float(phi(0.5)) == pytest.approx(0.25, rel=1e-9)
         assert phi.meta["saturated"]
+
+    @pytest.mark.parametrize("p, q", [(1, 2), (1.5, 3), (2, np.inf)])
+    def test_pwl_min_one_is_min_one(self, p, q):
+        # min(1, t) written as a piecewise linear generator: its first knot
+        # lies inside the checks' grid, and below it the table gives t exactly
+        couple = ExponentCouple(p, q)
+        pwl = ok.QuasiConcaveFn(ok.PiecewiseLinearConcave([1.0], [1.0], 1.0, 0.0),
+                                "piecewise_linear")
+        phi, want = ok.build_from_generator(couple, pwl), ok.build_from_generator(couple, ok.min_one_rho())
+        assert phi.u_max == want.u_max
+        assert phi.meta["tab_points"] == want.meta["tab_points"]
+        u = np.concatenate(([0.0, 1e-20], np.exp(np.linspace(np.log(1e-14), np.log(phi.u_max), 2001))))
+        assert np.array_equal(_bits(phi(u)), _bits(want(u)))
+        assert np.array_equal(_bits(phi.jet(u)), _bits(want.jet(u)))
 
     def test_non_concave_generator_rejected(self):
         # max(1, t) is quasi-concave but its slope rises at t = 1

@@ -95,6 +95,45 @@ class TestConcaveMajorant:
         assert np.allclose(maj(coarse), direct, rtol=1e-12)
 
 
+class TestPiecewiseLinearConcave:
+    """One line per piece: below the first knot, between knots, beyond the last."""
+
+    def test_one_line_per_piece(self):
+        h = ok.PiecewiseLinearConcave([0.1, 1.0, 5.0], [0.5, 1.0, 1.5], 5.0, 0.01)
+        np.testing.assert_allclose(h.slopes, [5.0, 0.5 / 0.9, 0.125, 0.01], rtol=1e-15)
+        np.testing.assert_allclose(h.intercepts, [0.0, 0.5 - 0.05 / 0.9, 0.875, 1.45],
+                                   rtol=1e-15, atol=1e-16)
+        assert h.value_at_zero == h.intercepts[0]
+        for table in (h.knots, h.values, h.slopes, h.intercepts):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
+    def test_interpolates_inside_and_extends_outside(self):
+        rng = np.random.default_rng(13)
+        for _ in range(25):
+            h = random_concave_plc(rng)
+            k, v = h.knots, h.values
+            np.testing.assert_allclose(h(k), v, rtol=1e-14)
+            u = rng.uniform(k[0], k[-1], 200)
+            np.testing.assert_allclose(h(u), np.interp(u, k, v), rtol=1e-14)
+            below, above = k[0] * rng.uniform(0, 1, 50), k[-1] * rng.uniform(1, 10, 50)
+            np.testing.assert_allclose(h(below), v[0] + h.slope0 * (below - k[0]), rtol=1e-13)
+            np.testing.assert_allclose(h(above), v[-1] + h.slope_inf * (above - k[-1]),
+                                       rtol=1e-14)
+
+    def test_exact_below_the_first_knot(self):
+        # min(1, s): h(0+) = 0, so below the knot h is slope0 * s with
+        # nothing to cancel, down to the least positive float
+        h = ok.PiecewiseLinearConcave([1.0], [1.0], 1.0, 0.0)
+        s = np.array([5e-324, 1e-300, 1e-20, 1e-8, 0.5, 1.0, 2.0, 1e300])
+        assert h(s).tolist() == np.minimum(1.0, s).tolist()
+
+    def test_shape_follows_the_argument(self):
+        h = ok.PiecewiseLinearConcave([0.1, 1.0, 5.0], [0.5, 1.0, 1.5], 5.0, 0.01)
+        assert h(2.0).shape == () and h(np.zeros((2, 3))).shape == (2, 3)
+        assert h(np.zeros(0)).shape == (0,)
+
+
 class TestPeetre:
     def test_min_form(self):
         h = ok.PiecewiseLinearConcave([1.0], [1.0], 1.0, 0.0)
