@@ -22,9 +22,16 @@ reaches t <= 0.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .measure import SampleBatch, SampleFunction, abs_rows
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-x)), the formula SciPy's `expit`
+    evaluates; exp(-x) overflows to inf below about x = -709, which gives the
+    exact limit 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _check_exponent(p: float, name: str = "p") -> None:
@@ -257,13 +264,13 @@ def _pointwise_min_split(c: np.ndarray, ts: np.ndarray, p: float, q: float) -> n
             for _ in range(64):  # a safety cap: 1 to 9 steps, about 5, are taken
                 ul = u[live]
                 h = (q - p) * np.logaddexp(0.0, ul) + (p - 1.0) * ul - k[live]
-                step = h / ((q - p) * expit(ul) + (p - 1.0))
+                step = h / ((q - p) * _expit(ul) + (p - 1.0))
                 ul = ul - step
                 u[live] = ul
                 live = live[step > 1e-15 * (1.0 + np.abs(ul))]
                 if not live.size:
                     break
-            a, rest = cc * expit(u), cc * expit(-u)
+            a, rest = cc * _expit(u), cc * _expit(-u)
         out[inner] = np.minimum(out[inner], a**p + tt * rest**q)
     return out
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -59,7 +60,12 @@ class ExponentCouple:
         return math.isinf(self.q)
 
 
-@dataclass(frozen=True)
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
 class OrliczFunction:
     """Evaluable Orlicz function with a documented domain [0, u_max].
 
@@ -69,6 +75,10 @@ class OrliczFunction:
     u = 0, where phi'' of u^p with p < 2 is not. Calling the function checks
     the domain and returns the jet's first row, so the modular and both norm
     searches read the same numbers.
+
+    A built phi is immutable, because `specs.resolve_phi` shares one per spec
+    across reports: the fields are frozen, `meta` is a read-only mapping, and
+    the arrays a jet reads are read-only. It hashes and compares by identity.
     """
 
     kind: str
@@ -76,7 +86,10 @@ class OrliczFunction:
     q: float | None
     u_max: float
     jet: Callable[[np.ndarray], np.ndarray]
-    meta: dict = field(default_factory=dict)
+    meta: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
 
     def __call__(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -116,6 +129,7 @@ def power_phi(p: float) -> OrliczFunction:
     if p < 1.0:
         raise ValueError("p must be >= 1")
     orders = np.array([1.0, p, p * (p - 1.0)])
+    _read_only(orders)
     phi = OrliczFunction("power", p, None, np.inf,
                          lambda u: np.multiply.outer(orders, np.asarray(u, dtype=float) ** p))
     _validate_shape(phi, 10.0)
@@ -171,11 +185,14 @@ def _monotone_cubic_jet(x: np.ndarray, y: np.ndarray) -> Callable:
     SciPy's PCHIP interpolant bit for bit.
     """
     d = _pchip_slopes(x, y)
+    # set before any view is taken: a view keeps the flag of its making
+    _read_only(x, y, d)
     x0, y0 = float(x[0]), float(y[0])
     # below the grid: power-law continuation matching the lowest segment
     x1, y1 = float(x[1]), float(y[1])
     alpha = (math.log(y1) - math.log(y0)) / (math.log(x1) - math.log(x0))
     low_orders = np.array([1.0, alpha, alpha * (alpha - 1.0)])
+    _read_only(low_orders)
     # k = searchsorted(x, u) clipped to [1, x.size - 1], so that the last
     # interval is closed and u < x[1] falls in the first
     inner = x[1:-1]
@@ -264,6 +281,7 @@ def build_from_h(couple: ExponentCouple, h: PiecewiseLinearConcave) -> OrliczFun
     # leaves float range
     orders_q = np.array([1.0, q, q * (q - 1.0)])
     orders_p = np.array([1.0, p, p * (p - 1.0)])
+    _read_only(orders_q, orders_p)
 
     def jet(u):
         u = np.asarray(u, dtype=float)
@@ -277,11 +295,11 @@ def build_from_h(couple: ExponentCouple, h: PiecewiseLinearConcave) -> OrliczFun
     # which is negative at every slope drop: phi is convex exactly when h has
     # none, that is when h is affine
     convex = bool(np.all(h.slopes[1:] >= h.slopes[:-1]))
-    phi = OrliczFunction("h", p, q, np.inf, jet,
-                         {"h_knots": int(h.knots.size), "convex": convex})
-    worst = _validate_shape(phi, 50.0, require_convex=False)
-    phi.meta["worst_second_difference"] = worst
-    return phi
+    meta = {"h_knots": int(h.knots.size), "convex": convex}
+    # the shape check needs a phi to call; the one returned carries its result
+    worst = _validate_shape(OrliczFunction("h", p, q, np.inf, jet, meta), 50.0,
+                            require_convex=False)
+    return OrliczFunction("h", p, q, np.inf, jet, dict(meta, worst_second_difference=worst))
 
 
 def modular(phi: OrliczFunction, x: SampleFunction | SampleBatch):

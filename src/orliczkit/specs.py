@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -132,7 +133,31 @@ def resolve_plc(record: dict) -> qc.PiecewiseLinearConcave:
         raise SpecError(str(exc)) from None
 
 
+# Built phi's kept per process, least recently used dropped first. A round of
+# perfbench's `norms` workload cycles through 6 distinct specs, and an LRU
+# smaller than a cyclic working set never hits.
+PHI_CACHE_SIZE = 8
+_PHI_CACHE: OrderedDict[str, OrliczFunction] = OrderedDict()
+
+
 def resolve_phi(record: dict) -> OrliczFunction:
+    """The phi of a spec, built once per process and shared: specs equal as
+    JSON (in any key order) give the same immutable `OrliczFunction`. A
+    record that is not JSON is built uncached; errors are never cached."""
+    try:
+        key = json.dumps(record, sort_keys=True)
+    except (TypeError, ValueError):
+        return _build_phi(record)
+    phi = _PHI_CACHE.pop(key, None)
+    if phi is None:
+        phi = _build_phi(record)
+    _PHI_CACHE[key] = phi   # the most recently used is last
+    if len(_PHI_CACHE) > PHI_CACHE_SIZE:
+        _PHI_CACHE.popitem(last=False)
+    return phi
+
+
+def _build_phi(record: dict) -> OrliczFunction:
     kind = _kind(record, "phi")
     try:
         if kind == "power":

@@ -11,6 +11,7 @@ seed; wall time is the only field that varies between runs.
 
 from __future__ import annotations
 
+import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -290,6 +291,15 @@ def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[Quas
     return QuasiConcaveFn(h_eval, "from_generator"), s_grid
 
 
+@functools.lru_cache(maxsize=specs.PHI_CACHE_SIZE)
+def _majorant_psi(phi: OrliczFunction, couple: ExponentCouple) -> OrliczFunction:
+    """The concave-h build on the concave majorant of phi's h, made once per
+    (phi, couple); a shared phi hashes by identity."""
+    h_fn, s_grid = _h_from_generator(phi, couple)
+    return build_from_h(couple, concave_majorant(h_fn, grid=s_grid, rtol=1e-6,
+                                                 extend_decades=0.0))
+
+
 def _check_chain(phi: OrliczFunction, couple: ExponentCouple, inputs: SampleBatch,
                  txs: SampleBatch, collector: _Collector) -> dict:
     """Link-by-link check of the majorant route behind the subadditive constant.
@@ -301,9 +311,7 @@ def _check_chain(phi: OrliczFunction, couple: ExponentCouple, inputs: SampleBatc
     tolerance (the majorant is numerically derived, unlike the analytic
     constants of the main inequality); txs is Tx/M.
     """
-    h_fn, s_grid = _h_from_generator(phi, couple)
-    h_major = concave_majorant(h_fn, grid=s_grid, rtol=1e-6, extend_decades=0.0)
-    psi = build_from_h(couple, h_major)
+    psi = _majorant_psi(phi, couple)
     gamma = sparr_gamma(couple.p, couple.q).value
     phi_tx, psi_tx = modular(phi, txs), modular(psi, txs)
     gamma_psi_x, two_gamma_phi_x = gamma * modular(psi, inputs), 2.0 * gamma * modular(phi, inputs)
@@ -311,7 +319,7 @@ def _check_chain(phi: OrliczFunction, couple: ExponentCouple, inputs: SampleBatc
                           (psi_tx, gamma_psi_x, "link2_psi_contraction"),
                           (gamma_psi_x, two_gamma_phi_x, "link3_psi_le_2phi")):
         collector.check(lhs, rhs, tag, inputs.values, rel="chain_rel", floor="chain_abs_floor")
-    return {"gamma": gamma, "mode": "chain_diagnostics", "majorant_knots": int(h_major.knots.size)}
+    return {"gamma": gamma, "mode": "chain_diagnostics", "majorant_knots": psi.meta["h_knots"]}
 
 
 def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -422,3 +424,36 @@ class TestBatch:
         got = ok.k_lp_linf_grid(self.TS, batch, 2.0)
         assert np.all(np.isfinite(got[0]))
         np.testing.assert_allclose(got[0], 1e200 * got[1], rtol=1e-15, atol=0.0)
+
+
+class TestLogistic:
+    """The L kernel's own logistic function against SciPy's `expit`, which it
+    called before."""
+
+    def test_within_four_units_in_the_last_place_of_scipy(self):
+        # NumPy's exp and the C library's exp SciPy calls may differ by one
+        # unit, and 1 + exp(-x) and the division each round once more
+        from scipy.special import expit
+
+        x = np.linspace(-800.0, 800.0, 400_001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kfunc._expit(x)
+        want = expit(x)
+        # both are nonnegative, so their bit patterns order as the values do
+        assert np.max(np.abs(got.view(np.int64) - want.view(np.int64))) <= 4
+        assert got[0] == 0.0 and got[-1] == 1.0
+
+    @pytest.mark.parametrize("p,q", [(1.5, 3), (2, 4), (1.01, 5), (1.2, 1.3)])
+    def test_l_values_within_1e15_of_the_scipy_kernel(self, monkeypatch, p, q):
+        from scipy.special import expit
+
+        batch = ok.SampleBatch.stack(TestBatch.members())
+        atoms, ts = TestPointwiseSplit.ATOMS, TestPointwiseSplit.TS
+        got = (ok.l_functional_grid(TestBatch.TS, batch, p, q),
+               kfunc._pointwise_min_split(atoms, ts, p, q))
+        monkeypatch.setattr(kfunc, "_expit", expit)
+        want = (ok.l_functional_grid(TestBatch.TS, batch, p, q),
+                kfunc._pointwise_min_split(atoms, ts, p, q))
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-15, atol=0.0)

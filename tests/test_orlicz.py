@@ -489,6 +489,16 @@ class TestBuildFromGenerator:
         assert np.array_equal(_bits(phi(u)), _bits(want(u)))
         assert np.array_equal(_bits(phi.jet(u)), _bits(want.jet(u)))
 
+    @pytest.mark.parametrize("p, q", [(1.5, 3), (1, 2)])
+    def test_pwl_with_a_large_value_near_zero_builds(self, p, q):
+        # grid chords near t = 1e-8 read this rho's slope 0.5 with a relative
+        # rounding error of about 2.7e-7; its slope table is exact
+        plc = ok.PiecewiseLinearConcave([1.0, 4.0], [2.0, 2.75], 0.5, 0.1)
+        phi = ok.build_from_generator(ExponentCouple(p, q),
+                                      ok.QuasiConcaveFn(plc, "piecewise_linear"))
+        assert not phi.meta["saturated"]
+        assert ok.check_convexity(phi, np.linspace(0.0, 30.0, 3001)).ok
+
     def test_non_concave_generator_rejected(self):
         # max(1, t) is quasi-concave but its slope rises at t = 1
         with pytest.raises(ValueError):
@@ -502,6 +512,46 @@ class TestBuildFromGenerator:
 
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _jet_arrays(phi):
+    """The arrays a phi's jet reads, from the closure of its jet."""
+    cells = [cell.cell_contents for cell in phi.jet.__closure__]
+    return [c for c in cells if isinstance(c, np.ndarray)]
+
+
+class TestImmutable:
+    """A built phi is shared per spec, so nothing in it can be written."""
+
+    BUILDS = {
+        "power": lambda: ok.power_phi(2.5),
+        "generator": lambda: cached_generator_phi(1.5, 3, "power", (0.5,)),
+        "h": lambda: ok.build_from_h(ExponentCouple(1, 3),
+                                     ok.PiecewiseLinearConcave([1.0], [1.0], 1.0, 0.0)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BUILDS))
+    def test_meta_and_fields_cannot_be_assigned(self, kind):
+        phi = self.BUILDS[kind]()
+        with pytest.raises(TypeError):
+            phi.meta["convex"] = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            phi.u_max = 1.0
+
+    @pytest.mark.parametrize("kind", sorted(BUILDS))
+    def test_tabulated_arrays_cannot_be_written(self, kind):
+        arrays = _jet_arrays(self.BUILDS[kind]())
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_h_form_records_its_shape_check(self):
+        assert self.BUILDS["h"]().meta["worst_second_difference"] < 0.0
+
+    def test_hashes_by_identity(self):
+        a, b = ok.power_phi(2.0), ok.power_phi(2.0)
+        assert a != b and len({a, b, a}) == 2
 
 
 class TestGeneratorBuildOracle:
@@ -535,8 +585,9 @@ class TestGeneratorBuildOracle:
             assert str(got.value) == str(exc)
             return
         phi = ok.build_from_generator(couple, rho())
-        knots = want.meta.pop("knots")
-        assert phi.u_max == want.u_max and phi.meta == want.meta
+        meta = dict(want.meta)
+        knots = meta.pop("knots")
+        assert phi.u_max == want.u_max and phi.meta == meta
         rng = np.random.default_rng(31)
         u = np.concatenate((
             [0.0, knots[0] * 1e-6, knots[0] * 0.5, knots[-1]], knots,

@@ -103,6 +103,38 @@ class TestResolvers:
             specs.resolve_operator({"kind": "teleport"}, ok.uniform_space(2), ok.ExponentCouple(1, 2))
 
 
+class TestPhiCache:
+    """`resolve_phi` shares one phi per spec, in a bounded LRU."""
+
+    GENERATOR = {"kind": "generator", "p": 1.5, "q": 3, "rho": {"kind": "power", "theta": 0.5}}
+
+    def test_key_order_does_not_matter(self):
+        reordered = {"rho": {"theta": 0.5, "kind": "power"}, "q": 3, "p": 1.5,
+                     "kind": "generator"}
+        assert specs.resolve_phi(self.GENERATOR) is specs.resolve_phi(reordered)
+
+    def test_bound_holds_a_norms_round_and_drops_the_least_recent(self):
+        # one norms benchmark round cycles through 6 distinct specs
+        assert specs.PHI_CACHE_SIZE >= 6
+        powers = [{"kind": "power", "p": 2 + k} for k in range(specs.PHI_CACHE_SIZE + 1)]
+        first = [specs.resolve_phi(r) for r in powers[:-1]]
+        assert [specs.resolve_phi(r) for r in powers[:-1]] == first   # identity: eq=False
+        specs.resolve_phi(powers[-1])
+        assert len(specs._PHI_CACHE) == specs.PHI_CACHE_SIZE
+        assert specs.resolve_phi(powers[0]) is not first[0]
+        assert specs.resolve_phi(powers[-2]) is first[-1]
+
+    def test_errors_are_not_cached(self):
+        before = len(specs._PHI_CACHE)
+        for _ in range(2):
+            with pytest.raises(specs.SpecError, match="finite number"):
+                specs.resolve_phi({"kind": "power", "p": "two"})
+            # a set is not JSON: resolved uncached, with the same error
+            with pytest.raises(specs.SpecError, match="finite number"):
+                specs.resolve_phi({"kind": "power", "p": {2}})
+        assert len(specs._PHI_CACHE) == before
+
+
 class TestScenarioNormalization:
     BASE = {
         "theorem": "thm46a",

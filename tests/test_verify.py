@@ -216,6 +216,46 @@ class TestChainDiagnostics:
                                          "thm46b_norm", diagnostics=True)
 
 
+def clear_builds():
+    """Empty the per-process caches of built phi's and chain majorants."""
+    specs._PHI_CACHE.clear()
+    verify._majorant_psi.cache_clear()
+
+
+class TestSharedBuilds:
+    """Each phi spec is built once per process, and each chain majorant once
+    per (phi, couple); reports do not depend on what was built before."""
+
+    def test_chain_majorant_is_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return ok.concave_majorant(*args, **kwargs)
+
+        clear_builds()
+        monkeypatch.setattr(verify, "concave_majorant", counting)
+        scenario = load_scenario("thm46b_norm_1_2.json")
+        scenario["inputs"]["count"] = 4
+        first = run_scenario(scenario)
+        second = run_scenario(dict(scenario, seed=scenario["seed"] + 1))
+        assert first["details"]["chain"]["mode"] == "chain_diagnostics"
+        assert second["status"] == "pass" and len(calls) == 1
+
+    def test_shipped_reports_are_the_same_cold_and_warm(self):
+        # cold builds every phi for its own report, as a fresh process does
+        scenarios = [load_scenario(path.name) for path in sorted(SCENARIO_DIR.glob("*.json"))]
+        scenarios += [dict(s, fault={"halve_certificate": True}) for s in scenarios
+                      if s.get("operator")]
+        assert len(scenarios) == 23
+        cold = []
+        for scenario in scenarios:
+            clear_builds()
+            cold.append(strip_wall(run_scenario(scenario)))
+        warm = [strip_wall(run_scenario(scenario)) for scenario in reversed(scenarios)]
+        assert json.dumps(cold, sort_keys=True) == json.dumps(warm[::-1], sort_keys=True)
+
+
 class TestRunScenario:
     def test_smoke_scenario_passes_fast(self):
         import time
