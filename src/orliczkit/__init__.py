@@ -1,7 +1,6 @@
 """Numerics for Orlicz-space interpolation on finite discrete measures."""
 
 from .constants import (
-    SparrConstant,
     bergh_constant,
     conjugate_exponent,
     interp_constant_concave_h,
@@ -48,7 +47,6 @@ from .orlicz import (
 from .quasiconcave import (
     PeetreRepresentation,
     PiecewiseLinearConcave,
-    QuasiConcaveFn,
     concave_majorant,
     is_quasiconcave,
     max_one_rho,

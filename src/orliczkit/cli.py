@@ -82,15 +82,14 @@ def cmd_gamma(args) -> int:
     rows = []
     for p in p_grid:
         for q in q_grid:
-            fast = sparr_gamma(p, q)
-            value = fast.value
+            value = sparr_gamma(p, q)
             if args.method in ("oracle", "both"):
                 oracle = sparr_gamma_oracle(p, q)
                 if args.method == "oracle":
-                    value = oracle.value
-                elif abs(oracle.value - fast.value) > 1e-6:
+                    value = oracle
+                elif abs(oracle - value) > 1e-6:
                     print(f"gamma cross-check failed at ({p:g},{q:g}): "
-                          f"fast {fast.value!r} vs oracle {oracle.value!r}", file=sys.stderr)
+                          f"fast {value!r} vs oracle {oracle!r}", file=sys.stderr)
                     return 1
             lo, hi = min(p, q), max(p, q)
             sub = fmt(interp_constant_subadditive(p, q)) if p < q else ""

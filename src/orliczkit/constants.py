@@ -10,21 +10,7 @@ arithmetic on gamma with their proven envelope bounds asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SparrConstant:
-    p: float
-    q: float
-    value: float
-    method: str
-
-    def __post_init__(self):
-        if not (1.0 - 1e-12 <= self.value < 2.0):
-            raise ValueError(f"gamma out of [1, 2): {self.value}")
 
 
 def _bisect(fn, lo: float, hi: float, xtol: float) -> float:
@@ -51,7 +37,7 @@ def _gamma_closed_one_q(q: float) -> float:
     return 1.0 + q ** (1.0 / (1.0 - q)) - q ** (q / (1.0 - q))
 
 
-def sparr_gamma(p: float, q: float) -> SparrConstant:
+def sparr_gamma(p: float, q: float) -> float:
     """Sharp constant via the stationarity characterization.
 
     gamma is symmetric, so p > q returns gamma(q, p). For p <= q the optimum
@@ -64,10 +50,9 @@ def sparr_gamma(p: float, q: float) -> SparrConstant:
     if not (1.0 <= p <= 64.0 and 1.0 <= q <= 64.0):
         raise ValueError("p and q must lie in [1, 64]")
     if p > q:
-        swapped = sparr_gamma(q, p)
-        return SparrConstant(p, q, swapped.value, swapped.method)
+        return sparr_gamma(q, p)
     if q == 1.0:
-        return SparrConstant(p, q, 1.0, "closed_form")
+        return 1.0
 
     def constraint(x: float) -> float:
         return x**p + ((p / q) * x ** (p - 1.0)) ** (q / (q - 1.0)) - 1.0
@@ -75,21 +60,22 @@ def sparr_gamma(p: float, q: float) -> SparrConstant:
     x = _bisect(constraint, 0.0, 1.0, 1e-13)
     value = x + ((p / q) * x ** (p - 1.0)) ** (1.0 / (q - 1.0))
 
-    method = "root_finding"
     if abs(p - q) < 1e-12:
         closed = _gamma_closed_diagonal(q)
         if abs(value - closed) > 1e-9:
             raise RuntimeError(f"diagonal closed form mismatch: {value} vs {closed}")
-        value, method = closed, "closed_form"
+        value = closed
     elif p == 1.0:
         closed = _gamma_closed_one_q(q)
         if abs(value - closed) > 1e-9:
             raise RuntimeError(f"p=1 closed form mismatch: {value} vs {closed}")
-        value, method = closed, "closed_form"
-    return SparrConstant(p, q, value, method)
+        value = closed
+    if not 1.0 - 1e-12 <= value < 2.0:
+        raise ValueError(f"gamma out of [1, 2): {value}")
+    return value
 
 
-def sparr_gamma_oracle(p: float, q: float) -> SparrConstant:
+def sparr_gamma_oracle(p: float, q: float) -> float:
     """Sharp constant straight from the definition, by nested bisection.
 
     The inner cost m(gamma) = min_{0<=y<=gamma} ((gamma-y)^p + y^q) is convex
@@ -112,16 +98,18 @@ def sparr_gamma_oracle(p: float, q: float) -> SparrConstant:
         return min((gamma - y) ** p + y**q, gamma**p, gamma**q)
 
     if inner_min(1.0) >= 1.0 - 1e-14:
-        return SparrConstant(p, q, 1.0, "bisection_oracle")
+        return 1.0
     value = _bisect(lambda g: inner_min(g) - 1.0, 1.0, 2.0, 1e-8 / 4.0)
-    return SparrConstant(p, q, value, "bisection_oracle")
+    if not 1.0 - 1e-12 <= value < 2.0:
+        raise ValueError(f"gamma out of [1, 2): {value}")
+    return value
 
 
 def interp_constant_subadditive(p: float, q: float) -> float:
     """(2 gamma)^{1/p}, the norm constant for subadditive interpolation."""
     if not (1.0 <= p < q < np.inf):
         raise ValueError("need 1 <= p < q < inf")
-    c = (2.0 * sparr_gamma(p, q).value) ** (1.0 / p)
+    c = (2.0 * sparr_gamma(p, q)) ** (1.0 / p)
     envelope = 2.0 ** ((2.0 - 1.0 / q) / p)
     if c > envelope * (1.0 + 1e-12) or not c < 4.0:
         raise RuntimeError(f"constant {c} escaped its envelope {envelope}")
@@ -132,7 +120,7 @@ def interp_constant_concave_h(p: float, q: float) -> float:
     """gamma^{1/p}, the improved constant when phi has the concave-h form."""
     if not (1.0 <= p < q < np.inf):
         raise ValueError("need 1 <= p < q < inf")
-    c = sparr_gamma(p, q).value ** (1.0 / p)
+    c = sparr_gamma(p, q) ** (1.0 / p)
     q_conj = q / (q - 1.0)
     envelope = 2.0 ** (1.0 / (q_conj * p))
     if c > envelope * (1.0 + 1e-12) or not c < 2.0:
@@ -146,8 +134,8 @@ def interp_constant_linear(p: float, q: float) -> float:
         raise ValueError("need 1 < p < q < inf")
     p_conj = conjugate_exponent(p)
     q_conj = conjugate_exponent(q)
-    branch_direct = (2.0 * sparr_gamma(p, q).value) ** (1.0 / p)
-    branch_dual = (2.0 * sparr_gamma(q_conj, p_conj).value) ** (1.0 / q_conj)
+    branch_direct = (2.0 * sparr_gamma(p, q)) ** (1.0 / p)
+    branch_dual = (2.0 * sparr_gamma(q_conj, p_conj)) ** (1.0 / q_conj)
     c = min(branch_direct, branch_dual)
     envelope = 2.0 ** (1.0 / (p * q_conj) + min(1.0 / p, 1.0 / q_conj))
     if c > envelope * (1.0 + 1e-12) or not c < 4.0:

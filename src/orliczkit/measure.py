@@ -37,10 +37,6 @@ class DiscreteMeasureSpace:
     def n(self) -> int:
         return self.weights.size
 
-    @property
-    def total_measure(self) -> float:
-        return float(self.weights.sum())
-
 
 def uniform_space(n: int) -> DiscreteMeasureSpace:
     """Space of n atoms of weight 1."""
@@ -66,17 +62,13 @@ class SampleFunction:
     def abs_values(self) -> np.ndarray:
         return np.abs(self.values)
 
-    def scaled(self, factor: float) -> "SampleFunction":
-        return SampleFunction(self.space, self.values * factor)
-
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
     """Finite values on the atoms of one space, one row per member.
 
     The batched kernels take a batch where they take one `SampleFunction`
-    and return one row per member. An integer index gives one member as a
-    `SampleFunction`, and iteration gives every member in order.
+    and return one row per member.
     """
 
     space: DiscreteMeasureSpace
@@ -91,30 +83,12 @@ class SampleBatch:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def stack(cls, members: Sequence[SampleFunction]) -> "SampleBatch":
-        """The batch of at least one member, all on one space."""
-        members = list(members)
-        if not members:
-            raise ValueError("stack needs at least one member; build an empty batch from its space")
-        space = members[0].space
-        if any(m.space is not space and not np.array_equal(m.space.weights, space.weights)
-               for m in members):
-            raise ValueError("batch members live on different spaces")
-        return cls(space, np.stack([m.values for m in members]))
-
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def __getitem__(self, rows) -> "SampleBatch | SampleFunction":
-        """The member at an integer index, or the batch of the members at an
-        index array or slice."""
-        if isinstance(rows, (int, np.integer)):
-            return SampleFunction(self.space, self.values[rows])
+    def __getitem__(self, rows) -> "SampleBatch":
+        """The batch of the members at an index array or slice."""
         return SampleBatch(self.space, self.values[rows])
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def abs_values(self) -> np.ndarray:
         return np.abs(self.values)

@@ -25,7 +25,6 @@ import numpy as np
 from .measure import SampleBatch, SampleFunction, abs_rows
 from .quasiconcave import (
     PiecewiseLinearConcave,
-    QuasiConcaveFn,
     concavity_violation,
     is_quasiconcave,
     log_grid,
@@ -222,7 +221,7 @@ def _monotone_cubic_jet(x: np.ndarray, y: np.ndarray) -> Callable:
     return jet
 
 
-def build_from_generator(couple: ExponentCouple, rho: QuasiConcaveFn) -> OrliczFunction:
+def build_from_generator(couple: ExponentCouple, rho: Callable) -> OrliczFunction:
     """Orlicz function whose inverse is u^{1/p} * rho(u^{1/q - 1/p}).
 
     The inverse is tabulated on a log grid (`INVERSION_POINTS_PER_DECADE`
@@ -258,8 +257,7 @@ def build_from_generator(couple: ExponentCouple, rho: QuasiConcaveFn) -> OrliczF
     phi = OrliczFunction(
         "generator", p, (np.inf if couple.q_is_inf else q), float(v[-1]),
         _monotone_cubic_jet(v, u),
-        {"rho_family": rho.family, "rho_params": tuple(rho.params),
-         "saturated": saturated, "tab_points": int(v.size)},
+        {"saturated": saturated, "tab_points": int(v.size)},
     )
     _validate_shape(phi, 100.0)
     return phi

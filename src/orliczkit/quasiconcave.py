@@ -29,19 +29,6 @@ def log_grid(lo: float = DEFAULT_GRID_LO, hi: float = DEFAULT_GRID_HI,
     return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
-@dataclass(frozen=True)
-class QuasiConcaveFn:
-    """Positive function on (0, inf) with an evaluator and a family tag."""
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    family: str = "custom"
-    params: tuple = ()
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.asarray(self.evaluator(t), dtype=float)
-
-
 class QuasiConcavityCheck(NamedTuple):
     ok: bool
     worst_violation: float
@@ -72,13 +59,13 @@ def is_quasiconcave(rho: Callable, grid: np.ndarray | None = None,
 def concavity_violation(rho: Callable, grid: np.ndarray) -> float:
     """Worst relative increase of chord slopes (0 for a concave function).
 
-    A generator whose evaluator is a `PiecewiseLinearConcave` is checked on
-    its own slope table instead of the grid: near t = 0 a chord of a large
-    value over a short step carries a rounding error above the callers'
-    tolerance, while the table's slopes are exact.
+    A `PiecewiseLinearConcave` is checked on its own slope table instead of
+    the grid: near t = 0 a chord of a large value over a short step carries a
+    rounding error above the callers' tolerance, while the table's slopes
+    are exact.
     """
-    if isinstance(getattr(rho, "evaluator", None), PiecewiseLinearConcave):
-        slopes = rho.evaluator.slopes
+    if isinstance(rho, PiecewiseLinearConcave):
+        slopes = rho.slopes
     else:
         grid = np.asarray(grid, dtype=float)
         vals = np.asarray(rho(grid), dtype=float)
@@ -89,7 +76,7 @@ def concavity_violation(rho: Callable, grid: np.ndarray) -> float:
     return float(max(rises.max(initial=0.0), 0.0))
 
 
-def power_log_rho(theta: float, a: float, b: float) -> QuasiConcaveFn:
+def power_log_rho(theta: float, a: float, b: float) -> Callable:
     """The power-log family t^theta * ln(e+t)^a * ln(e+1/t)^b, 0 at t=0."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -109,22 +96,22 @@ def power_log_rho(theta: float, a: float, b: float) -> QuasiConcaveFn:
         out[pos] = vals
         return out
 
-    return QuasiConcaveFn(rho, "power_log", (theta, a, b))
+    return rho
 
 
-def power_rho(theta: float) -> QuasiConcaveFn:
+def power_rho(theta: float) -> Callable:
     """t^theta for theta in [0, 1]; theta=0 is the constant generator."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    return QuasiConcaveFn(lambda t: np.asarray(t, dtype=float) ** theta, "power", (theta,))
+    return lambda t: np.asarray(t, dtype=float) ** theta
 
 
-def min_one_rho() -> QuasiConcaveFn:
-    return QuasiConcaveFn(lambda t: np.minimum(1.0, np.asarray(t, dtype=float)), "min_one")
+def min_one_rho() -> Callable:
+    return lambda t: np.minimum(1.0, np.asarray(t, dtype=float))
 
 
-def max_one_rho() -> QuasiConcaveFn:
-    return QuasiConcaveFn(lambda t: np.maximum(1.0, np.asarray(t, dtype=float)), "max_one")
+def max_one_rho() -> Callable:
+    return lambda t: np.maximum(1.0, np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +203,7 @@ def _lower_line_envelope(intercepts: np.ndarray, slopes: np.ndarray):
     return np.array(hull_a), np.array(hull_b), np.array(cuts)
 
 
-def concave_majorant(rho: QuasiConcaveFn, grid: np.ndarray | None = None,
+def concave_majorant(rho: Callable, grid: np.ndarray | None = None,
                      rtol: float = 1e-10, extend_decades: float = 10.0) -> PiecewiseLinearConcave:
     """Concave transform inf over s of (1+t/s) rho(s), certified on the grid.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import OrderedDict
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -100,7 +100,7 @@ def resolve_space(record: dict) -> DiscreteMeasureSpace:
         raise SpecError(f"bad space weights: {exc}") from None
 
 
-def resolve_rho(record: dict) -> qc.QuasiConcaveFn:
+def resolve_rho(record: dict) -> Callable:
     kind = _kind(record, "rho")
     if kind == "powerlog":
         _require_keys(record, {"kind", "theta", "a", "b"}, what="powerlog rho")
@@ -115,8 +115,7 @@ def resolve_rho(record: dict) -> qc.QuasiConcaveFn:
         _require_keys(record, {"kind"}, what="max_one rho")
         return qc.max_one_rho()
     if kind == "pwl":
-        plc = resolve_plc({k: v for k, v in record.items() if k != "kind"})
-        return qc.QuasiConcaveFn(plc, "piecewise_linear")
+        return resolve_plc({k: v for k, v in record.items() if k != "kind"})
     raise SpecError(f"unknown rho kind {kind!r}")
 
 
@@ -303,6 +302,19 @@ def _json_exponents(record: dict, what: str) -> None:
             raise SpecError(f"{what}.{key} must be a number or 'inf', got {record[key]!r}")
 
 
+def _phi_fits_couple(record: dict, couple: ExponentCouple) -> None:
+    """The phi's p and q are JSON numbers or 'inf', a generator or h phi has
+    the couple's p and q, and a power u^r has p <= r <= q: a phi of another
+    couple would be checked against this couple's constant and certificates."""
+    _json_exponents(record, "phi")
+    kind, p, q = record.get("kind"), record.get("p"), record.get("q")
+    if kind == "power" and _is_finite(p) and not couple.p <= p <= couple.q:
+        raise SpecError(f"a power phi needs the couple's p <= phi.p <= q, got {p!r}")
+    if (kind in ("generator", "h") and None not in (p, q)
+            and (parse_exponent(p), parse_exponent(q)) != (couple.p, couple.q)):
+        raise SpecError(f"a {kind} phi is built for the couple's p and q, got ({p}, {q})")
+
+
 def resolve_scenario(raw: dict) -> tuple:
     """(canonical scenario, space, couple, phi or None, operator or None).
 
@@ -367,22 +379,23 @@ def resolve_scenario(raw: dict) -> tuple:
         tol[key] = float(value)
     out["tolerances"] = {k: tol[k] for k in sorted(tol)}
 
+    if isinstance(section["phi"], dict):   # before phi or the operator is built
+        _phi_fits_couple(section["phi"], couple)
     out["operator"] = section["operator"]
     op = resolve_operator(out["operator"], space, couple) if out["operator"] is not None else None
     if op is not None and not op.max_bound > 0.0:
         raise SpecError("the operator is zero; its checks divide by its certified bound")
     check_theorem(theorem, couple, op)   # again, now that the operator's kind is known
     out["phi"] = section["phi"]
-    if isinstance(out["phi"], dict):
-        _json_exponents(out["phi"], "phi")
     phi = resolve_phi(out["phi"]) if out["phi"] is not None else None
 
     fault = section["fault"]
     if fault is not None:
         _require_keys(fault, set(), {"halve_certificate"}, what="fault")
-        fault = {"halve_certificate": fault.get("halve_certificate", False)}
-        if not isinstance(fault["halve_certificate"], bool):
+        if not isinstance(fault.get("halve_certificate", False), bool):
             raise SpecError("fault.halve_certificate must be true or false")
+        # a fault that plants nothing normalizes, and hashes, as no fault
+        fault = {"halve_certificate": True} if fault.get("halve_certificate") else None
     out["fault"] = fault
     if section["diagnostics"] is not None and section["diagnostics"] is not True:
         raise SpecError("diagnostics must be true or false")

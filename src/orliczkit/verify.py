@@ -15,6 +15,7 @@ import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .orlicz import (
     luxemburg_norm,
     modular,
 )
-from .quasiconcave import QuasiConcaveFn, concave_majorant
+from .quasiconcave import concave_majorant
 
 
 class ScenarioRejected(RuntimeError):
@@ -227,7 +228,7 @@ def verify_sparr_batch(space, couple: ExponentCouple, count: int, t_grid,
     """Run the implication over a seeded pair batch; neutral pairs are
     counted but never failed."""
     collector = _Collector(tolerances)
-    gamma = sparr_gamma(couple.p, couple.q).value
+    gamma = sparr_gamma(couple.p, couple.q)
     xs, ys = _pair_batch(space, count, scale, seed)
     met = _sparr_pairs(xs, ys, couple, np.asarray(t_grid, dtype=float), gamma, collector)
     return collector.report("sparr_lemma", count, {"gamma": gamma, "hypothesis_met": met},
@@ -257,15 +258,20 @@ def verify_modular_lp_linf(phi: OrliczFunction, p: float, op: CertifiedOperator,
         "constant": constant, "psi_convexity_margin": psi.worst_second_difference}, scenario)
 
 
+def _require_h_form(phi: OrliczFunction, tag: str) -> None:
+    # gamma and gamma^{1/p} hold only for phi(u) = u^q h(u^{p-q}) with h concave
+    if phi.kind != "h":
+        raise ScenarioRejected(f"{tag} needs the concave-h form of phi")
+
+
 def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
                          op: CertifiedOperator, inputs: SampleBatch,
                          tolerances: dict | None = None,
                          scenario: dict | None = None) -> VerificationReport:
     """Modular comparison with the sharp two-piece-cost constant."""
     collector = _Collector(tolerances)
-    if phi.kind != "h":
-        raise ScenarioRejected("the modular comparison needs the concave-h form of phi")
-    gamma = sparr_gamma(couple.p, couple.q).value
+    _require_h_form(phi, "thm46a")
+    gamma = sparr_gamma(couple.p, couple.q)
     m = op.max_bound
     lhs = modular(phi, op.apply(inputs).scaled(1.0 / m))
     collector.check(lhs, gamma * modular(phi, inputs), "modular_lp_lq", inputs.values)
@@ -273,7 +279,7 @@ def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
                             scenario)
 
 
-def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[QuasiConcaveFn, np.ndarray]:
+def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[Callable, np.ndarray]:
     """Recover h with phi(u) = u^q h(u^{p-q}) from a generator-built phi.
 
     The s-grid is the image of a u-grid kept inside phi's tabulated domain.
@@ -288,7 +294,7 @@ def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[Quas
         return phi(u) / u**q
 
     s_grid = np.sort(u_grid ** (p - q))
-    return QuasiConcaveFn(h_eval, "from_generator"), s_grid
+    return h_eval, s_grid
 
 
 @functools.lru_cache(maxsize=specs.PHI_CACHE_SIZE)
@@ -312,7 +318,7 @@ def _check_chain(phi: OrliczFunction, couple: ExponentCouple, inputs: SampleBatc
     constants of the main inequality); txs is Tx/M.
     """
     psi = _majorant_psi(phi, couple)
-    gamma = sparr_gamma(couple.p, couple.q).value
+    gamma = sparr_gamma(couple.p, couple.q)
     phi_tx, psi_tx = modular(phi, txs), modular(psi, txs)
     gamma_psi_x, two_gamma_phi_x = gamma * modular(psi, inputs), 2.0 * gamma * modular(phi, inputs)
     for lhs, rhs, tag in ((phi_tx, psi_tx, "link1_phi_le_psi"),
@@ -338,6 +344,8 @@ def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
     source = specs.check_theorem(theorem, couple, op).constant
     if source is None:
         raise specs.SpecError(f"{theorem} is not a norm theorem")
+    if source == "concave_h":
+        _require_h_form(phi, theorem)
     if diagnostics and (phi.kind != "generator" or couple.q_is_inf):
         raise ScenarioRejected("chain diagnostics need a generator-built phi with finite q")
     c = NORM_CONSTANTS[source](couple.p, couple.q)
@@ -407,7 +415,7 @@ def run_scenario(raw_scenario: dict, jobs: int = 1) -> dict:
     `jobs` is ignored; it stays only because perfbench/worker.py passes jobs=1.
     """
     scenario, space, couple, phi, op = specs.resolve_scenario(raw_scenario)
-    if scenario["fault"] and scenario["fault"]["halve_certificate"]:
+    if scenario["fault"]:   # normalized: a fault that plants nothing is None
         op = op.with_bounds(op.bound_p / 2.0, op.bound_q / 2.0, "fault: halved certificate")
     try:
         report = RUNNERS[scenario["theorem"]](scenario, space, couple, phi, op)

@@ -30,7 +30,7 @@ Nothing in the package calls these; each is written for clarity, not speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import math
 
@@ -45,8 +45,7 @@ from orliczkit.orlicz import (INVERSION_POINTS_PER_DECADE, INVERSION_U_HI, INVER
                               ExponentCouple, NonConvergenceError, OrliczFunction,
                               _validate_shape)
 from orliczkit.quasiconcave import (PeetreRepresentation, PiecewiseLinearConcave,
-                                    QuasiConcaveFn, concavity_violation, is_quasiconcave,
-                                    log_grid)
+                                    concavity_violation, is_quasiconcave, log_grid)
 
 
 def _abs_apply(op, rows: np.ndarray) -> np.ndarray:
@@ -444,7 +443,7 @@ def amemiya_golden(phi: OrliczFunction, x: SampleFunction | SampleBatch):
     return float(out[0]) if single else out
 
 
-def power_log_rho_full(theta: float, a: float, b: float) -> QuasiConcaveFn:
+def power_log_rho_full(theta: float, a: float, b: float) -> Callable:
     """`quasiconcave.power_log_rho`, each log factor raised even to the power 0."""
 
     def evaluate(t):
@@ -455,7 +454,7 @@ def power_log_rho_full(theta: float, a: float, b: float) -> QuasiConcaveFn:
         out[pos] = tp**theta * np.log(np.e + tp) ** a * np.log(np.e + 1.0 / tp) ** b
         return out
 
-    return QuasiConcaveFn(evaluate, "power_log", (theta, a, b))
+    return evaluate
 
 
 def _pchip_jet(x: np.ndarray, y: np.ndarray):
@@ -490,7 +489,7 @@ def _pchip_jet(x: np.ndarray, y: np.ndarray):
     return jet
 
 
-def generator_phi_pchip(couple: ExponentCouple, rho: QuasiConcaveFn) -> OrliczFunction:
+def generator_phi_pchip(couple: ExponentCouple, rho: Callable) -> OrliczFunction:
     """`orlicz.build_from_generator` on SciPy's PCHIP interpolator; its
     `meta` adds the tabulated knots as `knots`."""
     qc = is_quasiconcave(rho)
@@ -515,8 +514,7 @@ def generator_phi_pchip(couple: ExponentCouple, rho: QuasiConcaveFn) -> OrliczFu
     phi = OrliczFunction(
         "generator", p, (np.inf if couple.q_is_inf else q), float(vk[-1]),
         _pchip_jet(vk, uk),
-        {"rho_family": rho.family, "rho_params": tuple(rho.params),
-         "saturated": saturated, "tab_points": int(vk.size), "knots": vk},
+        {"saturated": saturated, "tab_points": int(vk.size), "knots": vk},
     )
     _validate_shape(phi, 100.0)
     return phi

@@ -7,25 +7,25 @@ from orliczkit.constants import conjugate_exponent
 
 class TestSparrGamma:
     def test_both_one(self):
-        assert ok.sparr_gamma(1, 1).value == 1.0
+        assert ok.sparr_gamma(1, 1) == 1.0
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     def test_diagonal_closed_form(self, p):
-        assert ok.sparr_gamma(p, p).value == pytest.approx(2 ** (1 - 1 / p), abs=1e-9)
+        assert ok.sparr_gamma(p, p) == pytest.approx(2 ** (1 - 1 / p), abs=1e-9)
 
     def test_one_two_closed_form(self):
         # stationarity at p=1, q=2: gamma = 1 + 1/2 - 1/4
-        assert ok.sparr_gamma(1, 2).value == pytest.approx(1.25, abs=1e-9)
+        assert ok.sparr_gamma(1, 2) == pytest.approx(1.25, abs=1e-9)
 
     def test_symmetry(self):
         for p, q in [(1, 2), (1.5, 3), (2, 4), (1, 3.5)]:
-            assert ok.sparr_gamma(p, q).value == pytest.approx(
-                ok.sparr_gamma(q, p).value, abs=1e-9)
+            assert ok.sparr_gamma(p, q) == pytest.approx(
+                ok.sparr_gamma(q, p), abs=1e-9)
 
     def test_monotone_in_each_argument(self):
         grid = [1.0, 1.5, 2.0, 3.0]
         for q in grid:
-            vals = [ok.sparr_gamma(p, q).value for p in grid]
+            vals = [ok.sparr_gamma(p, q) for p in grid]
             assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_range_restriction(self):
@@ -35,37 +35,37 @@ class TestSparrGamma:
     @pytest.mark.parametrize("pq", [(64, 1.01), (16, 1.5), (4, 1.5), (1.0001, 1.0002)])
     def test_exactly_symmetric_within_bounds_and_near_the_oracle(self, pq):
         p, q = pq
-        value = ok.sparr_gamma(p, q).value
-        assert ok.sparr_gamma(q, p).value == value
+        value = ok.sparr_gamma(p, q)
+        assert ok.sparr_gamma(q, p) == value
         lo, hi = min(p, q), max(p, q)
         assert 2 ** (1 - 1 / lo) <= value <= 2 ** (1 - 1 / hi)
         if hi <= 16:
-            assert value == pytest.approx(ok.sparr_gamma_oracle(p, q).value, abs=1e-6)
+            assert value == pytest.approx(ok.sparr_gamma_oracle(p, q), abs=1e-6)
 
 
 class TestSparrOracle:
     def test_diagonal_two(self):
         # inner minimum is gamma^2/2, so the oracle solves gamma^2/2 = 1
-        assert ok.sparr_gamma_oracle(2, 2).value == pytest.approx(np.sqrt(2.0), abs=1e-7)
+        assert ok.sparr_gamma_oracle(2, 2) == pytest.approx(np.sqrt(2.0), abs=1e-7)
 
     def test_one_two(self):
         # inner minimum is gamma - 1/4 once gamma >= 1/2
-        assert ok.sparr_gamma_oracle(1, 2).value == pytest.approx(1.25, abs=1e-7)
+        assert ok.sparr_gamma_oracle(1, 2) == pytest.approx(1.25, abs=1e-7)
 
     def test_both_one(self):
-        assert ok.sparr_gamma_oracle(1, 1).value == 1.0
+        assert ok.sparr_gamma_oracle(1, 1) == 1.0
 
     def test_agreement_with_fast_method(self):
         for p, q in [(1, 1.25), (1.25, 2.5), (1.5, 1.5), (2, 3), (4, 1.5)]:
-            assert ok.sparr_gamma_oracle(p, q).value == pytest.approx(
-                ok.sparr_gamma(p, q).value, abs=1e-6)
+            assert ok.sparr_gamma_oracle(p, q) == pytest.approx(
+                ok.sparr_gamma(p, q), abs=1e-6)
 
 
 class TestGammaBounds:
     def test_examples(self):
         # 2^{1-1/p} <= gamma(p, q) <= 2^{1-1/q} for p <= q
         for p, q in [(1, 2), (2, 2), (1.5, 3)]:
-            g = ok.sparr_gamma(p, q).value
+            g = ok.sparr_gamma(p, q)
             assert 2.0 ** (1.0 - 1.0 / p) - 1e-9 <= g <= 2.0 ** (1.0 - 1.0 / q) + 1e-9
 
 
@@ -101,7 +101,7 @@ class TestInterpolationConstants:
     def test_linear_branch_symmetry(self):
         for p, q in [(1.5, 2.0), (2.0, 3.0), (1.2, 1.8)]:
             p_conj, q_conj = conjugate_exponent(p), conjugate_exponent(q)
-            branch_dual = (2.0 * ok.sparr_gamma(q_conj, p_conj).value) ** (1.0 / q_conj)
+            branch_dual = (2.0 * ok.sparr_gamma(q_conj, p_conj)) ** (1.0 / q_conj)
             assert branch_dual == pytest.approx(
                 ok.interp_constant_subadditive(q_conj, p_conj), rel=1e-12)
 

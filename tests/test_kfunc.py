@@ -41,7 +41,7 @@ class TestKLpLinf:
         for _ in range(20):
             x = sample(rng.uniform(-3, 3, 6), rng.uniform(0.2, 2.0, 6))
             step = rearrangement(x)
-            for t in rng.uniform(0.05, x.space.total_measure, 4):
+            for t in rng.uniform(0.05, x.space.weights.sum(), 4):
                 exact = float(cumulative_p_integral(step, 1.0, t)[0])
                 assert ok.k_lp_linf_grid(float(t), x, 1)[0] == pytest.approx(exact, abs=1e-10)
 
@@ -374,41 +374,42 @@ class TestBatch:
     TS = np.logspace(-6, 6, 33)
 
     @staticmethod
-    def members():
+    def rows():
+        """A space and one row of values per member."""
         rng = np.random.default_rng(17)
         space = ok.DiscreteMeasureSpace(rng.uniform(0.1, 2.0, 8))
         spike = np.zeros(8)
         spike[3] = -2.5
         rows = [np.zeros(8), spike, rng.normal(size=8) * 1e-8, rng.normal(size=8) * 1e8]
         rows += [rng.normal(size=8) * np.exp(rng.normal(0, 2, 8)) for _ in range(4)]
-        return [ok.SampleFunction(space, v) for v in rows]
+        return space, np.array(rows)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.7])
     def test_k_rows_equal_one_call_per_member_bitwise(self, p):
         # the 1e-8 and 1e8 rows are scaled to sup 1 on their own
-        members = self.members()
-        got = ok.k_lp_linf_grid(self.TS, ok.SampleBatch.stack(members), p)
-        assert got.shape == (len(members), self.TS.size)
-        for row, x in zip(got, members):
-            assert row.tolist() == ok.k_lp_linf_grid(self.TS, x, p).tolist()
+        space, rows = self.rows()
+        got = ok.k_lp_linf_grid(self.TS, ok.SampleBatch(space, rows), p)
+        assert got.shape == (len(rows), self.TS.size)
+        for row, v in zip(got, rows):
+            assert row.tolist() == ok.k_lp_linf_grid(self.TS, ok.SampleFunction(space, v), p).tolist()
         assert np.all(got[0] == 0.0)
 
     @pytest.mark.parametrize("p,q", [(1, 2), (1.5, 3), (2, 4), (1.01, 5)])
     def test_l_and_l_star_rows_equal_one_call_per_member_bitwise(self, p, q):
-        members = self.members()
-        batch = ok.SampleBatch.stack(members)
+        space, rows = self.rows()
+        batch = ok.SampleBatch(space, rows)
         for kernel in (ok.l_functional_grid, ok.l_star_grid):
             got = kernel(self.TS, batch, p, q)
-            assert got.shape == (len(members), self.TS.size)
-            for row, x in zip(got, members):
-                assert row.tolist() == kernel(self.TS, x, p, q).tolist()
+            assert got.shape == (len(rows), self.TS.size)
+            for row, v in zip(got, rows):
+                assert row.tolist() == kernel(self.TS, ok.SampleFunction(space, v), p, q).tolist()
 
     @pytest.mark.parametrize("p,q", [(1.5, 3), (2, 4), (1.01, 5)])
     def test_l_value_does_not_depend_on_what_shares_the_call(self, p, q):
-        members = self.members()
-        x = members[5]
+        space, rows = self.rows()
+        x = ok.SampleFunction(space, rows[5])
         grid = ok.l_functional_grid(self.TS, x, p, q)
-        batch = ok.l_functional_grid(self.TS, ok.SampleBatch.stack(members), p, q)[5]
+        batch = ok.l_functional_grid(self.TS, ok.SampleBatch(space, rows), p, q)[5]
         one_t = [ok.l_functional_grid(np.array([t]), x, p, q)[0] for t in self.TS]
         assert grid.tolist() == one_t == batch.tolist()
 
@@ -448,7 +449,7 @@ class TestLogistic:
     def test_l_values_within_1e15_of_the_scipy_kernel(self, monkeypatch, p, q):
         from scipy.special import expit
 
-        batch = ok.SampleBatch.stack(TestBatch.members())
+        batch = ok.SampleBatch(*TestBatch.rows())
         atoms, ts = TestPointwiseSplit.ATOMS, TestPointwiseSplit.TS
         got = (ok.l_functional_grid(TestBatch.TS, batch, p, q),
                kfunc._pointwise_min_split(atoms, ts, p, q))

@@ -29,9 +29,6 @@ class TestSpaces:
         with pytest.raises(ValueError):
             ok.SampleFunction(ok.uniform_space(2), [1.0])
 
-    def test_total_measure(self):
-        assert ok.DiscreteMeasureSpace([0.5, 2.0]).total_measure == 2.5
-
 
 class TestSampleBatch:
     def test_rows_members_and_validation(self):
@@ -40,34 +37,11 @@ class TestSampleBatch:
         assert len(batch) == 2 and batch.space is space
         assert batch.abs_values().tolist() == [[1.0, 2.0, 0.0], [0.5, 0.5, 0.5]]
         assert batch[np.array([1])].values.tolist() == [[0.5, 0.5, 0.5]]
+        assert batch.scaled(0.5).values.tolist() == [[0.5, -1.0, 0.0], [0.25, 0.25, 0.25]]
         assert not batch.values.flags.writeable
         for bad in ([1.0, 2.0, 3.0], [[1.0, 2.0]], [[1.0, np.inf, 0.0]]):
             with pytest.raises(ValueError):
                 ok.SampleBatch(space, bad)
-
-    def test_members_by_index_and_iteration(self):
-        space = ok.uniform_space(2)
-        batch = ok.SampleBatch(space, [[1.0, -2.0], [3.0, 0.0], [0.5, 0.25]])
-        one = batch[1]
-        assert isinstance(one, ok.SampleFunction) and one.space is space
-        assert one.values.tolist() == [3.0, 0.0]
-        assert batch[np.int64(-1)].values.tolist() == [0.5, 0.25]
-        assert [x.values.tolist() for x in batch] == batch.values.tolist()
-        assert ok.SampleBatch.stack(list(batch)).values.tobytes() == batch.values.tobytes()
-        assert batch.scaled(0.5).values.tolist() == [[0.5, -1.0], [1.5, 0.0], [0.25, 0.125]]
-
-    def test_stack_keeps_member_values(self):
-        members = [sample([1.0, -2.0]), sample([3.0, 0.0])]
-        batch = ok.SampleBatch.stack(members)
-        assert batch.values.tolist() == [[1.0, -2.0], [3.0, 0.0]]
-
-    def test_members_on_two_spaces_raise(self):
-        a = sample([1.0, 2.0], [1.0, 1.0])
-        b = sample([1.0, 2.0], [1.0, 2.0])
-        with pytest.raises(ValueError, match="different spaces"):
-            ok.SampleBatch.stack([a, b])
-        with pytest.raises(ValueError):
-            ok.SampleBatch.stack([])
 
 
 class TestRearrangement:
@@ -98,7 +72,7 @@ class TestRearrangement:
         n = min(len(values), len(weights))
         x = sample(values[:n], weights[:n])
         step = rearrangement(x)
-        assert step.total_measure == pytest.approx(x.space.total_measure)
+        assert step.total_measure == pytest.approx(x.space.weights.sum())
         assert np.all(np.diff(step.levels) <= 0)
 
 

@@ -255,9 +255,9 @@ class TestBatchedApply:
         for name, op in shipped_operators(space).items():
             out = op.apply(batch)
             assert isinstance(out, ok.SampleBatch) and out.values.shape == rows.shape, name
-            one = op.apply(batch[0])
+            one = op.apply(ok.SampleFunction(space, rows[0]))
             assert isinstance(one, ok.SampleFunction), name
-            alone = np.stack([op.apply(x).values for x in batch])
+            alone = np.stack([op.apply(ok.SampleFunction(space, r)).values for r in rows])
             assert out.values.tobytes() == alone.tobytes(), name
 
     def test_matrix_rows_match_dot(self):

@@ -83,7 +83,7 @@ class TestConcaveMajorant:
 
     def test_non_quasiconcave_rejected(self):
         with pytest.raises(ValueError):
-            ok.concave_majorant(ok.QuasiConcaveFn(lambda t: np.asarray(t) ** 2))
+            ok.concave_majorant(lambda t: np.asarray(t) ** 2)
 
     def test_envelope_matches_direct_pairwise_minimum(self):
         # independent O(n^2) route to inf over grid s of (1 + t/s) rho(s)

@@ -36,11 +36,11 @@ def with_leaf(scenario: dict, path: tuple, value) -> dict:
 class TestResolvers:
     def test_space_uniform(self):
         sp = specs.resolve_space({"weights": "uniform", "n": 4})
-        assert sp.n == 4 and sp.total_measure == 4.0
+        assert sp.weights.tolist() == [1.0] * 4
 
     def test_space_explicit(self):
         sp = specs.resolve_space({"weights": [0.5, 2.0]})
-        assert sp.total_measure == 2.5
+        assert sp.weights.tolist() == [0.5, 2.0]
 
     def test_space_unknown_key(self):
         with pytest.raises(specs.SpecError):
@@ -403,6 +403,34 @@ class TestMalformedLeaves:
         with pytest.raises(specs.SpecError, match="p > 1"):
             specs.normalize_scenario(scenario)
         assert build_calls == {"phi": 0, "operator": 0}
+
+    @pytest.mark.parametrize("name, phi", [
+        ("thm51_linear_2_3", {"p": 1, "q": "inf"}),
+        ("thm51_linear_2_3", {"p": 1, "q": 2}),
+        ("thm51_linear_2_3", {"p": 3, "q": 6}),
+        ("thm46a", {"q": 3}),
+        ("thm31b_norm_p2", {"kind": "power", "p": 1.2}),
+        ("thm46b_norm_1_2", {"kind": "power", "p": 2.5}),
+    ])
+    def test_phi_of_another_couple_is_rejected_before_building(self, name, phi, build_calls):
+        # it would be checked against this couple's constant and certificates;
+        # L^1.2 does not lie between L^2 and L^inf
+        scenario = shipped(name)
+        scenario["phi"] = phi if phi.get("kind") == "power" else dict(scenario["phi"], **phi)
+        with pytest.raises(specs.SpecError, match="couple"):
+            specs.normalize_scenario(scenario)
+        assert build_calls == {"phi": 0, "operator": 0}
+
+    @pytest.mark.parametrize("name, r", [("thm31b_norm_p2", 2), ("thm31b_norm_p2", 7.5),
+                                         ("thm46b_norm_1_2", 1), ("thm46b_norm_1_2", 2)])
+    def test_power_phi_between_p_and_q_is_taken(self, name, r, build_calls):
+        specs.normalize_scenario(dict(shipped(name), phi={"kind": "power", "p": r}))
+        assert build_calls == {"phi": 1, "operator": 1}
+
+    @pytest.mark.parametrize("fault", [None, False, {}, {"halve_certificate": False}])
+    def test_a_fault_that_plants_nothing_normalizes_to_null(self, fault):
+        # two scenarios that run the same check normalize, and hash, the same
+        assert specs.normalize_scenario(dict(shipped("thm46a"), fault=fault))["fault"] is None
 
     def test_false_section_reads_as_absent(self):
         scenario = dict(shipped("sparr_lemma_1_2"), phi=False, operator=False, fault=False)

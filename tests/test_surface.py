@@ -2,8 +2,9 @@
 
 A function exported by `orliczkit/__init__.py` must be referenced somewhere
 in the package's own modules outside its own definition (a name or an
-attribute, not an import), or be one of the kept oracles. Reference routes
-that only tests use live in tests/oracles.py instead.
+attribute, not an import), or be one of the kept oracles. So must every
+public method and property of an exported class. Reference routes that only
+tests use live in tests/oracles.py instead.
 """
 
 import ast
@@ -16,7 +17,8 @@ from pathlib import Path
 import orliczkit
 
 PACKAGE = Path(orliczkit.__file__).parent
-# the CLI cross-checks against the first two; ROADMAP item 3 builds on the third
+# the CLI cross-checks against the first two; ROADMAP item 2 replaces the third
+# with Boyd's method
 KEPT = {"brute_force_k", "sparr_gamma_oracle", "estimate_norm"}
 
 
@@ -42,6 +44,19 @@ def test_every_exported_function_is_reached():
                 if inspect.isfunction(value) and not name.startswith("_")}
     unreached = sorted(exported - references_outside_own_def() - KEPT)
     assert not unreached, f"exported but reached by no scenario or command: {unreached}"
+
+
+def test_every_public_member_of_an_exported_class_is_reached():
+    # matched by name, as functions are; dunders are the language's, not ours
+    used = references_outside_own_def()
+    unreached = sorted(
+        f"{cls.__name__}.{name}"
+        for cls in vars(orliczkit).values() if inspect.isclass(cls)
+        for name, member in vars(cls).items()
+        if not name.startswith("_") and name not in used
+        and (inspect.isfunction(member)
+             or isinstance(member, (property, classmethod, staticmethod))))
+    assert not unreached, f"public members that no package module references: {unreached}"
 
 
 def test_kept_oracles_are_exported():

@@ -73,8 +73,9 @@ class TestSparrImplication:
         """The conclusion checked on the one pair (x, y) when it meets the
         hypothesis: (violations, how many pairs met it)."""
         collector = verify._Collector(None)
-        gamma = ok.sparr_gamma(COUPLE.p, COUPLE.q).value
-        met = verify._sparr_pairs(ok.SampleBatch.stack([x]), ok.SampleBatch.stack([y]), COUPLE,
+        gamma = ok.sparr_gamma(COUPLE.p, COUPLE.q)
+        met = verify._sparr_pairs(ok.SampleBatch(x.space, [x.values]),
+                                  ok.SampleBatch(y.space, [y.values]), COUPLE,
                                   np.logspace(-4, 4, 32), gamma, collector)
         return collector.violations, met
 
@@ -84,7 +85,7 @@ class TestSparrImplication:
 
     def test_doubled_pair(self, space8):
         x = ok.SampleFunction(space8, np.linspace(-1, 2, 8))
-        assert self.implication(x, x.scaled(2.0)) == ([], 1)
+        assert self.implication(x, ok.SampleFunction(space8, 2.0 * x.values)) == ([], 1)
 
     def test_neutral_pair_never_fails(self, space8):
         x = ok.SampleFunction(space8, np.full(8, 3.0))
@@ -257,6 +258,15 @@ class TestSharedBuilds:
 
 
 class TestRunScenario:
+    @pytest.mark.parametrize("name", ["thm46a.json", "remark_concave_h_1_2.json"])
+    def test_concave_h_tags_reject_a_phi_without_the_h_form(self, name):
+        # their constants hold for phi(u) = u^q h(u^{p-q}) with h concave; with
+        # rho = min(1, t) this phi's h is max(s, 1), which is convex
+        scenario = load_scenario(name)
+        scenario["phi"] = {"kind": "generator", "p": 1, "q": 2, "rho": {"kind": "min_one"}}
+        with pytest.raises(ok.ScenarioRejected, match="concave-h form"):
+            run_scenario(scenario)
+
     def test_smoke_scenario_passes_fast(self):
         import time
         start = time.perf_counter()
@@ -376,7 +386,8 @@ class TestRunScenario:
                                     resolved["inputs"]["scale"], resolved["seed"])
         op = op.with_bounds(op.bound_p / 2.0, op.bound_q / 2.0, "halved")
         cm = ok.bergh_constant(couple.p) * op.max_bound
-        txs = ok.SampleBatch.stack([op.apply(x) for x in inputs])
+        txs = ok.SampleBatch(space, [op.apply(ok.SampleFunction(space, v)).values
+                                     for v in inputs.values])
         rel, floor = resolved["tolerances"]["norm_rel"], resolved["tolerances"]["abs_floor"]
         beyond = 0
         for norm in (ok.luxemburg_norm, ok.amemiya_norm):
@@ -386,7 +397,7 @@ class TestRunScenario:
         assert {v["check"] for v in report["violations"]} == {"luxemburg", "amemiya"}
         assert report["details"]["violation_count"] == beyond
         for v in report["violations"]:
-            assert v["witness"] == inputs[v["input_index"]].values.tolist()
+            assert v["witness"] == inputs.values[v["input_index"]].tolist()
 
     @pytest.mark.parametrize("name,scale", [("prop22_maximal_2inf.json", 1e308),
                                             ("thm46a.json", 1e308),
@@ -419,8 +430,10 @@ class TestRunScenario:
         report = ok.verify_k_contraction(op, inputs, ts, resolved["tolerances"])
         rel, floor = resolved["tolerances"]["violation_rel"], resolved["tolerances"]["abs_floor"]
         expected = set()
-        for i, x in enumerate(inputs):
-            lhs = ok.k_lp_linf_grid(ts, op.apply(x).scaled(1.0 / op.max_bound), couple.p)
+        for i, v in enumerate(inputs.values):
+            x = ok.SampleFunction(space, v)
+            tx = ok.SampleFunction(space, op.apply(x).values * (1.0 / op.max_bound))
+            lhs = ok.k_lp_linf_grid(ts, tx, couple.p)
             rhs = ok.k_lp_linf_grid(ts, x, couple.p)
             for j in np.flatnonzero(lhs > rhs + rel * np.abs(rhs) + floor):
                 expected.add((i, float(ts[j]), float(lhs[j]), float(rhs[j]), tuple(x.values)))
@@ -432,7 +445,7 @@ class TestRunScenario:
         # half of gamma breaks the conclusion on some pairs that meet the hypothesis
         couple, ts = ExponentCouple(1, 2), np.logspace(-4, 4, 16)
         xs, ys = verify._pair_batch(ok.uniform_space(8), 60, 1.0, 12)
-        gamma = 0.5 * ok.sparr_gamma(1, 2).value
+        gamma = 0.5 * ok.sparr_gamma(1, 2)
         collector = verify._Collector(None)
         met = verify._sparr_pairs(xs, ys, couple, ts, gamma, collector)
         tol = collector.tol
