@@ -70,8 +70,7 @@ def _emit_table(header: list[str], rows: list[list[str]], fmt_name: str, out) ->
         writer.writerow(header)
         writer.writerows(rows)
     else:
-        payload = [dict(zip(header, row)) for row in rows]
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        out.write(specs.dump_normalized([dict(zip(header, row)) for row in rows]))
 
 
 def cmd_gamma(args) -> int:
@@ -127,7 +126,7 @@ def cmd_kfunc(args) -> int:
 
 def cmd_majorant(args) -> int:
     rho = specs.resolve_rho(_parse_json_arg(args.rho, "--rho"))
-    plc = concave_majorant(rho)
+    plc = concave_majorant(lambda t: rho(t)[0])
     if args.format == "csv":
         rows = [[fmt(k), fmt(v)] for k, v in zip(plc.knots, plc.values)]
         _emit_table(["knot", "value"], rows, "csv", sys.stdout)
@@ -147,7 +146,7 @@ def cmd_majorant(args) -> int:
                       for t, m in zip(rep.atom_locations, rep.atom_masses)],
         },
     }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(specs.dump_normalized(payload))
     return 0
 
 
@@ -164,9 +163,8 @@ def cmd_norms(args) -> int:
         _emit_table(["luxemburg", "amemiya"], [[fmt(lux), "" if am is None else fmt(am)]],
                     "csv", sys.stdout)
     else:
-        sys.stdout.write(json.dumps(
-            {"luxemburg": float(fmt(lux)), "amemiya": None if am is None else float(fmt(am))},
-            sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(specs.dump_normalized(
+            {"luxemburg": float(fmt(lux)), "amemiya": None if am is None else float(fmt(am))}))
     return 0
 
 
@@ -187,7 +185,7 @@ def cmd_verify(args) -> int:
         if scenario["t_grid"] is not None:
             scenario["t_grid"]["points"] *= 2
     report = run_scenario(scenario)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = specs.dump_normalized(report)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

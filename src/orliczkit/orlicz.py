@@ -1,12 +1,12 @@
 """Orlicz functions, the modular, and the Luxemburg-Nakano / Amemiya norms.
 
 An Orlicz function is a nondecreasing convex function with value 0 at 0.
-Three representations are supported: pure powers, numerically inverted
-generator builds (the inverse is u^{1/p} * rho(u^{1/q-1/p}), with 1/q = 0
-when q is infinite), and closed-form builds u^q * h(u^{p-q}) from a concave
-piecewise linear h. Generator builds tabulate the inverse on a dense log
-grid and invert with the monotone piecewise cubic of Fritsch and Carlson
-(1980); convexity is checked numerically rather than assumed.
+Three representations are supported: pure powers, generator builds (the
+inverse is u^{1/p} * rho(u^{1/q-1/p}), with 1/q = 0 when q is infinite), and
+closed-form builds u^q * h(u^{p-q}) from a concave piecewise linear h. A
+generator build inverts its inverse exactly, by Newton steps in log u on
+each call, reading rho as its jet (rho, t*rho', t^2*rho''); convexity is
+checked numerically rather than assumed.
 
 The modular and both norms take one sample function or a batch on one space;
 each search step of a batch is one array pass over the members still open.
@@ -14,7 +14,6 @@ each search step of a batch is one array pass over the members still open.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -30,13 +29,9 @@ from .quasiconcave import (
     log_grid,
 )
 
-INVERSION_U_LO = 1e-12
-INVERSION_U_HI = 1e12
-INVERSION_POINTS_PER_DECADE = 4096
-
 
 class DomainOverflowError(ValueError):
-    """An argument exceeded the evaluation domain of a tabulated function."""
+    """An argument exceeded the evaluation domain [0, u_max] of a phi."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -57,11 +52,6 @@ class ExponentCouple:
     @property
     def q_is_inf(self) -> bool:
         return math.isinf(self.q)
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +100,8 @@ def _validate_shape(phi: OrliczFunction, probe_hi: float, require_convex: bool =
     which serve the modular comparisons but are not Orlicz functions proper.
     """
     hi = min(probe_hi, phi.u_max)
-    grid = np.linspace(0.0, hi, 513)
-    vals = phi(grid)
+    vals = phi(np.linspace(0.0, hi, 513))
+    vals = vals[np.isfinite(vals)]   # a steep phi may overflow below probe_hi
     if abs(float(vals[0])) > 1e-12:
         raise ValueError("phi(0) must be 0")
     if np.any(np.diff(vals) < -1e-12 * max(float(vals[-1]), 1.0)):
@@ -128,110 +118,69 @@ def power_phi(p: float) -> OrliczFunction:
     if p < 1.0:
         raise ValueError("p must be >= 1")
     orders = np.array([1.0, p, p * (p - 1.0)])
-    _read_only(orders)
+    orders.flags.writeable = False
     phi = OrliczFunction("power", p, None, np.inf,
                          lambda u: np.multiply.outer(orders, np.asarray(u, dtype=float) ** p))
     _validate_shape(phi, 10.0)
     return phi
 
 
-@functools.cache
-def _inversion_grid() -> np.ndarray:
-    """The u-grid of every generator build, made once and read-only."""
-    u = log_grid(INVERSION_U_LO, INVERSION_U_HI, INVERSION_POINTS_PER_DECADE)
-    u.flags.writeable = False
-    return u
+# A generator phi solves for s = log u in [-LOG_U_RANGE, LOG_U_RANGE], where u
+# and t = u^e lie in 1e+-300 for |e| <= 1, so rho(t) <= rho(1) * t is finite;
+# below that range phi is flushed to 0, above it phi overflows.
+LOG_U_RANGE = 690.0
+INVERSE_LOG_STEP = 1e-14   # Newton step in s, relative to 1 + |s|, at which the solve stops
 
 
-def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Knot slopes of the Fritsch-Carlson monotone cubic through (x, y).
-
-    The weighted harmonic mean of the two secant slopes at interior knots,
-    Moler's one-sided three-point rule at the ends, in the float operations
-    and order of SciPy's PCHIP interpolator. Here x and y are both strictly
-    increasing, so every secant slope is positive: the harmonic mean needs no
-    sign or zero branch, and the end rule only clips a nonpositive slope to 0.
-    """
-    # 1/d_k = (w1/m_{k-1} + w2/m_k) / (w1 + w2) with secant slopes m and
-    # weights w1 = 2h_k + h_{k-1}, w2 = h_k + 2h_{k-1}
-    h = np.diff(x)
-    m = np.diff(y)
-    m /= h
-    w1 = 2.0 * h[1:]
-    w1 += h[:-1]
-    w2 = 2.0 * h[:-1]
-    w2 += h[1:]
-    d = np.empty(x.size)
-    mean = d[1:-1]
-    np.divide(w1, m[:-1], out=mean)
-    w1 += w2
-    w2 /= m[1:]
-    mean += w2
-    mean /= w1
-    np.divide(1.0, mean, out=mean)
-    for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]), (-1, h[-1], h[-2], m[-1], m[-2])):
-        slope = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        d[end] = slope if slope > 0.0 else 0.0
-    return d
-
-
-def _monotone_cubic_jet(x: np.ndarray, y: np.ndarray) -> Callable:
-    """The jet of the monotone cubic through (x, y), a power law below x[0].
-
-    Only the knot slopes are stored; each call forms the cubic pieces it needs
-    from x, y and the slopes at the two ends of each point's interval, with
-    the expressions of SciPy's cubic Hermite spline, so the values are those of
-    SciPy's PCHIP interpolant bit for bit.
-    """
-    d = _pchip_slopes(x, y)
-    # set before any view is taken: a view keeps the flag of its making
-    _read_only(x, y, d)
-    x0, y0 = float(x[0]), float(y[0])
-    # below the grid: power-law continuation matching the lowest segment
-    x1, y1 = float(x[1]), float(y[1])
-    alpha = (math.log(y1) - math.log(y0)) / (math.log(x1) - math.log(x0))
-    low_orders = np.array([1.0, alpha, alpha * (alpha - 1.0)])
-    _read_only(low_orders)
-    # k = searchsorted(x, u) clipped to [1, x.size - 1], so that the last
-    # interval is closed and u < x[1] falls in the first
-    inner = x[1:-1]
-
-    def jet(u):
-        u = np.minimum(np.asarray(u, dtype=float), x[-1])
-        k = np.searchsorted(inner, u, side="right") + 1
-        j = k - 1
-        xj, dj, yj = x[j], d[j], y[j]
-        h = x[k] - xj
-        m = (y[k] - yj) / h
-        t = (dj + d[k] - 2.0 * m) / h
-        # power-form coefficients c0..c3 of the piece, highest power first
-        s, c0, c1, c2, c3 = u - xj, t / h, (m - dj) / h - t, dj, yj
-        z = s * s
-        out = np.empty((3,) + u.shape)
-        # phi in increasing powers, as SciPy's piecewise-polynomial evaluator
-        # sums them; the derivatives in Horner form
-        out[0] = c3 + c2 * s + c1 * z + c0 * (z * s)
-        out[1] = u * ((3.0 * c0 * s + 2.0 * c1) * s + c2)
-        out[2] = u * u * (6.0 * c0 * s + 2.0 * c1)
-        low = u < x0
-        if np.any(low):
-            out[:, low] = np.multiply.outer(low_orders, y0 * (u[low] / x0) ** alpha)
-        return out
-
-    return jet
+def _solve_log_inverse(log_inverse: Callable, target: np.ndarray, s: np.ndarray,
+                       top: float) -> np.ndarray:
+    """Per entry, the root s of F(s) = target in [-LOG_U_RANGE, top], with
+    F's slope g and g's slope (rows of the result): Newton steps from s,
+    bracketed by the sign of F - target at the points evaluated; a step that
+    leaves the bracket or does not halve the residual becomes a bisection.
+    It stops at a step or bracket below INVERSE_LOG_STEP and returns the
+    last point plus its Newton step, so for a smooth F the error is about
+    the square of that step."""
+    out = np.empty((3, target.size))
+    lo, hi = np.full(target.size, -LOG_U_RANGE), np.full(target.size, top)
+    last, live = np.full(target.size, np.inf), np.arange(target.size)
+    for _ in range(MAX_PASSES):
+        f, g, dg = log_inverse(s)
+        r = f - target[live]
+        hi, lo = np.where(r > 0.0, s, hi), np.where(r < 0.0, s, lo)
+        with np.errstate(over="ignore"):   # g is 0 where phi^-1 is flat to rounding
+            step = -r / np.maximum(g, np.finfo(float).tiny)
+        tol = INVERSE_LOG_STEP * (1.0 + np.abs(s))
+        done = (np.abs(step) <= tol) | (hi - lo <= tol)
+        if done.all() and live.size == target.size:
+            # the usual case, with no index arrays: one pass solves every entry
+            return np.stack((np.clip(s + step, lo, hi), g, dg))
+        if np.any(done):
+            out[:, live[done]] = np.clip(s + step, lo, hi)[done], g[done], dg[done]
+        keep = ~done
+        live = live[keep]
+        if not live.size:
+            return out
+        s, lo, hi, res = s[keep] + step[keep], lo[keep], hi[keep], np.abs(r[keep])
+        bisect = (res > 0.5 * last[keep]) | ~((s > lo) & (s < hi))
+        s, last = np.where(bisect, 0.5 * (lo + hi), s), res
+    raise NonConvergenceError("the inversion of a generator phi did not converge")
 
 
 def build_from_generator(couple: ExponentCouple, rho: Callable) -> OrliczFunction:
-    """Orlicz function whose inverse is u^{1/p} * rho(u^{1/q - 1/p}).
+    """Orlicz function whose inverse is u^{1/p} * rho(u^{1/q - 1/p}), for
+    rho given as its jet (see `quasiconcave`).
 
-    The inverse is tabulated on a log grid (`INVERSION_POINTS_PER_DECADE`
-    points per decade over [`INVERSION_U_LO`, `INVERSION_U_HI`]) and inverted by monotone
-    interpolation. Saturating generators (the inverse stops increasing, e.g.
-    rho = min(1,t) with q infinite) keep only the strictly increasing prefix,
-    which bounds the evaluation domain: u_max is the last tabulated ordinate
-    and larger arguments overflow.
+    With e = 1/q - 1/p and t = u^e, phi(v) = e^s for the root s of
+    F(s) = s/p + log rho(t) = log v, solved per call from the power law
+    through u = 1. F's slope g = 1/p + e*E, with E = t*rho'/rho in [0, 1],
+    lies in [1/q, 1/p], and the jet is exact: v*phi'/phi = 1/g, and
+    v^2*phi'' follows from g's slope e^2*t*E'. The domain is unbounded for
+    finite q; at q = inf it ends at u_max = lim rho(t)/t as t -> 0, finite
+    where rho is linear near 0 (1 for min(1, t)), and phi(u_max) is where
+    the inverse, flat (g = 0) beyond, first reaches it.
     """
-    qc = is_quasiconcave(rho)
+    qc = is_quasiconcave(lambda t: rho(t)[0])
     if not qc.ok:
         raise ValueError(f"rho fails the quasi-concavity check ({qc.worst_violation:.3e})")
     conc = concavity_violation(rho, log_grid(points_per_decade=16))
@@ -239,26 +188,61 @@ def build_from_generator(couple: ExponentCouple, rho: Callable) -> OrliczFunctio
         raise ValueError(f"rho fails the concavity check ({conc:.3e})")
     p, q = couple.p, couple.q
     e = (0.0 if couple.q_is_inf else 1.0 / q) - 1.0 / p
-    u = _inversion_grid()
-    v = u ** (1.0 / p)
-    v *= np.asarray(rho(u**e), dtype=float)
-    if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
+
+    def log_inverse(s):
+        """F(s), its slope g, and g's slope e^2*t*E' (rows), at each s."""
+        r0, r1, r2 = rho(np.exp(e * s))
+        elast = r1 / r0
+        return s / p + np.log(r0), 1.0 / p + e * elast, e * e * (r2 / r0 - elast * (elast - 1.0))
+
+    def rows(s, g, dg):   # phi is 0 where phi^-1 is flat to rounding (g = 0) near 0
+        u, eta = np.exp(s) * (g > 0.0), 1.0 / np.where(g > 0.0, g, 1.0)
+        with np.errstate(over="ignore"):
+            return np.stack((u, u * eta, u * eta * (eta - 1.0 - dg * eta * eta)))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (f_lo, f_one, f_top), (_, g_one, _), _ = log_inverse(
+            np.array([-LOG_U_RANGE, 0.0, LOG_U_RANGE]))
+    if not np.all(np.isfinite([f_lo, f_one, f_top, g_one])):
         raise ValueError("generator produced non-finite or non-positive inverse values")
-    # strictly increasing prefix (a flat tail signals saturation); while each
-    # step clears the margin, v is its own running maximum and keeps every
-    # point, so the mask is needed only when some step does not
-    saturated = not np.all(v[1:] > v[:-1] * (1.0 + 1e-12))
-    if saturated:
-        running = np.maximum.accumulate(v)
-        keep = np.concatenate(([True], v[1:] > running[:-1] * (1.0 + 1e-12)))
-        if keep.sum() < 2 * INVERSION_POINTS_PER_DECADE:
-            raise ValueError("inverse not strictly increasing on grid")
-        v, u = v[keep], u[keep]
-    phi = OrliczFunction(
-        "generator", p, (np.inf if couple.q_is_inf else q), float(v[-1]),
-        _monotone_cubic_jet(v, u),
-        {"saturated": saturated, "tab_points": int(v.size)},
-    )
+    u_max, top, rows_top = np.inf, LOG_U_RANGE, np.full(3, np.inf)
+    r0, r1, _ = rho(np.array(2.0**-1000))
+    if couple.q_is_inf and r1 == r0:
+        # rho(t)/t is exact at a power of 2; bisect for the start of the flat
+        # tail, where rho(t) = u_max * t with slope u_max (near u = 0, rounding
+        # can flatten the inverse too, but not onto that line)
+        u_max, lo, hi = float(r0 * 2.0**1000), -LOG_U_RANGE, LOG_U_RANGE
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            t = np.exp(e * np.array(mid))   # as log_inverse rounds it
+            r0, r1, _ = rho(t)
+            lo, hi = (lo, mid) if r0 == r1 == u_max * t else (mid, hi)
+        top = lo
+        f_top, g, dg = log_inverse(np.array(top))
+        rows_top = rows(np.array(top), g, dg)
+    if not f_top > f_lo:   # rho linear on the whole range
+        raise ValueError("inverse not strictly increasing")
+    # the power law through u = 1, or 1/p where the inverse is flat there
+    guess_slope = g_one if g_one > 0.0 else 1.0 / p
+
+    def solve(target):
+        guess = np.clip((target - f_one) / guess_slope, -LOG_U_RANGE, top)
+        return rows(*_solve_log_inverse(log_inverse, target, guess, top))
+
+    def jet(v):
+        v = np.asarray(v, dtype=float)
+        with np.errstate(divide="ignore"):
+            target = np.log(v.ravel())
+        inside = np.flatnonzero((target >= f_lo) & (target < f_top))
+        if inside.size == target.size:
+            return solve(target).reshape((3,) + v.shape)
+        # phi is 0 below the range (and at 0), the top rows at or above it
+        out = np.zeros((3, target.size))
+        out[:, target >= f_top] = rows_top[:, None]
+        out[:, inside] = solve(target[inside])
+        return out.reshape((3,) + v.shape)
+
+    phi = OrliczFunction("generator", p, (np.inf if couple.q_is_inf else q), u_max, jet)
     _validate_shape(phi, 100.0)
     return phi
 
@@ -268,7 +252,7 @@ def build_from_h(couple: ExponentCouple, h: PiecewiseLinearConcave) -> OrliczFun
     if couple.q_is_inf:
         raise ValueError("q must be finite for the h-form build")
     p, q = couple.p, couple.q
-    if h.value_at_zero < 0.0 or np.any(h.values <= 0.0):
+    if np.any(h.values <= 0.0):
         raise ValueError("h must be positive on (0, inf)")
 
     def term(c, u, r):
@@ -279,7 +263,7 @@ def build_from_h(couple: ExponentCouple, h: PiecewiseLinearConcave) -> OrliczFun
     # leaves float range
     orders_q = np.array([1.0, q, q * (q - 1.0)])
     orders_p = np.array([1.0, p, p * (p - 1.0)])
-    _read_only(orders_q, orders_p)
+    orders_q.flags.writeable = orders_p.flags.writeable = False
 
     def jet(u):
         u = np.asarray(u, dtype=float)
@@ -319,7 +303,7 @@ def modular(phi: OrliczFunction, x: SampleFunction | SampleBatch):
 LUXEMBURG_RTOL = 1e-10     # relative width of the final Luxemburg bracket
 AMEMIYA_LOG_STEP = 1e-9    # Newton step in log k below which the Amemiya search stops
 AMEMIYA_RANGE = (1e-8, 1e8)   # the k range, in units of 1 / sup|x|
-MAX_PASSES = 100          # per norm call, before NonConvergenceError
+MAX_PASSES = 100          # per norm call or inversion, before NonConvergenceError
 
 
 def _profile(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray,

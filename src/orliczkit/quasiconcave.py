@@ -1,12 +1,15 @@
 """Quasi-concave functions, concave majorants, and concave decompositions.
 
 A quasi-concave generator is positive and nondecreasing on (0, inf) with
-rho(t)/t nonincreasing. Its concave majorant is the least concave function
-above it, here computed exactly on a log grid as the lower envelope of the
-line family rho(s) + t * rho(s)/s and returned as a certified piecewise
-linear concave object. Concave piecewise linear functions decompose into
-(value at 0+, asymptotic slope, slope-drop atoms), which the `majorant`
-command prints next to the majorant.
+rho(t)/t nonincreasing. Each generator kind is one jet: rho(t) stacks
+rho(t), t*rho'(t) and t^2*rho''(t) along a new first axis, with the slope
+on the right at a kink, as `OrliczFunction.jet` does for phi; its first row
+is the value. The concave majorant of a value function is the least
+concave function above it, here computed exactly on a log grid as the
+lower envelope of the line family rho(s) + t * rho(s)/s and returned as a
+certified piecewise linear concave object. Concave piecewise linear
+functions decompose into (value at 0+, asymptotic slope, slope-drop atoms),
+which the `majorant` command prints next to the majorant.
 """
 
 from __future__ import annotations
@@ -57,19 +60,12 @@ def is_quasiconcave(rho: Callable, grid: np.ndarray | None = None,
 
 
 def concavity_violation(rho: Callable, grid: np.ndarray) -> float:
-    """Worst relative increase of chord slopes (0 for a concave function).
-
-    A `PiecewiseLinearConcave` is checked on its own slope table instead of
-    the grid: near t = 0 a chord of a large value over a short step carries a
-    rounding error above the callers' tolerance, while the table's slopes
-    are exact.
-    """
-    if isinstance(rho, PiecewiseLinearConcave):
-        slopes = rho.slopes
-    else:
-        grid = np.asarray(grid, dtype=float)
-        vals = np.asarray(rho(grid), dtype=float)
-        slopes = np.diff(vals) / np.diff(grid)
+    """Worst relative rise of rho' = (t*rho')/t, read off the jet, from one
+    grid point to the next (0 for a concave rho). Chords would carry a
+    rounding error of a large value over a short step near t = 0; a table's
+    slopes come out exact."""
+    grid = np.asarray(grid, dtype=float)
+    slopes = rho(grid)[1] / grid
     scale = np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:]))
     scale = np.maximum(scale, 1e-300)
     rises = (slopes[1:] - slopes[:-1]) / scale
@@ -77,41 +73,50 @@ def concavity_violation(rho: Callable, grid: np.ndarray) -> float:
 
 
 def power_log_rho(theta: float, a: float, b: float) -> Callable:
-    """The power-log family t^theta * ln(e+t)^a * ln(e+1/t)^b, 0 at t=0."""
+    """The jet of t^theta * ln(e+t)^a * ln(e+1/t)^b, 0 at t=0."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
 
     def rho(t):
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
         pos = t > 0.0
-        tp = t[pos]
+        tp = np.where(pos, t, 1.0)   # rows at t <= 0 are zeroed below
         vals = tp**theta
-        # a log factor with exponent 0 is exactly 1.0, so skipping it keeps
-        # every value
-        if a:
-            vals *= np.log(np.e + tp) ** a
-        if b:
-            vals *= np.log(np.e + 1.0 / tp) ** b
-        out[pos] = vals
-        return out
+        # the elasticity E = t*rho'/rho and t*E'. A factor ln(e + t^k)^c adds
+        # c*f to E and c*f*(k - w - f) to t*E', with w = k*t^k / (e + t^k) and
+        # f = w / ln(e + t^k); one with c = 0 is exactly 1.0, so it is skipped
+        elast, slope = float(theta), 0.0
+        for c, k in ((a, 1.0), (b, -1.0)):
+            if c:
+                power = tp**k   # bitwise t and 1/t
+                log_x = np.log(np.e + power)
+                vals *= log_x**c
+                w = k * power / (np.e + power)
+                f = w / log_x
+                elast, slope = elast + c * f, slope + c * f * (k - w - f)
+        return np.stack((vals, vals * elast, vals * (elast * (elast - 1.0) + slope))) * pos
 
     return rho
 
 
 def power_rho(theta: float) -> Callable:
-    """t^theta for theta in [0, 1]; theta=0 is the constant generator."""
+    """The jet of t^theta for theta in [0, 1]; theta=0 is the constant generator."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    return lambda t: np.asarray(t, dtype=float) ** theta
+    orders = np.array([1.0, theta, theta * (theta - 1.0)])
+    orders.flags.writeable = False
+    return lambda t: np.multiply.outer(orders, np.asarray(t, dtype=float) ** theta)
 
 
 def min_one_rho() -> Callable:
-    return lambda t: np.minimum(1.0, np.asarray(t, dtype=float))
+    """The jet of min(1, t), as the table with knot 1, slope 1 below it and 0 above."""
+    return PiecewiseLinearConcave([1.0], [1.0], 1.0, 0.0).jet
 
 
 def max_one_rho() -> Callable:
-    return lambda t: np.maximum(1.0, np.asarray(t, dtype=float))
+    """The jet of max(1, t): quasi-concave, not concave."""
+    return lambda t: np.stack((np.maximum(1.0, t), np.where(np.greater_equal(t, 1.0), t, 0.0),
+                               np.zeros(np.shape(t))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +131,8 @@ class PiecewiseLinearConcave:
     knots[0], between each pair of knots, and beyond knots[-1]. Piece j
     covers knots[j-1] <= u < knots[j], and the function there is
     intercepts[j] + slopes[j] * u; both terms are nonnegative, since a
-    tangent line of a concave h >= 0 meets the axis at or above h(0+).
+    tangent line of a concave h >= 0 meets the axis at or above h(0+)
+    (a first intercept that rounds below 0 is stored as 0).
     """
 
     knots: np.ndarray
@@ -153,6 +159,7 @@ class PiecewiseLinearConcave:
             raise ValueError("slopes increase: not concave")
         if intercepts[0] < -1e-12 * max(abs(v[0]), 1.0) or np.any(v < 0.0) or slope_inf < 0.0:
             raise ValueError("function must be nonnegative on (0, inf)")
+        intercepts[0] = max(intercepts[0], 0.0)
         for name, arr in (("knots", k), ("values", v), ("slopes", slopes),
                           ("intercepts", intercepts)):
             arr.flags.writeable = False
@@ -165,9 +172,17 @@ class PiecewiseLinearConcave:
         return float(self.intercepts[0])
 
     def __call__(self, u) -> np.ndarray:
+        return self.jet(u)[0]
+
+    def jet(self, u) -> np.ndarray:
+        """(h, u*h', u^2*h'') at u, with the slope on the right at a knot."""
         u = np.asarray(u, dtype=float)
         j = np.searchsorted(self.knots, u, side="right")
-        return self.intercepts[j] + self.slopes[j] * u
+        slope = self.slopes[j]
+        return np.stack((self.intercepts[j] + slope * u, slope * u, np.zeros(u.shape)))
+
+
+ENVELOPE_RTOL = 1e-9   # see `_lower_line_envelope`
 
 
 def _lower_line_envelope(intercepts: np.ndarray, slopes: np.ndarray):
@@ -176,8 +191,11 @@ def _lower_line_envelope(intercepts: np.ndarray, slopes: np.ndarray):
     Monotone-chain pass: insert lines by slope descending; a kept line owns
     the interval between its crossings with its hull neighbours, and lines
     whose interval collapses (crossing not to the right of the previous one,
-    or left of 0) are popped. Returns (kept intercepts, kept slopes,
-    crossings between consecutive kept lines).
+    or left of 0) are popped. So is a line that rises by at most
+    ENVELOPE_RTOL of its value across its interval, whose slope knot values
+    could not resolve (lines meeting near t = 0 at rounded, equal
+    intercepts); the envelope rises there by at most that fraction. Returns
+    (kept intercepts, kept slopes, crossings between consecutive kept lines).
     """
     order = np.lexsort((intercepts, -slopes))
     a_sorted, b_sorted = intercepts[order], slopes[order]
@@ -190,7 +208,8 @@ def _lower_line_envelope(intercepts: np.ndarray, slopes: np.ndarray):
     for aj, bj in zip(a_sorted, b_sorted):
         while hull_a:
             x = (aj - hull_a[-1]) / (hull_b[-1] - bj)
-            if x <= (cuts[-1] if cuts else 0.0):
+            start = cuts[-1] if cuts else 0.0
+            if x <= start or (x - start) * hull_b[-1] <= ENVELOPE_RTOL * (hull_a[-1] + hull_b[-1] * x):
                 hull_a.pop()
                 hull_b.pop()
                 if cuts:
@@ -289,5 +308,5 @@ def peetre_decompose(h: PiecewiseLinearConcave) -> PeetreRepresentation:
     drops = h.slopes[:-1] - h.slopes[1:]
     keep = drops > 0.0
     return PeetreRepresentation(
-        max(h.value_at_zero, 0.0), h.slope_inf, h.knots[keep], drops[keep]
+        h.value_at_zero, h.slope_inf, h.knots[keep], drops[keep]
     )

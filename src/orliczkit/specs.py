@@ -101,6 +101,7 @@ def resolve_space(record: dict) -> DiscreteMeasureSpace:
 
 
 def resolve_rho(record: dict) -> Callable:
+    """The jet t -> (rho, t*rho', t^2*rho'') of a generator spec."""
     kind = _kind(record, "rho")
     if kind == "powerlog":
         _require_keys(record, {"kind", "theta", "a", "b"}, what="powerlog rho")
@@ -115,7 +116,7 @@ def resolve_rho(record: dict) -> Callable:
         _require_keys(record, {"kind"}, what="max_one rho")
         return qc.max_one_rho()
     if kind == "pwl":
-        return resolve_plc({k: v for k, v in record.items() if k != "kind"})
+        return resolve_plc({k: v for k, v in record.items() if k != "kind"}).jet
     raise SpecError(f"unknown rho kind {kind!r}")
 
 
@@ -415,8 +416,8 @@ def t_grid_points(grid: dict) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
-def dump_normalized(obj: dict) -> str:
-    """Canonical JSON serialization (sorted keys, stable separators)."""
+def dump_normalized(obj: Any) -> str:
+    """Canonical JSON (sorted keys, indent 2): scenario files and all CLI JSON output."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 

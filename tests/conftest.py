@@ -13,9 +13,14 @@ def session_elapsed() -> float:
     return time.perf_counter() - SESSION_START
 
 
+def rho_values(rho):
+    """The value function of a generator rho, the first row of its jet."""
+    return lambda t: rho(t)[0]
+
+
 @lru_cache(maxsize=None)
 def cached_generator_phi(p: float, q: float, family: str, params: tuple = ()):
-    """Generator builds are tabulation-heavy; share them across tests."""
+    """Generator builds, shared across tests."""
     rho = {
         "powerlog": lambda: ok.power_log_rho(*params),
         "power": lambda: ok.power_rho(*params),

@@ -19,12 +19,15 @@ Nothing in the package calls these; each is written for clarity, not speed.
   bisection and golden-section kernels that the Newton solves in
   `orlicz.luxemburg_norm` and `orlicz.amemiya_norm` replaced, kept as they
   were, with their helpers `_scaled_modular` and `golden_section`.
-- Generator builds through SciPy: `generator_phi_pchip` is the build that
-  `orlicz.build_from_generator` replaced, kept as it was: the full-grid
-  tabulation, the running-maximum keep mask, and a jet on SciPy's
+- Generator builds through SciPy: `generator_phi_pchip` is the tabulated
+  build that the exact inversion in `orlicz.build_from_generator` replaced,
+  kept as it was: its rho checks on values (chord slopes, or the slope table
+  of a `PiecewiseLinearConcave`), the tabulation of the inverse at
+  `INVERSION_POINTS_PER_DECADE` points per decade over [`INVERSION_U_LO`,
+  `INVERSION_U_HI`], the running-maximum keep mask, and a jet on SciPy's
   `PchipInterpolator` whose first row is the interpolant's own value
-  (`_pchip_jet`). `power_log_rho_full` is the power-log generator with both
-  log factors always evaluated.
+  (`_pchip_jet`). It takes rho as a value function. `power_log_rho_full` is
+  the power-log generator with both log factors always evaluated.
 """
 
 from __future__ import annotations
@@ -41,11 +44,10 @@ import orliczkit as ok
 from orliczkit.kfunc import _check_exponent
 from orliczkit.measure import (DiscreteMeasureSpace, SampleBatch, SampleFunction,
                                _frozen_array, abs_rows)
-from orliczkit.orlicz import (INVERSION_POINTS_PER_DECADE, INVERSION_U_HI, INVERSION_U_LO,
-                              ExponentCouple, NonConvergenceError, OrliczFunction,
+from orliczkit.orlicz import (ExponentCouple, NonConvergenceError, OrliczFunction,
                               _validate_shape)
 from orliczkit.quasiconcave import (PeetreRepresentation, PiecewiseLinearConcave,
-                                    concavity_violation, is_quasiconcave, log_grid)
+                                    is_quasiconcave, log_grid)
 
 
 def _abs_apply(op, rows: np.ndarray) -> np.ndarray:
@@ -489,13 +491,34 @@ def _pchip_jet(x: np.ndarray, y: np.ndarray):
     return jet
 
 
+INVERSION_U_LO = 1e-12
+INVERSION_U_HI = 1e12
+INVERSION_POINTS_PER_DECADE = 4096
+
+
+def chord_concavity_violation(rho: Callable, grid: np.ndarray) -> float:
+    """Worst relative increase of chord slopes of a value function rho on
+    the grid, or of the slope table of a `PiecewiseLinearConcave`."""
+    if isinstance(rho, PiecewiseLinearConcave):
+        slopes = rho.slopes
+    else:
+        grid = np.asarray(grid, dtype=float)
+        vals = np.asarray(rho(grid), dtype=float)
+        slopes = np.diff(vals) / np.diff(grid)
+    scale = np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:]))
+    scale = np.maximum(scale, 1e-300)
+    rises = (slopes[1:] - slopes[:-1]) / scale
+    return float(max(rises.max(initial=0.0), 0.0))
+
+
 def generator_phi_pchip(couple: ExponentCouple, rho: Callable) -> OrliczFunction:
-    """`orlicz.build_from_generator` on SciPy's PCHIP interpolator; its
-    `meta` adds the tabulated knots as `knots`."""
+    """The tabulated generator build on SciPy's PCHIP interpolator, for rho
+    as a value function; its `meta` holds `saturated`, `tab_points` and the
+    tabulated knots as `knots`."""
     qc = is_quasiconcave(rho)
     if not qc.ok:
         raise ValueError(f"rho fails the quasi-concavity check ({qc.worst_violation:.3e})")
-    conc = concavity_violation(rho, log_grid(points_per_decade=16))
+    conc = chord_concavity_violation(rho, log_grid(points_per_decade=16))
     if conc > 1e-8:
         raise ValueError(f"rho fails the concavity check ({conc:.3e})")
     p, q = couple.p, couple.q

@@ -4,6 +4,7 @@ import pytest
 import orliczkit as ok
 from orliczkit.quasiconcave import concavity_violation, log_grid
 
+from conftest import rho_values
 from oracles import phi_expansion, reconstruct
 
 
@@ -19,18 +20,18 @@ def random_concave_plc(rng, knots=5):
 
 class TestIsQuasiConcave:
     def test_min_one_passes(self):
-        assert ok.is_quasiconcave(ok.min_one_rho()).ok
+        assert ok.is_quasiconcave(rho_values(ok.min_one_rho())).ok
 
     def test_square_fails(self):
         check = ok.is_quasiconcave(lambda t: np.asarray(t) ** 2)
         assert not check.ok and check.worst_violation > 1e-3
 
     def test_max_one_passes(self):
-        assert ok.is_quasiconcave(ok.max_one_rho()).ok
+        assert ok.is_quasiconcave(rho_values(ok.max_one_rho())).ok
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
-            ok.is_quasiconcave(ok.min_one_rho(), grid=np.logspace(-2, 2, 50))
+            ok.is_quasiconcave(rho_values(ok.min_one_rho()), grid=np.logspace(-2, 2, 50))
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -39,38 +40,38 @@ class TestIsQuasiConcave:
 
 class TestPowerLog:
     def test_plain_power_at_one(self):
-        assert float(ok.power_log_rho(0.5, 0, 0)(1.0)) == pytest.approx(1.0)
+        assert float(ok.power_log_rho(0.5, 0, 0)(1.0)[0]) == pytest.approx(1.0)
 
     def test_log_factor_at_one(self):
-        assert float(ok.power_log_rho(0.5, 1, 0)(1.0)) == pytest.approx(np.log(np.e + 1.0))
+        assert float(ok.power_log_rho(0.5, 1, 0)(1.0)[0]) == pytest.approx(np.log(np.e + 1.0))
 
     @pytest.mark.parametrize("params", [(0.3, 1, -1), (0.7, -1, 1)])
     def test_admissible_members_are_quasiconcave(self, params):
-        assert ok.is_quasiconcave(ok.power_log_rho(*params)).ok
+        assert ok.is_quasiconcave(rho_values(ok.power_log_rho(*params))).ok
 
     def test_theta_range_enforced(self):
         with pytest.raises(ValueError):
             ok.power_log_rho(1.0, 0, 0)
 
     def test_zero_at_zero(self):
-        assert float(ok.power_log_rho(0.4, 2, 1)(0.0)) == 0.0
+        assert np.array_equal(ok.power_log_rho(0.4, 2, 1)(0.0), np.zeros(3))
 
 
 class TestConcaveMajorant:
     def test_min_one_is_fixed_point(self):
-        maj = ok.concave_majorant(ok.min_one_rho())
+        maj = ok.concave_majorant(rho_values(ok.min_one_rho()))
         grid = log_grid()
         rho = np.minimum(1.0, grid)
         assert np.max(np.abs(maj(grid) - rho) / rho) < 1e-8
 
     def test_max_one_becomes_affine(self):
-        maj = ok.concave_majorant(ok.max_one_rho())
+        maj = ok.concave_majorant(rho_values(ok.max_one_rho()))
         ts = np.logspace(-6, 6, 200)
         assert np.max(np.abs(maj(ts) - (1.0 + ts)) / (1.0 + ts)) < 1e-8
 
     @pytest.mark.parametrize("params", [(0.5, 0, 0), (0.3, 1, -1), (0.7, -1, 1)])
     def test_two_sided_comparison(self, params):
-        rho = ok.power_log_rho(*params)
+        rho = rho_values(ok.power_log_rho(*params))
         maj = ok.concave_majorant(rho)
         grid = log_grid()
         ratio = maj(grid) / rho(grid)
@@ -78,8 +79,8 @@ class TestConcaveMajorant:
         assert ratio.max() <= 2.0 + 1e-8
 
     def test_output_is_certified_concave(self):
-        maj = ok.concave_majorant(ok.power_log_rho(0.4, 1, 0))
-        assert concavity_violation(maj, log_grid(1e-6, 1e6, 32)) <= 1e-12
+        maj = ok.concave_majorant(rho_values(ok.power_log_rho(0.4, 1, 0)))
+        assert concavity_violation(maj.jet, log_grid(1e-6, 1e6, 32)) <= 1e-12
 
     def test_non_quasiconcave_rejected(self):
         with pytest.raises(ValueError):
@@ -87,7 +88,7 @@ class TestConcaveMajorant:
 
     def test_envelope_matches_direct_pairwise_minimum(self):
         # independent O(n^2) route to inf over grid s of (1 + t/s) rho(s)
-        rho = ok.power_log_rho(0.4, 1, 0)
+        rho = rho_values(ok.power_log_rho(0.4, 1, 0))
         coarse = log_grid(1e-4, 1e4, 32)
         maj = ok.concave_majorant(rho, grid=coarse, extend_decades=0.0)
         vals = rho(coarse)
@@ -132,6 +133,57 @@ class TestPiecewiseLinearConcave:
         h = ok.PiecewiseLinearConcave([0.1, 1.0, 5.0], [0.5, 1.0, 1.5], 5.0, 0.01)
         assert h(2.0).shape == () and h(np.zeros((2, 3))).shape == (2, 3)
         assert h(np.zeros(0)).shape == (0,)
+        assert h.jet(2.0).shape == (3,) and h.jet(np.zeros((2, 3))).shape == (3, 2, 3)
+
+    def test_first_intercept_that_rounds_below_zero_is_zero(self):
+        # min(0.1 s, 0.3): 0.3 - 0.1 * 3 rounds to -5.6e-17, which would make
+        # h negative below 5.6e-16
+        h = ok.PiecewiseLinearConcave([3.0], [0.3], 0.1, 0.0)
+        assert h.value_at_zero == 0.0
+        assert np.all(h(np.array([1e-300, 1e-20, 1e-8])) > 0.0)
+        assert ok.is_quasiconcave(h).ok
+
+    def test_jet_is_the_slope_of_each_piece(self):
+        h = ok.PiecewiseLinearConcave([0.1, 1.0, 5.0], [0.5, 1.0, 1.5], 5.0, 0.01)
+        s = np.array([0.05, 0.1, 0.5, 1.0, 3.0, 5.0, 50.0])
+        piece = np.searchsorted(h.knots, s, side="right")
+        assert np.array_equal(h.jet(s), [h(s), h.slopes[piece] * s, np.zeros(s.size)])
+
+
+class TestJets:
+    """Each generator kind is its jet (rho, t*rho', t^2*rho'')."""
+
+    KINDS = {
+        "powerlog": lambda: ok.power_log_rho(0.3, 1, -1),
+        "powerlog_both": lambda: ok.power_log_rho(0.4, 2, 1),
+        "powerlog_sqrt": lambda: ok.power_log_rho(0.5, 0, 0),
+        "power": lambda: ok.power_rho(0.8),
+        "min_one": ok.min_one_rho,
+        "max_one": ok.max_one_rho,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_rows_match_central_differences(self, kind):
+        rho = self.KINDS[kind]()
+        # away from the kink at t = 1 of min_one and max_one
+        t = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 40))
+        h = 1e-5
+        up, mid, down = rho(t * (1 + h))[0], rho(t)[0], rho(t * (1 - h))[0]
+        jet = rho(t)
+        np.testing.assert_allclose(jet[1], (up - down) / (2 * h), rtol=1e-9, atol=1e-12)
+        # the second difference carries a rounding error of about 1e-5 * rho
+        second = (up - 2 * mid + down) / (h * h)
+        assert np.all(np.abs(jet[2] - second) <= 1e-4 * (np.abs(second) + mid))
+
+    def test_powerlog_values_are_the_closed_form(self):
+        t = np.exp(np.linspace(np.log(1e-300), np.log(1e300), 101))
+        want = t**0.4 * np.log(np.e + t) ** 2 * np.log(np.e + 1.0 / t)
+        np.testing.assert_allclose(ok.power_log_rho(0.4, 2, 1)(t)[0], want, rtol=1e-14)
+
+    def test_min_one_is_the_table(self):
+        t = np.array([1e-300, 0.5, 1.0, 2.0, 1e300])
+        assert ok.min_one_rho()(t).tolist() == [np.minimum(1.0, t).tolist(),
+                                                 [1e-300, 0.5, 0.0, 0.0, 0.0], [0.0] * 5]
 
 
 class TestPeetre:

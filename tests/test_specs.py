@@ -60,14 +60,15 @@ class TestResolvers:
             specs.resolve_space({"weights": [1.0, 2.0], "n": 2})
 
     def test_rho_kinds(self):
-        assert float(specs.resolve_rho({"kind": "min_one"})(0.5)) == 0.5
-        assert float(specs.resolve_rho({"kind": "max_one"})(0.5)) == 1.0
-        assert float(specs.resolve_rho({"kind": "power", "theta": 0.5})(4.0)) == 2.0
+        # each kind is a jet (rho, t*rho', t^2*rho'')
+        assert specs.resolve_rho({"kind": "min_one"})(0.5).tolist() == [0.5, 0.5, 0.0]
+        assert specs.resolve_rho({"kind": "max_one"})(0.5).tolist() == [1.0, 0.0, 0.0]
+        assert specs.resolve_rho({"kind": "power", "theta": 0.5})(4.0).tolist() == [2.0, 1.0, -0.5]
         powerlog = specs.resolve_rho({"kind": "powerlog", "theta": 0.5, "a": 1, "b": 0})
-        assert float(powerlog(1.0)) == pytest.approx(np.log(np.e + 1))
+        assert float(powerlog(1.0)[0]) == pytest.approx(np.log(np.e + 1))
         pwl = specs.resolve_rho({"kind": "pwl", "knots": [1.0], "values": [1.0],
                                  "slope0": 1.0, "slope_inf": 0.0})
-        assert float(pwl(0.25)) == 0.25
+        assert pwl(0.25).tolist() == [0.25, 0.25, 0.0]
 
     def test_rho_unknown_kind(self):
         with pytest.raises(specs.SpecError):

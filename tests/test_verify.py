@@ -209,6 +209,38 @@ class TestChainDiagnostics:
             "link1_phi_le_psi", "link2_psi_contraction", "link3_psi_le_2phi"}
         assert chained.details == dict(plain.details, chain=chained.details["chain"])
 
+    # valid scenarios whose majorant table broke with a bare ValueError
+    # ("slopes increase: not concave"). For rho = min(1, t), h = max(s, 1), and
+    # the grid lines 1 + t/s_j for s_j < 1 all meet at t = 0, where their
+    # rounded intercepts put the crossings in any order; the envelope now
+    # drops a line whose slope its knot values could not resolve
+    CHAIN_CASES = {
+        "min_one-2-2.5": ({"kind": "min_one"}, 2, 2.5),
+        "min_one-1.2-2.2": ({"kind": "min_one"}, 1.2, 2.2),
+        "min_one-1.2-3.2": ({"kind": "min_one"}, 1.2, 3.2),
+        "min_one-1.5-2.5": ({"kind": "min_one"}, 1.5, 2.5),
+        "pwl-1-5": ({"kind": "pwl", "knots": [1, 4], "values": [2, 2.75],
+                     "slope0": 0.5, "slope_inf": 0.1}, 1, 5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    def test_majorant_of_a_partly_flat_h_builds(self, case):
+        rho, p, q = self.CHAIN_CASES[case]
+        scenario = load_scenario("thm46b_norm_1_2.json")
+        scenario.update(couple={"p": p, "q": q}, diagnostics=True,
+                        phi={"kind": "generator", "p": p, "q": q, "rho": rho})
+        scenario["inputs"]["count"] = 20
+        report = run_scenario(scenario)
+        assert report["status"] == "pass"
+        assert report["details"]["chain"]["mode"] == "chain_diagnostics"
+
+    def test_min_one_majorant_is_one_plus_s(self):
+        # h = max(s, 1) has the concave majorant 1 + s on the whole grid
+        couple = ExponentCouple(2, 2.5)
+        h, s = verify._h_from_generator(cached_generator_phi(2, 2.5, "min_one"), couple)
+        maj = ok.concave_majorant(h, grid=s, rtol=1e-6, extend_decades=0.0)
+        np.testing.assert_allclose(maj(s), 1.0 + s, rtol=1e-12, atol=0.0)
+
     def test_needs_generator_phi(self, space8, phi_affine_h):
         op = ok.averaging_operator(space8, COUPLE)
         with pytest.raises(ok.ScenarioRejected, match="generator-built phi"):
@@ -336,11 +368,13 @@ class TestRunScenario:
             assert calls == expected, path.name
 
     def test_inputs_beyond_phi_domain_are_a_rejection(self):
-        # generator phi is tabulated up to u_max = 1e6; inputs at scale 1e6
-        # leave it, which makes the scenario invalid, not falsified
+        # with rho = min(1, t) at q = inf, phi^-1 = min(u, 1) stops at
+        # u_max = 1; inputs at scale 1e6 leave phi's domain, which makes the
+        # scenario invalid, not falsified
         scenario = load_scenario("thm31a_p1_orlicz.json")
+        scenario["phi"]["rho"] = {"kind": "min_one"}
         scenario["inputs"].update(count=4, scale=1e6)
-        with pytest.raises(ok.ScenarioRejected, match=r"u_max = 1e\+06"):
+        with pytest.raises(ok.ScenarioRejected, match=r"u_max = 1:"):
             run_scenario(scenario)
 
     def test_negative_control_detects_planted_fault(self):
