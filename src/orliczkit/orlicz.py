@@ -101,7 +101,6 @@ def _validate_shape(phi: OrliczFunction, probe_hi: float, require_convex: bool =
     """
     hi = min(probe_hi, phi.u_max)
     vals = phi(np.linspace(0.0, hi, 513))
-    vals = vals[np.isfinite(vals)]   # a steep phi may overflow below probe_hi
     if abs(float(vals[0])) > 1e-12:
         raise ValueError("phi(0) must be 0")
     if np.any(np.diff(vals) < -1e-12 * max(float(vals[-1]), 1.0)):
@@ -127,7 +126,7 @@ def power_phi(p: float) -> OrliczFunction:
 
 # A generator phi solves for s = log u in [-LOG_U_RANGE, LOG_U_RANGE], where u
 # and t = u^e lie in 1e+-300 for |e| <= 1, so rho(t) <= rho(1) * t is finite;
-# below that range phi is flushed to 0, above it phi overflows.
+# below that range phi is flushed to 0, and phi's domain ends at its top.
 LOG_U_RANGE = 690.0
 INVERSE_LOG_STEP = 1e-14   # Newton step in s, relative to 1 + |s|, at which the solve stops
 
@@ -136,11 +135,10 @@ def _solve_log_inverse(log_inverse: Callable, target: np.ndarray, s: np.ndarray,
                        top: float) -> np.ndarray:
     """Per entry, the root s of F(s) = target in [-LOG_U_RANGE, top], with
     F's slope g and g's slope (rows of the result): Newton steps from s,
-    bracketed by the sign of F - target at the points evaluated; a step that
-    leaves the bracket or does not halve the residual becomes a bisection.
-    It stops at a step or bracket below INVERSE_LOG_STEP and returns the
-    last point plus its Newton step, so for a smooth F the error is about
-    the square of that step."""
+    bracketed by the sign of F - target, bisecting where a step leaves the
+    bracket or does not halve the residual, until a step or the bracket is
+    below INVERSE_LOG_STEP; that last step is taken, so for a smooth F the
+    error is about its square."""
     out = np.empty((3, target.size))
     lo, hi = np.full(target.size, -LOG_U_RANGE), np.full(target.size, top)
     last, live = np.full(target.size, np.inf), np.arange(target.size)
@@ -175,10 +173,11 @@ def build_from_generator(couple: ExponentCouple, rho: Callable) -> OrliczFunctio
     F(s) = s/p + log rho(t) = log v, solved per call from the power law
     through u = 1. F's slope g = 1/p + e*E, with E = t*rho'/rho in [0, 1],
     lies in [1/q, 1/p], and the jet is exact: v*phi'/phi = 1/g, and
-    v^2*phi'' follows from g's slope e^2*t*E'. The domain is unbounded for
-    finite q; at q = inf it ends at u_max = lim rho(t)/t as t -> 0, finite
-    where rho is linear near 0 (1 for min(1, t)), and phi(u_max) is where
-    the inverse, flat (g = 0) beyond, first reaches it.
+    v^2*phi'' follows from g's slope e^2*t*E'. The domain ends where the
+    solve does, at u_max = phi^-1(e^LOG_U_RANGE); at q = inf, where rho is
+    linear near 0, it ends sooner, at u_max = lim rho(t)/t as t -> 0 (1 for
+    min(1, t)), and phi(u_max) is where the inverse, flat (g = 0) beyond,
+    first reaches it.
     """
     qc = is_quasiconcave(lambda t: rho(t)[0])
     if not qc.ok:
@@ -200,12 +199,7 @@ def build_from_generator(couple: ExponentCouple, rho: Callable) -> OrliczFunctio
         with np.errstate(over="ignore"):
             return np.stack((u, u * eta, u * eta * (eta - 1.0 - dg * eta * eta)))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        (f_lo, f_one, f_top), (_, g_one, _), _ = log_inverse(
-            np.array([-LOG_U_RANGE, 0.0, LOG_U_RANGE]))
-    if not np.all(np.isfinite([f_lo, f_one, f_top, g_one])):
-        raise ValueError("generator produced non-finite or non-positive inverse values")
-    u_max, top, rows_top = np.inf, LOG_U_RANGE, np.full(3, np.inf)
+    u_max, top = None, LOG_U_RANGE
     r0, r1, _ = rho(np.array(2.0**-1000))
     if couple.q_is_inf and r1 == r0:
         # rho(t)/t is exact at a power of 2; bisect for the start of the flat
@@ -218,12 +212,16 @@ def build_from_generator(couple: ExponentCouple, rho: Callable) -> OrliczFunctio
             r0, r1, _ = rho(t)
             lo, hi = (lo, mid) if r0 == r1 == u_max * t else (mid, hi)
         top = lo
-        f_top, g, dg = log_inverse(np.array(top))
-        rows_top = rows(np.array(top), g, dg)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        (f_lo, f_one, f_top), g, dg = log_inverse(np.array([-LOG_U_RANGE, 0.0, top]))
+        u_max = float(np.exp(f_top)) if u_max is None else u_max   # phi = e^LOG_U_RANGE
+    if not np.all(np.isfinite([f_lo, f_one, f_top, g[1]])):
+        raise ValueError("generator produced non-finite or non-positive inverse values")
     if not f_top > f_lo:   # rho linear on the whole range
         raise ValueError("inverse not strictly increasing")
+    rows_top = rows(np.array(top), g[2], dg[2])
     # the power law through u = 1, or 1/p where the inverse is flat there
-    guess_slope = g_one if g_one > 0.0 else 1.0 / p
+    guess_slope = g[1] if g[1] > 0.0 else 1.0 / p
 
     def solve(target):
         guess = np.clip((target - f_one) / guess_slope, -LOG_U_RANGE, top)
@@ -236,7 +234,7 @@ def build_from_generator(couple: ExponentCouple, rho: Callable) -> OrliczFunctio
         inside = np.flatnonzero((target >= f_lo) & (target < f_top))
         if inside.size == target.size:
             return solve(target).reshape((3,) + v.shape)
-        # phi is 0 below the range (and at 0), the top rows at or above it
+        # phi is 0 below the range (and at 0), its top rows at or above it
         out = np.zeros((3, target.size))
         out[:, target >= f_top] = rows_top[:, None]
         out[:, inside] = solve(target[inside])

@@ -160,12 +160,26 @@ class PiecewiseLinearConcave:
         if intercepts[0] < -1e-12 * max(abs(v[0]), 1.0) or np.any(v < 0.0) or slope_inf < 0.0:
             raise ValueError("function must be nonnegative on (0, inf)")
         intercepts[0] = max(intercepts[0], 0.0)
-        for name, arr in (("knots", k), ("values", v), ("slopes", slopes),
+        self._store(k, v, slopes, intercepts)
+
+    @classmethod
+    def _from_lines(cls, knots, intercepts, slopes) -> "PiecewiseLinearConcave":
+        """The table of a lower envelope's lines intercepts[j] + slopes[j] * u
+        as given: intercepts >= 0, slopes nonincreasing, and piece j ending at
+        knots[j], which increase from above 0. Each value is read off its
+        line; slopes recomputed from values would carry their rounding over
+        short pieces."""
+        self = object.__new__(cls)
+        self._store(knots, intercepts[:-1] + slopes[:-1] * knots, slopes, intercepts)
+        return self
+
+    def _store(self, knots, values, slopes, intercepts):
+        for name, arr in (("knots", knots), ("values", values), ("slopes", slopes),
                           ("intercepts", intercepts)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "slope0", float(slope0))
-        object.__setattr__(self, "slope_inf", float(slope_inf))
+        object.__setattr__(self, "slope0", float(slopes[0]))
+        object.__setattr__(self, "slope_inf", float(slopes[-1]))
 
     @property
     def value_at_zero(self) -> float:
@@ -182,20 +196,14 @@ class PiecewiseLinearConcave:
         return np.stack((self.intercepts[j] + slope * u, slope * u, np.zeros(u.shape)))
 
 
-ENVELOPE_RTOL = 1e-9   # see `_lower_line_envelope`
-
-
 def _lower_line_envelope(intercepts: np.ndarray, slopes: np.ndarray):
     """Vertices of min_j (intercepts[j] + slopes[j] * t) over t > 0.
 
     Monotone-chain pass: insert lines by slope descending; a kept line owns
     the interval between its crossings with its hull neighbours, and lines
     whose interval collapses (crossing not to the right of the previous one,
-    or left of 0) are popped. So is a line that rises by at most
-    ENVELOPE_RTOL of its value across its interval, whose slope knot values
-    could not resolve (lines meeting near t = 0 at rounded, equal
-    intercepts); the envelope rises there by at most that fraction. Returns
-    (kept intercepts, kept slopes, crossings between consecutive kept lines).
+    or left of 0) are popped. Returns (kept intercepts, kept slopes,
+    crossings between consecutive kept lines).
     """
     order = np.lexsort((intercepts, -slopes))
     a_sorted, b_sorted = intercepts[order], slopes[order]
@@ -208,8 +216,7 @@ def _lower_line_envelope(intercepts: np.ndarray, slopes: np.ndarray):
     for aj, bj in zip(a_sorted, b_sorted):
         while hull_a:
             x = (aj - hull_a[-1]) / (hull_b[-1] - bj)
-            start = cuts[-1] if cuts else 0.0
-            if x <= start or (x - start) * hull_b[-1] <= ENVELOPE_RTOL * (hull_a[-1] + hull_b[-1] * x):
+            if x <= (cuts[-1] if cuts else 0.0):
                 hull_a.pop()
                 hull_b.pop()
                 if cuts:
@@ -250,18 +257,10 @@ def concave_majorant(rho: Callable, grid: np.ndarray | None = None,
     vals = np.asarray(rho(s_grid), dtype=float)
     if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
         raise ValueError("rho must be finite and positive on the grid")
-    intercepts = vals
-    slopes = vals / s_grid
-    a, b, cuts = _lower_line_envelope(intercepts, slopes)
-    if a.size == 0:
-        raise ValueError("envelope construction failed")
-    if cuts.size == 0:
-        # single active line: one artificial knot keeps the type well-formed
-        t0 = float(grid[grid.size // 2])
-        return PiecewiseLinearConcave([t0], [a[0] + b[0] * t0], float(b[0]), float(b[0]))
-    knots = cuts
-    values = a[:-1] + b[:-1] * knots
-    return PiecewiseLinearConcave(knots, values, float(b[0]), float(b[-1]))
+    a, b, cuts = _lower_line_envelope(vals, vals / s_grid)
+    if cuts.size == 0:   # one line: an artificial knot keeps the type well-formed
+        a, b, cuts = a[[0, 0]], b[[0, 0]], grid[[grid.size // 2]]
+    return PiecewiseLinearConcave._from_lines(cuts, a, b)
 
 
 @dataclass(frozen=True, eq=False)

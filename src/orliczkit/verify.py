@@ -281,9 +281,9 @@ def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
 
 def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[Callable, np.ndarray]:
     """Recover h with phi(u) = u^q h(u^{p-q}) from a generator-built phi with
-    finite q, on the s-grid that is the image of u in [1e-5, 1e5]."""
+    finite q, on the s-grid that is the image of u in [1e-5, 1e5] inside phi's domain."""
     p, q = couple.p, couple.q
-    u_grid = np.exp(np.linspace(np.log(1e-5), np.log(1e5), 4097))
+    u_grid = np.exp(np.linspace(np.log(1e-5), np.log(min(0.99 * phi.u_max, 1e5)), 4097))
 
     def h_eval(s):
         s = np.asarray(s, dtype=float)

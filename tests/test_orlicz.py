@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,20 @@ class TestNewtonNorms:
         assert np.array_equal(lo[live][capped], hi[live][capped])
         assert capped.any() == (name == "saturating")
 
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_steep_generator_agrees_with_the_search_oracles(self, scale):
+        # rho = sqrt(t) at (20, inf) makes phi = v^40, which reaches e^690,
+        # where the solve ends, at v = 3.1e7: below the top 1e8 of the
+        # Amemiya range, and on this light space the minimum lies above k = 1
+        phi = ok.build_from_generator(ExponentCouple(20, np.inf), ok.power_log_rho(0.5, 0, 0))
+        assert phi.u_max == pytest.approx(np.exp(690.0 / 40.0), rel=1e-12)
+        space = ok.DiscreteMeasureSpace(np.full(6, 1e-3))
+        xs = mixed_batch(space, np.random.default_rng(71)).scaled(scale)
+        np.testing.assert_allclose(ok.amemiya_norm(phi, xs), amemiya_golden(phi, xs),
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ok.luxemburg_norm(phi, xs), luxemburg_bisect(phi, xs),
+                                   rtol=1e-10, atol=0.0)
+
     def test_wide_norm_batch_takes_few_passes(self):
         # thm46b_norm_1_2 at the size of the wide benchmark workload: 7 mixed
         # inputs on 512 atoms and their maximal function; the bisection made
@@ -395,10 +410,11 @@ class TestJet:
         # the generator phis of the shipped scenarios; rho(t) = sqrt(t) makes
         # each one the power u^r with 1/r = (1/p + 1/q) / 2
         phi = cached_generator_phi(p, q, "powerlog", (0.5, 0, 0))
-        assert phi.u_max == np.inf
+        r = 2.0 / (1.0 / p + 1.0 / q)
+        # the domain ends where the solve does, at u^r = e^690
+        assert phi.u_max == pytest.approx(np.exp(690.0 / r), rel=1e-12)
         u = np.exp(np.linspace(np.log(1e-30), np.log(1e30), 20001))
         jet = phi.jet(u)
-        r = 2.0 / (1.0 / p + 1.0 / q)
         np.testing.assert_allclose(jet[0], u**r, rtol=1e-13, atol=0.0)
         elasticity = jet[1] / jet[0]
         assert np.all(elasticity >= p * (1.0 - 1e-12))
@@ -519,7 +535,7 @@ class TestBuildFromGenerator:
         # rounding error of about 2.7e-7; its slope table is exact
         plc = ok.PiecewiseLinearConcave([1.0, 4.0], [2.0, 2.75], 0.5, 0.1)
         phi = ok.build_from_generator(ExponentCouple(p, q), plc.jet)
-        assert phi.u_max == np.inf
+        assert float(phi(phi.u_max)) == pytest.approx(np.exp(690.0), rel=1e-12)
         assert ok.check_convexity(phi, np.linspace(0.0, 30.0, 3001)).ok
 
     # at these p the tail start found by bisection lies within 1e-16 of s = 0
@@ -553,11 +569,12 @@ class TestBuildFromGenerator:
             v = np.array([1e-6, 0.05, 0.1])
             np.testing.assert_allclose(phi(v), (v / 0.3) ** p, rtol=1e-14)
         else:
-            assert phi.u_max == np.inf and ok.check_convexity(phi, np.linspace(0.0, 30.0, 3001)).ok
+            assert float(phi(phi.u_max)) == pytest.approx(np.exp(690.0), rel=1e-12)
+            assert ok.check_convexity(phi, np.linspace(0.0, 30.0, 3001)).ok
 
     def test_non_concave_generator_rejected(self):
         # max(1, t) is quasi-concave but its slope rises at t = 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rho fails the concavity check"):
             ok.build_from_generator(ExponentCouple(1, 2), ok.max_one_rho())
 
     def test_generator_convexity_validated(self):
@@ -654,14 +671,22 @@ class TestGeneratorBuildOracle:
         rho, oracle_rho, kinks = self.FAMILIES[family]
         try:
             want = generator_phi_pchip(couple, oracle_rho())
-        except ValueError:
-            with pytest.raises(ValueError):
+        except ValueError as exc:
+            # for the same reason; the figure in the message is read off the
+            # jet here, off chord slopes there
+            stem = str(exc).split(" (")[0].removesuffix(" on grid")
+            with pytest.raises(ValueError, match="^" + re.escape(stem)):
                 ok.build_from_generator(couple, rho())
             return
         phi = ok.build_from_generator(couple, rho())
-        # the table ends where its grid does; phi's domain ends only where
-        # phi^-1 stops rising, and there both read the same u_max
-        assert phi.u_max == (want.u_max if want.meta["saturated"] else np.inf)
+        # the table ends where its grid does, and phi's domain where the solve
+        # does, at phi = e^690, or where phi^-1 stops rising: there both read
+        # the same u_max
+        if want.meta["saturated"]:
+            assert phi.u_max == want.u_max
+        else:
+            assert phi.u_max > want.u_max
+            assert float(phi(phi.u_max)) == pytest.approx(np.exp(690.0), rel=1e-12)
         knots = want.meta["knots"]
         at_knots = phi.jet(knots)
         assert np.all(np.abs(at_knots[0] / want(knots) - 1.0) <= self.tolerance(at_knots))

@@ -143,6 +143,13 @@ class TestPiecewiseLinearConcave:
         assert np.all(h(np.array([1e-300, 1e-20, 1e-8])) > 0.0)
         assert ok.is_quasiconcave(h).ok
 
+    def test_from_lines_keeps_the_lines(self):
+        a, b, k = np.array([0.0, 0.5, 1.25]), np.array([1.0, 0.5, 0.125]), np.array([1.0, 2.0])
+        h = ok.PiecewiseLinearConcave._from_lines(k, a, b)
+        assert np.array_equal(h.intercepts, a) and np.array_equal(h.slopes, b)
+        assert h.values.tolist() == [1.0, 1.5] and (h.slope0, h.slope_inf) == (1.0, 0.125)
+        assert h(np.array([0.5, 1.5, 4.0])).tolist() == [0.5, 1.25, 1.75]
+
     def test_jet_is_the_slope_of_each_piece(self):
         h = ok.PiecewiseLinearConcave([0.1, 1.0, 5.0], [0.5, 1.0, 1.5], 5.0, 0.01)
         s = np.array([0.05, 0.1, 0.5, 1.0, 3.0, 5.0, 50.0])

@@ -212,8 +212,9 @@ class TestChainDiagnostics:
     # valid scenarios whose majorant table broke with a bare ValueError
     # ("slopes increase: not concave"). For rho = min(1, t), h = max(s, 1), and
     # the grid lines 1 + t/s_j for s_j < 1 all meet at t = 0, where their
-    # rounded intercepts put the crossings in any order; the envelope now
-    # drops a line whose slope its knot values could not resolve
+    # rounded intercepts put the crossings in any order. The majorant now
+    # keeps the envelope's own lines instead of recomputing their slopes
+    # from values at those bunched knots
     CHAIN_CASES = {
         "min_one-2-2.5": ({"kind": "min_one"}, 2, 2.5),
         "min_one-1.2-2.2": ({"kind": "min_one"}, 1.2, 2.2),
@@ -239,7 +240,10 @@ class TestChainDiagnostics:
         couple = ExponentCouple(2, 2.5)
         h, s = verify._h_from_generator(cached_generator_phi(2, 2.5, "min_one"), couple)
         maj = ok.concave_majorant(h, grid=s, rtol=1e-6, extend_decades=0.0)
-        np.testing.assert_allclose(maj(s), 1.0 + s, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(maj(s), 1.0 + s, rtol=1e-15, atol=0.0)
+        # each piece is a grid line h(s_j) + t * h(s_j) / s_j, and h >= 1 up
+        # to rounding
+        assert np.all(maj.intercepts >= 1.0 - 1e-12) and np.all(np.diff(maj.slopes) < 0.0)
 
     def test_needs_generator_phi(self, space8, phi_affine_h):
         op = ok.averaging_operator(space8, COUPLE)
