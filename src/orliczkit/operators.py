@@ -17,7 +17,7 @@ midpoint of exactly one dyadic block, so each block level takes the means
 of all its crossing windows in one array, whose row and column maxima,
 accumulated from the midpoint outwards, feed the atoms on either side. The
 rows go through in chunks that keep that array within `_CHUNK_ELEMS`
-elements.
+elements, in one buffer per call.
 """
 
 from __future__ import annotations
@@ -186,27 +186,31 @@ def _window_maximal(v: np.ndarray) -> np.ndarray:
     prefix[:, 0] = 0.0
     np.cumsum(np.abs(v), axis=1, out=prefix[:, 1 : n + 1])
     prefix[:, n + 1 :] = prefix[:, n : n + 1]
+    # block size s holds (N / s) (s / 2)^2 = N s / 4 crossing means per row,
+    # taken `step` rows at a time within the budget (one row at least, which
+    # may exceed it); every chunk of every level shares one buffer
+    levels = [(s, max(1, _CHUNK_ELEMS // (size * s // 4)))
+              for s in (1 << k for k in range(1, size.bit_length()))]
+    buffer = np.empty(max((min(rows, step) * size * s // 4 for s, step in levels), default=0))
     # an overflowed prefix sum gives inf - inf; the nan carries through
     with np.errstate(invalid="ignore"):
         out = prefix[:, 1:] - prefix[:, :-1]
-        s = 2
-        while s <= size:
+        for s, step in levels:
             half, blocks = s // 2, size // s
             # b - a for start a in the left half and end b - 1 in the right half
             lengths = np.arange(half + 1, s + 1, dtype=float)[None, :] - np.arange(half)[:, None]
-            step = max(1, _CHUNK_ELEMS // (blocks * half * half))
             for lo in range(0, rows, step):
                 chunk = prefix[lo : lo + step]
                 starts = chunk[:, :-1].reshape(-1, blocks, s)[:, :, :half]
                 ends = chunk[:, 1:].reshape(-1, blocks, s)[:, :, half:]
-                means = ends[:, :, None, :] - starts[:, :, :, None]
+                means = buffer[: len(chunk) * size * s // 4].reshape(-1, blocks, half, half)
+                np.subtract(ends[:, :, None, :], starts[:, :, :, None], out=means)
                 means /= lengths
                 left = np.maximum.accumulate(means.max(axis=3), axis=2)
                 right = np.maximum.accumulate(means.max(axis=2)[:, :, ::-1], axis=2)[:, :, ::-1]
                 best = out[lo : lo + step].reshape(-1, blocks, s)
                 np.maximum(best[:, :, :half], left, out=best[:, :, :half])
                 np.maximum(best[:, :, half:], right, out=best[:, :, half:])
-            s *= 2
     return out[:, :n]
 
 

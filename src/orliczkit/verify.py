@@ -12,6 +12,8 @@ seed; wall time is the only field that varies between runs.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -131,11 +133,91 @@ def _draws(scale: float, *out: np.ndarray):
         raise ScenarioRejected(f"{problem}: a drawn value is not finite")
 
 
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128). Python ints
+# below 2^32 keep a uint32 array uint32 under NEP 50 and legacy promotion
+# alike, so one hash serves masked Python ints and uint32 arrays.
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _hash_constants(const: int, mult: int):
+    """SeedSequence's running hash constant: the pairs (c, c * mult mod 2^32),
+    each next pair starting from the last product."""
+    while True:
+        nxt = const * mult & _MASK32
+        yield const, nxt
+        const = nxt
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _child_rngs(seed: int, count: int):
+    """For i = 0, ..., count - 1, a Generator in the state of
+    `np.random.default_rng(np.random.SeedSequence(seed).spawn(count)[i])`.
+
+    The same Generator object is yielded each time, reseeded, so a row must
+    be drawn before the next one is asked for. Child i's SeedSequence mixes
+    the entropy [seed words, zeros up to 4 words, i] into a pool of four
+    words. Everything before i depends on the seed alone and is mixed once
+    in Python ints; i is mixed into the four pool words of every child at
+    once, as (4, count) uint32 arrays. The pool gives each child's four
+    64-bit words (the first two seed PCG64's state, the last two its
+    increment), and PCG64's seeding step runs per child in Python ints.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be an integer >= 0")
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, *next(consts)) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(consts)))
+    # the child index, the last entropy word, meets one hash constant per
+    # pool word: (4, 1) columns against the (count,) row of indices
+    xor, mult = np.array(list(itertools.islice(consts, 4)), dtype=np.uint32).T[:, :, None]
+    index = np.arange(count, dtype=np.uint32)
+    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], _hashmix(index, xor, mult))
+    # generate_state(4, np.uint64): 32-bit words from pool rows 0-3 twice,
+    # paired little-endian
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    xor, mult = np.array(list(itertools.islice(consts, 8)), dtype=np.uint32).T[:, :, None]
+    words32 = _hashmix(np.tile(pool, (2, 1)), xor, mult)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for s_hi, s_lo, i_hi, i_lo in words32.T.astype("<u4", order="C").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 def generate_inputs(space, count: int, distribution: str = "mixed",
                     scale: float = 1.0, seed: int = 0) -> SampleBatch:
-    """Seeded input batch; the seed splits per index, so batches are stable
-    under any evaluation order."""
-    children = np.random.SeedSequence(seed).spawn(count)
+    """Seeded input batch: input i is drawn from NumPy's PCG64 seeded by
+    child i of `np.random.SeedSequence(seed)` (`default_rng` on
+    `SeedSequence(seed).spawn(count)[i]`), so it depends only on (seed, i,
+    n, distribution, scale) and batches are stable under any count and
+    evaluation order."""
     mixes = {
         "mixed": ("uniform", "lognormal", "spikes", "constant"),
         "bounded": ("uniform", "spikes", "constant"),
@@ -143,20 +225,19 @@ def generate_inputs(space, count: int, distribution: str = "mixed",
     n = space.n
     out = np.zeros((count, n))
     with _draws(scale, out):
-        for i in range(count):
-            rng = np.random.default_rng(children[i])
+        for i, rng in enumerate(_child_rngs(seed, count)):
             kind = distribution
             if distribution in mixes:
                 kind = mixes[distribution][i % len(mixes[distribution])]
             if kind == "uniform":
                 out[i] = rng.uniform(-scale, scale, n)
             elif kind == "lognormal":
-                out[i] = rng.choice([-1.0, 1.0], n) * np.exp(rng.normal(0.0, 1.0, n)) * scale
+                out[i] = _SIGNS[rng.integers(0, 2, n)] * np.exp(rng.normal(0.0, 1.0, n)) * scale
             elif kind == "spikes":
                 support = rng.choice(n, size=rng.integers(1, max(2, n // 3 + 1)), replace=False)
-                out[i, support] = rng.choice([-1.0, 1.0], support.size) * rng.uniform(0.25, 1.0, support.size) * scale
+                out[i, support] = _SIGNS[rng.integers(0, 2, support.size)] * rng.uniform(0.25, 1.0, support.size) * scale
             elif kind == "constant":
-                out[i] = float(rng.choice([-1.0, 1.0])) * float(rng.uniform(0.2, 1.0)) * scale
+                out[i] = float(_SIGNS[rng.integers(0, 2)]) * float(rng.uniform(0.2, 1.0)) * scale
             else:
                 raise specs.SpecError(f"unknown input distribution {kind!r}")
     return SampleBatch(space, out)
@@ -199,15 +280,16 @@ def _pair_batch(space, count: int, scale: float, seed: int) -> tuple[SampleBatch
 
     Cycles: atomwise damping of a random y; damped permutation of y
     (equimeasurable on uniform weights); an independent pair, kept only if
-    the grid hypothesis later holds; and x = y / (1 + |u|) scalings.
+    the grid hypothesis later holds; and x = y / (1 + |u|) scalings. Pair i
+    is drawn from NumPy's PCG64 seeded by child i of
+    `np.random.SeedSequence(seed)`, so it depends only on (seed, i, n,
+    scale) and the first rows do not change with the count.
     """
-    children = np.random.SeedSequence(seed).spawn(count)
     n = space.n
     xs, ys = np.empty((count, n)), np.empty((count, n))
     with _draws(scale, xs, ys):
-        for i in range(count):
-            rng = np.random.default_rng(children[i])
-            y_vals = rng.choice([-1.0, 1.0], n) * np.exp(rng.normal(0.0, 0.8, n)) * scale
+        for i, rng in enumerate(_child_rngs(seed, count)):
+            y_vals = _SIGNS[rng.integers(0, 2, n)] * np.exp(rng.normal(0.0, 0.8, n)) * scale
             mode = i % 4
             if mode == 0:
                 x_vals = rng.uniform(0.0, 1.0, n) * y_vals

@@ -28,6 +28,11 @@ Nothing in the package calls these; each is written for clarity, not speed.
   `PchipInterpolator` whose first row is the interpolant's own value
   (`_pchip_jet`). It takes rho as a value function. `power_log_rho_full` is
   the power-log generator with both log factors always evaluated.
+- Input draws with one `SeedSequence` child and one `default_rng` per input:
+  `generate_inputs_per_child` and `pair_batch_per_child` are
+  `verify.generate_inputs` and `verify._pair_batch` as they were before the
+  children's PCG64 states were computed for the whole batch at once, kept
+  verbatim.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 import orliczkit as ok
+from orliczkit import specs
 from orliczkit.kfunc import _check_exponent
 from orliczkit.measure import (DiscreteMeasureSpace, SampleBatch, SampleFunction,
                                _frozen_array, abs_rows)
@@ -48,6 +54,7 @@ from orliczkit.orlicz import (ExponentCouple, NonConvergenceError, OrliczFunctio
                               _validate_shape)
 from orliczkit.quasiconcave import (PeetreRepresentation, PiecewiseLinearConcave,
                                     is_quasiconcave, log_grid)
+from orliczkit.verify import _draws
 
 
 def _abs_apply(op, rows: np.ndarray) -> np.ndarray:
@@ -541,3 +548,61 @@ def generator_phi_pchip(couple: ExponentCouple, rho: Callable) -> OrliczFunction
     )
     _validate_shape(phi, 100.0)
     return phi
+
+
+def generate_inputs_per_child(space, count: int, distribution: str = "mixed",
+                              scale: float = 1.0, seed: int = 0) -> SampleBatch:
+    """Seeded input batch; the seed splits per index, so batches are stable
+    under any evaluation order."""
+    children = np.random.SeedSequence(seed).spawn(count)
+    mixes = {
+        "mixed": ("uniform", "lognormal", "spikes", "constant"),
+        "bounded": ("uniform", "spikes", "constant"),
+    }
+    n = space.n
+    out = np.zeros((count, n))
+    with _draws(scale, out):
+        for i in range(count):
+            rng = np.random.default_rng(children[i])
+            kind = distribution
+            if distribution in mixes:
+                kind = mixes[distribution][i % len(mixes[distribution])]
+            if kind == "uniform":
+                out[i] = rng.uniform(-scale, scale, n)
+            elif kind == "lognormal":
+                out[i] = rng.choice([-1.0, 1.0], n) * np.exp(rng.normal(0.0, 1.0, n)) * scale
+            elif kind == "spikes":
+                support = rng.choice(n, size=rng.integers(1, max(2, n // 3 + 1)), replace=False)
+                out[i, support] = rng.choice([-1.0, 1.0], support.size) * rng.uniform(0.25, 1.0, support.size) * scale
+            elif kind == "constant":
+                out[i] = float(rng.choice([-1.0, 1.0])) * float(rng.uniform(0.2, 1.0)) * scale
+            else:
+                raise specs.SpecError(f"unknown input distribution {kind!r}")
+    return SampleBatch(space, out)
+
+
+def pair_batch_per_child(space, count: int, scale: float, seed: int) -> tuple[SampleBatch, SampleBatch]:
+    """Pairs (xs[i], ys[i]) biased toward satisfying the K-majorization hypothesis.
+
+    Cycles: atomwise damping of a random y; damped permutation of y
+    (equimeasurable on uniform weights); an independent pair, kept only if
+    the grid hypothesis later holds; and x = y / (1 + |u|) scalings.
+    """
+    children = np.random.SeedSequence(seed).spawn(count)
+    n = space.n
+    xs, ys = np.empty((count, n)), np.empty((count, n))
+    with _draws(scale, xs, ys):
+        for i in range(count):
+            rng = np.random.default_rng(children[i])
+            y_vals = rng.choice([-1.0, 1.0], n) * np.exp(rng.normal(0.0, 0.8, n)) * scale
+            mode = i % 4
+            if mode == 0:
+                x_vals = rng.uniform(0.0, 1.0, n) * y_vals
+            elif mode == 1:
+                x_vals = (rng.uniform(0.3, 1.0) * np.abs(y_vals))[rng.permutation(n)]
+            elif mode == 2:
+                x_vals = rng.uniform(-2.0 * scale, 2.0 * scale, n)
+            else:
+                x_vals = y_vals / float(1.0 + np.abs(rng.normal(0.0, 1.0)))
+            xs[i], ys[i] = x_vals, y_vals
+    return SampleBatch(space, xs), SampleBatch(space, ys)

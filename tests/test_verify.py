@@ -12,6 +12,7 @@ from orliczkit import verify
 from orliczkit.verify import run_scenario
 
 from conftest import cached_generator_phi
+from oracles import generate_inputs_per_child, pair_batch_per_child
 
 SCENARIO_DIR = Path(__file__).parent.parent / "src" / "orliczkit" / "scenarios"
 COUPLE = ExponentCouple(1, 2)
@@ -38,12 +39,70 @@ def phi_affine_h():
     return ok.build_from_h(COUPLE, h)
 
 
+DRAW_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3]
+
+
 class TestGenerateInputs:
     def test_batch_rows_are_stable_per_index(self, space8):
         small = ok.generate_inputs(space8, 5, "mixed", 1.0, 16)
         large = ok.generate_inputs(space8, 9, "mixed", 1.0, 16)
         assert isinstance(small, ok.SampleBatch) and small.values.shape == (5, 8)
         assert small.values.tobytes() == large.values[:5].tobytes()
+
+    def test_pair_rows_are_stable_per_index(self, space8):
+        small = verify._pair_batch(space8, 5, 1.0, 16)
+        large = verify._pair_batch(space8, 9, 1.0, 16)
+        for few, many in zip(small, large):
+            assert few.values.shape == (5, 8)
+            assert few.values.tobytes() == many.values[:5].tobytes()
+
+    # a seed of five or more 32-bit words mixes its words past the fourth
+    # into the pool after the first four
+    @pytest.mark.parametrize("seed", DRAW_SEEDS + [2**128 + 5, 2**200 + 17])
+    def test_child_states_are_numpy_spawned_pcg64(self, seed):
+        # child i of spawn(count) is child i of spawn(300) for count <= 300
+        want = [np.random.PCG64(child).state for child in np.random.SeedSequence(seed).spawn(300)]
+        for count in range(301):
+            got = [rng.bit_generator.state for rng in verify._child_rngs(seed, count)]
+            assert got == want[:count], count
+        for count in (0, 1, 5, 13):
+            got = [rng.bit_generator.state for rng in verify._child_rngs(seed, count)]
+            assert got == [np.random.PCG64(c).state for c in np.random.SeedSequence(seed).spawn(count)]
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_child_states_refuse_what_seed_sequence_refuses(self, seed):
+        with pytest.raises((TypeError, ValueError)):
+            np.random.SeedSequence(seed)
+        with pytest.raises((TypeError, ValueError)):
+            next(verify._child_rngs(seed, 1))
+
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 512])
+    def test_inputs_equal_per_child_draws_bitwise(self, seed, n):
+        space = ok.uniform_space(n)
+        for distribution in specs.INPUT_DISTRIBUTIONS:
+            for count in (0, 1, 5, 13):
+                for scale in (1e-8, 1.0, 1e6):
+                    got = ok.generate_inputs(space, count, distribution, scale, seed)
+                    want = generate_inputs_per_child(space, count, distribution, scale, seed)
+                    assert got.values.tobytes() == want.values.tobytes(), (distribution, count, scale)
+
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 512])
+    def test_pairs_equal_per_child_draws_bitwise(self, seed, n):
+        space = ok.uniform_space(n)
+        for count in (0, 1, 5, 13):
+            for scale in (1e-8, 1.0, 1e6):
+                got = verify._pair_batch(space, count, scale, seed)
+                want = pair_batch_per_child(space, count, scale, seed)
+                for a, b in zip(got, want):
+                    assert a.values.tobytes() == b.values.tobytes(), (count, scale)
+
+    def test_huge_scale_is_a_rejection_naming_the_scale(self, space8):
+        for draw in (lambda: ok.generate_inputs(space8, 8, "mixed", 1e308, 3),
+                     lambda: verify._pair_batch(space8, 8, 1e308, 3)):
+            with pytest.raises(ok.ScenarioRejected, match="inputs.scale"):
+                draw()
 
 
 class TestKContraction:
