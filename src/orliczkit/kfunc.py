@@ -3,13 +3,16 @@
 For the couple (L^p, L^inf) the classical functional reduces to a truncation
 search: the best split of |x| at height lam costs ||(|x|-lam)_+||_p + t*lam.
 That cost is convex with kinks at the magnitudes, so a bisection over the
-sorted kinks finds the one interval holding the minimiser, where it is
+sorted kinks finds the one interval holding the minimiser (each pass
+computes a descent rate once per distinct member and kink), where it is
 solved exactly: linear at p = 1, a quadratic at p = 2, a bracketed Newton
 solve otherwise. For (L^p, L^q) with both exponents finite, the lattice
 reduction to nonnegative pointwise decompositions makes the infimum
 separate across atoms, leaving one convex scalar problem per atom: a
-closed form at p = 1, a logit Newton iteration for p > 1. A signed full-grid brute force is the
-independent oracle; it never assumes the reduction it is used to check.
+closed form at p = 1, Halley steps in logit(a/c) for p > 1, stopped once
+the value cannot move by more than about 1e-16 relative. A signed full-grid
+brute force is the independent oracle; it never assumes the reduction it is
+used to check.
 
 The grid kernels take one `SampleFunction` (one value per t back) or a
 `SampleBatch` on one space (one row per member): a single function is a
@@ -65,17 +68,25 @@ def _kink_bracket(m: np.ndarray, kinks: np.ndarray, w: np.ndarray, p: float,
     the sup 1. Members are scaled to sup 1 and kinks hold 0 and the sorted
     magnitudes. By convexity the minimiser lies in [kinks[J-1], kinks[J]],
     or at 0 when J = 0. A bisection on the sign of F' at the kinks: about
-    log2(n + 1) passes, each over the open rows' atoms."""
+    log2(n + 1) passes. A rate depends on its member and kink alone, so each
+    pass computes it once per distinct (member, kink) among the open rows
+    and reads it back to every t that asks for it."""
+    width = m.shape[1] + 1
     lo = np.zeros(row.size, dtype=np.intp)
-    hi = (m.shape[1] + 1 - np.sum(m == 1.0, axis=1))[row]   # the first kink at the sup
+    hi = (width - np.sum(m == 1.0, axis=1))[row]   # the first kink at the sup
     live = np.arange(row.size)
     while live.size:
-        r, mid = row[live], (lo[live] + hi[live]) // 2
-        a = kinks[r, mid]                                     # < 1, as mid < hi
+        mid = (lo[live] + hi[live]) // 2
+        key = row[live] * width + mid
+        seen = np.zeros(m.shape[0] * width, dtype=bool)
+        seen[key] = True
+        r, k = np.divmod(np.flatnonzero(seen), width)
+        a = kinks[r, k]                                       # < 1, as mid < hi
         e = m[r] - a[:, None]
         np.maximum(e, 0.0, out=e)
         e *= (1.0 / (1.0 - a))[:, None]
-        falls = t[live] < _descent_rate(e, w, p)
+        rate = _descent_rate(e, w, p)[np.cumsum(seen)[key] - 1]
+        falls = t[live] < rate
         lo[live] = np.where(falls, mid + 1, lo[live])
         hi[live] = np.where(falls, hi[live], mid)
         live = live[lo[live] < hi[live]]
@@ -231,6 +242,30 @@ def k_lp_linf_grid(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarray:
     return out[0] if single else out
 
 
+# A split element stops once its predicted next step is below this fraction
+# of 1 + |u|; `_pointwise_min_split` says why that certifies its value.
+_SPLIT_STEP = 1e-9
+# A safety cap on the split's passes; the shipped couples take at most 3.
+_SPLIT_PASSES = 32
+
+
+def _split_step(u: np.ndarray, k: np.ndarray, p: float, q: float):
+    """The Halley step for h(u) = (q-p) softplus(u) + (p-1) u - k = 0, at
+    most twice the Newton step, and the size of the step after it that
+    Halley's cubic rate predicts: |c2^2 - c3| |step|^3, with c2 = h''/(2h')
+    and c3 = h'''/(6h'). softplus(u) and s = sigmoid(u) are both read off
+    exp(-|u|); h'' = (q-p) s(1-s) and h''' = h''(1-2s) cost a few products."""
+    e = np.exp(-np.abs(u))
+    sig = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
+    h = (q - p) * (np.maximum(u, 0.0) + np.log1p(e)) + (p - 1.0) * u - k
+    dh = (q - p) * sig + (p - 1.0)
+    c2 = 0.5 * (q - p) * sig * (1.0 - sig) / dh
+    newton = h / dh
+    step = newton / np.maximum(1.0 - newton * c2, 0.5)
+    c3 = c2 * (1.0 - 2.0 * sig) / 3.0
+    return step, np.abs(c2 * c2 - c3) * np.abs(step) ** 3
+
+
 def _pointwise_min_split(c: np.ndarray, ts: np.ndarray, p: float, q: float) -> np.ndarray:
     """min over a in [0, c] of a^p + t*(c-a)^q, for each t and each atom of c.
 
@@ -238,53 +273,68 @@ def _pointwise_min_split(c: np.ndarray, ts: np.ndarray, p: float, q: float) -> n
     the result has shape c.shape[:-1] + (t's, atoms).
     At p = 1 the minimizer is c - a = (tq)^{-1/(q-1)}, clipped to [0, c]. For
     p > 1, u = logit(a/c) solves h(u) = (q-p) softplus(u) + (p-1) u - K = 0,
-    K = log(tq/p) + (q-p) log c: h is increasing, convex, above its asymptotes
-    (p-1)u - K and (q-1)u - K, with h' in [p-1, q-1], so Newton from the larger
-    asymptote root descends monotonically to the root. Each element stops on
-    its own step, so its value depends on its own (c, t) alone. a = c
-    sigmoid(u) and c - a = c sigmoid(-u) avoid cancellation at a ~ c. Keeping
-    the candidates a = 0 and a = c makes every value an attained upper bound;
-    atoms with c = 0 and t <= 0 get only those (no log(0) is taken).
-    Underflow is benign.
+    K = log(tq/p) + (q-p) log c: h is increasing and convex, with h' in
+    [p-1, q-1], and Halley steps (`_split_step`) start from the larger root
+    of its asymptotes (p-1)u - K and (q-1)u - K. The first pass runs on every
+    element, with no index array. An element stops once the step after the
+    one it has taken is predicted below `_SPLIT_STEP` (1 + |u|), that is,
+    once u is about that close to the root: 1 to 3 passes at the shipped
+    couples. It stops on its own state alone, so its value depends on its
+    own (c, t) alone. That u is close enough for the value: V(u) = a^p +
+    t (c-a)^q is stationary at the root, with V''/V <= q(q-1) s(1-s), s =
+    sigmoid(u), and (1 + |u|)^2 s(1-s) < 0.96, so an error of 1e-9 (1 + |u|)
+    in u moves V by at most 0.48 q(q-1) 1e-18 relative: 3e-18 at (1.5, 3),
+    1.8e-16 at (1.2, 20). a = c sigmoid(u) and c - a = c sigmoid(-u) avoid
+    cancellation at a ~ c. Keeping the candidates a = 0 and a = c makes
+    every value an attained upper bound; atoms with c = 0 and t <= 0 get
+    only those (no log(0) is taken). Underflow is benign, and so is
+    overflow: an infinite candidate loses to a finite one, and where all
+    are infinite the minimum itself is beyond the float range.
     """
     c = np.asarray(c, dtype=float)[..., None, :]
     tb = ts[:, None]
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", over="ignore"):
         out = np.minimum(tb * c**q, c**p)
+        # every element is solved, those with c = 0 or t <= 0 at c = t = 1,
+        # and only the others take the solve's value
         inner = (tb > 0.0) & (c > 0.0)
-        cc, tt = np.broadcast_to(c, out.shape)[inner], np.broadcast_to(tb, out.shape)[inner]
+        c, tb = np.where(c > 0.0, c, 1.0), np.where(tb > 0.0, tb, 1.0)
         if p == 1.0:
-            with np.errstate(over="ignore"):  # an infinite (tq)^{-1/(q-1)} clips to c
-                rest = np.minimum(cc, (q * tt) ** (-1.0 / (q - 1.0)))
-            a = cc - rest
+            # an infinite (tq)^{-1/(q-1)} clips to c
+            rest = np.minimum(c, (q * tb) ** (-1.0 / (q - 1.0)))
+            a = c - rest
         else:
-            k = np.log(q * tt / p) + (q - p) * np.log(cc)
+            k = (np.log(q * tb / p) + (q - p) * np.log(c)).ravel()
             u = np.where(k > 0.0, k / (q - 1.0), k / (p - 1.0))
-            live = np.arange(u.size)
-            for _ in range(64):  # a safety cap: 1 to 9 steps, about 5, are taken
-                ul = u[live]
-                h = (q - p) * np.logaddexp(0.0, ul) + (p - 1.0) * ul - k[live]
-                step = h / ((q - p) * _expit(ul) + (p - 1.0))
-                ul = ul - step
-                u[live] = ul
-                live = live[step > 1e-15 * (1.0 + np.abs(ul))]
+            step, after = _split_step(u, k, p, q)
+            u -= step
+            live = np.flatnonzero(after > _SPLIT_STEP * (1.0 + np.abs(u)))
+            for _ in range(_SPLIT_PASSES - 1):
                 if not live.size:
                     break
-            a, rest = cc * _expit(u), cc * _expit(-u)
-        out[inner] = np.minimum(out[inner], a**p + tt * rest**q)
+                ul = u[live]
+                step, after = _split_step(ul, k[live], p, q)
+                ul -= step
+                u[live] = ul
+                live = live[after > _SPLIT_STEP * (1.0 + np.abs(ul))]
+            u = u.reshape(out.shape)
+            a, rest = c * _expit(u), c * _expit(-u)
+        np.minimum(out, a**p + tb * rest**q, out=out, where=inner)
     return out
 
 
 def l_functional_grid(ts, x: SampleFunction | SampleBatch, p: float, q: float) -> np.ndarray:
     """K_{p,q}(t, x; L^p, L^q) for every t in ts (and every member of a
-    batch), within ~1e-15 relative per atom."""
+    batch), within ~1e-15 relative per atom; see `_pointwise_min_split`."""
     _check_exponent(p)
     _check_exponent(q, "q")
     if not p < q:
         raise ValueError("need p < q")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     c, single = abs_rows(x)
-    out = np.sum(_pointwise_min_split(c, ts, p, q) * x.space.weights, axis=-1)
+    split = _pointwise_min_split(c, ts, p, q)
+    with np.errstate(over="ignore"):   # a sum beyond the float range is inf
+        out = np.sum(split * x.space.weights, axis=-1)
     return out[0] if single else out
 
 

@@ -99,13 +99,20 @@ class _Collector:
                                    "inputs.scale is too large for it")
         rel, abs_floor = self.tol[rel], self.tol[floor]
         bad = lhs > rhs + rel * np.abs(rhs) + abs_floor
-        for at in map(tuple, np.argwhere(bad)):
-            row = at[0]
-            margin = (lhs[at] - rhs[at]) / max(abs(rhs[at]), abs_floor)
-            self.violations.append(Violation(
-                None if ts is None else float(ts[at[1]]),
-                int(row if index is None else index[row]), float(lhs[at]), float(rhs[at]),
-                float(margin), tag, tuple(float(v) for v in witness[row])))
+        if not bad.any():
+            return
+        # the violations in row-major order, each field read out as one column
+        at = np.nonzero(bad)
+        rows = at[0]
+        left, right = lhs[bad], rhs[bad]
+        margins = (left - right) / np.maximum(np.abs(right), abs_floor)
+        t_col = [None] * rows.size if ts is None else np.asarray(ts, dtype=float)[at[1]].tolist()
+        index_col = (rows if index is None else np.asarray(index)[rows]).tolist()
+        witness_col = np.asarray(witness, dtype=float)[rows].tolist()
+        self.violations += [
+            Violation(t, i, lv, rv, mv, tag, tuple(wv))
+            for t, i, lv, rv, mv, wv in zip(t_col, index_col, left.tolist(), right.tolist(),
+                                            margins.tolist(), witness_col)]
 
     def report(self, tag: str, trials: int, details: dict,
                scenario: dict | None = None) -> VerificationReport:
@@ -211,6 +218,22 @@ def _child_rngs(seed: int, count: int):
         yield rng
 
 
+def _signs(rng, n: int) -> np.ndarray:
+    """n signs +-1.0, the values and generator state `_SIGNS[rng.integers(0,
+    2, n)]` gives on a generator with no buffered 32-bit half, as each row's
+    first draw has. `integers(0, 2)` takes bit 31 of a 32-bit draw, and
+    PCG64 draws 32 bits as the low half of a 64-bit word, then its high
+    half: so bits 31 and 63 of each raw word, read as little-endian 32-bit
+    halves. An odd n ends with one scalar draw, which buffers the high half
+    of its word as `integers` does."""
+    bits = np.empty(n, dtype=np.uint32)
+    words = rng.bit_generator.random_raw(n // 2).astype("<u8", copy=False)
+    np.right_shift(words.view("<u4"), 31, out=bits[:n - n % 2])
+    if n % 2:
+        bits[-1] = rng.integers(0, 2)
+    return _SIGNS[bits]
+
+
 def generate_inputs(space, count: int, distribution: str = "mixed",
                     scale: float = 1.0, seed: int = 0) -> SampleBatch:
     """Seeded input batch: input i is drawn from NumPy's PCG64 seeded by
@@ -232,7 +255,7 @@ def generate_inputs(space, count: int, distribution: str = "mixed",
             if kind == "uniform":
                 out[i] = rng.uniform(-scale, scale, n)
             elif kind == "lognormal":
-                out[i] = _SIGNS[rng.integers(0, 2, n)] * np.exp(rng.normal(0.0, 1.0, n)) * scale
+                out[i] = _signs(rng, n) * np.exp(rng.normal(0.0, 1.0, n)) * scale
             elif kind == "spikes":
                 support = rng.choice(n, size=rng.integers(1, max(2, n // 3 + 1)), replace=False)
                 out[i, support] = _SIGNS[rng.integers(0, 2, support.size)] * rng.uniform(0.25, 1.0, support.size) * scale
@@ -289,10 +312,10 @@ def _pair_batch(space, count: int, scale: float, seed: int) -> tuple[SampleBatch
     xs, ys = np.empty((count, n)), np.empty((count, n))
     with _draws(scale, xs, ys):
         for i, rng in enumerate(_child_rngs(seed, count)):
-            y_vals = _SIGNS[rng.integers(0, 2, n)] * np.exp(rng.normal(0.0, 0.8, n)) * scale
+            y_vals = _signs(rng, n) * np.exp(rng.normal(0.0, 0.8, n)) * scale
             mode = i % 4
             if mode == 0:
-                x_vals = rng.uniform(0.0, 1.0, n) * y_vals
+                x_vals = rng.random(n) * y_vals
             elif mode == 1:
                 x_vals = (rng.uniform(0.3, 1.0) * np.abs(y_vals))[rng.permutation(n)]
             elif mode == 2:

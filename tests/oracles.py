@@ -33,6 +33,11 @@ Nothing in the package calls these; each is written for clarity, not speed.
   `verify.generate_inputs` and `verify._pair_batch` as they were before the
   children's PCG64 states were computed for the whole batch at once, kept
   verbatim.
+- The functionals' inner kernels as they were before their passes were cut:
+  `kink_bracket_per_t` is `kfunc._kink_bracket` computing the descent rate
+  once per (member, t) row, and `pointwise_min_split_newton` is
+  `kfunc._pointwise_min_split` with Newton steps in u = logit(a/c) run until
+  a step is below 1e-15 (1 + |u|), kept verbatim.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from scipy.interpolate import PchipInterpolator
 
 import orliczkit as ok
 from orliczkit import specs
-from orliczkit.kfunc import _check_exponent
+from orliczkit.kfunc import _check_exponent, _descent_rate, _expit
 from orliczkit.measure import (DiscreteMeasureSpace, SampleBatch, SampleFunction,
                                _frozen_array, abs_rows)
 from orliczkit.orlicz import (ExponentCouple, NonConvergenceError, OrliczFunction,
@@ -606,3 +611,71 @@ def pair_batch_per_child(space, count: int, scale: float, seed: int) -> tuple[Sa
                 x_vals = y_vals / float(1.0 + np.abs(rng.normal(0.0, 1.0)))
             xs[i], ys[i] = x_vals, y_vals
     return SampleBatch(space, xs), SampleBatch(space, ys)
+
+
+def kink_bracket_per_t(m: np.ndarray, kinks: np.ndarray, w: np.ndarray, p: float,
+                       row: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """For each (member row[i], t[i]), the least kink index J at which the
+    truncation objective stops falling: F'(kinks[J]) >= 0, or kinks[J] is
+    the sup 1. Members are scaled to sup 1 and kinks hold 0 and the sorted
+    magnitudes. By convexity the minimiser lies in [kinks[J-1], kinks[J]],
+    or at 0 when J = 0. A bisection on the sign of F' at the kinks: about
+    log2(n + 1) passes, each over the open rows' atoms."""
+    lo = np.zeros(row.size, dtype=np.intp)
+    hi = (m.shape[1] + 1 - np.sum(m == 1.0, axis=1))[row]   # the first kink at the sup
+    live = np.arange(row.size)
+    while live.size:
+        r, mid = row[live], (lo[live] + hi[live]) // 2
+        a = kinks[r, mid]                                     # < 1, as mid < hi
+        e = m[r] - a[:, None]
+        np.maximum(e, 0.0, out=e)
+        e *= (1.0 / (1.0 - a))[:, None]
+        falls = t[live] < _descent_rate(e, w, p)
+        lo[live] = np.where(falls, mid + 1, lo[live])
+        hi[live] = np.where(falls, hi[live], mid)
+        live = live[lo[live] < hi[live]]
+    return lo
+
+
+def pointwise_min_split_newton(c: np.ndarray, ts: np.ndarray, p: float, q: float) -> np.ndarray:
+    """min over a in [0, c] of a^p + t*(c-a)^q, for each t and each atom of c.
+
+    c holds atoms on its last axis, with any leading axes (one per member);
+    the result has shape c.shape[:-1] + (t's, atoms).
+    At p = 1 the minimizer is c - a = (tq)^{-1/(q-1)}, clipped to [0, c]. For
+    p > 1, u = logit(a/c) solves h(u) = (q-p) softplus(u) + (p-1) u - K = 0,
+    K = log(tq/p) + (q-p) log c: h is increasing, convex, above its asymptotes
+    (p-1)u - K and (q-1)u - K, with h' in [p-1, q-1], so Newton from the larger
+    asymptote root descends monotonically to the root. Each element stops on
+    its own step, so its value depends on its own (c, t) alone. a = c
+    sigmoid(u) and c - a = c sigmoid(-u) avoid cancellation at a ~ c. Keeping
+    the candidates a = 0 and a = c makes every value an attained upper bound;
+    atoms with c = 0 and t <= 0 get only those (no log(0) is taken).
+    Underflow is benign.
+    """
+    c = np.asarray(c, dtype=float)[..., None, :]
+    tb = ts[:, None]
+    with np.errstate(under="ignore"):
+        out = np.minimum(tb * c**q, c**p)
+        inner = (tb > 0.0) & (c > 0.0)
+        cc, tt = np.broadcast_to(c, out.shape)[inner], np.broadcast_to(tb, out.shape)[inner]
+        if p == 1.0:
+            with np.errstate(over="ignore"):  # an infinite (tq)^{-1/(q-1)} clips to c
+                rest = np.minimum(cc, (q * tt) ** (-1.0 / (q - 1.0)))
+            a = cc - rest
+        else:
+            k = np.log(q * tt / p) + (q - p) * np.log(cc)
+            u = np.where(k > 0.0, k / (q - 1.0), k / (p - 1.0))
+            live = np.arange(u.size)
+            for _ in range(64):  # a safety cap: 1 to 9 steps, about 5, are taken
+                ul = u[live]
+                h = (q - p) * np.logaddexp(0.0, ul) + (p - 1.0) * ul - k[live]
+                step = h / ((q - p) * _expit(ul) + (p - 1.0))
+                ul = ul - step
+                u[live] = ul
+                live = live[step > 1e-15 * (1.0 + np.abs(ul))]
+                if not live.size:
+                    break
+            a, rest = cc * _expit(u), cc * _expit(-u)
+        out[inner] = np.minimum(out[inner], a**p + tt * rest**q)
+    return out

@@ -1,14 +1,17 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import orliczkit as ok
-from orliczkit import kfunc
+from orliczkit import kfunc, verify
 
-from oracles import (cumulative_p_integral, k_lp_linf_floor, k_lp_linf_golden, kree_bounds,
-                     lp_integral, rearrangement)
+from oracles import (cumulative_p_integral, k_lp_linf_floor, k_lp_linf_golden,
+                     kink_bracket_per_t, kree_bounds, lp_integral, pointwise_min_split_newton,
+                     rearrangement)
 
 
 def sample(values, weights=None):
@@ -273,6 +276,28 @@ class TestLFunctional:
             assert np.all(np.diff(vy) >= -1e-10 * np.maximum(vy[:-1], 1e-30))
             assert np.all(vx <= vy * (1 + 1e-10) + 1e-15)
 
+    def test_an_overflowing_candidate_loses_without_a_warning(self):
+        # c^q = 1e600 overflows at the 1e200 atom, but its split is about 1e300
+        x = sample([1e-200, 1e200], [0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ok.l_functional_grid([1e-3, 1.0, 1e3], x, 1.5, 3)
+        np.testing.assert_allclose(got, 5e299, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("values,weights,p,q", [
+        ([1e-200, 1e200], [0.5, 0.5], 2, 4),          # the 1e200 atom's split is about 1e400
+        ([2.8e205, 2.8e205], [1.0, 1.0], 1.5, 3),     # two finite splits of 1.5e308 each
+    ])
+    def test_an_l_beyond_the_float_range_stays_infinite_and_is_rejected(self, values, weights, p, q):
+        x = sample(values, weights)
+        ts = np.array([1e-3, 1.0, 1e3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ok.l_functional_grid(ts, x, p, q)
+        assert np.all(got == np.inf)
+        with pytest.raises(verify.ScenarioRejected, match="not finite"):
+            verify._Collector(None).check(got[None, :], got[None, :], "l", [x.values], ts)
+
 
 class TestPointwiseSplit:
     """The per-atom kernel against a dense grid over a in [0, c]."""
@@ -307,6 +332,125 @@ class TestPointwiseSplit:
         with np.errstate(all="raise"):
             got = kfunc._pointwise_min_split(self.ATOMS, np.array([0.0, 1.0]), p, q)
         assert np.all(got[0] == 0.0) and np.all(got[1, 1:] > 0.0)
+
+
+def split_rtol(q: float) -> float:
+    """How far the Halley split may lie from the Newton split it replaced,
+    relative: 0.48 q(q-1) 1e-18 from where the Halley solve stops (see
+    `kfunc._pointwise_min_split`), plus the rounding of two evaluations of
+    a^p + t (c-a)^q, each within 2(q+1) units of 2^-53 (a and c - a within
+    2 units each, raised to p or q, then the product and the sum)."""
+    return 4.0 * (q + 1.0) * 2.0**-53 + 0.48 * q * (q - 1.0) * 1e-18
+
+
+class TestSplitAgainstNewton:
+    """The Halley L split against the Newton split it replaced
+    (`oracles.pointwise_min_split_newton`)."""
+
+    COUPLES = [(1.5, 3), (2, 4), (1.2, 1.3), (1.01, 5), (1.2, 20)]
+    ATOMS = np.concatenate(([0.0], 10.0 ** np.linspace(-150, 150, 601)))
+    TS = 10.0 ** np.linspace(-12, 12, 97)
+    # the most passes any element takes on the grids below
+    CEILING = {(1.5, 3): 3, (2, 4): 2, (1.2, 1.3): 2, (1.01, 5): 5, (1.2, 20): 4}
+
+    @staticmethod
+    def central():
+        """Members of lognormal magnitudes on the scale the scenarios draw."""
+        return np.exp(np.random.default_rng(23).normal(0.0, 2.0, (40, 100))), np.logspace(-4, 4, 41)
+
+    @pytest.mark.parametrize("p,q", COUPLES)
+    def test_within_the_stated_bound_of_the_newton_split(self, p, q):
+        for c, ts in ((self.ATOMS, self.TS), self.central()):
+            got = kfunc._pointwise_min_split(c, ts, p, q)
+            with np.errstate(over="ignore"):   # the Newton split warns where c^q overflows
+                want = pointwise_min_split_newton(c, ts, p, q)
+            assert np.array_equal(got == np.inf, want == np.inf)
+            assert np.array_equal(got == 0.0, want == 0.0)
+            finite = np.isfinite(want)
+            np.testing.assert_allclose(got[finite], want[finite], rtol=split_rtol(q), atol=0.0)
+
+    @pytest.mark.parametrize("p,q", COUPLES)
+    def test_l_within_the_stated_bound_of_the_newton_split(self, monkeypatch, p, q):
+        # each L is a weighted sum of n = 8 splits, rounded once per addition
+        batch = ok.SampleBatch(*TestBatch.rows())
+        got = ok.l_functional_grid(TestBatch.TS, batch, p, q)
+        monkeypatch.setattr(kfunc, "_pointwise_min_split", pointwise_min_split_newton)
+        want = ok.l_functional_grid(TestBatch.TS, batch, p, q)
+        np.testing.assert_allclose(got, want, rtol=split_rtol(q) + 14 * 2.0**-53, atol=0.0)
+
+    @pytest.mark.parametrize("p,q", COUPLES)
+    def test_pass_count_ceiling(self, monkeypatch, p, q):
+        passes = []
+        step = kfunc._split_step
+
+        def counting(u, *args):
+            passes.append(u.size)
+            return step(u, *args)
+
+        monkeypatch.setattr(kfunc, "_split_step", counting)
+        for c, ts in ((self.ATOMS, self.TS), self.central()):
+            passes.clear()
+            kfunc._pointwise_min_split(c, ts, p, q)
+            # the first pass runs on every element
+            assert passes[0] == c.size * ts.size
+            assert len(passes) <= self.CEILING[(p, q)]
+
+    @pytest.mark.parametrize("name", ["sparr_lemma_15_3.json", "sparr_lemma_2_4.json"])
+    def test_shipped_couples_take_at_most_three_passes(self, monkeypatch, name):
+        path = Path(verify.__file__).parent / "scenarios" / name
+        passes = []
+        split, step = kfunc._pointwise_min_split, kfunc._split_step
+
+        def counting_split(*args):
+            passes.append(0)
+            return split(*args)
+
+        def counting_step(*args):
+            passes[-1] += 1
+            return step(*args)
+
+        monkeypatch.setattr(kfunc, "_pointwise_min_split", counting_split)
+        monkeypatch.setattr(kfunc, "_split_step", counting_step)
+        assert verify.run_scenario(json.loads(path.read_text()))["status"] == "pass"
+        assert passes and 1 <= max(passes) <= 3
+
+
+class TestBracketAgainstPerT:
+    """The bracket that computes each distinct (member, kink) descent rate
+    once per pass against the one that computed it once per (member, t)
+    (`oracles.kink_bracket_per_t`): bitwise equal."""
+
+    TS = np.logspace(-12, 12, 49)
+
+    @staticmethod
+    def members(n: int) -> ok.SampleBatch:
+        """A zero member, a constant one, repeated magnitudes, several atoms
+        at the sup, and spread ones."""
+        rng = np.random.default_rng(n)
+        top = np.abs(rng.normal(size=n))
+        top[: max(1, n // 3)] = top.max()
+        rows = [np.zeros(n), np.full(n, -2.0), np.round(2.0 * rng.normal(size=n)), top]
+        rows += [rng.normal(size=n) * np.exp(rng.normal(0.0, 2.0, n)) for _ in range(4)]
+        return ok.SampleBatch(ok.DiscreteMeasureSpace(rng.uniform(0.1, 3.0, n)), np.array(rows))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 512])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.7])
+    def test_bitwise_equal_to_the_per_t_bracket(self, monkeypatch, n, p):
+        batch, calls = self.members(n), []
+        bracket = kfunc._kink_bracket
+
+        def both(*args):
+            got = bracket(*args)
+            assert got.tolist() == kink_bracket_per_t(*args).tolist()
+            calls.append(got.size)
+            return got
+
+        monkeypatch.setattr(kfunc, "_kink_bracket", both)
+        got = ok.k_lp_linf_grid(self.TS, batch, p)
+        monkeypatch.setattr(kfunc, "_kink_bracket", kink_bracket_per_t)
+        assert got.tolist() == ok.k_lp_linf_grid(self.TS, batch, p).tolist()
+        # every member but the zero one reaches the bracket, once per t
+        assert calls == [(len(batch) - 1) * self.TS.size]
 
 
 class TestLStar:
@@ -412,6 +556,16 @@ class TestBatch:
         batch = ok.l_functional_grid(self.TS, ok.SampleBatch(space, rows), p, q)[5]
         one_t = [ok.l_functional_grid(np.array([t]), x, p, q)[0] for t in self.TS]
         assert grid.tolist() == one_t == batch.tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 512])
+    def test_rows_equal_one_call_per_member_at_any_size(self, n):
+        batch = TestBracketAgainstPerT.members(n)
+        for kernel, args in ((ok.k_lp_linf_grid, (1.5,)), (ok.k_lp_linf_grid, (2.0,)),
+                             (ok.l_functional_grid, (1.5, 3)), (ok.l_functional_grid, (2, 4))):
+            got = kernel(self.TS, batch, *args)
+            for row, v in zip(got, batch.values):
+                one = kernel(self.TS, ok.SampleFunction(batch.space, v), *args)
+                assert row.tolist() == one.tolist()
 
     def test_empty_batch_gives_no_rows(self):
         empty = ok.SampleBatch(ok.uniform_space(4), np.zeros((0, 4)))

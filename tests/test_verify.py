@@ -126,6 +126,34 @@ class TestKContraction:
         assert rep.status == "pass" and not rep.violations
 
 
+class TestCollector:
+    def test_violations_in_row_major_order_with_python_fields(self):
+        collector = verify._Collector(None)
+        lhs = np.array([[1.0, 3.0, 0.5], [2.0, 1.0, 5.0]])
+        rhs = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        collector.check(lhs, rhs, "tag", np.array([[1, 2], [3, 4]]), ts=[0.5, 1.0, 2.0],
+                        index=np.array([7, 9]))
+        got = [v.to_dict() for v in collector.violations]
+        assert got == [
+            {"t": 1.0, "input_index": 7, "lhs": 3.0, "rhs": 1.0, "margin": 2.0, "check": "tag",
+             "witness": [1.0, 2.0]},
+            {"t": 0.5, "input_index": 9, "lhs": 2.0, "rhs": 1.0, "margin": 1.0, "check": "tag",
+             "witness": [3.0, 4.0]},
+            {"t": 2.0, "input_index": 9, "lhs": 5.0, "rhs": 0.0, "margin": 5.0 / 1e-12,
+             "check": "tag", "witness": [3.0, 4.0]},
+        ]
+        for v in collector.violations:
+            assert type(v.t) is float and type(v.input_index) is int and type(v.margin) is float
+            assert all(type(w) is float for w in v.witness)
+
+    def test_one_value_per_input_has_no_t(self):
+        collector = verify._Collector(None)
+        collector.check([0.0, 2.0], [1.0, 1.0], "tag", np.eye(2))
+        assert [v.to_dict() for v in collector.violations] == [
+            {"t": None, "input_index": 1, "lhs": 2.0, "rhs": 1.0, "margin": 1.0, "check": "tag",
+             "witness": [0.0, 1.0]}]
+
+
 class TestSparrImplication:
     @staticmethod
     def implication(x, y):
