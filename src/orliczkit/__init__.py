@@ -48,7 +48,6 @@ from .quasiconcave import (
     PeetreRepresentation,
     PiecewiseLinearConcave,
     concave_majorant,
-    is_quasiconcave,
     max_one_rho,
     min_one_rho,
     peetre_decompose,

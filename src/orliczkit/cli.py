@@ -126,7 +126,7 @@ def cmd_kfunc(args) -> int:
 
 def cmd_majorant(args) -> int:
     rho = specs.resolve_rho(_parse_json_arg(args.rho, "--rho"))
-    plc = concave_majorant(lambda t: rho(t)[0])
+    plc = concave_majorant(rho)
     if args.format == "csv":
         rows = [[fmt(k), fmt(v)] for k, v in zip(plc.knots, plc.values)]
         _emit_table(["knot", "value"], rows, "csv", sys.stdout)

@@ -4,19 +4,21 @@ A quasi-concave generator is positive and nondecreasing on (0, inf) with
 rho(t)/t nonincreasing. Each generator kind is one jet: rho(t) stacks
 rho(t), t*rho'(t) and t^2*rho''(t) along a new first axis, with the slope
 on the right at a kink, as `OrliczFunction.jet` does for phi; its first row
-is the value. The concave majorant of a value function is the least
-concave function above it, here computed exactly on a log grid as the
-lower envelope of the line family rho(s) + t * rho(s)/s and returned as a
-certified piecewise linear concave object. Concave piecewise linear
-functions decompose into (value at 0+, asymptotic slope, slope-drop atoms),
-which the `majorant` command prints next to the majorant.
+is the value. Both shape checks read the jet pointwise: quasi-concavity is
+0 <= t*rho' <= rho, and concavity a nonincreasing rho' = (t*rho')/t. The
+concave majorant of a jet is the least concave function above its value,
+here computed exactly on a log grid as the lower envelope of the line family
+rho(s) + t * rho(s)/s and returned as a certified piecewise linear concave
+object. Concave piecewise linear functions decompose into (value at 0+,
+asymptotic slope, slope-drop atoms), which the `majorant` command prints
+next to the majorant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,31 +34,20 @@ def log_grid(lo: float = DEFAULT_GRID_LO, hi: float = DEFAULT_GRID_HI,
     return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
-class QuasiConcavityCheck(NamedTuple):
-    ok: bool
-    worst_violation: float
+# the largest elasticity excess a quasi-concave rho may show on a grid: its
+# jet gives E = t*rho'/rho to a few ulps
+QUASICONCAVITY_TOL = 1e-10
 
 
-def is_quasiconcave(rho: Callable, grid: np.ndarray | None = None,
-                    rtol: float = 1e-10) -> QuasiConcavityCheck:
-    """Grid check that rho is nondecreasing with rho(t)/t nonincreasing.
-
-    Violations are measured relative to the local value; the worst one is
-    returned (0 when clean).
-    """
-    if grid is None:
-        grid = log_grid(points_per_decade=16)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 200:
-        raise ValueError("grid must contain at least 200 points")
-    vals = np.asarray(rho(grid), dtype=float)
-    if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
+def quasiconcavity_violation(rows: np.ndarray) -> float:
+    """Worst excess of the elasticity E = t*rho'/rho outside [0, 1], read off
+    rows 0 and 1 of rho's jet at each grid point (0 for a quasi-concave rho):
+    rho is nondecreasing where t*rho' >= 0, and rho(t)/t nonincreasing where
+    t*rho' <= rho."""
+    if np.any(rows[0] <= 0.0) or not np.all(np.isfinite(rows[:2])):
         raise ValueError("rho must be finite and positive on the grid")
-    inc = (vals[:-1] - vals[1:]) / vals[:-1]          # >0 where decreasing
-    ratio = vals / grid
-    dec = (ratio[1:] - ratio[:-1]) / ratio[:-1]       # >0 where ratio increases
-    worst = float(max(inc.max(initial=0.0), dec.max(initial=0.0), 0.0))
-    return QuasiConcavityCheck(worst <= rtol, worst)
+    elast = rows[1] / rows[0]
+    return float(np.maximum(-elast, elast - 1.0).max(initial=0.0))
 
 
 def concavity_violation(rho: Callable, grid: np.ndarray) -> float:
@@ -230,8 +221,9 @@ def _lower_line_envelope(intercepts: np.ndarray, slopes: np.ndarray):
 
 
 def concave_majorant(rho: Callable, grid: np.ndarray | None = None,
-                     rtol: float = 1e-10, extend_decades: float = 10.0) -> PiecewiseLinearConcave:
-    """Concave transform inf over s of (1+t/s) rho(s), certified on the grid.
+                     extend_decades: float = 10.0) -> PiecewiseLinearConcave:
+    """Concave transform inf over s of (1+t/s) rho(s), certified on the grid,
+    for rho given as its jet.
 
     Each grid point s contributes the line rho(s) + t * rho(s)/s; their lower
     envelope in t is concave and piecewise linear, and evaluating it on the
@@ -239,22 +231,24 @@ def concave_majorant(rho: Callable, grid: np.ndarray | None = None,
     upper bound is exact at shared points, where s = t is allowed). The line
     family extends extend_decades beyond the grid at the same log density so
     that near-boundary infima (attained as s -> 0 or s -> inf) are resolved;
-    pass 0 when rho is only evaluable on the grid itself.
+    pass 0 when rho is only evaluable on the grid itself. One evaluation of
+    the jet gives the lines and, on the grid, the quasi-concavity check.
     """
     if grid is None:
         grid = log_grid()
     grid = np.asarray(grid, dtype=float)
-    check = is_quasiconcave(rho, grid=grid, rtol=rtol)
-    if not check.ok:
-        raise ValueError(f"rho fails the quasi-concavity check (violation {check.worst_violation:.3e})")
-    s_grid = grid
+    s_grid, n_ext = grid, 0
     if extend_decades > 0.0:
         step = float(np.median(np.diff(np.log10(grid))))
         n_ext = max(int(round(extend_decades / step)), 1)
         below = grid[0] * 10.0 ** (-step * np.arange(n_ext, 0, -1))
         above = grid[-1] * 10.0 ** (step * np.arange(1, n_ext + 1))
         s_grid = np.concatenate((below, grid, above))
-    vals = np.asarray(rho(s_grid), dtype=float)
+    rows = rho(s_grid)
+    worst = quasiconcavity_violation(rows[:, n_ext:n_ext + grid.size])
+    if worst > QUASICONCAVITY_TOL:
+        raise ValueError(f"rho fails the quasi-concavity check (violation {worst:.3e})")
+    vals = rows[0]
     if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
         raise ValueError("rho must be finite and positive on the grid")
     a, b, cuts = _lower_line_envelope(vals, vals / s_grid)

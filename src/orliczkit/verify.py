@@ -385,27 +385,34 @@ def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
 
 
 def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[Callable, np.ndarray]:
-    """Recover h with phi(u) = u^q h(u^{p-q}) from a generator-built phi with
-    finite q, on the s-grid that is the image of u in [1e-5, 1e5] inside phi's domain."""
+    """The jet of h with phi(u) = u^q h(u^{p-q}), read off the jet of a
+    generator-built phi with finite q, and the s-grid that is the image of u
+    in [1e-5, 1e5] inside phi's domain.
+
+    With s = u^{p-q}, k = 1/(p-q) and eta = u*phi'/phi, s*h'/h = k*(eta - q),
+    which lies in [0, 1] since eta lies in [p, q]; s^2*h'' follows from
+    s*d(eta)/ds = k*(eta + u^2*phi''/phi - eta^2)."""
     p, q = couple.p, couple.q
+    k = 1.0 / (p - q)
     u_grid = np.exp(np.linspace(np.log(1e-5), np.log(min(0.99 * phi.u_max, 1e5)), 4097))
 
-    def h_eval(s):
-        s = np.asarray(s, dtype=float)
-        u = s ** (1.0 / (p - q))
-        return phi(u) / u**q
+    def h_jet(s):
+        u = np.asarray(s, dtype=float) ** k
+        f0, f1, f2 = phi.jet(u)
+        h, eta = f0 / u**q, f1 / f0
+        elast = k * (eta - q)
+        return np.stack((h, h * elast, h * (elast * (elast - 1.0) + k * k * (eta + f2 / f0 - eta * eta))))
 
     s_grid = np.sort(u_grid ** (p - q))
-    return h_eval, s_grid
+    return h_jet, s_grid
 
 
 @functools.lru_cache(maxsize=specs.PHI_CACHE_SIZE)
 def _majorant_psi(phi: OrliczFunction, couple: ExponentCouple) -> OrliczFunction:
     """The concave-h build on the concave majorant of phi's h, made once per
     (phi, couple); a shared phi hashes by identity."""
-    h_fn, s_grid = _h_from_generator(phi, couple)
-    return build_from_h(couple, concave_majorant(h_fn, grid=s_grid, rtol=1e-6,
-                                                 extend_decades=0.0))
+    h_jet, s_grid = _h_from_generator(phi, couple)
+    return build_from_h(couple, concave_majorant(h_jet, grid=s_grid, extend_decades=0.0))
 
 
 def _check_chain(phi: OrliczFunction, couple: ExponentCouple, inputs: SampleBatch,
@@ -458,7 +465,7 @@ def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
     details = {"constant": c, "certified_bound": op.max_bound, "constant_source": source}
     # the Amemiya search may stop at a local minimum of a non-convex phi, and
     # a value above the infimum is no rhs; power and generator builds are
-    # checked convex when built, an h-form records it
+    # convex by construction (see `orlicz`), an h-form records it
     if phi.meta.get("convex", True):
         am_t, am_x = amemiya_norm(phi, tx), amemiya_norm(phi, inputs)
         collector.check(am_t, cm * am_x, "amemiya", inputs.values, rel="norm_rel")

@@ -19,6 +19,13 @@ Nothing in the package calls these; each is written for clarity, not speed.
   bisection and golden-section kernels that the Newton solves in
   `orlicz.luxemburg_norm` and `orlicz.amemiya_norm` replaced, kept as they
   were, with their helpers `_scaled_modular` and `golden_section`.
+- Shape checks on values: `is_quasiconcave` is the chord check on rho's
+  values (rho nondecreasing and rho(t)/t nonincreasing between grid points,
+  on at least 200 points) and `_validate_shape` the second-difference probe
+  of a built phi, both kept verbatim from before the package read
+  quasi-concavity off the jet and stopped probing its builds.
+  `generator_rho_checks` is the generator build's rho checks with the chord
+  check in them.
 - Generator builds through SciPy: `generator_phi_pchip` is the tabulated
   build that the exact inversion in `orlicz.build_from_generator` replaced,
   kept as it was: its rho checks on values (chord slopes, or the slope table
@@ -43,7 +50,7 @@ Nothing in the package calls these; each is written for clarity, not speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import math
 
@@ -55,10 +62,9 @@ from orliczkit import specs
 from orliczkit.kfunc import _check_exponent, _descent_rate, _expit
 from orliczkit.measure import (DiscreteMeasureSpace, SampleBatch, SampleFunction,
                                _frozen_array, abs_rows)
-from orliczkit.orlicz import (ExponentCouple, NonConvergenceError, OrliczFunction,
-                              _validate_shape)
+from orliczkit.orlicz import ExponentCouple, NonConvergenceError, OrliczFunction
 from orliczkit.quasiconcave import (PeetreRepresentation, PiecewiseLinearConcave,
-                                    is_quasiconcave, log_grid)
+                                    concavity_violation, log_grid)
 from orliczkit.verify import _draws
 
 
@@ -501,6 +507,66 @@ def _pchip_jet(x: np.ndarray, y: np.ndarray):
         return out
 
     return jet
+
+
+class QuasiConcavityCheck(NamedTuple):
+    ok: bool
+    worst_violation: float
+
+
+def is_quasiconcave(rho: Callable, grid: np.ndarray | None = None,
+                    rtol: float = 1e-10) -> QuasiConcavityCheck:
+    """Grid check that rho is nondecreasing with rho(t)/t nonincreasing.
+
+    Violations are measured relative to the local value; the worst one is
+    returned (0 when clean).
+    """
+    if grid is None:
+        grid = log_grid(points_per_decade=16)
+    grid = np.asarray(grid, dtype=float)
+    if grid.size < 200:
+        raise ValueError("grid must contain at least 200 points")
+    vals = np.asarray(rho(grid), dtype=float)
+    if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
+        raise ValueError("rho must be finite and positive on the grid")
+    inc = (vals[:-1] - vals[1:]) / vals[:-1]          # >0 where decreasing
+    ratio = vals / grid
+    dec = (ratio[1:] - ratio[:-1]) / ratio[:-1]       # >0 where ratio increases
+    worst = float(max(inc.max(initial=0.0), dec.max(initial=0.0), 0.0))
+    return QuasiConcavityCheck(worst <= rtol, worst)
+
+
+def _validate_shape(phi: OrliczFunction, probe_hi: float, require_convex: bool = True) -> float:
+    """Cheap construction-time check: phi(0)=0, nondecreasing, near-convex.
+
+    Returns the worst second difference on the probe grid. Convexity is only
+    enforced when required: the concave-h route legitimately produces
+    nondecreasing functions with concave kinks at min-branch crossovers,
+    which serve the modular comparisons but are not Orlicz functions proper.
+    """
+    hi = min(probe_hi, phi.u_max)
+    vals = phi(np.linspace(0.0, hi, 513))
+    if abs(float(vals[0])) > 1e-12:
+        raise ValueError("phi(0) must be 0")
+    if np.any(np.diff(vals) < -1e-12 * max(float(vals[-1]), 1.0)):
+        raise ValueError("phi must be nondecreasing")
+    d2 = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
+    worst = float(d2.min(initial=0.0))
+    if require_convex and worst < -1e-9 * max(float(np.abs(vals).max()), 1e-300):
+        raise ValueError("phi fails the convexity tolerance")
+    return worst
+
+
+def generator_rho_checks(rho: Callable) -> None:
+    """The rho checks of `orlicz.build_from_generator` as they were before
+    quasi-concavity was read off the jet: `is_quasiconcave` on rho's values,
+    then the jet's concavity check; each raises ValueError as the build did."""
+    qc = is_quasiconcave(lambda t: rho(t)[0])
+    if not qc.ok:
+        raise ValueError(f"rho fails the quasi-concavity check ({qc.worst_violation:.3e})")
+    conc = concavity_violation(rho, log_grid(points_per_decade=16))
+    if conc > 1e-8:
+        raise ValueError(f"rho fails the concavity check ({conc:.3e})")
 
 
 INVERSION_U_LO = 1e-12

@@ -300,11 +300,11 @@ def test_criterion_09_phi_rho_structure():
         theta = float(rng.uniform(0.45, 0.55))
         a, b = int(rng.integers(-1, 2)), int(rng.integers(-1, 2))
         rho = ok.power_log_rho(theta, a, b)
-        maj = ok.concave_majorant(lambda t: rho(t)[0])
+        maj = ok.concave_majorant(rho)
         ratio = maj(grid) / rho(grid)[0]
         sandwich_ok = sandwich_ok and ratio.min() >= 1 - 1e-8 and ratio.max() <= 2 + 1e-8
 
-    maj_affine = ok.concave_majorant(lambda t: ok.max_one_rho()(t)[0])
+    maj_affine = ok.concave_majorant(ok.max_one_rho())
     ts = np.logspace(-6, 6, 400)
     max_one_ok = bool(np.max(np.abs(maj_affine(ts) - (1 + ts)) / (1 + ts)) <= 1e-6)
 

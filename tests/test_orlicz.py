@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import orliczkit as ok
 from orliczkit.orlicz import ExponentCouple, _luxemburg_bracket
 
 from conftest import cached_generator_phi, rho_values
-from oracles import (amemiya_golden, generator_phi_pchip, luxemburg_bisect, lp_integral,
-                     modular_of_step, power_log_rho_full, rearrangement, sup_norm)
+from oracles import (_validate_shape, amemiya_golden, generator_phi_pchip, generator_rho_checks,
+                     luxemburg_bisect, lp_integral, modular_of_step, power_log_rho_full,
+                     rearrangement, sup_norm)
 
 
 def sample(values, weights=None):
@@ -572,6 +574,22 @@ class TestBuildFromGenerator:
             assert float(phi(phi.u_max)) == pytest.approx(np.exp(690.0), rel=1e-12)
             assert ok.check_convexity(phi, np.linspace(0.0, 30.0, 3001)).ok
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_small_u_max_at_q_inf_builds(self, p):
+        # rho = c*min(1, t): phi^-1 = c*min(u^(1/p), 1), so u_max = c and
+        # phi(v) = (v / c)^p up to phi(u_max) = 1. Below about c = 2.4e-7,
+        # rho(2^-1000) = c * 2^-1000 is subnormal, and u_max is read further
+        # up the line
+        for k in range(-14, 4):
+            c = 10.0**k
+            plc = ok.PiecewiseLinearConcave([1.0], [c], c, 0.0)
+            phi = ok.build_from_generator(ExponentCouple(p, np.inf), plc.jet)
+            assert phi.u_max == pytest.approx(c, rel=1e-12, abs=0.0)
+            assert float(phi(phi.u_max)) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+            v = np.linspace(0.0, phi.u_max, 1001)
+            assert np.all(np.diff(phi(v)) >= 0.0)
+            np.testing.assert_allclose(phi(v), (v / c) ** p, rtol=1e-13, atol=0.0)
+
     def test_non_concave_generator_rejected(self):
         # max(1, t) is quasi-concave but its slope rises at t = 1
         with pytest.raises(ValueError, match="^rho fails the concavity check"):
@@ -591,6 +609,72 @@ def _jet_arrays(phi):
     """The arrays a phi's jet reads, from the closure of its jet."""
     cells = [cell.cell_contents for cell in phi.jet.__closure__]
     return [c for c in cells if isinstance(c, np.ndarray)]
+
+
+def random_rho(rng, kind):
+    """A rho jet of the kind, with parameters drawn over the whole family:
+    a pwl has 1-8 knots in e^+-30, decreasing slopes, half the time a zero
+    value at 0, and a scale in 1e-14..1e3."""
+    if kind == "power":
+        return ok.power_rho(float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)], p=[0.1, 0.1, 0.8])))
+    if kind == "powerlog":
+        return ok.power_log_rho(float(rng.uniform(0.02, 0.98)), *rng.uniform(-2.0, 2.0, 2))
+    if kind == "min_one":
+        return ok.min_one_rho()
+    if kind == "max_one":
+        return ok.max_one_rho()
+    knots = np.unique(np.exp(rng.uniform(-30.0, 30.0, int(rng.integers(1, 9)))))
+    slopes = np.sort(np.exp(rng.uniform(-20.0, 5.0, knots.size + 1)))[::-1]
+    if rng.random() < 0.3:
+        slopes[-1] = 0.0
+    scale = 10.0 ** rng.uniform(-14.0, 3.0)
+    at_zero = 0.0 if rng.random() < 0.5 else np.exp(rng.uniform(-30.0, 5.0))
+    values = at_zero + slopes[0] * knots[0] + np.concatenate(([0.0], np.cumsum(slopes[1:-1] * np.diff(knots))))
+    return ok.PiecewiseLinearConcave(knots, scale * values, scale * slopes[0], scale * slopes[-1]).jet
+
+
+class TestShapeChecksReadTheJet:
+    """A generator build reads rho's quasi-concavity off its jet and probes
+    no built phi: on seeded draws of all five rho kinds it decides as the
+    chord check on rho's values and the second-difference probe of phi
+    (`oracles.generator_rho_checks` and `oracles._validate_shape`) do."""
+
+    KINDS = ("power", "powerlog", "min_one", "max_one", "pwl")
+    COUPLES = ((1, 2), (1, 3), (1.5, 3), (2, 4), (1.2, 1.3), (1, 5), (2, 2.5), (1.01, 20),
+               (1, np.inf), (2, np.inf), (1.5, np.inf), (3, np.inf))
+    # the build's own set-up rejects a flat or non-finite inverse before a
+    # probe could run
+    SETUP_REASONS = ("inverse not strictly increasing",
+                     "generator produced non-finite or non-positive inverse values")
+
+    @staticmethod
+    def reason(exc):
+        return re.sub(r" \(.*\)$", "", str(exc))
+
+    def test_decides_as_the_chord_check_and_the_probe(self):
+        rng = np.random.default_rng(19)
+        outcomes = Counter()
+        for i in range(250):
+            rho = random_rho(rng, self.KINDS[i % 5])
+            couple = ExponentCouple(*self.COUPLES[int(rng.integers(len(self.COUPLES)))])
+            try:
+                generator_rho_checks(rho)
+                want = None
+            except ValueError as exc:
+                want = self.reason(exc)
+            try:
+                phi = ok.build_from_generator(couple, rho)
+            except ValueError as exc:
+                got = self.reason(exc)
+                assert got == want or (want is None and got in self.SETUP_REASONS), (i, got, want)
+            else:
+                assert want is None, (i, want)
+                _validate_shape(phi, 100.0)
+                got = "built"
+            outcomes[got] += 1
+        assert outcomes["built"] >= 100
+        assert outcomes["rho fails the quasi-concavity check"] >= 10
+        assert outcomes["rho fails the concavity check"] >= 10
 
 
 class TestImmutable:
@@ -621,7 +705,8 @@ class TestImmutable:
                 a[0] = 0.0
 
     def test_h_form_records_its_shape_check(self):
-        assert self.BUILDS["h"]().meta["worst_second_difference"] < 0.0
+        # h = min(1, s) has a slope drop, so phi = min(u^3, u) is not convex
+        assert dict(self.BUILDS["h"]().meta) == {"h_knots": 1, "convex": False}
 
     def test_hashes_by_identity(self):
         a, b = ok.power_phi(2.0), ok.power_phi(2.0)

@@ -2,10 +2,19 @@ import numpy as np
 import pytest
 
 import orliczkit as ok
-from orliczkit.quasiconcave import concavity_violation, log_grid
+from orliczkit.quasiconcave import (QUASICONCAVITY_TOL, concavity_violation, log_grid,
+                                    quasiconcavity_violation)
 
-from conftest import rho_values
 from oracles import phi_expansion, reconstruct
+
+# the grid a generator build checks rho on
+CHECK_GRID = log_grid(points_per_decade=16)
+
+
+def square_jet(t):
+    """The jet of t^2: not quasi-concave, with elasticity 2."""
+    t = np.asarray(t, dtype=float)
+    return np.stack((t**2, 2.0 * t**2, 2.0 * t**2))
 
 
 def random_concave_plc(rng, knots=5):
@@ -19,23 +28,37 @@ def random_concave_plc(rng, knots=5):
 
 
 class TestIsQuasiConcave:
+    """0 <= t*rho' <= rho, read off the jet at each grid point."""
+
     def test_min_one_passes(self):
-        assert ok.is_quasiconcave(rho_values(ok.min_one_rho())).ok
+        assert quasiconcavity_violation(ok.min_one_rho()(CHECK_GRID)) == 0.0
 
     def test_square_fails(self):
-        check = ok.is_quasiconcave(lambda t: np.asarray(t) ** 2)
-        assert not check.ok and check.worst_violation > 1e-3
+        assert quasiconcavity_violation(square_jet(CHECK_GRID)) == pytest.approx(1.0, rel=1e-15)
 
     def test_max_one_passes(self):
-        assert ok.is_quasiconcave(rho_values(ok.max_one_rho())).ok
+        assert quasiconcavity_violation(ok.max_one_rho()(CHECK_GRID)) == 0.0
 
-    def test_small_grid_rejected(self):
-        with pytest.raises(ValueError):
-            ok.is_quasiconcave(rho_values(ok.min_one_rho()), grid=np.logspace(-2, 2, 50))
+    def test_each_point_is_checked_on_its_own(self):
+        # no chord joins two points, so one point is a whole check
+        assert quasiconcavity_violation(square_jet([2.0])) == pytest.approx(1.0, rel=1e-15)
+        assert quasiconcavity_violation(ok.max_one_rho()([0.5])) == 0.0
+
+    def test_a_falling_rho_fails(self):
+        # 1 + 1/t falls, with elasticity -1/(t + 1)
+        def falling(t):
+            t = np.asarray(t, dtype=float)
+            return np.stack((1.0 + 1.0 / t, -1.0 / t, 2.0 / t))
+
+        assert quasiconcavity_violation(falling([1.0])) == pytest.approx(0.5, rel=1e-15)
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            ok.is_quasiconcave(lambda t: np.asarray(t) - 1e5)
+        def shifted(t):
+            t = np.asarray(t, dtype=float)
+            return np.stack((t - 1e5, t, np.zeros(t.shape)))
+
+        with pytest.raises(ValueError, match="finite and positive"):
+            quasiconcavity_violation(shifted(CHECK_GRID))
 
 
 class TestPowerLog:
@@ -47,7 +70,8 @@ class TestPowerLog:
 
     @pytest.mark.parametrize("params", [(0.3, 1, -1), (0.7, -1, 1)])
     def test_admissible_members_are_quasiconcave(self, params):
-        assert ok.is_quasiconcave(rho_values(ok.power_log_rho(*params))).ok
+        rows = ok.power_log_rho(*params)(CHECK_GRID)
+        assert quasiconcavity_violation(rows) <= QUASICONCAVITY_TOL
 
     def test_theta_range_enforced(self):
         with pytest.raises(ValueError):
@@ -59,39 +83,53 @@ class TestPowerLog:
 
 class TestConcaveMajorant:
     def test_min_one_is_fixed_point(self):
-        maj = ok.concave_majorant(rho_values(ok.min_one_rho()))
+        maj = ok.concave_majorant(ok.min_one_rho())
         grid = log_grid()
         rho = np.minimum(1.0, grid)
         assert np.max(np.abs(maj(grid) - rho) / rho) < 1e-8
 
     def test_max_one_becomes_affine(self):
-        maj = ok.concave_majorant(rho_values(ok.max_one_rho()))
+        maj = ok.concave_majorant(ok.max_one_rho())
         ts = np.logspace(-6, 6, 200)
         assert np.max(np.abs(maj(ts) - (1.0 + ts)) / (1.0 + ts)) < 1e-8
 
     @pytest.mark.parametrize("params", [(0.5, 0, 0), (0.3, 1, -1), (0.7, -1, 1)])
     def test_two_sided_comparison(self, params):
-        rho = rho_values(ok.power_log_rho(*params))
+        rho = ok.power_log_rho(*params)
         maj = ok.concave_majorant(rho)
         grid = log_grid()
-        ratio = maj(grid) / rho(grid)
+        ratio = maj(grid) / rho(grid)[0]
         assert ratio.min() >= 1.0 - 1e-8
         assert ratio.max() <= 2.0 + 1e-8
 
     def test_output_is_certified_concave(self):
-        maj = ok.concave_majorant(rho_values(ok.power_log_rho(0.4, 1, 0)))
+        maj = ok.concave_majorant(ok.power_log_rho(0.4, 1, 0))
         assert concavity_violation(maj.jet, log_grid(1e-6, 1e6, 32)) <= 1e-12
 
     def test_non_quasiconcave_rejected(self):
-        with pytest.raises(ValueError):
-            ok.concave_majorant(lambda t: np.asarray(t) ** 2)
+        with pytest.raises(ValueError, match=r"^rho fails the quasi-concavity check \(violation 1\.000e\+00\)$"):
+            ok.concave_majorant(square_jet)
+
+    def test_checks_only_the_grid(self):
+        # 1 + max(0, t - 1e9) is quasi-concave on the grid, 1e-8..1e8, and not
+        # beyond it, where the family of lines is extended but not checked
+        def late_rise(t):
+            t = np.asarray(t, dtype=float)
+            over = t > 1e9
+            return np.stack((np.where(over, t - 1e9 + 1.0, 1.0), np.where(over, t, 0.0),
+                             np.zeros(t.shape)))
+
+        grid = log_grid()
+        assert quasiconcavity_violation(late_rise(grid)) == 0.0
+        ratio = ok.concave_majorant(late_rise)(grid) / late_rise(grid)[0]
+        assert ratio.min() >= 1.0 and ratio.max() <= 2.0
 
     def test_envelope_matches_direct_pairwise_minimum(self):
         # independent O(n^2) route to inf over grid s of (1 + t/s) rho(s)
-        rho = rho_values(ok.power_log_rho(0.4, 1, 0))
+        rho = ok.power_log_rho(0.4, 1, 0)
         coarse = log_grid(1e-4, 1e4, 32)
         maj = ok.concave_majorant(rho, grid=coarse, extend_decades=0.0)
-        vals = rho(coarse)
+        vals = rho(coarse)[0]
         direct = np.min(vals[None, :] * (1.0 + coarse[:, None] / coarse[None, :]), axis=1)
         assert np.allclose(maj(coarse), direct, rtol=1e-12)
 
@@ -141,7 +179,7 @@ class TestPiecewiseLinearConcave:
         h = ok.PiecewiseLinearConcave([3.0], [0.3], 0.1, 0.0)
         assert h.value_at_zero == 0.0
         assert np.all(h(np.array([1e-300, 1e-20, 1e-8])) > 0.0)
-        assert ok.is_quasiconcave(h).ok
+        assert quasiconcavity_violation(h.jet(CHECK_GRID)) == 0.0
 
     def test_from_lines_keeps_the_lines(self):
         a, b, k = np.array([0.0, 0.5, 1.25]), np.array([1.0, 0.5, 0.125]), np.array([1.0, 2.0])

@@ -8,6 +8,8 @@ tests use live in tests/oracles.py instead.
 """
 
 import ast
+import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -72,3 +74,15 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
     assert out.stdout.strip() == "[]"
+
+
+def test_every_name_the_layer_trace_wraps_resolves():
+    # perfbench/layertrace.py wraps each (module, attribute) of FUNCTION_SPANS
+    # by getattr, and its prepare() fails on a name that is gone
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    missing = [f"{module}.{attr}" for _, module, attr, _, _ in layertrace.FUNCTION_SPANS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert layertrace.FUNCTION_SPANS and not missing, f"traced names that are gone: {missing}"

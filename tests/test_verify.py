@@ -326,11 +326,33 @@ class TestChainDiagnostics:
         # h = max(s, 1) has the concave majorant 1 + s on the whole grid
         couple = ExponentCouple(2, 2.5)
         h, s = verify._h_from_generator(cached_generator_phi(2, 2.5, "min_one"), couple)
-        maj = ok.concave_majorant(h, grid=s, rtol=1e-6, extend_decades=0.0)
+        maj = ok.concave_majorant(h, grid=s, extend_decades=0.0)
         np.testing.assert_allclose(maj(s), 1.0 + s, rtol=1e-15, atol=0.0)
         # each piece is a grid line h(s_j) + t * h(s_j) / s_j, and h >= 1 up
         # to rounding
         assert np.all(maj.intercepts >= 1.0 - 1e-12) and np.all(np.diff(maj.slopes) < 0.0)
+
+    @pytest.mark.parametrize("family, params", [("powerlog", (0.3, 1, -1)), ("power", (0.5,)),
+                                                ("min_one", ())])
+    def test_h_jet_is_read_off_phi(self, family, params):
+        p, q = 1.5, 3
+        phi = cached_generator_phi(p, q, family, params)
+        h, s = verify._h_from_generator(phi, ExponentCouple(p, q))
+        s = s[::64]
+        jet = h(s)
+        # row 0 is phi(u) / u^q, bit for bit as the values give it
+        u = s ** (1.0 / (p - q))
+        assert np.array_equal(jet[0], phi(u) / u**q)
+        # the elasticity s*h'/h = (q - eta) / (q - p) lies in [0, 1] to rounding
+        elast = jet[1] / jet[0]
+        assert elast.min() >= -1e-14 and elast.max() <= 1.0 + 1e-14
+        # rows 1 and 2 against central differences in log s, away from the
+        # kink of h = max(s, 1) for min_one
+        s = s[np.abs(np.log(s)) > 1e-3]
+        step = 1e-5
+        up, down, mid = h(s * np.exp(step)), h(s * np.exp(-step)), h(s)
+        assert np.all(np.abs(mid[1] - (up[0] - down[0]) / (2 * step)) <= 1e-8 * mid[0])
+        assert np.all(np.abs(mid[2] - ((up[1] - down[1]) / (2 * step) - mid[1])) <= 1e-6 * mid[0])
 
     def test_needs_generator_phi(self, space8, phi_affine_h):
         op = ok.averaging_operator(space8, COUPLE)
