@@ -10,6 +10,8 @@ arithmetic on gamma with their proven envelope bounds asserted.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -37,11 +39,14 @@ def _gamma_closed_one_q(q: float) -> float:
     return 1.0 + q ** (1.0 / (1.0 - q)) - q ** (q / (1.0 - q))
 
 
+@functools.lru_cache(maxsize=64)
 def sparr_gamma(p: float, q: float) -> float:
-    """Sharp constant via the stationarity characterization.
+    """Sharp constant via the stationarity characterization, bisected once
+    per couple: the last 64 (p, q) are cached.
 
-    gamma is symmetric, so p > q returns gamma(q, p). For p <= q the optimum
-    ties y to x by p*x^{p-1} = q*y^{q-1}, and gamma = x + y at the root of
+    gamma is symmetric, so p > q returns gamma(q, p), from the cache once
+    either order has run. For p <= q the optimum ties y to x by
+    p*x^{p-1} = q*y^{q-1}, and gamma = x + y at the root of
     c(x) = x^p + ((p/q) x^{p-1})^{q/(q-1)} - 1. Both terms of c increase in x
     (the first strictly), c(0+) < 0 and c(1) = (p/q)^{q/(q-1)} > 0, so one
     bisection on [0, 1] finds its only root. Closed forms on the diagonal
@@ -72,7 +77,7 @@ def sparr_gamma(p: float, q: float) -> float:
         value = closed
     if not 1.0 - 1e-12 <= value < 2.0:
         raise ValueError(f"gamma out of [1, 2): {value}")
-    return value
+    return float(value)
 
 
 def sparr_gamma_oracle(p: float, q: float) -> float:

@@ -16,6 +16,10 @@ Interpolation, 1989).
 
 The modular and both norms take one sample function or a batch on one space;
 each search step of a batch is one array pass over the members still open.
+Each member's iterates and row sums are its own, so a row of a batch result
+is bitwise that member's value alone, and a caller may stack batches (the
+norm verifier searches x and Tx as one) to share the passes of phi. A norm
+pass splits a wide batch into jet calls of at most _PROFILE_ELEMS entries.
 """
 
 from __future__ import annotations
@@ -116,27 +120,31 @@ INVERSE_LOG_STEP = 1e-14   # Newton step in s, relative to 1 + |s|, at which the
 
 
 def _solve_log_inverse(log_inverse: Callable, target: np.ndarray, s: np.ndarray,
-                       top: float) -> np.ndarray:
+                       top: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per entry, the root s of F(s) = target in [-LOG_U_RANGE, top], with
-    F's slope g and g's slope (rows of the result): Newton steps from s,
-    bracketed by the sign of F - target, bisecting where a step leaves the
-    bracket or does not halve the residual, until a step or the bracket is
-    below INVERSE_LOG_STEP; that last step is taken, so for a smooth F the
-    error is about its square."""
-    out = np.empty((3, target.size))
-    lo, hi = np.full(target.size, -LOG_U_RANGE), np.full(target.size, top)
-    last, live = np.full(target.size, np.inf), np.arange(target.size)
+    F's slope g and g's slope: Newton steps from s, bracketed by the sign of
+    F - target, bisecting where a step leaves the bracket or does not halve
+    the residual, until a step or the bracket is below INVERSE_LOG_STEP;
+    that last step is taken, so for a smooth F the error is about its square.
+
+    The first pass runs on the whole arrays with the scalar bracket; the
+    index arrays and the output are made only when some entry needs a
+    second pass."""
+    lo, hi = -LOG_U_RANGE, top
+    live = out = last = None   # None: the first pass, on every entry
     for _ in range(MAX_PASSES):
         f, g, dg = log_inverse(s)
-        r = f - target[live]
+        r = f - (target if live is None else target[live])
         hi, lo = np.where(r > 0.0, s, hi), np.where(r < 0.0, s, lo)
         with np.errstate(over="ignore"):   # g is 0 where phi^-1 is flat to rounding
             step = -r / np.maximum(g, np.finfo(float).tiny)
         tol = INVERSE_LOG_STEP * (1.0 + np.abs(s))
         done = (np.abs(step) <= tol) | (hi - lo <= tol)
-        if done.all() and live.size == target.size:
-            # the usual case, with no index arrays: one pass solves every entry
-            return np.stack((np.clip(s + step, lo, hi), g, dg))
+        if live is None:
+            if done.all():   # the usual case: one pass solves every entry
+                return np.clip(s + step, lo, hi), g, dg
+            live, out = np.arange(target.size), np.empty((3, target.size))
+            last = np.full(target.size, np.inf)
         if np.any(done):
             out[:, live[done]] = np.clip(s + step, lo, hi)[done], g[done], dg[done]
         keep = ~done
@@ -180,9 +188,15 @@ def build_from_generator(couple: ExponentCouple, rho: Callable) -> OrliczFunctio
         return s / p + np.log(r0), 1.0 / p + e * elast, e * e * (r2 / r0 - elast * (elast - 1.0))
 
     def rows(s, g, dg):   # phi is 0 where phi^-1 is flat to rounding (g = 0) near 0
-        u, eta = np.exp(s) * (g > 0.0), 1.0 / np.where(g > 0.0, g, 1.0)
+        out = np.empty((3, s.size))
+        rising = g > 0.0
+        u = np.exp(s, out=out[0])
+        u *= rising
+        eta = 1.0 / np.where(rising, g, 1.0)
         with np.errstate(over="ignore"):
-            return np.stack((u, u * eta, u * eta * (eta - 1.0 - dg * eta * eta)))
+            np.multiply(u, eta, out=out[1])
+            np.multiply(out[1], eta - 1.0 - dg * eta * eta, out=out[2])
+        return out
 
     u_max, top = None, LOG_U_RANGE
     r0, r1, _ = rho(np.array(2.0**-1000))
@@ -211,7 +225,7 @@ def build_from_generator(couple: ExponentCouple, rho: Callable) -> OrliczFunctio
         raise ValueError("generator produced non-finite or non-positive inverse values")
     if not f_top > f_lo:   # rho linear on the whole range
         raise ValueError("inverse not strictly increasing")
-    rows_top = rows(np.array(top), g[2], dg[2])
+    rows_top = rows(np.array([top]), g[2:], dg[2:])[:, 0]
     # the power law through u = 1, or 1/p where the inverse is flat there
     guess_slope = g[1] if g[1] > 0.0 else 1.0 / p
 
@@ -289,13 +303,21 @@ LUXEMBURG_RTOL = 1e-10     # relative width of the final Luxemburg bracket
 AMEMIYA_LOG_STEP = 1e-9    # Newton step in log k below which the Amemiya search stops
 AMEMIYA_RANGE = (1e-8, 1e8)   # the k range, in units of 1 / sup|x|
 MAX_PASSES = 100          # per norm call or inversion, before NonConvergenceError
+_PROFILE_ELEMS = 2**13    # rows x atoms per jet pass of `_profile`: a (3, E) jet is <= 192 KB
 
 
 def _profile(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray,
              sigma: np.ndarray) -> np.ndarray:
     """M, sigma*M' and sigma^2*M'' (rows of the result) of each row of y at
-    its own sigma, in one pass of phi's jet."""
-    return np.sum(phi.jet(y * sigma[:, None]) * weights, axis=-1)
+    its own sigma, one pass of phi's jet per chunk of at most _PROFILE_ELEMS
+    entries (and at least one row); each row's sum is the same in any chunk."""
+    count, n = y.shape
+    chunk = max(1, _PROFILE_ELEMS // n)
+    out = np.empty((3, count))
+    for start in range(0, count, chunk):
+        part = slice(start, start + chunk)
+        out[:, part] = np.sum(phi.jet(y[part] * sigma[part, None]) * weights, axis=-1)
+    return out
 
 
 def _newton_or_bisect(sigma, log_step, lo, hi, slow):

@@ -193,8 +193,9 @@ def _lower_line_envelope(intercepts: np.ndarray, slopes: np.ndarray):
     Monotone-chain pass: insert lines by slope descending; a kept line owns
     the interval between its crossings with its hull neighbours, and lines
     whose interval collapses (crossing not to the right of the previous one,
-    or left of 0) are popped. Returns (kept intercepts, kept slopes,
-    crossings between consecutive kept lines).
+    or left of 0) are popped, and a line that would cross the hull only
+    beyond the float range is skipped. Returns (kept intercepts, kept
+    slopes, crossings between consecutive kept lines).
     """
     order = np.lexsort((intercepts, -slopes))
     a_sorted, b_sorted = intercepts[order], slopes[order]
@@ -204,19 +205,23 @@ def _lower_line_envelope(intercepts: np.ndarray, slopes: np.ndarray):
     hull_a: list[float] = []
     hull_b: list[float] = []
     cuts: list[float] = []
-    for aj, bj in zip(a_sorted, b_sorted):
-        while hull_a:
-            x = (aj - hull_a[-1]) / (hull_b[-1] - bj)
-            if x <= (cuts[-1] if cuts else 0.0):
-                hull_a.pop()
-                hull_b.pop()
-                if cuts:
-                    cuts.pop()
-            else:
-                cuts.append(x)
-                break
-        hull_a.append(aj)
-        hull_b.append(bj)
+    with np.errstate(over="ignore"):   # a crossing beyond the float range is inf
+        for aj, bj in zip(a_sorted, b_sorted):
+            while hull_a:
+                x = (aj - hull_a[-1]) / (hull_b[-1] - bj)
+                if x <= (cuts[-1] if cuts else 0.0):
+                    hull_a.pop()
+                    hull_b.pop()
+                    if cuts:
+                        cuts.pop()
+                else:
+                    cuts.append(x)
+                    break
+            if cuts and cuts[-1] == np.inf:   # lowest only beyond the float range
+                cuts.pop()
+                continue
+            hull_a.append(aj)
+            hull_b.append(bj)
     return np.array(hull_a), np.array(hull_b), np.array(cuts)
 
 

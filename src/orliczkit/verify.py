@@ -384,17 +384,24 @@ def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
                             scenario)
 
 
+_CHAIN_LOG_SPAN = 700.0   # |log| of the largest u^q and s = u^(p-q) on the chain's grid
+
+
 def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[Callable, np.ndarray]:
     """The jet of h with phi(u) = u^q h(u^{p-q}), read off the jet of a
     generator-built phi with finite q, and the s-grid that is the image of u
-    in [1e-5, 1e5] inside phi's domain.
+    in [1e-5, 1e5] inside phi's domain and inside |log u| <= _CHAIN_LOG_SPAN / q,
+    so that u^q and s stay finite and normal for every q <= 64 (the span
+    binds only above q = 60.8).
 
     With s = u^{p-q}, k = 1/(p-q) and eta = u*phi'/phi, s*h'/h = k*(eta - q),
     which lies in [0, 1] since eta lies in [p, q]; s^2*h'' follows from
     s*d(eta)/ds = k*(eta + u^2*phi''/phi - eta^2)."""
     p, q = couple.p, couple.q
     k = 1.0 / (p - q)
-    u_grid = np.exp(np.linspace(np.log(1e-5), np.log(min(0.99 * phi.u_max, 1e5)), 4097))
+    span = _CHAIN_LOG_SPAN / q
+    u_grid = np.exp(np.linspace(max(np.log(1e-5), -span),
+                                min(np.log(min(0.99 * phi.u_max, 1e5)), span), 4097))
 
     def h_jet(s):
         u = np.asarray(s, dtype=float) ** k
@@ -415,6 +422,13 @@ def _majorant_psi(phi: OrliczFunction, couple: ExponentCouple) -> OrliczFunction
     return build_from_h(couple, concave_majorant(h_jet, grid=s_grid, extend_decades=0.0))
 
 
+def _stack(top: SampleBatch, bottom: SampleBatch) -> SampleBatch:
+    """The members of top, then those of bottom, as one batch: the norms and
+    the modular treat each member on its own, so each row of a result is
+    bitwise the row of a call on its own batch, at half the passes of phi."""
+    return SampleBatch(bottom.space, np.vstack((top.values, bottom.values)))
+
+
 def _check_chain(phi: OrliczFunction, couple: ExponentCouple, inputs: SampleBatch,
                  txs: SampleBatch, collector: _Collector) -> dict:
     """Link-by-link check of the majorant route behind the subadditive constant.
@@ -428,8 +442,10 @@ def _check_chain(phi: OrliczFunction, couple: ExponentCouple, inputs: SampleBatc
     """
     psi = _majorant_psi(phi, couple)
     gamma = sparr_gamma(couple.p, couple.q)
-    phi_tx, psi_tx = modular(phi, txs), modular(psi, txs)
-    gamma_psi_x, two_gamma_phi_x = gamma * modular(psi, inputs), 2.0 * gamma * modular(phi, inputs)
+    both, count = _stack(txs, inputs), len(inputs)
+    phi_both, psi_both = modular(phi, both), modular(psi, both)
+    phi_tx, psi_tx = phi_both[:count], psi_both[:count]
+    gamma_psi_x, two_gamma_phi_x = gamma * psi_both[count:], 2.0 * gamma * phi_both[count:]
     for lhs, rhs, tag in ((phi_tx, psi_tx, "link1_phi_le_psi"),
                           (psi_tx, gamma_psi_x, "link2_psi_contraction"),
                           (gamma_psi_x, two_gamma_phi_x, "link3_psi_le_2phi")):
@@ -459,16 +475,17 @@ def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
         raise ScenarioRejected("chain diagnostics need a generator-built phi with finite q")
     c = NORM_CONSTANTS[source](couple.p, couple.q)
     cm = c * op.max_bound
-    tx = op.apply(inputs)
-    lux_t, lux_x = luxemburg_norm(phi, tx), luxemburg_norm(phi, inputs)
-    collector.check(lux_t, cm * lux_x, "luxemburg", inputs.values, rel="norm_rel")
+    tx, count = op.apply(inputs), len(inputs)
+    both = _stack(tx, inputs)
+    lux = luxemburg_norm(phi, both)
+    collector.check(lux[:count], cm * lux[count:], "luxemburg", inputs.values, rel="norm_rel")
     details = {"constant": c, "certified_bound": op.max_bound, "constant_source": source}
     # the Amemiya search may stop at a local minimum of a non-convex phi, and
     # a value above the infimum is no rhs; power and generator builds are
     # convex by construction (see `orlicz`), an h-form records it
     if phi.meta.get("convex", True):
-        am_t, am_x = amemiya_norm(phi, tx), amemiya_norm(phi, inputs)
-        collector.check(am_t, cm * am_x, "amemiya", inputs.values, rel="norm_rel")
+        am = amemiya_norm(phi, both)
+        collector.check(am[:count], cm * am[count:], "amemiya", inputs.values, rel="norm_rel")
     else:
         details["amemiya"] = "skipped: phi is not convex"
     if diagnostics:

@@ -35,6 +35,11 @@ Nothing in the package calls these; each is written for clarity, not speed.
   `PchipInterpolator` whose first row is the interpolant's own value
   (`_pchip_jet`). It takes rho as a value function. `power_log_rho_full` is
   the power-log generator with both log factors always evaluated.
+- The generator solve with its arrays made up front: `solve_log_inverse_stacked`
+  is `orlicz._solve_log_inverse` as it was before its first pass ran on the
+  whole arrays with a scalar bracket, returning one stacked (3, n) array, and
+  `generator_rows` is the build's `rows` as it was, stacking phi's jet rows
+  from the solve's; both kept verbatim.
 - Input draws with one `SeedSequence` child and one `default_rng` per input:
   `generate_inputs_per_child` and `pair_batch_per_child` are
   `verify.generate_inputs` and `verify._pair_batch` as they were before the
@@ -62,7 +67,8 @@ from orliczkit import specs
 from orliczkit.kfunc import _check_exponent, _descent_rate, _expit
 from orliczkit.measure import (DiscreteMeasureSpace, SampleBatch, SampleFunction,
                                _frozen_array, abs_rows)
-from orliczkit.orlicz import ExponentCouple, NonConvergenceError, OrliczFunction
+from orliczkit.orlicz import (INVERSE_LOG_STEP, LOG_U_RANGE, MAX_PASSES, ExponentCouple,
+                              NonConvergenceError, OrliczFunction)
 from orliczkit.quasiconcave import (PeetreRepresentation, PiecewiseLinearConcave,
                                     concavity_violation, log_grid)
 from orliczkit.verify import _draws
@@ -619,6 +625,46 @@ def generator_phi_pchip(couple: ExponentCouple, rho: Callable) -> OrliczFunction
     )
     _validate_shape(phi, 100.0)
     return phi
+
+
+def solve_log_inverse_stacked(log_inverse: Callable, target: np.ndarray, s: np.ndarray,
+                              top: float) -> np.ndarray:
+    """Per entry, the root s of F(s) = target in [-LOG_U_RANGE, top], with
+    F's slope g and g's slope (rows of the result): Newton steps from s,
+    bracketed by the sign of F - target, bisecting where a step leaves the
+    bracket or does not halve the residual, until a step or the bracket is
+    below INVERSE_LOG_STEP; that last step is taken, so for a smooth F the
+    error is about its square."""
+    out = np.empty((3, target.size))
+    lo, hi = np.full(target.size, -LOG_U_RANGE), np.full(target.size, top)
+    last, live = np.full(target.size, np.inf), np.arange(target.size)
+    for _ in range(MAX_PASSES):
+        f, g, dg = log_inverse(s)
+        r = f - target[live]
+        hi, lo = np.where(r > 0.0, s, hi), np.where(r < 0.0, s, lo)
+        with np.errstate(over="ignore"):   # g is 0 where phi^-1 is flat to rounding
+            step = -r / np.maximum(g, np.finfo(float).tiny)
+        tol = INVERSE_LOG_STEP * (1.0 + np.abs(s))
+        done = (np.abs(step) <= tol) | (hi - lo <= tol)
+        if done.all() and live.size == target.size:
+            # the usual case, with no index arrays: one pass solves every entry
+            return np.stack((np.clip(s + step, lo, hi), g, dg))
+        if np.any(done):
+            out[:, live[done]] = np.clip(s + step, lo, hi)[done], g[done], dg[done]
+        keep = ~done
+        live = live[keep]
+        if not live.size:
+            return out
+        s, lo, hi, res = s[keep] + step[keep], lo[keep], hi[keep], np.abs(r[keep])
+        bisect = (res > 0.5 * last[keep]) | ~((s > lo) & (s < hi))
+        s, last = np.where(bisect, 0.5 * (lo + hi), s), res
+    raise NonConvergenceError("the inversion of a generator phi did not converge")
+
+
+def generator_rows(s, g, dg):   # phi is 0 where phi^-1 is flat to rounding (g = 0) near 0
+    u, eta = np.exp(s) * (g > 0.0), 1.0 / np.where(g > 0.0, g, 1.0)
+    with np.errstate(over="ignore"):
+        return np.stack((u, u * eta, u * eta * (eta - 1.0 - dg * eta * eta)))
 
 
 def generate_inputs_per_child(space, count: int, distribution: str = "mixed",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import orliczkit as ok
+from orliczkit import constants
 from orliczkit.constants import conjugate_exponent
 
 
@@ -41,6 +42,33 @@ class TestSparrGamma:
         assert 2 ** (1 - 1 / lo) <= value <= 2 ** (1 - 1 / hi)
         if hi <= 16:
             assert value == pytest.approx(ok.sparr_gamma_oracle(p, q), abs=1e-6)
+
+
+class TestGammaCache:
+    def test_a_couple_is_bisected_once_in_either_order(self, monkeypatch):
+        bisections = []
+        bisect = constants._bisect
+
+        def counted(*args):
+            bisections.append(args[1:])
+            return bisect(*args)
+
+        monkeypatch.setattr(constants, "_bisect", counted)
+        constants.sparr_gamma.cache_clear()
+        first = ok.sparr_gamma(1.3, 4.7)
+        assert len(bisections) == 1
+        assert ok.sparr_gamma(1.3, 4.7) == ok.sparr_gamma(4.7, 1.3) == first
+        assert len(bisections) == 1
+        # the reverse order first: gamma(q, p) bisects as gamma(p, q)
+        second = ok.sparr_gamma(5.5, 2.5)
+        assert ok.sparr_gamma(2.5, 5.5) == second and len(bisections) == 2
+
+    @pytest.mark.parametrize("pq", [(1, 2), (1.5, 3), (2, 4), (1, 64), (3, 3), (2.5, 1.2)])
+    def test_cached_value_is_the_bisection(self, pq):
+        # sparr_gamma.__wrapped__ bisects on every call (p <= q)
+        p, q = sorted(pq)
+        fresh = constants.sparr_gamma.__wrapped__(p, q)
+        assert type(ok.sparr_gamma(*pq)) is float and ok.sparr_gamma(*pq) == fresh
 
 
 class TestSparrOracle:

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import orliczkit as ok
-from orliczkit.orlicz import ExponentCouple, _luxemburg_bracket
+from orliczkit import orlicz
+from orliczkit.orlicz import LOG_U_RANGE, ExponentCouple, _luxemburg_bracket
 
 from conftest import cached_generator_phi, rho_values
 from oracles import (_validate_shape, amemiya_golden, generator_phi_pchip, generator_rho_checks,
-                     luxemburg_bisect, lp_integral, modular_of_step, power_log_rho_full,
-                     rearrangement, sup_norm)
+                     generator_rows, luxemburg_bisect, lp_integral, modular_of_step,
+                     power_log_rho_full, rearrangement, solve_log_inverse_stacked, sup_norm)
 
 
 def sample(values, weights=None):
@@ -334,6 +335,156 @@ class TestNewtonNorms:
                 passes = 0
                 np.testing.assert_array_equal(norm(counting, batch), norm(phi, batch))
                 assert 0 < passes <= 15, (norm.__name__, passes)
+
+
+def counting_jet(phi):
+    """phi with a jet that records the size of each argument it is given."""
+    sizes = []
+
+    def jet(u):
+        sizes.append(np.size(u))
+        return phi.jet(u)
+
+    return dataclasses.replace(phi, jet=jet), sizes
+
+
+class TestStackedSides:
+    """A norm report searches [Tx; x] as one batch, and the chain takes one
+    modular of [Tx/M; x] per phi: each row of the stacked result is bitwise
+    the row of that side's own call."""
+
+    @staticmethod
+    def sides(n):
+        """x, with a zero row and rows of sup 1e-8 and 1e8, and its maximal
+        function."""
+        space = ok.uniform_space(n)
+        rng = np.random.default_rng(74)
+        rows = np.vstack((rng.uniform(-1.0, 1.0, (5, n)), np.zeros(n),
+                          1e-8 * rng.uniform(-1.0, 1.0, n), 1e8 * rng.uniform(-1.0, 1.0, n)))
+        x = ok.SampleBatch(space, rows)
+        return ok.discrete_maximal(space, ExponentCouple(1, 2)).apply(x), x
+
+    @staticmethod
+    def stack(tx, x):
+        return ok.SampleBatch(x.space, np.vstack((tx.values, x.values)))
+
+    @pytest.mark.parametrize("n", [1, 8, 512])
+    @pytest.mark.parametrize("name", sorted(TestBatch.PHIS))
+    def test_stacked_rows_equal_each_side(self, name, n):
+        phi = TestBatch.PHIS[name]()
+        tx, x = self.sides(n)
+        for fn in (ok.luxemburg_norm, ok.amemiya_norm):
+            both = fn(phi, self.stack(tx, x))
+            assert both.tolist() == fn(phi, tx).tolist() + fn(phi, x).tolist(), fn.__name__
+        # the modular takes only members inside phi's domain
+        inside = (np.abs(tx.values).max(axis=1) <= phi.u_max) & (np.abs(x.values).max(axis=1) <= phi.u_max)
+        tx, x = tx[inside], x[inside]
+        assert len(x) >= 7
+        assert (ok.modular(phi, self.stack(tx, x)).tolist()
+                == ok.modular(phi, tx).tolist() + ok.modular(phi, x).tolist())
+
+    @pytest.mark.parametrize("name", sorted(TestBatch.PHIS))
+    def test_profile_chunks_equal_row_by_row_calls(self, name):
+        # 40 members on 512 atoms: a Luxemburg pass spans three chunks of
+        # 16 rows, the Amemiya first pass (three points per member) eight
+        phi = TestBatch.PHIS[name]()
+        space = ok.uniform_space(512)
+        xs = ok.generate_inputs(space, 40, "bounded", 1.0, 75)   # inside every domain
+        counting, sizes = counting_jet(phi)
+        for fn in (ok.luxemburg_norm, ok.amemiya_norm, ok.modular):
+            sizes.clear()
+            got = fn(counting, xs)
+            assert got.tolist() == [fn(phi, ok.SampleFunction(space, v)) for v in xs.values]
+            assert max(sizes) <= orlicz._PROFILE_ELEMS or fn is ok.modular, fn.__name__
+        assert max(sizes) == xs.values.size   # the modular takes one pass, unchunked
+
+    @pytest.mark.parametrize("cap", [1, 4, 20, 10**6])
+    def test_any_chunk_size_gives_the_same_rows(self, monkeypatch, cap):
+        # with fewer elements per chunk than atoms, each chunk is one row
+        phi = TestBatch.PHIS["generator"]()
+        tx, x = self.sides(8)
+        stacked = self.stack(tx, x)
+        want = [ok.luxemburg_norm(phi, stacked), ok.amemiya_norm(phi, stacked)]
+        monkeypatch.setattr(orlicz, "_PROFILE_ELEMS", cap)
+        counting, sizes = counting_jet(phi)
+        got = [ok.luxemburg_norm(counting, stacked), ok.amemiya_norm(counting, stacked)]
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+        # whole rows up to the cap, and one row when the cap is below n
+        assert max(sizes) <= max(cap // 8, 1) * 8
+        assert cap >= 8 or set(sizes) == {8}
+
+
+class TestOnePassSolve:
+    """`orlicz._solve_log_inverse` runs its first pass on the whole arrays
+    with a scalar bracket, and the build's rows fill one array in place:
+    bitwise the solve and rows they replaced (`oracles.solve_log_inverse_stacked`,
+    `oracles.generator_rows`), on targets one pass solves and on targets that
+    take more passes and bisect."""
+
+    BUILDS = {
+        "sqrt": (ExponentCouple(1.5, 3), lambda: ok.power_log_rho(0.5, 0, 0)),
+        "powerlog": (ExponentCouple(1, 2), lambda: ok.power_log_rho(0.3, 1, -1)),
+        "min_one": (ExponentCouple(1, 2), ok.min_one_rho),
+        "saturating": (ExponentCouple(2, np.inf), ok.min_one_rho),
+        "steep": (ExponentCouple(20, np.inf), lambda: ok.power_log_rho(0.5, 0, 0)),
+    }
+
+    @classmethod
+    def solved(cls, monkeypatch, name):
+        """A build's jet on phi's range and beyond, with its one solve call's
+        arguments (log_inverse, target, start, top)."""
+        couple, rho = cls.BUILDS[name]
+        phi = ok.build_from_generator(couple, rho())
+        top = min(phi.u_max, 1e300)
+        v = np.concatenate((np.geomspace(1e-300, top, 601)[:-1], top * (1.0 - np.geomspace(1e-15, 0.5, 40)),
+                            np.random.default_rng(76).uniform(0.0, min(top, 10.0), 200)))
+        calls = []
+        solve = orlicz._solve_log_inverse
+
+        def recorded(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(orlicz, "_solve_log_inverse", recorded)
+        jet = phi.jet(v)
+        monkeypatch.undo()
+        (args,) = calls
+        return v, jet, args
+
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_jet_equals_the_stacked_solve_and_rows(self, monkeypatch, name):
+        v, got, (log_inverse, target, s, top) = self.solved(monkeypatch, name)
+        # phi is 0 below its range and at its top rows above it: the solved
+        # entries are the targets the solve was given
+        solved = np.isin(np.log(v), target)
+        assert solved.sum() == target.size > 200
+        want = generator_rows(*solve_log_inverse_stacked(log_inverse, target, s, top))
+        assert np.array_equal(got[:, solved], want)
+
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_solve_equals_the_stacked_solve_from_any_start(self, monkeypatch, name):
+        _, _, (log_inverse, target, build_start, top) = self.solved(monkeypatch, name)
+        rng = np.random.default_rng(77)
+        passes = []
+        # the build's start (one pass on a power phi), then starts far from
+        # the root
+        starts = [build_start, np.zeros(target.size), np.full(target.size, -LOG_U_RANGE),
+                  np.full(target.size, top), rng.uniform(-LOG_U_RANGE, top, target.size)]
+        for s in starts:
+            count = [0]
+
+            def counted(s):
+                count[0] += 1
+                return log_inverse(s)
+
+            got = np.stack(orlicz._solve_log_inverse(counted, target, s, top))
+            passes.append(count[0])
+            assert np.array_equal(got, solve_log_inverse_stacked(log_inverse, target, s, top))
+        assert max(passes) > 1, passes
+        if name == "powerlog":
+            # from 0 and from random starts, Newton steps leave the bracket
+            # and bisect: about 20 passes where the build's start takes 4
+            assert passes[0] == 4 and max(passes) >= 15, passes
 
 
 class TestJet:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import orliczkit as ok
-from orliczkit.quasiconcave import (QUASICONCAVITY_TOL, concavity_violation, log_grid,
-                                    quasiconcavity_violation)
+from orliczkit.quasiconcave import (QUASICONCAVITY_TOL, _lower_line_envelope,
+                                    concavity_violation, log_grid, quasiconcavity_violation)
 
 from oracles import phi_expansion, reconstruct
 
@@ -132,6 +132,16 @@ class TestConcaveMajorant:
         vals = rho(coarse)[0]
         direct = np.min(vals[None, :] * (1.0 + coarse[:, None] / coarse[None, :]), axis=1)
         assert np.allclose(maj(coarse), direct, rtol=1e-12)
+
+    def test_line_crossing_beyond_the_float_range_is_skipped(self):
+        # slopes 1 + 2^-52 and 1 with intercepts 0 and 1e300 cross at
+        # t = 4.5e315: the second line is never lowest on floats
+        a, b, cuts = _lower_line_envelope(np.array([0.0, 1e300]), np.array([1.0 + 2.0**-52, 1.0]))
+        assert a.tolist() == [0.0] and b.tolist() == [1.0 + 2.0**-52] and cuts.size == 0
+        # a third line still meets the hull at a finite crossing
+        a, b, cuts = _lower_line_envelope(np.array([0.0, 1e300, 1.0]),
+                                          np.array([1.0 + 2.0**-52, 1.0, 0.5]))
+        assert a.tolist() == [0.0, 1.0] and cuts.tolist() == [1.0 / (0.5 + 2.0**-52)]
 
 
 class TestPiecewiseLinearConcave:

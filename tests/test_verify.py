@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +324,31 @@ class TestChainDiagnostics:
         assert report["status"] == "pass"
         assert report["details"]["chain"]["mode"] == "chain_diagnostics"
 
+    # q > 61.6: u^q on u in [1e-5, 1e5] overflowed, and the chain ended in a
+    # bare ValueError ("rho must be finite and positive on the grid"); for
+    # rho = min(1, t) the envelope then met near-parallel lines whose
+    # crossing overflows
+    @pytest.mark.parametrize("rho", [{"kind": "powerlog", "theta": 0.5, "a": 0, "b": 0},
+                                     {"kind": "min_one"}], ids=["sqrt", "min_one"])
+    @pytest.mark.parametrize("p, q", [(1, 62), (1, 64), (1.5, 64)])
+    def test_far_couples_give_a_report(self, p, q, rho):
+        scenario = load_scenario("thm46b_norm_1_2.json")
+        scenario.update(couple={"p": p, "q": q}, phi={"kind": "generator", "p": p, "q": q, "rho": rho})
+        scenario["inputs"]["count"] = 20
+        report = run_scenario(scenario)
+        assert report["status"] == "pass"
+        assert report["details"]["chain"]["mode"] == "chain_diagnostics"
+
+    def test_far_couple_grid_keeps_u_to_the_q_and_s_normal(self):
+        p, q = 1, 64
+        phi = cached_generator_phi(p, q, "powerlog", (0.5, 0, 0))
+        h, s = verify._h_from_generator(phi, ExponentCouple(p, q))
+        u = s ** (1.0 / (p - q))
+        for values in (s, u**q, h(s)[0]):
+            assert np.all(np.isfinite(values)) and values.min() >= np.finfo(float).tiny
+        # the grid spans |log u| <= 700 / q, inside [1e-5, 1e5]
+        np.testing.assert_allclose(np.log(u[[0, -1]]), [700.0 / q, -700.0 / q], rtol=1e-12)
+
     def test_min_one_majorant_is_one_plus_s(self):
         # h = max(s, 1) has the concave majorant 1 + s on the whole grid
         couple = ExponentCouple(2, 2.5)
@@ -400,6 +427,93 @@ class TestSharedBuilds:
             cold.append(strip_wall(run_scenario(scenario)))
         warm = [strip_wall(run_scenario(scenario)) for scenario in reversed(scenarios)]
         assert json.dumps(cold, sort_keys=True) == json.dumps(warm[::-1], sort_keys=True)
+
+
+def counting_norms(monkeypatch):
+    """Count the verifier's calls of each norm and the modular, and the
+    passes of phi's jet each makes."""
+    calls, passes = Counter(), Counter()
+
+    def counted(fn):
+        def run(phi, x):
+            calls[fn.__name__] += 1
+
+            def jet(u):
+                passes[fn.__name__] += 1
+                return phi.jet(u)
+
+            return fn(dataclasses.replace(phi, jet=jet), x)
+        return run
+
+    for name in ("luxemburg_norm", "amemiya_norm", "modular"):
+        monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+    return calls, passes
+
+
+class TestStackedNormReport:
+    """A norm report searches Tx and x as one batch in each norm, and the
+    chain takes one modular of [Tx/M; x] per phi, through the public
+    `orlicz.luxemburg_norm`, `amemiya_norm` and `modular`."""
+
+    def test_thm51_report_takes_four_passes_for_its_two_norms(self, monkeypatch):
+        # one call per side made 8, two passes per search and side
+        scenario = load_scenario("thm51_linear_15_2.json")
+        scenario["inputs"]["count"] = 20
+        plain = strip_wall(run_scenario(scenario))
+        calls, passes = counting_norms(monkeypatch)
+        assert strip_wall(run_scenario(scenario)) == plain
+        assert calls == {"luxemburg_norm": 1, "amemiya_norm": 1}
+        assert sum(passes.values()) <= 4, passes
+
+    def test_chain_takes_one_modular_per_phi(self, monkeypatch):
+        scenario = load_scenario("thm46b_norm_1_2.json")
+        scenario["inputs"]["count"] = 20
+        plain = strip_wall(run_scenario(scenario))
+        calls, _ = counting_norms(monkeypatch)
+        assert strip_wall(run_scenario(scenario)) == plain
+        assert calls == {"luxemburg_norm": 1, "amemiya_norm": 1, "modular": 2}
+
+
+# status and violation_count of each shipped report (and hypothesis_met for
+# sparr), as shipped and under fault {"halve_certificate": true}; sparr has
+# no operator to fault. Five operator scenarios still pass with the
+# certificate halved (ROADMAP item 2): prop22_maximal_2inf, thm31a_p2_maximal,
+# thm46b_norm_1_2 and both thm51_linear.
+SHIPPED_VERDICTS = {
+    "prop22_maximal_2inf": (("pass", 0), ("pass", 0)),
+    "remark_concave_h_1_2": (("pass", 0), ("fail", 2)),
+    "sparr_lemma_15_3": (("pass", 0, 943), None),
+    "sparr_lemma_1_2": (("pass", 0, 941), None),
+    "sparr_lemma_2_4": (("pass", 0, 950), None),
+    "thm31a_p1_orlicz": (("pass", 0), ("fail", 405)),
+    "thm31a_p2_maximal": (("pass", 0), ("pass", 0)),
+    "thm31b_norm_p2": (("pass", 0), ("fail", 52)),
+    "thm46a": (("pass", 0), ("fail", 4)),
+    "thm46a_negative_control": (("fail", 500), ("fail", 500)),
+    "thm46b_norm_1_2": (("pass", 0), ("pass", 0)),
+    "thm51_linear_15_2": (("pass", 0), ("pass", 0)),
+    "thm51_linear_2_3": (("pass", 0), ("pass", 0)),
+}
+
+
+def verdict(report):
+    details = report["details"]
+    met = (details["hypothesis_met"],) if "hypothesis_met" in details else ()
+    return (report["status"], details["violation_count"]) + met
+
+
+class TestShippedVerdicts:
+    def test_table_names_every_shipped_scenario(self):
+        assert sorted(SHIPPED_VERDICTS) == sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
+        assert sum(halved is not None for _, halved in SHIPPED_VERDICTS.values()) == 10
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_VERDICTS))
+    def test_verdicts_as_shipped_and_halved(self, name):
+        scenario = load_scenario(f"{name}.json")
+        shipped, halved = SHIPPED_VERDICTS[name]
+        assert verdict(run_scenario(scenario)) == shipped
+        if halved is not None:
+            assert verdict(run_scenario(dict(scenario, fault={"halve_certificate": True}))) == halved
 
 
 class TestRunScenario:
