@@ -15,6 +15,7 @@ from .kfunc import (
     l_functional_grid,
     l_star_grid,
 )
+from .liveset import NonConvergenceError
 from .measure import (
     DiscreteMeasureSpace,
     SampleBatch,
@@ -34,7 +35,6 @@ from .operators import (
 from .orlicz import (
     DomainOverflowError,
     ExponentCouple,
-    NonConvergenceError,
     OrliczFunction,
     amemiya_norm,
     build_from_generator,

@@ -1,31 +1,25 @@
 """K- and L-functionals for couples of Lebesgue spaces on discrete measures.
 
-For the couple (L^p, L^inf) the classical functional reduces to a truncation
-search: the best split of |x| at height lam costs ||(|x|-lam)_+||_p + t*lam.
-That cost is convex with kinks at the magnitudes, so a bisection over the
-sorted kinks finds the one interval holding the minimiser (each pass
-computes a descent rate once per distinct member and kink), where it is
-solved exactly: linear at p = 1, a quadratic at p = 2, a bracketed Newton
-solve otherwise. For (L^p, L^q) with both exponents finite, the lattice
-reduction to nonnegative pointwise decompositions makes the infimum
-separate across atoms, leaving one convex scalar problem per atom: a
-closed form at p = 1, Halley steps in logit(a/c) for p > 1, stopped once
-the value cannot move by more than about 1e-16 relative. A signed full-grid
-brute force is the independent oracle; it never assumes the reduction it is
-used to check.
+For (L^p, L^inf) the K-functional reduces to a convex truncation search with
+kinks at the magnitudes: a bisection over the sorted kinks finds the interval
+holding the minimiser, where it is solved exactly (`k_lp_linf_grid`). For
+(L^p, L^q) with both exponents finite the infimum separates into one convex
+scalar problem per atom (`_pointwise_min_split`). A signed full-grid brute
+force is the independent oracle; it never assumes the reduction it checks.
 
 The grid kernels take one `SampleFunction` (one value per t back) or a
 `SampleBatch` on one space (one row per member): a single function is a
-batch of one. Every value is computed on its own, so it does not depend on
-which t's or which members share the call. The functionals are defined
-for t > 0 only; `specs.resolve_scenario` rejects a scenario t-grid that
-reaches t <= 0.
+batch of one. The kink bisection, the interval Newton solve and the Halley
+split run on `liveset.iterate`, so a value does not depend on which t's or
+members share the call. The functionals are defined for t > 0 only;
+`specs.resolve_scenario` rejects a scenario t-grid that reaches t <= 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .liveset import iterate
 from .measure import SampleBatch, SampleFunction, abs_rows
 
 
@@ -42,8 +36,6 @@ def _check_exponent(p: float, name: str = "p") -> None:
         raise ValueError(f"{name} must lie in [1, inf)")
 
 
-# The general-p interval solve's step bound; rows have taken 2 to 14 steps.
-_NEWTON_STEPS = 40
 # A row stops once its value is certified within this fraction of itself.
 _VALUE_RTOL = 2.0**-56
 
@@ -72,12 +64,10 @@ def _kink_bracket(m: np.ndarray, kinks: np.ndarray, w: np.ndarray, p: float,
     pass computes it once per distinct (member, kink) among the open rows
     and reads it back to every t that asks for it."""
     width = m.shape[1] + 1
-    lo = np.zeros(row.size, dtype=np.intp)
-    hi = (width - np.sum(m == 1.0, axis=1))[row]   # the first kink at the sup
-    live = np.arange(row.size)
-    while live.size:
-        mid = (lo[live] + hi[live]) // 2
-        key = row[live] * width + mid
+
+    def step(row, t, lo, hi):
+        mid = (lo + hi) // 2
+        key = row * width + mid
         seen = np.zeros(m.shape[0] * width, dtype=bool)
         seen[key] = True
         r, k = np.divmod(np.flatnonzero(seen), width)
@@ -85,12 +75,12 @@ def _kink_bracket(m: np.ndarray, kinks: np.ndarray, w: np.ndarray, p: float,
         e = m[r] - a[:, None]
         np.maximum(e, 0.0, out=e)
         e *= (1.0 / (1.0 - a))[:, None]
-        rate = _descent_rate(e, w, p)[np.cumsum(seen)[key] - 1]
-        falls = t[live] < rate
-        lo[live] = np.where(falls, mid + 1, lo[live])
-        hi[live] = np.where(falls, hi[live], mid)
-        live = live[lo[live] < hi[live]]
-    return lo
+        falls = t < _descent_rate(e, w, p)[np.cumsum(seen)[key] - 1]
+        lo, hi = np.where(falls, mid + 1, lo), np.where(falls, hi, mid)
+        return lo >= hi, (lo,), (row, t, lo, hi)
+
+    hi = (width - np.sum(m == 1.0, axis=1))[row]   # the first kink at the sup
+    return iterate("k_kinks", step, (row, t, np.zeros(row.size, dtype=np.intp), hi))[0]
 
 
 def _power_sum(d: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
@@ -153,32 +143,24 @@ def _tangent_cut(lo, flo, glo, hi, fhi, ghi):
 
 
 def _newton_interval(d: np.ndarray, w: np.ndarray, p: float, t: np.ndarray,
-                     b: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least F attained on s in [0, span] for each row, and its step count.
+                     b: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Least F attained on s in [0, span] for each row.
 
     A bracketed Newton solve of F'(s) = 0 per row. A step that leaves the
     bracket is replaced by the meeting point of the end tangents. A row
     stops when the tangents certify its value to within `_VALUE_RTOL`, or
-    when its Newton decrement F'^2 / F'' is that small; `_NEWTON_STEPS`
-    bounds the count either way. Each row's state is its own, so its value
-    does not depend on which rows share the call.
+    when its Newton decrement F'^2 / F'' is that small.
     """
     lo, hi = np.zeros(t.size), span.copy()
     flo, glo, _ = _interval_state(d, w, p, t, b, lo)
     fhi, ghi, _ = _interval_state(d, w, p, t, b, hi)
     best = np.minimum(flo, fhi)
-    steps = np.zeros(t.size, dtype=int)
     # a row whose ends do not straddle F' = 0 has its minimum at an end
     live = np.flatnonzero((glo < 0.0) & (ghi > 0.0))
-    out_best = best
-    d, t, b, lo, hi, flo, glo, fhi, ghi, best = (
-        v[live] for v in (d, t, b, lo, hi, flo, glo, fhi, ghi, best))
-    s, _ = _tangent_cut(lo, flo, glo, hi, fhi, ghi)
-    for _ in range(_NEWTON_STEPS):
-        if not live.size:
-            break
+    d, t, b, lo, hi, flo, glo, fhi, ghi = (v[live] for v in (d, t, b, lo, hi, flo, glo, fhi, ghi))
+
+    def step(d, t, b, s, lo, hi, flo, glo, fhi, ghi, best):
         f, g, dg = _interval_state(d, w, p, t, b, s)
-        steps[live] += 1
         best = np.minimum(best, f)
         left = g < 0.0
         lo, flo, glo = np.where(left, s, lo), np.where(left, f, flo), np.where(left, g, glo)
@@ -189,11 +171,11 @@ def _newton_interval(d: np.ndarray, w: np.ndarray, p: float, t: np.ndarray,
         tol = _VALUE_RTOL * best
         done = (g == 0.0) | (np.minimum(flo, fhi) - floor <= tol) | (inside & (g * g <= tol * dg))
         s = np.where(inside, newton, cut)
-        out_best[live] = best
-        keep = ~done
-        live, d, t, b, s, lo, hi, flo, glo, fhi, ghi, best = (
-            v[keep] for v in (live, d, t, b, s, lo, hi, flo, glo, fhi, ghi, best))
-    return out_best, steps
+        return done, (best,), (d, t, b, s, lo, hi, flo, glo, fhi, ghi, best)
+
+    s, _ = _tangent_cut(lo, flo, glo, hi, fhi, ghi)
+    best[live] = iterate("k_newton", step, (d, t, b, s, lo, hi, flo, glo, fhi, ghi, best[live]))[0]
+    return best
 
 
 def k_lp_linf_grid(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarray:
@@ -210,7 +192,6 @@ def k_lp_linf_grid(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarray:
     it is attained: an upper bound on the infimum within roundoff of it.
     Each member is scaled to sup 1 before any power sum and its values are
     scaled back after, so K is positively homogeneous at any finite scale.
-    Each row's value depends on its own member and t alone.
     """
     _check_exponent(p)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -236,7 +217,7 @@ def k_lp_linf_grid(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarray:
             value = np.minimum(_power_sum(d, w, p) ** (1.0 / p) + t * b,
                                _power_sum(d + (b - a)[:, None], w, p) ** (1.0 / p) + t * a)
             solve = np.flatnonzero((j > 0) & (b < 1.0))   # not all atoms above at b
-            inner, _ = _newton_interval(d[solve], w, p, t[solve], b[solve], (b - a)[solve])
+            inner = _newton_interval(d[solve], w, p, t[solve], b[solve], (b - a)[solve])
             value[solve] = np.minimum(value[solve], inner)
     out[members] = sup[members, None] * value.reshape(members.size, ts.size)
     return out[0] if single else out
@@ -245,8 +226,6 @@ def k_lp_linf_grid(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarray:
 # A split element stops once its predicted next step is below this fraction
 # of 1 + |u|; `_pointwise_min_split` says why that certifies its value.
 _SPLIT_STEP = 1e-9
-# A safety cap on the split's passes; the shipped couples take at most 3.
-_SPLIT_PASSES = 32
 
 
 def _split_step(u: np.ndarray, k: np.ndarray, p: float, q: float):
@@ -271,25 +250,24 @@ def _pointwise_min_split(c: np.ndarray, ts: np.ndarray, p: float, q: float) -> n
 
     c holds atoms on its last axis, with any leading axes (one per member);
     the result has shape c.shape[:-1] + (t's, atoms).
-    At p = 1 the minimizer is c - a = (tq)^{-1/(q-1)}, clipped to [0, c]. For
-    p > 1, u = logit(a/c) solves h(u) = (q-p) softplus(u) + (p-1) u - K = 0,
-    K = log(tq/p) + (q-p) log c: h is increasing and convex, with h' in
-    [p-1, q-1], and Halley steps (`_split_step`) start from the larger root
-    of its asymptotes (p-1)u - K and (q-1)u - K. The first pass runs on every
-    element, with no index array. An element stops once the step after the
-    one it has taken is predicted below `_SPLIT_STEP` (1 + |u|), that is,
-    once u is about that close to the root: 1 to 3 passes at the shipped
-    couples. It stops on its own state alone, so its value depends on its
-    own (c, t) alone. That u is close enough for the value: V(u) = a^p +
-    t (c-a)^q is stationary at the root, with V''/V <= q(q-1) s(1-s), s =
-    sigmoid(u), and (1 + |u|)^2 s(1-s) < 0.96, so an error of 1e-9 (1 + |u|)
-    in u moves V by at most 0.48 q(q-1) 1e-18 relative: 3e-18 at (1.5, 3),
-    1.8e-16 at (1.2, 20). a = c sigmoid(u) and c - a = c sigmoid(-u) avoid
-    cancellation at a ~ c. Keeping the candidates a = 0 and a = c makes
-    every value an attained upper bound; atoms with c = 0 and t <= 0 get
-    only those (no log(0) is taken). Underflow is benign, and so is
-    overflow: an infinite candidate loses to a finite one, and where all
-    are infinite the minimum itself is beyond the float range.
+    At p = 1 the minimizer is c - a = (tq)^{-1/(q-1)}, clipped to [0, c].
+    For p > 1, u = logit(a/c) solves h(u) = 0, with h(u) = (q-p) softplus(u)
+    + (p-1) u - K and K = log(tq/p) + (q-p) log c: h is increasing and
+    convex, with h' in [p-1, q-1], and Halley steps (`_split_step`) start
+    from the larger root of its asymptotes (p-1)u - K and (q-1)u - K. An
+    element stops once the step after the one it has taken is predicted
+    below `_SPLIT_STEP` (1 + |u|), that is, once u is about that close to
+    the root: 1 to 3 passes at the shipped couples. That u is close enough
+    for the value: V(u) = a^p + t (c-a)^q is stationary at the root, with
+    V''/V <= q(q-1) s(1-s), s = sigmoid(u), and (1 + |u|)^2 s(1-s) < 0.96,
+    so an error of 1e-9 (1 + |u|) in u moves V by at most 0.48 q(q-1) 1e-18
+    relative: 3e-18 at (1.5, 3), 1.8e-16 at (1.2, 20). a = c sigmoid(u) and
+    c - a = c sigmoid(-u) avoid cancellation at a ~ c. Keeping the
+    candidates a = 0 and a = c makes every value an attained upper bound;
+    atoms with c = 0 and t <= 0 get only those (no log(0) is taken).
+    Underflow is benign, and so is overflow: an infinite candidate loses to
+    a finite one, and where all are infinite the minimum itself is beyond
+    the float range.
     """
     c = np.asarray(c, dtype=float)[..., None, :]
     tb = ts[:, None]
@@ -306,17 +284,13 @@ def _pointwise_min_split(c: np.ndarray, ts: np.ndarray, p: float, q: float) -> n
         else:
             k = (np.log(q * tb / p) + (q - p) * np.log(c)).ravel()
             u = np.where(k > 0.0, k / (q - 1.0), k / (p - 1.0))
-            step, after = _split_step(u, k, p, q)
-            u -= step
-            live = np.flatnonzero(after > _SPLIT_STEP * (1.0 + np.abs(u)))
-            for _ in range(_SPLIT_PASSES - 1):
-                if not live.size:
-                    break
-                ul = u[live]
-                step, after = _split_step(ul, k[live], p, q)
-                ul -= step
-                u[live] = ul
-                live = live[after > _SPLIT_STEP * (1.0 + np.abs(ul))]
+
+            def step(u, k):
+                du, after = _split_step(u, k, p, q)
+                u = u - du
+                return ~(after > _SPLIT_STEP * (1.0 + np.abs(u))), (u,), (u, k)
+
+            u = iterate("l_split", step, (u, k))[0]
             u = u.reshape(out.shape)
             a, rest = c * _expit(u), c * _expit(-u)
         np.minimum(out, a**p + tb * rest**q, out=out, where=inner)
@@ -346,7 +320,8 @@ def l_star_grid(ts, x: SampleFunction | SampleBatch, p: float, q: float) -> np.n
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     c, single = abs_rows(x)
     c = c[:, None, :]
-    out = np.sum(np.minimum(c**p, ts[:, None] * c**q) * x.space.weights, axis=-1)
+    with np.errstate(over="ignore"):   # an infinite t c^q loses to c^p, as in the L split
+        out = np.sum(np.minimum(c**p, ts[:, None] * c**q) * x.space.weights, axis=-1)
     return out[0] if single else out
 
 

@@ -3,10 +3,8 @@
 An Orlicz function is a nondecreasing convex function with value 0 at 0.
 Three representations are supported: pure powers, generator builds (the
 inverse is u^{1/p} * rho(u^{1/q-1/p}), with 1/q = 0 when q is infinite), and
-closed-form builds u^q * h(u^{p-q}) from a concave piecewise linear h. A
-generator build inverts its inverse exactly, by Newton steps in log u on
-each call, reading rho as its jet (rho, t*rho', t^2*rho''). No build probes
-the phi it made: a power phi is convex for p >= 1; an h-form is
+closed-form builds u^q * h(u^{p-q}) from a concave piecewise linear h. No
+build probes the phi it made: a power phi is convex for p >= 1; an h-form is
 nondecreasing with phi(0) = 0, since its table's slopes and intercepts are
 >= 0, and `meta["convex"]` says exactly when it is convex; and a generator
 phi is convex once rho passes the pointwise checks on its jet. A concave
@@ -14,12 +12,12 @@ rho >= 0 is inf_j (a_j + b_j t) with a_j, b_j >= 0, so the inverse
 inf_j (a_j u^{1/p} + b_j u^{1/q}) is concave (Maligranda, Orlicz Spaces and
 Interpolation, 1989).
 
-The modular and both norms take one sample function or a batch on one space;
-each search step of a batch is one array pass over the members still open.
-Each member's iterates and row sums are its own, so a row of a batch result
-is bitwise that member's value alone, and a caller may stack batches (the
-norm verifier searches x and Tx as one) to share the passes of phi. A norm
-pass splits a wide batch into jet calls of at most _PROFILE_ELEMS entries.
+The modular and both norms take one sample function or a batch on one space.
+The generator inversion and both norm searches run on `liveset.iterate`, and
+each row sum is its member's own, so a row of a batch result is bitwise that
+member's value alone, and a caller may stack batches (the norm verifier
+searches x and Tx as one) to share the passes of phi. A norm pass splits a
+wide batch into jet calls of at most _PROFILE_ELEMS entries.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
+from .liveset import iterate
 from .measure import SampleBatch, SampleFunction, abs_rows
 from .quasiconcave import (
     QUASICONCAVITY_TOL,
@@ -43,10 +42,6 @@ from .quasiconcave import (
 
 class DomainOverflowError(ValueError):
     """An argument exceeded the evaluation domain [0, u_max] of a phi."""
-
-
-class NonConvergenceError(RuntimeError):
-    """An iterative norm computation failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -125,36 +120,24 @@ def _solve_log_inverse(log_inverse: Callable, target: np.ndarray, s: np.ndarray,
     F's slope g and g's slope: Newton steps from s, bracketed by the sign of
     F - target, bisecting where a step leaves the bracket or does not halve
     the residual, until a step or the bracket is below INVERSE_LOG_STEP;
-    that last step is taken, so for a smooth F the error is about its square.
+    that last step is taken, so for a smooth F the error is about its square."""
 
-    The first pass runs on the whole arrays with the scalar bracket; the
-    index arrays and the output are made only when some entry needs a
-    second pass."""
-    lo, hi = -LOG_U_RANGE, top
-    live = out = last = None   # None: the first pass, on every entry
-    for _ in range(MAX_PASSES):
+    def step(target, s, lo, hi, last):
         f, g, dg = log_inverse(s)
-        r = f - (target if live is None else target[live])
+        r = f - target
         hi, lo = np.where(r > 0.0, s, hi), np.where(r < 0.0, s, lo)
         with np.errstate(over="ignore"):   # g is 0 where phi^-1 is flat to rounding
-            step = -r / np.maximum(g, np.finfo(float).tiny)
+            newton = -r / np.maximum(g, np.finfo(float).tiny)
         tol = INVERSE_LOG_STEP * (1.0 + np.abs(s))
-        done = (np.abs(step) <= tol) | (hi - lo <= tol)
-        if live is None:
-            if done.all():   # the usual case: one pass solves every entry
-                return np.clip(s + step, lo, hi), g, dg
-            live, out = np.arange(target.size), np.empty((3, target.size))
-            last = np.full(target.size, np.inf)
-        if np.any(done):
-            out[:, live[done]] = np.clip(s + step, lo, hi)[done], g[done], dg[done]
-        keep = ~done
-        live = live[keep]
-        if not live.size:
-            return out
-        s, lo, hi, res = s[keep] + step[keep], lo[keep], hi[keep], np.abs(r[keep])
-        bisect = (res > 0.5 * last[keep]) | ~((s > lo) & (s < hi))
-        s, last = np.where(bisect, 0.5 * (lo + hi), s), res
-    raise NonConvergenceError("the inversion of a generator phi did not converge")
+        s = s + newton
+        return ((np.abs(newton) <= tol) | (hi - lo <= tol), (np.clip(s, lo, hi), g, dg),
+                (target, s, lo, hi, np.abs(r), last))
+
+    def advance(target, s, lo, hi, res, last):
+        bisect = (res > 0.5 * last) | ~((s > lo) & (s < hi))
+        return target, np.where(bisect, 0.5 * (lo + hi), s), lo, hi, res
+
+    return iterate("phi_inverse", step, (target, s, -LOG_U_RANGE, top, np.inf), advance)
 
 
 def build_from_generator(couple: ExponentCouple, rho: Callable) -> OrliczFunction:
@@ -302,7 +285,6 @@ def modular(phi: OrliczFunction, x: SampleFunction | SampleBatch):
 LUXEMBURG_RTOL = 1e-10     # relative width of the final Luxemburg bracket
 AMEMIYA_LOG_STEP = 1e-9    # Newton step in log k below which the Amemiya search stops
 AMEMIYA_RANGE = (1e-8, 1e8)   # the k range, in units of 1 / sup|x|
-MAX_PASSES = 100          # per norm call or inversion, before NonConvergenceError
 _PROFILE_ELEMS = 2**13    # rows x atoms per jet pass of `_profile`: a (3, E) jet is <= 192 KB
 
 
@@ -320,15 +302,15 @@ def _profile(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray,
     return out
 
 
-def _newton_or_bisect(sigma, log_step, lo, hi, slow):
-    """sigma * exp(log_step) when it lies strictly inside (lo, hi) and the
-    last step made progress; the geometric midpoint of a finite bracket
-    otherwise."""
+def _next_sigma(y, sigma, log_step, lo, hi, slow, last, *rest):
+    """Both norm searches' advance: sigma * exp(log_step) when it lies
+    strictly inside (lo, hi) and the last step made progress; the geometric
+    midpoint of a finite bracket otherwise."""
     bounded = (lo > 0.0) & np.isfinite(hi)
     with np.errstate(over="ignore", invalid="ignore"):
         new = sigma * np.exp(log_step)
         bisect = bounded & (slow | ~((new > lo) & (new < hi)))
-        return np.where(bisect, np.sqrt(lo * hi), new)
+        return (y, np.where(bisect, np.sqrt(lo * hi), new), lo, hi, last, *rest)
 
 
 def _unit_modular_bracket(phi: OrliczFunction, y: np.ndarray,
@@ -345,15 +327,11 @@ def _unit_modular_bracket(phi: OrliczFunction, y: np.ndarray,
     |log M| is small; the evaluated points bound each step, and a step that
     leaves them or does not halve |log M| becomes a bisection.
     """
-    count = y.shape[0]
     cap = phi.u_max
-    lo, hi = np.zeros(count), np.full(count, np.inf)
-    out_lo, out_hi = np.empty(count), np.empty(count)
-    sigma = np.full(count, min(1.0, cap))
-    last = np.full(count, np.inf)
-    live = np.arange(count)
-    for _ in range(MAX_PASSES):
-        mod, slope, _ = _profile(phi, y[live], weights, sigma)
+
+    def step(y, sigma, lo, hi, last):
+        sigma = np.minimum(sigma, cap)
+        mod, slope, _ = _profile(phi, y, weights, sigma)
         log_mod = np.log(mod)
         over = mod >= 1.0
         hi, lo = np.where(over, sigma, hi), np.where(over, lo, sigma)
@@ -362,20 +340,15 @@ def _unit_modular_bracket(phi: OrliczFunction, y: np.ndarray,
         cand_hi = np.minimum(hi, np.where(over, sigma, partner))
         capped = ~over & (sigma >= cap)
         done = capped | (cand_hi - cand_lo <= LUXEMBURG_RTOL * cand_hi)
-        if np.any(done):
-            out_lo[live[done]] = np.where(capped, cap, cand_lo)[done]
-            out_hi[live[done]] = np.where(capped, cap, cand_hi)[done]
-        keep = ~done
-        live = live[keep]
-        if not live.size:
-            return out_lo, out_hi
         # a step never passes the partner sigma / M: the elasticity
         # sigma*M'/M is at least 1 wherever phi(u)/u is nondecreasing
-        step = -log_mod / np.maximum(slope / mod, 1.0)
-        slow = np.abs(log_mod) > 0.5 * last
-        sigma, lo, hi, last = sigma[keep], lo[keep], hi[keep], np.abs(log_mod)[keep]
-        sigma = np.minimum(_newton_or_bisect(sigma, step[keep], lo, hi, slow[keep]), cap)
-    raise NonConvergenceError("the Luxemburg search did not converge")
+        newton = -log_mod / np.maximum(slope / mod, 1.0)
+        size = np.abs(log_mod)
+        return (done, (np.where(capped, cap, cand_lo), np.where(capped, cap, cand_hi)),
+                (y, sigma, newton, lo, hi, size > 0.5 * last, size))
+
+    sigma = np.full(y.shape[0], min(1.0, cap))
+    return iterate("luxemburg", step, (y, sigma, 0.0, np.inf, np.inf), _next_sigma)
 
 
 def _luxemburg_bracket(phi: OrliczFunction, x: SampleFunction | SampleBatch):
@@ -426,29 +399,26 @@ def _amemiya_scaled(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray) -> 
     # a minimum lies where g - 1 turns from negative to positive: below the
     # start if g >= 1 there, above it if g > 1 only at the top
     live = np.flatnonzero((g[:, 0] < 1.0) & ((g[:, 1] >= 1.0) | (g[:, 2] > 1.0)))
-    lo, hi = np.full(live.size, points[0]), np.full(live.size, points[2])
-    sigma = np.full(live.size, points[1])
-    curv, g = curv[live, 1], g[live, 1]
-    last = np.full(live.size, np.inf)
-    for _ in range(MAX_PASSES):
+
+    def step(y, sigma, lo, hi, last, best, start=None):
+        mod, slope, curv = _profile(phi, y, weights, sigma) if start is None else start
+        best = np.minimum(best, (1.0 + mod) / sigma)
+        g = slope - mod
         above = g >= 1.0
         hi, lo = np.where(above, sigma, hi), np.where(above, lo, sigma)
         with np.errstate(divide="ignore", invalid="ignore"):
             residual = np.where(g > 0.0, np.log(g), np.inf)
-            step = -residual * g / curv
-        done = ((np.abs(step) <= AMEMIYA_LOG_STEP)
+            newton = -residual * g / curv
+        done = ((np.abs(newton) <= AMEMIYA_LOG_STEP)
                 | (np.log(hi) - np.log(lo) <= AMEMIYA_LOG_STEP))
-        keep = ~done
-        live = live[keep]
-        if not live.size:
-            return best
-        slow = np.abs(residual) > 0.5 * last
-        sigma, lo, hi, last = sigma[keep], lo[keep], hi[keep], np.abs(residual)[keep]
-        sigma = _newton_or_bisect(sigma, step[keep], lo, hi, slow[keep])
-        mod, slope, curv = _profile(phi, y[live], weights, sigma)
-        best[live] = np.minimum(best[live], (1.0 + mod) / sigma)
-        g = slope - mod
-    raise NonConvergenceError("the Amemiya search did not converge")
+        size = np.abs(residual)
+        return done, (best,), (y, sigma, newton, lo, hi, size > 0.5 * last, size, best)
+
+    # the first pass reads the start point off the profile above
+    state = (y[live], points[1], points[0], points[2], np.inf, best[live],
+             (mod[live, 1], slope[live, 1], curv[live, 1]))
+    best[live] = iterate("amemiya", step, state, _next_sigma)[0]
+    return best
 
 
 def amemiya_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch):

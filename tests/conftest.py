@@ -1,9 +1,11 @@
 import time
+from collections import Counter, defaultdict
 from functools import lru_cache
 
 import pytest
 
 import orliczkit as ok
+from orliczkit import liveset
 from orliczkit.orlicz import ExponentCouple
 
 SESSION_START = time.perf_counter()
@@ -38,3 +40,11 @@ def space3():
 @pytest.fixture(scope="session")
 def space8():
     return ok.uniform_space(8)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """A fresh `liveset.PASSES` for the test: per solver, calls per pass count."""
+    record = defaultdict(Counter)
+    monkeypatch.setattr(liveset, "PASSES", record)
+    return record

@@ -65,10 +65,10 @@ from scipy.interpolate import PchipInterpolator
 import orliczkit as ok
 from orliczkit import specs
 from orliczkit.kfunc import _check_exponent, _descent_rate, _expit
+from orliczkit.liveset import MAX_PASSES, NonConvergenceError
 from orliczkit.measure import (DiscreteMeasureSpace, SampleBatch, SampleFunction,
                                _frozen_array, abs_rows)
-from orliczkit.orlicz import (INVERSE_LOG_STEP, LOG_U_RANGE, MAX_PASSES, ExponentCouple,
-                              NonConvergenceError, OrliczFunction)
+from orliczkit.orlicz import INVERSE_LOG_STEP, LOG_U_RANGE, ExponentCouple, OrliczFunction
 from orliczkit.quasiconcave import (PeetreRepresentation, PiecewiseLinearConcave,
                                     concavity_violation, log_grid)
 from orliczkit.verify import _draws

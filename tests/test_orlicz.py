@@ -430,7 +430,7 @@ class TestOnePassSolve:
     }
 
     @classmethod
-    def solved(cls, monkeypatch, name):
+    def solved(cls, name):
         """A build's jet on phi's range and beyond, with its one solve call's
         arguments (log_inverse, target, start, top)."""
         couple, rho = cls.BUILDS[name]
@@ -445,15 +445,15 @@ class TestOnePassSolve:
             calls.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(orlicz, "_solve_log_inverse", recorded)
-        jet = phi.jet(v)
-        monkeypatch.undo()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orlicz, "_solve_log_inverse", recorded)
+            jet = phi.jet(v)
         (args,) = calls
         return v, jet, args
 
     @pytest.mark.parametrize("name", sorted(BUILDS))
-    def test_jet_equals_the_stacked_solve_and_rows(self, monkeypatch, name):
-        v, got, (log_inverse, target, s, top) = self.solved(monkeypatch, name)
+    def test_jet_equals_the_stacked_solve_and_rows(self, name):
+        v, got, (log_inverse, target, s, top) = self.solved(name)
         # phi is 0 below its range and at its top rows above it: the solved
         # entries are the targets the solve was given
         solved = np.isin(np.log(v), target)
@@ -462,29 +462,25 @@ class TestOnePassSolve:
         assert np.array_equal(got[:, solved], want)
 
     @pytest.mark.parametrize("name", sorted(BUILDS))
-    def test_solve_equals_the_stacked_solve_from_any_start(self, monkeypatch, name):
-        _, _, (log_inverse, target, build_start, top) = self.solved(monkeypatch, name)
+    def test_solve_equals_the_stacked_solve_from_any_start(self, passes, name):
+        _, _, (log_inverse, target, build_start, top) = self.solved(name)
         rng = np.random.default_rng(77)
-        passes = []
+        counts = []
         # the build's start (one pass on a power phi), then starts far from
         # the root
         starts = [build_start, np.zeros(target.size), np.full(target.size, -LOG_U_RANGE),
                   np.full(target.size, top), rng.uniform(-LOG_U_RANGE, top, target.size)]
         for s in starts:
-            count = [0]
-
-            def counted(s):
-                count[0] += 1
-                return log_inverse(s)
-
-            got = np.stack(orlicz._solve_log_inverse(counted, target, s, top))
-            passes.append(count[0])
+            passes.clear()
+            got = np.stack(orlicz._solve_log_inverse(log_inverse, target, s, top))
+            (count,) = passes["phi_inverse"]
+            counts.append(count)
             assert np.array_equal(got, solve_log_inverse_stacked(log_inverse, target, s, top))
-        assert max(passes) > 1, passes
+        assert max(counts) > 1, counts
         if name == "powerlog":
             # from 0 and from random starts, Newton steps leave the bracket
             # and bisect: about 20 passes where the build's start takes 4
-            assert passes[0] == 4 and max(passes) >= 15, passes
+            assert counts[0] == 4 and max(counts) >= 15, counts
 
 
 class TestJet:

@@ -186,6 +186,15 @@ class TestSparrImplication:
         assert rep.status == "pass"
         assert 0 < rep.details["hypothesis_met"] < 80
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_inputs_at_q64_give_a_report_without_overflow(self):
+        # l_star_grid forms t c^q before its minimum with c^p; at c ~ 1e6 and
+        # q = 64 that product overflows to inf, which loses the minimum
+        scenario = load_scenario("sparr_lemma_2_4.json")
+        scenario["couple"] = {"p": 2, "q": 64}
+        scenario["inputs"] = dict(scenario["inputs"], count=20, scale=1e6)
+        assert verdict(run_scenario(scenario)) == ("pass", 0, 19)
+
 
 class TestModularLpLinf:
     def test_identity_passes(self, space8):
@@ -283,6 +292,14 @@ class TestChainDiagnostics:
                                            "thm46b_norm", diagnostics=True)
         assert rep.status == "pass"
         assert rep.details["chain"]["mode"] == "chain_diagnostics"
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 4: link3_psi_le_2phi is applied beyond [1e-5, 1e5], where "
+        "the chain's majorant is certified, and fails on 20 of 20 inputs at scale 1e6"))
+    def test_chain_gives_no_false_alarm_at_large_scale(self):
+        scenario = dict(load_scenario("thm46b_norm_1_2.json"), diagnostics=True)
+        scenario["inputs"] = dict(scenario["inputs"], count=20, scale=1e6)
+        assert verdict(run_scenario(scenario)) == ("pass", 0)
 
     def test_links_report_into_the_norm_report(self, space8):
         phi = cached_generator_phi(1, 2, "powerlog", (0.5, 0, 0))
