@@ -27,7 +27,6 @@ from .operators import (
     averaging_operator,
     contractive_matrix,
     discrete_maximal,
-    estimate_norm,
     identity_operator,
     max_of,
     multiplier,

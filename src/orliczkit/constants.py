@@ -14,6 +14,9 @@ import functools
 
 import numpy as np
 
+# sparr_gamma takes p and q in [1, GAMMA_MAX]
+GAMMA_MAX = 64.0
+
 
 def _bisect(fn, lo: float, hi: float, xtol: float) -> float:
     flo = fn(lo)
@@ -52,8 +55,8 @@ def sparr_gamma(p: float, q: float) -> float:
     bisection on [0, 1] finds its only root. Closed forms on the diagonal
     and at p = 1 are cross-checked.
     """
-    if not (1.0 <= p <= 64.0 and 1.0 <= q <= 64.0):
-        raise ValueError("p and q must lie in [1, 64]")
+    if not (1.0 <= p <= GAMMA_MAX and 1.0 <= q <= GAMMA_MAX):
+        raise ValueError(f"p and q must lie in [1, {GAMMA_MAX:g}]")
     if p > q:
         return sparr_gamma(q, p)
     if q == 1.0:

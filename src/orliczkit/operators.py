@@ -6,8 +6,7 @@ from composition rules that are provable at desk scale: multipliers are
 exact, doubly substochastic matrices interpolate between their row and
 column sums, and a pointwise max of operators sums certificates in the
 r-th power. The sliding-window maximal operator therefore ships with a
-deliberately conservative certificate. Empirical norm estimation gives
-lower bounds only and must never cross a certificate.
+deliberately conservative certificate.
 
 `CertifiedOperator.apply` takes one `SampleFunction` or a whole
 `SampleBatch`; either way the operator's kernel maps a (rows x n) array to a
@@ -45,7 +44,6 @@ class CertifiedOperator:
     couple: ExponentCouple
     bound_p: float
     bound_q: float
-    certificate: str
     # the kernel: one row of values per member in, one row of Tx per member out
     _apply: Callable[[np.ndarray], np.ndarray]
 
@@ -60,11 +58,6 @@ class CertifiedOperator:
         if isinstance(x, SampleBatch):
             return SampleBatch(x.space, self._apply(x.values))
         return SampleFunction(x.space, self._apply(x.values[None, :])[0])
-
-    def with_bounds(self, bound_p: float, bound_q: float, note: str) -> "CertifiedOperator":
-        """Copy with replaced certificate (used to plant faults in tests)."""
-        return CertifiedOperator(self.space, self.kind, self.couple, bound_p, bound_q,
-                                 f"{self.certificate}; {note}", self._apply)
 
 
 def _interp_bound(max_row: float, max_col: float, r: float) -> float:
@@ -99,7 +92,6 @@ def contractive_matrix(space: DiscreteMeasureSpace, matrix, couple: ExponentCoup
         space, KIND_LINEAR, couple,
         _interp_bound(max_row, max_col, couple.p),
         _interp_bound(max_row, max_col, couple.q),
-        f"matrix contraction: max row l1 {max_row:.12g}, max col l1 {max_col:.12g}",
         # one stacked matrix-vector product per row gives a.dot(row) bitwise; v @ a.T does not
         lambda v: np.matmul(a, v[:, :, None])[:, :, 0],
     )
@@ -116,7 +108,6 @@ def multiplier(space: DiscreteMeasureSpace, m, couple: ExponentCouple) -> Certif
     mv.flags.writeable = False
     return CertifiedOperator(
         space, KIND_LINEAR, couple, peak, peak,
-        f"multiplier: max |m| = {peak:.12g} (exact for every exponent)",
         lambda v: mv * v,
     )
 
@@ -157,7 +148,6 @@ def max_of(ops: Sequence[CertifiedOperator]) -> CertifiedOperator:
         first.space, kind, first.couple,
         combine([op.bound_p for op in ops], first.couple.p),
         combine([op.bound_q for op in ops], first.couple.q),
-        f"max of {len(ops)} operators; certificate is the lr sum of member bounds",
         lambda v: np.max(np.abs(np.stack([ap(v) for ap in applies])), axis=0),
     )
 
@@ -235,64 +225,6 @@ def discrete_maximal(space: DiscreteMeasureSpace, couple: ExponentCouple) -> Cer
 
     return CertifiedOperator(
         space, KIND_SUBLINEAR, couple, bound(couple.p), bound(couple.q),
-        f"window maximal over {windows} averaging contractions; lr-sum certificate, exact 1 at inf",
         _window_maximal,
     )
 
-
-def estimate_norm(op: CertifiedOperator, r: float, trials: int = 64, seed: int = 0) -> float:
-    """Empirical lower bound on the L^r operator norm.
-
-    Probes random shapes (uniform, signed log-normal, spikes, constants),
-    all in one `apply`, and then runs a fixed-point boost from the best
-    probe that reweights inputs by |Tx|^{r-1}. The result never certifies
-    anything; it only sanity-checks certificates from below.
-    """
-    if not (1.0 <= r):
-        raise ValueError("r must be at least 1")
-    n = op.space.n
-    w = op.space.weights
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    def norm_r(v: np.ndarray) -> np.ndarray:
-        if math.isinf(r):
-            return np.abs(v).max(axis=1, initial=0.0)
-        return np.sum(np.abs(v) ** r * w, axis=1) ** (1.0 / r)
-
-    def ratios(v: np.ndarray, tv: np.ndarray) -> np.ndarray:
-        nv = norm_r(v)
-        return np.divide(norm_r(tv), nv, out=np.zeros_like(nv), where=nv != 0.0)
-
-    probes = [np.ones(n)]
-    probes.extend(np.eye(n))
-    for _ in range(max(trials, 1)):
-        shape = rng.integers(0, 3)
-        if shape == 0:
-            probes.append(rng.uniform(-1.0, 1.0, n))
-        elif shape == 1:
-            probes.append(rng.choice([-1.0, 1.0], n) * np.exp(rng.normal(0.0, 1.0, n)))
-        else:
-            v = np.zeros(n)
-            v[rng.integers(0, n)] = rng.uniform(0.5, 2.0)
-            probes.append(v)
-    xs = SampleBatch(op.space, probes)
-    txs = op.apply(xs).values
-    found = ratios(xs.values, txs)
-    pick = int(np.argmax(found))
-    best = max(0.0, float(found[pick]))
-    x, tx = xs.values[pick : pick + 1], txs[pick : pick + 1]
-    for _ in range(50):
-        y = np.abs(tx)
-        if not np.any(y > 0.0):
-            break
-        if math.isinf(r):
-            boosted = (y == y.max()).astype(float)
-        else:
-            boosted = y ** (r - 1.0) if r > 1.0 else (y > 0.0).astype(float)
-        nb = float(norm_r(boosted)[0])
-        if nb == 0.0:
-            break
-        x = boosted / nb
-        tx = op.apply(SampleBatch(op.space, x)).values
-        best = max(best, float(ratios(x, tx)[0]))
-    return best

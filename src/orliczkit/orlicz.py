@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -332,17 +332,21 @@ def _unit_modular_bracket(phi: OrliczFunction, y: np.ndarray,
     def step(y, sigma, lo, hi, last):
         sigma = np.minimum(sigma, cap)
         mod, slope, _ = _profile(phi, y, weights, sigma)
-        log_mod = np.log(mod)
         over = mod >= 1.0
         hi, lo = np.where(over, sigma, hi), np.where(over, lo, sigma)
-        partner = sigma / mod
+        # M = 0 where phi is 0 on [0, sigma] (a generator phi at q = inf whose
+        # rho(t)/t tends to c > 0 is 0 up to c): no partner bounds the root
+        # then, and the step doubles sigma
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_mod = np.log(mod)
+            partner = sigma / mod
+            # a step never passes the partner sigma / M: the elasticity
+            # sigma*M'/M is at least 1 wherever phi(u)/u is nondecreasing
+            newton = np.where(mod > 0.0, -log_mod / np.maximum(slope / mod, 1.0), math.log(2.0))
         cand_lo = np.maximum(lo, np.where(over, partner, sigma))
         cand_hi = np.minimum(hi, np.where(over, sigma, partner))
         capped = ~over & (sigma >= cap)
-        done = capped | (cand_hi - cand_lo <= LUXEMBURG_RTOL * cand_hi)
-        # a step never passes the partner sigma / M: the elasticity
-        # sigma*M'/M is at least 1 wherever phi(u)/u is nondecreasing
-        newton = -log_mod / np.maximum(slope / mod, 1.0)
+        done = capped | (np.isfinite(cand_hi) & (cand_hi - cand_lo <= LUXEMBURG_RTOL * cand_hi))
         size = np.abs(log_mod)
         return (done, (np.where(capped, cap, cand_lo), np.where(capped, cap, cand_hi)),
                 (y, sigma, newton, lo, hi, size > 0.5 * last, size))
@@ -436,24 +440,17 @@ def amemiya_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch):
     return float(out[0]) if isinstance(x, SampleFunction) else out
 
 
-class ConvexityCheck(NamedTuple):
-    ok: bool
-    worst_second_difference: float
+def check_convexity(phi: OrliczFunction, p: float) -> bool:
+    """Whether psi(w) = phi(w^{1/p}) is convex, read off how phi was built.
 
-
-def check_convexity(f: Callable, grid) -> ConvexityCheck:
-    """Centered second differences on a uniform grid, with a relative floor.
-
-    Passes when every second difference is >= -1e-8 * max|f| on the grid.
+    A power u^r gives psi(w) = w^{r/p}, convex exactly when r >= p. A
+    generator build of exponent p' >= p has psi^{-1}(u) = (phi^{-1}(u))^p =
+    inf_j (a_j u^{1/p'} + b_j u^{1/q})^p, from the lines a_j + b_j t >= 0 of
+    its concave rho. Each term is (a_j s^{1/p} + b_j t^{1/p})^p, concave and
+    nondecreasing in (s, t) >= 0, at s = u^{p/p'} and t = u^{p/q}, both
+    concave in u; so each term is concave, their infimum psi^{-1} is, and
+    psi, its increasing inverse with psi(0) = 0, is convex (Maligranda,
+    Orlicz Spaces and Interpolation, 1989). Any other phi is rejected: an
+    h-form need not be convex at all.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 100:
-        raise ValueError("grid must contain at least 100 points")
-    steps = np.diff(grid)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("grid must be uniform")
-    vals = np.asarray(f(grid), dtype=float)
-    d2 = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
-    worst = float(d2.min())
-    tol = 1e-8 * max(float(np.abs(vals).max()), 1e-300)
-    return ConvexityCheck(worst >= -tol, worst)
+    return phi.kind in ("power", "generator") and phi.p >= p

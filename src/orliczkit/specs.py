@@ -17,6 +17,7 @@ import numpy as np
 
 from . import operators as ops
 from . import quasiconcave as qc
+from .constants import GAMMA_MAX, conjugate_exponent
 from .measure import DiscreteMeasureSpace, uniform_space
 from .orlicz import ExponentCouple, OrliczFunction, build_from_generator, build_from_h, power_phi
 
@@ -246,6 +247,7 @@ class Theorem(NamedTuple):
     distributions: tuple[str, ...] = INPUT_DISTRIBUTIONS
     constant: str | None = None      # key of constants.NORM_CONSTANTS (norm tags only)
     linear: bool = False             # whether the operator must be linear
+    gamma: bool = False              # whether it reads sparr_gamma(p, q), so needs q <= GAMMA_MAX
 
 
 # scenario sections that a tag requires, reads or rejects (every tag reads inputs and tolerances)
@@ -254,15 +256,17 @@ SECTIONS = ("phi", "operator", "t_grid", "fault", "diagnostics")
 THEOREMS = {
     "prop22": Theorem(("operator", "t_grid"), ("fault",), q_inf=None),
     # draws its own (x, y) pairs, so the input distribution is fixed
-    "sparr_lemma": Theorem(("t_grid",), distributions=("mixed",)),
+    "sparr_lemma": Theorem(("t_grid",), distributions=("mixed",), gamma=True),
     "thm31a": Theorem(("phi", "operator"), ("fault",), q_inf=True),
     "thm31b_norm": Theorem(("phi", "operator"), ("fault",), q_inf=True, constant="lp_linf"),
-    "thm46a": Theorem(("phi", "operator"), ("fault",)),
-    "thm46b_norm": Theorem(("phi", "operator"), ("fault", "diagnostics"), constant="subadditive"),
-    "remark_concave_h": Theorem(("phi", "operator"), ("fault",), constant="concave_h"),
-    # the duality constant needs a conjugate exponent p' < inf
+    "thm46a": Theorem(("phi", "operator"), ("fault",), gamma=True),
+    "thm46b_norm": Theorem(("phi", "operator"), ("fault", "diagnostics"), constant="subadditive",
+                           gamma=True),
+    "remark_concave_h": Theorem(("phi", "operator"), ("fault",), constant="concave_h", gamma=True),
+    # the duality constant needs a conjugate exponent p' < inf, and its dual
+    # branch reads gamma(q', p'), so p' <= GAMMA_MAX too
     "thm51_linear": Theorem(("phi", "operator"), ("fault",), p_above_one=True,
-                            constant="linear", linear=True),
+                            constant="linear", linear=True, gamma=True),
 }
 
 
@@ -277,6 +281,10 @@ def check_theorem(tag: Any, couple: ExponentCouple,
         raise SpecError(f"{tag} needs {'q = inf' if record.q_inf else 'a finite q'}")
     if record.p_above_one and not couple.p > 1.0:
         raise SpecError(f"{tag} needs p > 1")
+    if record.gamma and couple.q > GAMMA_MAX:
+        raise SpecError(f"{tag} needs q <= {GAMMA_MAX:g}, the range of sparr_gamma")
+    if record.constant == "linear" and conjugate_exponent(couple.p) > GAMMA_MAX:
+        raise SpecError(f"{tag} needs p' = p/(p-1) <= {GAMMA_MAX:g}, the range of sparr_gamma")
     if record.linear and op is not None and op.kind != ops.KIND_LINEAR:
         raise SpecError(f"{tag} needs a linear operator, not a {op.kind} one")
     return record

@@ -11,6 +11,10 @@ Nothing in the package calls these; each is written for clarity, not speed.
 - Operators, written against the batched `CertifiedOperator.apply`: the draws
   of a probe run are made one pair or one input at a time, in the order a
   per-input loop would make them, and then applied as one batch.
+  `boyd_lower_bound` is Boyd's power method for the L^r norm, run on each
+  operator's linearization at the current iterate: its matrix
+  (`operator_matrix`), or the selection that attains each (Tx)_i
+  (`max_of_selection_adjoint`, `window_selection_adjoint`).
 - The (L^p, L^inf) K-functional by search: `k_lp_linf_golden` is the
   golden-section kernel the exact `kfunc.k_lp_linf_grid` replaced, kept as
   it was (kink candidates per member plus one batched golden section), and
@@ -24,6 +28,9 @@ Nothing in the package calls these; each is written for clarity, not speed.
   on at least 200 points) and `_validate_shape` the second-difference probe
   of a built phi, both kept verbatim from before the package read
   quasi-concavity off the jet and stopped probing its builds.
+  `second_difference_convexity` is `orlicz.check_convexity` as it was before
+  it read thm31a's psi-convexity off phi's build: centered second
+  differences on a uniform grid of at least 100 points, kept verbatim.
   `generator_rho_checks` is the generator build's rho checks with the chord
   check in them.
 - Generator builds through SciPy: `generator_phi_pchip` is the tabulated
@@ -68,6 +75,7 @@ from orliczkit.kfunc import _check_exponent, _descent_rate, _expit
 from orliczkit.liveset import MAX_PASSES, NonConvergenceError
 from orliczkit.measure import (DiscreteMeasureSpace, SampleBatch, SampleFunction,
                                _frozen_array, abs_rows)
+from orliczkit.operators import _window_maximal
 from orliczkit.orlicz import INVERSE_LOG_STEP, LOG_U_RANGE, ExponentCouple, OrliczFunction
 from orliczkit.quasiconcave import (PeetreRepresentation, PiecewiseLinearConcave,
                                     concavity_violation, log_grid)
@@ -133,6 +141,129 @@ def homogeneity_violation(op, trials: int = 200, seed: int = 11) -> float:
     rhs = np.abs(cs)[:, None] * _abs_apply(op, xs)
     scale = np.maximum(rhs.max(axis=1, initial=0.0), 1e-300)
     return float(np.max(np.abs(lhs - rhs).max(axis=1, initial=0.0) / scale, initial=0.0))
+
+
+
+def operator_matrix(op) -> np.ndarray:
+    """The matrix of a linear operator, read off `apply` on the unit rows."""
+    return op.apply(SampleBatch(op.space, np.eye(op.space.n))).values.T
+
+
+def _signs_at(x: np.ndarray) -> np.ndarray:
+    """sign(x) with +1 at 0, where any sign is a subgradient of |x|."""
+    return np.where(x < 0.0, -1.0, 1.0)
+
+
+def max_of_selection_adjoint(members: Sequence) -> Callable:
+    """(x, d) -> L^T d per row, where row i of L is row i of the linear
+    member whose |(T_j x)_i| is largest, times that value's sign: the
+    linearization of `max_of(members)` at x."""
+    mats = np.stack([operator_matrix(m) for m in members])   # (member, i, k)
+
+    def adjoint(x, d):
+        outs = np.einsum("jik,rk->rji", mats, x)
+        pick = np.argmax(np.abs(outs), axis=1)
+        sign = _signs_at(np.take_along_axis(outs, pick[:, None, :], axis=1)[:, 0, :])
+        return np.einsum("ri,rik->rk", d * sign, mats[pick, np.arange(x.shape[1])])
+
+    return adjoint
+
+
+def window_selection_adjoint(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """L^T d per row, where row i of L averages over the window that attains
+    (Tx)_i for the window maximal T, times the signs of x.
+
+    means[a, b] is the mean of |x| over atoms a..b. Per start a, the running
+    maximum over ends from the right gives the best end b >= i, found at the
+    first running record at or after i; the best start a <= i then picks the
+    window of atom i. Each window adds d_i / length to its atoms through a
+    difference array, so a pass costs a few n x n arrays per row."""
+    rows, n = x.shape
+    prefix = np.zeros((rows, n + 1))
+    np.cumsum(np.abs(x), axis=1, out=prefix[:, 1:])
+    atoms = np.arange(n)
+    length = atoms[None, :] - atoms[:, None] + 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = np.where(length > 0, (prefix[:, None, 1:] - prefix[:, :-1, None]) / length, -np.inf)
+    best_end = np.maximum.accumulate(means[:, :, ::-1], axis=2)[:, :, ::-1]
+    records = np.where(means == best_end, atoms, n)
+    end = np.minimum.accumulate(records[:, :, ::-1], axis=2)[:, :, ::-1]
+    start = np.argmax(np.where(length > 0, best_end, -np.inf), axis=1)
+    stop = np.take_along_axis(end, start[:, None, :], axis=1)[:, 0, :]
+    share = (d / (stop - start + 1)).ravel()
+    offset = (np.arange(rows) * (n + 1))[:, None]
+    size = rows * (n + 1)
+    spread = (np.bincount((offset + start).ravel(), share, size)
+              - np.bincount((offset + stop + 1).ravel(), share, size))
+    return np.cumsum(spread.reshape(rows, n + 1)[:, :n], axis=1) * _signs_at(x)
+
+
+def _lr_norm(v: np.ndarray, r: float, w: np.ndarray) -> np.ndarray:
+    if math.isinf(r):
+        return np.abs(v).max(axis=1, initial=0.0)
+    return np.sum(np.abs(v) ** r * w, axis=1) ** (1.0 / r)
+
+
+def _dual(v: np.ndarray, r: float, w: np.ndarray) -> np.ndarray:
+    """Per row, d with sum w*d*v = |v|_r and |d|_r' = 1 in the dual of
+    L^r(w) (d = 0 for a zero row)."""
+    if math.isinf(r):
+        top = np.argmax(np.abs(v), axis=1)
+        out = np.zeros_like(v)
+        picked = v[np.arange(len(v)), top]
+        out[np.arange(len(v)), top] = np.sign(picked) / w[top]
+        return out
+    if r == 1.0:
+        return np.sign(v)
+    norm = _lr_norm(v, r, w)[:, None]
+    scale = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
+    return np.sign(v) * (np.abs(v) * scale) ** (r - 1.0)
+
+
+def boyd_lower_bound(op, r: float, members: Sequence | None = None,
+                     starts: np.ndarray | None = None, passes: int = 100) -> float:
+    """Lower bound on the L^r operator norm of op by Boyd's power method
+    (Boyd 1974; Higham, "Estimating the matrix p-norm", 1992).
+
+    Each pass maps every start x to y = Tx by `op.apply`, and then to
+    x = dual_r'(L* dual_r(y)), where L is op's linearization at x and L* its
+    adjoint for the pairing sum w*f*g: the matrix of a linear op, the
+    selection of `max_of(members)` (linear members), or that of the window
+    maximal. For a fixed L the ratio |Lx|_r / |x|_r never falls, and
+    |Tx| >= |Lx| atomwise, so it climbs to a fixed point. The starts default
+    to the unit rows and one dual step from each atom, dual_r'(L* delta_i),
+    which is the sign pattern of row i for a matrix at r = inf; so r = 1 and
+    r = inf find the largest column and row sums on the first pass. The
+    passes stop when no start's ratio rises by more than 1e-14 relative.
+    Returns the best |Tx|_r / |x|_r seen, each Tx from `op.apply`, so the
+    value stays a lower bound even if a linearization were wrong.
+    """
+    n, w = op.space.n, op.space.weights
+    if members is not None:
+        adjoint = max_of_selection_adjoint(members)
+    elif op._apply is _window_maximal:
+        adjoint = window_selection_adjoint
+    else:
+        if op.kind != "linear":
+            raise ValueError("pass the members of a max_of operator")
+        matrix = operator_matrix(op)
+        adjoint = lambda x, d: d @ matrix
+    dual_r = math.inf if r == 1.0 else 1.0 if math.isinf(r) else r / (r - 1.0)
+    if starts is None:
+        units = np.eye(n)
+        starts = np.vstack((units, _dual(adjoint(units, units) / w, dual_r, w)))
+    x = np.array(starts, dtype=float, ndmin=2)
+    best, last = 0.0, np.zeros(len(x))
+    for _ in range(passes):
+        tx = op.apply(SampleBatch(op.space, x)).values
+        size = _lr_norm(x, r, w)
+        ratio = np.divide(_lr_norm(tx, r, w), size, out=np.zeros_like(size), where=size > 0.0)
+        best = max(best, float(ratio.max(initial=0.0)))
+        if not np.any(ratio > last * (1.0 + 1e-14)):
+            break
+        last = np.maximum(last, ratio)
+        x = _dual(adjoint(x, _dual(tx, r, w) * w) / w, dual_r, w)
+    return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,6 +671,29 @@ def is_quasiconcave(rho: Callable, grid: np.ndarray | None = None,
     dec = (ratio[1:] - ratio[:-1]) / ratio[:-1]       # >0 where ratio increases
     worst = float(max(inc.max(initial=0.0), dec.max(initial=0.0), 0.0))
     return QuasiConcavityCheck(worst <= rtol, worst)
+
+
+class ConvexityCheck(NamedTuple):
+    ok: bool
+    worst_second_difference: float
+
+
+def second_difference_convexity(f: Callable, grid) -> ConvexityCheck:
+    """Centered second differences on a uniform grid, with a relative floor.
+
+    Passes when every second difference is >= -1e-8 * max|f| on the grid.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.size < 100:
+        raise ValueError("grid must contain at least 100 points")
+    steps = np.diff(grid)
+    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ValueError("grid must be uniform")
+    vals = np.asarray(f(grid), dtype=float)
+    d2 = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
+    worst = float(d2.min())
+    tol = 1e-8 * max(float(np.abs(vals).max()), 1e-300)
+    return ConvexityCheck(worst >= -tol, worst)
 
 
 def _validate_shape(phi: OrliczFunction, probe_hi: float, require_convex: bool = True) -> float:

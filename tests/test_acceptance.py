@@ -16,7 +16,8 @@ from orliczkit.quasiconcave import log_grid
 from orliczkit.verify import run_scenario
 
 from conftest import cached_generator_phi, session_elapsed
-from oracles import cumulative_p_integral, lp_integral, phi_expansion, rearrangement, reconstruct, sup_norm
+from oracles import (cumulative_p_integral, lp_integral, phi_expansion, rearrangement, reconstruct,
+                     second_difference_convexity, sup_norm)
 from test_quasiconcave import random_concave_plc
 
 SCENARIO_DIR = Path(__file__).parent.parent / "src" / "orliczkit" / "scenarios"
@@ -337,7 +338,7 @@ def test_criterion_09_phi_rho_structure():
     convexity_ok = True
     for (p, q) in ((1, 2), (2, 3)):
         probe = np.linspace(0.0, 25.0, 10_000)
-        check = ok.check_convexity(lambda u: u**p * np.log1p(u ** (q - p)), probe)
+        check = second_difference_convexity(lambda u: u**p * np.log1p(u ** (q - p)), probe)
         convexity_ok = convexity_ok and check.ok
     elapsed = time.perf_counter() - start
     announce(9, "phi-rho-structure",

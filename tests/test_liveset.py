@@ -104,15 +104,17 @@ class TestSolversRaise:
 
 # Calls per pass count of each solver on each shipped scenario. Wrappers
 # around each solver's per-pass evaluation counted the same numbers before
-# the solvers shared one loop, and the counts repeat exactly.
+# the solvers shared one loop, and the counts repeat exactly. A thm31a report
+# inverts phi twice, once per modular; the grid probe of psi that made a
+# third call is gone.
 SHIPPED_PASSES = {
     "prop22_maximal_2inf": {"k_kinks": {4: 2}},
     "remark_concave_h_1_2": {"amemiya": {2: 1}, "luxemburg": {5: 1}},
     "sparr_lemma_15_3": {"l_split": {3: 2}},
     "sparr_lemma_1_2": {},
     "sparr_lemma_2_4": {"l_split": {2: 2}},
-    "thm31a_p1_orlicz": {"phi_inverse": {1: 3}},
-    "thm31a_p2_maximal": {"phi_inverse": {1: 3}},
+    "thm31a_p1_orlicz": {"phi_inverse": {1: 2}},
+    "thm31a_p2_maximal": {"phi_inverse": {1: 2}},
     "thm31b_norm_p2": {"amemiya": {2: 1}, "luxemburg": {2: 1}, "phi_inverse": {1: 4}},
     "thm46a": {},
     "thm46a_negative_control": {},
@@ -130,3 +132,15 @@ def test_table_names_every_shipped_scenario():
 def test_shipped_pass_counts(passes, name):
     verify.run_scenario(json.loads((SCENARIO_DIR / f"{name}.json").read_text()))
     assert passes == SHIPPED_PASSES[name]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: on phi = max(v, v^2), the generator phi of rho = min_one at (1, 2), "
+    "g = sigma M' - M jumps over 1 at the kink, and the Amemiya search bisects log sigma "
+    "over its whole range: 36 passes per call on 7 mixed inputs, where Luxemburg takes 2"))
+def test_amemiya_on_the_min_one_generator_takes_few_passes(passes):
+    phi = ok.build_from_generator(ok.ExponentCouple(1, 2), ok.min_one_rho())
+    for n in (6, 40):
+        for scale in (1e-6, 1.0, 1e3):
+            ok.amemiya_norm(phi, ok.generate_inputs(ok.uniform_space(n), 7, "mixed", scale, 5))
+    assert max(passes["amemiya"]) <= 6

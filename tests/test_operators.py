@@ -5,10 +5,13 @@ from hypothesis import given, settings, strategies as st
 import orliczkit as ok
 from orliczkit import operators
 from orliczkit.orlicz import ExponentCouple
+from orliczkit.specs import random_contractive
 
 from oracles import (
+    boyd_lower_bound,
     homogeneity_violation,
     maximal_prefix_oracle,
+    operator_matrix,
     subadditivity_violation,
     window_average_matrices,
 )
@@ -100,7 +103,7 @@ class TestMaxOf:
         op = ok.max_of(members)
         assert op.bound_p == pytest.approx(sum(c**1 for c in cs))
         assert op.bound_q == pytest.approx(np.sqrt(sum(c**2 for c in cs)))
-        est = ok.estimate_norm(op, 2, trials=64, seed=0)
+        est = boyd_lower_bound(op, 2, members)
         assert est <= op.bound_q + 1e-9
         assert est == pytest.approx(max(cs), rel=1e-9)
 
@@ -279,37 +282,74 @@ class TestBatchedApply:
             op.apply(ok.SampleBatch(ok.uniform_space(3), np.ones((2, 3))))
 
 
+R_VALUES = (1.0, 1.5, 2.0, 3.0, np.inf)
+
+
+def certificate_couple(r):
+    """A couple whose certificate at r is the operator's bound_p, or bound_q at r = inf."""
+    return ExponentCouple(2, np.inf) if np.isinf(r) else ExponentCouple(r, r + 1)
+
+
+def matrix_cases(n, couple):
+    sp = ok.uniform_space(n)
+    cyclic = 0.9 * np.roll(np.eye(n), 1, axis=1)
+    cases = {f"random_contractive_{seed}": random_contractive(sp, couple, seed) for seed in range(6)}
+    cases["averaging"] = ok.averaging_operator(sp, couple)
+    cases["cyclic"] = ok.contractive_matrix(sp, cyclic, couple)
+    return cases
+
+
 class TestEstimateNorm:
+    """Boyd's power method (`oracles.boyd_lower_bound`) estimates the L^r
+    operator norm from below."""
+
     def test_identity_exact(self, space):
-        assert ok.estimate_norm(ok.identity_operator(space, COUPLE), 2) == 1.0
+        assert boyd_lower_bound(ok.identity_operator(space, COUPLE), 2) == 1.0
 
     def test_multiplier_spike_achieves_peak(self, space):
         op = ok.multiplier(space, [0.5, 0.2, 0.1, 0.0, 0.3, 0.4], COUPLE)
-        est = ok.estimate_norm(op, 1.5, trials=32, seed=3)
-        assert est == pytest.approx(0.5, rel=1e-9)
+        assert boyd_lower_bound(op, 1.5) == pytest.approx(0.5, rel=1e-9)
 
-    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, np.inf])
+    @pytest.mark.parametrize("r", R_VALUES)
     def test_never_exceeds_certificates(self, space, r):
-        # rebuild each operator on a couple that carries a certificate at r
-        from orliczkit.specs import random_contractive
-
-        couple = ExponentCouple(2, np.inf) if np.isinf(r) else ExponentCouple(r, r + 1)
-        cyclic = 0.9 * np.roll(np.eye(space.n), 1, axis=1)
-        operators = [
-            ok.identity_operator(space, couple),
-            ok.averaging_operator(space, couple),
-            ok.contractive_matrix(space, cyclic, couple),
-            ok.multiplier(space, np.full(space.n, 0.5), couple),
-            ok.discrete_maximal(space, couple),
-            ok.max_of([ok.identity_operator(space, couple),
-                       ok.multiplier(space, np.full(space.n, 0.25), couple)]),
-            random_contractive(space, couple, 5),
-            random_contractive(space, couple, 6),
-        ]
-        for op in operators:
+        couple = certificate_couple(r)
+        mix = [ok.identity_operator(space, couple), ok.multiplier(space, np.full(space.n, 0.25), couple)]
+        scaled = [ok.multiplier(space, np.full(space.n, c), couple) for c in (1.0, 0.5, 0.25)]
+        cases = {name: (op, None) for name, op in matrix_cases(space.n, couple).items()}
+        cases.update({
+            "identity": (ok.identity_operator(space, couple), None),
+            "half_multiplier": (ok.multiplier(space, np.full(space.n, 0.5), couple), None),
+            "maximal": (ok.discrete_maximal(space, couple), None),
+            "max_of_mix": (ok.max_of(mix), mix),
+            "max_of_scaled": (ok.max_of(scaled), scaled),
+        })
+        for name, (op, members) in cases.items():
             cert = op.bound_q if np.isinf(r) else op.bound_p
-            est = ok.estimate_norm(op, r, trials=48, seed=17)
-            assert est <= cert * (1 + 1e-9), op.certificate
+            assert boyd_lower_bound(op, r, members) <= cert * (1 + 1e-9), name
+
+    def test_equals_the_spectral_norm_at_r2(self):
+        for name, op in matrix_cases(8, ExponentCouple(2, 3)).items():
+            want = np.linalg.norm(operator_matrix(op), 2)
+            assert boyd_lower_bound(op, 2) == pytest.approx(want, rel=1e-9, abs=0.0), name
+
+    @pytest.mark.parametrize("r", [1.0, np.inf])
+    def test_equals_the_largest_column_or_row_sum(self, r):
+        for name, op in matrix_cases(8, certificate_couple(r)).items():
+            sums = np.abs(operator_matrix(op)).sum(axis=1 if np.isinf(r) else 0)
+            assert boyd_lower_bound(op, r) == pytest.approx(sums.max(), rel=1e-12, abs=0.0), name
+
+    @pytest.mark.parametrize("r", R_VALUES)
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_window_maximal_never_exceeds_its_certificate(self, n, r):
+        op = ok.discrete_maximal(ok.uniform_space(n), certificate_couple(r))
+        cert = op.bound_q if np.isinf(r) else op.bound_p
+        # a spike in the middle climbs highest: both sides of it see its windows
+        est = boyd_lower_bound(op, r, starts=np.eye(n)[n // 2])
+        assert 1.0 <= est <= cert * (1 + 1e-9)
+
+    def test_window_maximal_at_n8(self):
+        op = ok.discrete_maximal(ok.uniform_space(8), ExponentCouple(2, np.inf))
+        assert boyd_lower_bound(op, 2) >= 1.46
 
 
 class TestSubadditivityInvariant:

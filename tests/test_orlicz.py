@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from collections import Counter
 
@@ -12,7 +13,8 @@ from orliczkit.orlicz import LOG_U_RANGE, ExponentCouple, _luxemburg_bracket
 from conftest import cached_generator_phi, rho_values
 from oracles import (_validate_shape, amemiya_golden, generator_phi_pchip, generator_rho_checks,
                      generator_rows, luxemburg_bisect, lp_integral, modular_of_step,
-                     power_log_rho_full, rearrangement, solve_log_inverse_stacked, sup_norm)
+                     power_log_rho_full, rearrangement, second_difference_convexity,
+                     solve_log_inverse_stacked, sup_norm)
 
 
 def sample(values, weights=None):
@@ -311,6 +313,24 @@ class TestNewtonNorms:
                                    rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(ok.luxemburg_norm(phi, xs), luxemburg_bisect(phi, xs),
                                    rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_phi_that_is_zero_near_zero_agrees_with_the_search_oracles(self, p, scale):
+        # rho = min(5t, 3 + 2t) at (p, inf): rho(t)/t tends to 2, so phi is 0
+        # on [0, 2] and rises to 1 at u_max = 5. The Luxemburg search starts
+        # at sigma = 1, where the modular is 0: it used to stop there and
+        # return sup|x|, up to 5 times the norm, with a divide-by-zero warning
+        plc = ok.PiecewiseLinearConcave([1.0], [5.0], 5.0, 2.0)
+        phi = ok.build_from_generator(ExponentCouple(p, np.inf), plc.jet)
+        assert phi.u_max == 5.0 and float(phi(2.0)) == 0.0
+        xs = self.batch(scale)
+        np.testing.assert_allclose(ok.luxemburg_norm(phi, xs), luxemburg_bisect(phi, xs),
+                                   rtol=1e-10, atol=0.0)
+        # at p = 1, phi = (v - 2) / 3 on [2, 5]: the Amemiya minimum sits on
+        # that kink, and each search stops within its step of it
+        np.testing.assert_allclose(ok.amemiya_norm(phi, xs), amemiya_golden(phi, xs),
+                                   rtol=1e-9, atol=0.0)
 
     def test_wide_norm_batch_takes_few_passes(self):
         # thm46b_norm_1_2 at the size of the wide benchmark workload: 7 mixed
@@ -685,7 +705,7 @@ class TestBuildFromGenerator:
         plc = ok.PiecewiseLinearConcave([1.0, 4.0], [2.0, 2.75], 0.5, 0.1)
         phi = ok.build_from_generator(ExponentCouple(p, q), plc.jet)
         assert float(phi(phi.u_max)) == pytest.approx(np.exp(690.0), rel=1e-12)
-        assert ok.check_convexity(phi, np.linspace(0.0, 30.0, 3001)).ok
+        assert second_difference_convexity(phi, np.linspace(0.0, 30.0, 3001)).ok
 
     # at these p the tail start found by bisection lies within 1e-16 of s = 0
     @pytest.mark.parametrize("p", [1.0, 1.3492149263440198, 1.5870500476727714, 2.5])
@@ -719,7 +739,7 @@ class TestBuildFromGenerator:
             np.testing.assert_allclose(phi(v), (v / 0.3) ** p, rtol=1e-14)
         else:
             assert float(phi(phi.u_max)) == pytest.approx(np.exp(690.0), rel=1e-12)
-            assert ok.check_convexity(phi, np.linspace(0.0, 30.0, 3001)).ok
+            assert second_difference_convexity(phi, np.linspace(0.0, 30.0, 3001)).ok
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_small_u_max_at_q_inf_builds(self, p):
@@ -745,7 +765,7 @@ class TestBuildFromGenerator:
     def test_generator_convexity_validated(self):
         phi = cached_generator_phi(1, 2, "powerlog", (0.3, 1, -1))
         grid = np.linspace(0.0, 30.0, 3001)
-        assert ok.check_convexity(phi, grid).ok
+        assert second_difference_convexity(phi, grid).ok
 
 
 def _bits(a):
@@ -967,22 +987,65 @@ class TestBuildFromH:
 
 
 class TestCheckConvexity:
+    """`ok.check_convexity` reads thm31a's psi-convexity off phi's build; the
+    second-difference check it replaced (`oracles.second_difference_convexity`)
+    agrees with it on seeded generator builds."""
+
+    def test_power_is_accepted_from_exponent_p(self):
+        assert ok.check_convexity(ok.power_phi(2.0), 2.0)
+        assert ok.check_convexity(ok.power_phi(3.5), 2.0)
+        assert not ok.check_convexity(ok.power_phi(1.5), 2.0)
+
+    def test_generator_is_accepted_from_its_own_p(self):
+        phi = cached_generator_phi(2, np.inf, "powerlog", (0.5, 0, 0))
+        assert ok.check_convexity(phi, 1.0) and ok.check_convexity(phi, 2.0)
+        assert not ok.check_convexity(phi, 2.5)
+
+    def test_h_form_is_rejected(self):
+        # even an affine h, whose phi = a u^q + b u^p would pass: the rule
+        # reads the build, not the values
+        h = ok.PiecewiseLinearConcave([1.0], [2.0], 1.0, 1.0)
+        assert not ok.check_convexity(ok.build_from_h(ExponentCouple(1, 2), h), 1.0)
+
+    def test_every_generator_build_passes_the_rule_and_the_probe(self):
+        kinds = ("power", "powerlog", "min_one", "max_one", "pwl")
+        rng = np.random.default_rng(23)
+        built, attempts = Counter(), 0
+        while sum(built.values()) < 250:
+            kind = kinds[attempts % len(kinds)]
+            attempts += 1
+            p = float(rng.uniform(1.0, 4.0))
+            q = np.inf if rng.random() < 0.5 else p + 1e-3 + float(rng.exponential(3.0))
+            try:
+                phi = ok.build_from_generator(ExponentCouple(p, q), random_rho(rng, kind))
+            except ValueError:
+                continue
+            assert ok.check_convexity(phi, p)
+            for cap in (1e-3, 1.0, 30.0, 1e3):
+                grid = np.linspace(0.0, (0.999 * min(cap, phi.u_max)) ** p, 2001)
+                check = second_difference_convexity(lambda w: phi(w ** (1.0 / p)), grid)
+                assert check.ok, (kind, p, q, cap, check.worst_second_difference)
+            built[kind, math.isinf(q)] += 1
+        # max_one never builds: its rho is not concave
+        assert {kind for kind, _ in built} == {"power", "powerlog", "min_one", "pwl"}
+        assert {q_inf for _, q_inf in built} == {True, False}
+
     def test_square_passes(self):
         grid = np.linspace(0.0, 5.0, 501)
-        assert ok.check_convexity(lambda u: u**2, grid).ok
+        assert second_difference_convexity(lambda u: u**2, grid).ok
 
     def test_sqrt_fails(self):
         grid = np.linspace(0.0, 5.0, 501)
-        check = ok.check_convexity(lambda u: np.sqrt(u), grid)
+        check = second_difference_convexity(lambda u: np.sqrt(u), grid)
         assert not check.ok
 
     def test_power_log_modular_generator(self):
         grid = np.linspace(0.0, 20.0, 10001)
         f = lambda u: u ** 1 * np.log1p(u ** (2 - 1))
-        assert ok.check_convexity(f, grid).ok
+        assert second_difference_convexity(f, grid).ok
 
     def test_grid_requirements(self):
         with pytest.raises(ValueError):
-            ok.check_convexity(lambda u: u, np.linspace(0, 1, 50))
+            second_difference_convexity(lambda u: u, np.linspace(0, 1, 50))
         with pytest.raises(ValueError):
-            ok.check_convexity(lambda u: u, np.logspace(0, 1, 200))
+            second_difference_convexity(lambda u: u, np.logspace(0, 1, 200))

@@ -317,6 +317,26 @@ class TestTheoremTable:
                 specs.normalize_scenario(scenario)
         assert build_calls == {"phi": 0, "operator": 0}
 
+    @pytest.mark.parametrize("tag", sorted(tag for tag, record in specs.THEOREMS.items()
+                                           if not record.q_inf))
+    def test_a_couple_beyond_the_range_of_gamma(self, tag, build_calls):
+        # sparr_gamma takes p and q in [1, 64]; a tag whose constant reads it
+        # raised a bare ValueError there, from inside its verifier
+        record = specs.THEOREMS[tag]
+        far = dict(minimal_scenario(tag), couple={"p": 1.5, "q": 64.5})
+        near_one = dict(minimal_scenario(tag), couple={"p": 1.01, "q": 2})
+        if record.gamma:
+            with pytest.raises(specs.SpecError, match="q <= 64"):
+                specs.normalize_scenario(far)
+        else:
+            specs.normalize_scenario(far)
+        if record.constant == "linear":   # its dual branch reads gamma(q', p')
+            with pytest.raises(specs.SpecError, match="p' = p/.p-1. <= 64"):
+                specs.normalize_scenario(near_one)
+            assert build_calls == {"phi": 0, "operator": 0}
+        else:
+            specs.normalize_scenario(near_one)
+
     @pytest.mark.parametrize("name, change", [
         ("sparr_lemma_1_2", {"couple": {"p": 1, "q": "inf"}}),
         ("thm46b_norm_1_2", {"couple": {"p": 1, "q": "inf"}}),

@@ -19,9 +19,9 @@ from pathlib import Path
 import orliczkit
 
 PACKAGE = Path(orliczkit.__file__).parent
-# the CLI cross-checks against the first two; ROADMAP item 2 replaces the third
-# with Boyd's method
-KEPT = {"brute_force_k", "sparr_gamma_oracle", "estimate_norm"}
+# the CLI cross-checks against these two; a norm estimate for the operator
+# tests lives in tests/oracles.py (Boyd's power method)
+KEPT = {"brute_force_k", "sparr_gamma_oracle"}
 
 
 def references_outside_own_def() -> set[str]:

@@ -269,7 +269,7 @@ class TestNormInterpolation:
         assert rep.status == "pass"
         assert rep.details["amemiya"] == "skipped: phi is not convex"
         # a halved M breaks the Luxemburg check, which still runs
-        halved = op.with_bounds(op.bound_p / 2.0, op.bound_q / 2.0, "halved")
+        halved = dataclasses.replace(op, bound_p=op.bound_p / 2.0, bound_q=op.bound_q / 2.0)
         broken = ok.verify_norm_interpolation(kinked, couple, halved, inputs, "remark_concave_h")
         assert {v.check for v in broken.violations} == {"luxemburg"}
         affine = ok.verify_norm_interpolation(phi_affine_h, COUPLE, ok.identity_operator(space8, COUPLE),
@@ -662,7 +662,7 @@ class TestRunScenario:
         resolved, space, couple, phi, op = specs.resolve_scenario(scenario)
         inputs = ok.generate_inputs(space, resolved["inputs"]["count"], "mixed",
                                     resolved["inputs"]["scale"], resolved["seed"])
-        op = op.with_bounds(op.bound_p / 2.0, op.bound_q / 2.0, "halved")
+        op = dataclasses.replace(op, bound_p=op.bound_p / 2.0, bound_q=op.bound_q / 2.0)
         cm = ok.bergh_constant(couple.p) * op.max_bound
         txs = ok.SampleBatch(space, [op.apply(ok.SampleFunction(space, v)).values
                                      for v in inputs.values])
@@ -702,7 +702,7 @@ class TestRunScenario:
         scenario = load_scenario("prop22_maximal_2inf.json")
         scenario["inputs"]["count"] = 40
         resolved, space, couple, phi, op = specs.resolve_scenario(scenario)
-        op = op.with_bounds(op.bound_p / 10.0, op.bound_q / 10.0, "shrunk")
+        op = dataclasses.replace(op, bound_p=op.bound_p / 10.0, bound_q=op.bound_q / 10.0)
         inputs = ok.generate_inputs(space, 40, "mixed", 1.0, resolved["seed"])
         ts = specs.t_grid_points(resolved["t_grid"])
         report = ok.verify_k_contraction(op, inputs, ts, resolved["tolerances"])
