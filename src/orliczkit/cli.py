@@ -245,8 +245,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (specs.SpecError, ScenarioRejected, DomainOverflowError,
-            FileNotFoundError, ValueError) as exc:
+    # OSError covers a missing file and a path that is a directory alike
+    except (specs.SpecError, ScenarioRejected, DomainOverflowError, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

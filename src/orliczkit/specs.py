@@ -250,7 +250,7 @@ class Theorem(NamedTuple):
     gamma: bool = False              # whether it reads sparr_gamma(p, q), so needs q <= GAMMA_MAX
 
 
-# scenario sections that a tag requires, reads or rejects (every tag reads inputs and tolerances)
+# scenario sections that a tag requires, reads or rejects (every tag reads inputs)
 SECTIONS = ("phi", "operator", "t_grid", "fault", "diagnostics")
 
 THEOREMS = {
@@ -290,17 +290,8 @@ def check_theorem(tag: Any, couple: ExponentCouple,
     return record
 
 
-DEFAULT_TOLERANCES = {
-    "violation_rel": 1e-9,
-    "norm_rel": 1e-8,
-    "hypothesis_slack": 1e-12,
-    "abs_floor": 1e-12,
-    "chain_rel": 1e-6,
-    "chain_abs_floor": 1e-9,
-}
-
 _SCENARIO_REQUIRED = {"theorem", "seed", "space", "couple"}
-_SCENARIO_OPTIONAL = {"inputs", "tolerances", *SECTIONS}
+_SCENARIO_OPTIONAL = {"inputs", *SECTIONS}
 
 
 def _json_exponents(record: dict, what: str) -> None:
@@ -364,12 +355,9 @@ def resolve_scenario(raw: dict) -> tuple:
         raise SpecError(f"inputs.scale must be a finite number > 0, got {inputs['scale']!r}")
     out["inputs"] = inputs
 
-    out["t_grid"] = None
-    if section["t_grid"] is not None:
-        _require_keys(section["t_grid"], {"start", "stop", "points"}, {"spacing"}, what="t_grid")
-        grid = {"spacing": "log", **section["t_grid"]}
-        if grid["spacing"] not in ("log", "linear"):
-            raise SpecError("t_grid spacing must be 'log' or 'linear'")
+    grid = section["t_grid"]
+    if grid is not None:
+        _require_keys(grid, {"start", "stop", "points"}, what="t_grid")
         if not _is_int(grid["points"]) or grid["points"] < 1:
             raise SpecError(f"t_grid points must be a positive integer, got {grid['points']!r}")
         if not (_is_finite(grid["start"]) and _is_finite(grid["stop"])):
@@ -377,16 +365,7 @@ def resolve_scenario(raw: dict) -> tuple:
         # K(t, x) and L(t, x) are defined for t > 0 only
         if min(grid["start"], grid["stop"]) <= 0.0:
             raise SpecError("t_grid needs a start and stop > 0")
-        out["t_grid"] = {k: grid[k] for k in ("start", "stop", "points", "spacing")}
-
-    tol = dict(DEFAULT_TOLERANCES)
-    extra = {} if raw.get("tolerances") is None else raw["tolerances"]
-    _require_keys(extra, set(), set(DEFAULT_TOLERANCES), what="tolerances")
-    for key, value in extra.items():
-        if not _is_finite(value) or value < 0.0:
-            raise SpecError(f"tolerances.{key} must be a finite number >= 0, got {value!r}")
-        tol[key] = float(value)
-    out["tolerances"] = {k: tol[k] for k in sorted(tol)}
+    out["t_grid"] = None if grid is None else dict(grid)   # a copy, which --refine scales
 
     if isinstance(section["phi"], dict):   # before phi or the operator is built
         _phi_fits_couple(section["phi"], couple)
@@ -419,9 +398,7 @@ def normalize_scenario(raw: dict) -> dict:
 
 def t_grid_points(grid: dict) -> np.ndarray:
     start, stop, points = float(grid["start"]), float(grid["stop"]), int(grid["points"])
-    if grid.get("spacing", "log") == "log":
-        return np.logspace(math.log10(start), math.log10(stop), points)
-    return np.linspace(start, stop, points)
+    return np.logspace(math.log10(start), math.log10(stop), points)
 
 
 def dump_normalized(obj: Any) -> str:

@@ -1,8 +1,9 @@
 """Scenario engine that checks the interpolation inequalities numerically.
 
-A scenario names a theorem tag, a couple, a seeded input batch, named
-tolerances and the sections `specs.THEOREMS` says its tag takes (anything
-else is rejected); `RUNNERS` maps the tag to its verifier. The report lists
+A scenario names a theorem tag, a couple, a seeded input batch and the
+sections `specs.THEOREMS` says its tag takes (anything else is rejected);
+`RUNNERS` maps the tag to its verifier, and every check passes or fails by
+the fixed thresholds below, which no scenario sets. The report lists
 every violation (parameter, input index, both sides, relative margin,
 witness values); a failed precondition, such as inputs beyond phi's domain,
 raises `ScenarioRejected` instead. Reports are deterministic given the
@@ -78,18 +79,40 @@ class VerificationReport:
         }
 
 
-class _Collector:
-    """One verifier run: merged tolerances, start time, and a relative
-    violation test (named tolerances) with an absolute fallback at rhs = 0."""
+# Pass thresholds. A check lhs <= rhs fails where lhs > rhs + rel * |rhs| +
+# floor. They are constants, not scenario settings, so that no scenario can
+# loosen its own check into a pass or tighten a true one into a fail.
+# The main inequalities: each side is a K-, L- or L*-functional or a modular,
+# computed to a few ulps per atom, far below 1e-9 relative; a true break,
+# such as a halved certificate, exceeds it by orders of magnitude.
+VIOLATION_REL = 1e-9
+# The norms are the ends of 1-D searches: the Luxemburg bracket stops at
+# 1e-10 relative width and the Amemiya search at a 1e-9 step in log k.
+NORM_REL = 1e-8
+# The chain's psi is built on a concave majorant of h sampled on a 4,097-point
+# grid, so its links carry the majorant's interpolation error as well.
+CHAIN_REL = 1e-6
+# Where rhs is 0 (a zero input, or Tx = 0) only the floor is left; it also
+# bounds the margin's denominator. The chain's is wider, as CHAIN_REL is.
+ABS_FLOOR = 1e-12
+CHAIN_ABS_FLOOR = 1e-9
+# A sparr pair meets the K-majorization hypothesis when L(t, x) <= L(t, y)
+# within this slack (and ABS_FLOOR) at every t: it admits only pairs whose
+# L-functionals tie to rounding, not pairs that break the hypothesis.
+HYPOTHESIS_SLACK = 1e-12
 
-    def __init__(self, tolerances: dict | None):
+
+class _Collector:
+    """One verifier run: start time, and the violations of its checks, each a
+    relative test with an absolute fallback at rhs = 0."""
+
+    def __init__(self):
         self.started = time.perf_counter()
-        self.tol = dict(specs.DEFAULT_TOLERANCES, **(tolerances or {}))
         self.violations: list[Violation] = []
 
     def check(self, lhs, rhs, tag: str, witness, ts=None, index=None,
-              rel: str = "violation_rel", floor: str = "abs_floor") -> None:
-        """lhs <= rhs to the tolerances named rel and floor: one value or one
+              rel: float = VIOLATION_REL, abs_floor: float = ABS_FLOOR) -> None:
+        """lhs <= rhs to the thresholds rel and abs_floor: one value or one
         row (a column per t in ts) per input, with each input's witness values
         and index (0, 1, ... by default). A side that is not finite cannot be
         checked, so it rejects the scenario."""
@@ -97,7 +120,6 @@ class _Collector:
         if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
             raise ScenarioRejected(f"check {tag!r} has a side that is not finite; "
                                    "inputs.scale is too large for it")
-        rel, abs_floor = self.tol[rel], self.tol[floor]
         bad = lhs > rhs + rel * np.abs(rhs) + abs_floor
         if not bad.any():
             return
@@ -273,10 +295,9 @@ def _couple_k_grid(ts: np.ndarray, x: SampleBatch, couple: ExponentCouple) -> np
 
 
 def verify_k_contraction(op: CertifiedOperator, inputs: SampleBatch,
-                         t_grid, tolerances: dict | None = None,
-                         scenario: dict | None = None) -> VerificationReport:
+                         t_grid, scenario: dict | None = None) -> VerificationReport:
     """K_{p,q}(t, Tx/M) <= K_{p,q}(t, x) on every input and grid parameter."""
-    collector = _Collector(tolerances)
+    collector = _Collector()
     ts = np.asarray(t_grid, dtype=float)
     txs = op.apply(inputs).scaled(1.0 / op.max_bound)
     collector.check(_couple_k_grid(ts, txs, op.couple), _couple_k_grid(ts, inputs, op.couple),
@@ -288,10 +309,9 @@ def _sparr_pairs(xs: SampleBatch, ys: SampleBatch, couple: ExponentCouple,
                  ts: np.ndarray, gamma: float, collector: _Collector) -> int:
     """Check the conclusion on the pairs (xs[i], ys[i]) that meet the
     K-majorization hypothesis; returns how many do."""
-    p, q, tol = couple.p, couple.q, collector.tol
+    p, q = couple.p, couple.q
     kx, ky = l_functional_grid(ts, xs, p, q), l_functional_grid(ts, ys, p, q)
-    met = np.flatnonzero(np.all(
-        kx <= ky + tol["hypothesis_slack"] * np.abs(ky) + tol["abs_floor"], axis=1))
+    met = np.flatnonzero(np.all(kx <= ky + HYPOTHESIS_SLACK * np.abs(ky) + ABS_FLOOR, axis=1))
     xm, ym = xs[met], ys[met]
     collector.check(l_star_grid(ts, xm, p, q), gamma * l_star_grid(ts, ym, p, q),
                     "sparr_conclusion", np.hstack((xm.values, ym.values)), ts, met)
@@ -328,11 +348,10 @@ def _pair_batch(space, count: int, scale: float, seed: int) -> tuple[SampleBatch
 
 def verify_sparr_batch(space, couple: ExponentCouple, count: int, t_grid,
                        scale: float = 1.0, seed: int = 0,
-                       tolerances: dict | None = None,
                        scenario: dict | None = None) -> VerificationReport:
     """Run the implication over a seeded pair batch; neutral pairs are
     counted but never failed."""
-    collector = _Collector(tolerances)
+    collector = _Collector()
     gamma = sparr_gamma(couple.p, couple.q)
     xs, ys = _pair_batch(space, count, scale, seed)
     met = _sparr_pairs(xs, ys, couple, np.asarray(t_grid, dtype=float), gamma, collector)
@@ -342,7 +361,6 @@ def verify_sparr_batch(space, couple: ExponentCouple, count: int, t_grid,
 
 def verify_modular_lp_linf(phi: OrliczFunction, p: float, op: CertifiedOperator,
                            inputs: SampleBatch,
-                           tolerances: dict | None = None,
                            scenario: dict | None = None) -> VerificationReport:
     """Modular contraction against the sharp truncation constant.
 
@@ -353,7 +371,7 @@ def verify_modular_lp_linf(phi: OrliczFunction, p: float, op: CertifiedOperator,
     if not check_convexity(phi, p):
         raise ScenarioRejected(f"phi(u^(1/p)) is not convex by construction: a {phi.kind} "
                                f"phi of exponent {phi.p} at p = {p:g}")
-    collector = _Collector(tolerances)
+    collector = _Collector()
     constant = bergh_constant(p) * op.max_bound
     lhs = modular(phi, op.apply(inputs).scaled(1.0 / constant))
     collector.check(lhs, modular(phi, inputs), "modular_lp_linf", inputs.values)
@@ -368,10 +386,9 @@ def _require_h_form(phi: OrliczFunction, tag: str) -> None:
 
 def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
                          op: CertifiedOperator, inputs: SampleBatch,
-                         tolerances: dict | None = None,
                          scenario: dict | None = None) -> VerificationReport:
     """Modular comparison with the sharp two-piece-cost constant."""
-    collector = _Collector(tolerances)
+    collector = _Collector()
     _require_h_form(phi, "thm46a")
     gamma = sparr_gamma(couple.p, couple.q)
     m = op.max_bound
@@ -434,7 +451,7 @@ def _check_chain(phi: OrliczFunction, couple: ExponentCouple, inputs: SampleBatc
     concave-h build on h~, the three links are
     modular_phi(Tx/M) <= modular_psi(Tx/M) <= gamma * modular_psi(x)
     <= 2 * gamma * modular_phi(x), each checked separately at the chain
-    tolerance (the majorant is numerically derived, unlike the analytic
+    thresholds (the majorant is numerically derived, unlike the analytic
     constants of the main inequality); txs is Tx/M.
     """
     psi = _majorant_psi(phi, couple)
@@ -446,13 +463,13 @@ def _check_chain(phi: OrliczFunction, couple: ExponentCouple, inputs: SampleBatc
     for lhs, rhs, tag in ((phi_tx, psi_tx, "link1_phi_le_psi"),
                           (psi_tx, gamma_psi_x, "link2_psi_contraction"),
                           (gamma_psi_x, two_gamma_phi_x, "link3_psi_le_2phi")):
-        collector.check(lhs, rhs, tag, inputs.values, rel="chain_rel", floor="chain_abs_floor")
+        collector.check(lhs, rhs, tag, inputs.values, rel=CHAIN_REL, abs_floor=CHAIN_ABS_FLOOR)
     return {"gamma": gamma, "mode": "chain_diagnostics", "majorant_knots": psi.meta["h_knots"]}
 
 
 def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
                               op: CertifiedOperator, inputs: SampleBatch, theorem: str,
-                              tolerances: dict | None = None, scenario: dict | None = None,
+                              scenario: dict | None = None,
                               diagnostics: bool = False) -> VerificationReport:
     """||Tx|| <= C * M * ||x|| in both the Luxemburg and Amemiya norms, with
     the constant C that `specs.THEOREMS` names for the norm tag `theorem`.
@@ -462,7 +479,7 @@ def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
     With diagnostics set, the majorant chain behind the subadditive constant
     is checked link by link too (a generator-built phi with finite q only).
     """
-    collector = _Collector(tolerances)
+    collector = _Collector()
     source = specs.check_theorem(theorem, couple, op).constant
     if source is None:
         raise specs.SpecError(f"{theorem} is not a norm theorem")
@@ -475,14 +492,14 @@ def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
     tx, count = op.apply(inputs), len(inputs)
     both = _stack(tx, inputs)
     lux = luxemburg_norm(phi, both)
-    collector.check(lux[:count], cm * lux[count:], "luxemburg", inputs.values, rel="norm_rel")
+    collector.check(lux[:count], cm * lux[count:], "luxemburg", inputs.values, rel=NORM_REL)
     details = {"constant": c, "certified_bound": op.max_bound, "constant_source": source}
     # the Amemiya search may stop at a local minimum of a non-convex phi, and
     # a value above the infimum is no rhs; power and generator builds are
     # convex by construction (see `orlicz`), an h-form records it
     if phi.meta.get("convex", True):
         am = amemiya_norm(phi, both)
-        collector.check(am[:count], cm * am[count:], "amemiya", inputs.values, rel="norm_rel")
+        collector.check(am[:count], cm * am[count:], "amemiya", inputs.values, rel=NORM_REL)
     else:
         details["amemiya"] = "skipped: phi is not convex"
     if diagnostics:
@@ -497,27 +514,26 @@ def _inputs(s: dict, space) -> SampleBatch:
 
 
 def _run_prop22(s, space, couple, phi, op) -> VerificationReport:
-    return verify_k_contraction(op, _inputs(s, space), specs.t_grid_points(s["t_grid"]),
-                                s["tolerances"], s)
+    return verify_k_contraction(op, _inputs(s, space), specs.t_grid_points(s["t_grid"]), s)
 
 
 def _run_sparr(s, space, couple, phi, op) -> VerificationReport:
     ins = s["inputs"]
     return verify_sparr_batch(space, couple, ins["count"], specs.t_grid_points(s["t_grid"]),
-                              ins["scale"], s["seed"], s["tolerances"], s)
+                              ins["scale"], s["seed"], s)
 
 
 def _run_thm31a(s, space, couple, phi, op) -> VerificationReport:
-    return verify_modular_lp_linf(phi, couple.p, op, _inputs(s, space), s["tolerances"], s)
+    return verify_modular_lp_linf(phi, couple.p, op, _inputs(s, space), s)
 
 
 def _run_thm46a(s, space, couple, phi, op) -> VerificationReport:
-    return verify_modular_lp_lq(phi, couple, op, _inputs(s, space), s["tolerances"], s)
+    return verify_modular_lp_lq(phi, couple, op, _inputs(s, space), s)
 
 
 def _run_norm(s, space, couple, phi, op) -> VerificationReport:
-    return verify_norm_interpolation(phi, couple, op, _inputs(s, space), s["theorem"],
-                                     s["tolerances"], s, s["diagnostics"])
+    return verify_norm_interpolation(phi, couple, op, _inputs(s, space), s["theorem"], s,
+                                     s["diagnostics"])
 
 
 # theorem tag -> runner; specs.THEOREMS has checked the sections each runner reads

@@ -257,12 +257,29 @@ class TestVerifyCommand:
         # gives a false fail (prop22) or a vacuous pass (sparr_lemma)
         scenario = json.loads((SCENARIO_DIR / name).read_text())
         scenario["inputs"]["count"] = 20
-        scenario["t_grid"] = {"start": start, "stop": stop, "points": 5, "spacing": "linear"}
+        scenario["t_grid"] = {"start": start, "stop": stop, "points": 5}
         path = tmp_path / "s.json"
         path.write_text(json.dumps(scenario), encoding="utf-8")
         code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
         assert code == 2 and out == ""
-        assert "t_grid" in err and "Traceback" not in err
+        assert "t_grid needs a start and stop > 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name, section, key, value", [
+        ("thm46a_negative_control.json", "tolerances", "violation_rel", 2.0),
+        ("sparr_lemma_1_2.json", "tolerances", "hypothesis_slack", 1e6),
+        ("sparr_lemma_1_2.json", "t_grid", "spacing", "log"),
+    ], ids=["violation_rel", "hypothesis_slack", "spacing"])
+    def test_a_fixed_rule_set_by_the_scenario_exits_two(self, capsys, tmp_path, name, section,
+                                                         key, value):
+        # the pass thresholds and the log-spaced t-grid are not scenario settings
+        scenario = json.loads((SCENARIO_DIR / name).read_text())
+        unknown = key if section in scenario else section
+        scenario[section] = dict(scenario.get(section) or {}, **{key: value})
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
+        assert code == 2 and out == ""
+        assert f"unknown keys: ['{unknown}']" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("operator", [
         {"kind": "maximal"},
@@ -295,6 +312,19 @@ class TestUsageErrors:
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--scenario", "{dir}"],
+        ["norms", "--input", "{dir}", "--phi", '{"kind": "power", "p": 2}'],
+        ["kfunc", "--input", "{dir}", "--couple", "1,2", "--t-grid", "1:2:3"],
+        # a passing scenario, so only writing its report fails
+        ["verify", "--scenario", "thm46a.json", "--out", "{dir}"],
+    ], ids=["verify-scenario", "norms-input", "kfunc-input", "verify-out"])
+    def test_a_directory_for_a_file_exits_two(self, capsys, tmp_path, argv):
+        # exit 1 is kept for a verification that reports violations
+        code, out, err = run_cli(capsys, *(arg.replace("{dir}", str(tmp_path)) for arg in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestAsProcess:

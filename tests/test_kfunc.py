@@ -287,7 +287,7 @@ class TestLFunctional:
             got = ok.l_functional_grid(ts, x, p, q)
         assert np.all(got == np.inf)
         with pytest.raises(verify.ScenarioRejected, match="not finite"):
-            verify._Collector(None).check(got[None, :], got[None, :], "l", [x.values], ts)
+            verify._Collector().check(got[None, :], got[None, :], "l", [x.values], ts)
 
 
 class TestPointwiseSplit:

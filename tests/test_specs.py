@@ -27,8 +27,8 @@ def shipped(name: str) -> dict:
 def with_leaf(scenario: dict, path: tuple, value) -> dict:
     out = copy.deepcopy(scenario)
     node = out
-    for key in path[:-1]:
-        node = node[key]
+    for key in path[:-1]:   # a section the scenario lacks is added
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
     node[path[-1]] = value
     return out
 
@@ -150,8 +150,7 @@ class TestScenarioNormalization:
     def test_defaults_filled(self):
         norm = specs.normalize_scenario(self.BASE)
         assert norm["inputs"] == {"count": 100, "distribution": "mixed", "scale": 1.0}
-        assert norm["tolerances"]["violation_rel"] == 1e-9
-        assert norm["t_grid"] is None
+        assert "tolerances" not in norm and norm["t_grid"] is None
         assert norm["fault"] is None and norm["diagnostics"] is False
 
     def test_idempotent(self):
@@ -193,10 +192,9 @@ class TestScenarioNormalization:
     @pytest.mark.parametrize("change", [
         {"points": 0}, {"points": 2.5}, {"points": "3"}, {"points": True}, {"points": -1},
         {"start": float("nan")}, {"stop": float("inf")}, {"start": "1e-3"}, {"stop": True},
-        {"stop": 0.0}, {"start": 0, "spacing": "linear"}, {"start": -1, "spacing": "linear"},
-        {"start": 1, "stop": 0, "spacing": "linear"},
-        # K(t, .) and L(t, .) are defined for t > 0 only, whatever the spacing
-        {"start": -1, "stop": 1, "points": 5, "spacing": "linear"},
+        {"stop": 0.0}, {"start": 0}, {"start": -1}, {"start": 1, "stop": 0},
+        # K(t, .) and L(t, .) are defined for t > 0 only
+        {"start": -1, "stop": 1, "points": 5},
     ])
     def test_t_grid_values_validated(self, change):
         raw = json.loads((SCENARIO_DIR / "prop22_maximal_2inf.json").read_text())
@@ -413,6 +411,8 @@ class TestMalformedLeaves:
         ("thm46a", ("operator",), {"kind": "multiplier", "m": [0] * 8}),
         ("thm46a_negative_control", ("operator", "ops"), {}),
         ("thm46a", ("theorem",), []),
+        # every t-grid is log-spaced, so spacing is an unknown key
+        ("sparr_lemma_1_2", ("t_grid", "spacing"), "log"),
     ])
     def test_is_a_spec_error(self, name, path, value):
         with pytest.raises(specs.SpecError):

@@ -11,6 +11,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -76,13 +77,44 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_every_name_the_layer_trace_wraps_resolves():
-    # perfbench/layertrace.py wraps each (module, attribute) of FUNCTION_SPANS
-    # by getattr, and its prepare() fails on a name that is gone
+def load_layertrace():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
     spec = importlib.util.spec_from_file_location("layertrace", path)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
+    return layertrace
+
+
+def test_every_name_the_layer_trace_wraps_resolves():
+    # perfbench/layertrace.py wraps each (module, attribute) of FUNCTION_SPANS
+    # by getattr, and its prepare() fails on a name that is gone
+    layertrace = load_layertrace()
     missing = [f"{module}.{attr}" for _, module, attr, _, _ in layertrace.FUNCTION_SPANS
                if not hasattr(importlib.import_module(module), attr)]
     assert layertrace.FUNCTION_SPANS and not missing, f"traced names that are gone: {missing}"
+
+
+def test_a_traced_run_sees_its_layers_and_puts_every_original_back():
+    # prepare() also patches CertifiedOperator.apply and SampleFunction.__init__,
+    # so a traced benchmark run needs those names as well
+    from orliczkit import verify
+    from orliczkit.measure import SampleFunction, uniform_space
+
+    scenario = json.loads((PACKAGE / "scenarios" / "thm46b_norm_1_2.json").read_text())
+    scenario["inputs"]["count"] = 4
+    tracer = load_layertrace().Tracer()
+    tracer.prepare()
+    tracer.install()
+    try:
+        report = verify.run_scenario(scenario)
+        SampleFunction(uniform_space(2), [1.0, 2.0])
+    finally:
+        tracer.uninstall()
+    assert report["status"] == "pass" and report["trials"] == 4
+    for layer in ("verify.run_scenario", "verify.inputs", "operators.apply",
+                  "orlicz.luxemburg_norm", "orlicz.amemiya_norm"):
+        assert tracer.layers[layer].calls >= 1, layer
+    assert tracer.sample_functions >= 1
+    restored = [f"{owner.__name__}.{key}" for owner, key, original, _ in tracer._patches
+                if getattr(owner, key) is not original]
+    assert tracer._patches and not restored, f"still wrapped after uninstall: {restored}"

@@ -130,7 +130,7 @@ class TestKContraction:
 
 class TestCollector:
     def test_violations_in_row_major_order_with_python_fields(self):
-        collector = verify._Collector(None)
+        collector = verify._Collector()
         lhs = np.array([[1.0, 3.0, 0.5], [2.0, 1.0, 5.0]])
         rhs = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
         collector.check(lhs, rhs, "tag", np.array([[1, 2], [3, 4]]), ts=[0.5, 1.0, 2.0],
@@ -149,7 +149,7 @@ class TestCollector:
             assert all(type(w) is float for w in v.witness)
 
     def test_one_value_per_input_has_no_t(self):
-        collector = verify._Collector(None)
+        collector = verify._Collector()
         collector.check([0.0, 2.0], [1.0, 1.0], "tag", np.eye(2))
         assert [v.to_dict() for v in collector.violations] == [
             {"t": None, "input_index": 1, "lhs": 2.0, "rhs": 1.0, "margin": 1.0, "check": "tag",
@@ -161,7 +161,7 @@ class TestSparrImplication:
     def implication(x, y):
         """The conclusion checked on the one pair (x, y) when it meets the
         hypothesis: (violations, how many pairs met it)."""
-        collector = verify._Collector(None)
+        collector = verify._Collector()
         gamma = ok.sparr_gamma(COUPLE.p, COUPLE.q)
         met = verify._sparr_pairs(ok.SampleBatch(x.space, [x.values]),
                                   ok.SampleBatch(y.space, [y.values]), COUPLE,
@@ -301,15 +301,15 @@ class TestChainDiagnostics:
         scenario["inputs"] = dict(scenario["inputs"], count=20, scale=1e6)
         assert verdict(run_scenario(scenario)) == ("pass", 0)
 
-    def test_links_report_into_the_norm_report(self, space8):
+    def test_links_report_into_the_norm_report(self, space8, monkeypatch):
         phi = cached_generator_phi(1, 2, "powerlog", (0.5, 0, 0))
         op = ok.discrete_maximal(space8, COUPLE)
         inputs = ok.generate_inputs(space8, 12, "mixed", 1.0, 15)
-        plain = ok.verify_norm_interpolation(phi, COUPLE, op, inputs, "thm46b_norm",
-                                             {"chain_rel": -1.0})
+        monkeypatch.setattr(verify, "CHAIN_REL", -1.0)
+        plain = ok.verify_norm_interpolation(phi, COUPLE, op, inputs, "thm46b_norm")
         chained = ok.verify_norm_interpolation(phi, COUPLE, op, inputs, "thm46b_norm",
-                                               {"chain_rel": -1.0}, diagnostics=True)
-        # a negative chain tolerance fails the links and nothing else
+                                               diagnostics=True)
+        # a negative chain threshold fails the links and nothing else
         assert plain.status == "pass" and chained.status == "fail"
         assert {v.check for v in chained.violations} <= {
             "link1_phi_le_psi", "link2_psi_contraction", "link3_psi_le_2phi"}
@@ -666,7 +666,7 @@ class TestRunScenario:
         cm = ok.bergh_constant(couple.p) * op.max_bound
         txs = ok.SampleBatch(space, [op.apply(ok.SampleFunction(space, v)).values
                                      for v in inputs.values])
-        rel, floor = resolved["tolerances"]["norm_rel"], resolved["tolerances"]["abs_floor"]
+        rel, floor = verify.NORM_REL, verify.ABS_FLOOR
         beyond = 0
         for norm in (ok.luxemburg_norm, ok.amemiya_norm):
             lhs, rhs = norm(phi, txs), cm * norm(phi, inputs)
@@ -705,8 +705,8 @@ class TestRunScenario:
         op = dataclasses.replace(op, bound_p=op.bound_p / 10.0, bound_q=op.bound_q / 10.0)
         inputs = ok.generate_inputs(space, 40, "mixed", 1.0, resolved["seed"])
         ts = specs.t_grid_points(resolved["t_grid"])
-        report = ok.verify_k_contraction(op, inputs, ts, resolved["tolerances"])
-        rel, floor = resolved["tolerances"]["violation_rel"], resolved["tolerances"]["abs_floor"]
+        report = ok.verify_k_contraction(op, inputs, ts)
+        rel, floor = verify.VIOLATION_REL, verify.ABS_FLOOR
         expected = set()
         for i, v in enumerate(inputs.values):
             x = ok.SampleFunction(space, v)
@@ -724,18 +724,18 @@ class TestRunScenario:
         couple, ts = ExponentCouple(1, 2), np.logspace(-4, 4, 16)
         xs, ys = verify._pair_batch(ok.uniform_space(8), 60, 1.0, 12)
         gamma = 0.5 * ok.sparr_gamma(1, 2)
-        collector = verify._Collector(None)
+        collector = verify._Collector()
         met = verify._sparr_pairs(xs, ys, couple, ts, gamma, collector)
-        tol = collector.tol
+        slack, rel, floor = verify.HYPOTHESIS_SLACK, verify.VIOLATION_REL, verify.ABS_FLOOR
         expected, met_alone = set(), 0
         for i, (xv, yv) in enumerate(zip(xs.values, ys.values)):
             x, y = ok.SampleFunction(xs.space, xv), ok.SampleFunction(ys.space, yv)
             kx, ky = ok.l_functional_grid(ts, x, 1, 2), ok.l_functional_grid(ts, y, 1, 2)
-            if not np.all(kx <= ky + tol["hypothesis_slack"] * np.abs(ky) + tol["abs_floor"]):
+            if not np.all(kx <= ky + slack * np.abs(ky) + floor):
                 continue
             met_alone += 1
             lhs, rhs = ok.l_star_grid(ts, x, 1, 2), gamma * ok.l_star_grid(ts, y, 1, 2)
-            for j in np.flatnonzero(lhs > rhs + tol["violation_rel"] * np.abs(rhs) + tol["abs_floor"]):
+            for j in np.flatnonzero(lhs > rhs + rel * np.abs(rhs) + floor):
                 expected.add((i, float(ts[j]), float(lhs[j]), float(rhs[j]),
                               tuple(xv) + tuple(yv)))
         got = {(v.input_index, v.t, v.lhs, v.rhs, v.witness) for v in collector.violations}
@@ -743,11 +743,13 @@ class TestRunScenario:
         assert len(collector.violations) == len(expected) > 0
         assert got == expected
 
-    def test_violation_threshold_is_named_tolerance(self):
-        # the planted fault breaks the bound by relative margins of 0.98 to
-        # 1.61; a violation_rel above them passes every input, proving the
-        # threshold comes from the scenario, not a hard-coded constant
-        scenario = load_scenario("thm46a_negative_control.json")
-        assert run_scenario(scenario)["status"] == "fail"
-        scenario["tolerances"] = {"violation_rel": 2.0}
-        assert run_scenario(scenario)["status"] == "pass"
+    def test_a_scenario_cannot_set_its_pass_thresholds(self):
+        # the thresholds are constants of verify: a scenario that sets one,
+        # even to loosen the control's check into a pass or to widen sparr's
+        # hypothesis until a true lemma fails, is rejected as an unknown key
+        for name, tolerances in (("thm46a_negative_control.json", {"violation_rel": 2.0}),
+                                 ("sparr_lemma_1_2.json", {"hypothesis_slack": 1e6})):
+            scenario = load_scenario(name)
+            scenario["tolerances"] = tolerances
+            with pytest.raises(specs.SpecError, match="unknown keys: \\['tolerances'\\]"):
+                run_scenario(scenario)
