@@ -55,8 +55,6 @@ from .quasiconcave import (
 )
 from .verify import (
     ScenarioRejected,
-    VerificationReport,
-    Violation,
     generate_inputs,
     run_scenario,
     verify_k_contraction,

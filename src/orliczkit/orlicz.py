@@ -103,8 +103,12 @@ def power_phi(p: float) -> OrliczFunction:
         raise ValueError("p must be >= 1")
     orders = np.array([1.0, p, p * (p - 1.0)])
     orders.flags.writeable = False
-    return OrliczFunction("power", p, None, np.inf,
-                          lambda u: np.multiply.outer(orders, np.asarray(u, dtype=float) ** p))
+
+    def jet(u):
+        with np.errstate(over="ignore"):   # beyond the float range, phi is +inf
+            return np.multiply.outer(orders, np.asarray(u, dtype=float) ** p)
+
+    return OrliczFunction("power", p, None, np.inf, jet)
 
 
 # A generator phi solves for s = log u in [-LOG_U_RANGE, LOG_U_RANGE], where u
@@ -292,14 +296,22 @@ def _profile(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray,
              sigma: np.ndarray) -> np.ndarray:
     """M, sigma*M' and sigma^2*M'' (rows of the result) of each row of y at
     its own sigma, one pass of phi's jet per chunk of at most _PROFILE_ELEMS
-    entries (and at least one row); each row's sum is the same in any chunk."""
+    entries (and at least one row); each row's sum is the same in any chunk.
+    A sum beyond the float range is +inf."""
     count, n = y.shape
     chunk = max(1, _PROFILE_ELEMS // n)
     out = np.empty((3, count))
-    for start in range(0, count, chunk):
-        part = slice(start, start + chunk)
-        out[:, part] = np.sum(phi.jet(y[part] * sigma[part, None]) * weights, axis=-1)
+    with np.errstate(over="ignore"):
+        for start in range(0, count, chunk):
+            part = slice(start, start + chunk)
+            out[:, part] = np.sum(phi.jet(y[part] * sigma[part, None]) * weights, axis=-1)
     return out
+
+
+def _stationarity(mod: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """g = sigma*M' - M, and +inf where M is: the objective (1 + M) / sigma
+    is +inf there, so the minimum lies below."""
+    return np.subtract(slope, mod, out=np.full(mod.shape, np.inf), where=mod < np.inf)
 
 
 def _next_sigma(y, sigma, log_step, lo, hi, slow, last, *rest):
@@ -399,7 +411,7 @@ def _amemiya_scaled(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray) -> 
     mod, slope, curv = _profile(phi, np.repeat(y, 3, axis=0), weights, np.tile(points, count))
     mod, slope, curv = (v.reshape(count, 3) for v in (mod, slope, curv))
     best = np.min((1.0 + mod) / points, axis=1)
-    g = slope - mod
+    g = _stationarity(mod, slope)
     # a minimum lies where g - 1 turns from negative to positive: below the
     # start if g >= 1 there, above it if g > 1 only at the top
     live = np.flatnonzero((g[:, 0] < 1.0) & ((g[:, 1] >= 1.0) | (g[:, 2] > 1.0)))
@@ -407,7 +419,7 @@ def _amemiya_scaled(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray) -> 
     def step(y, sigma, lo, hi, last, best, start=None):
         mod, slope, curv = _profile(phi, y, weights, sigma) if start is None else start
         best = np.minimum(best, (1.0 + mod) / sigma)
-        g = slope - mod
+        g = _stationarity(mod, slope)
         above = g >= 1.0
         hi, lo = np.where(above, sigma, hi), np.where(above, lo, sigma)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -3,9 +3,10 @@
 A scenario names a theorem tag, a couple, a seeded input batch and the
 sections `specs.THEOREMS` says its tag takes (anything else is rejected);
 `RUNNERS` maps the tag to its verifier, and every check passes or fails by
-the fixed thresholds below, which no scenario sets. The report lists
-every violation (parameter, input index, both sides, relative margin,
-witness values); a failed precondition, such as inputs beyond phi's domain,
+the fixed thresholds below, which no scenario sets. Each verifier returns
+the report as a dict: its status, its 200 widest violations (parameter,
+input index, both sides, relative margin, witness values) and a count of
+all of them; a failed precondition, such as inputs beyond phi's domain,
 raises `ScenarioRejected` instead. Reports are deterministic given the
 seed; wall time is the only field that varies between runs.
 """
@@ -17,7 +18,7 @@ import itertools
 import operator
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -42,41 +43,6 @@ from .quasiconcave import concave_majorant
 
 class ScenarioRejected(RuntimeError):
     """A theorem precondition failed; the scenario is invalid, not falsified."""
-
-
-@dataclass(frozen=True)
-class Violation:
-    t: float | None
-    input_index: int
-    lhs: float
-    rhs: float
-    margin: float
-    check: str
-    witness: tuple = ()
-
-    def to_dict(self) -> dict:
-        return dict(vars(self), witness=list(self.witness))
-
-
-@dataclass
-class VerificationReport:
-    scenario: dict
-    status: str
-    trials: int
-    violations: list[Violation]
-    wall_ms: float
-    details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        ordered = sorted(self.violations, key=lambda v: (-v.margin, v.input_index, v.t or 0.0))
-        return {
-            "scenario": self.scenario,
-            "status": self.status,
-            "trials": self.trials,
-            "violations": [v.to_dict() for v in ordered[:200]],
-            "wall_ms": self.wall_ms,
-            "details": dict(self.details, violation_count=len(self.violations)),
-        }
 
 
 # Pass thresholds. A check lhs <= rhs fails where lhs > rhs + rel * |rhs| +
@@ -108,14 +74,15 @@ class _Collector:
 
     def __init__(self):
         self.started = time.perf_counter()
-        self.violations: list[Violation] = []
+        self.violations: list[dict] = []
 
     def check(self, lhs, rhs, tag: str, witness, ts=None, index=None,
               rel: float = VIOLATION_REL, abs_floor: float = ABS_FLOOR) -> None:
         """lhs <= rhs to the thresholds rel and abs_floor: one value or one
         row (a column per t in ts) per input, with each input's witness values
         and index (0, 1, ... by default). A side that is not finite cannot be
-        checked, so it rejects the scenario."""
+        checked, so it rejects the scenario. Each violation is kept as the
+        dict the report lists, with Python floats and ints."""
         lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
         if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
             raise ScenarioRejected(f"check {tag!r} has a side that is not finite; "
@@ -132,20 +99,25 @@ class _Collector:
         index_col = (rows if index is None else np.asarray(index)[rows]).tolist()
         witness_col = np.asarray(witness, dtype=float)[rows].tolist()
         self.violations += [
-            Violation(t, i, lv, rv, mv, tag, tuple(wv))
+            {"t": t, "input_index": i, "lhs": lv, "rhs": rv, "margin": mv, "check": tag,
+             "witness": wv}
             for t, i, lv, rv, mv, wv in zip(t_col, index_col, left.tolist(), right.tolist(),
                                             margins.tolist(), witness_col)]
 
     def report(self, tag: str, trials: int, details: dict,
-               scenario: dict | None = None) -> VerificationReport:
-        return VerificationReport(
-            scenario=scenario if scenario is not None else {"theorem": tag, "inline": True},
-            status="pass" if not self.violations else "fail",
-            trials=trials,
-            violations=self.violations,
-            wall_ms=(time.perf_counter() - self.started) * 1000.0,
-            details=details,
-        )
+               scenario: dict | None = None) -> dict:
+        """The report: the 200 widest violations, widest first (ties by input
+        index, then t), and `details.violation_count` counting all of them."""
+        ordered = sorted(self.violations,
+                         key=lambda v: (-v["margin"], v["input_index"], v["t"] or 0.0))
+        return {
+            "scenario": scenario if scenario is not None else {"theorem": tag, "inline": True},
+            "status": "pass" if not self.violations else "fail",
+            "trials": trials,
+            "violations": ordered[:200],
+            "wall_ms": (time.perf_counter() - self.started) * 1000.0,
+            "details": dict(details, violation_count=len(self.violations)),
+        }
 
 
 @contextmanager
@@ -240,22 +212,6 @@ def _child_rngs(seed: int, count: int):
         yield rng
 
 
-def _signs(rng, n: int) -> np.ndarray:
-    """n signs +-1.0, the values and generator state `_SIGNS[rng.integers(0,
-    2, n)]` gives on a generator with no buffered 32-bit half, as each row's
-    first draw has. `integers(0, 2)` takes bit 31 of a 32-bit draw, and
-    PCG64 draws 32 bits as the low half of a 64-bit word, then its high
-    half: so bits 31 and 63 of each raw word, read as little-endian 32-bit
-    halves. An odd n ends with one scalar draw, which buffers the high half
-    of its word as `integers` does."""
-    bits = np.empty(n, dtype=np.uint32)
-    words = rng.bit_generator.random_raw(n // 2).astype("<u8", copy=False)
-    np.right_shift(words.view("<u4"), 31, out=bits[:n - n % 2])
-    if n % 2:
-        bits[-1] = rng.integers(0, 2)
-    return _SIGNS[bits]
-
-
 def generate_inputs(space, count: int, distribution: str = "mixed",
                     scale: float = 1.0, seed: int = 0) -> SampleBatch:
     """Seeded input batch: input i is drawn from NumPy's PCG64 seeded by
@@ -277,7 +233,7 @@ def generate_inputs(space, count: int, distribution: str = "mixed",
             if kind == "uniform":
                 out[i] = rng.uniform(-scale, scale, n)
             elif kind == "lognormal":
-                out[i] = _signs(rng, n) * np.exp(rng.normal(0.0, 1.0, n)) * scale
+                out[i] = _SIGNS[rng.integers(0, 2, n)] * np.exp(rng.normal(0.0, 1.0, n)) * scale
             elif kind == "spikes":
                 support = rng.choice(n, size=rng.integers(1, max(2, n // 3 + 1)), replace=False)
                 out[i, support] = _SIGNS[rng.integers(0, 2, support.size)] * rng.uniform(0.25, 1.0, support.size) * scale
@@ -295,7 +251,7 @@ def _couple_k_grid(ts: np.ndarray, x: SampleBatch, couple: ExponentCouple) -> np
 
 
 def verify_k_contraction(op: CertifiedOperator, inputs: SampleBatch,
-                         t_grid, scenario: dict | None = None) -> VerificationReport:
+                         t_grid, scenario: dict | None = None) -> dict:
     """K_{p,q}(t, Tx/M) <= K_{p,q}(t, x) on every input and grid parameter."""
     collector = _Collector()
     ts = np.asarray(t_grid, dtype=float)
@@ -332,7 +288,7 @@ def _pair_batch(space, count: int, scale: float, seed: int) -> tuple[SampleBatch
     xs, ys = np.empty((count, n)), np.empty((count, n))
     with _draws(scale, xs, ys):
         for i, rng in enumerate(_child_rngs(seed, count)):
-            y_vals = _signs(rng, n) * np.exp(rng.normal(0.0, 0.8, n)) * scale
+            y_vals = _SIGNS[rng.integers(0, 2, n)] * np.exp(rng.normal(0.0, 0.8, n)) * scale
             mode = i % 4
             if mode == 0:
                 x_vals = rng.random(n) * y_vals
@@ -348,7 +304,7 @@ def _pair_batch(space, count: int, scale: float, seed: int) -> tuple[SampleBatch
 
 def verify_sparr_batch(space, couple: ExponentCouple, count: int, t_grid,
                        scale: float = 1.0, seed: int = 0,
-                       scenario: dict | None = None) -> VerificationReport:
+                       scenario: dict | None = None) -> dict:
     """Run the implication over a seeded pair batch; neutral pairs are
     counted but never failed."""
     collector = _Collector()
@@ -361,7 +317,7 @@ def verify_sparr_batch(space, couple: ExponentCouple, count: int, t_grid,
 
 def verify_modular_lp_linf(phi: OrliczFunction, p: float, op: CertifiedOperator,
                            inputs: SampleBatch,
-                           scenario: dict | None = None) -> VerificationReport:
+                           scenario: dict | None = None) -> dict:
     """Modular contraction against the sharp truncation constant.
 
     Precondition (rejected, not failed): u -> phi(u^{1/p}) is convex, which
@@ -386,7 +342,7 @@ def _require_h_form(phi: OrliczFunction, tag: str) -> None:
 
 def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
                          op: CertifiedOperator, inputs: SampleBatch,
-                         scenario: dict | None = None) -> VerificationReport:
+                         scenario: dict | None = None) -> dict:
     """Modular comparison with the sharp two-piece-cost constant."""
     collector = _Collector()
     _require_h_form(phi, "thm46a")
@@ -470,7 +426,7 @@ def _check_chain(phi: OrliczFunction, couple: ExponentCouple, inputs: SampleBatc
 def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
                               op: CertifiedOperator, inputs: SampleBatch, theorem: str,
                               scenario: dict | None = None,
-                              diagnostics: bool = False) -> VerificationReport:
+                              diagnostics: bool = False) -> dict:
     """||Tx|| <= C * M * ||x|| in both the Luxemburg and Amemiya norms, with
     the constant C that `specs.THEOREMS` names for the norm tag `theorem`.
     The Amemiya check runs only on a convex phi; on an h-form whose h has a
@@ -513,25 +469,25 @@ def _inputs(s: dict, space) -> SampleBatch:
     return generate_inputs(space, ins["count"], ins["distribution"], ins["scale"], s["seed"])
 
 
-def _run_prop22(s, space, couple, phi, op) -> VerificationReport:
+def _run_prop22(s, space, couple, phi, op) -> dict:
     return verify_k_contraction(op, _inputs(s, space), specs.t_grid_points(s["t_grid"]), s)
 
 
-def _run_sparr(s, space, couple, phi, op) -> VerificationReport:
+def _run_sparr(s, space, couple, phi, op) -> dict:
     ins = s["inputs"]
     return verify_sparr_batch(space, couple, ins["count"], specs.t_grid_points(s["t_grid"]),
                               ins["scale"], s["seed"], s)
 
 
-def _run_thm31a(s, space, couple, phi, op) -> VerificationReport:
+def _run_thm31a(s, space, couple, phi, op) -> dict:
     return verify_modular_lp_linf(phi, couple.p, op, _inputs(s, space), s)
 
 
-def _run_thm46a(s, space, couple, phi, op) -> VerificationReport:
+def _run_thm46a(s, space, couple, phi, op) -> dict:
     return verify_modular_lp_lq(phi, couple, op, _inputs(s, space), s)
 
 
-def _run_norm(s, space, couple, phi, op) -> VerificationReport:
+def _run_norm(s, space, couple, phi, op) -> dict:
     return verify_norm_interpolation(phi, couple, op, _inputs(s, space), s["theorem"], s,
                                      s["diagnostics"])
 
@@ -557,8 +513,7 @@ def run_scenario(raw_scenario: dict, jobs: int = 1) -> dict:
     if scenario["fault"]:   # normalized: a fault that plants nothing is None
         op = replace(op, bound_p=op.bound_p / 2.0, bound_q=op.bound_q / 2.0)
     try:
-        report = RUNNERS[scenario["theorem"]](scenario, space, couple, phi, op)
+        return RUNNERS[scenario["theorem"]](scenario, space, couple, phi, op)
     except DomainOverflowError as exc:
         raise ScenarioRejected(
             f"generated inputs leave phi's domain, u_max = {phi.u_max:g}: {exc}") from None
-    return report.to_dict()

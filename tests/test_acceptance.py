@@ -162,7 +162,7 @@ def test_criterion_05_modular_lp_linf():
             for op_name, op in operators.items():
                 inputs = ok.generate_inputs(space, 500, dist, 1.0, stable_seed(rho_name, op_name, p))
                 report = ok.verify_modular_lp_linf(phi, p, op, inputs)
-                passed = passed and report.status == "pass" and not report.violations
+                passed = passed and report["status"] == "pass" and not report["violations"]
                 runs += 1
     orlicz_case = run_scenario(load_scenario("thm31a_p1_orlicz.json"))
     passed = passed and orlicz_case["status"] == "pass"
@@ -203,14 +203,14 @@ def test_criterion_06_modular_lp_lq():
                 inputs = ok.generate_inputs(space, 500, "mixed", 1.0,
                                             stable_seed(h_name, op_name, p, q))
                 report = ok.verify_modular_lp_lq(phi, couple, op, inputs)
-                passed = passed and report.status == "pass" and not report.violations
+                passed = passed and report["status"] == "pass" and not report["violations"]
                 runs += 1
         phi_gen = cached_generator_phi(p, q, "powerlog", (0.5, 0, 0))
         chain = ok.verify_norm_interpolation(phi_gen, couple,
                                              ok.averaging_operator(space, couple),
                                              ok.generate_inputs(space, 100, "mixed", 1.0, 4600 + int(p)),
                                              "thm46b_norm", diagnostics=True)
-        passed = passed and chain.status == "pass"
+        passed = passed and chain["status"] == "pass"
     elapsed = time.perf_counter() - start
     announce(6, "modular-lp-lq", passed, f"{runs} runs x 500 inputs + chain links, {elapsed:.1f}s")
 
@@ -240,7 +240,7 @@ def test_criterion_07_norm_constants():
     for idx, (phi, couple, op, theorem) in enumerate(cases):
         inputs = ok.generate_inputs(space, 100, "mixed", 1.0, 770000 + idx)
         report = ok.verify_norm_interpolation(phi, couple, op, inputs, theorem)
-        passed = passed and report.status == "pass" and not report.violations
+        passed = passed and report["status"] == "pass" and not report["violations"]
     both_under_two = all(c < 2.0 for c in linear_constants.values())
     elapsed = time.perf_counter() - start
     announce(7, "norm-constants", passed and both_under_two,

@@ -2,12 +2,23 @@
 
 Hypothesis draws, with `derandomize=True` so that every run sees the same
 scenarios: every theorem tag, with a couple inside the tag's rule; phi as a
-power, a generator of each of the five rho kinds, or an h-form; every
-operator kind, with `max_of` over the others; every input distribution the
-tag takes; n in 1..16 uniform atoms; `inputs.scale` in 1e-6..1e6; a halved
-certificate on some of the scenarios that read `fault`; and `diagnostics`
-on `thm46b_norm`. The arrays of a scenario (multipliers, matrices, line
-tables) come from a NumPy generator seeded by one drawn integer.
+power of exponent in [p, min(q, 64)], a generator of each of the five rho
+kinds, or an h-form whose h is affine half the time (the only convex
+h-forms, the ones whose Amemiya norm is checked) and has a slope drop
+otherwise; every operator kind, with `max_of` over the others; every input
+distribution the tag takes; n in 1..16 uniform atoms; `inputs.scale` in
+1e-6..1e6; a halved certificate on some of the scenarios that read `fault`;
+and `diagnostics` on `thm46b_norm`. The arrays of a scenario (multipliers,
+matrices, line tables) come from a NumPy generator seeded by one drawn
+integer.
+
+Explicit weights are not drawn yet. The second property below cannot hold
+on them: the sparr hypothesis is decided on the scenario's t-grid alone, so
+a pair that meets it there but not for every t > 0 can fail a true lemma,
+and weighted atoms show this more often than uniform ones. Two uniform
+cases are pinned by the strict xfail
+`TestSparrImplication::test_grid_hypothesis_gives_no_false_alarm` in
+`tests/test_verify.py` (ROADMAP item 4).
 
 Two properties hold on every draw, under the suite's warnings-as-errors:
 - the outcome is a report, a `SpecError` or a `ScenarioRejected`;
@@ -33,6 +44,14 @@ OPERATOR_KINDS = ("identity", "multiplier", "truncation", "matrix", "averaging",
 
 def exponent(value: float):
     return "inf" if math.isinf(value) else value
+
+
+def affine_table(rng) -> dict:
+    """An affine record: one slope in e^[-5, 3] through one knot at 1, and a
+    value >= 0 at 0."""
+    slope = float(np.exp(rng.uniform(-5.0, 3.0)))
+    at_zero = 0.0 if rng.random() < 0.5 else float(np.exp(rng.uniform(-5.0, 3.0)))
+    return {"knots": [1.0], "values": [at_zero + slope], "slope0": slope, "slope_inf": slope}
 
 
 def line_table(rng) -> dict:
@@ -100,13 +119,14 @@ def scenarios(draw) -> dict:
     if "phi" in sections:
         kind = draw(st.sampled_from(("power", "generator", "h")))
         if kind == "power":
-            top = min(q, p + 4.0)
+            top = min(q, 64.0)
             scenario["phi"] = {"kind": kind, "p": p + draw(st.floats(0.0, 1.0)) * (top - p)}
         elif kind == "generator":
             rho = rho_record(draw(st.sampled_from(RHO_KINDS)), rng)
             scenario["phi"] = {"kind": kind, "p": p, "q": exponent(q), "rho": rho}
         else:
-            scenario["phi"] = {"kind": kind, "p": p, "q": exponent(q), "h": line_table(rng)}
+            h = affine_table(rng) if draw(st.booleans()) else line_table(rng)
+            scenario["phi"] = {"kind": kind, "p": p, "q": exponent(q), "h": h}
     if "operator" in sections:
         scenario["operator"] = operator_record(draw(st.sampled_from(OPERATOR_KINDS)), n, rng)
     if "t_grid" in sections:

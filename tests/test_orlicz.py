@@ -314,6 +314,31 @@ class TestNewtonNorms:
         np.testing.assert_allclose(ok.luxemburg_norm(phi, xs), luxemburg_bisect(phi, xs),
                                    rtol=1e-10, atol=0.0)
 
+    @pytest.mark.parametrize("name", ["h-40", "h-64", "power-39", "power-50"])
+    def test_phi_beyond_the_float_range_at_the_top_agrees_with_the_golden_oracle(self, name):
+        # phi at the top sigma = 1e8 of the Amemiya range is beyond the float
+        # range, so M = inf there; g = sigma*M' - M read inf - inf = nan, the
+        # h-forms' minimum above sigma = 1 was never searched and the norm
+        # came out 5.8% (q = 40) and 2.9% (q = 64) too high, and the power
+        # jet and the profile sum warned of the overflow
+        kind, exponent = name.split("-")
+        if kind == "h":
+            affine = ok.PiecewiseLinearConcave([1.0], [2e-3], 1e-3, 1e-3)   # 1e-3 (1 + s)
+            phi = ok.build_from_h(ExponentCouple(1, int(exponent)), affine)
+        else:
+            phi = ok.power_phi(int(exponent))
+        x = sample([0.3, -1.0, 0.05, 0.7], [0.25] * 4)
+        assert ok.amemiya_norm(phi, x) == pytest.approx(amemiya_golden(phi, x), rel=1e-12)
+
+    def test_heavy_weight_beyond_the_float_range_sums_without_warning(self):
+        # phi = v^40 reaches e^690 at its u_max = 3.1e7, and a weight of
+        # 1.4e6 takes w * phi there beyond the float range: the profile sum
+        # warned of the overflow in its multiply
+        phi = ok.build_from_generator(ExponentCouple(20, np.inf), ok.power_log_rho(0.5, 0, 0))
+        x = sample([1.0, 0.5, -0.3], [1.4e6, 1.0, 2.0])
+        assert ok.amemiya_norm(phi, x) == pytest.approx(amemiya_golden(phi, x), rel=1e-12)
+        assert ok.luxemburg_norm(phi, x) == pytest.approx(luxemburg_bisect(phi, x), rel=1e-10)
+
     @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.parametrize("p", [1, 2])
     def test_phi_that_is_zero_near_zero_agrees_with_the_search_oracles(self, p, scale):
