@@ -136,8 +136,8 @@ def cmd_majorant(args) -> int:
         "plc": {
             "knots": [float(fmt(v)) for v in plc.knots],
             "values": [float(fmt(v)) for v in plc.values],
-            "slope0": float(fmt(plc.slope0)),
-            "slope_inf": float(fmt(plc.slope_inf)),
+            "slope0": float(fmt(plc.slopes[0])),
+            "slope_inf": float(fmt(plc.slopes[-1])),
         },
         "peetre": {
             "a": float(fmt(rep.a)),
@@ -156,7 +156,7 @@ def cmd_norms(args) -> int:
     lux = luxemburg_norm(phi, x)
     # on a non-convex phi the Amemiya search may stop at a local minimum,
     # which is no norm value, so none is printed
-    am = amemiya_norm(phi, x) if phi.meta.get("convex", True) else None
+    am = amemiya_norm(phi, x) if phi.convex else None
     if am is None:
         print("note: phi is not convex, so the Amemiya norm is not computed", file=sys.stderr)
     if args.format == "csv":

@@ -59,9 +59,6 @@ class SampleFunction:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", v)
 
-    def abs_values(self) -> np.ndarray:
-        return np.abs(self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
@@ -90,14 +87,10 @@ class SampleBatch:
         """The batch of the members at an index array or slice."""
         return SampleBatch(self.space, self.values[rows])
 
-    def abs_values(self) -> np.ndarray:
-        return np.abs(self.values)
-
     def scaled(self, factor: float) -> "SampleBatch":
         return SampleBatch(self.space, self.values * factor)
 
 
 def abs_rows(x: SampleFunction | SampleBatch) -> tuple[np.ndarray, bool]:
     """|values| with one row per member, and whether x is a single function."""
-    mags = x.abs_values()
-    return np.atleast_2d(mags), mags.ndim == 1
+    return np.abs(np.atleast_2d(x.values)), x.values.ndim == 1

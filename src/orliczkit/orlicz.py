@@ -6,7 +6,7 @@ inverse is u^{1/p} * rho(u^{1/q-1/p}), with 1/q = 0 when q is infinite), and
 closed-form builds u^q * h(u^{p-q}) from a concave piecewise linear h. No
 build probes the phi it made: a power phi is convex for p >= 1; an h-form is
 nondecreasing with phi(0) = 0, since its table's slopes and intercepts are
->= 0, and `meta["convex"]` says exactly when it is convex; and a generator
+>= 0, and its `convex` field says exactly when it is convex; and a generator
 phi is convex once rho passes the pointwise checks on its jet. A concave
 rho >= 0 is inf_j (a_j + b_j t) with a_j, b_j >= 0, so the inverse
 inf_j (a_j u^{1/p} + b_j u^{1/q}) is concave (Maligranda, Orlicz Spaces and
@@ -23,9 +23,8 @@ wide batch into jet calls of at most _PROFILE_ELEMS entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -69,11 +68,12 @@ class OrliczFunction:
     derivatives at a knot. The factors u and u^2 keep every row finite at
     u = 0, where phi'' of u^p with p < 2 is not. Calling the function checks
     the domain and returns the jet's first row, so the modular and both norm
-    searches read the same numbers.
+    searches read the same numbers. `convex` is false only for an h-form
+    whose h has a slope drop; every other build is convex.
 
     A built phi is immutable, because `specs.resolve_phi` shares one per spec
-    across reports: the fields are frozen, `meta` is a read-only mapping, and
-    the arrays a jet reads are read-only. It hashes and compares by identity.
+    across reports: the fields are frozen and the arrays a jet reads are
+    read-only. It hashes and compares by identity.
     """
 
     kind: str
@@ -81,10 +81,7 @@ class OrliczFunction:
     q: float | None
     u_max: float
     jet: Callable[[np.ndarray], np.ndarray]
-    meta: Mapping = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
+    convex: bool = True
 
     def __call__(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -159,10 +156,11 @@ def build_from_generator(couple: ExponentCouple, rho: Callable) -> OrliczFunctio
     first reaches it.
     """
     grid = log_grid(points_per_decade=16)
-    worst = quasiconcavity_violation(rho(grid))
+    grid_rows = rho(grid)
+    worst = quasiconcavity_violation(grid_rows)
     if worst > QUASICONCAVITY_TOL:
         raise ValueError(f"rho fails the quasi-concavity check ({worst:.3e})")
-    conc = concavity_violation(rho, grid)
+    conc = concavity_violation(grid_rows, grid)
     if conc > 1e-8:
         raise ValueError(f"rho fails the concavity check ({conc:.3e})")
     p, q = couple.p, couple.q
@@ -267,7 +265,7 @@ def build_from_h(couple: ExponentCouple, h: PiecewiseLinearConcave) -> OrliczFun
     # which is negative at every slope drop: phi is convex exactly when h has
     # none, that is when h is affine
     convex = bool(np.all(h.slopes[1:] >= h.slopes[:-1]))
-    return OrliczFunction("h", p, q, np.inf, jet, {"h_knots": int(h.knots.size), "convex": convex})
+    return OrliczFunction("h", p, q, np.inf, jet, convex)
 
 
 def modular(phi: OrliczFunction, x: SampleFunction | SampleBatch):
@@ -402,7 +400,7 @@ def _amemiya_scaled(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray) -> 
     bisection fallback, until the step is below AMEMIYA_LOG_STEP. The first
     pass evaluates both ends too. Returns the least objective evaluated, an
     attained upper bound; for the non-convex concave-h crossover functions
-    (`meta["convex"]` false) it may be a local minimum above the infimum.
+    (`convex` false) it may be a local minimum above the infimum.
     """
     count = y.shape[0]
     top = min(AMEMIYA_RANGE[1], phi.u_max)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,13 +50,12 @@ def quasiconcavity_violation(rows: np.ndarray) -> float:
     return float(np.maximum(-elast, elast - 1.0).max(initial=0.0))
 
 
-def concavity_violation(rho: Callable, grid: np.ndarray) -> float:
-    """Worst relative rise of rho' = (t*rho')/t, read off the jet, from one
-    grid point to the next (0 for a concave rho). Chords would carry a
-    rounding error of a large value over a short step near t = 0; a table's
-    slopes come out exact."""
-    grid = np.asarray(grid, dtype=float)
-    slopes = rho(grid)[1] / grid
+def concavity_violation(rows: np.ndarray, grid: np.ndarray) -> float:
+    """Worst relative rise of rho' = (t*rho')/t, read off row 1 of rho's jet
+    on the grid, from one grid point to the next (0 for a concave rho).
+    Chords would carry a rounding error of a large value over a short step
+    near t = 0; a table's slopes come out exact."""
+    slopes = rows[1] / np.asarray(grid, dtype=float)
     scale = np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:]))
     scale = np.maximum(scale, 1e-300)
     rises = (slopes[1:] - slopes[:-1]) / scale
@@ -114,8 +113,8 @@ def max_one_rho() -> Callable:
 class PiecewiseLinearConcave:
     """Concave piecewise linear function on (0, inf), nonnegative.
 
-    Linear with slope0 on (0, knots[0]], interpolates the knots, and
-    continues with slope_inf beyond the last knot. Slopes must be
+    Built from knots, values and the slopes slope0 on (0, knots[0]] and
+    slope_inf beyond the last knot, it interpolates the knots. Slopes must be
     nonincreasing and the limit at 0+ nonnegative.
 
     `slopes` and `intercepts` (read-only) hold one line per piece: below
@@ -128,8 +127,6 @@ class PiecewiseLinearConcave:
 
     knots: np.ndarray
     values: np.ndarray
-    slope0: float
-    slope_inf: float
     slopes: np.ndarray
     intercepts: np.ndarray
 
@@ -169,12 +166,6 @@ class PiecewiseLinearConcave:
                           ("intercepts", intercepts)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "slope0", float(slopes[0]))
-        object.__setattr__(self, "slope_inf", float(slopes[-1]))
-
-    @property
-    def value_at_zero(self) -> float:
-        return float(self.intercepts[0])
 
     def __call__(self, u) -> np.ndarray:
         return self.jet(u)[0]
@@ -262,38 +253,13 @@ def concave_majorant(rho: Callable, grid: np.ndarray | None = None,
     return PiecewiseLinearConcave._from_lines(cuts, a, b)
 
 
-@dataclass(frozen=True, eq=False)
-class PeetreRepresentation:
+class PeetreRepresentation(NamedTuple):
     """Concave decomposition h(u) = a + b*u + sum_i m_i * min(u, t_i)."""
 
     a: float
     b: float
     atom_locations: np.ndarray
     atom_masses: np.ndarray
-
-    def __init__(self, a: float, b: float,
-                 atom_locations: Sequence[float] = (), atom_masses: Sequence[float] = ()):
-        locs = np.asarray(atom_locations, dtype=float).copy()
-        masses = np.asarray(atom_masses, dtype=float).copy()
-        if locs.shape != masses.shape or locs.ndim != 1:
-            raise ValueError("atom locations and masses must match")
-        if np.any(locs <= 0.0) or np.any(masses <= 0.0):
-            raise ValueError("atoms need positive locations and masses")
-        if a < 0.0 or b < 0.0:
-            raise ValueError("a and b must be nonnegative")
-        locs.flags.writeable = False
-        masses.flags.writeable = False
-        object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "b", float(b))
-        object.__setattr__(self, "atom_locations", locs)
-        object.__setattr__(self, "atom_masses", masses)
-
-    def __call__(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        out = self.a + self.b * u
-        if self.atom_locations.size:
-            out = out + np.minimum(u[..., None], self.atom_locations).dot(self.atom_masses)
-        return out
 
 
 def peetre_decompose(h: PiecewiseLinearConcave) -> PeetreRepresentation:
@@ -305,6 +271,5 @@ def peetre_decompose(h: PiecewiseLinearConcave) -> PeetreRepresentation:
     """
     drops = h.slopes[:-1] - h.slopes[1:]
     keep = drops > 0.0
-    return PeetreRepresentation(
-        h.value_at_zero, h.slope_inf, h.knots[keep], drops[keep]
-    )
+    return PeetreRepresentation(float(h.intercepts[0]), float(h.slopes[-1]),
+                                h.knots[keep], drops[keep])

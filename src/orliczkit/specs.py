@@ -243,10 +243,8 @@ class Theorem(NamedTuple):
     requires: tuple[str, ...]        # sections that must be given
     reads: tuple[str, ...] = ()      # optional sections it reads
     q_inf: bool | None = False       # q = inf (True), finite (False) or either (None)
-    p_above_one: bool = False        # whether it needs p > 1
     distributions: tuple[str, ...] = INPUT_DISTRIBUTIONS
     constant: str | None = None      # key of constants.NORM_CONSTANTS (norm tags only)
-    linear: bool = False             # whether the operator must be linear
     gamma: bool = False              # whether it reads sparr_gamma(p, q), so needs q <= GAMMA_MAX
 
 
@@ -263,10 +261,7 @@ THEOREMS = {
     "thm46b_norm": Theorem(("phi", "operator"), ("fault", "diagnostics"), constant="subadditive",
                            gamma=True),
     "remark_concave_h": Theorem(("phi", "operator"), ("fault",), constant="concave_h", gamma=True),
-    # the duality constant needs a conjugate exponent p' < inf, and its dual
-    # branch reads gamma(q', p'), so p' <= GAMMA_MAX too
-    "thm51_linear": Theorem(("phi", "operator"), ("fault",), p_above_one=True,
-                            constant="linear", linear=True, gamma=True),
+    "thm51_linear": Theorem(("phi", "operator"), ("fault",), constant="linear", gamma=True),
 }
 
 
@@ -279,14 +274,18 @@ def check_theorem(tag: Any, couple: ExponentCouple,
     record = THEOREMS[tag]
     if record.q_inf is not None and couple.q_is_inf != record.q_inf:
         raise SpecError(f"{tag} needs {'q = inf' if record.q_inf else 'a finite q'}")
-    if record.p_above_one and not couple.p > 1.0:
-        raise SpecError(f"{tag} needs p > 1")
+    # the duality constant needs p > 1 for a conjugate exponent p' < inf, its
+    # dual branch reads gamma(q', p'), so p' <= GAMMA_MAX too, and it holds
+    # for a linear operator alone
+    if record.constant == "linear":
+        if not couple.p > 1.0:
+            raise SpecError(f"{tag} needs p > 1")
+        if conjugate_exponent(couple.p) > GAMMA_MAX:
+            raise SpecError(f"{tag} needs p' = p/(p-1) <= {GAMMA_MAX:g}, the range of sparr_gamma")
+        if op is not None and op.kind != ops.KIND_LINEAR:
+            raise SpecError(f"{tag} needs a linear operator, not a {op.kind} one")
     if record.gamma and couple.q > GAMMA_MAX:
         raise SpecError(f"{tag} needs q <= {GAMMA_MAX:g}, the range of sparr_gamma")
-    if record.constant == "linear" and conjugate_exponent(couple.p) > GAMMA_MAX:
-        raise SpecError(f"{tag} needs p' = p/(p-1) <= {GAMMA_MAX:g}, the range of sparr_gamma")
-    if record.linear and op is not None and op.kind != ops.KIND_LINEAR:
-        raise SpecError(f"{tag} needs a linear operator, not a {op.kind} one")
     return record
 
 
@@ -413,6 +412,8 @@ def parse_range(text: str, what: str = "grid", log: bool = False) -> np.ndarray:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise SpecError(f"{what} must look like start:stop:count") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise SpecError(f"{what} needs a finite start and stop")
     if log and (start <= 0.0 or stop < start or (stop == start and count > 1)):
         raise SpecError(f"{what} needs 0 < start <= stop and a positive count")
     if count < 1:

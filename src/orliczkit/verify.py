@@ -385,11 +385,13 @@ def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[Call
 
 
 @functools.lru_cache(maxsize=specs.PHI_CACHE_SIZE)
-def _majorant_psi(phi: OrliczFunction, couple: ExponentCouple) -> OrliczFunction:
-    """The concave-h build on the concave majorant of phi's h, made once per
-    (phi, couple); a shared phi hashes by identity."""
+def _majorant_psi(phi: OrliczFunction, couple: ExponentCouple) -> tuple[OrliczFunction, int]:
+    """The concave-h build on the concave majorant of phi's h, and the
+    majorant's knot count, made once per (phi, couple); a shared phi hashes
+    by identity."""
     h_jet, s_grid = _h_from_generator(phi, couple)
-    return build_from_h(couple, concave_majorant(h_jet, grid=s_grid, extend_decades=0.0))
+    majorant = concave_majorant(h_jet, grid=s_grid, extend_decades=0.0)
+    return build_from_h(couple, majorant), int(majorant.knots.size)
 
 
 def _stack(top: SampleBatch, bottom: SampleBatch) -> SampleBatch:
@@ -410,7 +412,7 @@ def _check_chain(phi: OrliczFunction, couple: ExponentCouple, inputs: SampleBatc
     thresholds (the majorant is numerically derived, unlike the analytic
     constants of the main inequality); txs is Tx/M.
     """
-    psi = _majorant_psi(phi, couple)
+    psi, knots = _majorant_psi(phi, couple)
     gamma = sparr_gamma(couple.p, couple.q)
     both, count = _stack(txs, inputs), len(inputs)
     phi_both, psi_both = modular(phi, both), modular(psi, both)
@@ -420,7 +422,7 @@ def _check_chain(phi: OrliczFunction, couple: ExponentCouple, inputs: SampleBatc
                           (psi_tx, gamma_psi_x, "link2_psi_contraction"),
                           (gamma_psi_x, two_gamma_phi_x, "link3_psi_le_2phi")):
         collector.check(lhs, rhs, tag, inputs.values, rel=CHAIN_REL, abs_floor=CHAIN_ABS_FLOOR)
-    return {"gamma": gamma, "mode": "chain_diagnostics", "majorant_knots": psi.meta["h_knots"]}
+    return {"gamma": gamma, "mode": "chain_diagnostics", "majorant_knots": knots}
 
 
 def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
@@ -453,7 +455,7 @@ def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
     # the Amemiya search may stop at a local minimum of a non-convex phi, and
     # a value above the infimum is no rhs; power and generator builds are
     # convex by construction (see `orlicz`), an h-form records it
-    if phi.meta.get("convex", True):
+    if phi.convex:
         am = amemiya_norm(phi, both)
         collector.check(am[:count], cm * am[count:], "amemiya", inputs.values, rel=NORM_REL)
     else:

@@ -6,8 +6,9 @@ Nothing in the package calls these; each is written for clarity, not speed.
   `lp_integral`, `sup_norm` and `cumulative_p_integral`, the route behind the
   Kree sandwich (`kree_bounds`) for the (L^p, L^inf) K-functional and the
   step-function modular (`modular_of_step`).
-- Peetre decompositions: `reconstruct` inverts `peetre_decompose`, and
-  `phi_expansion` expands the h-form Orlicz function from the decomposition.
+- Peetre decompositions: `peetre_value` evaluates one, `reconstruct` inverts
+  `peetre_decompose`, and `phi_expansion` expands the h-form Orlicz function
+  from the decomposition.
 - Operators, written against the batched `CertifiedOperator.apply`: the draws
   of a probe run are made one pair or one input at a time, in the order a
   per-input loop would make them, and then applied as one batch.
@@ -304,7 +305,7 @@ def rearrangement(x: SampleFunction) -> StepFunction:
     Sorts (|value|, weight) pairs by |value| descending, accumulates weights,
     and merges equal levels into a single step.
     """
-    mags = x.abs_values()
+    mags = np.abs(x.values)
     order = np.argsort(-mags, kind="stable")
     sorted_mags = mags[order]
     sorted_w = x.space.weights[order]
@@ -329,12 +330,12 @@ def lp_integral(x: Union[SampleFunction, StepFunction], p: float) -> float:
         raise ValueError("p must lie in [1, inf)")
     if isinstance(x, StepFunction):
         return float(np.sum(x.levels**p * x.widths))
-    return float(np.sum(x.abs_values() ** p * x.space.weights))
+    return float(np.sum(np.abs(x.values) ** p * x.space.weights))
 
 
 def sup_norm(x: SampleFunction) -> float:
     """Essential supremum, here simply max |x_i|."""
-    return float(np.max(x.abs_values()))
+    return float(np.max(np.abs(x.values)))
 
 
 def cumulative_p_integral(step: StepFunction, p: float, t) -> np.ndarray:
@@ -371,13 +372,22 @@ def modular_of_step(phi: OrliczFunction, step) -> float:
     return float(np.sum(phi(step.levels) * step.widths))
 
 
+def peetre_value(rep: PeetreRepresentation, u) -> np.ndarray:
+    """a + b*u + sum_i m_i * min(u, t_i), the concave h of a decomposition."""
+    u = np.asarray(u, dtype=float)
+    out = rep.a + rep.b * u
+    if rep.atom_locations.size:
+        out = out + np.minimum(u[..., None], rep.atom_locations).dot(rep.atom_masses)
+    return out
+
+
 def reconstruct(rep: PeetreRepresentation) -> PiecewiseLinearConcave:
     """Piecewise linear concave function with the given decomposition."""
     if rep.atom_locations.size == 0:
         knots = np.array([1.0])
     else:
         knots = rep.atom_locations
-    values = rep(knots)
+    values = peetre_value(rep, knots)
     slope0 = rep.b + float(rep.atom_masses.sum())
     return PiecewiseLinearConcave(knots, values, slope0, rep.b)
 
@@ -454,7 +464,7 @@ def k_lp_linf_floor(ts, x: SampleFunction, p: float) -> np.ndarray:
     the tangent at hi, whose slope is >= 0 (t past sup|x|), at lo. The
     larger of those two values is a lower bound on min F.
     """
-    m, w = x.abs_values(), x.space.weights
+    m, w = np.abs(x.values), x.space.weights
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
 
     def objective(lam):
@@ -724,7 +734,8 @@ def generator_rho_checks(rho: Callable) -> None:
     qc = is_quasiconcave(lambda t: rho(t)[0])
     if not qc.ok:
         raise ValueError(f"rho fails the quasi-concavity check ({qc.worst_violation:.3e})")
-    conc = concavity_violation(rho, log_grid(points_per_decade=16))
+    grid = log_grid(points_per_decade=16)
+    conc = concavity_violation(rho(grid), grid)
     if conc > 1e-8:
         raise ValueError(f"rho fails the concavity check ({conc:.3e})")
 
@@ -749,10 +760,11 @@ def chord_concavity_violation(rho: Callable, grid: np.ndarray) -> float:
     return float(max(rises.max(initial=0.0), 0.0))
 
 
-def generator_phi_pchip(couple: ExponentCouple, rho: Callable) -> OrliczFunction:
+def generator_phi_pchip(couple: ExponentCouple,
+                        rho: Callable) -> tuple[OrliczFunction, bool, np.ndarray]:
     """The tabulated generator build on SciPy's PCHIP interpolator, for rho
-    as a value function; its `meta` holds `saturated`, `tab_points` and the
-    tabulated knots as `knots`."""
+    as a value function, with whether the table saturated (its inverse
+    stopped rising on the grid) and the tabulated knots."""
     qc = is_quasiconcave(rho)
     if not qc.ok:
         raise ValueError(f"rho fails the quasi-concavity check ({qc.worst_violation:.3e})")
@@ -771,14 +783,10 @@ def generator_phi_pchip(couple: ExponentCouple, rho: Callable) -> OrliczFunction
     if keep.sum() < 2 * INVERSION_POINTS_PER_DECADE:
         raise ValueError("inverse not strictly increasing on grid")
     vk, uk = v[keep], u[keep]
-    saturated = vk.size < v.size
-    phi = OrliczFunction(
-        "generator", p, (np.inf if couple.q_is_inf else q), float(vk[-1]),
-        _pchip_jet(vk, uk),
-        {"saturated": saturated, "tab_points": int(vk.size), "knots": vk},
-    )
+    phi = OrliczFunction("generator", p, (np.inf if couple.q_is_inf else q), float(vk[-1]),
+                         _pchip_jet(vk, uk))
     _validate_shape(phi, 100.0)
-    return phi
+    return phi, vk.size < v.size, vk
 
 
 def solve_log_inverse_stacked(log_inverse: Callable, target: np.ndarray, s: np.ndarray,

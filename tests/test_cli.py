@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 
 from orliczkit import specs
 from orliczkit.cli import main
+from orliczkit.verify import run_scenario
 
 SRC_DIR = Path(__file__).parent.parent / "src"
 SCENARIO_DIR = SRC_DIR / "orliczkit" / "scenarios"
@@ -325,6 +327,67 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, *(arg.replace("{dir}", str(tmp_path)) for arg in argv))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["kfunc", "--input", "{csv}", "--couple", "1.5,3", "--t-grid", "0.1:nan:2"],
+        ["kfunc", "--input", "{csv}", "--couple", "1.5,3", "--t-grid", "nan:1:3"],
+        ["kfunc", "--input", "{csv}", "--couple", "1.5,3", "--t-grid", "1:inf:3"],
+        ["gamma", "--p-grid", "1:2:2", "--q-grid", "2:inf:2"],
+    ], ids=["kfunc-nan-stop", "kfunc-nan-start", "kfunc-inf-stop", "gamma-inf-stop"])
+    def test_a_non_finite_grid_bound_exits_two(self, capsys, function_csv, argv):
+        # a nan bound printed nan rows, and an inf one overflowed the grid
+        code, out, err = run_cli(capsys, *(arg.replace("{csv}", function_csv) for arg in argv))
+        assert code == 2 and out == ""
+        assert "needs a finite start and stop" in err
+
+
+# stdout of `orliczkit majorant` (SHA-256) and of `orliczkit norms` on the
+# function_csv atoms, and the details of the shipped thm46b_norm_1_2 report
+# with the chain's majorant knot count, each recorded before the records
+# behind them (the Peetre tuple, phi's convex flag, the table's slopes) were
+# made plain: a change to how they are stored moves no byte of them
+PWL_RHO = '{"kind":"pwl","knots":[1,4],"values":[1,2.5],"slope0":1,"slope_inf":0.25}'
+PINNED_MAJORANTS = {
+    ('{"kind":"max_one"}', "json"):
+        "faaeaab8bc8c238ca88c6bbbeb056d1cc74f845f5f6fa482bc2f4eab18f57b2a",
+    ('{"kind":"max_one"}', "csv"):
+        "41bb185a4cf9ead0f6eeecb4e497d146a8a4f2e75a152e6ede71fcddcec662bc",
+    ('{"kind":"powerlog","theta":0.5,"a":1,"b":0}', "json"):
+        "836273bd06716ba5e44da52362d6f63747648b8c9a333550093b883ff356af95",
+    ('{"kind":"powerlog","theta":0.5,"a":1,"b":0}', "csv"):
+        "0485dac94b405b094a17b89e61160a28480803bfcee15e9ff0f9e3b463c770c9",
+    (PWL_RHO, "json"): "d56009abf7516850657f0103aa6a1d0b12adde2f2c0b07328da20fc793b522d4",
+    (PWL_RHO, "csv"): "b5d06ffa1b72905baca8439d5002f7963e9dd1ee93a7375c2e972ad493dd7991",
+}
+CONVEX_H = '{"knots":[1],"values":[2],"slope0":1,"slope_inf":1}'
+KINKED_H = '{"knots":[1],"values":[1],"slope0":1,"slope_inf":0}'
+PINNED_NORMS = {
+    (CONVEX_H, "json"): '{\n  "amemiya": 12.2402514692,\n  "luxemburg": 6.78255643744\n}\n',
+    (CONVEX_H, "csv"): "luxemburg,amemiya\n6.78255643744,12.2402514692\n",
+    (KINKED_H, "json"): '{\n  "amemiya": null,\n  "luxemburg": 3.30192724889\n}\n',
+    (KINKED_H, "csv"): "luxemburg,amemiya\n3.30192724889,\n",
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("rho, fmt_name", sorted(PINNED_MAJORANTS))
+    def test_majorant(self, capsys, rho, fmt_name):
+        code, out, _ = run_cli(capsys, "majorant", "--rho", rho, "--format", fmt_name)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MAJORANTS[rho, fmt_name]
+
+    @pytest.mark.parametrize("h, fmt_name", sorted(PINNED_NORMS))
+    def test_norms(self, capsys, function_csv, h, fmt_name):
+        code, out, _ = run_cli(capsys, "norms", "--input", function_csv, "--phi",
+                               '{"kind":"h","p":1,"q":3,"h":%s}' % h, "--format", fmt_name)
+        assert code == 0 and out == PINNED_NORMS[h, fmt_name]
+
+    def test_thm46b_report_details(self):
+        scenario = json.loads((SCENARIO_DIR / "thm46b_norm_1_2.json").read_text())
+        assert run_scenario(scenario)["details"] == {
+            "constant": 2.5, "certified_bound": 36.0, "constant_source": "subadditive",
+            "chain": {"gamma": 1.25, "mode": "chain_diagnostics", "majorant_knots": 4096},
+            "violation_count": 0}
 
 
 class TestAsProcess:

@@ -100,7 +100,7 @@ def operator_record(kind: str, n: int, rng) -> dict:
 def scenarios(draw) -> dict:
     tag = draw(st.sampled_from(sorted(specs.THEOREMS)))
     record = specs.THEOREMS[tag]
-    p = draw(st.floats(1.01, 4.0) if record.p_above_one
+    p = draw(st.floats(1.01, 4.0) if record.constant == "linear"
              else st.one_of(st.just(1.0), st.floats(1.0, 4.0)))
     q_inf = draw(st.booleans()) if record.q_inf is None else record.q_inf
     q = math.inf if q_inf else p + draw(st.one_of(st.floats(0.05, 4.0), st.floats(4.0, 80.0)))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orliczkit as ok
+from orliczkit.measure import abs_rows
 
 from oracles import golden_section, lp_integral, rearrangement, step_to_sample, sup_norm
 
@@ -35,7 +36,8 @@ class TestSampleBatch:
         space = ok.uniform_space(3)
         batch = ok.SampleBatch(space, [[1.0, -2.0, 0.0], [0.5, 0.5, 0.5]])
         assert len(batch) == 2 and batch.space is space
-        assert batch.abs_values().tolist() == [[1.0, 2.0, 0.0], [0.5, 0.5, 0.5]]
+        mags, single = abs_rows(batch)
+        assert mags.tolist() == [[1.0, 2.0, 0.0], [0.5, 0.5, 0.5]] and not single
         assert batch[np.array([1])].values.tolist() == [[0.5, 0.5, 0.5]]
         assert batch.scaled(0.5).values.tolist() == [[0.5, -1.0, 0.0], [0.25, 0.25, 0.25]]
         assert not batch.values.flags.writeable

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,11 @@ import orliczkit as ok
 from orliczkit.quasiconcave import (QUASICONCAVITY_TOL, _lower_line_envelope,
                                     concavity_violation, log_grid, quasiconcavity_violation)
 
-from oracles import phi_expansion, reconstruct, second_difference_convexity
+from oracles import peetre_value, phi_expansion, reconstruct, second_difference_convexity
 
 # the grid a generator build checks rho on
 CHECK_GRID = log_grid(points_per_decade=16)
+NO_ATOMS = np.zeros(0)
 
 
 def square_jet(t):
@@ -103,8 +106,8 @@ class TestConcaveMajorant:
         assert ratio.max() <= 2.0 + 1e-8
 
     def test_output_is_certified_concave(self):
-        maj = ok.concave_majorant(ok.power_log_rho(0.4, 1, 0))
-        assert concavity_violation(maj.jet, log_grid(1e-6, 1e6, 32)) <= 1e-12
+        maj, grid = ok.concave_majorant(ok.power_log_rho(0.4, 1, 0)), log_grid(1e-6, 1e6, 32)
+        assert concavity_violation(maj.jet(grid), grid) <= 1e-12
 
     def test_non_quasiconcave_rejected(self):
         with pytest.raises(ValueError, match=r"^rho fails the quasi-concavity check \(violation 1\.000e\+00\)$"):
@@ -152,7 +155,9 @@ class TestPiecewiseLinearConcave:
         np.testing.assert_allclose(h.slopes, [5.0, 0.5 / 0.9, 0.125, 0.01], rtol=1e-15)
         np.testing.assert_allclose(h.intercepts, [0.0, 0.5 - 0.05 / 0.9, 0.875, 1.45],
                                    rtol=1e-15, atol=1e-16)
-        assert h.value_at_zero == h.intercepts[0]
+        # the tables are the whole record: no slope or value is stored twice
+        fields = [f.name for f in dataclasses.fields(h)]
+        assert fields == ["knots", "values", "slopes", "intercepts"]
         for table in (h.knots, h.values, h.slopes, h.intercepts):
             with pytest.raises(ValueError):
                 table[0] = 1.0
@@ -166,12 +171,12 @@ class TestPiecewiseLinearConcave:
             u = rng.uniform(k[0], k[-1], 200)
             np.testing.assert_allclose(h(u), np.interp(u, k, v), rtol=1e-14)
             below, above = k[0] * rng.uniform(0, 1, 50), k[-1] * rng.uniform(1, 10, 50)
-            np.testing.assert_allclose(h(below), v[0] + h.slope0 * (below - k[0]), rtol=1e-13)
-            np.testing.assert_allclose(h(above), v[-1] + h.slope_inf * (above - k[-1]),
+            np.testing.assert_allclose(h(below), v[0] + h.slopes[0] * (below - k[0]), rtol=1e-13)
+            np.testing.assert_allclose(h(above), v[-1] + h.slopes[-1] * (above - k[-1]),
                                        rtol=1e-14)
 
     def test_exact_below_the_first_knot(self):
-        # min(1, s): h(0+) = 0, so below the knot h is slope0 * s with
+        # min(1, s): h(0+) = 0, so below the knot h is slopes[0] * s with
         # nothing to cancel, down to the least positive float
         h = ok.PiecewiseLinearConcave([1.0], [1.0], 1.0, 0.0)
         s = np.array([5e-324, 1e-300, 1e-20, 1e-8, 0.5, 1.0, 2.0, 1e300])
@@ -187,7 +192,7 @@ class TestPiecewiseLinearConcave:
         # min(0.1 s, 0.3): 0.3 - 0.1 * 3 rounds to -5.6e-17, which would make
         # h negative below 5.6e-16
         h = ok.PiecewiseLinearConcave([3.0], [0.3], 0.1, 0.0)
-        assert h.value_at_zero == 0.0
+        assert h.intercepts[0] == 0.0
         assert np.all(h(np.array([1e-300, 1e-20, 1e-8])) > 0.0)
         assert quasiconcavity_violation(h.jet(CHECK_GRID)) == 0.0
 
@@ -195,7 +200,7 @@ class TestPiecewiseLinearConcave:
         a, b, k = np.array([0.0, 0.5, 1.25]), np.array([1.0, 0.5, 0.125]), np.array([1.0, 2.0])
         h = ok.PiecewiseLinearConcave._from_lines(k, a, b)
         assert np.array_equal(h.intercepts, a) and np.array_equal(h.slopes, b)
-        assert h.values.tolist() == [1.0, 1.5] and (h.slope0, h.slope_inf) == (1.0, 0.125)
+        assert h.values.tolist() == [1.0, 1.5]
         assert h(np.array([0.5, 1.5, 4.0])).tolist() == [0.5, 1.25, 1.75]
 
     def test_jet_is_the_slope_of_each_piece(self):
@@ -258,9 +263,9 @@ class TestPeetre:
         for _ in range(25):
             h = random_concave_plc(rng)
             rep = ok.peetre_decompose(h)
-            assert np.allclose(rep(h.knots), h.values, rtol=1e-12, atol=1e-12)
+            assert np.allclose(peetre_value(rep, h.knots), h.values, rtol=1e-12, atol=1e-12)
             mids = np.sqrt(h.knots[:-1] * h.knots[1:])
-            assert np.allclose(rep(mids), h(mids), rtol=1e-12, atol=1e-12)
+            assert np.allclose(peetre_value(rep, mids), h(mids), rtol=1e-12, atol=1e-12)
 
     def test_decompose_reconstruct_identity(self):
         rng = np.random.default_rng(12)
@@ -279,11 +284,11 @@ class TestPeetre:
 
 class TestPhiExpansion:
     def test_affine_part(self):
-        rep = ok.PeetreRepresentation(1.0, 1.0)
+        rep = ok.PeetreRepresentation(1.0, 1.0, NO_ATOMS, NO_ATOMS)
         assert float(phi_expansion(rep, 1, 2, 3.0)) == pytest.approx(12.0)
 
     def test_single_atom(self):
-        rep = ok.PeetreRepresentation(0.0, 0.0, [1.0], [1.0])
+        rep = ok.PeetreRepresentation(0.0, 0.0, np.array([1.0]), np.array([1.0]))
         assert float(phi_expansion(rep, 1, 2, 2.0)) == pytest.approx(2.0)
 
     def test_matches_h_route_on_random_inputs(self):
@@ -301,7 +306,7 @@ class TestPhiExpansion:
             assert np.allclose(expanded, direct, rtol=1e-10, atol=1e-12)
 
     def test_atom_free_expansion_is_convex(self):
-        rep = ok.PeetreRepresentation(0.7, 1.3)
+        rep = ok.PeetreRepresentation(0.7, 1.3, NO_ATOMS, NO_ATOMS)
         grid = np.linspace(0.0, 10.0, 2001)
         assert second_difference_convexity(lambda u: phi_expansion(rep, 1.5, 3.0, u), grid).ok
 
@@ -309,6 +314,6 @@ class TestPhiExpansion:
         # min(u^p, t*u^q) drops slope at its crossover, so expansions with
         # atoms are not convex in general; the convexity claim belongs to
         # generator-built functions.
-        rep = ok.PeetreRepresentation(0.0, 0.0, [1.0], [1.0])
+        rep = ok.PeetreRepresentation(0.0, 0.0, np.array([1.0]), np.array([1.0]))
         grid = np.linspace(0.0, 4.0, 2001)
         assert not second_difference_convexity(lambda u: phi_expansion(rep, 1, 2, u), grid).ok

@@ -270,7 +270,8 @@ def minimal_scenario(tag: str) -> dict:
     """The required sections of the tag and nothing else, on a couple it takes."""
     record = specs.THEOREMS[tag]
     scenario = {"theorem": tag, "seed": 1, "space": {"weights": "uniform", "n": 4},
-                "couple": {"p": 1.5 if record.p_above_one else 1, "q": "inf" if record.q_inf else 2}}
+                "couple": {"p": 1.5 if record.constant == "linear" else 1,
+                           "q": "inf" if record.q_inf else 2}}
     scenario.update({key: SECTION_VALUES[key] for key in record.requires})
     return scenario
 
@@ -308,7 +309,7 @@ class TestTheoremTable:
                 if key not in record.requires + record.reads]
         if record.q_inf is not None:
             bad.append(dict(base, couple={"p": 1, "q": 2 if record.q_inf else "inf"}))
-        if record.p_above_one:
+        if record.constant == "linear":
             bad.append(dict(base, couple={"p": 1, "q": 2}))
         for scenario in bad:
             with pytest.raises(specs.SpecError):
@@ -369,7 +370,8 @@ class TestTheoremTable:
         q_side = {True: "`inf`", False: "finite", None: "finite or `inf`"}
         assert rows == {
             tag: (record.requires, record.reads, q_side[record.q_inf],
-                  "linear" if record.linear else "any" if "operator" in record.requires else "")
+                  "linear" if record.constant == "linear"
+                  else "any" if "operator" in record.requires else "")
             for tag, record in specs.THEOREMS.items()}
 
     def test_sparr_keeps_its_own_pair_distribution(self):
