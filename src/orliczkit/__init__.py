@@ -7,14 +7,8 @@ from .constants import (
     interp_constant_linear,
     interp_constant_subadditive,
     sparr_gamma,
-    sparr_gamma_oracle,
 )
-from .kfunc import (
-    brute_force_k,
-    k_lp_linf_grid,
-    l_functional_grid,
-    l_star_grid,
-)
+from .kfunc import k_lp_linf_grid, l_functional_grid, l_star_grid
 from .liveset import NonConvergenceError
 from .measure import (
     DiscreteMeasureSpace,

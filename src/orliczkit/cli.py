@@ -2,8 +2,8 @@
 majorants, and scenario verification.
 
 Exit codes: 0 on success or a passing verification, 1 when a verification
-reports violations (or a cross-check disagrees), 2 on usage and config
-errors. Table output prints numbers with 12 significant digits.
+reports violations, 2 on usage and config errors. Table output prints
+numbers with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -11,19 +11,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import specs
 from .constants import (
+    GAMMA_MAX,
+    conjugate_exponent,
     interp_constant_concave_h,
     interp_constant_linear,
     interp_constant_subadditive,
     sparr_gamma,
-    sparr_gamma_oracle,
 )
-from .kfunc import brute_force_k, k_lp_linf_grid, l_functional_grid
+from .kfunc import k_lp_linf_grid, l_functional_grid
 from .measure import DiscreteMeasureSpace, SampleFunction
 from .orlicz import DomainOverflowError, amemiya_norm, luxemburg_norm
 from .quasiconcave import concave_majorant, peetre_decompose
@@ -82,18 +82,12 @@ def cmd_gamma(args) -> int:
     for p in p_grid:
         for q in q_grid:
             value = sparr_gamma(p, q)
-            if args.method in ("oracle", "both"):
-                oracle = sparr_gamma_oracle(p, q)
-                if args.method == "oracle":
-                    value = oracle
-                elif abs(oracle - value) > 1e-6:
-                    print(f"gamma cross-check failed at ({p:g},{q:g}): "
-                          f"fast {value!r} vs oracle {oracle!r}", file=sys.stderr)
-                    return 1
             lo, hi = min(p, q), max(p, q)
             sub = fmt(interp_constant_subadditive(p, q)) if p < q else ""
             conc = fmt(interp_constant_concave_h(p, q)) if p < q else ""
-            lin = fmt(interp_constant_linear(p, q)) if 1.0 < p < q else ""
+            # c_linear's dual branch reads gamma(q', p'), so it needs p' <= GAMMA_MAX
+            dual = 1.0 < p < q and conjugate_exponent(p) <= GAMMA_MAX
+            lin = fmt(interp_constant_linear(p, q)) if dual else ""
             rows.append([fmt(p), fmt(q), fmt(value),
                          fmt(2.0 ** (1.0 - 1.0 / lo)), fmt(2.0 ** (1.0 - 1.0 / hi)),
                          sub, conc, lin])
@@ -107,18 +101,11 @@ def cmd_kfunc(args) -> int:
     if len(parts) != 2:
         raise specs.SpecError("--couple must look like p,q (q may be 'inf')")
     couple = specs.resolve_couple({"p": parts[0], "q": parts[1]})
-    p, q = couple.p, couple.q
     ts = specs.parse_range(args.t_grid, "--t-grid", log=True)
-    if args.method == "oracle":
-        if math.isinf(q):
-            raise specs.SpecError("the oracle needs a finite q")
-        if x.space.n > 3:
-            raise specs.SpecError("the oracle is limited to 3 atoms")
-        values, method = [brute_force_k(float(t), x, p, q) for t in ts], "brute_force"
-    elif math.isinf(q):
-        values, method = k_lp_linf_grid(ts, x, p), "truncation"
+    if couple.q_is_inf:
+        values, method = k_lp_linf_grid(ts, x, couple.p), "truncation"
     else:
-        values, method = l_functional_grid(ts, x, p, q), "pointwise"
+        values, method = l_functional_grid(ts, x, couple.p, couple.q), "pointwise"
     rows = [[fmt(t), fmt(value), method] for t, value in zip(ts, values)]
     _emit_table(["t", "value", "method"], rows, "csv", sys.stdout)
     return 0
@@ -205,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gamma", help="Sparr constants and interpolation constants table")
     g.add_argument("--p-grid", required=True, help="start:stop:count (linear)")
     g.add_argument("--q-grid", required=True, help="start:stop:count (linear)")
-    g.add_argument("--method", choices=["fast", "oracle", "both"], default="fast")
     g.add_argument("--format", choices=["csv", "json"], default="csv")
     g.set_defaults(func=cmd_gamma)
 
@@ -213,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--input", required=True, help="CSV with header weight,value")
     k.add_argument("--couple", required=True, help="p,q with q possibly 'inf'")
     k.add_argument("--t-grid", required=True, help="start:stop:count (log spaced)")
-    k.add_argument("--method", choices=["fast", "oracle"], default="fast")
     k.set_defaults(func=cmd_kfunc)
 
     m = sub.add_parser("majorant", help="concave majorant of a generator")

@@ -1,9 +1,8 @@
 """Sparr constants and the interpolation-constant formulas built on them.
 
 gamma(p, q) is the smallest gamma such that the two-piece cost
-inf_{x+y=gamma, x,y>=0} (x^p + y^q) reaches 1. Two routes are provided: one
-bisection on the stationarity constraint, which is strictly increasing in x
-(fast), and a direct bisection on the defining condition (oracle). The
+inf_{x+y=gamma, x,y>=0} (x^p + y^q) reaches 1, found by one bisection on
+the stationarity constraint, which is strictly increasing in x. The
 interpolation constants for subadditive, concave-h, and linear settings are
 arithmetic on gamma with their proven envelope bounds asserted.
 """
@@ -81,36 +80,6 @@ def sparr_gamma(p: float, q: float) -> float:
     if not 1.0 - 1e-12 <= value < 2.0:
         raise ValueError(f"gamma out of [1, 2): {value}")
     return float(value)
-
-
-def sparr_gamma_oracle(p: float, q: float) -> float:
-    """Sharp constant straight from the definition, by nested bisection.
-
-    The inner cost m(gamma) = min_{0<=y<=gamma} ((gamma-y)^p + y^q) is convex
-    in y and strictly increasing in gamma, so bisecting m(gamma) = 1 on
-    [1, 2] converges; the inner minimum uses ternary search to 1e-12.
-    """
-    if not (1.0 <= p <= 16.0 and 1.0 <= q <= 16.0):
-        raise ValueError("p and q must lie in [1, 16]")
-
-    def inner_min(gamma: float) -> float:
-        lo, hi = 0.0, gamma
-        while hi - lo > 1e-13 * gamma:
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if (gamma - m1) ** p + m1**q <= (gamma - m2) ** p + m2**q:
-                hi = m2
-            else:
-                lo = m1
-        y = 0.5 * (lo + hi)
-        return min((gamma - y) ** p + y**q, gamma**p, gamma**q)
-
-    if inner_min(1.0) >= 1.0 - 1e-14:
-        return 1.0
-    value = _bisect(lambda g: inner_min(g) - 1.0, 1.0, 2.0, 1e-8 / 4.0)
-    if not 1.0 - 1e-12 <= value < 2.0:
-        raise ValueError(f"gamma out of [1, 2): {value}")
-    return value
 
 
 def interp_constant_subadditive(p: float, q: float) -> float:

@@ -4,8 +4,7 @@ For (L^p, L^inf) the K-functional reduces to a convex truncation search with
 kinks at the magnitudes: a bisection over the sorted kinks finds the interval
 holding the minimiser, where it is solved exactly (`k_lp_linf_grid`). For
 (L^p, L^q) with both exponents finite the infimum separates into one convex
-scalar problem per atom (`_pointwise_min_split`). A signed full-grid brute
-force is the independent oracle; it never assumes the reduction it checks.
+scalar problem per atom (`_pointwise_min_split`).
 
 The grid kernels take one `SampleFunction` (one value per t back) or a
 `SampleBatch` on one space (one row per member): a single function is a
@@ -323,30 +322,3 @@ def l_star_grid(ts, x: SampleFunction | SampleBatch, p: float, q: float) -> np.n
     with np.errstate(over="ignore"):   # an infinite t c^q loses to c^p, as in the L split
         out = np.sum(np.minimum(c**p, ts[:, None] * c**q) * x.space.weights, axis=-1)
     return out[0] if single else out
-
-
-def brute_force_k(t: float, x: SampleFunction, p: float, q: float, n: int = 201) -> float:
-    """Grid minimum of ||x0||_p^p + t ||x1||_q^q over signed decompositions.
-
-    Each atom's component of x0 ranges over n points in [-2|x_i|, 2|x_i|]
-    and x1 = x - x0. The full product grid is searched, so no pointwise or
-    sign reduction is assumed; the result is an upper bound on the infimum
-    that tightens as n grows.
-    """
-    _check_exponent(p)
-    _check_exponent(q, "q")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if x.space.n > 3:
-        raise ValueError("brute force is limited to 3 atoms")
-    if n > 201 or n < 3:
-        raise ValueError("n must lie in [3, 201]")
-    per_atom = []
-    for ci_signed, wi in zip(x.values, x.space.weights):
-        ci = abs(float(ci_signed))
-        s = np.linspace(-2.0 * ci, 2.0 * ci, n) if ci > 0.0 else np.zeros(1)
-        per_atom.append(wi * (np.abs(s) ** p + t * np.abs(ci_signed - s) ** q))
-    total = per_atom[0]
-    for arr in per_atom[1:]:
-        total = total[..., None] + arr
-    return float(total.min())

@@ -243,7 +243,7 @@ def build_from_h(couple: ExponentCouple, h: PiecewiseLinearConcave) -> OrliczFun
     if np.any(h.values <= 0.0):
         raise ValueError("h must be positive on (0, inf)")
 
-    def term(c, u, r):
+    def term(c, u, r):   # a 0 * inf where c = 0 is discarded
         return np.where(c == 0.0, 0.0, c * u**r)
 
     # on each piece of h, h(s) = a + b*s, so phi = a*u^q + b*u^p with that
@@ -255,7 +255,7 @@ def build_from_h(couple: ExponentCouple, h: PiecewiseLinearConcave) -> OrliczFun
 
     def jet(u):
         u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
             piece = np.searchsorted(h.knots, u ** (p - q), side="right")
             a, b = h.intercepts[piece], h.slopes[piece]
             return (np.multiply.outer(orders_q, term(a, u, q))

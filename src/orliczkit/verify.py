@@ -77,12 +77,15 @@ class _Collector:
         self.violations: list[dict] = []
 
     def check(self, lhs, rhs, tag: str, witness, ts=None, index=None,
-              rel: float = VIOLATION_REL, abs_floor: float = ABS_FLOOR) -> None:
-        """lhs <= rhs to the thresholds rel and abs_floor: one value or one
+              rel: float | None = None, abs_floor: float | None = None) -> None:
+        """lhs <= rhs to the thresholds rel and abs_floor (by default
+        VIOLATION_REL and ABS_FLOOR as they are at the call): one value or one
         row (a column per t in ts) per input, with each input's witness values
         and index (0, 1, ... by default). A side that is not finite cannot be
         checked, so it rejects the scenario. Each violation is kept as the
         dict the report lists, with Python floats and ints."""
+        rel = VIOLATION_REL if rel is None else rel
+        abs_floor = ABS_FLOOR if abs_floor is None else abs_floor
         lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
         if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
             raise ScenarioRejected(f"check {tag!r} has a side that is not finite; "
@@ -362,7 +365,8 @@ def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[Call
     generator-built phi with finite q, and the s-grid that is the image of u
     in [1e-5, 1e5] inside phi's domain and inside |log u| <= _CHAIN_LOG_SPAN / q,
     so that u^q and s stay finite and normal for every q <= 64 (the span
-    binds only above q = 60.8).
+    binds only above q = 60.8). Where the build makes phi 0 (below
+    e^-LOG_U_RANGE), h is 0 and the other rows are nan.
 
     With s = u^{p-q}, k = 1/(p-q) and eta = u*phi'/phi, s*h'/h = k*(eta - q),
     which lies in [0, 1] since eta lies in [p, q]; s^2*h'' follows from
@@ -376,9 +380,10 @@ def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[Call
     def h_jet(s):
         u = np.asarray(s, dtype=float) ** k
         f0, f1, f2 = phi.jet(u)
-        h, eta = f0 / u**q, f1 / f0
+        with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 where phi is 0
+            h, eta, curv = f0 / u**q, f1 / f0, f2 / f0
         elast = k * (eta - q)
-        return np.stack((h, h * elast, h * (elast * (elast - 1.0) + k * k * (eta + f2 / f0 - eta * eta))))
+        return np.stack((h, h * elast, h * (elast * (elast - 1.0) + k * k * (eta + curv - eta * eta))))
 
     s_grid = np.sort(u_grid ** (p - q))
     return h_jet, s_grid
@@ -388,9 +393,12 @@ def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[Call
 def _majorant_psi(phi: OrliczFunction, couple: ExponentCouple) -> tuple[OrliczFunction, int]:
     """The concave-h build on the concave majorant of phi's h, and the
     majorant's knot count, made once per (phi, couple); a shared phi hashes
-    by identity."""
+    by identity. The majorant is taken where phi > 0, on the one evaluation
+    of h's jet that also gives its lines."""
     h_jet, s_grid = _h_from_generator(phi, couple)
-    majorant = concave_majorant(h_jet, grid=s_grid, extend_decades=0.0)
+    rows = h_jet(s_grid)
+    keep = rows[0] > 0.0
+    majorant = concave_majorant(lambda s: rows[:, keep], grid=s_grid[keep], extend_decades=0.0)
     return build_from_h(couple, majorant), int(majorant.knots.size)
 
 

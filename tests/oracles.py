@@ -58,6 +58,11 @@ Nothing in the package calls these; each is written for clarity, not speed.
   once per (member, t) row, and `pointwise_min_split_newton` is
   `kfunc._pointwise_min_split` with Newton steps in u = logit(a/c) run until
   a step is below 1e-15 (1 + |u|), kept verbatim.
+- The definitions that two kernels solve faster: `sparr_gamma_oracle` is
+  gamma(p, q) by nested bisection on its defining condition, on the whole
+  range [1, `GAMMA_MAX`] of `constants.sparr_gamma`, and `brute_force_k` is
+  the (L^p, L^q) L-functional as a grid minimum over signed decompositions
+  of at most 3 atoms, which assumes no pointwise or sign reduction.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ from scipy.interpolate import PchipInterpolator
 
 import orliczkit as ok
 from orliczkit import specs
+from orliczkit.constants import GAMMA_MAX, _bisect
 from orliczkit.kfunc import _check_exponent, _descent_rate, _expit
 from orliczkit.liveset import MAX_PASSES, NonConvergenceError
 from orliczkit.measure import (DiscreteMeasureSpace, SampleBatch, SampleFunction,
@@ -953,3 +959,60 @@ def pointwise_min_split_newton(c: np.ndarray, ts: np.ndarray, p: float, q: float
             a, rest = cc * _expit(u), cc * _expit(-u)
         out[inner] = np.minimum(out[inner], a**p + tt * rest**q)
     return out
+
+
+def sparr_gamma_oracle(p: float, q: float) -> float:
+    """Sharp constant straight from the definition, by nested bisection.
+
+    The inner cost m(gamma) = min_{0<=y<=gamma} ((gamma-y)^p + y^q) is convex
+    in y and strictly increasing in gamma, so bisecting m(gamma) = 1 on
+    [1, 2] converges; the inner minimum uses ternary search to 1e-12.
+    """
+    if not (1.0 <= p <= GAMMA_MAX and 1.0 <= q <= GAMMA_MAX):
+        raise ValueError(f"p and q must lie in [1, {GAMMA_MAX:g}]")
+
+    def inner_min(gamma: float) -> float:
+        lo, hi = 0.0, gamma
+        while hi - lo > 1e-13 * gamma:
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            if (gamma - m1) ** p + m1**q <= (gamma - m2) ** p + m2**q:
+                hi = m2
+            else:
+                lo = m1
+        y = 0.5 * (lo + hi)
+        return min((gamma - y) ** p + y**q, gamma**p, gamma**q)
+
+    if inner_min(1.0) >= 1.0 - 1e-14:
+        return 1.0
+    value = _bisect(lambda g: inner_min(g) - 1.0, 1.0, 2.0, 1e-8 / 4.0)
+    if not 1.0 - 1e-12 <= value < 2.0:
+        raise ValueError(f"gamma out of [1, 2): {value}")
+    return value
+
+
+def brute_force_k(t: float, x: SampleFunction, p: float, q: float, n: int = 201) -> float:
+    """Grid minimum of ||x0||_p^p + t ||x1||_q^q over signed decompositions.
+
+    Each atom's component of x0 ranges over n points in [-2|x_i|, 2|x_i|]
+    and x1 = x - x0. The full product grid is searched, so no pointwise or
+    sign reduction is assumed; the result is an upper bound on the infimum
+    that tightens as n grows.
+    """
+    _check_exponent(p)
+    _check_exponent(q, "q")
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    if x.space.n > 3:
+        raise ValueError("brute force is limited to 3 atoms")
+    if n > 201 or n < 3:
+        raise ValueError("n must lie in [3, 201]")
+    per_atom = []
+    for ci_signed, wi in zip(x.values, x.space.weights):
+        ci = abs(float(ci_signed))
+        s = np.linspace(-2.0 * ci, 2.0 * ci, n) if ci > 0.0 else np.zeros(1)
+        per_atom.append(wi * (np.abs(s) ** p + t * np.abs(ci_signed - s) ** q))
+    total = per_atom[0]
+    for arr in per_atom[1:]:
+        total = total[..., None] + arr
+    return float(total.min())

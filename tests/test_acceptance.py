@@ -16,8 +16,9 @@ from orliczkit.quasiconcave import log_grid
 from orliczkit.verify import run_scenario
 
 from conftest import cached_generator_phi, session_elapsed
-from oracles import (cumulative_p_integral, lp_integral, phi_expansion, rearrangement, reconstruct,
-                     second_difference_convexity, sup_norm)
+from oracles import (brute_force_k, cumulative_p_integral, lp_integral, phi_expansion,
+                     rearrangement, reconstruct, second_difference_convexity,
+                     sparr_gamma_oracle, sup_norm)
 from test_quasiconcave import random_concave_plc
 
 SCENARIO_DIR = Path(__file__).parent.parent / "src" / "orliczkit" / "scenarios"
@@ -50,7 +51,7 @@ def test_criterion_01_sparr_constants():
     checks.append(abs(ok.sparr_gamma(1, 2) - 1.25) <= 1e-9)
 
     fast = {(p, q): ok.sparr_gamma(p, q) for p in GAMMA_GRID for q in GAMMA_GRID}
-    oracle = {(p, q): ok.sparr_gamma_oracle(p, q) for p in GAMMA_GRID for q in GAMMA_GRID}
+    oracle = {(p, q): sparr_gamma_oracle(p, q) for p in GAMMA_GRID for q in GAMMA_GRID}
     worst_gap = max(abs(fast[k] - oracle[k]) for k in fast)
     checks.append(worst_gap <= 1e-6)
 
@@ -87,7 +88,7 @@ def test_criterion_02_pointwise_reduction():
             t = float(10 ** rng.uniform(math.log10(t_lo), math.log10(t_hi)))
             x = ok.SampleFunction(ok.DiscreteMeasureSpace(weights), vals)
             exact = ok.l_functional_grid(t, x, p, q)[0]
-            grid = ok.brute_force_k(t, x, p, q, grid_n)
+            grid = brute_force_k(t, x, p, q, grid_n)
             assert grid >= exact - 1e-9
             worst = max(worst, abs(grid - exact) / exact)
 

@@ -37,8 +37,7 @@ def parse_csv(text):
 
 class TestGammaCommand:
     def test_diagonal_cell_value(self, capsys):
-        code, out, _ = run_cli(capsys, "gamma", "--p-grid", "1:4:7", "--q-grid", "1:4:7",
-                               "--method", "both")
+        code, out, _ = run_cli(capsys, "gamma", "--p-grid", "1:4:7", "--q-grid", "1:4:7")
         assert code == 0
         rows = parse_csv(out)
         cell = next(r for r in rows if r["p"] == "2" and r["q"] == "2")
@@ -53,6 +52,17 @@ class TestGammaCommand:
         off = next(r for r in rows if r["p"] == "1" and r["q"] == "2")
         assert float(off["c_subadditive"]) == pytest.approx(2.5)
         assert off["c_linear"] == ""
+
+    def test_linear_constant_is_empty_where_p_conjugate_exceeds_64(self, capsys):
+        # at p = 1.01, p' = 101 is beyond sparr_gamma's range, so the dual
+        # branch of c_linear is undefined; the other cells still print
+        code, out, _ = run_cli(capsys, "gamma", "--p-grid", "1:1.02:3", "--q-grid", "2:2:1")
+        assert code == 0
+        rows = {r["p"]: r for r in parse_csv(out)}
+        assert rows["1.01"]["c_linear"] == ""
+        assert float(rows["1.01"]["c_subadditive"]) == pytest.approx(
+            (2 * float(rows["1.01"]["gamma"])) ** (1 / 1.01))
+        assert float(rows["1.02"]["c_linear"]) > 0.0
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "gamma", "--p-grid", "2:2:1", "--q-grid", "2:2:1",
@@ -81,18 +91,6 @@ class TestKfuncCommand:
         assert [r["method"] for r in rows] == ["truncation"] * 3
         # running integral of the rearrangement (3,2,1) at t = 0.5, 1, 2
         assert [float(r["value"]) for r in rows] == pytest.approx([1.5, 3.0, 5.0])
-
-    def test_oracle_method(self, capsys, function_csv):
-        code, out, _ = run_cli(capsys, "kfunc", "--input", function_csv,
-                               "--couple", "1,2", "--t-grid", "1:1:1", "--method", "oracle")
-        assert code == 0
-        rows = parse_csv(out)
-        assert rows[0]["method"] == "brute_force"
-
-    def test_oracle_rejects_infinite_q(self, capsys, function_csv):
-        code, _, err = run_cli(capsys, "kfunc", "--input", function_csv,
-                               "--couple", "1,inf", "--t-grid", "1:1:1", "--method", "oracle")
-        assert code == 2
 
     def test_bad_couple(self, capsys, function_csv):
         code, _, _ = run_cli(capsys, "kfunc", "--input", function_csv,
@@ -339,6 +337,18 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, *(arg.replace("{csv}", function_csv) for arg in argv))
         assert code == 2 and out == ""
         assert "needs a finite start and stop" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gamma", "--p-grid", "1:2:2", "--q-grid", "2:3:2", "--method", "both"],
+        ["gamma", "--p-grid", "1:2:2", "--q-grid", "2:3:2", "--method", "fast"],
+        ["kfunc", "--input", "{csv}", "--couple", "1,2", "--t-grid", "1:1:1", "--method", "oracle"],
+        ["kfunc", "--input", "{csv}", "--couple", "1,2", "--t-grid", "1:1:1", "--method", "fast"],
+    ], ids=["gamma-both", "gamma-fast", "kfunc-oracle", "kfunc-fast"])
+    def test_method_is_no_option(self, capsys, function_csv, argv):
+        # the slow reference routes live in the tests, not behind a CLI option
+        code, out, err = run_cli(capsys, *(arg.replace("{csv}", function_csv) for arg in argv))
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --method" in err
 
 
 # stdout of `orliczkit majorant` (SHA-256) and of `orliczkit norms` on the

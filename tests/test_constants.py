@@ -5,6 +5,8 @@ import orliczkit as ok
 from orliczkit import constants
 from orliczkit.constants import conjugate_exponent
 
+from oracles import sparr_gamma_oracle
+
 
 class TestSparrGamma:
     def test_both_one(self):
@@ -33,15 +35,17 @@ class TestSparrGamma:
         with pytest.raises(ValueError):
             ok.sparr_gamma(0.5, 2)
 
-    @pytest.mark.parametrize("pq", [(64, 1.01), (16, 1.5), (4, 1.5), (1.0001, 1.0002)])
+    # the oracle takes the whole range [1, 64] of sparr_gamma
+    @pytest.mark.parametrize("pq", [(64, 1.01), (16, 1.5), (4, 1.5), (1.0001, 1.0002),
+                                    (1, 64), (2, 64), (20, 30), (63.9, 64), (64, 64),
+                                    (17, 1), (40, 2.5)])
     def test_exactly_symmetric_within_bounds_and_near_the_oracle(self, pq):
         p, q = pq
         value = ok.sparr_gamma(p, q)
         assert ok.sparr_gamma(q, p) == value
         lo, hi = min(p, q), max(p, q)
         assert 2 ** (1 - 1 / lo) <= value <= 2 ** (1 - 1 / hi)
-        if hi <= 16:
-            assert value == pytest.approx(ok.sparr_gamma_oracle(p, q), abs=1e-6)
+        assert value == pytest.approx(sparr_gamma_oracle(p, q), abs=1e-6)
 
 
 class TestGammaCache:
@@ -74,18 +78,18 @@ class TestGammaCache:
 class TestSparrOracle:
     def test_diagonal_two(self):
         # inner minimum is gamma^2/2, so the oracle solves gamma^2/2 = 1
-        assert ok.sparr_gamma_oracle(2, 2) == pytest.approx(np.sqrt(2.0), abs=1e-7)
+        assert sparr_gamma_oracle(2, 2) == pytest.approx(np.sqrt(2.0), abs=1e-7)
 
     def test_one_two(self):
         # inner minimum is gamma - 1/4 once gamma >= 1/2
-        assert ok.sparr_gamma_oracle(1, 2) == pytest.approx(1.25, abs=1e-7)
+        assert sparr_gamma_oracle(1, 2) == pytest.approx(1.25, abs=1e-7)
 
     def test_both_one(self):
-        assert ok.sparr_gamma_oracle(1, 1) == 1.0
+        assert sparr_gamma_oracle(1, 1) == 1.0
 
     def test_agreement_with_fast_method(self):
         for p, q in [(1, 1.25), (1.25, 2.5), (1.5, 1.5), (2, 3), (4, 1.5)]:
-            assert ok.sparr_gamma_oracle(p, q) == pytest.approx(
+            assert sparr_gamma_oracle(p, q) == pytest.approx(
                 ok.sparr_gamma(p, q), abs=1e-6)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import orliczkit as ok
 from orliczkit import kfunc, verify
 
-from oracles import (cumulative_p_integral, k_lp_linf_floor, k_lp_linf_golden,
+from oracles import (brute_force_k, cumulative_p_integral, k_lp_linf_floor, k_lp_linf_golden,
                      kink_bracket_per_t, kree_bounds, lp_integral, pointwise_min_split_newton,
                      rearrangement)
 
@@ -458,10 +458,10 @@ class TestLStar:
 
 class TestBruteForce:
     def test_zero_function(self):
-        assert ok.brute_force_k(1.0, sample([0.0, 0.0]), 1, 2, 51) == 0.0
+        assert brute_force_k(1.0, sample([0.0, 0.0]), 1, 2, 51) == 0.0
 
     def test_single_atom_matches_formula(self):
-        assert ok.brute_force_k(1.0, indicator(), 1, 2, 201) == pytest.approx(0.75, rel=2e-3)
+        assert brute_force_k(1.0, indicator(), 1, 2, 201) == pytest.approx(0.75, rel=2e-3)
 
     def test_upper_bounds_exact_value(self):
         rng = np.random.default_rng(36)
@@ -469,7 +469,7 @@ class TestBruteForce:
             x = sample(rng.uniform(-2, 2, 2), rng.uniform(0.5, 2.0, 2))
             t = float(10 ** rng.uniform(-0.3, 0.7))
             exact = ok.l_functional_grid(t, x, 1, 2)[0]
-            grid = ok.brute_force_k(t, x, 1, 2, 101)
+            grid = brute_force_k(t, x, 1, 2, 101)
             assert grid >= exact - 1e-9
 
     def test_two_atom_agreement(self):
@@ -479,16 +479,16 @@ class TestBruteForce:
                        rng.uniform(0.5, 2.0, 2))
             t = float(10 ** rng.uniform(-0.3, 0.7))
             exact = ok.l_functional_grid(t, x, 1.5, 3)[0]
-            grid = ok.brute_force_k(t, x, 1.5, 3, 201)
+            grid = brute_force_k(t, x, 1.5, 3, 201)
             assert grid == pytest.approx(exact, rel=2e-3)
 
     def test_atom_budget(self):
         with pytest.raises(ValueError):
-            ok.brute_force_k(1.0, sample([1, 1, 1, 1]), 1, 2, 51)
+            brute_force_k(1.0, sample([1, 1, 1, 1]), 1, 2, 51)
 
     def test_grid_budget(self):
         with pytest.raises(ValueError):
-            ok.brute_force_k(1.0, indicator(), 1, 2, 999)
+            brute_force_k(1.0, indicator(), 1, 2, 999)
 
 
 class TestBatch:

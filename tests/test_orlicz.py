@@ -997,6 +997,16 @@ class TestBuildFromH:
         us = np.linspace(0.01, 100, 60)
         assert np.allclose(phi(us), us**1.5, rtol=1e-12)
 
+    def test_zero_term_stays_zero_where_its_power_overflows(self):
+        # h = 1.1 s has intercept 0, so phi = 1.1 u; at u = 1e10 the discarded
+        # u^39 overflows, and 0 * inf raised an invalid-value warning
+        h = ok.PiecewiseLinearConcave([1.0], [1.1], 1.1, 1.1)
+        phi = ok.build_from_h(ExponentCouple(1, 39), h)
+        rows = phi.jet(np.array([1e-3, 1.0, 1e10]))
+        np.testing.assert_allclose(rows[0], 1.1 * np.array([1e-3, 1.0, 1e10]), rtol=1e-15)
+        np.testing.assert_allclose(rows[1], rows[0], rtol=1e-15)
+        assert np.all(rows[2] == 0.0)
+
     def test_affine_h_example(self):
         h = ok.PiecewiseLinearConcave([1.0], [2.0], 1.0, 1.0)
         phi = ok.build_from_h(ExponentCouple(1, 2), h)

@@ -2,9 +2,9 @@
 
 A function exported by `orliczkit/__init__.py` must be referenced somewhere
 in the package's own modules outside its own definition (a name or an
-attribute, not an import), or be one of the kept oracles. So must every
-public method and property of an exported class. Reference routes that only
-tests use live in tests/oracles.py instead.
+attribute, not an import). So must every public method and property of an
+exported class. Reference routes that only tests use live in
+tests/oracles.py instead, and the package exports none of them.
 """
 
 import ast
@@ -20,9 +20,7 @@ from pathlib import Path
 import orliczkit
 
 PACKAGE = Path(orliczkit.__file__).parent
-# the CLI cross-checks against these two; a norm estimate for the operator
-# tests lives in tests/oracles.py (Boyd's power method)
-KEPT = {"brute_force_k", "sparr_gamma_oracle"}
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def references_outside_own_def() -> set[str]:
@@ -45,7 +43,7 @@ def references_outside_own_def() -> set[str]:
 def test_every_exported_function_is_reached():
     exported = {name for name, value in vars(orliczkit).items()
                 if inspect.isfunction(value) and not name.startswith("_")}
-    unreached = sorted(exported - references_outside_own_def() - KEPT)
+    unreached = sorted(exported - references_outside_own_def())
     assert not unreached, f"exported but reached by no scenario or command: {unreached}"
 
 
@@ -62,8 +60,17 @@ def test_every_public_member_of_an_exported_class_is_reached():
     assert not unreached, f"public members that no package module references: {unreached}"
 
 
-def test_kept_oracles_are_exported():
-    assert KEPT <= set(vars(orliczkit))
+def test_no_oracle_is_exported():
+    # the names tests/oracles.py defines at its top level: a function, class
+    # or constant the package exports under one of them has crept back in
+    defined = set()
+    for top in ast.parse(ORACLES.read_text(encoding="utf-8")).body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(top.name)
+        elif isinstance(top, ast.Assign):
+            defined.update(t.id for t in top.targets if isinstance(t, ast.Name))
+    exported = sorted(defined & set(vars(orliczkit)))
+    assert defined and not exported, f"oracles the package exports: {exported}"
 
 
 def test_import_loads_no_scipy():

@@ -171,6 +171,17 @@ class TestCollector:
         assert list(report) == ["scenario", "status", "trials", "violations", "wall_ms", "details"]
         assert report["scenario"] == {"theorem": "prop22", "inline": True}
 
+    def test_a_patched_threshold_moves_the_verdict(self, monkeypatch):
+        # the thresholds are read when a check runs, not when the collector's
+        # method was defined: at 1e6 the planted fault is inside them
+        scenario = load_scenario("thm46a_negative_control.json")
+        scenario["inputs"]["count"] = 20
+        assert run_scenario(scenario)["details"]["violation_count"] == 20
+        monkeypatch.setattr(verify, "VIOLATION_REL", 1e6)
+        monkeypatch.setattr(verify, "ABS_FLOOR", 1e6)
+        report = run_scenario(scenario)
+        assert report["status"] == "pass" and report["details"]["violation_count"] == 0
+
 
 class TestSparrImplication:
     @staticmethod
@@ -330,6 +341,23 @@ class TestChainDiagnostics:
         op = ok.averaging_operator(space8, COUPLE)
         rep = ok.verify_norm_interpolation(phi, COUPLE, op,
                                            ok.generate_inputs(space8, 15, "mixed", 1.0, 13),
+                                           "thm46b_norm", diagnostics=True)
+        assert rep["status"] == "pass"
+        assert rep["details"]["chain"]["mode"] == "chain_diagnostics"
+
+    def test_majorant_skips_where_a_generator_phi_is_zero(self):
+        # at q = 60, phi = u^60 is below e^-690 near u = 1e-5, where the
+        # generator build makes it 0 and u phi'/phi is 0/0
+        couple = ExponentCouple(1, 60)
+        phi = specs.resolve_phi({"kind": "generator", "p": 1, "q": 60,
+                                 "rho": {"kind": "power", "theta": 1.0}})
+        h_jet, s_grid = verify._h_from_generator(phi, couple)
+        rows = h_jet(s_grid)
+        zero = rows[0] == 0.0
+        assert 0 < zero.sum() < 100 and np.all(np.isfinite(rows[:, ~zero]))
+        space = ok.uniform_space(1)
+        rep = ok.verify_norm_interpolation(phi, couple, ok.identity_operator(space, couple),
+                                           ok.generate_inputs(space, 4, "mixed", 1.0, 0),
                                            "thm46b_norm", diagnostics=True)
         assert rep["status"] == "pass"
         assert rep["details"]["chain"]["mode"] == "chain_diagnostics"
