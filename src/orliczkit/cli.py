@@ -166,11 +166,6 @@ def cmd_verify(args) -> int:
     scenario = _parse_json_arg(path.read_text(encoding="utf-8"), f"scenario file {path}")
     if args.seed is not None:
         scenario["seed"] = args.seed
-    if args.refine:
-        scenario = specs.normalize_scenario(scenario)
-        scenario["inputs"]["count"] *= 2
-        if scenario["t_grid"] is not None:
-            scenario["t_grid"]["points"] *= 2
     report = run_scenario(scenario)
     text = specs.dump_normalized(report)
     if args.out:
@@ -215,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a scenario file and emit its report")
     v.add_argument("--scenario", required=True)
     v.add_argument("--out", default=None, help="write the report JSON here instead of stdout")
-    v.add_argument("--refine", action="store_true",
-                   help="double the input count and t-grid density")
     v.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     v.set_defaults(func=cmd_verify)
     return parser

@@ -10,8 +10,9 @@ The grid kernels take one `SampleFunction` (one value per t back) or a
 `SampleBatch` on one space (one row per member): a single function is a
 batch of one. The kink bisection, the interval Newton solve and the Halley
 split run on `liveset.iterate`, so a value does not depend on which t's or
-members share the call. The functionals are defined for t > 0 only;
-`specs.resolve_scenario` rejects a scenario t-grid that reaches t <= 0.
+members share the call. The functionals are defined for t > 0 only: the
+t-grids of `verify` are fixed and positive, and `specs.parse_range` rejects
+a `kfunc --t-grid` sweep that reaches t <= 0.
 """
 
 from __future__ import annotations

@@ -249,12 +249,12 @@ class Theorem(NamedTuple):
 
 
 # scenario sections that a tag requires, reads or rejects (every tag reads inputs)
-SECTIONS = ("phi", "operator", "t_grid", "fault", "diagnostics")
+SECTIONS = ("phi", "operator", "fault", "diagnostics")
 
 THEOREMS = {
-    "prop22": Theorem(("operator", "t_grid"), ("fault",), q_inf=None),
+    "prop22": Theorem(("operator",), ("fault",), q_inf=None),
     # draws its own (x, y) pairs, so the input distribution is fixed
-    "sparr_lemma": Theorem(("t_grid",), distributions=("mixed",), gamma=True),
+    "sparr_lemma": Theorem((), distributions=("mixed",), gamma=True),
     "thm31a": Theorem(("phi", "operator"), ("fault",), q_inf=True),
     "thm31b_norm": Theorem(("phi", "operator"), ("fault",), q_inf=True, constant="lp_linf"),
     "thm46a": Theorem(("phi", "operator"), ("fault",), gamma=True),
@@ -354,18 +354,6 @@ def resolve_scenario(raw: dict) -> tuple:
         raise SpecError(f"inputs.scale must be a finite number > 0, got {inputs['scale']!r}")
     out["inputs"] = inputs
 
-    grid = section["t_grid"]
-    if grid is not None:
-        _require_keys(grid, {"start", "stop", "points"}, what="t_grid")
-        if not _is_int(grid["points"]) or grid["points"] < 1:
-            raise SpecError(f"t_grid points must be a positive integer, got {grid['points']!r}")
-        if not (_is_finite(grid["start"]) and _is_finite(grid["stop"])):
-            raise SpecError("t_grid start and stop must be finite numbers")
-        # K(t, x) and L(t, x) are defined for t > 0 only
-        if min(grid["start"], grid["stop"]) <= 0.0:
-            raise SpecError("t_grid needs a start and stop > 0")
-    out["t_grid"] = None if grid is None else dict(grid)   # a copy, which --refine scales
-
     if isinstance(section["phi"], dict):   # before phi or the operator is built
         _phi_fits_couple(section["phi"], couple)
     out["operator"] = section["operator"]
@@ -393,11 +381,6 @@ def resolve_scenario(raw: dict) -> tuple:
 def normalize_scenario(raw: dict) -> dict:
     """Validated canonical scenario with all defaults made explicit."""
     return resolve_scenario(raw)[0]
-
-
-def t_grid_points(grid: dict) -> np.ndarray:
-    start, stop, points = float(grid["start"]), float(grid["stop"]), int(grid["points"])
-    return np.logspace(math.log10(start), math.log10(stop), points)
 
 
 def dump_normalized(obj: Any) -> str:

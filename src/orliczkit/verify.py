@@ -3,12 +3,13 @@
 A scenario names a theorem tag, a couple, a seeded input batch and the
 sections `specs.THEOREMS` says its tag takes (anything else is rejected);
 `RUNNERS` maps the tag to its verifier, and every check passes or fails by
-the fixed thresholds below, which no scenario sets. Each verifier returns
-the report as a dict: its status, its 200 widest violations (parameter,
-input index, both sides, relative margin, witness values) and a count of
-all of them; a failed precondition, such as inputs beyond phi's domain,
-raises `ScenarioRejected` instead. Reports are deterministic given the
-seed; wall time is the only field that varies between runs.
+the fixed thresholds and t-grids below, which no scenario sets. Each
+verifier returns the report as a dict: its status, its 200 widest
+violations (parameter, input index, both sides, relative margin, witness
+values) and a count of all of them; a failed precondition, such as inputs
+beyond phi's domain, raises `ScenarioRejected` instead. Reports are
+deterministic given the seed; wall time is the only field that varies
+between runs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import operator
 import time
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Callable
 
 import numpy as np
 
@@ -66,6 +66,13 @@ CHAIN_ABS_FLOOR = 1e-9
 # within this slack (and ABS_FLOOR) at every t: it admits only pairs whose
 # L-functionals tie to rounding, not pairs that break the hypothesis.
 HYPOTHESIS_SLACK = 1e-12
+# The t's at which prop22 compares K-functionals and sparr_lemma decides its
+# hypothesis and checks its conclusion. They are constants too: the lemma's
+# hypothesis is L(t, x) <= L(t, y) for all t > 0, which a grid only samples,
+# so a scenario that picked its own t's could flip its own verdict.
+K_T_GRID = np.logspace(-3, 3, 20)
+SPARR_T_GRID = np.logspace(-6, 6, 64)
+K_T_GRID.flags.writeable = SPARR_T_GRID.flags.writeable = False
 
 
 class _Collector:
@@ -107,14 +114,15 @@ class _Collector:
             for t, i, lv, rv, mv, wv in zip(t_col, index_col, left.tolist(), right.tolist(),
                                             margins.tolist(), witness_col)]
 
-    def report(self, tag: str, trials: int, details: dict,
-               scenario: dict | None = None) -> dict:
+    def report(self, tag: str, trials: int, details: dict) -> dict:
         """The report: the 200 widest violations, widest first (ties by input
-        index, then t), and `details.violation_count` counting all of them."""
+        index, then t), and `details.violation_count` counting all of them.
+        Its scenario is `{"theorem": tag, "inline": True}`, which
+        `run_scenario` replaces with the scenario it ran."""
         ordered = sorted(self.violations,
                          key=lambda v: (-v["margin"], v["input_index"], v["t"] or 0.0))
         return {
-            "scenario": scenario if scenario is not None else {"theorem": tag, "inline": True},
+            "scenario": {"theorem": tag, "inline": True},
             "status": "pass" if not self.violations else "fail",
             "trials": trials,
             "violations": ordered[:200],
@@ -253,15 +261,14 @@ def _couple_k_grid(ts: np.ndarray, x: SampleBatch, couple: ExponentCouple) -> np
     return l_functional_grid(ts, x, couple.p, couple.q)
 
 
-def verify_k_contraction(op: CertifiedOperator, inputs: SampleBatch,
-                         t_grid, scenario: dict | None = None) -> dict:
-    """K_{p,q}(t, Tx/M) <= K_{p,q}(t, x) on every input and grid parameter."""
+def verify_k_contraction(op: CertifiedOperator, inputs: SampleBatch) -> dict:
+    """K_{p,q}(t, Tx/M) <= K_{p,q}(t, x) on every input and every t of K_T_GRID."""
     collector = _Collector()
-    ts = np.asarray(t_grid, dtype=float)
+    ts = K_T_GRID
     txs = op.apply(inputs).scaled(1.0 / op.max_bound)
     collector.check(_couple_k_grid(ts, txs, op.couple), _couple_k_grid(ts, inputs, op.couple),
                     "k_contraction", inputs.values, ts)
-    return collector.report("prop22", len(inputs), {"certified_bound": op.max_bound}, scenario)
+    return collector.report("prop22", len(inputs), {"certified_bound": op.max_bound})
 
 
 def _sparr_pairs(xs: SampleBatch, ys: SampleBatch, couple: ExponentCouple,
@@ -305,22 +312,19 @@ def _pair_batch(space, count: int, scale: float, seed: int) -> tuple[SampleBatch
     return SampleBatch(space, xs), SampleBatch(space, ys)
 
 
-def verify_sparr_batch(space, couple: ExponentCouple, count: int, t_grid,
-                       scale: float = 1.0, seed: int = 0,
-                       scenario: dict | None = None) -> dict:
-    """Run the implication over a seeded pair batch; neutral pairs are
-    counted but never failed."""
+def verify_sparr_batch(space, couple: ExponentCouple, count: int, scale: float = 1.0,
+                       seed: int = 0) -> dict:
+    """Run the implication over a seeded pair batch on SPARR_T_GRID; neutral
+    pairs are counted but never failed."""
     collector = _Collector()
     gamma = sparr_gamma(couple.p, couple.q)
     xs, ys = _pair_batch(space, count, scale, seed)
-    met = _sparr_pairs(xs, ys, couple, np.asarray(t_grid, dtype=float), gamma, collector)
-    return collector.report("sparr_lemma", count, {"gamma": gamma, "hypothesis_met": met},
-                            scenario)
+    met = _sparr_pairs(xs, ys, couple, SPARR_T_GRID, gamma, collector)
+    return collector.report("sparr_lemma", count, {"gamma": gamma, "hypothesis_met": met})
 
 
 def verify_modular_lp_linf(phi: OrliczFunction, p: float, op: CertifiedOperator,
-                           inputs: SampleBatch,
-                           scenario: dict | None = None) -> dict:
+                           inputs: SampleBatch) -> dict:
     """Modular contraction against the sharp truncation constant.
 
     Precondition (rejected, not failed): u -> phi(u^{1/p}) is convex, which
@@ -334,7 +338,7 @@ def verify_modular_lp_linf(phi: OrliczFunction, p: float, op: CertifiedOperator,
     constant = bergh_constant(p) * op.max_bound
     lhs = modular(phi, op.apply(inputs).scaled(1.0 / constant))
     collector.check(lhs, modular(phi, inputs), "modular_lp_linf", inputs.values)
-    return collector.report("thm31a", len(inputs), {"constant": constant}, scenario)
+    return collector.report("thm31a", len(inputs), {"constant": constant})
 
 
 def _require_h_form(phi: OrliczFunction, tag: str) -> None:
@@ -344,8 +348,7 @@ def _require_h_form(phi: OrliczFunction, tag: str) -> None:
 
 
 def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
-                         op: CertifiedOperator, inputs: SampleBatch,
-                         scenario: dict | None = None) -> dict:
+                         op: CertifiedOperator, inputs: SampleBatch) -> dict:
     """Modular comparison with the sharp two-piece-cost constant."""
     collector = _Collector()
     _require_h_form(phi, "thm46a")
@@ -353,40 +356,33 @@ def verify_modular_lp_lq(phi: OrliczFunction, couple: ExponentCouple,
     m = op.max_bound
     lhs = modular(phi, op.apply(inputs).scaled(1.0 / m))
     collector.check(lhs, gamma * modular(phi, inputs), "modular_lp_lq", inputs.values)
-    return collector.report("thm46a", len(inputs), {"gamma": gamma, "certified_bound": m},
-                            scenario)
+    return collector.report("thm46a", len(inputs), {"gamma": gamma, "certified_bound": m})
 
 
 _CHAIN_LOG_SPAN = 700.0   # |log| of the largest u^q and s = u^(p-q) on the chain's grid
 
 
-def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[Callable, np.ndarray]:
-    """The jet of h with phi(u) = u^q h(u^{p-q}), read off the jet of a
-    generator-built phi with finite q, and the s-grid that is the image of u
-    in [1e-5, 1e5] inside phi's domain and inside |log u| <= _CHAIN_LOG_SPAN / q,
-    so that u^q and s stay finite and normal for every q <= 64 (the span
-    binds only above q = 60.8). Where the build makes phi 0 (below
-    e^-LOG_U_RANGE), h is 0 and the other rows are nan.
+def _h_from_generator(phi: OrliczFunction, couple: ExponentCouple) -> tuple[np.ndarray, np.ndarray]:
+    """Rows 0 and 1 of the jet of h with phi(u) = u^q h(u^{p-q}), (h, s*h'),
+    read off the jet of a generator-built phi with finite q on an s-grid, and
+    that grid: the image of u in [1e-5, 1e5] inside phi's domain and inside
+    |log u| <= _CHAIN_LOG_SPAN / q, so that u^q and s stay finite and normal
+    for every q <= 64 (the span binds only above q = 60.8). Where the build
+    makes phi 0 (below e^-LOG_U_RANGE), h is 0 and s*h' is nan.
 
     With s = u^{p-q}, k = 1/(p-q) and eta = u*phi'/phi, s*h'/h = k*(eta - q),
-    which lies in [0, 1] since eta lies in [p, q]; s^2*h'' follows from
-    s*d(eta)/ds = k*(eta + u^2*phi''/phi - eta^2)."""
+    which lies in [0, 1] since eta lies in [p, q]."""
     p, q = couple.p, couple.q
     k = 1.0 / (p - q)
     span = _CHAIN_LOG_SPAN / q
     u_grid = np.exp(np.linspace(max(np.log(1e-5), -span),
                                 min(np.log(min(0.99 * phi.u_max, 1e5)), span), 4097))
-
-    def h_jet(s):
-        u = np.asarray(s, dtype=float) ** k
-        f0, f1, f2 = phi.jet(u)
-        with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 where phi is 0
-            h, eta, curv = f0 / u**q, f1 / f0, f2 / f0
-        elast = k * (eta - q)
-        return np.stack((h, h * elast, h * (elast * (elast - 1.0) + k * k * (eta + curv - eta * eta))))
-
     s_grid = np.sort(u_grid ** (p - q))
-    return h_jet, s_grid
+    u = s_grid ** k
+    f0, f1, _ = phi.jet(u)
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 where phi is 0
+        h, eta = f0 / u**q, f1 / f0
+    return np.stack((h, h * (k * (eta - q)))), s_grid
 
 
 @functools.lru_cache(maxsize=specs.PHI_CACHE_SIZE)
@@ -395,8 +391,7 @@ def _majorant_psi(phi: OrliczFunction, couple: ExponentCouple) -> tuple[OrliczFu
     majorant's knot count, made once per (phi, couple); a shared phi hashes
     by identity. The majorant is taken where phi > 0, on the one evaluation
     of h's jet that also gives its lines."""
-    h_jet, s_grid = _h_from_generator(phi, couple)
-    rows = h_jet(s_grid)
+    rows, s_grid = _h_from_generator(phi, couple)
     keep = rows[0] > 0.0
     majorant = concave_majorant(lambda s: rows[:, keep], grid=s_grid[keep], extend_decades=0.0)
     return build_from_h(couple, majorant), int(majorant.knots.size)
@@ -435,7 +430,6 @@ def _check_chain(phi: OrliczFunction, couple: ExponentCouple, inputs: SampleBatc
 
 def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
                               op: CertifiedOperator, inputs: SampleBatch, theorem: str,
-                              scenario: dict | None = None,
                               diagnostics: bool = False) -> dict:
     """||Tx|| <= C * M * ||x|| in both the Luxemburg and Amemiya norms, with
     the constant C that `specs.THEOREMS` names for the norm tag `theorem`.
@@ -471,7 +465,7 @@ def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
     if diagnostics:
         details["chain"] = _check_chain(phi, couple, inputs, tx.scaled(1.0 / op.max_bound),
                                         collector)
-    return collector.report(theorem, len(inputs), details, scenario)
+    return collector.report(theorem, len(inputs), details)
 
 
 def _inputs(s: dict, space) -> SampleBatch:
@@ -480,25 +474,24 @@ def _inputs(s: dict, space) -> SampleBatch:
 
 
 def _run_prop22(s, space, couple, phi, op) -> dict:
-    return verify_k_contraction(op, _inputs(s, space), specs.t_grid_points(s["t_grid"]), s)
+    return verify_k_contraction(op, _inputs(s, space))
 
 
 def _run_sparr(s, space, couple, phi, op) -> dict:
     ins = s["inputs"]
-    return verify_sparr_batch(space, couple, ins["count"], specs.t_grid_points(s["t_grid"]),
-                              ins["scale"], s["seed"], s)
+    return verify_sparr_batch(space, couple, ins["count"], ins["scale"], s["seed"])
 
 
 def _run_thm31a(s, space, couple, phi, op) -> dict:
-    return verify_modular_lp_linf(phi, couple.p, op, _inputs(s, space), s)
+    return verify_modular_lp_linf(phi, couple.p, op, _inputs(s, space))
 
 
 def _run_thm46a(s, space, couple, phi, op) -> dict:
-    return verify_modular_lp_lq(phi, couple, op, _inputs(s, space), s)
+    return verify_modular_lp_lq(phi, couple, op, _inputs(s, space))
 
 
 def _run_norm(s, space, couple, phi, op) -> dict:
-    return verify_norm_interpolation(phi, couple, op, _inputs(s, space), s["theorem"], s,
+    return verify_norm_interpolation(phi, couple, op, _inputs(s, space), s["theorem"],
                                      s["diagnostics"])
 
 
@@ -523,7 +516,9 @@ def run_scenario(raw_scenario: dict, jobs: int = 1) -> dict:
     if scenario["fault"]:   # normalized: a fault that plants nothing is None
         op = replace(op, bound_p=op.bound_p / 2.0, bound_q=op.bound_q / 2.0)
     try:
-        return RUNNERS[scenario["theorem"]](scenario, space, couple, phi, op)
+        report = RUNNERS[scenario["theorem"]](scenario, space, couple, phi, op)
     except DomainOverflowError as exc:
         raise ScenarioRejected(
             f"generated inputs leave phi's domain, u_max = {phi.u_max:g}: {exc}") from None
+    report["scenario"] = scenario
+    return report

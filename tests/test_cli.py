@@ -210,15 +210,6 @@ class TestVerifyCommand:
         ra.pop("wall_ms"), rb.pop("wall_ms")
         assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
-    def test_refine_doubles_counts(self, capsys, tmp_path):
-        out_path = tmp_path / "r.json"
-        code, _, _ = run_cli(capsys, "verify", "--scenario",
-                             str(SCENARIO_DIR / "thm46a.json"), "--out", str(out_path),
-                             "--refine")
-        assert code == 0
-        report = json.loads(out_path.read_text())
-        assert report["trials"] == 20
-
     def test_seed_override_changes_inputs(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli(capsys, "verify", "--scenario", str(SCENARIO_DIR / "thm46a.json"),
@@ -253,8 +244,9 @@ class TestVerifyCommand:
                                                    ("prop22_maximal_2inf.json", 0, 1),
                                                    ("sparr_lemma_1_2.json", -1, 1)])
     def test_t_grid_reaching_t_le_0_exits_two(self, capsys, tmp_path, name, start, stop):
-        # K(t, .) and L(t, .) are defined for t > 0 only; read anyway, such a grid
-        # gives a false fail (prop22) or a vacuous pass (sparr_lemma)
+        # K(t, .) and L(t, .) are defined for t > 0 only; read, such a grid would
+        # give a false fail (prop22) or a vacuous pass (sparr_lemma). The t-grids
+        # are constants of verify, so any scenario t_grid is an unknown key
         scenario = json.loads((SCENARIO_DIR / name).read_text())
         scenario["inputs"]["count"] = 20
         scenario["t_grid"] = {"start": start, "stop": stop, "points": 5}
@@ -262,7 +254,7 @@ class TestVerifyCommand:
         path.write_text(json.dumps(scenario), encoding="utf-8")
         code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
         assert code == 2 and out == ""
-        assert "t_grid needs a start and stop > 0" in err and "Traceback" not in err
+        assert "unknown keys: ['t_grid']" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("name, section, key, value", [
         ("thm46a_negative_control.json", "tolerances", "violation_rel", 2.0),
@@ -271,7 +263,7 @@ class TestVerifyCommand:
     ], ids=["violation_rel", "hypothesis_slack", "spacing"])
     def test_a_fixed_rule_set_by_the_scenario_exits_two(self, capsys, tmp_path, name, section,
                                                          key, value):
-        # the pass thresholds and the log-spaced t-grid are not scenario settings
+        # the pass thresholds and the t-grids are not scenario settings
         scenario = json.loads((SCENARIO_DIR / name).read_text())
         unknown = key if section in scenario else section
         scenario[section] = dict(scenario.get(section) or {}, **{key: value})
@@ -349,6 +341,12 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, *(arg.replace("{csv}", function_csv) for arg in argv))
         assert code == 2 and out == ""
         assert "unrecognized arguments: --method" in err
+
+    def test_refine_is_no_option(self, capsys):
+        # the t-grids are fixed, and a larger inputs.count is an edit to the scenario
+        code, out, err = run_cli(capsys, "verify", "--scenario", "thm46a.json", "--refine")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --refine" in err
 
 
 # stdout of `orliczkit majorant` (SHA-256) and of `orliczkit norms` on the

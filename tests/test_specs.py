@@ -16,11 +16,9 @@ SHIPPED = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
 
 
 def shipped(name: str) -> dict:
-    """A shipped scenario cut down to 2 inputs and, if it has a t-grid, 3 t's."""
+    """A shipped scenario cut down to 2 inputs."""
     scenario = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
     scenario["inputs"]["count"] = 2
-    if scenario["t_grid"] is not None:
-        scenario["t_grid"]["points"] = 3
     return scenario
 
 
@@ -150,7 +148,7 @@ class TestScenarioNormalization:
     def test_defaults_filled(self):
         norm = specs.normalize_scenario(self.BASE)
         assert norm["inputs"] == {"count": 100, "distribution": "mixed", "scale": 1.0}
-        assert "tolerances" not in norm and norm["t_grid"] is None
+        assert "tolerances" not in norm and "t_grid" not in norm
         assert norm["fault"] is None and norm["diagnostics"] is False
 
     def test_idempotent(self):
@@ -188,20 +186,6 @@ class TestScenarioNormalization:
         bad = dict(self.BASE, pair_inputs={"count": 3})
         with pytest.raises(specs.SpecError, match="pair_inputs"):
             specs.normalize_scenario(bad)
-
-    @pytest.mark.parametrize("change", [
-        {"points": 0}, {"points": 2.5}, {"points": "3"}, {"points": True}, {"points": -1},
-        {"start": float("nan")}, {"stop": float("inf")}, {"start": "1e-3"}, {"stop": True},
-        {"stop": 0.0}, {"start": 0}, {"start": -1}, {"start": 1, "stop": 0},
-        # K(t, .) and L(t, .) are defined for t > 0 only
-        {"start": -1, "stop": 1, "points": 5},
-    ])
-    def test_t_grid_values_validated(self, change):
-        raw = json.loads((SCENARIO_DIR / "prop22_maximal_2inf.json").read_text())
-        raw["inputs"]["count"] = 2
-        raw["t_grid"].update(change)
-        with pytest.raises(specs.SpecError, match="t_grid"):
-            specs.normalize_scenario(raw)
 
     @pytest.mark.parametrize("inputs", [
         {"scale": 0}, {"scale": -1}, {"scale": float("nan")}, {"scale": float("inf")},
@@ -260,7 +244,6 @@ class TestGridParsing:
 SECTION_VALUES = {
     "phi": {"kind": "power", "p": 2},
     "operator": {"kind": "identity"},
-    "t_grid": {"start": 0.1, "stop": 10, "points": 4},
     "fault": {"halve_certificate": True},
     "diagnostics": True,
 }
@@ -343,7 +326,8 @@ class TestTheoremTable:
         ("thm31a_p1_orlicz", {"couple": {"p": 1, "q": 2}}),
         ("thm31b_norm_p2", {"couple": {"p": 2, "q": 4}}),
         ("thm46a", {"diagnostics": True}),
-        ("thm46a", {"t_grid": SECTION_VALUES["t_grid"]}),
+        # the t-grids are constants of verify: a t_grid, even null, is an unknown key
+        ("thm46a", {"t_grid": {"start": 0.1, "stop": 10, "points": 4}}),
         ("thm46a", {"phi": None}),
         ("sparr_lemma_1_2", {"phi": SECTION_VALUES["phi"]}),
         ("sparr_lemma_1_2", {"fault": SECTION_VALUES["fault"]}),
@@ -413,7 +397,7 @@ class TestMalformedLeaves:
         ("thm46a", ("operator",), {"kind": "multiplier", "m": [0] * 8}),
         ("thm46a_negative_control", ("operator", "ops"), {}),
         ("thm46a", ("theorem",), []),
-        # every t-grid is log-spaced, so spacing is an unknown key
+        # the t-grids are constants of verify, so t_grid is an unknown key
         ("sparr_lemma_1_2", ("t_grid", "spacing"), "log"),
     ])
     def test_is_a_spec_error(self, name, path, value):
