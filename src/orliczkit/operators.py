@@ -16,12 +16,17 @@ midpoint of exactly one dyadic block, so each block level takes the means
 of all its crossing windows in one array, whose row and column maxima,
 accumulated from the midpoint outwards, feed the atoms on either side. The
 rows go through in chunks that keep that array within `_CHUNK_ELEMS`
-elements, in one buffer per call.
+elements. When the rows need more than one chunk at the top block level,
+they are cut into contiguous groups, one per usable CPU, each run on its own
+thread with its share of that budget in buffers the caller allocates; every
+row takes the same arithmetic either way, so the result is bitwise the same.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -152,8 +157,61 @@ def max_of(ops: Sequence[CertifiedOperator]) -> CertifiedOperator:
     )
 
 
-# elements of one crossing-mean temporary of the window maximal (2 MB)
+# elements of the window maximal's crossing means at once, shared among its
+# threads (2 MB)
 _CHUNK_ELEMS = 1 << 18
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _group_plan(size: int, budget: int, rows: int) -> tuple[list[tuple[int, int]], tuple]:
+    """(block size s, rows per chunk) for s = 2, 4, ..., N, and the work
+    arrays that every chunk of every level shares: the crossing means, and
+    their row and column maxima. Block size s holds (N / s) (s / 2)^2 = N s / 4
+    crossing means per row, taken `step` rows at a time within the budget
+    (one row at least, which may exceed it)."""
+    levels = [(s, max(1, min(rows, budget // (size * s // 4))))
+              for s in (1 << k for k in range(1, size.bit_length()))]
+    means = max((step * size * s // 4 for s, step in levels), default=0)
+    maxima = max((step * size // 2 for _, step in levels), default=0)
+    return levels, (np.empty(means), np.empty(maxima), np.empty(maxima))
+
+
+def _level_loop(prefix: np.ndarray, out: np.ndarray, lengths: np.ndarray,
+                levels: list[tuple[int, int]], work: tuple) -> None:
+    """Fold every block level's crossing means of these rows into out, in
+    place, writing nothing but out and the work arrays."""
+    size = out.shape[1]
+    buffer, row_buffer, col_buffer = work
+    for s, step in levels:
+        half, blocks = s // 2, size // s
+        # b - a for start a in the left half and end b - 1 in the right half
+        level_lengths = lengths[len(lengths) - half :, :half]
+        for lo in range(0, len(out), step):
+            chunk = prefix[lo : lo + step]
+            count = len(chunk)
+            starts = chunk[:, :-1].reshape(count, blocks, s)[:, :, :half]
+            ends = chunk[:, 1:].reshape(count, blocks, s)[:, :, half:]
+            means = buffer[: count * size * s // 4].reshape(count, blocks, half, half)
+            means[...] = ends[:, :, None, :]
+            means -= starts[:, :, :, None]
+            means /= level_lengths
+            # the row maxima accumulated from the left, the column maxima
+            # from the right
+            left = row_buffer[: count * size // 2].reshape(count, blocks, half)
+            right = col_buffer[: count * size // 2].reshape(count, blocks, half)
+            np.maximum.reduce(means, axis=3, out=left)
+            np.maximum.reduce(means, axis=2, out=right)
+            np.maximum.accumulate(left, axis=2, out=left)
+            np.maximum.accumulate(right[:, :, ::-1], axis=2, out=right[:, :, ::-1])
+            best = out[lo : lo + step].reshape(count, blocks, s)
+            np.maximum(best[:, :, :half], left, out=best[:, :, :half])
+            np.maximum(best[:, :, half:], right, out=best[:, :, half:])
 
 
 def _window_maximal(v: np.ndarray) -> np.ndarray:
@@ -169,6 +227,12 @@ def _window_maximal(v: np.ndarray) -> np.ndarray:
     in its right half give the atom a in the left half the running maximum
     over starts up to a of the row maxima, and the atom b - 1 in the right
     half the running maximum over ends from b of the column maxima.
+
+    Rows that need more than one chunk at the top level are cut into
+    contiguous groups, one per usable CPU (at most one per row), and each
+    group's level loop runs on its own thread with an equal share of the
+    budget, or one row per chunk where a share holds less. Every row's
+    arithmetic is the same either way, so the result is bitwise the same.
     """
     rows, n = v.shape
     size = 1 << (n - 1).bit_length()
@@ -176,32 +240,46 @@ def _window_maximal(v: np.ndarray) -> np.ndarray:
     prefix[:, 0] = 0.0
     np.cumsum(np.abs(v), axis=1, out=prefix[:, 1 : n + 1])
     prefix[:, n + 1 :] = prefix[:, n : n + 1]
-    # block size s holds (N / s) (s / 2)^2 = N s / 4 crossing means per row,
-    # taken `step` rows at a time within the budget (one row at least, which
-    # may exceed it); every chunk of every level shares one buffer
-    levels = [(s, max(1, _CHUNK_ELEMS // (size * s // 4)))
-              for s in (1 << k for k in range(1, size.bit_length()))]
-    buffer = np.empty(max((min(rows, step) * size * s // 4 for s, step in levels), default=0))
+    top_step = max(1, _CHUNK_ELEMS // max(1, size * size // 4))
+    groups = min(rows, _usable_cpus()) if rows > top_step else 1
     # an overflowed prefix sum gives inf - inf; the nan carries through
     with np.errstate(invalid="ignore"):
         out = prefix[:, 1:] - prefix[:, :-1]
-        for s, step in levels:
-            half, blocks = s // 2, size // s
-            # b - a for start a in the left half and end b - 1 in the right half
-            lengths = np.arange(half + 1, s + 1, dtype=float)[None, :] - np.arange(half)[:, None]
-            for lo in range(0, rows, step):
-                chunk = prefix[lo : lo + step]
-                starts = chunk[:, :-1].reshape(-1, blocks, s)[:, :, :half]
-                ends = chunk[:, 1:].reshape(-1, blocks, s)[:, :, half:]
-                means = buffer[: len(chunk) * size * s // 4].reshape(-1, blocks, half, half)
-                np.subtract(ends[:, :, None, :], starts[:, :, :, None], out=means)
-                means /= lengths
-                left = np.maximum.accumulate(means.max(axis=3), axis=2)
-                right = np.maximum.accumulate(means.max(axis=2)[:, :, ::-1], axis=2)[:, :, ::-1]
-                best = out[lo : lo + step].reshape(-1, blocks, s)
-                np.maximum(best[:, :, :half], left, out=best[:, :, :half])
-                np.maximum(best[:, :, half:], right, out=best[:, :, half:])
+        # half + 1 + j - i at (i, j) for half = N / 2; block size s divides by
+        # its bottom-left (s / 2) x (s / 2) corner, which holds s / 2 + 1 + j - i
+        half = size // 2
+        lengths = np.arange(half + 1, size + 1, dtype=float)[None, :] - np.arange(half)[:, None]
+        bounds = [rows * g // groups for g in range(groups + 1)]
+        tasks = [(prefix[lo:hi], out[lo:hi], lengths, *_group_plan(size, _CHUNK_ELEMS // groups, hi - lo))
+                 for lo, hi in zip(bounds, bounds[1:])]
+        if groups == 1:
+            _level_loop(*tasks[0])
+        else:
+            _run_threads(tasks, np.geterr())
     return out[:, :n]
+
+
+def _run_threads(tasks: list[tuple], errors: dict) -> None:
+    """Run _level_loop on each task under the error state `errors`, the first
+    on this thread and each other on a thread of its own started here; the
+    first exception raised in any of them is raised here once all have ended."""
+    raised: list[BaseException] = []
+
+    def run(task: tuple) -> None:
+        try:
+            with np.errstate(**errors):
+                _level_loop(*task)
+        except BaseException as exc:  # handed to the calling thread
+            raised.append(exc)
+
+    threads = [threading.Thread(target=run, args=(task,)) for task in tasks[1:]]
+    for thread in threads:
+        thread.start()
+    run(tasks[0])
+    for thread in threads:
+        thread.join()
+    if raised:
+        raise raised[0]
 
 
 def discrete_maximal(space: DiscreteMeasureSpace, couple: ExponentCouple) -> CertifiedOperator:
@@ -215,6 +293,9 @@ def discrete_maximal(space: DiscreteMeasureSpace, couple: ExponentCouple) -> Cer
     builds the W matrices: it takes every window mean from prefix sums, by
     a divide and conquer over window midpoints, in about n^2 / 2 array
     operations per row and in row chunks of at most `_CHUNK_ELEMS` elements.
+    Rows beyond one chunk of the top block level are split into one group
+    per usable CPU, each on its own thread; the output is bitwise the output
+    on one CPU.
     """
     _require_uniform(space)
     n = space.n

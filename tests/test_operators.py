@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,31 +226,112 @@ class TestWindowMaximalKernel:
         want = literal.apply(ok.SampleBatch(sp, np.abs(rows))).values
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
 
-    def test_batch_beyond_one_chunk_equals_row_by_row(self):
-        # at n = 512 the top block level holds four rows per chunk
+    def test_batch_beyond_one_chunk_equals_row_by_row(self, monkeypatch):
+        # at n = 512 the top block level holds four rows per chunk of the
+        # whole budget, so nine rows split across CPUs, and one row per chunk
+        # of each thread's third of it; a lone row never splits
         sp = ok.uniform_space(512)
         op = ok.discrete_maximal(sp, COUPLE)
         rng = np.random.default_rng(61)
         rows = np.stack([kernel_row(ROW_KINDS[i % 4], 512, rng) for i in range(9)])
-        batch = op.apply(ok.SampleBatch(sp, rows)).values
-        alone = np.stack([op.apply(ok.SampleFunction(sp, r)).values for r in rows])
-        assert batch.tobytes() == alone.tobytes()
+        for cpus in (1, 3):
+            monkeypatch.setattr(operators, "_usable_cpus", lambda: cpus)
+            batch = op.apply(ok.SampleBatch(sp, rows)).values
+            alone = np.stack([op.apply(ok.SampleFunction(sp, r)).values for r in rows])
+            assert batch.tobytes() == alone.tobytes(), cpus
 
     def test_small_chunk_budget_changes_nothing(self, monkeypatch):
         rng = np.random.default_rng(62)
         rows = np.stack([kernel_row(ROW_KINDS[i % 4], 33, rng) for i in range(40)])
         whole = maximal_batch(rows)
         monkeypatch.setattr(operators, "_CHUNK_ELEMS", 16)
-        assert maximal_batch(rows).tobytes() == whole.tobytes()
+        for cpus in (1, 3):
+            monkeypatch.setattr(operators, "_usable_cpus", lambda: cpus)
+            assert maximal_batch(rows).tobytes() == whole.tobytes(), cpus
+
+    @pytest.mark.parametrize("n", [33, 100])
+    @pytest.mark.parametrize("count", [9, 2, 1])
+    def test_split_rows_equal_one_cpu_and_oracle_bitwise(self, monkeypatch, n, count):
+        # an odd row count, fewer rows than threads, and a lone row; a budget
+        # of 16 holds less than one top-level row, so any two rows split
+        monkeypatch.setattr(operators, "_CHUNK_ELEMS", 16)
+        rng = np.random.default_rng(66 + n + count)
+        rows = np.stack([kernel_row(ROW_KINDS[i % 4], n, rng) for i in range(count)])
+        monkeypatch.setattr(operators, "_usable_cpus", lambda: 1)
+        one = operators._window_maximal(rows)
+        threads = set()
+        level_loop = operators._level_loop
+
+        def logged(*task):
+            threads.add(threading.get_ident())
+            level_loop(*task)
+
+        monkeypatch.setattr(operators, "_level_loop", logged)
+        monkeypatch.setattr(operators, "_usable_cpus", lambda: 3)
+        split = operators._window_maximal(rows)
+        assert len(threads) == min(count, 3)
+        assert split.tobytes() == one.tobytes() == oracle_batch(rows).tobytes()
 
     @pytest.mark.parametrize("n", [3, 8, 9, 100])
-    def test_overflowing_prefix_sums_match_oracle(self, n):
+    def test_overflowing_prefix_sums_match_oracle(self, monkeypatch, n):
         rows = np.random.default_rng(63).uniform(-1.0, 1.0, (12, n)) * 1.7e308
         with np.errstate(over="ignore"):
-            got = operators._window_maximal(rows)
             want = oracle_batch(rows)
+            assert np.array_equal(operators._window_maximal(rows), want, equal_nan=True)
+            # on three CPUs a budget of 16 splits every n here: the caller's
+            # error state must reach each thread
+            monkeypatch.setattr(operators, "_CHUNK_ELEMS", 16)
+            monkeypatch.setattr(operators, "_usable_cpus", lambda: 3)
+            assert np.array_equal(operators._window_maximal(rows), want, equal_nan=True)
         assert not np.all(np.isfinite(want))
-        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_callers_error_state_holds_in_every_thread(self, monkeypatch, cpus):
+        # the subnormal last row underflows in the division by the window
+        # length; on three CPUs it is split off to a thread of its own
+        monkeypatch.setattr(operators, "_CHUNK_ELEMS", 16)
+        monkeypatch.setattr(operators, "_usable_cpus", lambda: cpus)
+        rows = np.ones((5, 33))
+        rows[-1] = 3e-321
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            operators._window_maximal(rows)
+        with np.errstate(under="ignore"):
+            assert operators._window_maximal(rows).tobytes() == oracle_batch(rows).tobytes()
+
+    def test_exception_in_a_thread_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(operators, "_CHUNK_ELEMS", 16)
+        monkeypatch.setattr(operators, "_usable_cpus", lambda: 3)
+        caller, level_loop = threading.get_ident(), operators._level_loop
+
+        def failing(*task):
+            if threading.get_ident() != caller:
+                raise RuntimeError("thread failed")
+            level_loop(*task)
+
+        monkeypatch.setattr(operators, "_level_loop", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="thread failed"):
+            operators._window_maximal(np.ones((5, 33)))
+        assert threading.active_count() == before
+
+    def test_split_allocates_no_more_than_one_cpu(self, monkeypatch):
+        # the caller allocates every work array, so a split call's traced peak
+        # may exceed the one-CPU call's only by the ufunc iteration buffers
+        # (8192 doubles, 64 KiB each) that NumPy holds in the added threads:
+        # two of them are the slack
+        rows = np.random.default_rng(67).normal(size=(24, 512))
+        peaks = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(operators, "_usable_cpus", lambda: cpus)
+            operators._window_maximal(rows)
+            tracemalloc.start()
+            try:
+                operators._window_maximal(rows)
+                peaks[cpus] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        slack = 2 * 64 * 1024
+        assert peaks[2] <= peaks[1] + slack and peaks[3] <= peaks[1] + slack, peaks
 
 
 class TestBatchedApply:
