@@ -17,9 +17,10 @@ of all its crossing windows in one array, whose row and column maxima,
 accumulated from the midpoint outwards, feed the atoms on either side. The
 rows go through in chunks that keep that array within `_CHUNK_ELEMS`
 elements. When the rows need more than one chunk at the top block level,
-they are cut into contiguous groups, one per usable CPU, each run on its own
-thread with its share of that budget in buffers the caller allocates; every
-row takes the same arithmetic either way, so the result is bitwise the same.
+they are cut into contiguous groups, one per usable CPU but no more than
+that chunk's rows, each run on its own thread with its share of that budget
+in buffers the caller allocates; every row takes the same arithmetic either
+way, so the result is bitwise the same.
 """
 
 from __future__ import annotations
@@ -229,9 +230,11 @@ def _window_maximal(v: np.ndarray) -> np.ndarray:
     half the running maximum over ends from b of the column maxima.
 
     Rows that need more than one chunk at the top level are cut into
-    contiguous groups, one per usable CPU (at most one per row), and each
-    group's level loop runs on its own thread with an equal share of the
-    budget, or one row per chunk where a share holds less. Every row's
+    contiguous groups, one per usable CPU but at most one per row of a
+    top-level chunk, and each group's level loop runs on its own thread with
+    an equal share of the budget, which still holds a top-level row. So a
+    split never takes more memory than one thread would, and rows whose
+    top-level chunk holds just one (n > 512) never split. Every row's
     arithmetic is the same either way, so the result is bitwise the same.
     """
     rows, n = v.shape
@@ -241,7 +244,9 @@ def _window_maximal(v: np.ndarray) -> np.ndarray:
     np.cumsum(np.abs(v), axis=1, out=prefix[:, 1 : n + 1])
     prefix[:, n + 1 :] = prefix[:, n : n + 1]
     top_step = max(1, _CHUNK_ELEMS // max(1, size * size // 4))
-    groups = min(rows, _usable_cpus()) if rows > top_step else 1
+    # at most top_step groups, so that each group's share of the budget still
+    # holds a whole top-level row and their buffers together stay within it
+    groups = min(_usable_cpus(), top_step) if rows > top_step else 1
     # an overflowed prefix sum gives inf - inf; the nan carries through
     with np.errstate(invalid="ignore"):
         out = prefix[:, 1:] - prefix[:, :-1]
@@ -253,6 +258,8 @@ def _window_maximal(v: np.ndarray) -> np.ndarray:
         tasks = [(prefix[lo:hi], out[lo:hi], lengths, *_group_plan(size, _CHUNK_ELEMS // groups, hi - lo))
                  for lo, hi in zip(bounds, bounds[1:])]
         if groups == 1:
+            # straight to the loop: the error state and thread bookkeeping of
+            # _run_threads add 5.5 us to a 62 us call at n = 8 (2-core x86)
             _level_loop(*tasks[0])
         else:
             _run_threads(tasks, np.geterr())
@@ -262,7 +269,11 @@ def _window_maximal(v: np.ndarray) -> np.ndarray:
 def _run_threads(tasks: list[tuple], errors: dict) -> None:
     """Run _level_loop on each task under the error state `errors`, the first
     on this thread and each other on a thread of its own started here; the
-    first exception raised in any of them is raised here once all have ended."""
+    first exception raised in any of them is raised here once all have ended.
+
+    Plain threads, not concurrent.futures: that package imports logging,
+    which adds 3 ms and 0.7 MB to every import of orliczkit (2-core x86
+    machine), whether or not a call ever splits."""
     raised: list[BaseException] = []
 
     def run(task: tuple) -> None:
@@ -294,8 +305,9 @@ def discrete_maximal(space: DiscreteMeasureSpace, couple: ExponentCouple) -> Cer
     a divide and conquer over window midpoints, in about n^2 / 2 array
     operations per row and in row chunks of at most `_CHUNK_ELEMS` elements.
     Rows beyond one chunk of the top block level are split into one group
-    per usable CPU, each on its own thread; the output is bitwise the output
-    on one CPU.
+    per usable CPU, up to that chunk's row count (4 at n = 512, 1 above),
+    each on its own thread within the same budget; the output is bitwise the
+    output on one CPU.
     """
     _require_uniform(space)
     n = space.n

@@ -197,6 +197,12 @@ def oracle_batch(rows):
     return np.stack([maximal_prefix_oracle(r) for r in rows])
 
 
+def top_rows_budget(n, count):
+    """A chunk budget that holds `count` rows of the top block level at n."""
+    size = 1 << (n - 1).bit_length()
+    return count * size * size // 4
+
+
 class TestWindowMaximalKernel:
     @pytest.mark.parametrize("n", MAXIMAL_SIZES)
     def test_fixed_rows_equal_prefix_oracle_bitwise(self, n):
@@ -241,35 +247,42 @@ class TestWindowMaximalKernel:
             assert batch.tobytes() == alone.tobytes(), cpus
 
     def test_small_chunk_budget_changes_nothing(self, monkeypatch):
+        # 16 holds less than one top-level row, so no split; three top-level
+        # rows split across three CPUs
         rng = np.random.default_rng(62)
         rows = np.stack([kernel_row(ROW_KINDS[i % 4], 33, rng) for i in range(40)])
         whole = maximal_batch(rows)
-        monkeypatch.setattr(operators, "_CHUNK_ELEMS", 16)
-        for cpus in (1, 3):
-            monkeypatch.setattr(operators, "_usable_cpus", lambda: cpus)
-            assert maximal_batch(rows).tobytes() == whole.tobytes(), cpus
+        for budget in (16, top_rows_budget(33, 3)):
+            monkeypatch.setattr(operators, "_CHUNK_ELEMS", budget)
+            for cpus in (1, 3):
+                monkeypatch.setattr(operators, "_usable_cpus", lambda: cpus)
+                assert maximal_batch(rows).tobytes() == whole.tobytes(), (budget, cpus)
 
     @pytest.mark.parametrize("n", [33, 100])
-    @pytest.mark.parametrize("count", [9, 2, 1])
+    @pytest.mark.parametrize("count", [9, 5, 2, 1])
     def test_split_rows_equal_one_cpu_and_oracle_bitwise(self, monkeypatch, n, count):
-        # an odd row count, fewer rows than threads, and a lone row; a budget
-        # of 16 holds less than one top-level row, so any two rows split
-        monkeypatch.setattr(operators, "_CHUNK_ELEMS", 16)
+        # an odd row count, fewer rows than CPUs, and batches of one chunk; a
+        # budget of three top-level rows splits more than three rows into
+        # three groups on eight CPUs, and leaves fewer whole
+        monkeypatch.setattr(operators, "_CHUNK_ELEMS", top_rows_budget(n, 3))
         rng = np.random.default_rng(66 + n + count)
         rows = np.stack([kernel_row(ROW_KINDS[i % 4], n, rng) for i in range(count)])
         monkeypatch.setattr(operators, "_usable_cpus", lambda: 1)
         one = operators._window_maximal(rows)
-        threads = set()
+        # the thread that ran each group: the caller's, and one of its own
+        # for each other group
+        threads = []
         level_loop = operators._level_loop
 
         def logged(*task):
-            threads.add(threading.get_ident())
+            threads.append(threading.get_ident())
             level_loop(*task)
 
         monkeypatch.setattr(operators, "_level_loop", logged)
-        monkeypatch.setattr(operators, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(operators, "_usable_cpus", lambda: 8)
         split = operators._window_maximal(rows)
-        assert len(threads) == min(count, 3)
+        assert len(set(threads)) == len(threads) == (3 if count > 3 else 1)
+        assert threading.get_ident() in threads
         assert split.tobytes() == one.tobytes() == oracle_batch(rows).tobytes()
 
     @pytest.mark.parametrize("n", [3, 8, 9, 100])
@@ -278,9 +291,10 @@ class TestWindowMaximalKernel:
         with np.errstate(over="ignore"):
             want = oracle_batch(rows)
             assert np.array_equal(operators._window_maximal(rows), want, equal_nan=True)
-            # on three CPUs a budget of 16 splits every n here: the caller's
-            # error state must reach each thread
-            monkeypatch.setattr(operators, "_CHUNK_ELEMS", 16)
+            # on three CPUs a budget of three top-level rows splits the
+            # twelve rows at every n here: the caller's error state must
+            # reach each thread
+            monkeypatch.setattr(operators, "_CHUNK_ELEMS", top_rows_budget(n, 3))
             monkeypatch.setattr(operators, "_usable_cpus", lambda: 3)
             assert np.array_equal(operators._window_maximal(rows), want, equal_nan=True)
         assert not np.all(np.isfinite(want))
@@ -288,8 +302,8 @@ class TestWindowMaximalKernel:
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_callers_error_state_holds_in_every_thread(self, monkeypatch, cpus):
         # the subnormal last row underflows in the division by the window
-        # length; on three CPUs it is split off to a thread of its own
-        monkeypatch.setattr(operators, "_CHUNK_ELEMS", 16)
+        # length; on three CPUs it falls to a thread other than the caller's
+        monkeypatch.setattr(operators, "_CHUNK_ELEMS", top_rows_budget(33, 3))
         monkeypatch.setattr(operators, "_usable_cpus", lambda: cpus)
         rows = np.ones((5, 33))
         rows[-1] = 3e-321
@@ -299,7 +313,7 @@ class TestWindowMaximalKernel:
             assert operators._window_maximal(rows).tobytes() == oracle_batch(rows).tobytes()
 
     def test_exception_in_a_thread_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(operators, "_CHUNK_ELEMS", 16)
+        monkeypatch.setattr(operators, "_CHUNK_ELEMS", top_rows_budget(33, 3))
         monkeypatch.setattr(operators, "_usable_cpus", lambda: 3)
         caller, level_loop = threading.get_ident(), operators._level_loop
 
@@ -315,13 +329,16 @@ class TestWindowMaximalKernel:
         assert threading.active_count() == before
 
     def test_split_allocates_no_more_than_one_cpu(self, monkeypatch):
-        # the caller allocates every work array, so a split call's traced peak
-        # may exceed the one-CPU call's only by the ufunc iteration buffers
-        # (8192 doubles, 64 KiB each) that NumPy holds in the added threads:
-        # two of them are the slack
+        # the caller allocates every work array, and at n = 512 a batch splits
+        # into at most four groups, the top level's rows per chunk, so that
+        # the crossing means stay within the budget on any number of CPUs. A
+        # split call's traced peak may exceed the one-CPU call's only by what
+        # each added thread holds: NumPy's ufunc iteration buffers (8192
+        # doubles, 64 KiB each) and its own records. 128 KiB per added thread
+        # is the slack; one top-level row of crossing means is 512 KiB
         rows = np.random.default_rng(67).normal(size=(24, 512))
         peaks = {}
-        for cpus in (1, 2, 3):
+        for cpus in (1, 2, 3, 8):
             monkeypatch.setattr(operators, "_usable_cpus", lambda: cpus)
             operators._window_maximal(rows)
             tracemalloc.start()
@@ -330,8 +347,8 @@ class TestWindowMaximalKernel:
                 peaks[cpus] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        slack = 2 * 64 * 1024
-        assert peaks[2] <= peaks[1] + slack and peaks[3] <= peaks[1] + slack, peaks
+        for cpus in (2, 3, 8):
+            assert peaks[cpus] <= peaks[1] + 128 * 1024 * (min(cpus, 4) - 1), peaks
 
 
 class TestBatchedApply:
