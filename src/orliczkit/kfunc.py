@@ -10,9 +10,23 @@ The grid kernels take one `SampleFunction` (one value per t back) or a
 `SampleBatch` on one space (one row per member): a single function is a
 batch of one. The kink bisection, the interval Newton solve and the Halley
 split run on `liveset.iterate`, so a value does not depend on which t's or
-members share the call. The functionals are defined for t > 0 only: the
-t-grids of `verify` are fixed and positive, and `specs.parse_range` rejects
-a `kfunc --t-grid` sweep that reaches t <= 0.
+members share the call.
+
+Each kernel works through its (member, t) rows in blocks (`_grid_blocks`)
+of a bounded number of rows x atoms, so a caller can stack the two sides of
+a check into one call (`verify._stack`) and pay the call's fixed cost once
+without enlarging any temporary. A block's temporaries are a few float
+arrays of its size. Its time per element rises once they outgrow the
+caches, and a float array of 64 KiB or more lets glibc's free trim the
+heap, so that the next call faults the pages back in. So K takes its sums
+once per distinct (member, kink) and the L split overwrites its arrays in
+place, to keep few such arrays alive at once.
+
+Each kernel takes t >= 0 and finite, and raises `ValueError` for any other
+t: a negative t would give negative values, and an infinite one nan. At
+t = 0 each functional is 0. The t-grids of `verify` are fixed and positive,
+and `specs.parse_range` rejects a `kfunc --t-grid` sweep that reaches
+t <= 0.
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .liveset import iterate
-from .measure import SampleBatch, SampleFunction, abs_rows
+from .measure import SampleBatch, SampleFunction, abs_rows, row_chunks
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -34,6 +48,41 @@ def _expit(x: np.ndarray) -> np.ndarray:
 def _check_exponent(p: float, name: str = "p") -> None:
     if not (1.0 <= p < np.inf):
         raise ValueError(f"{name} must lie in [1, inf)")
+
+
+def _t_grid(ts) -> np.ndarray:
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if not np.all((ts >= 0.0) & (ts < np.inf)):   # nan fails both
+        raise ValueError("every t must be finite and >= 0")
+    return ts
+
+
+# Elements (rows x atoms) per block, from interleaved per-element cost curves
+# (ROADMAP aim 1). K takes runs of whole members up to 2^17 elements: its
+# time per element is flat from 2^16 to 2^18, and at n = 512 a run of one
+# member (10,240 elements) costs 3x. L and L* take runs of whole members up
+# to 6 x 2^10 elements, so that each float temporary (48 KiB) stays under
+# the 64 KiB at which glibc's free may trim the heap: a sparr report at
+# n = 8 then faults in no pages, where runs of 2^14 or 2^15 elements fault
+# in 40-220 per report. A member whose t-grid alone is larger is one block
+# up to 2^15 elements (its 64 t's at n = 512): L's time per element there is
+# least at 2^14-2^15, and a split member pays a block's fixed cost per piece.
+_K_ELEMS = 2**17
+_L_RUN_ELEMS = 6 * 2**10
+_L_SPLIT_ELEMS = 2**15
+
+
+def _grid_blocks(members: int, t_count: int, n: int, runs: int,
+                 split: int) -> list[tuple[slice, slice]]:
+    """(member, t) blocks that cover a kernel's members x t_count rows of n
+    atoms each (`row_chunks`): balanced runs of whole members within `runs`
+    elements (a run holds at least one member) while one member's t-grid is
+    within `split`, and each member's t-grid cut into balanced runs within
+    `split` once it is not. Every value is computed as in one call on all
+    rows, since no two rows interact."""
+    if t_count * n <= split:
+        return [(rows, slice(None)) for rows in row_chunks(members, t_count * n, runs)]
+    return [(slice(i, i + 1), cols) for i in range(members) for cols in row_chunks(t_count, n, split)]
 
 
 # A row stops once its value is certified within this fraction of itself.
@@ -53,6 +102,17 @@ def _descent_rate(e: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     return s_pm1 * np.sum(power * w, axis=1) ** (1.0 / p - 1.0)
 
 
+def _distinct_kinks(row: np.ndarray, k: np.ndarray, kinks: np.ndarray):
+    """The distinct (member, kink index) pairs among (row[i], k[i]), in
+    order, as arrays r and k, and the index of each i's pair among them."""
+    width = kinks.shape[1]
+    key = row * width + k
+    seen = np.zeros(kinks.size, dtype=bool)
+    seen[key] = True
+    r, k = np.divmod(np.flatnonzero(seen), width)
+    return r, k, np.cumsum(seen)[key] - 1
+
+
 def _kink_bracket(m: np.ndarray, kinks: np.ndarray, w: np.ndarray, p: float,
                   row: np.ndarray, t: np.ndarray) -> np.ndarray:
     """For each (member row[i], t[i]), the least kink index J at which the
@@ -63,23 +123,19 @@ def _kink_bracket(m: np.ndarray, kinks: np.ndarray, w: np.ndarray, p: float,
     log2(n + 1) passes. A rate depends on its member and kink alone, so each
     pass computes it once per distinct (member, kink) among the open rows
     and reads it back to every t that asks for it."""
-    width = m.shape[1] + 1
 
     def step(row, t, lo, hi):
         mid = (lo + hi) // 2
-        key = row * width + mid
-        seen = np.zeros(m.shape[0] * width, dtype=bool)
-        seen[key] = True
-        r, k = np.divmod(np.flatnonzero(seen), width)
+        r, k, back = _distinct_kinks(row, mid, kinks)
         a = kinks[r, k]                                       # < 1, as mid < hi
         e = m[r] - a[:, None]
         np.maximum(e, 0.0, out=e)
         e *= (1.0 / (1.0 - a))[:, None]
-        falls = t < _descent_rate(e, w, p)[np.cumsum(seen)[key] - 1]
+        falls = t < _descent_rate(e, w, p)[back]
         lo, hi = np.where(falls, mid + 1, lo), np.where(falls, hi, mid)
         return lo >= hi, (lo,), (row, t, lo, hi)
 
-    hi = (width - np.sum(m == 1.0, axis=1))[row]   # the first kink at the sup
+    hi = (kinks.shape[1] - np.sum(m == 1.0, axis=1))[row]   # the first kink at the sup
     return iterate("k_kinks", step, (row, t, np.zeros(row.size, dtype=np.intp), hi))[0]
 
 
@@ -87,18 +143,18 @@ def _power_sum(d: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     return np.sum(np.maximum(d, 0.0) ** p * w, axis=1)
 
 
-def _quadratic_interval(d, w, t, a, b, inner):
+def _quadratic_interval(d, w, back, t, a, b, inner):
     """Least of F(a), F(b) and the stationary point at p = 2 (rows with
-    `inner` set have a descent at a, so t^2 < W). With s = b - lam and the
-    sums shifted to b (W = sum w, S1 = sum w d, D2 = sum w d^2 over the
-    atoms with d >= 0), rem(s) = D2 + 2 s S1 + s^2 W has no cancelling
-    terms, and F'(s) = 0 at s* = (t^2 D2 - S1^2) / ((W - t^2)(u + S1)),
-    u = t sqrt((W D2 - S1^2) / (W - t^2))."""
+    `inner` set have a descent at a, so t^2 < W), where row i's atoms are
+    row back[i] of d. With s = b - lam and the sums shifted to b (W = sum w,
+    S1 = sum w d, D2 = sum w d^2 over the atoms with d >= 0), rem(s) = D2 +
+    2 s S1 + s^2 W has no cancelling terms, and F'(s) = 0 at s* = (t^2 D2 -
+    S1^2) / ((W - t^2)(u + S1)), u = t sqrt((W D2 - S1^2) / (W - t^2))."""
     active = d >= 0.0
     dp = np.where(active, d, 0.0)
-    big_w = np.sum(active * w, axis=1)
-    s1 = np.sum(dp * w, axis=1)
-    d2 = np.sum(dp * dp * w, axis=1)
+    big_w = np.sum(active * w, axis=1)[back]
+    s1 = np.sum(dp * w, axis=1)[back]
+    d2 = np.sum(dp * dp * w, axis=1)[back]
     span = b - a
     value = np.minimum(np.sqrt(d2) + t * b, np.sqrt(d2 + span * (2.0 * s1 + span * big_w)) + t * a)
     big_w, s1, d2, span, ti = big_w[inner], s1[inner], d2[inner], span[inner], t[inner]
@@ -178,6 +234,39 @@ def _newton_interval(d: np.ndarray, w: np.ndarray, p: float, t: np.ndarray,
     return best
 
 
+def _k_block(ts: np.ndarray, mags: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """K at every t of ts for each row of magnitudes; see `k_lp_linf_grid`."""
+    sup = mags.max(axis=1, initial=0.0)
+    out = np.zeros((mags.shape[0], ts.size))
+    members = np.flatnonzero(sup > 0.0)   # a zero member has K = 0
+    m = mags[members] / sup[members, None]
+    kinks = np.hstack((np.zeros((members.size, 1)), np.sort(m, axis=1)))
+    row, t = np.repeat(np.arange(members.size), ts.size), np.tile(ts, members.size)
+    with np.errstate(under="ignore"):   # powers of tiny scaled magnitudes
+        j = _kink_bracket(m, kinks, w, p, row, t)
+        a, b = kinks[row, np.maximum(j - 1, 0)], kinks[row, j]
+        # the atoms above a row's interval depend on its member and j alone,
+        # so their sums are taken once per distinct pair and read back to
+        # each row (back), as the bracket reads back its rates
+        r, k, back = _distinct_kinks(row, j, kinks)
+        d = m[r] - kinks[r, k][:, None]   # the atoms above the interval have d >= 0
+        if p == 1.0:
+            above = d >= 0.0
+            rest = np.sum(np.where(above, d, 0.0) * w, axis=1)[back]
+            value = rest + np.minimum(t * b, (b - a) * np.sum(above * w, axis=1)[back] + t * a)
+        elif p == 2.0:
+            value = _quadratic_interval(d, w, back, t, a, b, j > 0)
+        else:
+            span = kinks[r, k] - kinks[r, np.maximum(k - 1, 0)]
+            value = np.minimum(_power_sum(d, w, p)[back] ** (1.0 / p) + t * b,
+                               _power_sum(d + span[:, None], w, p)[back] ** (1.0 / p) + t * a)
+            solve = np.flatnonzero((j > 0) & (b < 1.0))   # not all atoms above at b
+            inner = _newton_interval(d[back[solve]], w, p, t[solve], b[solve], (b - a)[solve])
+            value[solve] = np.minimum(value[solve], inner)
+    out[members] = sup[members, None] * value.reshape(members.size, ts.size)
+    return out
+
+
 def k_lp_linf_grid(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarray:
     """K(t, x; L^p, L^inf) for every t in ts (and every member of a batch),
     via the truncation reduction, exactly.
@@ -192,34 +281,14 @@ def k_lp_linf_grid(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarray:
     it is attained: an upper bound on the infimum within roundoff of it.
     Each member is scaled to sup 1 before any power sum and its values are
     scaled back after, so K is positively homogeneous at any finite scale.
+    The rows run in `_grid_blocks` within `_K_ELEMS` elements.
     """
     _check_exponent(p)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = _t_grid(ts)
     mags, single = abs_rows(x)
-    w = x.space.weights
-    sup = mags.max(axis=1, initial=0.0)
-    out = np.zeros((mags.shape[0], ts.size))
-    members = np.flatnonzero(sup > 0.0)   # a zero member has K = 0
-    m = mags[members] / sup[members, None]
-    kinks = np.hstack((np.zeros((members.size, 1)), np.sort(m, axis=1)))
-    row, t = np.repeat(np.arange(members.size), ts.size), np.tile(ts, members.size)
-    with np.errstate(under="ignore"):   # powers of tiny scaled magnitudes
-        j = _kink_bracket(m, kinks, w, p, row, t)
-        a, b = kinks[row, np.maximum(j - 1, 0)], kinks[row, j]
-        d = m[row] - b[:, None]           # the atoms above the interval have d >= 0
-        if p == 1.0:
-            above = d >= 0.0
-            rest = np.sum(np.where(above, d, 0.0) * w, axis=1)
-            value = rest + np.minimum(t * b, (b - a) * np.sum(above * w, axis=1) + t * a)
-        elif p == 2.0:
-            value = _quadratic_interval(d, w, t, a, b, j > 0)
-        else:
-            value = np.minimum(_power_sum(d, w, p) ** (1.0 / p) + t * b,
-                               _power_sum(d + (b - a)[:, None], w, p) ** (1.0 / p) + t * a)
-            solve = np.flatnonzero((j > 0) & (b < 1.0))   # not all atoms above at b
-            inner = _newton_interval(d[solve], w, p, t[solve], b[solve], (b - a)[solve])
-            value[solve] = np.minimum(value[solve], inner)
-    out[members] = sup[members, None] * value.reshape(members.size, ts.size)
+    out = np.empty((mags.shape[0], ts.size))
+    for rows, cols in _grid_blocks(mags.shape[0], ts.size, mags.shape[1], _K_ELEMS, _K_ELEMS):
+        out[rows, cols] = _k_block(ts[cols], mags[rows], x.space.weights, p)
     return out[0] if single else out
 
 
@@ -234,15 +303,36 @@ def _split_step(u: np.ndarray, k: np.ndarray, p: float, q: float):
     Halley's cubic rate predicts: |c2^2 - c3| |step|^3, with c2 = h''/(2h')
     and c3 = h'''/(6h'). softplus(u) and s = sigmoid(u) are both read off
     exp(-|u|); h'' = (q-p) s(1-s) and h''' = h''(1-2s) cost a few products."""
-    e = np.exp(-np.abs(u))
-    sig = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
-    h = (q - p) * (np.maximum(u, 0.0) + np.log1p(e)) + (p - 1.0) * u - k
-    dh = (q - p) * sig + (p - 1.0)
-    c2 = 0.5 * (q - p) * sig * (1.0 - sig) / dh
-    newton = h / dh
-    step = newton / np.maximum(1.0 - newton * c2, 0.5)
-    c3 = c2 * (1.0 - 2.0 * sig) / 3.0
-    return step, np.abs(c2 * c2 - c3) * np.abs(step) ** 3
+    # each array is overwritten in place once its value is used, so a pass
+    # holds five arrays of the entries' size, not a dozen; every operation
+    # and its operands are those of the expression form
+    # (`oracles.split_step_expressions`), so the values are bitwise the same
+    e = np.abs(u)
+    np.exp(np.negative(e, out=e), out=e)
+    sig = np.where(u >= 0.0, 1.0, e)
+    sig /= 1.0 + e
+    h = np.log1p(e, out=e)
+    h += np.maximum(u, 0.0)
+    h *= q - p
+    h += (p - 1.0) * u
+    h -= k
+    dh = np.multiply(sig, q - p)
+    dh += p - 1.0
+    c2 = np.multiply(sig, 0.5 * (q - p))
+    tmp = np.subtract(1.0, sig)
+    c2 *= tmp
+    c2 /= dh
+    step = np.divide(h, dh, out=h)                      # the Newton step
+    np.subtract(1.0, np.multiply(step, c2, out=tmp), out=tmp)
+    step /= np.maximum(tmp, 0.5, out=tmp)
+    c3 = np.subtract(1.0, np.multiply(sig, 2.0, out=sig), out=sig)
+    c3 *= c2
+    c3 /= 3.0
+    after = np.multiply(c2, c2, out=c2)
+    after -= c3
+    np.abs(after, out=after)
+    after *= np.power(np.abs(step, out=tmp), 3, out=tmp)
+    return step, after
 
 
 def _pointwise_min_split(c: np.ndarray, ts: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -272,17 +362,18 @@ def _pointwise_min_split(c: np.ndarray, ts: np.ndarray, p: float, q: float) -> n
     c = np.asarray(c, dtype=float)[..., None, :]
     tb = ts[:, None]
     with np.errstate(under="ignore", over="ignore"):
-        out = np.minimum(tb * c**q, c**p)
         # every element is solved, those with c = 0 or t <= 0 at c = t = 1,
-        # and only the others take the solve's value
-        inner = (tb > 0.0) & (c > 0.0)
-        c, tb = np.where(c > 0.0, c, 1.0), np.where(tb > 0.0, tb, 1.0)
+        # and only the others take the solve's value. Each array of the
+        # elements' size is released once used, and the candidates are
+        # formed last, so that few such arrays are alive at once
+        c_solve, t_solve = np.where(c > 0.0, c, 1.0), np.where(tb > 0.0, tb, 1.0)
         if p == 1.0:
             # an infinite (tq)^{-1/(q-1)} clips to c
-            rest = np.minimum(c, (q * tb) ** (-1.0 / (q - 1.0)))
-            a = c - rest
+            rest = np.minimum(c_solve, (q * t_solve) ** (-1.0 / (q - 1.0)))
+            a = c_solve - rest
         else:
-            k = (np.log(q * tb / p) + (q - p) * np.log(c)).ravel()
+            k = np.log(q * t_solve / p) + (q - p) * np.log(c_solve)
+            shape, k = k.shape, k.ravel()
             u = np.where(k > 0.0, k / (q - 1.0), k / (p - 1.0))
 
             def step(u, k):
@@ -291,35 +382,47 @@ def _pointwise_min_split(c: np.ndarray, ts: np.ndarray, p: float, q: float) -> n
                 return ~(after > _SPLIT_STEP * (1.0 + np.abs(u))), (u,), (u, k)
 
             u = iterate("l_split", step, (u, k))[0]
-            u = u.reshape(out.shape)
-            a, rest = c * _expit(u), c * _expit(-u)
-        np.minimum(out, a**p + tb * rest**q, out=out, where=inner)
+            del k
+            u = u.reshape(shape)
+            a, rest = c_solve * _expit(u), c_solve * _expit(-u)
+            del u
+        solved = a**p + t_solve * rest**q
+        del a, rest
+        out = np.minimum(tb * c**q, c**p)
+        np.minimum(out, solved, out=out, where=(tb > 0.0) & (c > 0.0))
     return out
 
 
 def l_functional_grid(ts, x: SampleFunction | SampleBatch, p: float, q: float) -> np.ndarray:
     """K_{p,q}(t, x; L^p, L^q) for every t in ts (and every member of a
-    batch), within ~1e-15 relative per atom; see `_pointwise_min_split`."""
+    batch), within ~1e-15 relative per atom; see `_pointwise_min_split`. The
+    rows run in `_grid_blocks` within `_L_RUN_ELEMS` and `_L_SPLIT_ELEMS`."""
     _check_exponent(p)
     _check_exponent(q, "q")
     if not p < q:
         raise ValueError("need p < q")
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = _t_grid(ts)
     c, single = abs_rows(x)
-    split = _pointwise_min_split(c, ts, p, q)
-    with np.errstate(over="ignore"):   # a sum beyond the float range is inf
-        out = np.sum(split * x.space.weights, axis=-1)
+    out = np.empty((c.shape[0], ts.size))
+    for rows, cols in _grid_blocks(c.shape[0], ts.size, c.shape[1], _L_RUN_ELEMS, _L_SPLIT_ELEMS):
+        split = _pointwise_min_split(c[rows], ts[cols], p, q)
+        with np.errstate(over="ignore"):   # a sum beyond the float range is inf
+            out[rows, cols] = np.sum(split * x.space.weights, axis=-1)
     return out[0] if single else out
 
 
 def l_star_grid(ts, x: SampleFunction | SampleBatch, p: float, q: float) -> np.ndarray:
     """Modified L-functional: weighted sum of min(|x|^p, t |x|^q), for every
-    t in ts (and every member of a batch)."""
+    t in ts (and every member of a batch), in the blocks of
+    `l_functional_grid`."""
     _check_exponent(p)
     _check_exponent(q, "q")
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = _t_grid(ts)
     c, single = abs_rows(x)
-    c = c[:, None, :]
+    out = np.empty((c.shape[0], ts.size))
     with np.errstate(over="ignore"):   # an infinite t c^q loses to c^p, as in the L split
-        out = np.sum(np.minimum(c**p, ts[:, None] * c**q) * x.space.weights, axis=-1)
+        cp, cq = c[:, None, :] ** p, c[:, None, :] ** q
+        for rows, cols in _grid_blocks(c.shape[0], ts.size, c.shape[1], _L_RUN_ELEMS, _L_SPLIT_ELEMS):
+            out[rows, cols] = np.sum(np.minimum(cp[rows], ts[cols, None] * cq[rows])
+                                     * x.space.weights, axis=-1)
     return out[0] if single else out

@@ -94,3 +94,15 @@ class SampleBatch:
 def abs_rows(x: SampleFunction | SampleBatch) -> tuple[np.ndarray, bool]:
     """|values| with one row per member, and whether x is a single function."""
     return np.abs(np.atleast_2d(x.values)), x.values.ndim == 1
+
+
+def row_chunks(rows: int, width: int, budget: int) -> list[slice]:
+    """The fewest runs of consecutive rows, of `width` elements each, that
+    keep each run within `budget` elements (a run holds at least one row),
+    balanced so that their lengths differ by at most one; no runs for no
+    rows. A kernel whose rows do not interact computes each row the same in
+    any run, so it can bound its temporaries by a budget this way."""
+    per = max(1, budget // max(width, 1))
+    count = -(-rows // per)
+    bounds = [i * rows // count for i in range(count + 1)] if count else []
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

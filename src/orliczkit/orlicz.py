@@ -17,7 +17,8 @@ The generator inversion and both norm searches run on `liveset.iterate`, and
 each row sum is its member's own, so a row of a batch result is bitwise that
 member's value alone, and a caller may stack batches (the norm verifier
 searches x and Tx as one) to share the passes of phi. A norm pass splits a
-wide batch into jet calls of at most _PROFILE_ELEMS entries.
+wide batch into balanced jet calls (`measure.row_chunks`) of at most
+_PROFILE_ELEMS entries.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .liveset import iterate
-from .measure import SampleBatch, SampleFunction, abs_rows
+from .measure import SampleBatch, SampleFunction, abs_rows, row_chunks
 from .quasiconcave import (
     QUASICONCAVITY_TOL,
     PiecewiseLinearConcave,
@@ -293,15 +294,13 @@ _PROFILE_ELEMS = 2**13    # rows x atoms per jet pass of `_profile`: a (3, E) je
 def _profile(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray,
              sigma: np.ndarray) -> np.ndarray:
     """M, sigma*M' and sigma^2*M'' (rows of the result) of each row of y at
-    its own sigma, one pass of phi's jet per chunk of at most _PROFILE_ELEMS
-    entries (and at least one row); each row's sum is the same in any chunk.
-    A sum beyond the float range is +inf."""
+    its own sigma, one pass of phi's jet per `row_chunks` run of at most
+    _PROFILE_ELEMS entries (and at least one row); each row's sum is the
+    same in any run. A sum beyond the float range is +inf."""
     count, n = y.shape
-    chunk = max(1, _PROFILE_ELEMS // n)
     out = np.empty((3, count))
     with np.errstate(over="ignore"):
-        for start in range(0, count, chunk):
-            part = slice(start, start + chunk)
+        for part in row_chunks(count, n, _PROFILE_ELEMS):
             out[:, part] = np.sum(phi.jet(y[part] * sigma[part, None]) * weights, axis=-1)
     return out
 

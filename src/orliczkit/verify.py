@@ -255,6 +255,15 @@ def generate_inputs(space, count: int, distribution: str = "mixed",
     return SampleBatch(space, out)
 
 
+def _stack(top: SampleBatch, bottom: SampleBatch) -> SampleBatch:
+    """The members of top, then those of bottom, as one batch: the K-, L-
+    and L*-functionals, the norms and the modular treat each member on its
+    own, so each row of a result is bitwise the row of a call on its own
+    batch, at one call's fixed cost and, for the norms, half the passes of
+    phi."""
+    return SampleBatch(bottom.space, np.vstack((top.values, bottom.values)))
+
+
 def _couple_k_grid(ts: np.ndarray, x: SampleBatch, couple: ExponentCouple) -> np.ndarray:
     if couple.q_is_inf:
         return k_lp_linf_grid(ts, x, couple.p)
@@ -264,23 +273,25 @@ def _couple_k_grid(ts: np.ndarray, x: SampleBatch, couple: ExponentCouple) -> np
 def verify_k_contraction(op: CertifiedOperator, inputs: SampleBatch) -> dict:
     """K_{p,q}(t, Tx/M) <= K_{p,q}(t, x) on every input and every t of K_T_GRID."""
     collector = _Collector()
-    ts = K_T_GRID
-    txs = op.apply(inputs).scaled(1.0 / op.max_bound)
-    collector.check(_couple_k_grid(ts, txs, op.couple), _couple_k_grid(ts, inputs, op.couple),
-                    "k_contraction", inputs.values, ts)
-    return collector.report("prop22", len(inputs), {"certified_bound": op.max_bound})
+    ts, count = K_T_GRID, len(inputs)
+    both = _couple_k_grid(ts, _stack(op.apply(inputs).scaled(1.0 / op.max_bound), inputs),
+                          op.couple)
+    collector.check(both[:count], both[count:], "k_contraction", inputs.values, ts)
+    return collector.report("prop22", count, {"certified_bound": op.max_bound})
 
 
 def _sparr_pairs(xs: SampleBatch, ys: SampleBatch, couple: ExponentCouple,
                  ts: np.ndarray, gamma: float, collector: _Collector) -> int:
     """Check the conclusion on the pairs (xs[i], ys[i]) that meet the
     K-majorization hypothesis; returns how many do."""
-    p, q = couple.p, couple.q
-    kx, ky = l_functional_grid(ts, xs, p, q), l_functional_grid(ts, ys, p, q)
+    p, q, count = couple.p, couple.q, len(xs)
+    both = _stack(xs, ys)
+    l_both = l_functional_grid(ts, both, p, q)
+    kx, ky = l_both[:count], l_both[count:]
     met = np.flatnonzero(np.all(kx <= ky + HYPOTHESIS_SLACK * np.abs(ky) + ABS_FLOOR, axis=1))
-    xm, ym = xs[met], ys[met]
-    collector.check(l_star_grid(ts, xm, p, q), gamma * l_star_grid(ts, ym, p, q),
-                    "sparr_conclusion", np.hstack((xm.values, ym.values)), ts, met)
+    star = l_star_grid(ts, both[np.concatenate((met, count + met))], p, q)
+    collector.check(star[:met.size], gamma * star[met.size:], "sparr_conclusion",
+                    np.hstack((xs.values[met], ys.values[met])), ts, met)
     return met.size
 
 
@@ -395,13 +406,6 @@ def _majorant_psi(phi: OrliczFunction, couple: ExponentCouple) -> tuple[OrliczFu
     keep = rows[0] > 0.0
     majorant = concave_majorant(lambda s: rows[:, keep], grid=s_grid[keep], extend_decades=0.0)
     return build_from_h(couple, majorant), int(majorant.knots.size)
-
-
-def _stack(top: SampleBatch, bottom: SampleBatch) -> SampleBatch:
-    """The members of top, then those of bottom, as one batch: the norms and
-    the modular treat each member on its own, so each row of a result is
-    bitwise the row of a call on its own batch, at half the passes of phi."""
-    return SampleBatch(bottom.space, np.vstack((top.values, bottom.values)))
 
 
 def _check_chain(phi: OrliczFunction, couple: ExponentCouple, inputs: SampleBatch,

@@ -57,7 +57,11 @@ Nothing in the package calls these; each is written for clarity, not speed.
   `kink_bracket_per_t` is `kfunc._kink_bracket` computing the descent rate
   once per (member, t) row, and `pointwise_min_split_newton` is
   `kfunc._pointwise_min_split` with Newton steps in u = logit(a/c) run until
-  a step is below 1e-15 (1 + |u|), kept verbatim.
+  a step is below 1e-15 (1 + |u|), kept verbatim. `split_step_expressions`
+  is `kfunc._split_step` as one expression per quantity, before each array
+  was overwritten in place, and `every_kink_pair` is `kfunc._distinct_kinks`
+  with no pair shared, so that K takes its sums once per (member, t) row, as
+  it did before they were taken once per distinct (member, kink).
 - The definitions that two kernels solve faster: `sparr_gamma_oracle` is
   gamma(p, q) by nested bisection on its defining condition, on the whole
   range [1, `GAMMA_MAX`] of `constants.sparr_gamma`, and `brute_force_k` is
@@ -915,6 +919,26 @@ def kink_bracket_per_t(m: np.ndarray, kinks: np.ndarray, w: np.ndarray, p: float
         hi[live] = np.where(falls, hi[live], mid)
         live = live[lo[live] < hi[live]]
     return lo
+
+
+def split_step_expressions(u: np.ndarray, k: np.ndarray, p: float, q: float):
+    """The Halley step for h(u) = (q-p) softplus(u) + (p-1) u - k = 0 and
+    the size of the step after it, as `kfunc._split_step` computes them."""
+    e = np.exp(-np.abs(u))
+    sig = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
+    h = (q - p) * (np.maximum(u, 0.0) + np.log1p(e)) + (p - 1.0) * u - k
+    dh = (q - p) * sig + (p - 1.0)
+    c2 = 0.5 * (q - p) * sig * (1.0 - sig) / dh
+    newton = h / dh
+    step = newton / np.maximum(1.0 - newton * c2, 0.5)
+    c3 = c2 * (1.0 - 2.0 * sig) / 3.0
+    return step, np.abs(c2 * c2 - c3) * np.abs(step) ** 3
+
+
+def every_kink_pair(row: np.ndarray, k: np.ndarray, kinks: np.ndarray):
+    """(row[i], k[i]) as pair i, each its own: `kfunc._distinct_kinks` with
+    nothing shared."""
+    return row, k, np.arange(row.size)
 
 
 def pointwise_min_split_newton(c: np.ndarray, ts: np.ndarray, p: float, q: float) -> np.ndarray:

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 import orliczkit as ok
 from orliczkit import kfunc, verify
 
-from oracles import (brute_force_k, cumulative_p_integral, k_lp_linf_floor, k_lp_linf_golden,
-                     kink_bracket_per_t, kree_bounds, lp_integral, pointwise_min_split_newton,
-                     rearrangement)
+from oracles import (brute_force_k, cumulative_p_integral, every_kink_pair, k_lp_linf_floor,
+                     k_lp_linf_golden, kink_bracket_per_t, kree_bounds, lp_integral,
+                     pointwise_min_split_newton, rearrangement, split_step_expressions)
 
 
 def sample(values, weights=None):
@@ -86,6 +86,27 @@ class TestKLpLinf:
             ts = np.logspace(-5, 5, 33)
             scalar = [ok.k_lp_linf_grid(float(t), x, p)[0] for t in ts]
             assert ok.k_lp_linf_grid(ts, x, p).tolist() == scalar
+
+
+class TestTParameter:
+    """Each kernel takes t >= 0 and finite; K, L and L* are 0 at t = 0."""
+
+    KERNELS = [(ok.k_lp_linf_grid, (1.5,)), (ok.k_lp_linf_grid, (2.0,)),
+               (ok.l_functional_grid, (1.5, 3)), (ok.l_functional_grid, (1, 2)),
+               (ok.l_star_grid, (1.5, 3))]
+    X = ok.SampleBatch(ok.uniform_space(3), [[0.5, -2.0, 1.25], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("t", [-1.0, -1e-300, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("kernel,args", KERNELS)
+    def test_a_negative_or_non_finite_t_is_rejected(self, kernel, args, t):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            kernel([1.0, t], self.X, *args)
+
+    @pytest.mark.parametrize("kernel,args", KERNELS)
+    def test_zero_t_gives_zero(self, kernel, args):
+        with np.errstate(all="raise"):
+            got = kernel([0.0, 1.0], self.X, *args)
+        assert np.all(got[:, 0] == 0.0) and np.all(got[:2, 1] > 0.0)
 
 
 class TestTruncationOracle:
@@ -422,15 +443,46 @@ class TestBracketAgainstPerT:
         def both(*args):
             got = bracket(*args)
             assert got.tolist() == kink_bracket_per_t(*args).tolist()
-            calls.append(got.size)
+            calls.append(args[5])
             return got
 
         monkeypatch.setattr(kfunc, "_kink_bracket", both)
         got = ok.k_lp_linf_grid(self.TS, batch, p)
         monkeypatch.setattr(kfunc, "_kink_bracket", kink_bracket_per_t)
         assert got.tolist() == ok.k_lp_linf_grid(self.TS, batch, p).tolist()
-        # every member but the zero one reaches the bracket, once per t
-        assert calls == [(len(batch) - 1) * self.TS.size]
+        # every member but the zero one reaches the bracket, once per t: in one
+        # call up to n = 8, in two blocks of whole members at n = 512
+        assert len(calls) == (2 if n == 512 else 1)
+        assert np.sort(np.concatenate(calls)).tolist() == np.repeat(self.TS, len(batch) - 1).tolist()
+
+
+class TestSumsPerKinkPair:
+    """K takes the sums over the atoms above each row's interval once per
+    distinct (member, kink) and reads them back to every t of the pair:
+    bitwise what one sum per (member, t) row gives (`oracles.every_kink_pair`)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 512])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.7])
+    def test_bitwise_equal_to_one_sum_per_row(self, monkeypatch, n, p):
+        batch, ts = TestBracketAgainstPerT.members(n), TestBracketAgainstPerT.TS
+        got = ok.k_lp_linf_grid(ts, batch, p)
+        monkeypatch.setattr(kfunc, "_distinct_kinks", every_kink_pair)
+        assert got.tolist() == ok.k_lp_linf_grid(ts, batch, p).tolist()
+
+
+class TestSplitStepInPlace:
+    """The Halley step overwrites its arrays in place: bitwise the step and
+    predicted size of the expression form (`oracles.split_step_expressions`)."""
+
+    @pytest.mark.parametrize("p,q", TestSplitAgainstNewton.COUPLES + [(1.01, 64)])
+    def test_bitwise_equal_to_the_expression_form(self, p, q):
+        rng = np.random.default_rng(47)
+        u = np.concatenate((np.linspace(-800.0, 800.0, 4001), rng.normal(0.0, 30.0, 4000), [0.0]))
+        k = np.concatenate((rng.normal(0.0, 50.0, u.size - 1), [0.0]))
+        with np.errstate(over="ignore", under="ignore"):
+            got, want = kfunc._split_step(u, k, p, q), split_step_expressions(u, k, p, q)
+        for g, w in zip(got, want):
+            assert g.view(np.int64).tolist() == w.view(np.int64).tolist()
 
 
 class TestLStar:
@@ -497,6 +549,11 @@ class TestBatch:
 
     TS = np.logspace(-6, 6, 33)
 
+    @pytest.fixture
+    def budget(self):
+        """The kernels' block budget in elements, here their own."""
+        return None
+
     @staticmethod
     def rows():
         """A space and one row of values per member."""
@@ -553,12 +610,48 @@ class TestBatch:
         assert ok.l_functional_grid(self.TS, empty, 1.5, 3).shape == (0, self.TS.size)
         assert ok.l_star_grid(self.TS, empty, 1.5, 3).shape == (0, self.TS.size)
 
+    def test_blocks_equal_one_block_bitwise(self, budget, monkeypatch):
+        space, rows = self.rows()
+        batch = ok.SampleBatch(space, rows)
+        calls = [(ok.k_lp_linf_grid, (p,)) for p in (1.0, 1.5, 2.0, 3.7)]
+        calls += [(kernel, couple) for kernel in (ok.l_functional_grid, ok.l_star_grid)
+                  for couple in ((1, 2), (1.5, 3), (2, 4), (1.01, 5))]
+        got = [kernel(self.TS, batch, *args) for kernel, args in calls]
+        for name in ("_K_ELEMS", "_L_RUN_ELEMS", "_L_SPLIT_ELEMS"):
+            monkeypatch.setattr(kfunc, name, rows.size * self.TS.size)
+        want = [kernel(self.TS, batch, *args) for kernel, args in calls]
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+    def test_blocks_cut_as_the_budget_says(self, budget):
+        # 8 members of 33 t's: one block, three runs of whole members, or
+        # three runs of 11 t's per member
+        want = {None: [(slice(0, 8), slice(None))],
+                3 * 33 * 8: [(slice(lo, hi), slice(None)) for lo, hi in ((0, 2), (2, 5), (5, 8))],
+                100: [(slice(i, i + 1), slice(lo, lo + 11)) for i in range(8) for lo in (0, 11, 22)]}
+        for runs, split in ((kfunc._K_ELEMS, kfunc._K_ELEMS),
+                            (kfunc._L_RUN_ELEMS, kfunc._L_SPLIT_ELEMS)):
+            assert kfunc._grid_blocks(8, self.TS.size, 8, runs, split) == want[budget]
+
     def test_k_of_a_member_whose_p_power_sum_overflows_is_finite(self):
         # ||x||_2^2 = 2e400 overflows, but K itself is about 1.4e200
         batch = ok.SampleBatch(ok.uniform_space(2), [[1e200, 1e200], [1.0, 1.0]])
         got = ok.k_lp_linf_grid(self.TS, batch, 2.0)
         assert np.all(np.isfinite(got[0]))
         np.testing.assert_allclose(got[0], 1e200 * got[1], rtol=1e-15, atol=0.0)
+
+
+class TestBatchInBlocks(TestBatch):
+    """Every `TestBatch` case again, with the K and L budgets cut so that the
+    n = 8 batch of 33 t's runs in blocks of three members (3 x 33 x 8
+    elements), or of 11 t's inside each member's t-grid (100 elements)."""
+
+    @pytest.fixture(autouse=True, params=[3 * 33 * 8, 100], ids=["three members", "inside a t-grid"])
+    def budget(self, request, monkeypatch):
+        monkeypatch.setattr(kfunc, "_K_ELEMS", request.param)
+        monkeypatch.setattr(kfunc, "_L_RUN_ELEMS", request.param)
+        if request.param < 33 * 8:   # below one member's t-grid
+            monkeypatch.setattr(kfunc, "_L_SPLIT_ELEMS", request.param)
+        return request.param
 
 
 class TestLogistic:

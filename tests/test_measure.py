@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orliczkit as ok
-from orliczkit.measure import abs_rows
+from orliczkit.measure import abs_rows, row_chunks
 
 from oracles import golden_section, lp_integral, rearrangement, step_to_sample, sup_norm
 
@@ -44,6 +44,23 @@ class TestSampleBatch:
         for bad in ([1.0, 2.0, 3.0], [[1.0, 2.0]], [[1.0, np.inf, 0.0]]):
             with pytest.raises(ValueError):
                 ok.SampleBatch(space, bad)
+
+
+class TestRowChunks:
+    @given(st.integers(0, 2000), st.integers(0, 600), st.integers(1, 5000))
+    @settings(max_examples=200, deadline=None)
+    def test_fewest_balanced_runs_within_the_budget(self, rows, width, budget):
+        runs = row_chunks(rows, width, budget)
+        lengths = [run.stop - run.start for run in runs]
+        # consecutive runs that cover every row once
+        bounds = [0] + [run.stop for run in runs]
+        assert [run.start for run in runs] == bounds[:-1] and bounds[-1] == rows
+        assert min(lengths, default=1) >= 1 and all(run.step is None for run in runs)
+        if not rows:
+            return
+        per = max(1, budget // max(width, 1))   # whole rows within the budget, at least one
+        assert max(lengths) <= per and max(lengths) - min(lengths) <= 1
+        assert len(runs) == -(-rows // per)
 
 
 class TestRearrangement:

@@ -430,8 +430,9 @@ class TestStackedSides:
 
     @pytest.mark.parametrize("name", sorted(TestBatch.PHIS))
     def test_profile_chunks_equal_row_by_row_calls(self, name):
-        # 40 members on 512 atoms: a Luxemburg pass spans three chunks of
-        # 16 rows, the Amemiya first pass (three points per member) eight
+        # 40 members on 512 atoms: a Luxemburg pass spans three balanced
+        # chunks of at most 16 rows, the Amemiya first pass (three points per
+        # member) eight
         phi = TestBatch.PHIS[name]()
         space = ok.uniform_space(512)
         xs = ok.generate_inputs(space, 40, "bounded", 1.0, 75)   # inside every domain

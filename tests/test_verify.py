@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import orliczkit as ok
-from orliczkit import specs
+from orliczkit import kfunc, specs
 from orliczkit.orlicz import ExponentCouple
 from orliczkit import verify
 from orliczkit.verify import run_scenario
@@ -128,6 +128,31 @@ class TestKContraction:
         assert rep["status"] == "pass" and not rep["violations"]
 
 
+    @pytest.mark.parametrize("elems", [None, 3 * 20 * 8])
+    @pytest.mark.parametrize("q", [np.inf, 3.0])
+    def test_one_call_lists_the_violations_of_one_call_per_side(self, space8, monkeypatch, q, elems):
+        # bounds divided by 100 break the contraction on most (input, t); the
+        # one K or L call on [Tx/M; x], at the kernels' budgets and in runs of
+        # three members, lists what a call per side lists, in order
+        couple = ExponentCouple(2, q)
+        op = ok.discrete_maximal(space8, couple)
+        op = dataclasses.replace(op, bound_p=op.bound_p / 100.0, bound_q=op.bound_q / 100.0)
+        inputs = ok.generate_inputs(space8, 9, "mixed", 1.0, 22001)
+        ts, kernel = verify.K_T_GRID, verify._couple_k_grid
+        txs = op.apply(inputs).scaled(1.0 / op.max_bound)
+        collector = verify._Collector()
+        collector.check(kernel(ts, txs, couple), kernel(ts, inputs, couple), "k_contraction",
+                        inputs.values, ts)
+        want = collector.report("prop22", len(inputs), {"certified_bound": op.max_bound})
+        if elems is not None:
+            monkeypatch.setattr(kfunc, "_K_ELEMS", elems)
+            monkeypatch.setattr(kfunc, "_L_RUN_ELEMS", elems)
+        got = ok.verify_k_contraction(op, inputs)
+        assert strip_wall(got) == strip_wall(want)
+        # every violation is listed: 9 inputs x 20 t's leave at most 180
+        assert 100 < got["details"]["violation_count"] == len(got["violations"]) <= 180
+
+
 class TestCollector:
     def test_violations_in_row_major_order_with_python_fields(self):
         collector = verify._Collector()
@@ -240,6 +265,30 @@ class TestSparrImplication:
                             np.logspace(np.log10(start), np.log10(stop), points),
                             ok.sparr_gamma(p, q), collector)
         assert collector.violations == []
+
+    @pytest.mark.parametrize("elems", [None, 3 * 7 * 4, 10])
+    def test_one_call_per_functional_lists_the_violations_of_two(self, monkeypatch, elems):
+        # case A's pairs break the conclusion on their own grid (see above);
+        # one L call on [xs; ys] and one L* call on the pairs that meet the
+        # hypothesis, at the kernels' budget, in runs of three members or in
+        # runs of two t's, list what a call per side lists, in order
+        seed, n, (p, q), (start, stop, points) = self.GRID_HYPOTHESIS_CASES["A"]
+        xs, ys = verify._pair_batch(ok.uniform_space(n), 12, 1.0, seed)
+        ts = np.logspace(np.log10(start), np.log10(stop), points)
+        gamma = ok.sparr_gamma(p, q)
+        kx, ky = ok.l_functional_grid(ts, xs, p, q), ok.l_functional_grid(ts, ys, p, q)
+        slack, floor = verify.HYPOTHESIS_SLACK, verify.ABS_FLOOR
+        met = np.flatnonzero(np.all(kx <= ky + slack * np.abs(ky) + floor, axis=1))
+        xm, ym = xs[met], ys[met]
+        want = verify._Collector()
+        want.check(ok.l_star_grid(ts, xm, p, q), gamma * ok.l_star_grid(ts, ym, p, q),
+                   "sparr_conclusion", np.hstack((xm.values, ym.values)), ts, met)
+        if elems is not None:
+            monkeypatch.setattr(kfunc, "_L_RUN_ELEMS", elems)
+            monkeypatch.setattr(kfunc, "_L_SPLIT_ELEMS", min(elems, kfunc._L_SPLIT_ELEMS))
+        got = verify._Collector()
+        assert verify._sparr_pairs(xs, ys, ExponentCouple(p, q), ts, gamma, got) == met.size
+        assert got.violations == want.violations and len(want.violations) == 2
 
     # (seed, n, couple, inputs.scale) of true-lemma scenarios on 12 pairs of
     # uniform atoms that report "fail" on verify.SPARR_T_GRID
