@@ -13,14 +13,15 @@ split run on `liveset.iterate`, so a value does not depend on which t's or
 members share the call.
 
 Each kernel works through its (member, t) rows in blocks (`_grid_blocks`)
-of a bounded number of rows x atoms, so a caller can stack the two sides of
-a check into one call (`verify._stack`) and pay the call's fixed cost once
-without enlarging any temporary. A block's temporaries are a few float
-arrays of its size. Its time per element rises once they outgrow the
-caches, and a float array of 64 KiB or more lets glibc's free trim the
-heap, so that the next call faults the pages back in. So K takes its sums
-once per distinct (member, kink) and the L split overwrites its arrays in
-place, to keep few such arrays alive at once.
+of a bounded number of rows x atoms, all three in one block loop
+(`_in_blocks`), so a caller can stack the two sides of a check into one
+call (`verify._stack`) and pay the call's fixed cost once without
+enlarging any temporary. A block's temporaries are a few float arrays of
+its size. Its time per element rises once they outgrow the caches, and a
+float array of 64 KiB or more lets glibc's free trim the heap, so that the
+next call faults the pages back in. So K takes its sums once per distinct
+(member, kink) and the L split overwrites its arrays in place, to keep few
+such arrays alive at once.
 
 Each kernel takes t >= 0 and finite, and raises `ValueError` for any other
 t: a negative t would give negative values, and an infinite one nan. At
@@ -34,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .liveset import iterate
-from .measure import SampleBatch, SampleFunction, abs_rows, row_chunks
+from .measure import SampleBatch, SampleFunction, abs_rows, row_chunks, sup_scaled
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -83,6 +84,19 @@ def _grid_blocks(members: int, t_count: int, n: int, runs: int,
     if t_count * n <= split:
         return [(rows, slice(None)) for rows in row_chunks(members, t_count * n, runs)]
     return [(slice(i, i + 1), cols) for i in range(members) for cols in row_chunks(t_count, n, split)]
+
+
+def _in_blocks(ts, x: SampleFunction | SampleBatch, runs: int, split: int, block, *args):
+    """The grid kernels' one block loop: `block(ts, c, weights, *args)`, the
+    values at each t of ts for each row c of magnitudes, on every block of
+    `_grid_blocks` within `runs` and `split`, as one row per member (one
+    value per t for a single function)."""
+    ts = _t_grid(ts)
+    c, single = abs_rows(x)
+    out = np.empty((c.shape[0], ts.size))
+    for rows, cols in _grid_blocks(c.shape[0], ts.size, c.shape[1], runs, split):
+        out[rows, cols] = block(ts[cols], c[rows], x.space.weights, *args)
+    return out[0] if single else out
 
 
 # A row stops once its value is certified within this fraction of itself.
@@ -236,10 +250,8 @@ def _newton_interval(d: np.ndarray, w: np.ndarray, p: float, t: np.ndarray,
 
 def _k_block(ts: np.ndarray, mags: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     """K at every t of ts for each row of magnitudes; see `k_lp_linf_grid`."""
-    sup = mags.max(axis=1, initial=0.0)
-    out = np.zeros((mags.shape[0], ts.size))
-    members = np.flatnonzero(sup > 0.0)   # a zero member has K = 0
-    m = mags[members] / sup[members, None]
+    members, sup, m = sup_scaled(mags)
+    out = np.zeros((mags.shape[0], ts.size))   # a zero member has K = 0
     kinks = np.hstack((np.zeros((members.size, 1)), np.sort(m, axis=1)))
     row, t = np.repeat(np.arange(members.size), ts.size), np.tile(ts, members.size)
     with np.errstate(under="ignore"):   # powers of tiny scaled magnitudes
@@ -263,7 +275,7 @@ def _k_block(ts: np.ndarray, mags: np.ndarray, w: np.ndarray, p: float) -> np.nd
             solve = np.flatnonzero((j > 0) & (b < 1.0))   # not all atoms above at b
             inner = _newton_interval(d[back[solve]], w, p, t[solve], b[solve], (b - a)[solve])
             value[solve] = np.minimum(value[solve], inner)
-    out[members] = sup[members, None] * value.reshape(members.size, ts.size)
+    out[members] = sup[:, None] * value.reshape(members.size, ts.size)
     return out
 
 
@@ -284,12 +296,7 @@ def k_lp_linf_grid(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarray:
     The rows run in `_grid_blocks` within `_K_ELEMS` elements.
     """
     _check_exponent(p)
-    ts = _t_grid(ts)
-    mags, single = abs_rows(x)
-    out = np.empty((mags.shape[0], ts.size))
-    for rows, cols in _grid_blocks(mags.shape[0], ts.size, mags.shape[1], _K_ELEMS, _K_ELEMS):
-        out[rows, cols] = _k_block(ts[cols], mags[rows], x.space.weights, p)
-    return out[0] if single else out
+    return _in_blocks(ts, x, _K_ELEMS, _K_ELEMS, _k_block, p)
 
 
 # A split element stops once its predicted next step is below this fraction
@@ -393,6 +400,12 @@ def _pointwise_min_split(c: np.ndarray, ts: np.ndarray, p: float, q: float) -> n
     return out
 
 
+def _l_block(ts: np.ndarray, c: np.ndarray, w: np.ndarray, p: float, q: float) -> np.ndarray:
+    split = _pointwise_min_split(c, ts, p, q)
+    with np.errstate(over="ignore"):   # a sum beyond the float range is inf
+        return np.sum(split * w, axis=-1)
+
+
 def l_functional_grid(ts, x: SampleFunction | SampleBatch, p: float, q: float) -> np.ndarray:
     """K_{p,q}(t, x; L^p, L^q) for every t in ts (and every member of a
     batch), within ~1e-15 relative per atom; see `_pointwise_min_split`. The
@@ -401,14 +414,13 @@ def l_functional_grid(ts, x: SampleFunction | SampleBatch, p: float, q: float) -
     _check_exponent(q, "q")
     if not p < q:
         raise ValueError("need p < q")
-    ts = _t_grid(ts)
-    c, single = abs_rows(x)
-    out = np.empty((c.shape[0], ts.size))
-    for rows, cols in _grid_blocks(c.shape[0], ts.size, c.shape[1], _L_RUN_ELEMS, _L_SPLIT_ELEMS):
-        split = _pointwise_min_split(c[rows], ts[cols], p, q)
-        with np.errstate(over="ignore"):   # a sum beyond the float range is inf
-            out[rows, cols] = np.sum(split * x.space.weights, axis=-1)
-    return out[0] if single else out
+    return _in_blocks(ts, x, _L_RUN_ELEMS, _L_SPLIT_ELEMS, _l_block, p, q)
+
+
+def _l_star_block(ts: np.ndarray, c: np.ndarray, w: np.ndarray, p: float, q: float) -> np.ndarray:
+    with np.errstate(over="ignore"):   # an infinite t c^q loses to c^p, as in the L split
+        cp, cq = c[:, None, :] ** p, c[:, None, :] ** q
+        return np.sum(np.minimum(cp, ts[:, None] * cq) * w, axis=-1)
 
 
 def l_star_grid(ts, x: SampleFunction | SampleBatch, p: float, q: float) -> np.ndarray:
@@ -417,12 +429,4 @@ def l_star_grid(ts, x: SampleFunction | SampleBatch, p: float, q: float) -> np.n
     `l_functional_grid`."""
     _check_exponent(p)
     _check_exponent(q, "q")
-    ts = _t_grid(ts)
-    c, single = abs_rows(x)
-    out = np.empty((c.shape[0], ts.size))
-    with np.errstate(over="ignore"):   # an infinite t c^q loses to c^p, as in the L split
-        cp, cq = c[:, None, :] ** p, c[:, None, :] ** q
-        for rows, cols in _grid_blocks(c.shape[0], ts.size, c.shape[1], _L_RUN_ELEMS, _L_SPLIT_ELEMS):
-            out[rows, cols] = np.sum(np.minimum(cp[rows], ts[cols, None] * cq[rows])
-                                     * x.space.weights, axis=-1)
-    return out[0] if single else out
+    return _in_blocks(ts, x, _L_RUN_ELEMS, _L_SPLIT_ELEMS, _l_star_block, p, q)

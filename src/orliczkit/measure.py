@@ -13,6 +13,10 @@ from typing import Sequence
 import numpy as np
 
 
+class NonFiniteError(ValueError):
+    """A sample function or batch was given a value that is not finite."""
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype).copy()
     arr.flags.writeable = False
@@ -55,7 +59,7 @@ class SampleFunction:
         if v.shape != (space.n,):
             raise ValueError("values length must equal the atom count")
         if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
+            raise NonFiniteError("values must be finite")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", v)
 
@@ -76,7 +80,7 @@ class SampleBatch:
         if v.ndim != 2 or v.shape[1] != space.n:
             raise ValueError("values must have one row per member and one column per atom")
         if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
+            raise NonFiniteError("values must be finite")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", v)
 
@@ -88,12 +92,27 @@ class SampleBatch:
         return SampleBatch(self.space, self.values[rows])
 
     def scaled(self, factor: float) -> "SampleBatch":
-        return SampleBatch(self.space, self.values * factor)
+        """The batch times factor; a value that overflows to inf raises
+        `NonFiniteError`, as any value that is not finite does."""
+        with np.errstate(over="ignore"):
+            return SampleBatch(self.space, self.values * factor)
 
 
 def abs_rows(x: SampleFunction | SampleBatch) -> tuple[np.ndarray, bool]:
     """|values| with one row per member, and whether x is a single function."""
     return np.abs(np.atleast_2d(x.values)), x.values.ndim == 1
+
+
+def sup_scaled(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The indices of the rows of magnitudes with a positive sup, those
+    rows' sups, and those rows divided by their sups. A positively
+    homogeneous kernel (K, both norms) computes on the rows at sup 1 and
+    multiplies its values back by the sup, so its iterates are the same at
+    any scale, and so are the verdicts of the checks that read it; a zero
+    row has the value 0 and takes no part."""
+    sup = mags.max(axis=1, initial=0.0)
+    rows = np.flatnonzero(sup > 0.0)
+    return rows, sup[rows], mags[rows] / sup[rows, None]
 
 
 def row_chunks(rows: int, width: int, budget: int) -> list[slice]:

@@ -239,16 +239,17 @@ def _window_maximal(v: np.ndarray) -> np.ndarray:
     """
     rows, n = v.shape
     size = 1 << (n - 1).bit_length()
-    prefix = np.empty((rows, size + 1))
-    prefix[:, 0] = 0.0
-    np.cumsum(np.abs(v), axis=1, out=prefix[:, 1 : n + 1])
-    prefix[:, n + 1 :] = prefix[:, n : n + 1]
     top_step = max(1, _CHUNK_ELEMS // max(1, size * size // 4))
     # at most top_step groups, so that each group's share of the budget still
     # holds a whole top-level row and their buffers together stay within it
     groups = min(_usable_cpus(), top_step) if rows > top_step else 1
-    # an overflowed prefix sum gives inf - inf; the nan carries through
-    with np.errstate(invalid="ignore"):
+    # a prefix sum beyond the float range is inf, and inf - inf a nan that
+    # carries through to Tx, which a sample batch refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefix = np.empty((rows, size + 1))
+        prefix[:, 0] = 0.0
+        np.cumsum(np.abs(v), axis=1, out=prefix[:, 1 : n + 1])
+        prefix[:, n + 1 :] = prefix[:, n : n + 1]
         out = prefix[:, 1:] - prefix[:, :-1]
         # half + 1 + j - i at (i, j) for half = N / 2; block size s divides by
         # its bottom-left (s / 2) x (s / 2) corner, which holds s / 2 + 1 + j - i

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .liveset import iterate
-from .measure import SampleBatch, SampleFunction, abs_rows, row_chunks
+from .measure import SampleBatch, SampleFunction, abs_rows, row_chunks, sup_scaled
 from .quasiconcave import (
     QUASICONCAVITY_TOL,
     PiecewiseLinearConcave,
@@ -364,16 +364,16 @@ def _unit_modular_bracket(phi: OrliczFunction, y: np.ndarray,
     return iterate("luxemburg", step, (y, sigma, 0.0, np.inf, np.inf), _next_sigma)
 
 
-def _luxemburg_bracket(phi: OrliczFunction, x: SampleFunction | SampleBatch):
-    """(lo, hi) per member: modular(x / lo) >= 1 >= modular(x / hi), within
-    roundoff, and hi - lo <= 1e-10 * hi; both are sup|x| / u_max when the
-    modular fits at that smallest admissible lambda, and 0 for a zero member."""
-    mags, _ = abs_rows(x)
-    m = mags.max(axis=1, initial=0.0)
-    lo, hi = np.zeros(m.size), np.zeros(m.size)
-    rows = np.flatnonzero(m > 0.0)
-    s_lo, s_hi = _unit_modular_bracket(phi, mags[rows] / m[rows, None], x.space.weights)
-    lo[rows], hi[rows] = m[rows] / s_hi, m[rows] / s_lo
+def _luxemburg_bracket(phi: OrliczFunction, mags: np.ndarray, weights: np.ndarray):
+    """(lo, hi) per row x of magnitudes: modular(x / lo) >= 1 >=
+    modular(x / hi), within roundoff, and hi - lo <= 1e-10 * hi; both are
+    sup|x| / u_max when the modular fits at that smallest admissible lambda,
+    0 for a zero member, and +inf beyond the float range."""
+    rows, sup, y = sup_scaled(mags)
+    lo, hi = np.zeros(mags.shape[0]), np.zeros(mags.shape[0])
+    s_lo, s_hi = _unit_modular_bracket(phi, y, weights)
+    with np.errstate(over="ignore"):
+        lo[rows], hi[rows] = sup / s_hi, sup / s_lo
     return lo, hi
 
 
@@ -384,8 +384,9 @@ def luxemburg_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch):
     width 1e-10 (see `_unit_modular_bracket`). Returns the bracket's upper
     end, so the modular at the returned norm never exceeds 1 beyond roundoff.
     """
-    hi = _luxemburg_bracket(phi, x)[1]
-    return float(hi[0]) if isinstance(x, SampleFunction) else hi
+    mags, single = abs_rows(x)
+    hi = _luxemburg_bracket(phi, mags, x.space.weights)[1]
+    return float(hi[0]) if single else hi
 
 
 def _amemiya_scaled(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -441,12 +442,13 @@ def amemiya_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch):
     `_amemiya_scaled`); the result is the least objective the search
     evaluated, which includes both ends of the range.
     """
-    mags, _ = abs_rows(x)
-    m = mags.max(axis=1, initial=0.0)
-    out = np.zeros(m.size)
-    rows = np.flatnonzero(m > 0.0)
-    out[rows] = m[rows] * _amemiya_scaled(phi, mags[rows] / m[rows, None], x.space.weights)
-    return float(out[0]) if isinstance(x, SampleFunction) else out
+    mags, single = abs_rows(x)
+    rows, sup, y = sup_scaled(mags)
+    out = np.zeros(mags.shape[0])
+    scaled = _amemiya_scaled(phi, y, x.space.weights)
+    with np.errstate(over="ignore"):   # a norm beyond the float range is +inf
+        out[rows] = sup * scaled
+    return float(out[0]) if single else out
 
 
 def check_convexity(phi: OrliczFunction, p: float) -> bool:

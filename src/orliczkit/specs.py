@@ -8,9 +8,9 @@ is byte-stable, which the shipped scenario files rely on.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from collections import OrderedDict
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -138,24 +138,23 @@ def resolve_plc(record: dict) -> qc.PiecewiseLinearConcave:
 # perfbench's `norms` workload cycles through 6 distinct specs, and an LRU
 # smaller than a cyclic working set never hits.
 PHI_CACHE_SIZE = 8
-_PHI_CACHE: OrderedDict[str, OrliczFunction] = OrderedDict()
 
 
 def resolve_phi(record: dict) -> OrliczFunction:
     """The phi of a spec, built once per process and shared: specs equal as
-    JSON (in any key order) give the same immutable `OrliczFunction`. A
-    record that is not JSON is built uncached; errors are never cached."""
+    JSON (in any key order) give the same immutable `OrliczFunction`, built
+    from that JSON text. A record that is not JSON is built uncached; errors
+    are never cached."""
     try:
         key = json.dumps(record, sort_keys=True)
     except (TypeError, ValueError):
         return _build_phi(record)
-    phi = _PHI_CACHE.pop(key, None)
-    if phi is None:
-        phi = _build_phi(record)
-    _PHI_CACHE[key] = phi   # the most recently used is last
-    if len(_PHI_CACHE) > PHI_CACHE_SIZE:
-        _PHI_CACHE.popitem(last=False)
-    return phi
+    return _cached_phi(key)
+
+
+@functools.lru_cache(maxsize=PHI_CACHE_SIZE)
+def _cached_phi(key: str) -> OrliczFunction:
+    return _build_phi(json.loads(key))
 
 
 def _build_phi(record: dict) -> OrliczFunction:

@@ -15,8 +15,6 @@ between runs.
 from __future__ import annotations
 
 import functools
-import itertools
-import operator
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -26,7 +24,7 @@ import numpy as np
 from . import specs
 from .constants import NORM_CONSTANTS, bergh_constant, sparr_gamma
 from .kfunc import k_lp_linf_grid, l_functional_grid, l_star_grid
-from .measure import SampleBatch
+from .measure import NonFiniteError, SampleBatch
 from .operators import CertifiedOperator
 from .orlicz import (
     DomainOverflowError,
@@ -148,7 +146,7 @@ def _draws(scale: float, *out: np.ndarray):
 # NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
 # PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128). Python ints
 # below 2^32 keep a uint32 array uint32 under NEP 50 and legacy promotion
-# alike, so one hash serves masked Python ints and uint32 arrays.
+# alike.
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -157,13 +155,14 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _SIGNS = np.array([-1.0, 1.0])
 
 
-def _hash_constants(const: int, mult: int):
-    """SeedSequence's running hash constant: the pairs (c, c * mult mod 2^32),
-    each next pair starting from the last product."""
-    while True:
-        nxt = const * mult & _MASK32
-        yield const, nxt
-        const = nxt
+def _hash_constants(const: int, mult: int, start: int, count: int) -> np.ndarray:
+    """Pairs start, ..., start + count - 1 of SeedSequence's running hash
+    constant, (c, c * mult mod 2^32) with each next pair starting from the
+    last product, as a (2, count, 1) uint32 array: xor and mult columns."""
+    chain = [const]
+    for _ in range(start + count):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array([chain[start:-1], chain[start + 1 :]], dtype=np.uint32)[:, :, None]
 
 
 def _hashmix(value, xor, mult):
@@ -183,35 +182,24 @@ def _child_rngs(seed: int, count: int):
     The same Generator object is yielded each time, reseeded, so a row must
     be drawn before the next one is asked for. Child i's SeedSequence mixes
     the entropy [seed words, zeros up to 4 words, i] into a pool of four
-    words. Everything before i depends on the seed alone and is mixed once
-    in Python ints; i is mixed into the four pool words of every child at
-    once, as (4, count) uint32 arrays. The pool gives each child's four
-    64-bit words (the first two seed PCG64's state, the last two its
-    increment), and PCG64's seeding step runs per child in Python ints.
+    words. Everything before i depends on the seed alone: it is the pool of
+    `SeedSequence(seed)`, after 4 + 12 hash constants for the first four
+    words and 4 for each word beyond. i is mixed into the four pool words of
+    every child at once, as (4, count) uint32 arrays. The pool gives each
+    child's four 64-bit words (the first two seed PCG64's state, the last
+    two its increment), and PCG64's seeding step runs per child in Python
+    ints.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("seed must be an integer >= 0")
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    consts = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, *next(consts)) for word in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(word, *next(consts)))
+    seq = np.random.SeedSequence(seed)
     # the child index, the last entropy word, meets one hash constant per
     # pool word: (4, 1) columns against the (count,) row of indices
-    xor, mult = np.array(list(itertools.islice(consts, 4)), dtype=np.uint32).T[:, :, None]
+    used = 16 + 4 * max(0, -(-int(seq.entropy).bit_length() // 32) - 4)
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, used, 4)
     index = np.arange(count, dtype=np.uint32)
-    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], _hashmix(index, xor, mult))
+    pool = _mix(seq.pool[:, None], _hashmix(index, xor, mult))
     # generate_state(4, np.uint64): 32-bit words from pool rows 0-3 twice,
     # paired little-endian
-    consts = _hash_constants(_INIT_B, _MULT_B)
-    xor, mult = np.array(list(itertools.islice(consts, 8)), dtype=np.uint32).T[:, :, None]
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, 0, 8)
     words32 = _hashmix(np.tile(pool, (2, 1)), xor, mult)
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
@@ -290,8 +278,9 @@ def _sparr_pairs(xs: SampleBatch, ys: SampleBatch, couple: ExponentCouple,
     kx, ky = l_both[:count], l_both[count:]
     met = np.flatnonzero(np.all(kx <= ky + HYPOTHESIS_SLACK * np.abs(ky) + ABS_FLOOR, axis=1))
     star = l_star_grid(ts, both[np.concatenate((met, count + met))], p, q)
-    collector.check(star[:met.size], gamma * star[met.size:], "sparr_conclusion",
-                    np.hstack((xs.values[met], ys.values[met])), ts, met)
+    with np.errstate(over="ignore"):   # a side beyond the float range is inf, which rejects
+        collector.check(star[:met.size], gamma * star[met.size:], "sparr_conclusion",
+                        np.hstack((xs.values[met], ys.values[met])), ts, met)
     return met.size
 
 
@@ -456,14 +445,16 @@ def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
     tx, count = op.apply(inputs), len(inputs)
     both = _stack(tx, inputs)
     lux = luxemburg_norm(phi, both)
-    collector.check(lux[:count], cm * lux[count:], "luxemburg", inputs.values, rel=NORM_REL)
+    with np.errstate(over="ignore"):   # as in _sparr_pairs
+        collector.check(lux[:count], cm * lux[count:], "luxemburg", inputs.values, rel=NORM_REL)
     details = {"constant": c, "certified_bound": op.max_bound, "constant_source": source}
     # the Amemiya search may stop at a local minimum of a non-convex phi, and
     # a value above the infimum is no rhs; power and generator builds are
     # convex by construction (see `orlicz`), an h-form records it
     if phi.convex:
         am = amemiya_norm(phi, both)
-        collector.check(am[:count], cm * am[count:], "amemiya", inputs.values, rel=NORM_REL)
+        with np.errstate(over="ignore"):
+            collector.check(am[:count], cm * am[count:], "amemiya", inputs.values, rel=NORM_REL)
     else:
         details["amemiya"] = "skipped: phi is not convex"
     if diagnostics:
@@ -524,5 +515,8 @@ def run_scenario(raw_scenario: dict, jobs: int = 1) -> dict:
     except DomainOverflowError as exc:
         raise ScenarioRejected(
             f"generated inputs leave phi's domain, u_max = {phi.u_max:g}: {exc}") from None
+    except NonFiniteError:   # Tx, or Tx scaled, overflowed: the inputs are finite
+        raise ScenarioRejected(f"Tx is not finite: inputs.scale = {scenario['inputs']['scale']:g} "
+                               "is too large for the operator") from None
     report["scenario"] = scenario
     return report

@@ -270,19 +270,20 @@ class TestWindowMaximalKernel:
         monkeypatch.setattr(operators, "_usable_cpus", lambda: 1)
         one = operators._window_maximal(rows)
         # the thread that ran each group: the caller's, and one of its own
-        # for each other group
+        # for each other group. The Thread objects, not their idents: a
+        # thread that has ended may pass its ident on to the next one started
         threads = []
         level_loop = operators._level_loop
 
         def logged(*task):
-            threads.append(threading.get_ident())
+            threads.append(threading.current_thread())
             level_loop(*task)
 
         monkeypatch.setattr(operators, "_level_loop", logged)
         monkeypatch.setattr(operators, "_usable_cpus", lambda: 8)
         split = operators._window_maximal(rows)
         assert len(set(threads)) == len(threads) == (3 if count > 3 else 1)
-        assert threading.get_ident() in threads
+        assert threading.current_thread() in threads
         assert split.tobytes() == one.tobytes() == oracle_batch(rows).tobytes()
 
     @pytest.mark.parametrize("n", [3, 8, 9, 100])

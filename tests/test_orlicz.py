@@ -282,7 +282,7 @@ class TestNewtonNorms:
     @pytest.mark.parametrize("name", sorted(TestBatch.PHIS))
     def test_luxemburg_bracket(self, name, scale):
         phi, xs = TestBatch.PHIS[name](), self.batch(scale)
-        lo, hi = _luxemburg_bracket(phi, xs)
+        lo, hi = _luxemburg_bracket(phi, np.abs(xs.values), xs.space.weights)
         assert np.array_equal(hi, ok.luxemburg_norm(phi, xs))
         assert np.all(lo <= hi) and np.all(hi - lo <= 1e-10 * hi)
         m = np.abs(xs.values).max(axis=1)
@@ -338,6 +338,17 @@ class TestNewtonNorms:
         x = sample([1.0, 0.5, -0.3], [1.4e6, 1.0, 2.0])
         assert ok.amemiya_norm(phi, x) == pytest.approx(amemiya_golden(phi, x), rel=1e-12)
         assert ok.luxemburg_norm(phi, x) == pytest.approx(luxemburg_bisect(phi, x), rel=1e-10)
+
+    def test_norm_beyond_the_float_range_is_inf_without_warning(self):
+        # 32 atoms of 1e307 have ||x||_1 = 3.2e308: both norms of u^1 scale
+        # sup|x| back to +inf, where the scale-back overflowed with a warning;
+        # the half-size member and the zero member keep their values
+        batch = ok.SampleBatch(ok.uniform_space(32),
+                               np.full((3, 32), 1e307) * np.array([[1.0], [-0.5], [0.0]]))
+        for norm in (ok.luxemburg_norm, ok.amemiya_norm):
+            got = norm(ok.power_phi(1.0), batch)
+            assert got[0] == np.inf and got[2] == 0.0
+            assert got[1] == pytest.approx(1.6e308, rel=1e-8)
 
     @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.parametrize("p", [1, 2])

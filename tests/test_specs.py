@@ -103,35 +103,55 @@ class TestResolvers:
 
 
 class TestPhiCache:
-    """`resolve_phi` shares one phi per spec, in a bounded LRU."""
+    """`resolve_phi` shares one phi per spec, in a bounded LRU keyed on the
+    spec's sorted JSON text."""
 
     GENERATOR = {"kind": "generator", "p": 1.5, "q": 3, "rho": {"kind": "power", "theta": 0.5}}
 
     def test_key_order_does_not_matter(self):
+        specs._cached_phi.cache_clear()
         reordered = {"rho": {"theta": 0.5, "kind": "power"}, "q": 3, "p": 1.5,
                      "kind": "generator"}
         assert specs.resolve_phi(self.GENERATOR) is specs.resolve_phi(reordered)
+        info = specs._cached_phi.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     def test_bound_holds_a_norms_round_and_drops_the_least_recent(self):
         # one norms benchmark round cycles through 6 distinct specs
         assert specs.PHI_CACHE_SIZE >= 6
+        assert specs._cached_phi.cache_info().maxsize == specs.PHI_CACHE_SIZE
+        specs._cached_phi.cache_clear()
         powers = [{"kind": "power", "p": 2 + k} for k in range(specs.PHI_CACHE_SIZE + 1)]
         first = [specs.resolve_phi(r) for r in powers[:-1]]
         assert [specs.resolve_phi(r) for r in powers[:-1]] == first   # identity: eq=False
         specs.resolve_phi(powers[-1])
-        assert len(specs._PHI_CACHE) == specs.PHI_CACHE_SIZE
+        assert specs._cached_phi.cache_info().currsize == specs.PHI_CACHE_SIZE
         assert specs.resolve_phi(powers[0]) is not first[0]
         assert specs.resolve_phi(powers[-2]) is first[-1]
 
     def test_errors_are_not_cached(self):
-        before = len(specs._PHI_CACHE)
+        before = specs._cached_phi.cache_info().currsize
         for _ in range(2):
             with pytest.raises(specs.SpecError, match="finite number"):
                 specs.resolve_phi({"kind": "power", "p": "two"})
             # a set is not JSON: resolved uncached, with the same error
             with pytest.raises(specs.SpecError, match="finite number"):
                 specs.resolve_phi({"kind": "power", "p": {2}})
-        assert len(specs._PHI_CACHE) == before
+        assert specs._cached_phi.cache_info().currsize == before
+
+    def test_a_record_resolves_as_its_json_text(self):
+        # a tuple where the format has a list is built from its JSON twin,
+        # whether or not the twin was resolved first
+        h = {"knots": (1.0,), "values": (2.0,), "slope0": 1.0, "slope_inf": 1.0}
+        record = {"kind": "h", "p": 1, "q": 2, "h": h}
+        twin = {"kind": "h", "p": 1, "q": 2, "h": dict(h, knots=[1.0], values=[2.0])}
+        specs._cached_phi.cache_clear()
+        built = specs.resolve_phi(record)
+        assert specs.resolve_phi(twin) is built
+        direct = ok.build_from_h(ok.ExponentCouple(1, 2),
+                                 ok.PiecewiseLinearConcave([1.0], [2.0], 1.0, 1.0))
+        u = np.array([0.5, 3.0])
+        assert built.jet(u).tolist() == direct.jet(u).tolist()
 
 
 class TestScenarioNormalization:
