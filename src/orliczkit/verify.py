@@ -35,6 +35,7 @@ from .orlicz import (
     check_convexity,
     luxemburg_norm,
     modular,
+    norm_start,
 )
 from .quasiconcave import concave_majorant
 
@@ -444,15 +445,17 @@ def verify_norm_interpolation(phi: OrliczFunction, couple: ExponentCouple,
     cm = c * op.max_bound
     tx, count = op.apply(inputs), len(inputs)
     both = _stack(tx, inputs)
-    lux = luxemburg_norm(phi, both)
+    # the Amemiya search may stop at a local minimum of a non-convex phi, and
+    # a value above the infimum is no rhs; power and generator builds are
+    # convex by construction (see `orlicz`), an h-form records it. A convex
+    # phi's two searches share their first pass
+    start = norm_start(phi, both) if phi.convex else None
+    lux = luxemburg_norm(phi, both, start=start)
     with np.errstate(over="ignore"):   # as in _sparr_pairs
         collector.check(lux[:count], cm * lux[count:], "luxemburg", inputs.values, rel=NORM_REL)
     details = {"constant": c, "certified_bound": op.max_bound, "constant_source": source}
-    # the Amemiya search may stop at a local minimum of a non-convex phi, and
-    # a value above the infimum is no rhs; power and generator builds are
-    # convex by construction (see `orlicz`), an h-form records it
     if phi.convex:
-        am = amemiya_norm(phi, both)
+        am = amemiya_norm(phi, both, start=start)
         with np.errstate(over="ignore"):
             collector.check(am[:count], cm * am[count:], "amemiya", inputs.values, rel=NORM_REL)
     else:
@@ -510,13 +513,14 @@ def run_scenario(raw_scenario: dict, jobs: int = 1) -> dict:
     scenario, space, couple, phi, op = specs.resolve_scenario(raw_scenario)
     if scenario["fault"]:   # normalized: a fault that plants nothing is None
         op = replace(op, bound_p=op.bound_p / 2.0, bound_q=op.bound_q / 2.0)
+    scale = scenario["inputs"]["scale"]
     try:
         report = RUNNERS[scenario["theorem"]](scenario, space, couple, phi, op)
     except DomainOverflowError as exc:
-        raise ScenarioRejected(
-            f"generated inputs leave phi's domain, u_max = {phi.u_max:g}: {exc}") from None
+        raise ScenarioRejected(f"inputs.scale = {scale:g} puts generated inputs beyond phi's "
+                               f"domain, u_max = {phi.u_max:g}: {exc}") from None
     except NonFiniteError:   # Tx, or Tx scaled, overflowed: the inputs are finite
-        raise ScenarioRejected(f"Tx is not finite: inputs.scale = {scenario['inputs']['scale']:g} "
+        raise ScenarioRejected(f"Tx is not finite: inputs.scale = {scale:g} "
                                "is too large for the operator") from None
     report["scenario"] = scenario
     return report

@@ -471,6 +471,76 @@ class TestStackedSides:
         assert cap >= 8 or set(sizes) == {8}
 
 
+class TestSharedStart:
+    """`norm_start` is the Amemiya search's first pass, whose middle point
+    min(1, min(1e8, u_max)) is the Luxemburg start min(1, u_max): given it,
+    each norm is bitwise its value without it, one pass of phi fewer."""
+
+    PHIS = dict(TestBatch.PHIS,
+                min_one_1_2=lambda: cached_generator_phi(1, 2, "min_one"),
+                min_one_1_inf=lambda: cached_generator_phi(1, np.inf, "min_one"))
+
+    @staticmethod
+    def assert_shared(phi, x):
+        start = ok.norm_start(phi, x)
+        for norm in (ok.luxemburg_norm, ok.amemiya_norm):
+            plain, shared = norm(phi, x), norm(phi, x, start=start)
+            assert np.array_equal(plain, shared), norm.__name__
+            assert type(plain) is type(shared)
+
+    @pytest.mark.parametrize("n", [1, 8, 512])
+    @pytest.mark.parametrize("name", sorted(PHIS))
+    def test_norms_with_the_start_equal_the_norms_without(self, name, n):
+        # the sides have a zero row and rows of sup 1e-8 and 1e8
+        phi = self.PHIS[name]()
+        tx, x = TestStackedSides.sides(n)
+        self.assert_shared(phi, TestStackedSides.stack(tx, x))
+        self.assert_shared(phi, mixed_batch(ok.DiscreteMeasureSpace(np.linspace(0.5, 2.0, 6)),
+                                            np.random.default_rng(71)))
+        self.assert_shared(phi, sample([0.5, -2.0, 1.25], [1.0, 0.5, 2.0]))
+
+    def test_min_one_points_meet_at_u_max_one(self):
+        # at (1, inf) the Amemiya range is clipped to u_max = 1, so its start
+        # and top both lie at 1, the Luxemburg start; at (1, 2) the start 1
+        # is phi's kink
+        assert cached_generator_phi(1, np.inf, "min_one").u_max == 1.0
+        assert orlicz._amemiya_points(cached_generator_phi(1, np.inf, "min_one")).tolist() == [
+            1e-8, 1.0, 1.0]
+        assert orlicz._amemiya_points(cached_generator_phi(1, 2, "min_one")).tolist() == [
+            1e-8, 1.0, 1e8]
+
+    def test_beyond_the_float_range(self):
+        batch = ok.SampleBatch(ok.uniform_space(32),
+                               np.full((3, 32), 1e307) * np.array([[1.0], [-0.5], [0.0]]))
+        self.assert_shared(ok.power_phi(1.0), batch)
+
+    def test_the_start_is_the_first_pass_of_both_searches(self):
+        phi = TestBatch.PHIS["generator"]()
+        tx, x = TestStackedSides.sides(8)
+        both = TestStackedSides.stack(tx, x)
+        counting, sizes = counting_jet(phi)
+        ok.luxemburg_norm(counting, both)
+        ok.amemiya_norm(counting, both)
+        alone = len(sizes)
+        sizes.clear()
+        start = ok.norm_start(counting, both)
+        # a zero row of x and its Tx take no part
+        assert len(sizes) == 1 and start.shape == (3, len(both) - 2, 3)
+        ok.luxemburg_norm(counting, both, start=start)
+        ok.amemiya_norm(counting, both, start=start)
+        assert len(sizes) == alone - 1
+
+    def test_a_start_of_other_members_is_refused(self):
+        phi = ok.power_phi(2)
+        x = ok.SampleBatch(ok.uniform_space(3), [[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]])
+        start = ok.norm_start(phi, x[:1])
+        assert start.shape == (3, 1, 3)
+        for norm in (ok.luxemburg_norm, ok.amemiya_norm):
+            assert norm(phi, x, start=start).tolist() == norm(phi, x).tolist()   # a zero row
+            with pytest.raises(ValueError, match="norm start"):
+                norm(phi, ok.SampleBatch(x.space, [[1.0, 1.0, 1.0]] * 2), start=start)
+
+
 class TestOnePassSolve:
     """`orlicz._solve_log_inverse` runs its first pass on the whole arrays
     with a scalar bracket, and the build's rows fill one array in place:

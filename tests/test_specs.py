@@ -154,6 +154,81 @@ class TestPhiCache:
         assert built.jet(u).tolist() == direct.jet(u).tolist()
 
 
+class TestOperatorCache:
+    """`resolve_operator` shares one operator per (spec, weights, couple), in
+    a bounded LRU keyed on the spec's sorted JSON text."""
+
+    SPACE, COUPLE = ok.uniform_space(4), ok.ExponentCouple(1, 2)
+    MAX_OF = {"kind": "max_of", "ops": [{"kind": "identity"},
+                                         {"kind": "multiplier", "m": [0.5, 0.5, 1.0, 0.1]}]}
+
+    def test_key_order_does_not_matter(self):
+        specs._cached_operator.cache_clear()
+        reordered = {"ops": [{"kind": "identity"}, {"m": [0.5, 0.5, 1.0, 0.1], "kind": "multiplier"}],
+                     "kind": "max_of"}
+        op = specs.resolve_operator(self.MAX_OF, self.SPACE, self.COUPLE)
+        assert specs.resolve_operator(reordered, ok.uniform_space(4), self.COUPLE) is op
+        info = specs._cached_operator.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_another_couple_space_or_spec_is_another_operator(self):
+        op = specs.resolve_operator({"kind": "averaging"}, self.SPACE, self.COUPLE)
+        others = [specs.resolve_operator({"kind": "averaging"}, self.SPACE, ok.ExponentCouple(1, 3)),
+                  specs.resolve_operator({"kind": "averaging"}, ok.uniform_space(5), self.COUPLE),
+                  specs.resolve_operator({"kind": "averaging"},
+                                         ok.DiscreteMeasureSpace([2.0] * 4), self.COUPLE),
+                  specs.resolve_operator({"kind": "identity"}, self.SPACE, self.COUPLE)]
+        assert all(other is not op for other in others)
+        assert others[0].bound_q == op.bound_q and others[0].couple.q == 3
+        assert others[1].space.n == 5 and others[2].space.weights.tolist() == [2.0] * 4
+
+    def test_a_halved_fault_leaves_the_shared_bounds(self):
+        scenario = dict(shipped("thm31b_norm_p2"), inputs={"count": 20})
+        op = specs.resolve_scenario(scenario)[4]
+        bounds = (op.bound_p, op.bound_q)
+        faulted = dict(scenario, fault={"halve_certificate": True})
+        assert run_scenario(faulted)["status"] == "fail"
+        again = specs.resolve_scenario(scenario)[4]
+        assert again is op and (again.bound_p, again.bound_q) == bounds
+        assert run_scenario(scenario)["status"] == "pass"
+
+    def test_the_scenario_space_is_the_operator_space(self):
+        scenario = shipped("thm31b_norm_p2")
+        first, again = specs.resolve_scenario(scenario), specs.resolve_scenario(scenario)
+        assert first[4] is again[4] and first[1] is again[1] is first[4].space
+
+    def test_errors_are_not_cached(self):
+        before = specs._cached_operator.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(specs.SpecError, match="keep_first"):
+                specs.resolve_operator({"kind": "truncation", "keep_first": 9},
+                                       self.SPACE, self.COUPLE)
+            # a set is not JSON: resolved uncached, with the same error
+            with pytest.raises(specs.SpecError, match="multiplier m"):
+                specs.resolve_operator({"kind": "multiplier", "m": {2}}, self.SPACE, self.COUPLE)
+        assert specs._cached_operator.cache_info().currsize == before
+
+    def test_bound_holds_the_shipped_operators(self):
+        # the 9 phi-bearing shipped scenarios are one round of the norms
+        # benchmark workload; their operators are the 9 distinct operators of
+        # all 13 (prop22 shares thm31a_p2's maximal at (2, inf)), and a max_of
+        # builds its members uncached
+        assert specs.OPERATOR_CACHE_SIZE == 9
+        assert specs._cached_operator.cache_info().maxsize == specs.OPERATOR_CACHE_SIZE
+        scenarios = [json.loads((SCENARIO_DIR / f"{name}.json").read_text()) for name in SHIPPED]
+
+        def key(s):
+            return tuple(json.dumps(s[k], sort_keys=True) for k in ("operator", "space", "couple"))
+
+        keys = {key(s) for s in scenarios if s.get("operator")}
+        assert {key(s) for s in scenarios if s.get("phi")} == keys
+        assert len(keys) == specs.OPERATOR_CACHE_SIZE
+        specs._cached_operator.cache_clear()
+        ops = [[specs.resolve_scenario(s)[4] for s in scenarios] for _ in range(2)]
+        assert [a is b for a, b in zip(*ops)] == [True] * len(scenarios)
+        assert specs._cached_operator.cache_info().misses == specs.OPERATOR_CACHE_SIZE
+
+
 class TestScenarioNormalization:
     BASE = {
         "theorem": "thm46a",

@@ -603,22 +603,22 @@ class TestSharedBuilds:
 
 
 def counting_norms(monkeypatch):
-    """Count the verifier's calls of each norm and the modular, and the
-    passes of phi's jet each makes."""
+    """Count the verifier's calls of each norm, of the first pass they share
+    and of the modular, and the passes of phi's jet each makes."""
     calls, passes = Counter(), Counter()
 
     def counted(fn):
-        def run(phi, x):
+        def run(phi, x, **kwargs):
             calls[fn.__name__] += 1
 
             def jet(u):
                 passes[fn.__name__] += 1
                 return phi.jet(u)
 
-            return fn(dataclasses.replace(phi, jet=jet), x)
+            return fn(dataclasses.replace(phi, jet=jet), x, **kwargs)
         return run
 
-    for name in ("luxemburg_norm", "amemiya_norm", "modular"):
+    for name in ("luxemburg_norm", "amemiya_norm", "modular", "norm_start"):
         monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
     return calls, passes
 
@@ -626,17 +626,19 @@ def counting_norms(monkeypatch):
 class TestStackedNormReport:
     """A norm report searches Tx and x as one batch in each norm, and the
     chain takes one modular of [Tx/M; x] per phi, through the public
-    `orlicz.luxemburg_norm`, `amemiya_norm` and `modular`."""
+    `orlicz.luxemburg_norm`, `amemiya_norm` and `modular`; the two searches
+    share their first pass, `orlicz.norm_start`."""
 
-    def test_thm51_report_takes_four_passes_for_its_two_norms(self, monkeypatch):
-        # one call per side made 8, two passes per search and side
+    def test_thm51_report_takes_three_passes_for_its_two_norms(self, monkeypatch):
+        # one call per side made 8, two passes per search and side; one call
+        # per search made 4, and the shared first pass saves one more
         scenario = load_scenario("thm51_linear_15_2.json")
         scenario["inputs"]["count"] = 20
         plain = strip_wall(run_scenario(scenario))
         calls, passes = counting_norms(monkeypatch)
         assert strip_wall(run_scenario(scenario)) == plain
-        assert calls == {"luxemburg_norm": 1, "amemiya_norm": 1}
-        assert sum(passes.values()) <= 4, passes
+        assert calls == {"norm_start": 1, "luxemburg_norm": 1, "amemiya_norm": 1}
+        assert passes["norm_start"] == 1 and sum(passes.values()) <= 3, passes
 
     def test_chain_takes_one_modular_per_phi(self, monkeypatch):
         scenario = load_scenario("thm46b_norm_1_2.json")
@@ -644,7 +646,7 @@ class TestStackedNormReport:
         plain = strip_wall(run_scenario(scenario))
         calls, _ = counting_norms(monkeypatch)
         assert strip_wall(run_scenario(scenario)) == plain
-        assert calls == {"luxemburg_norm": 1, "amemiya_norm": 1, "modular": 2}
+        assert calls == {"norm_start": 1, "luxemburg_norm": 1, "amemiya_norm": 1, "modular": 2}
 
 
 # status and violation_count of each shipped report (and hypothesis_met for
@@ -906,12 +908,16 @@ class TestRunScenario:
                                             ("prop22_maximal_2inf.json", 1e307),
                                             ("remark_concave_h_1_2.json", 1e307),
                                             ("thm51_linear_2_3.json", 1e307),
-                                            ("thm46b_norm_1_2.json", 1e306)])
+                                            ("thm46b_norm_1_2.json", 1e306),
+                                            ("thm31a_p1_orlicz.json", 1e305),
+                                            ("thm31a_p2_maximal.json", 1e306)])
     def test_huge_input_scale_is_a_rejection(self, name, scale):
         # 1e308 overflows the draws themselves; below it, the window
         # maximal's prefix sums (prop22), the Luxemburg norm's scale-back
         # (remark_concave_h) or a norm check's right side C * M * ||x||
-        # (thm51, thm46b) leaves the float range, with no RuntimeWarning
+        # (thm51, thm46b) leaves the float range, with no RuntimeWarning,
+        # and the inputs of a generator phi's modular check (thm31a) leave
+        # its domain
         scenario = load_scenario(name)
         scenario["inputs"].update(count=8, scale=scale)
         with pytest.raises(ok.ScenarioRejected, match="inputs.scale"):
