@@ -103,9 +103,9 @@ def cmd_kfunc(args) -> int:
     couple = specs.resolve_couple({"p": parts[0], "q": parts[1]})
     ts = specs.parse_range(args.t_grid, "--t-grid", log=True)
     if couple.q_is_inf:
-        values, method = k_lp_linf_grid(ts, x, couple.p), "truncation"
+        values, method = k_lp_linf_grid(ts, x, couple.p)[0], "truncation"
     else:
-        values, method = l_functional_grid(ts, x, couple.p, couple.q), "pointwise"
+        values, method = l_functional_grid(ts, x, couple.p, couple.q)[0], "pointwise"
     rows = [[fmt(t), fmt(value), method] for t, value in zip(ts, values)]
     _emit_table(["t", "value", "method"], rows, "csv", sys.stdout)
     return 0
@@ -144,8 +144,8 @@ def cmd_norms(args) -> int:
     # which is no norm value, so none is printed; a convex phi's two
     # searches share their first pass
     start = norm_start(phi, x) if phi.convex else None
-    lux = luxemburg_norm(phi, x, start=start)
-    am = amemiya_norm(phi, x, start=start) if phi.convex else None
+    lux = luxemburg_norm(phi, x, start=start)[0]
+    am = amemiya_norm(phi, x, start=start)[0] if phi.convex else None
     if am is None:
         print("note: phi is not convex, so the Amemiya norm is not computed", file=sys.stderr)
     if args.format == "csv":

@@ -6,11 +6,10 @@ holding the minimiser, where it is solved exactly (`k_lp_linf_grid`). For
 (L^p, L^q) with both exponents finite the infimum separates into one convex
 scalar problem per atom (`_pointwise_min_split`).
 
-The grid kernels take one `SampleFunction` (one value per t back) or a
-`SampleBatch` on one space (one row per member): a single function is a
-batch of one. The kink bisection, the interval Newton solve and the Halley
-split run on `liveset.iterate`, so a value does not depend on which t's or
-members share the call.
+The grid kernels take a `SampleBatch` on one space and return one row per
+member, one value per t. The kink bisection, the interval Newton solve and
+the Halley split run on `liveset.iterate`, so a value does not depend on
+which t's or members share the call.
 
 Each kernel works through its (member, t) rows in blocks (`_grid_blocks`)
 of a bounded number of rows x atoms, all three in one block loop
@@ -35,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .liveset import iterate
-from .measure import SampleBatch, SampleFunction, abs_rows, row_chunks, sup_scaled
+from .measure import SampleBatch, row_chunks, sup_scaled
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -86,17 +85,16 @@ def _grid_blocks(members: int, t_count: int, n: int, runs: int,
     return [(slice(i, i + 1), cols) for i in range(members) for cols in row_chunks(t_count, n, split)]
 
 
-def _in_blocks(ts, x: SampleFunction | SampleBatch, runs: int, split: int, block, *args):
+def _in_blocks(ts, x: SampleBatch, runs: int, split: int, block, *args):
     """The grid kernels' one block loop: `block(ts, c, weights, *args)`, the
     values at each t of ts for each row c of magnitudes, on every block of
-    `_grid_blocks` within `runs` and `split`, as one row per member (one
-    value per t for a single function)."""
+    `_grid_blocks` within `runs` and `split`, as one row per member."""
     ts = _t_grid(ts)
-    c, single = abs_rows(x)
+    c = np.abs(x.values)
     out = np.empty((c.shape[0], ts.size))
     for rows, cols in _grid_blocks(c.shape[0], ts.size, c.shape[1], runs, split):
         out[rows, cols] = block(ts[cols], c[rows], x.space.weights, *args)
-    return out[0] if single else out
+    return out
 
 
 # A row stops once its value is certified within this fraction of itself.
@@ -279,9 +277,9 @@ def _k_block(ts: np.ndarray, mags: np.ndarray, w: np.ndarray, p: float) -> np.nd
     return out
 
 
-def k_lp_linf_grid(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarray:
-    """K(t, x; L^p, L^inf) for every t in ts (and every member of a batch),
-    via the truncation reduction, exactly.
+def k_lp_linf_grid(ts, x: SampleBatch, p: float) -> np.ndarray:
+    """K(t, x; L^p, L^inf) for every member of x and every t in ts, via the
+    truncation reduction, exactly.
 
     K(t, x) = min over 0 <= lam <= sup|x| of F(lam) = ||(|x| - lam)_+||_p +
     t lam. F is convex with kinks only at the magnitudes, so `_kink_bracket`
@@ -406,9 +404,9 @@ def _l_block(ts: np.ndarray, c: np.ndarray, w: np.ndarray, p: float, q: float) -
         return np.sum(split * w, axis=-1)
 
 
-def l_functional_grid(ts, x: SampleFunction | SampleBatch, p: float, q: float) -> np.ndarray:
-    """K_{p,q}(t, x; L^p, L^q) for every t in ts (and every member of a
-    batch), within ~1e-15 relative per atom; see `_pointwise_min_split`. The
+def l_functional_grid(ts, x: SampleBatch, p: float, q: float) -> np.ndarray:
+    """K_{p,q}(t, x; L^p, L^q) for every member of x and every t in ts,
+    within ~1e-15 relative per atom; see `_pointwise_min_split`. The
     rows run in `_grid_blocks` within `_L_RUN_ELEMS` and `_L_SPLIT_ELEMS`."""
     _check_exponent(p)
     _check_exponent(q, "q")
@@ -423,10 +421,9 @@ def _l_star_block(ts: np.ndarray, c: np.ndarray, w: np.ndarray, p: float, q: flo
         return np.sum(np.minimum(cp, ts[:, None] * cq) * w, axis=-1)
 
 
-def l_star_grid(ts, x: SampleFunction | SampleBatch, p: float, q: float) -> np.ndarray:
+def l_star_grid(ts, x: SampleBatch, p: float, q: float) -> np.ndarray:
     """Modified L-functional: weighted sum of min(|x|^p, t |x|^q), for every
-    t in ts (and every member of a batch), in the blocks of
-    `l_functional_grid`."""
+    member of x and every t in ts, in the blocks of `l_functional_grid`."""
     _check_exponent(p)
     _check_exponent(q, "q")
     return _in_blocks(ts, x, _L_RUN_ELEMS, _L_SPLIT_ELEMS, _l_star_block, p, q)

@@ -48,28 +48,11 @@ def uniform_space(n: int) -> DiscreteMeasureSpace:
 
 
 @dataclass(frozen=True, eq=False)
-class SampleFunction:
-    """Real values attached to the atoms of a space."""
-
-    space: DiscreteMeasureSpace
-    values: np.ndarray
-
-    def __init__(self, space: DiscreteMeasureSpace, values: Sequence[float]):
-        v = _frozen_array(values)
-        if v.shape != (space.n,):
-            raise ValueError("values length must equal the atom count")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteError("values must be finite")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True, eq=False)
 class SampleBatch:
     """Finite values on the atoms of one space, one row per member.
 
-    The batched kernels take a batch where they take one `SampleFunction`
-    and return one row per member.
+    Every kernel takes a batch and returns one row per member; one function
+    is a batch of one (`SampleFunction`).
     """
 
     space: DiscreteMeasureSpace
@@ -98,9 +81,14 @@ class SampleBatch:
             return SampleBatch(self.space, self.values * factor)
 
 
-def abs_rows(x: SampleFunction | SampleBatch) -> tuple[np.ndarray, bool]:
-    """|values| with one row per member, and whether x is a single function."""
-    return np.abs(np.atleast_2d(x.values)), x.values.ndim == 1
+class SampleFunction(SampleBatch):
+    """One function on a space: the batch of one member, whose values are
+    one `(1, n)` row."""
+
+    def __init__(self, space: DiscreteMeasureSpace, values: Sequence[float]):
+        if np.shape(values) != (space.n,):
+            raise ValueError("values length must equal the atom count")
+        super().__init__(space, np.reshape(values, (1, -1)))
 
 
 def sup_scaled(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

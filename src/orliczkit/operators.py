@@ -8,19 +8,19 @@ column sums, and a pointwise max of operators sums certificates in the
 r-th power. The sliding-window maximal operator therefore ships with a
 deliberately conservative certificate.
 
-`CertifiedOperator.apply` takes one `SampleFunction` or a whole
-`SampleBatch`; either way the operator's kernel maps a (rows x n) array to a
-(rows x n) array in one call. The window maximal kernel is a divide and
-conquer over window midpoints: a window of two or more atoms crosses the
-midpoint of exactly one dyadic block, so each block level takes the means
-of all its crossing windows in one array, whose row and column maxima,
-accumulated from the midpoint outwards, feed the atoms on either side. The
-rows go through in chunks that keep that array within `_CHUNK_ELEMS`
-elements. When the rows need more than one chunk at the top block level,
-they are cut into contiguous groups, one per usable CPU but no more than
-that chunk's rows, each run on its own thread with its share of that budget
-in buffers the caller allocates; every row takes the same arithmetic either
-way, so the result is bitwise the same.
+`CertifiedOperator.apply` maps a `SampleBatch` to the batch of Tx over its
+members: the operator's kernel maps the (rows x n) array to a (rows x n)
+array in one call. The window maximal kernel is a divide and conquer over
+window midpoints: a window of two or more atoms crosses the midpoint of
+exactly one dyadic block, so each block level takes the means of all its
+crossing windows in one array, whose row and column maxima, accumulated
+from the midpoint outwards, feed the atoms on either side. The rows go
+through in chunks that keep that array within `_CHUNK_ELEMS` elements. When
+the rows need more than one chunk at the top block level, they are cut into
+contiguous groups, one per usable CPU but no more than that chunk's rows,
+each run on its own thread with its share of that budget in buffers the
+caller allocates; every row takes the same arithmetic either way, so the
+result is bitwise the same.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measure import DiscreteMeasureSpace, SampleBatch, SampleFunction
+from .measure import DiscreteMeasureSpace, SampleBatch
 from .orlicz import ExponentCouple
 
 KIND_LINEAR = "linear"
@@ -57,13 +57,11 @@ class CertifiedOperator:
     def max_bound(self) -> float:
         return max(self.bound_p, self.bound_q)
 
-    def apply(self, x: SampleFunction | SampleBatch) -> SampleFunction | SampleBatch:
-        """Tx of one sample function, or the batch of Tx over a batch's members."""
+    def apply(self, x: SampleBatch) -> SampleBatch:
+        """The batch of Tx over x's members."""
         if x.space is not self.space and not np.array_equal(x.space.weights, self.space.weights):
             raise ValueError("operator and input live on different spaces")
-        if isinstance(x, SampleBatch):
-            return SampleBatch(x.space, self._apply(x.values))
-        return SampleFunction(x.space, self._apply(x.values[None, :])[0])
+        return SampleBatch(x.space, self._apply(x.values))
 
 
 def _interp_bound(max_row: float, max_col: float, r: float) -> float:

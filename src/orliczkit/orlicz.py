@@ -12,14 +12,14 @@ rho >= 0 is inf_j (a_j + b_j t) with a_j, b_j >= 0, so the inverse
 inf_j (a_j u^{1/p} + b_j u^{1/q}) is concave (Maligranda, Orlicz Spaces and
 Interpolation, 1989).
 
-The modular and both norms take one sample function or a batch on one space.
-The generator inversion and both norm searches run on `liveset.iterate`, and
-each row sum is its member's own, so a row of a batch result is bitwise that
-member's value alone, and a caller may stack batches (the norm verifier
-searches x and Tx as one) to share the passes of phi. Both norm searches
-can also share their first pass (`norm_start`). A norm pass splits a wide
-batch into balanced jet calls (`measure.row_chunks`) of at most
-_PROFILE_ELEMS entries.
+The modular and both norms take a batch on one space and return one value
+per member. The generator inversion and both norm searches run on
+`liveset.iterate`, and each row sum is its member's own, so a row of a batch
+result is bitwise that member's value alone, and a caller may stack batches
+(the norm verifier searches x and Tx as one) to share the passes of phi.
+Both norm searches can also share their first pass (`norm_start`). A norm
+pass splits a wide batch into balanced jet calls (`measure.row_chunks`) of
+at most _PROFILE_ELEMS entries.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .liveset import iterate
-from .measure import SampleBatch, SampleFunction, abs_rows, row_chunks, sup_scaled
+from .measure import SampleBatch, row_chunks, sup_scaled
 from .quasiconcave import (
     QUASICONCAVITY_TOL,
     PiecewiseLinearConcave,
@@ -270,16 +270,13 @@ def build_from_h(couple: ExponentCouple, h: PiecewiseLinearConcave) -> OrliczFun
     return OrliczFunction("h", p, q, np.inf, jet, convex)
 
 
-def modular(phi: OrliczFunction, x: SampleFunction | SampleBatch):
-    """Weighted sum of phi(|x_i|); rearrangement invariant by construction.
+def modular(phi: OrliczFunction, x: SampleBatch) -> np.ndarray:
+    """Weighted sum of phi(|x_i|) for each member of x; rearrangement
+    invariant by construction.
 
-    x is one `SampleFunction` (returns a float) or a `SampleBatch` (returns
-    an array, one modular per member), as in both norms.
     Raises `DomainOverflowError` when any member leaves phi's domain.
     """
-    mags, single = abs_rows(x)
-    out = np.sum(phi(mags) * x.space.weights, axis=1)
-    return float(out[0]) if single else out
+    return np.sum(phi(np.abs(x.values)) * x.space.weights, axis=1)
 
 
 # Both norms reduce, per member, to a 1-D problem on the modular profile
@@ -383,8 +380,8 @@ def _luxemburg_bracket(phi: OrliczFunction, mags: np.ndarray, weights: np.ndarra
     return lo, hi
 
 
-def luxemburg_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch,
-                   start: np.ndarray | None = None):
+def luxemburg_norm(phi: OrliczFunction, x: SampleBatch,
+                   start: np.ndarray | None = None) -> np.ndarray:
     """inf of lambda > 0 with modular(x / lambda) <= 1.
 
     Solved per member by safeguarded Newton steps to a bracket of relative
@@ -393,9 +390,7 @@ def luxemburg_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch,
     `start`, if given, is `norm_start(phi, x)`, and its middle column is the
     search's first pass; the result is bitwise the same.
     """
-    mags, single = abs_rows(x)
-    hi = _luxemburg_bracket(phi, mags, x.space.weights, start)[1]
-    return float(hi[0]) if single else hi
+    return _luxemburg_bracket(phi, np.abs(x.values), x.space.weights, start)[1]
 
 
 def _amemiya_points(phi: OrliczFunction) -> np.ndarray:
@@ -415,13 +410,13 @@ def _first_profile(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray) -> n
     return _profile(phi, np.repeat(y, 3, axis=0), weights, sigma).reshape(3, count, 3)
 
 
-def norm_start(phi: OrliczFunction, x: SampleFunction | SampleBatch) -> np.ndarray:
+def norm_start(phi: OrliczFunction, x: SampleBatch) -> np.ndarray:
     """The first pass that both norm searches of x share, for the `start` of
     `luxemburg_norm` and `amemiya_norm`: the profile of each nonzero member
     at sup 1 at the three points of `_first_profile`, a (3, members, 3)
     array. Given it, the two norms make one pass of phi's jet fewer between
     them, and each is bitwise the same as without it."""
-    return _first_profile(phi, sup_scaled(abs_rows(x)[0])[2], x.space.weights)
+    return _first_profile(phi, sup_scaled(np.abs(x.values))[2], x.space.weights)
 
 
 def _checked(start: np.ndarray | None, count: int) -> np.ndarray | None:
@@ -476,8 +471,8 @@ def _amemiya_scaled(phi: OrliczFunction, y: np.ndarray, weights: np.ndarray,
     return best
 
 
-def amemiya_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch,
-                 start: np.ndarray | None = None):
+def amemiya_norm(phi: OrliczFunction, x: SampleBatch,
+                 start: np.ndarray | None = None) -> np.ndarray:
     """inf over k > 0 of (1 + modular(k*x)) / k.
 
     Searched per member over k in [1e-8, min(1e8, u_max)] / sup|x| (see
@@ -486,13 +481,12 @@ def amemiya_norm(phi: OrliczFunction, x: SampleFunction | SampleBatch,
     `norm_start(phi, x)`, the search's first pass; the result is bitwise the
     same.
     """
-    mags, single = abs_rows(x)
-    rows, sup, y = sup_scaled(mags)
-    out = np.zeros(mags.shape[0])
+    rows, sup, y = sup_scaled(np.abs(x.values))
+    out = np.zeros(len(x))
     scaled = _amemiya_scaled(phi, y, x.space.weights, _checked(start, rows.size))
     with np.errstate(over="ignore"):   # a norm beyond the float range is +inf
         out[rows] = sup * scaled
-    return float(out[0]) if single else out
+    return out
 
 
 def check_convexity(phi: OrliczFunction, p: float) -> bool:

@@ -84,8 +84,7 @@ from orliczkit import specs
 from orliczkit.constants import GAMMA_MAX, _bisect
 from orliczkit.kfunc import _check_exponent, _descent_rate, _expit
 from orliczkit.liveset import MAX_PASSES, NonConvergenceError
-from orliczkit.measure import (DiscreteMeasureSpace, SampleBatch, SampleFunction,
-                               _frozen_array, abs_rows)
+from orliczkit.measure import DiscreteMeasureSpace, SampleBatch, SampleFunction, _frozen_array
 from orliczkit.operators import _window_maximal
 from orliczkit.orlicz import INVERSE_LOG_STEP, LOG_U_RANGE, ExponentCouple, OrliczFunction
 from orliczkit.quasiconcave import (PeetreRepresentation, PiecewiseLinearConcave,
@@ -313,9 +312,9 @@ def rearrangement(x: SampleFunction) -> StepFunction:
     """Decreasing rearrangement of |x| as a canonical step function.
 
     Sorts (|value|, weight) pairs by |value| descending, accumulates weights,
-    and merges equal levels into a single step.
+    and merges equal levels into one step.
     """
-    mags = np.abs(x.values)
+    mags = np.abs(x.values[0])
     order = np.argsort(-mags, kind="stable")
     sorted_mags = mags[order]
     sorted_w = x.space.weights[order]
@@ -427,9 +426,9 @@ def _truncation_objective(mags: np.ndarray, w: np.ndarray, p: float,
     return np.sum(rest, axis=1) ** (1.0 / p) + ts * lams
 
 
-def k_lp_linf_golden(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarray:
-    """K(t, x; L^p, L^inf) for every t in ts (and every member of a batch),
-    via the truncation reduction.
+def k_lp_linf_golden(ts, x: SampleBatch, p: float) -> np.ndarray:
+    """K(t, x; L^p, L^inf) for every member of x and every t in ts, via the
+    truncation reduction.
 
     The objective is convex in the truncation height with kinks only at the
     data magnitudes, so the minimum over all heights is the minimum over the
@@ -440,7 +439,7 @@ def k_lp_linf_golden(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarra
     """
     _check_exponent(p)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    mags, single = abs_rows(x)
+    mags = np.abs(x.values)
     w = x.space.weights
     lam_max = mags.max(axis=1, initial=0.0)
     with np.errstate(over="ignore"):
@@ -460,7 +459,7 @@ def k_lp_linf_golden(ts, x: SampleFunction | SampleBatch, p: float) -> np.ndarra
         np.zeros(hi.shape), hi, 1e-12 * np.maximum(hi, 1.0))
     mid = _truncation_objective(row_mags, w, p, 0.5 * (lo + hi), row_t)
     out[members] = np.minimum(out[members], mid.reshape(members.size, ts.size))
-    return out[0] if single else out
+    return out
 
 
 def k_lp_linf_floor(ts, x: SampleFunction, p: float) -> np.ndarray:
@@ -474,7 +473,7 @@ def k_lp_linf_floor(ts, x: SampleFunction, p: float) -> np.ndarray:
     the tangent at hi, whose slope is >= 0 (t past sup|x|), at lo. The
     larger of those two values is a lower bound on min F.
     """
-    m, w = np.abs(x.values), x.space.weights
+    m, w = np.abs(x.values[0]), x.space.weights
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
 
     def objective(lam):
@@ -542,7 +541,7 @@ def _scaled_modular(phi: OrliczFunction, mags: np.ndarray, weights: np.ndarray,
     return out
 
 
-def luxemburg_bisect(phi: OrliczFunction, x: SampleFunction | SampleBatch):
+def luxemburg_bisect(phi: OrliczFunction, x: SampleBatch) -> np.ndarray:
     """inf of lambda > 0 with modular(x / lambda) <= 1, by bisection.
 
     Per member: double an upper bracket from sup|x| until the modular fits,
@@ -551,7 +550,7 @@ def luxemburg_bisect(phi: OrliczFunction, x: SampleFunction | SampleBatch):
     member). Returns the upper bracket end, so the modular at the returned
     norm never exceeds 1 beyond roundoff.
     """
-    mags, single = abs_rows(x)
+    mags = np.abs(x.values)
     weights = x.space.weights
     m = mags.max(axis=1, initial=0.0)
     hi = np.maximum(m, m / phi.u_max)
@@ -585,10 +584,10 @@ def luxemburg_bisect(phi: OrliczFunction, x: SampleFunction | SampleBatch):
         if np.any(iters[rows] > 4000):
             raise NonConvergenceError("Luxemburg bisection failed to converge")
         rows = rows[hi[rows] - lo[rows] > 1e-10 * hi[rows]]
-    return float(hi[0]) if single else hi
+    return hi
 
 
-def amemiya_golden(phi: OrliczFunction, x: SampleFunction | SampleBatch):
+def amemiya_golden(phi: OrliczFunction, x: SampleBatch) -> np.ndarray:
     """inf over k > 0 of (1 + modular(k*x)) / k.
 
     Golden section (`golden_section`) over log k on [1e-8, 1e8] / sup|x|,
@@ -602,7 +601,7 @@ def amemiya_golden(phi: OrliczFunction, x: SampleFunction | SampleBatch):
     non-convex concave-h crossover functions the result is only an upper
     bound on the infimum.
     """
-    mags, single = abs_rows(x)
+    mags = np.abs(x.values)
     weights = x.space.weights
     m = mags.max(axis=1, initial=0.0)
 
@@ -617,7 +616,7 @@ def amemiya_golden(phi: OrliczFunction, x: SampleFunction | SampleBatch):
     a, b = golden_section(lambda live, s: objective(rows[live], np.exp(s)),
                           np.log(k_lo), np.log(k_hi), 1e-9)
     out[rows] = np.minimum(best, objective(rows, np.exp(0.5 * (a + b))))
-    return float(out[0]) if single else out
+    return out
 
 
 def power_log_rho_full(theta: float, a: float, b: float) -> Callable:
@@ -1032,7 +1031,7 @@ def brute_force_k(t: float, x: SampleFunction, p: float, q: float, n: int = 201)
     if n > 201 or n < 3:
         raise ValueError("n must lie in [3, 201]")
     per_atom = []
-    for ci_signed, wi in zip(x.values, x.space.weights):
+    for ci_signed, wi in zip(x.values[0], x.space.weights):
         ci = abs(float(ci_signed))
         s = np.linspace(-2.0 * ci, 2.0 * ci, n) if ci > 0.0 else np.zeros(1)
         per_atom.append(wi * (np.abs(s) ** p + t * np.abs(ci_signed - s) ** q))

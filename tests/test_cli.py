@@ -375,6 +375,15 @@ PINNED_NORMS = {
     (KINKED_H, "json"): '{\n  "amemiya": null,\n  "luxemburg": 3.30192724889\n}\n',
     (KINKED_H, "csv"): "luxemburg,amemiya\n3.30192724889,\n",
 }
+# stdout of `orliczkit kfunc` (SHA-256) on the function_csv atoms over a
+# 41-point t-grid, recorded while one function still took its own path
+# through each kernel: reading row 0 of a one-member batch moves no byte
+PINNED_KFUNC = {
+    "1.5,3": "1e5b92ed510f3c96bbfc5fdc59eca7afe20f67d98761e2b003b9c6762e542b5a",
+    "1.5,inf": "0e4820ea7660ecc45d459df83c54ab68cbe8eed55b0849b410ab39d7f7025363",
+    "1,2": "da42e7138d4e86875badf1d2286dbd5764d5dc9e5a9c928dbcfa51cf37e60efb",
+    "1,inf": "58c443c4bcb138e9ee3c261ab534c1347b7f5e371126f5c6576923cda82943eb",
+}
 
 
 class TestPinnedOutputs:
@@ -389,6 +398,13 @@ class TestPinnedOutputs:
         code, out, _ = run_cli(capsys, "norms", "--input", function_csv, "--phi",
                                '{"kind":"h","p":1,"q":3,"h":%s}' % h, "--format", fmt_name)
         assert code == 0 and out == PINNED_NORMS[h, fmt_name]
+
+    @pytest.mark.parametrize("couple", sorted(PINNED_KFUNC))
+    def test_kfunc(self, capsys, function_csv, couple):
+        code, out, _ = run_cli(capsys, "kfunc", "--input", function_csv, "--couple", couple,
+                               "--t-grid", "0.01:100:41")
+        assert code == 0 and len(out.splitlines()) == 42
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_KFUNC[couple]
 
     def test_thm46b_report_details(self):
         scenario = json.loads((SCENARIO_DIR / "thm46b_norm_1_2.json").read_text())

@@ -27,17 +27,17 @@ class TestKLpLinf:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_indicator_gives_min_one_t(self, p):
         for t in (0.25, 1.0, 4.0):
-            assert ok.k_lp_linf_grid(t, indicator(), p)[0] == pytest.approx(min(1.0, t), abs=1e-10)
+            assert ok.k_lp_linf_grid(t, indicator(), p)[0, 0] == pytest.approx(min(1.0, t), abs=1e-10)
 
     def test_l1_truncation_example(self):
         x = sample([3, 1, 2])
-        assert ok.k_lp_linf_grid(1.5, x, 1)[0] == pytest.approx(4.0, abs=1e-10)
+        assert ok.k_lp_linf_grid(1.5, x, 1)[0, 0] == pytest.approx(4.0, abs=1e-10)
 
     def test_large_t_limit_is_p_norm(self):
         x = sample([1, -2, 0.5], [1, 0.5, 2])
         for p in (1, 1.5, 2):
             want = lp_integral(x, p) ** (1.0 / p)
-            assert ok.k_lp_linf_grid(1e9, x, p)[0] == pytest.approx(want, rel=1e-9)
+            assert ok.k_lp_linf_grid(1e9, x, p)[0, 0] == pytest.approx(want, rel=1e-9)
 
     def test_p1_equals_running_rearrangement_integral(self):
         rng = np.random.default_rng(31)
@@ -46,7 +46,7 @@ class TestKLpLinf:
             step = rearrangement(x)
             for t in rng.uniform(0.05, x.space.weights.sum(), 4):
                 exact = float(cumulative_p_integral(step, 1.0, t)[0])
-                assert ok.k_lp_linf_grid(float(t), x, 1)[0] == pytest.approx(exact, abs=1e-10)
+                assert ok.k_lp_linf_grid(float(t), x, 1)[0, 0] == pytest.approx(exact, abs=1e-10)
 
     def test_sign_invariance_is_exact(self):
         x = sample([1.5, -2.0, 0.3])
@@ -63,7 +63,7 @@ class TestKLpLinf:
     def test_nondecreasing_in_t(self, values, p):
         x = sample(values)
         ts = np.logspace(-3, 3, 25)
-        vals = ok.k_lp_linf_grid(ts, x, p)
+        vals = ok.k_lp_linf_grid(ts, x, p)[0]
         assert np.all(np.diff(vals) >= -1e-10 * np.maximum(vals[:-1], 1e-30))
 
     def test_nondecreasing_in_absolute_value(self):
@@ -71,7 +71,7 @@ class TestKLpLinf:
         ts = np.logspace(-2, 2, 15)
         for _ in range(10):
             y = sample(rng.uniform(-2, 2, 6))
-            x = sample(y.values * rng.uniform(0, 1, 6))
+            x = sample(y.values[0] * rng.uniform(0, 1, 6))
             vx = ok.k_lp_linf_grid(ts, x, 1.5)
             vy = ok.k_lp_linf_grid(ts, y, 1.5)
             assert np.all(vx <= vy * (1 + 1e-10) + 1e-14)
@@ -84,8 +84,8 @@ class TestKLpLinf:
         for n in (1, 8, 64):
             x = sample(rng.normal(size=n) * np.exp(rng.normal(0, 3, n)), rng.uniform(0.1, 2, n))
             ts = np.logspace(-5, 5, 33)
-            scalar = [ok.k_lp_linf_grid(float(t), x, p)[0] for t in ts]
-            assert ok.k_lp_linf_grid(ts, x, p).tolist() == scalar
+            scalar = [ok.k_lp_linf_grid(float(t), x, p)[0, 0] for t in ts]
+            assert ok.k_lp_linf_grid(ts, x, p)[0].tolist() == scalar
 
 
 class TestTParameter:
@@ -119,14 +119,13 @@ class TestTruncationOracle:
 
     @staticmethod
     def joint_grid_k(t, x, p, n=201):
-        per_atom = [np.linspace(-2 * abs(c), 2 * abs(c), n) if c else np.zeros(1)
-                    for c in x.values]
-        w = x.space.weights
+        c, w = x.values[0], x.space.weights
+        per_atom = [np.linspace(-2 * abs(ci), 2 * abs(ci), n) if ci else np.zeros(1) for ci in c]
         best = np.inf
         for s0 in per_atom[0]:
             rests = per_atom[1]
             cost_p = (abs(s0) ** p * w[0] + np.abs(rests) ** p * w[1]) ** (1.0 / p)
-            cost_inf = np.maximum(abs(x.values[0] - s0), np.abs(x.values[1] - rests))
+            cost_inf = np.maximum(abs(c[0] - s0), np.abs(c[1] - rests))
             best = min(best, float(np.min(cost_p + t * cost_inf)))
         return best
 
@@ -141,7 +140,7 @@ class TestTruncationOracle:
                        rng.uniform(0.5, 2.0, 2))
             t = float(10 ** rng.uniform(-0.5, 0.5))
             for p in (1.0, 2.0):
-                fast = ok.k_lp_linf_grid(t, x, p)[0]
+                fast = ok.k_lp_linf_grid(t, x, p)[0, 0]
                 oracle = self.joint_grid_k(t, x, p)
                 assert oracle >= fast - 1e-9
                 assert oracle == pytest.approx(fast, rel=2e-2)
@@ -179,7 +178,7 @@ class TestExactK:
     @settings(max_examples=80, deadline=None)
     def test_within_1e15_of_the_golden_section_oracle(self, case):
         x, p = case
-        got, want = ok.k_lp_linf_grid(self.TS, x, p), k_lp_linf_golden(self.TS, x, p)
+        got, want = ok.k_lp_linf_grid(self.TS, x, p)[0], k_lp_linf_golden(self.TS, x, p)[0]
         floor = k_lp_linf_floor(self.TS, x, p)
         assert np.all(want > 0.0)
         # never above the search it replaced, never below the infimum
@@ -225,13 +224,13 @@ class TestKreeBounds:
             for t in (0.2, 1.0, 3.0):
                 lower, upper = kree_bounds(t, x, 1)
                 assert lower == pytest.approx(upper)
-                assert ok.k_lp_linf_grid(t, x, 1)[0] == pytest.approx(lower, abs=1e-10)
+                assert ok.k_lp_linf_grid(t, x, 1)[0, 0] == pytest.approx(lower, abs=1e-10)
 
     def test_indicator_p2(self):
         lower, upper = kree_bounds(1.0, indicator(), 2)
         assert lower == pytest.approx(1.0)
         assert upper == pytest.approx(np.sqrt(2.0))
-        k = ok.k_lp_linf_grid(1.0, indicator(), 2)[0]
+        k = ok.k_lp_linf_grid(1.0, indicator(), 2)[0, 0]
         assert lower - 1e-12 <= k <= upper + 1e-12
 
     def test_vanishes_as_t_to_zero(self):
@@ -246,25 +245,25 @@ class TestKreeBounds:
                 x = sample(rng.uniform(-3, 3, 7), rng.uniform(0.2, 1.5, 7))
                 for t in np.logspace(-2, 2, 7):
                     lower, upper = kree_bounds(float(t), x, p)
-                    k = ok.k_lp_linf_grid(float(t) ** (1.0 / p), x, p)[0]
+                    k = ok.k_lp_linf_grid(float(t) ** (1.0 / p), x, p)[0, 0]
                     assert lower * (1 - 1e-9) - 1e-12 <= k <= upper * (1 + 1e-9) + 1e-12
 
 
 class TestLFunctional:
     def test_single_atom_balanced_split(self):
-        assert ok.l_functional_grid(1.0, indicator(), 1, 2)[0] == pytest.approx(0.75, abs=1e-10)
+        assert ok.l_functional_grid(1.0, indicator(), 1, 2)[0, 0] == pytest.approx(0.75, abs=1e-10)
 
     def test_large_t_limit(self):
         # the optimal split sits (p c^{p-1} / (q t))^{1/(q-1)} inside the
         # boundary, so the limit is approached at the t^{-1/2} rate here
         x = sample([2, -1], [1, 3])
-        value = ok.l_functional_grid(1e12, x, 1.5, 3)[0]
+        value = ok.l_functional_grid(1e12, x, 1.5, 3)[0, 0]
         assert value <= lp_integral(x, 1.5) + 1e-12
         assert value == pytest.approx(lp_integral(x, 1.5), rel=1e-6)
 
     def test_small_t_limit(self):
         x = sample([2, -1], [1, 3])
-        assert ok.l_functional_grid(1e-14, x, 1.5, 3)[0] <= 1e-9
+        assert ok.l_functional_grid(1e-14, x, 1.5, 3)[0, 0] <= 1e-9
 
     def test_dominated_by_l_star(self):
         rng = np.random.default_rng(34)
@@ -274,17 +273,17 @@ class TestLFunctional:
             p, q = sorted(rng.uniform(1.0, 4.0, 2))
             if q - p < 0.1:
                 continue
-            assert (ok.l_functional_grid(t, x, p, q)[0]
-                    <= ok.l_star_grid(t, x, p, q)[0] * (1 + 1e-12) + 1e-15)
+            assert (ok.l_functional_grid(t, x, p, q)[0, 0]
+                    <= ok.l_star_grid(t, x, p, q)[0, 0] * (1 + 1e-12) + 1e-15)
 
     def test_nondecreasing_in_t_and_x(self):
         rng = np.random.default_rng(35)
         ts = np.logspace(-4, 4, 30)
         for _ in range(10):
             y = sample(rng.uniform(-2, 2, 5))
-            x = sample(y.values * rng.uniform(0, 1, 5))
-            vy = ok.l_functional_grid(ts, y, 1.5, 3)
-            vx = ok.l_functional_grid(ts, x, 1.5, 3)
+            x = sample(y.values[0] * rng.uniform(0, 1, 5))
+            vy = ok.l_functional_grid(ts, y, 1.5, 3)[0]
+            vx = ok.l_functional_grid(ts, x, 1.5, 3)[0]
             assert np.all(np.diff(vy) >= -1e-10 * np.maximum(vy[:-1], 1e-30))
             assert np.all(vx <= vy * (1 + 1e-10) + 1e-15)
 
@@ -308,7 +307,7 @@ class TestLFunctional:
             got = ok.l_functional_grid(ts, x, p, q)
         assert np.all(got == np.inf)
         with pytest.raises(verify.ScenarioRejected, match="not finite"):
-            verify._Collector().check(got[None, :], got[None, :], "l", [x.values], ts)
+            verify._Collector().check(got, got, "l", x.values, ts)
 
 
 class TestPointwiseSplit:
@@ -488,24 +487,24 @@ class TestSplitStepInPlace:
 class TestLStar:
     def test_unit_indicator(self):
         for t in (0.3, 1.0, 2.0):
-            assert ok.l_star_grid(t, indicator(), 1, 2)[0] == pytest.approx(min(1.0, t))
+            assert ok.l_star_grid(t, indicator(), 1, 2)[0, 0] == pytest.approx(min(1.0, t))
 
     def test_switch_point(self):
         x = sample([2.0])
         # |x|^p = t |x|^q at t = |x|^{p-q} = 1/2
-        assert ok.l_star_grid(0.25, x, 1, 2)[0] == pytest.approx(1.0)
-        assert ok.l_star_grid(0.5, x, 1, 2)[0] == pytest.approx(2.0)
-        assert ok.l_star_grid(5.0, x, 1, 2)[0] == pytest.approx(2.0)
+        assert ok.l_star_grid(0.25, x, 1, 2)[0, 0] == pytest.approx(1.0)
+        assert ok.l_star_grid(0.5, x, 1, 2)[0, 0] == pytest.approx(2.0)
+        assert ok.l_star_grid(5.0, x, 1, 2)[0, 0] == pytest.approx(2.0)
 
     def test_monotone_in_t_and_x(self):
         rng = np.random.default_rng(39)
         ts = np.logspace(-3, 3, 20)
         for _ in range(10):
             y = sample(rng.uniform(-2, 2, 5))
-            x = sample(y.values * rng.uniform(0, 1, 5))
-            vy = ok.l_star_grid(ts, y, 1.5, 3)
+            x = sample(y.values[0] * rng.uniform(0, 1, 5))
+            vy = ok.l_star_grid(ts, y, 1.5, 3)[0]
             assert np.all(np.diff(vy) >= 0.0)
-            assert np.all(ok.l_star_grid(ts, x, 1.5, 3) <= vy + 1e-15)
+            assert np.all(ok.l_star_grid(ts, x, 1.5, 3)[0] <= vy + 1e-15)
 
 
 class TestBruteForce:
@@ -520,7 +519,7 @@ class TestBruteForce:
         for _ in range(25):
             x = sample(rng.uniform(-2, 2, 2), rng.uniform(0.5, 2.0, 2))
             t = float(10 ** rng.uniform(-0.3, 0.7))
-            exact = ok.l_functional_grid(t, x, 1, 2)[0]
+            exact = ok.l_functional_grid(t, x, 1, 2)[0, 0]
             grid = brute_force_k(t, x, 1, 2, 101)
             assert grid >= exact - 1e-9
 
@@ -530,7 +529,7 @@ class TestBruteForce:
             x = sample(rng.uniform(0.5, 2.0, 2) * rng.choice([-1, 1], 2),
                        rng.uniform(0.5, 2.0, 2))
             t = float(10 ** rng.uniform(-0.3, 0.7))
-            exact = ok.l_functional_grid(t, x, 1.5, 3)[0]
+            exact = ok.l_functional_grid(t, x, 1.5, 3)[0, 0]
             grid = brute_force_k(t, x, 1.5, 3, 201)
             assert grid == pytest.approx(exact, rel=2e-3)
 
@@ -572,7 +571,7 @@ class TestBatch:
         got = ok.k_lp_linf_grid(self.TS, ok.SampleBatch(space, rows), p)
         assert got.shape == (len(rows), self.TS.size)
         for row, v in zip(got, rows):
-            assert row.tolist() == ok.k_lp_linf_grid(self.TS, ok.SampleFunction(space, v), p).tolist()
+            assert row.tolist() == ok.k_lp_linf_grid(self.TS, ok.SampleFunction(space, v), p)[0].tolist()
         assert np.all(got[0] == 0.0)
 
     @pytest.mark.parametrize("p,q", [(1, 2), (1.5, 3), (2, 4), (1.01, 5)])
@@ -583,15 +582,15 @@ class TestBatch:
             got = kernel(self.TS, batch, p, q)
             assert got.shape == (len(rows), self.TS.size)
             for row, v in zip(got, rows):
-                assert row.tolist() == kernel(self.TS, ok.SampleFunction(space, v), p, q).tolist()
+                assert row.tolist() == kernel(self.TS, ok.SampleFunction(space, v), p, q)[0].tolist()
 
     @pytest.mark.parametrize("p,q", [(1.5, 3), (2, 4), (1.01, 5)])
     def test_l_value_does_not_depend_on_what_shares_the_call(self, p, q):
         space, rows = self.rows()
         x = ok.SampleFunction(space, rows[5])
-        grid = ok.l_functional_grid(self.TS, x, p, q)
+        grid = ok.l_functional_grid(self.TS, x, p, q)[0]
         batch = ok.l_functional_grid(self.TS, ok.SampleBatch(space, rows), p, q)[5]
-        one_t = [ok.l_functional_grid(np.array([t]), x, p, q)[0] for t in self.TS]
+        one_t = [ok.l_functional_grid(np.array([t]), x, p, q)[0, 0] for t in self.TS]
         assert grid.tolist() == one_t == batch.tolist()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 512])
@@ -602,7 +601,7 @@ class TestBatch:
             got = kernel(self.TS, batch, *args)
             for row, v in zip(got, batch.values):
                 one = kernel(self.TS, ok.SampleFunction(batch.space, v), *args)
-                assert row.tolist() == one.tolist()
+                assert row.tolist() == one[0].tolist()
 
     def test_empty_batch_gives_no_rows(self):
         empty = ok.SampleBatch(ok.uniform_space(4), np.zeros((0, 4)))

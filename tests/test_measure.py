@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orliczkit as ok
-from orliczkit.measure import abs_rows, row_chunks
+from orliczkit.measure import NonFiniteError, row_chunks
 
 from oracles import golden_section, lp_integral, rearrangement, step_to_sample, sup_norm
 
@@ -36,14 +36,29 @@ class TestSampleBatch:
         space = ok.uniform_space(3)
         batch = ok.SampleBatch(space, [[1.0, -2.0, 0.0], [0.5, 0.5, 0.5]])
         assert len(batch) == 2 and batch.space is space
-        mags, single = abs_rows(batch)
-        assert mags.tolist() == [[1.0, 2.0, 0.0], [0.5, 0.5, 0.5]] and not single
         assert batch[np.array([1])].values.tolist() == [[0.5, 0.5, 0.5]]
         assert batch.scaled(0.5).values.tolist() == [[0.5, -1.0, 0.0], [0.25, 0.25, 0.25]]
         assert not batch.values.flags.writeable
         for bad in ([1.0, 2.0, 3.0], [[1.0, 2.0]], [[1.0, np.inf, 0.0]]):
             with pytest.raises(ValueError):
                 ok.SampleBatch(space, bad)
+
+
+class TestSampleFunction:
+    def test_a_sample_function_is_a_batch_of_one_row(self):
+        space = ok.uniform_space(3)
+        x = ok.SampleFunction(space, [1.0, -2.0, 0.0])
+        assert isinstance(x, ok.SampleBatch) and len(x) == 1 and x.space is space
+        assert x.values.tolist() == [[1.0, -2.0, 0.0]] and not x.values.flags.writeable
+        assert x.scaled(0.5).values.tolist() == [[0.5, -1.0, 0.0]]
+
+    @pytest.mark.parametrize("bad, error", [([1.0, 2.0], ValueError),
+                                            ([[1.0, 2.0, 3.0]], ValueError),
+                                            ([1.0, np.nan, 3.0], NonFiniteError),
+                                            ([1.0, -np.inf, 3.0], NonFiniteError)])
+    def test_the_constructor_takes_one_finite_value_per_atom(self, bad, error):
+        with pytest.raises(error):
+            ok.SampleFunction(ok.uniform_space(3), bad)
 
 
 class TestRowChunks:

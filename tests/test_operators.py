@@ -82,7 +82,7 @@ class TestMultiplier:
     def test_indicator_truncation(self, space):
         op = ok.multiplier(space, [1, 0, 1, 0, 0, 0], COUPLE)
         x = ok.SampleFunction(space, np.arange(space.n, dtype=float))
-        assert op.apply(x).values.tolist() == [0, 0, 2, 0, 0, 0]
+        assert op.apply(x).values.tolist() == [[0, 0, 2, 0, 0, 0]]
 
     def test_half_bound(self, space):
         op = ok.multiplier(space, np.full(space.n, 0.5), COUPLE)
@@ -243,7 +243,7 @@ class TestWindowMaximalKernel:
         for cpus in (1, 3):
             monkeypatch.setattr(operators, "_usable_cpus", lambda: cpus)
             batch = op.apply(ok.SampleBatch(sp, rows)).values
-            alone = np.stack([op.apply(ok.SampleFunction(sp, r)).values for r in rows])
+            alone = np.concatenate([op.apply(ok.SampleFunction(sp, r)).values for r in rows])
             assert batch.tobytes() == alone.tobytes(), cpus
 
     def test_small_chunk_budget_changes_nothing(self, monkeypatch):
@@ -360,9 +360,11 @@ class TestBatchedApply:
         for name, op in shipped_operators(space).items():
             out = op.apply(batch)
             assert isinstance(out, ok.SampleBatch) and out.values.shape == rows.shape, name
+            # one function gives the one-row batch of its Tx, bitwise the batch's row
             one = op.apply(ok.SampleFunction(space, rows[0]))
-            assert isinstance(one, ok.SampleFunction), name
-            alone = np.stack([op.apply(ok.SampleFunction(space, r)).values for r in rows])
+            assert type(one) is ok.SampleBatch and one.values.shape == (1, space.n), name
+            assert one.values.tobytes() == out.values[:1].tobytes(), name
+            alone = np.concatenate([op.apply(ok.SampleFunction(space, r)).values for r in rows])
             assert out.values.tobytes() == alone.tobytes(), name
 
     def test_matrix_rows_match_dot(self):

@@ -89,7 +89,7 @@ class TestResolvers:
         assert ident.bound_p == 1.0
         trunc = specs.resolve_operator({"kind": "truncation", "keep_first": 2}, sp, couple)
         x = ok.SampleFunction(sp, [1, 2, 3, 4])
-        assert trunc.apply(x).values.tolist() == [1, 2, 0, 0]
+        assert trunc.apply(x).values.tolist() == [[1, 2, 0, 0]]
         mo = specs.resolve_operator({"kind": "max_of", "ops": [
             {"kind": "identity"}, {"kind": "multiplier", "m": [0.5, 0.5, 0.5, 0.5]}]},
             sp, couple)

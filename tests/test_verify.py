@@ -218,9 +218,7 @@ class TestSparrImplication:
         hypothesis: (violations, how many pairs met it)."""
         collector = verify._Collector()
         gamma = ok.sparr_gamma(COUPLE.p, COUPLE.q)
-        met = verify._sparr_pairs(ok.SampleBatch(x.space, [x.values]),
-                                  ok.SampleBatch(y.space, [y.values]), COUPLE,
-                                  np.logspace(-4, 4, 32), gamma, collector)
+        met = verify._sparr_pairs(x, y, COUPLE, np.logspace(-4, 4, 32), gamma, collector)
         return collector.violations, met
 
     def test_equal_pair(self, space8):
@@ -229,7 +227,7 @@ class TestSparrImplication:
 
     def test_doubled_pair(self, space8):
         x = ok.SampleFunction(space8, np.linspace(-1, 2, 8))
-        assert self.implication(x, ok.SampleFunction(space8, 2.0 * x.values)) == ([], 1)
+        assert self.implication(x, x.scaled(2.0)) == ([], 1)
 
     def test_neutral_pair_never_fails(self, space8):
         x = ok.SampleFunction(space8, np.full(8, 3.0))
@@ -415,6 +413,44 @@ class TestNormInterpolation:
         with pytest.raises(specs.SpecError, match="not a norm theorem"):
             ok.verify_norm_interpolation(ok.power_phi(2), COUPLE, op,
                                          ok.generate_inputs(space8, 3, "mixed", 1.0, 12), "thm46a")
+
+
+# VIOLATION_REL and NORM_REL as shipped, written out rather than read from
+# verify, so that a loosened or tightened threshold fails TestThresholdPins
+# (ROADMAP item 19)
+SHIPPED_THRESHOLDS = {"VIOLATION_REL": 1e-9, "NORM_REL": 1e-8}
+
+
+class TestThresholdPins:
+    """Exact ties: with T = identity a check's two sides are equal but for
+    its constant, which the test sets to 1 - f * threshold. A break of
+    f = 10 thresholds must be flagged on every input and one of f = 0.1 on
+    none, so each threshold is pinned within a factor of ten either way."""
+
+    COUNT = 100
+
+    @pytest.mark.parametrize("f, flagged", [(10.0, True), (0.1, False)])
+    def test_norm_rel(self, monkeypatch, space8, f, flagged):
+        monkeypatch.setitem(verify.NORM_CONSTANTS, "subadditive",
+                            lambda p, q: 1.0 - f * SHIPPED_THRESHOLDS["NORM_REL"])
+        phi = cached_generator_phi(1, 2, "powerlog", (0.5, 0, 0))
+        inputs = ok.generate_inputs(space8, self.COUNT, "mixed", 1.0, 19)
+        rep = ok.verify_norm_interpolation(phi, COUPLE, ok.identity_operator(space8, COUPLE),
+                                           inputs, "thm46b_norm")
+        assert rep["details"]["violation_count"] == (2 * self.COUNT if flagged else 0)
+        want = {"luxemburg": self.COUNT, "amemiya": self.COUNT} if flagged else {}
+        assert Counter(v["check"] for v in rep["violations"]) == want
+
+    @pytest.mark.parametrize("f, flagged", [(10.0, True), (0.1, False)])
+    def test_violation_rel(self, monkeypatch, space8, phi_affine_h, f, flagged):
+        monkeypatch.setattr(verify, "sparr_gamma",
+                            lambda p, q: 1.0 - f * SHIPPED_THRESHOLDS["VIOLATION_REL"])
+        inputs = ok.generate_inputs(space8, self.COUNT, "mixed", 1.0, 20)
+        rep = ok.verify_modular_lp_lq(phi_affine_h, COUPLE, ok.identity_operator(space8, COUPLE),
+                                      inputs)
+        assert rep["details"]["violation_count"] == (self.COUNT if flagged else 0)
+        assert sorted(v["input_index"] for v in rep["violations"]) == (
+            list(range(self.COUNT)) if flagged else [])
 
 
 class TestChainDiagnostics:
@@ -889,8 +925,8 @@ class TestRunScenario:
                                     resolved["inputs"]["scale"], resolved["seed"])
         op = dataclasses.replace(op, bound_p=op.bound_p / 2.0, bound_q=op.bound_q / 2.0)
         cm = ok.bergh_constant(couple.p) * op.max_bound
-        txs = ok.SampleBatch(space, [op.apply(ok.SampleFunction(space, v)).values
-                                     for v in inputs.values])
+        txs = ok.SampleBatch(space, np.concatenate([op.apply(ok.SampleFunction(space, v)).values
+                                                    for v in inputs.values]))
         rel, floor = verify.NORM_REL, verify.ABS_FLOOR
         beyond = 0
         for norm in (ok.luxemburg_norm, ok.amemiya_norm):
@@ -954,14 +990,14 @@ class TestRunScenario:
         expected = []
         for i, v in enumerate(inputs.values):
             x = ok.SampleFunction(space, v)
-            tx = ok.SampleFunction(space, op.apply(x).values * (1.0 / op.max_bound))
-            lhs = ok.k_lp_linf_grid(ts, tx, couple.p)
-            rhs = ok.k_lp_linf_grid(ts, x, couple.p)
+            tx = op.apply(x).scaled(1.0 / op.max_bound)
+            lhs = ok.k_lp_linf_grid(ts, tx, couple.p)[0]
+            rhs = ok.k_lp_linf_grid(ts, x, couple.p)[0]
             for j in np.flatnonzero(lhs > rhs + rel * np.abs(rhs) + floor):
                 left, right = float(lhs[j]), float(rhs[j])
                 expected.append({"t": float(ts[j]), "input_index": i, "lhs": left, "rhs": right,
                                  "margin": (left - right) / max(abs(right), floor),
-                                 "check": "k_contraction", "witness": x.values.tolist()})
+                                 "check": "k_contraction", "witness": v.tolist()})
         # the report counts every violation and lists the 200 widest, widest
         # first, then by input index and t
         expected.sort(key=lambda v: (-v["margin"], v["input_index"], v["t"]))
@@ -980,11 +1016,11 @@ class TestRunScenario:
         expected, met_alone = set(), 0
         for i, (xv, yv) in enumerate(zip(xs.values, ys.values)):
             x, y = ok.SampleFunction(xs.space, xv), ok.SampleFunction(ys.space, yv)
-            kx, ky = ok.l_functional_grid(ts, x, 1, 2), ok.l_functional_grid(ts, y, 1, 2)
+            kx, ky = ok.l_functional_grid(ts, x, 1, 2)[0], ok.l_functional_grid(ts, y, 1, 2)[0]
             if not np.all(kx <= ky + slack * np.abs(ky) + floor):
                 continue
             met_alone += 1
-            lhs, rhs = ok.l_star_grid(ts, x, 1, 2), gamma * ok.l_star_grid(ts, y, 1, 2)
+            lhs, rhs = ok.l_star_grid(ts, x, 1, 2)[0], gamma * ok.l_star_grid(ts, y, 1, 2)[0]
             for j in np.flatnonzero(lhs > rhs + rel * np.abs(rhs) + floor):
                 expected.add((i, float(ts[j]), float(lhs[j]), float(rhs[j]),
                               tuple(xv) + tuple(yv)))
