@@ -158,7 +158,9 @@ def build_from_generator(couple: ExponentCouple, rho: Callable) -> OrliczFunctio
     first reaches it.
     """
     grid = log_grid(points_per_decade=16)
-    grid_rows = rho(grid)
+    # a rho beyond the float range is inf or nan here, which the checks reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid_rows = rho(grid)
     worst = quasiconcavity_violation(grid_rows)
     if worst > QUASICONCAVITY_TOL:
         raise ValueError(f"rho fails the quasi-concavity check ({worst:.3e})")
@@ -276,7 +278,8 @@ def modular(phi: OrliczFunction, x: SampleBatch) -> np.ndarray:
 
     Raises `DomainOverflowError` when any member leaves phi's domain.
     """
-    return np.sum(phi(np.abs(x.values)) * x.space.weights, axis=1)
+    with np.errstate(over="ignore"):   # a sum beyond the float range is +inf
+        return np.sum(phi(np.abs(x.values)) * x.space.weights, axis=1)
 
 
 # Both norms reduce, per member, to a 1-D problem on the modular profile
@@ -345,13 +348,16 @@ def _unit_modular_bracket(phi: OrliczFunction, y: np.ndarray, weights: np.ndarra
         hi, lo = np.where(over, sigma, hi), np.where(over, lo, sigma)
         # M = 0 where phi is 0 on [0, sigma] (a generator phi at q = inf whose
         # rho(t)/t tends to c > 0 is 0 up to c): no partner bounds the root
-        # then, and the step doubles sigma
+        # then, and the step doubles sigma. Where M or sigma*M' leaves the
+        # float range, the step halves sigma, the mirror case
         with np.errstate(divide="ignore", invalid="ignore"):
             log_mod = np.log(mod)
             partner = sigma / mod
             # a step never passes the partner sigma / M: the elasticity
             # sigma*M'/M is at least 1 wherever phi(u)/u is nondecreasing
-            newton = np.where(mod > 0.0, -log_mod / np.maximum(slope / mod, 1.0), math.log(2.0))
+            newton = np.where(np.isfinite(log_mod) & (slope < np.inf),
+                              -log_mod / np.maximum(slope / mod, 1.0),
+                              np.copysign(math.log(2.0), -log_mod))
         cand_lo = np.maximum(lo, np.where(over, partner, sigma))
         cand_hi = np.minimum(hi, np.where(over, sigma, partner))
         capped = ~over & (sigma >= cap)

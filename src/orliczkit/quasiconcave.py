@@ -240,7 +240,9 @@ def concave_majorant(rho: Callable, grid: np.ndarray | None = None,
         below = grid[0] * 10.0 ** (-step * np.arange(n_ext, 0, -1))
         above = grid[-1] * 10.0 ** (step * np.arange(1, n_ext + 1))
         s_grid = np.concatenate((below, grid, above))
-    rows = rho(s_grid)
+    # a rho beyond the float range is inf or nan here, which the checks reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = rho(s_grid)
     worst = quasiconcavity_violation(rows[:, n_ext:n_ext + grid.size])
     if worst > QUASICONCAVITY_TOL:
         raise ValueError(f"rho fails the quasi-concavity check (violation {worst:.3e})")

@@ -1,7 +1,8 @@
 """Tagged-record config parsing: spaces, generators, phi builds, operators.
 
 All resolvers validate keys strictly (unknown keys are rejected) so config
-mistakes surface before any computation. Scenario dictionaries normalize to
+mistakes surface before any computation. Every rho, phi and operator record
+is parsed by `_by_kind` against its family's kind table. Scenario dictionaries normalize to
 a canonical form with defaults filled in; serializing a normalized scenario
 is byte-stable, which the shipped scenario files rely on.
 """
@@ -59,12 +60,6 @@ def _numbers(values: Any, what: str) -> list[float]:
     return [_number(v, what) for v in values]
 
 
-def _kind(record: Any, what: str) -> Any:
-    if not isinstance(record, dict) or "kind" not in record:
-        raise SpecError(f"{what} spec must be a JSON object with a 'kind', got {record!r}")
-    return record["kind"]
-
-
 def parse_exponent(value: Any, what: str = "exponent") -> float:
     """A number, a numeric string (as the CLI passes), or 'inf'."""
     if value in ("inf", "Infinity"):
@@ -101,24 +96,25 @@ def resolve_space(record: dict) -> DiscreteMeasureSpace:
         raise SpecError(f"bad space weights: {exc}") from None
 
 
-def resolve_rho(record: dict) -> Callable:
-    """The jet t -> (rho, t*rho', t^2*rho'') of a generator spec."""
-    kind = _kind(record, "rho")
-    if kind == "powerlog":
-        _require_keys(record, {"kind", "theta", "a", "b"}, what="powerlog rho")
-        return qc.power_log_rho(*(_number(record[k], f"rho.{k}") for k in ("theta", "a", "b")))
-    if kind == "power":
-        _require_keys(record, {"kind", "theta"}, what="power rho")
-        return qc.power_rho(_number(record["theta"], "rho.theta"))
-    if kind == "min_one":
-        _require_keys(record, {"kind"}, what="min_one rho")
-        return qc.min_one_rho()
-    if kind == "max_one":
-        _require_keys(record, {"kind"}, what="max_one rho")
-        return qc.max_one_rho()
-    if kind == "pwl":
-        return resolve_plc({k: v for k, v in record.items() if k != "kind"}).jet
-    raise SpecError(f"unknown rho kind {kind!r}")
+def _by_kind(record: Any, family: str, kinds: dict, *args) -> Any:
+    """What a tagged record of `family` builds: a JSON object whose `kind`
+    names an entry of `kinds`, with that entry's keys besides `kind` and no
+    others, built by the entry's build from the record and `args`. A
+    `ValueError` of the build that is not a `SpecError` becomes one that
+    names the record's kind and family."""
+    if not isinstance(record, dict) or "kind" not in record:
+        raise SpecError(f"{family} spec must be a JSON object with a 'kind', got {record!r}")
+    kind = record["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise SpecError(f"unknown {family} kind {kind!r}")
+    keys, build = kinds[kind]
+    _require_keys(record, {"kind", *keys}, what=f"{kind} {family}")
+    try:
+        return build(record, *args)
+    except SpecError:
+        raise
+    except ValueError as exc:
+        raise SpecError(f"{kind} {family}: {exc}") from None
 
 
 def resolve_plc(record: dict) -> qc.PiecewiseLinearConcave:
@@ -132,6 +128,36 @@ def resolve_plc(record: dict) -> qc.PiecewiseLinearConcave:
         )
     except ValueError as exc:
         raise SpecError(str(exc)) from None
+
+
+# Each kind of a tagged-record family: the keys it takes besides `kind`, and
+# its build from the record (and, for an operator, the space and couple).
+_RHO_KINDS = {
+    "powerlog": (("theta", "a", "b"), lambda r: qc.power_log_rho(
+        *(_number(r[k], f"rho.{k}") for k in ("theta", "a", "b")))),
+    "power": (("theta",), lambda r: qc.power_rho(_number(r["theta"], "rho.theta"))),
+    "min_one": ((), lambda r: qc.min_one_rho()),
+    "max_one": ((), lambda r: qc.max_one_rho()),
+    "pwl": (("knots", "values", "slope0", "slope_inf"),
+            lambda r: resolve_plc({k: v for k, v in r.items() if k != "kind"}).jet),
+}
+
+
+def resolve_rho(record: dict) -> Callable:
+    """The jet t -> (rho, t*rho', t^2*rho'') of a generator spec."""
+    return _by_kind(record, "rho", _RHO_KINDS)
+
+
+def _couple_of(record: dict) -> ExponentCouple:
+    return ExponentCouple(parse_exponent(record["p"]), parse_exponent(record["q"]))
+
+
+_PHI_KINDS = {
+    "power": (("p",), lambda r: power_phi(_number(r["p"], "phi.p"))),
+    "generator": (("p", "q", "rho"),
+                  lambda r: build_from_generator(_couple_of(r), resolve_rho(r["rho"]))),
+    "h": (("p", "q", "h"), lambda r: build_from_h(_couple_of(r), resolve_plc(r["h"]))),
+}
 
 
 # Built phi's kept per process, least recently used dropped first. A round of
@@ -148,32 +174,53 @@ def resolve_phi(record: dict) -> OrliczFunction:
     try:
         key = json.dumps(record, sort_keys=True)
     except (TypeError, ValueError):
-        return _build_phi(record)
+        return _by_kind(record, "phi", _PHI_KINDS)
     return _cached_phi(key)
 
 
 @functools.lru_cache(maxsize=PHI_CACHE_SIZE)
 def _cached_phi(key: str) -> OrliczFunction:
-    return _build_phi(json.loads(key))
+    return _by_kind(json.loads(key), "phi", _PHI_KINDS)
 
 
-def _build_phi(record: dict) -> OrliczFunction:
-    kind = _kind(record, "phi")
-    try:
-        if kind == "power":
-            _require_keys(record, {"kind", "p"}, what="power phi")
-            return power_phi(_number(record["p"], "phi.p"))
-        if kind == "generator":
-            _require_keys(record, {"kind", "p", "q", "rho"}, what="generator phi")
-            couple = ExponentCouple(parse_exponent(record["p"]), parse_exponent(record["q"]))
-            return build_from_generator(couple, resolve_rho(record["rho"]))
-        if kind == "h":
-            _require_keys(record, {"kind", "p", "q", "h"}, what="h phi")
-            couple = ExponentCouple(parse_exponent(record["p"]), parse_exponent(record["q"]))
-            return build_from_h(couple, resolve_plc(record["h"]))
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-    raise SpecError(f"unknown phi kind {kind!r}")
+def _truncation(record: dict, space: DiscreteMeasureSpace,
+                couple: ExponentCouple) -> ops.CertifiedOperator:
+    k = record["keep_first"]
+    if not _is_int(k) or not 1 <= k <= space.n:
+        raise SpecError(f"keep_first must be an integer in [1, {space.n}], got {k!r}")
+    m = np.zeros(space.n)
+    m[:k] = 1.0
+    return ops.multiplier(space, m, couple)
+
+
+def _matrix(record: dict, space: DiscreteMeasureSpace,
+            couple: ExponentCouple) -> ops.CertifiedOperator:
+    rows = record["rows"]
+    if not isinstance(rows, list):
+        raise SpecError(f"matrix rows must be a list of rows, got {rows!r}")
+    return ops.contractive_matrix(space, [_numbers(r, "matrix row") for r in rows], couple)
+
+
+def _max_of(record: dict, space: DiscreteMeasureSpace,
+            couple: ExponentCouple) -> ops.CertifiedOperator:
+    if not isinstance(record["ops"], list):
+        raise SpecError(f"max_of ops must be a list of operator specs, got {record['ops']!r}")
+    return ops.max_of([_by_kind(sub, "operator", _OPERATOR_KINDS, space, couple)
+                       for sub in record["ops"]])
+
+
+_OPERATOR_KINDS = {
+    "identity": ((), lambda r, space, couple: ops.identity_operator(space, couple)),
+    "multiplier": (("m",), lambda r, space, couple: ops.multiplier(
+        space, _numbers(r["m"], "multiplier m"), couple)),
+    "truncation": (("keep_first",), _truncation),
+    "matrix": (("rows",), _matrix),
+    "averaging": ((), lambda r, space, couple: ops.averaging_operator(space, couple)),
+    "maximal": ((), lambda r, space, couple: ops.discrete_maximal(space, couple)),
+    "random_contractive": (("seed",), lambda r, space, couple: random_contractive(
+        space, couple, r["seed"])),
+    "max_of": (("ops",), _max_of),
+}
 
 
 # Built operators kept per process, least recently used dropped first. A
@@ -194,65 +241,21 @@ def resolve_operator(record: dict, space: DiscreteMeasureSpace,
     try:
         key = json.dumps(record, sort_keys=True)
     except (TypeError, ValueError):
-        return _build_operator(record, space, couple)
+        return _by_kind(record, "operator", _OPERATOR_KINDS, space, couple)
     return _cached_operator(key, space.weights.tobytes(), couple)
 
 
 @functools.lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def _cached_operator(key: str, weights: bytes, couple: ExponentCouple) -> ops.CertifiedOperator:
-    return _build_operator(json.loads(key), DiscreteMeasureSpace(np.frombuffer(weights)), couple)
-
-
-def _build_operator(record: dict, space: DiscreteMeasureSpace,
-                    couple: ExponentCouple) -> ops.CertifiedOperator:
-    kind = _kind(record, "operator")
-    try:
-        if kind == "identity":
-            _require_keys(record, {"kind"}, what="identity operator")
-            return ops.identity_operator(space, couple)
-        if kind == "multiplier":
-            _require_keys(record, {"kind", "m"}, what="multiplier operator")
-            return ops.multiplier(space, _numbers(record["m"], "multiplier m"), couple)
-        if kind == "truncation":
-            _require_keys(record, {"kind", "keep_first"}, what="truncation operator")
-            k = record["keep_first"]
-            if not _is_int(k) or not 1 <= k <= space.n:
-                raise SpecError(f"keep_first must be an integer in [1, {space.n}], got {k!r}")
-            m = np.zeros(space.n)
-            m[:k] = 1.0
-            return ops.multiplier(space, m, couple)
-        if kind == "matrix":
-            _require_keys(record, {"kind", "rows"}, what="matrix operator")
-            rows = record["rows"]
-            if not isinstance(rows, list):
-                raise SpecError(f"matrix rows must be a list of rows, got {rows!r}")
-            return ops.contractive_matrix(space, [_numbers(r, "matrix row") for r in rows], couple)
-        if kind == "averaging":
-            _require_keys(record, {"kind"}, what="averaging operator")
-            return ops.averaging_operator(space, couple)
-        if kind == "maximal":
-            _require_keys(record, {"kind"}, what="maximal operator")
-            return ops.discrete_maximal(space, couple)
-        if kind == "random_contractive":
-            _require_keys(record, {"kind", "seed"}, what="random contractive operator")
-            seed = record["seed"]
-            if not _is_int(seed) or seed < 0:
-                raise SpecError(f"random_contractive seed must be an integer >= 0, got {seed!r}")
-            return random_contractive(space, couple, seed)
-        if kind == "max_of":
-            _require_keys(record, {"kind", "ops"}, what="max_of operator")
-            if not isinstance(record["ops"], list):
-                raise SpecError(f"max_of ops must be a list of operator specs, got {record['ops']!r}")
-            members = [_build_operator(sub, space, couple) for sub in record["ops"]]
-            return ops.max_of(members)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-    raise SpecError(f"unknown operator kind {kind!r}")
+    return _by_kind(json.loads(key), "operator", _OPERATOR_KINDS,
+                    DiscreteMeasureSpace(np.frombuffer(weights)), couple)
 
 
 def random_contractive(space: DiscreteMeasureSpace, couple: ExponentCouple,
                        seed: int) -> ops.CertifiedOperator:
     """Deterministic signed matrix scaled to satisfy the row/column sums."""
+    if not _is_int(seed) or seed < 0:
+        raise SpecError(f"random_contractive seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     a = rng.uniform(-1.0, 1.0, (space.n, space.n))
     scale = max(np.abs(a).sum(axis=1).max(), np.abs(a).sum(axis=0).max())

@@ -125,6 +125,17 @@ class TestMajorantCommand:
         code, _, _ = run_cli(capsys, "majorant", "--rho", "{nope")
         assert code == 2
 
+    @pytest.mark.parametrize("rho, message", [
+        # ln(e + t)^1e300 is beyond the float range on the grid, and the
+        # majorant's evaluation warned of the overflow
+        ('{"kind": "powerlog", "theta": 0.5, "a": 1e300, "b": 0}',
+         "rho must be finite and positive on the grid"),
+        ('{"kind": "power", "theta": 2}', "power rho: theta must lie in [0, 1]"),
+    ])
+    def test_rho_outside_its_range_is_a_config_error(self, capsys, rho, message):
+        code, out, err = run_cli(capsys, "majorant", "--rho", rho)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
 
 class TestNormsCommand:
     def test_power_case_matches_weighted_norm(self, capsys, function_csv):
@@ -171,6 +182,18 @@ class TestNormsCommand:
         assert code == 0 and err == ""
         payload = json.loads(out)
         assert payload["amemiya"] >= payload["luxemburg"] > 0.0
+
+    def test_profile_beyond_the_float_range_at_the_start(self, capsys, tmp_path):
+        # phi is about 1e308 u^2 on [0, 1], so sigma*M' is +inf at the
+        # Luxemburg start sigma = 1; the search stood still there and raised
+        # NonConvergenceError. The norm is 1e154 ||x||_2, ||x||_2^2 = 5.375
+        path = tmp_path / "x.csv"
+        path.write_text("weight,value\n1,0.5\n0.5,-2\n2,1.25\n", encoding="utf-8")
+        phi = ('{"kind": "h", "p": 1, "q": 2, "h": {"knots": [1.0], "values": [1e308], '
+               '"slope0": 1.0, "slope_inf": 1.0}}')
+        code, out, _ = run_cli(capsys, "norms", "--input", str(path), "--phi", phi)
+        assert code == 0
+        assert json.loads(out)["luxemburg"] == pytest.approx(1e154 * math.sqrt(5.375), rel=1e-10)
 
     def test_header_validation(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

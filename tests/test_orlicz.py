@@ -47,6 +47,12 @@ class TestModular:
                     cached_generator_phi(1.5, 4, "powerlog", (0.3, 1, -1))):
             assert ok.modular(phi, x)[0] == pytest.approx(modular_of_step(phi, step), rel=1e-12)
 
+    def test_sum_beyond_the_float_range_is_inf_without_warning(self):
+        # phi(1) = 1e308 on two atoms of weight 1: the sum warned of the overflow
+        phi = ok.build_from_h(ExponentCouple(1, 2), ok.PiecewiseLinearConcave([1.0], [1e308], 1.0, 1.0))
+        assert ok.modular(phi, sample([1.0, -1.0, 0.0]))[0] == np.inf
+        assert ok.modular(phi, sample([1.0, 0.0]))[0] == 1e308
+
     def test_domain_overflow(self):
         phi = cached_generator_phi(2, np.inf, "min_one")
         with pytest.raises(ok.DomainOverflowError):
@@ -352,6 +358,26 @@ class TestNewtonNorms:
             got = norm(ok.power_phi(1.0), batch)
             assert got[0] == np.inf and got[2] == 0.0
             assert got[1] == pytest.approx(1.6e308, rel=1e-8)
+
+    @pytest.mark.parametrize("values, weights", [
+        ([0.5, -2.0, 1.25], [1.0, 0.5, 2.0]),   # M(1) = 1.34e308, sigma*M'(1) = +inf
+        ([1.0, -1.0, 0.5], [1.0, 1.0, 1.0]),    # M(1) = +inf
+    ])
+    def test_profile_beyond_the_float_range_at_the_start(self, values, weights):
+        # h = 1e308 + (s - 1) beyond its knot makes phi about 1e308 u^2 on
+        # [0, 1] at (1, 2), so the norm is 1e154 ||x||_2. At the start
+        # sigma = 1 the Newton step was 0 where sigma*M' is +inf and nan where
+        # M is, and the search never left sigma = 1
+        phi = ok.build_from_h(ExponentCouple(1, 2), ok.PiecewiseLinearConcave([1.0], [1e308], 1.0, 1.0))
+        x = sample(values, weights)
+        lo, hi = _luxemburg_bracket(phi, np.abs(x.values), x.space.weights)
+        assert hi[0] - lo[0] <= 1e-10 * hi[0]
+        assert ok.modular(phi, ok.SampleFunction(x.space, x.values[0] / hi[0]))[0] <= 1.0 + 1e-14
+        assert ok.modular(phi, ok.SampleFunction(x.space, x.values[0] / lo[0]))[0] >= 1.0 - 1e-14
+        two_norm = math.sqrt(sum(w * v * v for v, w in zip(values, weights)))
+        assert hi[0] == pytest.approx(1e154 * two_norm, rel=1e-10)
+        start = ok.norm_start(phi, x)
+        assert np.array_equal(ok.luxemburg_norm(phi, x, start=start), hi)
 
     @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.parametrize("p", [1, 2])
@@ -865,6 +891,13 @@ class TestBuildFromGenerator:
             v = np.linspace(0.0, phi.u_max, 1001)
             assert np.all(np.diff(phi(v)) >= 0.0)
             np.testing.assert_allclose(phi(v), (v / c) ** p, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("a, b", [(1e300, 0.0), (-1e308, 0.0), (0.0, 1e308), (0.0, -1e308)])
+    def test_rho_beyond_the_float_range_is_rejected_without_warning(self, a, b):
+        # ln(e + t)^1e300 overflows on the grid, and -1e308 times the
+        # elasticity term of a factor overflows in the multiply
+        with pytest.raises(ValueError, match="^rho must be finite and positive on the grid$"):
+            ok.build_from_generator(ExponentCouple(1, 2), ok.power_log_rho(0.5, a, b))
 
     def test_non_concave_generator_rejected(self):
         # max(1, t) is quasi-concave but its slope rises at t = 1

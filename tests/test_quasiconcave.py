@@ -85,6 +85,11 @@ class TestPowerLog:
 
 
 class TestConcaveMajorant:
+    @pytest.mark.parametrize("a", [1e300, -1e308])
+    def test_rho_beyond_the_float_range_is_rejected_without_warning(self, a):
+        with pytest.raises(ValueError, match="^rho must be finite and positive on the grid$"):
+            ok.concave_majorant(ok.power_log_rho(0.5, a, 0.0))
+
     def test_min_one_is_fixed_point(self):
         maj = ok.concave_majorant(ok.min_one_rho())
         grid = log_grid()

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 import re
@@ -71,6 +72,15 @@ class TestResolvers:
     def test_rho_unknown_kind(self):
         with pytest.raises(specs.SpecError):
             specs.resolve_rho({"kind": "mystery"})
+
+    @pytest.mark.parametrize("record, message", [
+        ({"kind": "powerlog", "theta": 1.5, "a": 0, "b": 0}, "powerlog rho: theta must lie in"),
+        ({"kind": "power", "theta": 2}, "power rho: theta must lie in"),
+    ])
+    def test_rho_build_errors_are_spec_errors(self, record, message):
+        # the builds raise a plain ValueError, which resolve_rho must not pass on
+        with pytest.raises(specs.SpecError, match=message):
+            specs.resolve_rho(record)
 
     def test_phi_kinds(self):
         power = specs.resolve_phi({"kind": "power", "p": 2})
@@ -227,6 +237,79 @@ class TestOperatorCache:
         ops = [[specs.resolve_scenario(s)[4] for s in scenarios] for _ in range(2)]
         assert [a is b for a, b in zip(*ops)] == [True] * len(scenarios)
         assert specs._cached_operator.cache_info().misses == specs.OPERATOR_CACHE_SIZE
+
+
+# each tagged-record family: its kind table and its resolver
+FAMILIES = {
+    "rho": (specs._RHO_KINDS, specs.resolve_rho),
+    "phi": (specs._PHI_KINDS, specs.resolve_phi),
+    "operator": (specs._OPERATOR_KINDS, lambda record: specs.resolve_operator(
+        record, ok.uniform_space(4), ok.ExponentCouple(1, 2))),
+}
+KINDS = [(family, kind) for family, (kinds, _) in FAMILIES.items() for kind in kinds]
+
+
+class TestKindTables:
+    """Every rho, phi and operator record is parsed by `specs._by_kind`
+    against its family's kind table."""
+
+    def test_the_tables_hold_every_kind(self):
+        assert {family: sorted(kinds) for family, (kinds, _) in FAMILIES.items()} == {
+            "rho": ["max_one", "min_one", "power", "powerlog", "pwl"],
+            "phi": ["generator", "h", "power"],
+            "operator": ["averaging", "identity", "matrix", "max_of", "maximal", "multiplier",
+                         "random_contractive", "truncation"]}
+
+    @pytest.mark.parametrize("family, kind", KINDS)
+    def test_missing_and_unknown_keys(self, family, kind):
+        kinds, resolve = FAMILIES[family]
+        keys = kinds[kind][0]
+        full = {"kind": kind, **{key: None for key in keys}}
+        bad = [({k: v for k, v in full.items() if k != key}, f"{kind} {family} missing keys: "
+                 + re.escape(str([key]))) for key in keys]
+        bad.append((dict(full, extra=1), f"{kind} {family} has unknown keys: " + re.escape("['extra']")))
+        for record, message in bad:
+            with pytest.raises(specs.SpecError, match=f"^{message}$"):
+                resolve(record)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_unknown_kind_and_records_that_are_not_objects(self, family):
+        resolve = FAMILIES[family][1]
+        for kind in ("mystery", None, 2, ["power"], "Power"):
+            with pytest.raises(specs.SpecError, match=f"^unknown {family} kind "):
+                resolve({"kind": kind})
+        for record in ([{"kind": "power"}], "power", None, 3, {"p": 2}):
+            with pytest.raises(specs.SpecError, match=f"^{family} spec must be a JSON object "
+                                                       "with a 'kind', got "):
+                resolve(record)
+
+    def test_build_errors_name_the_kind_and_family(self):
+        space, couple = ok.uniform_space(4), ok.ExponentCouple(1, 2)
+        with pytest.raises(specs.SpecError, match="^h phi: q must be finite"):
+            specs.resolve_phi({"kind": "h", "p": 1, "q": "inf", "h": {
+                "knots": [1.0], "values": [1.0], "slope0": 1.0, "slope_inf": 1.0}})
+        with pytest.raises(specs.SpecError, match="^multiplier operator: "):
+            specs.resolve_operator({"kind": "multiplier", "m": [2.0] * 4}, space, couple)
+        # a nested record's error is its own, not wrapped again by the
+        # generator phi or the max_of that holds it
+        with pytest.raises(specs.SpecError, match="^power rho: theta must lie in"):
+            specs.resolve_phi({"kind": "generator", "p": 1, "q": 2,
+                               "rho": {"kind": "power", "theta": 2}})
+        with pytest.raises(specs.SpecError, match="^multiplier operator: "):
+            specs.resolve_operator({"kind": "max_of", "ops": [
+                {"kind": "identity"}, {"kind": "multiplier", "m": [2.0] * 4}]}, space, couple)
+
+    def test_readme_config_records_match(self):
+        # the README's config-record table is a copy of the kind tables
+        lines = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| family | kind | keys besides `kind` | notes |") + 2
+        rows = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            family, kind, keys, _ = (cell.strip() for cell in line.strip("|").split("|"))
+            rows[family.strip("`"), kind.strip("`")] = tuple(re.findall(r"`(\w+)`", keys))
+        assert rows == {(family, kind): FAMILIES[family][0][kind][0] for family, kind in KINDS}
 
 
 class TestScenarioNormalization:
@@ -552,6 +635,26 @@ def leaf_paths(node, path=()):
 
 
 SWEEP_VALUES = (None, True, "x", -1, 0, 2.5, [], {}, math.nan)
+EXTREME_VALUES = (1e308, -1e308, 1e300, 5e-324)
+
+# the extreme exponents that still give a traceback on prop22 (q = inf)
+EXPONENT_FAULTS = {
+    (("couple", "p"), 1e308): "ROADMAP item 7: K at p >= 1e300 (q = inf) divides by zero",
+    (("couple", "p"), 1e300): "ROADMAP item 7: K at p >= 1e300 (q = inf) divides by zero",
+    (("couple", "q"), 1e308): ("ROADMAP item 7: L at q = 1e308 gives an invalid value; its "
+                               "certified error passes VIOLATION_REL beyond q = 4.6e4"),
+}
+
+
+def run_cleanly(scenario, what):
+    """A report, or a SpecError or ScenarioRejected; anything else fails the test."""
+    try:
+        report = run_scenario(scenario)
+    except (specs.SpecError, ok.ScenarioRejected):
+        return
+    except Exception as exc:
+        pytest.fail(f"{what}: {type(exc).__name__}: {exc}")
+    assert report["status"] in ("pass", "fail")
 
 
 class TestLeafSweep:
@@ -562,10 +665,25 @@ class TestLeafSweep:
         base = shipped(name)
         for i, path in enumerate(leaf_paths(base)):
             for value in SWEEP_VALUES[i % 3::3]:
-                try:
-                    report = run_scenario(with_leaf(base, path, value))
-                except (specs.SpecError, ok.ScenarioRejected):
-                    continue
-                except Exception as exc:
-                    pytest.fail(f"{name} with {path} = {value!r}: {type(exc).__name__}: {exc}")
-                assert report["status"] in ("pass", "fail")
+                run_cleanly(with_leaf(base, path, value), f"{name} with {path} = {value!r}")
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_every_numeric_leaf_at_the_ends_of_the_float_range(self, name):
+        # every number, and every exponent given as 'inf', under the suite's
+        # warnings-as-errors: a RuntimeWarning is a traceback
+        base = shipped(name)
+        for path in leaf_paths(base):
+            leaf = functools.reduce(lambda node, key: node[key], path, base)
+            if leaf != "inf" and (isinstance(leaf, bool) or not isinstance(leaf, (int, float))):
+                continue
+            for value in EXTREME_VALUES:
+                if name == "prop22_maximal_2inf" and (path, value) in EXPONENT_FAULTS:
+                    continue   # pinned below
+                run_cleanly(with_leaf(base, path, value), f"{name} with {path} = {value!r}")
+
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(path, value, id=f"{path[-1]}={value:g}",
+                     marks=pytest.mark.xfail(strict=True, reason=reason))
+        for (path, value), reason in EXPONENT_FAULTS.items()])
+    def test_prop22_at_an_extreme_exponent(self, path, value):
+        run_cleanly(with_leaf(shipped("prop22_maximal_2inf"), path, value), f"{path} = {value!r}")

@@ -418,7 +418,7 @@ class TestNormInterpolation:
 # VIOLATION_REL and NORM_REL as shipped, written out rather than read from
 # verify, so that a loosened or tightened threshold fails TestThresholdPins
 # (ROADMAP item 19)
-SHIPPED_THRESHOLDS = {"VIOLATION_REL": 1e-9, "NORM_REL": 1e-8}
+SHIPPED_THRESHOLDS = {"VIOLATION_REL": 1e-9, "NORM_REL": 1e-8, "HYPOTHESIS_SLACK": 1e-12}
 
 
 class TestThresholdPins:
@@ -451,6 +451,24 @@ class TestThresholdPins:
         assert rep["details"]["violation_count"] == (self.COUNT if flagged else 0)
         assert sorted(v["input_index"] for v in rep["violations"]) == (
             list(range(self.COUNT)) if flagged else [])
+
+
+    @pytest.mark.parametrize("f, met", [(10.0, False), (0.1, True)])
+    @pytest.mark.parametrize("p, q", [(1, 2), (1.5, 3), (2, 4)])
+    def test_hypothesis_slack(self, space8, p, q, f, met):
+        # L(t, .) is strictly increasing in the scale, between the powers p
+        # and q of it: y = (1 - delta) x breaks the hypothesis L(t, x) <=
+        # L(t, y) by about delta * eta * L(t, x), with eta in [p, q]. So
+        # delta = 10 slack / p breaks it by at least 10 slacks on some t, and
+        # delta = 0.1 slack / q by at most 0.1 slack on every t
+        slack = SHIPPED_THRESHOLDS["HYPOTHESIS_SLACK"]
+        delta = f * slack / (p if f > 1.0 else q)
+        xs = ok.generate_inputs(space8, self.COUNT, "mixed", 1.0, 21)
+        assert np.all(np.abs(xs.values).max(axis=1) > 0.0)
+        couple = ExponentCouple(p, q)
+        count = verify._sparr_pairs(xs, xs.scaled(1.0 - delta), couple, verify.SPARR_T_GRID,
+                                    ok.sparr_gamma(p, q), verify._Collector())
+        assert count == (self.COUNT if met else 0)
 
 
 class TestChainDiagnostics:
