@@ -45,6 +45,18 @@ def _expit(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
+# The largest exponents at which the kernels' values are certified to within
+# verify.VIOLATION_REL = 1e-9 relative; specs rejects a prop22 couple beyond
+# them. K (q = inf): its rates and interval states raise atoms scaled to max 1
+# to the power p, the top one 1 to within the rounding of (1 - a) * 1/(1 - a),
+# and (1 - 2^-52)^p stays a normal float up to p = 1022 ln 2 * 2^52 ~ 3.2e18;
+# beyond about twice that it is 0, and the rate divides by zero. L (finite
+# q): a split element's stop moves its value by at most 0.48 q(q-1) 1e-18
+# relative (`_pointwise_min_split`), which reaches 1e-9 near q = 4.56e4.
+K_P_MAX = 1e18
+L_Q_MAX = 4.5e4
+
+
 def _check_exponent(p: float, name: str = "p") -> None:
     if not (1.0 <= p < np.inf):
         raise ValueError(f"{name} must lie in [1, inf)")
@@ -151,8 +163,14 @@ def _kink_bracket(m: np.ndarray, kinks: np.ndarray, w: np.ndarray, p: float,
     return iterate("k_kinks", step, (row, t, np.zeros(row.size, dtype=np.intp), hi))[0]
 
 
-def _power_sum(d: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    return np.sum(np.maximum(d, 0.0) ** p * w, axis=1)
+def _norm_above(d: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """||d_+||_p of each row. The sum runs on d_+ scaled to max 1, so its
+    top term is w at any p and a term that underflows is below 2^-1074 of
+    it; unscaled, the atoms below 2^(-1074/p) (0.23 at p = 500) would all
+    sum to 0."""
+    top = np.max(d, axis=1, initial=0.0)
+    e = np.maximum(d, 0.0) / np.where(top > 0.0, top, 1.0)[:, None]
+    return top * np.sum(e**p * w, axis=1) ** (1.0 / p)
 
 
 def _quadratic_interval(d, w, back, t, a, b, inner):
@@ -268,8 +286,8 @@ def _k_block(ts: np.ndarray, mags: np.ndarray, w: np.ndarray, p: float) -> np.nd
             value = _quadratic_interval(d, w, back, t, a, b, j > 0)
         else:
             span = kinks[r, k] - kinks[r, np.maximum(k - 1, 0)]
-            value = np.minimum(_power_sum(d, w, p)[back] ** (1.0 / p) + t * b,
-                               _power_sum(d + span[:, None], w, p)[back] ** (1.0 / p) + t * a)
+            value = np.minimum(_norm_above(d, w, p)[back] + t * b,
+                               _norm_above(d + span[:, None], w, p)[back] + t * a)
             solve = np.flatnonzero((j > 0) & (b < 1.0))   # not all atoms above at b
             inner = _newton_interval(d[back[solve]], w, p, t[solve], b[solve], (b - a)[solve])
             value[solve] = np.minimum(value[solve], inner)

@@ -19,6 +19,7 @@ import numpy as np
 from . import operators as ops
 from . import quasiconcave as qc
 from .constants import GAMMA_MAX, conjugate_exponent
+from .kfunc import K_P_MAX, L_Q_MAX
 from .measure import DiscreteMeasureSpace, uniform_space
 from .orlicz import ExponentCouple, OrliczFunction, build_from_generator, build_from_h, power_phi
 
@@ -275,13 +276,16 @@ class Theorem(NamedTuple):
     distributions: tuple[str, ...] = INPUT_DISTRIBUTIONS
     constant: str | None = None      # key of constants.NORM_CONSTANTS (norm tags only)
     gamma: bool = False              # whether it reads sparr_gamma(p, q), so needs q <= GAMMA_MAX
+    # whether it compares K- or L-functionals of the couple at any exponents,
+    # so needs p <= K_P_MAX (q = inf) or q <= L_Q_MAX, where kfunc certifies them
+    functionals: bool = False
 
 
 # scenario sections that a tag requires, reads or rejects (every tag reads inputs)
 SECTIONS = ("phi", "operator", "fault", "diagnostics")
 
 THEOREMS = {
-    "prop22": Theorem(("operator",), ("fault",), q_inf=None),
+    "prop22": Theorem(("operator",), ("fault",), q_inf=None, functionals=True),
     # draws its own (x, y) pairs, so the input distribution is fixed
     "sparr_lemma": Theorem((), distributions=("mixed",), gamma=True),
     "thm31a": Theorem(("phi", "operator"), ("fault",), q_inf=True),
@@ -315,6 +319,10 @@ def check_theorem(tag: Any, couple: ExponentCouple,
             raise SpecError(f"{tag} needs a linear operator, not a {op.kind} one")
     if record.gamma and couple.q > GAMMA_MAX:
         raise SpecError(f"{tag} needs q <= {GAMMA_MAX:g}, the range of sparr_gamma")
+    if record.functionals and couple.q_is_inf and couple.p > K_P_MAX:
+        raise SpecError(f"{tag} needs p <= {K_P_MAX:g} at q = inf, the range K is certified on")
+    if record.functionals and not couple.q_is_inf and couple.q > L_Q_MAX:
+        raise SpecError(f"{tag} needs q <= {L_Q_MAX:g}, the range the L-functional is certified on")
     return record
 
 

@@ -212,35 +212,118 @@ def _child_rngs(seed: int, count: int):
         yield rng
 
 
+# the kinds a mix cycles through, input i taking kind i % len(mix)
+_MIXES = {
+    "mixed": ("uniform", "lognormal", "spikes", "constant"),
+    "bounded": ("uniform", "spikes", "constant"),
+}
+
+
+def _uniform(lo: float, hi: float, words: np.ndarray) -> np.ndarray:
+    """Generator.uniform(lo, hi) read off raw PCG64 words, one per draw:
+    lo + (hi - lo) * next_double, where next_double is the word's top 53
+    bits times 2^-53."""
+    return lo + (hi - lo) * ((words >> 11) * 2.0**-53)
+
+
+def _sign_bits(words: np.ndarray) -> np.ndarray:
+    """Generator.integers(0, 2) read off raw PCG64 words, two draws per word
+    on the last axis: the top bit of each 32-bit half, the low half first.
+    Lemire's method on [0, 1] keeps the top bit of one half and never
+    rejects."""
+    return words.astype("<u8", copy=False).view("<u4") >> 31
+
+
+def _spikes(rows: np.ndarray, signed: np.ndarray, spikes: list, supports: list,
+            words: list) -> None:
+    """Write the spikes rows. Row r has the support supports[r], which NumPy
+    drew, and spikes[r] = (k, held, half, sign_words): its size, whether
+    `choice` left a 32-bit half buffered in the generator, that half, and
+    (k - held + 1) // 2. Its signs are integers(0, 2, k): the buffered half
+    first where there is one, then the halves of its first sign_words words
+    of words[r]; its magnitudes are uniform(0.25, 1.0, k), one word each
+    after those. Every index is taken once for the whole batch, on the rows'
+    words laid end to end: the j-th draw of row r is draw before[r] + j of
+    the batch, and row r's words follow the sign words and draws of the rows
+    above it."""
+    k, held, half, sign_words = np.array(spikes).T
+    through = sign_words.cumsum()   # the sign words up to and including each row
+    before = k.cumsum() - k
+    draw = np.arange(before[-1] + k[-1])
+    mag_at = draw + through.repeat(k)
+    half_at = draw + (2 * (through - sign_words) + before - held).repeat(k)
+    words = np.concatenate(words)
+    bits = _sign_bits(words)[half_at]
+    buffered = held.nonzero()[0]
+    if buffered.size:
+        bits[before[buffered]] = half[buffered] >> 31
+    rows[np.arange(k.size).repeat(k), np.concatenate(supports)] = (
+        _uniform(0.25, 1.0, words[mag_at]) * signed[bits])
+
+
 def generate_inputs(space, count: int, distribution: str = "mixed",
                     scale: float = 1.0, seed: int = 0) -> SampleBatch:
-    """Seeded input batch: input i is drawn from NumPy's PCG64 seeded by
-    child i of `np.random.SeedSequence(seed)` (`default_rng` on
-    `SeedSequence(seed).spawn(count)[i]`), so it depends only on (seed, i,
-    n, distribution, scale) and batches are stable under any count and
-    evaluation order."""
-    mixes = {
-        "mixed": ("uniform", "lognormal", "spikes", "constant"),
-        "bounded": ("uniform", "spikes", "constant"),
-    }
-    n = space.n
+    """Seeded input batch: input i is exactly what NumPy's
+    `default_rng(SeedSequence(seed).spawn(count)[i])` draws, so it depends
+    only on (seed, i, n, distribution, scale) and batches are stable under
+    any count and evaluation order.
+
+    Each row is read off that generator's raw PCG64 words with one
+    `random_raw` call, by NumPy's own readings of them: uniform(lo, hi, m)
+    is lo + (hi - lo) * (w >> 11) * 2^-53 per word w (`_uniform`);
+    integers(0, 2, m) is bit 31 of successive 32-bit halves, the low half
+    of each word first (`_sign_bits`); and normal(0, 1, m) is 0.0 +
+    standard_normal(m), which a lognormal row draws after its signs. A
+    spikes row draws its size and support with NumPy's `integers` and
+    `choice`, whose rejections and shuffle stay NumPy's, then reads from the
+    generator's state the 32-bit half that `choice` may leave buffered
+    (always at n = 2-5; at n >= 6 after a rejection), its first sign. Per
+    row there are only these calls and list appends; the arithmetic on the
+    words runs once per kind for the whole batch. A sign s = -1 or 1 times
+    a magnitude m times the scale is m * (s * scale), bit for bit, as the
+    product of m and -scale is minus that of m and scale.
+    """
+    kinds = _MIXES.get(distribution, (distribution,))
+    if count and not set(kinds) <= set(_MIXES["mixed"]):   # which has every kind
+        raise specs.SpecError(f"unknown input distribution {distribution!r}")
+    n, period = space.n, len(kinds)
+    words = {kind: [] for kind in kinds}
+    normals, spikes, supports = [], [], []
+    top = max(2, n // 3 + 1)
+    for i, rng in enumerate(_child_rngs(seed, count)):
+        kind, bitgen = kinds[i % period], rng.bit_generator
+        if kind == "uniform":
+            words[kind].append(bitgen.random_raw(n))
+        elif kind == "lognormal":
+            words[kind].append(bitgen.random_raw((n + 1) // 2))
+            normals.append(rng.standard_normal(n))
+        elif kind == "spikes":
+            k = int(rng.integers(1, top))
+            supports.append(rng.choice(n, size=k, replace=False))
+            state = bitgen.state
+            held = state["has_uint32"]
+            sign_words = (k - held + 1) // 2
+            spikes.append((k, held, state["uinteger"], sign_words))
+            words[kind].append(bitgen.random_raw(sign_words + k))
+        else:
+            words[kind].append(bitgen.random_raw(2))
     out = np.zeros((count, n))
+    signed = np.array([-scale, scale])   # the scale with each sign, by a sign bit
     with _draws(scale, out):
-        for i, rng in enumerate(_child_rngs(seed, count)):
-            kind = distribution
-            if distribution in mixes:
-                kind = mixes[distribution][i % len(mixes[distribution])]
+        for start, kind in enumerate(kinds[:count]):
+            rows = out[start::period]
             if kind == "uniform":
-                out[i] = rng.uniform(-scale, scale, n)
+                rows[:] = _uniform(-scale, scale, np.array(words[kind]))
             elif kind == "lognormal":
-                out[i] = _SIGNS[rng.integers(0, 2, n)] * np.exp(rng.normal(0.0, 1.0, n)) * scale
+                # exp(0.0 + z) is exp(z): they differ only at z = -0.0
+                signs = signed[_sign_bits(np.array(words[kind]))[:, :n]]
+                rows[:] = np.exp(np.array(normals)) * signs
             elif kind == "spikes":
-                support = rng.choice(n, size=rng.integers(1, max(2, n // 3 + 1)), replace=False)
-                out[i, support] = _SIGNS[rng.integers(0, 2, support.size)] * rng.uniform(0.25, 1.0, support.size) * scale
-            elif kind == "constant":
-                out[i] = float(_SIGNS[rng.integers(0, 2)]) * float(rng.uniform(0.2, 1.0)) * scale
+                _spikes(rows, signed, spikes, supports, words[kind])
             else:
-                raise specs.SpecError(f"unknown input distribution {kind!r}")
+                pair = np.array(words[kind])
+                signs = signed[_sign_bits(pair)[:, 0]]
+                rows[:] = (_uniform(0.2, 1.0, pair[:, 1]) * signs)[:, None]
     return SampleBatch(space, out)
 
 

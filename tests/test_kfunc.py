@@ -39,6 +39,16 @@ class TestKLpLinf:
             want = lp_integral(x, p) ** (1.0 / p)
             assert ok.k_lp_linf_grid(1e9, x, p)[0, 0] == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("p", [3.0, 50.0, 2000.0, 1e6, kfunc.K_P_MAX])
+    def test_atoms_above_a_kink_interval_count_at_any_p(self, p):
+        # K(t, (1, 1/2)) = t for t < 1: F(lam) = 1 - lam + t lam on [1/2, 1],
+        # and ||(x - lam)_+||_p >= 1 - lam below. At the interval's left end
+        # the one atom above is 1/2; summed unscaled, 0.5^2000 underflows to
+        # 0 and K would read t/2
+        ts = np.array([1e-3, 0.1, 0.5, 0.9])
+        np.testing.assert_allclose(ok.k_lp_linf_grid(ts, sample([1.0, 0.5]), p)[0], ts,
+                                   rtol=1e-15, atol=0.0)
+
     def test_p1_equals_running_rearrangement_integral(self):
         rng = np.random.default_rng(31)
         for _ in range(20):

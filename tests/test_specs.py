@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import orliczkit as ok
-from orliczkit import specs
+from orliczkit import kfunc, specs
 from orliczkit.verify import run_scenario
 
 SCENARIO_DIR = Path(__file__).parent.parent / "src" / "orliczkit" / "scenarios"
@@ -477,6 +477,17 @@ class TestTheoremTable:
                 specs.normalize_scenario(scenario)
         assert build_calls == {"phi": 0, "operator": 0}
 
+    def test_prop22_takes_the_exponents_its_kernels_certify(self, build_calls):
+        base = minimal_scenario("prop22")
+        for couple in ({"p": kfunc.K_P_MAX, "q": "inf"}, {"p": 1, "q": kfunc.L_Q_MAX}):
+            specs.normalize_scenario(dict(base, couple=couple))
+        beyond = [({"p": math.nextafter(kfunc.K_P_MAX, math.inf), "q": "inf"}, "p <= 1e+18"),
+                  ({"p": 1, "q": math.nextafter(kfunc.L_Q_MAX, math.inf)}, "q <= 45000")]
+        for couple, bound in beyond:
+            with pytest.raises(specs.SpecError, match=re.escape(bound)):
+                specs.normalize_scenario(dict(base, couple=couple))
+        assert build_calls == {"phi": 0, "operator": 2}
+
     @pytest.mark.parametrize("tag", sorted(tag for tag, record in specs.THEOREMS.items()
                                            if not record.q_inf))
     def test_a_couple_beyond_the_range_of_gamma(self, tag, build_calls):
@@ -637,14 +648,6 @@ def leaf_paths(node, path=()):
 SWEEP_VALUES = (None, True, "x", -1, 0, 2.5, [], {}, math.nan)
 EXTREME_VALUES = (1e308, -1e308, 1e300, 5e-324)
 
-# the extreme exponents that still give a traceback on prop22 (q = inf)
-EXPONENT_FAULTS = {
-    (("couple", "p"), 1e308): "ROADMAP item 7: K at p >= 1e300 (q = inf) divides by zero",
-    (("couple", "p"), 1e300): "ROADMAP item 7: K at p >= 1e300 (q = inf) divides by zero",
-    (("couple", "q"), 1e308): ("ROADMAP item 7: L at q = 1e308 gives an invalid value; its "
-                               "certified error passes VIOLATION_REL beyond q = 4.6e4"),
-}
-
 
 def run_cleanly(scenario, what):
     """A report, or a SpecError or ScenarioRejected; anything else fails the test."""
@@ -677,13 +680,15 @@ class TestLeafSweep:
             if leaf != "inf" and (isinstance(leaf, bool) or not isinstance(leaf, (int, float))):
                 continue
             for value in EXTREME_VALUES:
-                if name == "prop22_maximal_2inf" and (path, value) in EXPONENT_FAULTS:
-                    continue   # pinned below
                 run_cleanly(with_leaf(base, path, value), f"{name} with {path} = {value!r}")
 
-    @pytest.mark.parametrize("path, value", [
-        pytest.param(path, value, id=f"{path[-1]}={value:g}",
-                     marks=pytest.mark.xfail(strict=True, reason=reason))
-        for (path, value), reason in EXPONENT_FAULTS.items()])
-    def test_prop22_at_an_extreme_exponent(self, path, value):
-        run_cleanly(with_leaf(shipped("prop22_maximal_2inf"), path, value), f"{path} = {value!r}")
+    # K divides by zero from p = 1e19 (q = inf), and L gives an invalid value
+    # at q = 1e308, far beyond the q its stop certifies
+    @pytest.mark.parametrize("path, value, bound", [
+        pytest.param(("couple", "p"), 1e308, "p <= 1e+18 at q = inf", id="p=1e+308"),
+        pytest.param(("couple", "p"), 1e300, "p <= 1e+18 at q = inf", id="p=1e+300"),
+        pytest.param(("couple", "q"), 1e308, "q <= 45000", id="q=1e+308"),
+    ])
+    def test_prop22_at_an_extreme_exponent(self, path, value, bound):
+        with pytest.raises(specs.SpecError, match=re.escape(bound)):
+            run_scenario(with_leaf(shipped("prop22_maximal_2inf"), path, value))

@@ -45,6 +45,29 @@ def phi_affine_h():
 DRAW_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3]
 
 
+def pcg64_state_before(word: int, salt: int) -> dict:
+    """A PCG64 state whose next raw word is `word`. PCG64 steps its 128-bit
+    state s to s * mult + inc, then outputs the XSL-RR of the new state:
+    (hi ^ lo) rotated right by hi >> 58, where hi and lo are its 64-bit
+    halves. So any hi (here drawn from salt) with lo = hi ^ (word rotated
+    left by hi >> 58) outputs word, and the state before it is one step
+    back."""
+    mask64, mask128 = (1 << 64) - 1, (1 << 128) - 1
+    hi, inc = np.random.default_rng(salt).bit_generator.random_raw(2).tolist()
+    rot = hi >> 58
+    lo = hi ^ ((word << rot | word >> (64 - rot)) & mask64)
+    inc = inc << 1 | 1
+    state = ((hi << 64 | lo) - inc) * pow(verify._PCG_MULT, -1, 1 << 128) & mask128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def generator_in(state: dict) -> np.random.Generator:
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
+
+
 class TestGenerateInputs:
     def test_batch_rows_are_stable_per_index(self, space8):
         small = ok.generate_inputs(space8, 5, "mixed", 1.0, 16)
@@ -92,6 +115,53 @@ class TestGenerateInputs:
                     want = generate_inputs_per_child(space, count, distribution, scale, seed)
                     assert got.values.tobytes() == want.values.tobytes(), (distribution, count, scale)
 
+    @pytest.mark.parametrize("n", [2, 5, 40, 512])
+    def test_spikes_of_every_size_equal_per_child_draws_bitwise(self, n):
+        # 400 spikes rows per seed: at n = 40 and 512 the seeds draw every
+        # support size k in 1..n//3, and at n = 2-5 choice leaves a half
+        # buffered in every row, which is its first sign
+        space, sizes = ok.uniform_space(n), set()
+        for seed in DRAW_SEEDS:
+            got = ok.generate_inputs(space, 400, "spikes", 1.0, seed)
+            want = generate_inputs_per_child(space, 400, "spikes", 1.0, seed)
+            assert got.values.tobytes() == want.values.tobytes(), seed
+            sizes.update(np.count_nonzero(want.values, axis=1).tolist())
+        assert sizes == set(range(1, max(1, n // 3) + 1))
+
+    @pytest.mark.parametrize("n, first_word, path", [
+        # k = 2 (bit 31 of the low half set); Floyd's first draw, on [0, 6],
+        # takes the high half, 0, where Lemire's method rejects (0 * 7 mod
+        # 2^32 < 2^32 mod 7 = 4)
+        pytest.param(8, 0x00000000_80001234, "a Floyd draw inside choice rejects at n = 8",
+                     id="floyd-rejects-n8"),
+        # the k draw, on [0, 2], takes the low half, 0, where Lemire's method
+        # rejects (0 < 2^32 mod 3 = 1), and redraws k = 3 from the high half
+        pytest.param(9, 0xFFFFFFFF_00000000, "the k draw rejects at n = 9", id="k-rejects-n9"),
+    ])
+    def test_spikes_after_a_rejection_equal_numpy_bitwise(self, monkeypatch, n, first_word, path):
+        # seeded draws meet a rejection about once in 1e9; these states meet
+        # one on their first word, which leaves the 32-bit half after choice
+        # buffered in the generator, so that it is the row's first sign
+        states = [pcg64_state_before(first_word, row) for row in range(4)]
+        for state in states:
+            assert generator_in(state).bit_generator.random_raw() == first_word
+            rng = generator_in(state)
+            rng.choice(n, size=rng.integers(1, n // 3 + 1), replace=False)
+            assert rng.bit_generator.state["has_uint32"] == 1, path
+        monkeypatch.setattr(verify, "_child_rngs",
+                            lambda seed, count: (generator_in(s) for s in states[:count]))
+        # the oracle's per-row calls, on Generators in the same states
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda child: generator_in(states[child.spawn_key[-1]]))
+        space = ok.uniform_space(n)
+        for scale in (1e-8, 1.0):
+            got = ok.generate_inputs(space, len(states), "spikes", scale, 0)
+            want = generate_inputs_per_child(space, len(states), "spikes", scale, 0)
+            assert got.values.tobytes() == want.values.tobytes(), (
+                f"{path}: the row's signs, read from the half that choice left buffered "
+                "and then the low and high halves of its words, or its magnitudes, "
+                "read as lo + (hi - lo) * (w >> 11) * 2^-53, are not NumPy's")
+
     @pytest.mark.parametrize("seed", DRAW_SEEDS)
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 512])
     def test_pairs_equal_per_child_draws_bitwise(self, seed, n):
@@ -130,6 +200,17 @@ class TestKContraction:
         rep = ok.verify_k_contraction(op, inputs)
         assert rep["status"] == "pass" and not rep["violations"]
 
+
+    @pytest.mark.parametrize("p", [500.0, 1e18])
+    def test_maximal_at_a_large_p(self, space8, p):
+        # K's end values sum the atoms above a kink interval at max 1;
+        # unscaled, at p = 500 each atom below 0.23 of the member's sup would
+        # underflow, K would fall below its infimum, and these (the shipped
+        # inputs) would read 180 false alarms
+        couple = ExponentCouple(p, np.inf)
+        inputs = ok.generate_inputs(space8, 200, "mixed", 1.0, 22001)
+        rep = ok.verify_k_contraction(ok.discrete_maximal(space8, couple), inputs)
+        assert rep["status"] == "pass" and not rep["violations"]
 
     @pytest.mark.parametrize("elems", [None, 3 * 20 * 8])
     @pytest.mark.parametrize("q", [np.inf, 3.0])
@@ -452,6 +533,21 @@ class TestThresholdPins:
         assert sorted(v["input_index"] for v in rep["violations"]) == (
             list(range(self.COUNT)) if flagged else [])
 
+
+    @pytest.mark.parametrize("f, flagged", [(10.0, True), (0.1, False)])
+    @pytest.mark.parametrize("p, q", [(2, np.inf), (1, 2)])
+    def test_violation_rel_on_the_k_contraction(self, space8, p, q, f, flagged):
+        # T = identity with M = 1 - f * threshold: K (q = inf) is homogeneous,
+        # so K(t, x/M) = K(t, x)/M, and L's degree lies in [p, q] = [1, 2], so
+        # f = 10 raises the left side by at least 10 thresholds and f = 0.1 by
+        # at most 0.2 of one, on every (input, t) of K_T_GRID
+        couple = ExponentCouple(p, q)
+        bound = 1.0 - f * SHIPPED_THRESHOLDS["VIOLATION_REL"]
+        op = dataclasses.replace(ok.identity_operator(space8, couple), bound_p=bound, bound_q=bound)
+        inputs = ok.generate_inputs(space8, self.COUNT, "mixed", 1.0, 23)
+        rep = ok.verify_k_contraction(op, inputs)
+        assert rep["details"]["violation_count"] == (
+            self.COUNT * verify.K_T_GRID.size if flagged else 0)
 
     @pytest.mark.parametrize("f, met", [(10.0, False), (0.1, True)])
     @pytest.mark.parametrize("p, q", [(1, 2), (1.5, 3), (2, 4)])
