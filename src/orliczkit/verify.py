@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import specs
+from . import draws, specs
 from .constants import NORM_CONSTANTS, bergh_constant, sparr_gamma
 from .kfunc import k_lp_linf_grid, l_functional_grid, l_star_grid
 from .measure import NonFiniteError, SampleBatch
@@ -131,134 +131,27 @@ class _Collector:
 
 
 @contextmanager
-def _draws(scale: float, *out: np.ndarray):
-    """Fill the arrays `out` with input draws at `inputs.scale`; a draw that
-    overflows or leaves a value that is not finite rejects the scenario."""
+def _draws(scale: float):
+    """Draw inputs at `inputs.scale` and make their batches in this block: a
+    draw that overflows, or a batch that `SampleBatch` finds holding a value
+    that is not finite, rejects the scenario."""
     problem = f"inputs.scale = {scale:g} is too large for the input draws"
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
     except OverflowError as exc:
         raise ScenarioRejected(f"{problem}: {exc}") from None
-    if not all(np.all(np.isfinite(a)) for a in out):
-        raise ScenarioRejected(f"{problem}: a drawn value is not finite")
+    except NonFiniteError:
+        raise ScenarioRejected(f"{problem}: a drawn value is not finite") from None
 
 
-# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128). Python ints
-# below 2^32 keep a uint32 array uint32 under NEP 50 and legacy promotion
-# alike.
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _SIGNS = np.array([-1.0, 1.0])
-
-
-def _hash_constants(const: int, mult: int, start: int, count: int) -> np.ndarray:
-    """Pairs start, ..., start + count - 1 of SeedSequence's running hash
-    constant, (c, c * mult mod 2^32) with each next pair starting from the
-    last product, as a (2, count, 1) uint32 array: xor and mult columns."""
-    chain = [const]
-    for _ in range(start + count):
-        chain.append(chain[-1] * mult & _MASK32)
-    return np.array([chain[start:-1], chain[start + 1 :]], dtype=np.uint32)[:, :, None]
-
-
-def _hashmix(value, xor, mult):
-    value = (value ^ xor) * mult & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return value ^ value >> 16
-
-
-def _child_rngs(seed: int, count: int):
-    """For i = 0, ..., count - 1, a Generator in the state of
-    `np.random.default_rng(np.random.SeedSequence(seed).spawn(count)[i])`.
-
-    The same Generator object is yielded each time, reseeded, so a row must
-    be drawn before the next one is asked for. Child i's SeedSequence mixes
-    the entropy [seed words, zeros up to 4 words, i] into a pool of four
-    words. Everything before i depends on the seed alone: it is the pool of
-    `SeedSequence(seed)`, after 4 + 12 hash constants for the first four
-    words and 4 for each word beyond. i is mixed into the four pool words of
-    every child at once, as (4, count) uint32 arrays. The pool gives each
-    child's four 64-bit words (the first two seed PCG64's state, the last
-    two its increment), and PCG64's seeding step runs per child in Python
-    ints.
-    """
-    seq = np.random.SeedSequence(seed)
-    # the child index, the last entropy word, meets one hash constant per
-    # pool word: (4, 1) columns against the (count,) row of indices
-    used = 16 + 4 * max(0, -(-int(seq.entropy).bit_length() // 32) - 4)
-    xor, mult = _hash_constants(_INIT_A, _MULT_A, used, 4)
-    index = np.arange(count, dtype=np.uint32)
-    pool = _mix(seq.pool[:, None], _hashmix(index, xor, mult))
-    # generate_state(4, np.uint64): 32-bit words from pool rows 0-3 twice,
-    # paired little-endian
-    xor, mult = _hash_constants(_INIT_B, _MULT_B, 0, 8)
-    words32 = _hashmix(np.tile(pool, (2, 1)), xor, mult)
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for s_hi, s_lo, i_hi, i_lo in words32.T.astype("<u4", order="C").view("<u8").tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        yield rng
-
 
 # the kinds a mix cycles through, input i taking kind i % len(mix)
 _MIXES = {
     "mixed": ("uniform", "lognormal", "spikes", "constant"),
     "bounded": ("uniform", "spikes", "constant"),
 }
-
-
-def _uniform(lo: float, hi: float, words: np.ndarray) -> np.ndarray:
-    """Generator.uniform(lo, hi) read off raw PCG64 words, one per draw:
-    lo + (hi - lo) * next_double, where next_double is the word's top 53
-    bits times 2^-53."""
-    return lo + (hi - lo) * ((words >> 11) * 2.0**-53)
-
-
-def _sign_bits(words: np.ndarray) -> np.ndarray:
-    """Generator.integers(0, 2) read off raw PCG64 words, two draws per word
-    on the last axis: the top bit of each 32-bit half, the low half first.
-    Lemire's method on [0, 1] keeps the top bit of one half and never
-    rejects."""
-    return words.astype("<u8", copy=False).view("<u4") >> 31
-
-
-def _spikes(rows: np.ndarray, signed: np.ndarray, spikes: list, supports: list,
-            words: list) -> None:
-    """Write the spikes rows. Row r has the support supports[r], which NumPy
-    drew, and spikes[r] = (k, held, half, sign_words): its size, whether
-    `choice` left a 32-bit half buffered in the generator, that half, and
-    (k - held + 1) // 2. Its signs are integers(0, 2, k): the buffered half
-    first where there is one, then the halves of its first sign_words words
-    of words[r]; its magnitudes are uniform(0.25, 1.0, k), one word each
-    after those. Every index is taken once for the whole batch, on the rows'
-    words laid end to end: the j-th draw of row r is draw before[r] + j of
-    the batch, and row r's words follow the sign words and draws of the rows
-    above it."""
-    k, held, half, sign_words = np.array(spikes).T
-    through = sign_words.cumsum()   # the sign words up to and including each row
-    before = k.cumsum() - k
-    draw = np.arange(before[-1] + k[-1])
-    mag_at = draw + through.repeat(k)
-    half_at = draw + (2 * (through - sign_words) + before - held).repeat(k)
-    words = np.concatenate(words)
-    bits = _sign_bits(words)[half_at]
-    buffered = held.nonzero()[0]
-    if buffered.size:
-        bits[before[buffered]] = half[buffered] >> 31
-    rows[np.arange(k.size).repeat(k), np.concatenate(supports)] = (
-        _uniform(0.25, 1.0, words[mag_at]) * signed[bits])
 
 
 def generate_inputs(space, count: int, distribution: str = "mixed",
@@ -268,63 +161,56 @@ def generate_inputs(space, count: int, distribution: str = "mixed",
     only on (seed, i, n, distribution, scale) and batches are stable under
     any count and evaluation order.
 
-    Each row is read off that generator's raw PCG64 words with one
-    `random_raw` call, by NumPy's own readings of them: uniform(lo, hi, m)
-    is lo + (hi - lo) * (w >> 11) * 2^-53 per word w (`_uniform`);
-    integers(0, 2, m) is bit 31 of successive 32-bit halves, the low half
-    of each word first (`_sign_bits`); and normal(0, 1, m) is 0.0 +
-    standard_normal(m), which a lognormal row draws after its signs. A
-    spikes row draws its size and support with NumPy's `integers` and
-    `choice`, whose rejections and shuffle stay NumPy's, then reads from the
-    generator's state the 32-bit half that `choice` may leave buffered
-    (always at n = 2-5; at n >= 6 after a rejection), its first sign. Per
-    row there are only these calls and list appends; the arithmetic on the
-    words runs once per kind for the whole batch. A sign s = -1 or 1 times
-    a magnitude m times the scale is m * (s * scale), bit for bit, as the
-    product of m and -scale is minus that of m and scale.
+    Each row is read off its generator's raw PCG64 words by NumPy's own
+    readings of them: uniform(lo, hi, m) is lo + (hi - lo) * (w >> 11) *
+    2^-53 per word w (`draws.uniform`); integers(0, 2, m) is bit 31 of
+    successive 32-bit halves, the low half of each word first
+    (`draws.halves`); and normal(0, 1, m) is 0.0 + standard_normal(m), which
+    a lognormal row draws after its signs. `draws.child_seeds` gives every
+    child's PCG64 seed at once. A batch of at least `draws.JUMP_ROWS` inputs
+    on at most `draws.JUMP_ATOMS` atoms reads the words of its uniform,
+    constant and spikes rows by one jump-ahead per kind over the whole batch
+    (`draws.jumped_words`), and takes a spikes row's size, support and
+    shuffle as Lemire draws on those words' halves (`draws.spikes`). The
+    other rows go through NumPy's calls, on one Generator set to each row's
+    seeded state in turn: every lognormal row (`random_raw` for its signs,
+    then `standard_normal`); a spikes row whose Lemire draws meet a
+    rejection (`integers` and `choice`, which keep their rejections and
+    shuffle NumPy's, then `random_raw`); and in a smaller batch or on more
+    atoms, every row. The arithmetic on the words runs once per kind for the
+    whole batch. A sign s = -1 or 1 times a magnitude m times the scale is
+    m * (s * scale), bit for bit, as the product of m and -scale is minus
+    that of m and scale.
     """
     kinds = _MIXES.get(distribution, (distribution,))
     if count and not set(kinds) <= set(_MIXES["mixed"]):   # which has every kind
         raise specs.SpecError(f"unknown input distribution {distribution!r}")
     n, period = space.n, len(kinds)
-    words = {kind: [] for kind in kinds}
-    normals, spikes, supports = [], [], []
-    top = max(2, n // 3 + 1)
-    for i, rng in enumerate(_child_rngs(seed, count)):
-        kind, bitgen = kinds[i % period], rng.bit_generator
-        if kind == "uniform":
-            words[kind].append(bitgen.random_raw(n))
-        elif kind == "lognormal":
-            words[kind].append(bitgen.random_raw((n + 1) // 2))
-            normals.append(rng.standard_normal(n))
-        elif kind == "spikes":
-            k = int(rng.integers(1, top))
-            supports.append(rng.choice(n, size=k, replace=False))
-            state = bitgen.state
-            held = state["has_uint32"]
-            sign_words = (k - held + 1) // 2
-            spikes.append((k, held, state["uinteger"], sign_words))
-            words[kind].append(bitgen.random_raw(sign_words + k))
-        else:
-            words[kind].append(bitgen.random_raw(2))
+    seeds = draws.child_seeds(seed, count)
+    jumped = count >= draws.JUMP_ROWS and n <= draws.JUMP_ATOMS
+    rng = np.random.Generator(np.random.PCG64(0))   # set to each row's state in turn
     out = np.zeros((count, n))
     signed = np.array([-scale, scale])   # the scale with each sign, by a sign bit
-    with _draws(scale, out):
+    with _draws(scale):
         for start, kind in enumerate(kinds[:count]):
-            rows = out[start::period]
+            rows, at = out[start::period], seeds[:, start::period]
             if kind == "uniform":
-                rows[:] = _uniform(-scale, scale, np.array(words[kind]))
+                rows[:] = draws.uniform(-scale, scale, draws.words_of(rng, at, n, jumped))
             elif kind == "lognormal":
+                signs, normals = [], []
+                for g in draws.in_states(rng, at):
+                    signs.append(g.bit_generator.random_raw((n + 1) // 2))
+                    normals.append(g.standard_normal(n))
                 # exp(0.0 + z) is exp(z): they differ only at z = -0.0
-                signs = signed[_sign_bits(np.array(words[kind]))[:, :n]]
-                rows[:] = np.exp(np.array(normals)) * signs
+                bits = draws.halves(np.array(signs))[:, :n] >> 31
+                rows[:] = np.exp(np.array(normals)) * signed[bits]
             elif kind == "spikes":
-                _spikes(rows, signed, spikes, supports, words[kind])
+                draws.spikes(rows, rng, at, signed, jumped)
             else:
-                pair = np.array(words[kind])
-                signs = signed[_sign_bits(pair)[:, 0]]
-                rows[:] = (_uniform(0.2, 1.0, pair[:, 1]) * signs)[:, None]
-    return SampleBatch(space, out)
+                pair = draws.words_of(rng, at, 2, jumped)
+                signs = signed[draws.halves(pair)[:, 0] >> 31]
+                rows[:] = (draws.uniform(0.2, 1.0, pair[:, 1]) * signs)[:, None]
+        return SampleBatch(space, out)
 
 
 def _stack(top: SampleBatch, bottom: SampleBatch) -> SampleBatch:
@@ -380,8 +266,10 @@ def _pair_batch(space, count: int, scale: float, seed: int) -> tuple[SampleBatch
     """
     n = space.n
     xs, ys = np.empty((count, n)), np.empty((count, n))
-    with _draws(scale, xs, ys):
-        for i, rng in enumerate(_child_rngs(seed, count)):
+    generators = draws.in_states(np.random.Generator(np.random.PCG64(0)),
+                                 draws.child_seeds(seed, count))
+    with _draws(scale):
+        for i, rng in enumerate(generators):
             y_vals = _SIGNS[rng.integers(0, 2, n)] * np.exp(rng.normal(0.0, 0.8, n)) * scale
             mode = i % 4
             if mode == 0:
@@ -393,7 +281,7 @@ def _pair_batch(space, count: int, scale: float, seed: int) -> tuple[SampleBatch
             else:
                 x_vals = y_vals / float(1.0 + np.abs(rng.normal(0.0, 1.0)))
             xs[i], ys[i] = x_vals, y_vals
-    return SampleBatch(space, xs), SampleBatch(space, ys)
+        return SampleBatch(space, xs), SampleBatch(space, ys)
 
 
 def verify_sparr_batch(space, couple: ExponentCouple, count: int, scale: float = 1.0,

@@ -52,7 +52,8 @@ Nothing in the package calls these; each is written for clarity, not speed.
   `generate_inputs_per_child` and `pair_batch_per_child` are
   `verify.generate_inputs` and `verify._pair_batch` as they were before the
   children's PCG64 states were computed for the whole batch at once, kept
-  verbatim.
+  verbatim but for making their batches inside `verify._draws`, which
+  rejects a value that is not finite as the batch is made.
 - The functionals' inner kernels as they were before their passes were cut:
   `kink_bracket_per_t` is `kfunc._kink_bracket` computing the descent rate
   once per (member, t) row, and `pointwise_min_split_newton` is
@@ -849,7 +850,7 @@ def generate_inputs_per_child(space, count: int, distribution: str = "mixed",
     }
     n = space.n
     out = np.zeros((count, n))
-    with _draws(scale, out):
+    with _draws(scale):
         for i in range(count):
             rng = np.random.default_rng(children[i])
             kind = distribution
@@ -866,7 +867,7 @@ def generate_inputs_per_child(space, count: int, distribution: str = "mixed",
                 out[i] = float(rng.choice([-1.0, 1.0])) * float(rng.uniform(0.2, 1.0)) * scale
             else:
                 raise specs.SpecError(f"unknown input distribution {kind!r}")
-    return SampleBatch(space, out)
+        return SampleBatch(space, out)
 
 
 def pair_batch_per_child(space, count: int, scale: float, seed: int) -> tuple[SampleBatch, SampleBatch]:
@@ -879,7 +880,7 @@ def pair_batch_per_child(space, count: int, scale: float, seed: int) -> tuple[Sa
     children = np.random.SeedSequence(seed).spawn(count)
     n = space.n
     xs, ys = np.empty((count, n)), np.empty((count, n))
-    with _draws(scale, xs, ys):
+    with _draws(scale):
         for i in range(count):
             rng = np.random.default_rng(children[i])
             y_vals = rng.choice([-1.0, 1.0], n) * np.exp(rng.normal(0.0, 0.8, n)) * scale
@@ -893,7 +894,7 @@ def pair_batch_per_child(space, count: int, scale: float, seed: int) -> tuple[Sa
             else:
                 x_vals = y_vals / float(1.0 + np.abs(rng.normal(0.0, 1.0)))
             xs[i], ys[i] = x_vals, y_vals
-    return SampleBatch(space, xs), SampleBatch(space, ys)
+        return SampleBatch(space, xs), SampleBatch(space, ys)
 
 
 def kink_bracket_per_t(m: np.ndarray, kinks: np.ndarray, w: np.ndarray, p: float,

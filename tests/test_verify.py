@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import orliczkit as ok
-from orliczkit import kfunc, specs
+from orliczkit import draws, kfunc, specs
 from orliczkit.orlicz import ExponentCouple
 from orliczkit import verify
 from orliczkit.verify import run_scenario
@@ -45,21 +45,46 @@ def phi_affine_h():
 DRAW_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3]
 
 
-def pcg64_state_before(word: int, salt: int) -> dict:
-    """A PCG64 state whose next raw word is `word`. PCG64 steps its 128-bit
-    state s to s * mult + inc, then outputs the XSL-RR of the new state:
-    (hi ^ lo) rotated right by hi >> 58, where hi and lo are its 64-bit
-    halves. So any hi (here drawn from salt) with lo = hi ^ (word rotated
-    left by hi >> 58) outputs word, and the state before it is one step
-    back."""
+def pcg64_state_before(words: tuple[int, ...], salt: int) -> dict:
+    """A PCG64 state whose next raw words are `words`, one or two. PCG64
+    steps its 128-bit state s to s * mult + inc, then outputs the XSL-RR of
+    the new state: (hi ^ lo) rotated right by hi >> 58, where hi and lo are
+    its 64-bit halves. So any hi (here drawn from salt) with lo = hi ^ (word
+    rotated left by hi >> 58) outputs word, and the state before it is one
+    step back. A second word's state fixes inc, the second state minus mult
+    times the first, which must be odd: its hi is tried from salt's upward
+    until it is."""
     mask64, mask128 = (1 << 64) - 1, (1 << 128) - 1
+    mult = draws._PCG_MULT
     hi, inc = np.random.default_rng(salt).bit_generator.random_raw(2).tolist()
-    rot = hi >> 58
-    lo = hi ^ ((word << rot | word >> (64 - rot)) & mask64)
-    inc = inc << 1 | 1
-    state = ((hi << 64 | lo) - inc) * pow(verify._PCG_MULT, -1, 1 << 128) & mask128
+
+    def outputting(word, hi):
+        rot = hi >> 58
+        return hi << 64 | hi ^ ((word << rot | word >> (64 - rot)) & mask64)
+
+    first, inc = outputting(words[0], hi), inc << 1 | 1
+    if len(words) == 2:
+        inc = 0
+        while not inc & 1:
+            inc = (outputting(words[1], hi) - first * mult) & mask128
+            hi = (hi + 1) & mask64
+    state = (first - inc) * pow(mult, -1, 1 << 128) & mask128
     return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0}
+
+
+def seeds_of(states: list[dict]) -> np.ndarray:
+    """The (4, count) array of `draws.child_seeds` whose children start in
+    these PCG64 states: s hi, s lo, inc hi, inc lo, where the seeded state
+    (s + inc) * mult + inc is the given one."""
+    mask64, mask128 = (1 << 64) - 1, (1 << 128) - 1
+    inverse = pow(draws._PCG_MULT, -1, 1 << 128)
+    columns = []
+    for record in states:
+        state, inc = record["state"]["state"], record["state"]["inc"]
+        s = ((state - inc) * inverse - inc) & mask128
+        columns.append([s >> 64, s & mask64, inc >> 64, inc & mask64])
+    return np.array(columns, dtype=np.uint64).T.copy()
 
 
 def generator_in(state: dict) -> np.random.Generator:
@@ -88,13 +113,20 @@ class TestGenerateInputs:
     # count before they do
     @pytest.mark.parametrize("seed", DRAW_SEEDS + [2**127 + 1, 2**128 + 5, 2**200 + 17])
     def test_child_states_are_numpy_spawned_pcg64(self, seed):
+        children = np.random.SeedSequence(seed).spawn(300)
+        seeds = draws.child_seeds(seed, 300)
+        rng = np.random.Generator(np.random.PCG64())
+        assert ([g.bit_generator.state for g in draws.in_states(rng, seeds)]
+                == [np.random.PCG64(child).state for child in children])
+        # the jump reads each child's first words as its random_raw does
+        words = draws.jumped_words(seeds, draws.JUMP_ATOMS)
+        for child, row in zip(children, words):
+            assert row.tolist() == np.random.PCG64(child).random_raw(draws.JUMP_ATOMS).tolist()
         # child i of spawn(count) is child i of spawn(300) for count <= 300
-        want = [np.random.PCG64(child).state for child in np.random.SeedSequence(seed).spawn(300)]
         for count in range(301):
-            got = [rng.bit_generator.state for rng in verify._child_rngs(seed, count)]
-            assert got == want[:count], count
+            assert draws.child_seeds(seed, count).tolist() == seeds[:, :count].tolist(), count
         for count in (0, 1, 5, 13):
-            got = [rng.bit_generator.state for rng in verify._child_rngs(seed, count)]
+            got = [g.bit_generator.state for g in draws.in_states(rng, draws.child_seeds(seed, count))]
             assert got == [np.random.PCG64(c).state for c in np.random.SeedSequence(seed).spawn(count)]
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
@@ -102,15 +134,20 @@ class TestGenerateInputs:
         with pytest.raises((TypeError, ValueError)):
             np.random.SeedSequence(seed)
         with pytest.raises((TypeError, ValueError)):
-            next(verify._child_rngs(seed, 1))
+            draws.child_seeds(seed, 1)
 
     @pytest.mark.parametrize("seed", DRAW_SEEDS)
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 512])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 33, 512])
     def test_inputs_equal_per_child_draws_bitwise(self, seed, n):
-        space = ok.uniform_space(n)
+        # batches of fewer than JUMP_ROWS inputs go through NumPy's calls;
+        # those of JUMP_ROWS and of 500 read their words by the jump on at
+        # most JUMP_ATOMS atoms, and through NumPy's calls on more
+        space, scales = ok.uniform_space(n), (1e-8, 1.0, 1e6)
         for distribution in specs.INPUT_DISTRIBUTIONS:
-            for count in (0, 1, 5, 13):
-                for scale in (1e-8, 1.0, 1e6):
+            for count, count_scales in ((0, scales), (1, scales), (5, scales), (13, scales),
+                                        (draws.JUMP_ROWS - 1, scales), (draws.JUMP_ROWS, scales),
+                                        (500, (1.0,))):
+                for scale in count_scales:
                     got = ok.generate_inputs(space, count, distribution, scale, seed)
                     want = generate_inputs_per_child(space, count, distribution, scale, seed)
                     assert got.values.tobytes() == want.values.tobytes(), (distribution, count, scale)
@@ -128,35 +165,50 @@ class TestGenerateInputs:
             sizes.update(np.count_nonzero(want.values, axis=1).tolist())
         assert sizes == set(range(1, max(1, n // 3) + 1))
 
-    @pytest.mark.parametrize("n, first_word, path", [
+    @pytest.mark.parametrize("n, words, path, jumped", [
         # k = 2 (bit 31 of the low half set); Floyd's first draw, on [0, 6],
         # takes the high half, 0, where Lemire's method rejects (0 * 7 mod
-        # 2^32 < 2^32 mod 7 = 4)
-        pytest.param(8, 0x00000000_80001234, "a Floyd draw inside choice rejects at n = 8",
-                     id="floyd-rejects-n8"),
+        # 2^32 < 2^32 mod 7 = 4): the jump finds the rejection and leaves
+        # the row to NumPy's calls
+        pytest.param(8, (0x00000000_80001234,), "a Floyd draw inside choice rejects at n = 8",
+                     True, id="floyd-rejects-n8"),
+        # k = 2; Floyd's first draw, on [0, 5], takes 2^30 and gives 1 (2^30
+        # * 6 mod 2^32 = 2^31 is not below 2^32 mod 6 = 4); its second, on
+        # [0, 6], takes the next word's low half, 0, rejects, and redraws 1
+        # from its high half, 2^30
+        pytest.param(7, (0x40000000_80000000, 0x40000000_00000000),
+                     "Floyd's second draw inside choice rejects at n = 7", True,
+                     id="floyd-second-rejects-n7"),
         # the k draw, on [0, 2], takes the low half, 0, where Lemire's method
-        # rejects (0 < 2^32 mod 3 = 1), and redraws k = 3 from the high half
-        pytest.param(9, 0xFFFFFFFF_00000000, "the k draw rejects at n = 9", id="k-rejects-n9"),
+        # rejects (0 < 2^32 mod 3 = 1), and redraws k = 3 from the high half;
+        # a batch on more than draws.JUMP_ATOMS atoms takes no jump
+        pytest.param(9, (0xFFFFFFFF_00000000,), "the k draw rejects at n = 9", False,
+                     id="k-rejects-n9"),
     ])
-    def test_spikes_after_a_rejection_equal_numpy_bitwise(self, monkeypatch, n, first_word, path):
-        # seeded draws meet a rejection about once in 1e9; these states meet
-        # one on their first word, which leaves the 32-bit half after choice
-        # buffered in the generator, so that it is the row's first sign
-        states = [pcg64_state_before(first_word, row) for row in range(4)]
-        for state in states:
-            assert generator_in(state).bit_generator.random_raw() == first_word
+    def test_spikes_after_a_rejection_equal_numpy_bitwise(self, monkeypatch, n, words, path,
+                                                          jumped):
+        # seeded draws meet a rejection about once in 1e9; the even rows'
+        # states meet one on their first words, which leaves the 32-bit half
+        # after choice buffered in the generator, so that it is the row's
+        # first sign. The odd rows' states are seeded ones, which the jump
+        # reads, so one batch holds both
+        count = draws.JUMP_ROWS
+        assert (n <= draws.JUMP_ATOMS) == jumped
+        states = [pcg64_state_before(words, row) if row % 2 == 0 else np.random.PCG64(row).state
+                  for row in range(count)]
+        for state in states[::2]:
+            assert generator_in(state).bit_generator.random_raw(len(words)).tolist() == list(words)
             rng = generator_in(state)
             rng.choice(n, size=rng.integers(1, n // 3 + 1), replace=False)
             assert rng.bit_generator.state["has_uint32"] == 1, path
-        monkeypatch.setattr(verify, "_child_rngs",
-                            lambda seed, count: (generator_in(s) for s in states[:count]))
+        monkeypatch.setattr(draws, "child_seeds", lambda seed, count: seeds_of(states[:count]))
         # the oracle's per-row calls, on Generators in the same states
         monkeypatch.setattr(np.random, "default_rng",
                             lambda child: generator_in(states[child.spawn_key[-1]]))
         space = ok.uniform_space(n)
         for scale in (1e-8, 1.0):
-            got = ok.generate_inputs(space, len(states), "spikes", scale, 0)
-            want = generate_inputs_per_child(space, len(states), "spikes", scale, 0)
+            got = ok.generate_inputs(space, count, "spikes", scale, 0)
+            want = generate_inputs_per_child(space, count, "spikes", scale, 0)
             assert got.values.tobytes() == want.values.tobytes(), (
                 f"{path}: the row's signs, read from the half that choice left buffered "
                 "and then the low and high halves of its words, or its magnitudes, "
